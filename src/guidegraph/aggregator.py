@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import IdCollisionError, InterfaceResolutionError
 from .oracle import OracleClient
-from .retrieval import EmbeddingStore, cosine_candidates
+from .retrieval import CandidateSet, EmbeddingStore, cosine_candidates
 from .builder import find_duplicate
 
 logger = logging.getLogger(__name__)
@@ -146,16 +146,21 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         if x in tombstones or x not in graph.nodes:
             continue
         node = graph.nodes[x]
-        pool = {
-            nid: other.label for nid, other in graph.nodes.items()
-            if other.origin_chunk != node.origin_chunk
-        }
-        if not pool:
+        if all(other.origin_chunk == node.origin_chunk for other in graph.nodes.values()):
             continue
-        candidates = cosine_candidates(node.label, pool, config.candidate_count, store)
+        exact_id = next((nid for nid in graph.label_ids(node.label)
+                         if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
+
+        def rank() -> tuple[CandidateSet, dict[str, str]]:
+            pool = {
+                nid: other.label for nid, other in graph.nodes.items()
+                if other.origin_chunk != node.origin_chunk
+            }
+            return cosine_candidates(node.label, pool, config.candidate_count, store), pool
+
         ancestors = _capped_ancestors(graph, x, store)
-        match_id, similarity, how = find_duplicate(node.label, ancestors,
-                                                   candidates, pool, client)
+        match_id, similarity, how = find_duplicate(node.label, ancestors, exact_id,
+                                                   rank, client)
         if match_id is None:
             continue
         primary, secondary, reason = choose_primary_secondary(graph, x, match_id)

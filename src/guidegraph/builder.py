@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .core import (
     Chunk,
@@ -70,24 +70,25 @@ def duplicate_payload(candidate_label: str, ancestors: Sequence[tuple[str, str]]
 def find_duplicate(
     candidate_label: str,
     ancestors: Sequence[tuple[str, str]],
-    candidate_set: CandidateSet,
-    pool: Mapping[str, str],
+    exact_id: str | None,
+    rank: Callable[[], tuple[CandidateSet, Mapping[str, str]]],
     client: OracleClient,
 ) -> tuple[str | None, float | None, str]:
     """Decide whether a candidate duplicates an existing node.
 
-    `pool` maps every eligible node id to its normalized label. Fast path:
-    an exact label match anywhere in the pool wins without an oracle call.
-    Otherwise the verifier judges the retrieved candidates; among confirmed
-    matches the highest-similarity one wins, ties broken by ascending node
-    id. Oracle failure degrades to no-duplicate: keeping structure beats
-    silently merging.
+    Fast path: `exact_id`, the lowest eligible node id whose label equals
+    the candidate's, wins without ranking or an oracle call. Otherwise
+    `rank()` returns the retrieved candidates and the pool they came from
+    (every eligible node id -> normalized label), and the verifier judges
+    the candidates; among confirmed matches the highest-similarity one
+    wins, ties broken by ascending node id. Oracle failure degrades to
+    no-duplicate: keeping structure beats silently merging.
 
     Returns (node_id or None, similarity or None, how).
     """
-    for node_id, label in sorted(pool.items()):
-        if label == candidate_label:
-            return node_id, 1.0, "exact"
+    if exact_id is not None:
+        return exact_id, 1.0, "exact"
+    candidate_set, pool = rank()
     if not candidate_set.entries:
         return None, None, "empty-pool"
     payload = duplicate_payload(
@@ -183,13 +184,17 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
     while state.queue:
         item = state.queue.popleft()
         label = normalize_label(item.candidate_label)
-        pool = {nid: node.label for nid, node in state.graph.nodes.items()}
-        candidates = cosine_candidates(label, pool, config.candidate_count, store)
+        exact_ids = state.graph.label_ids(label)
+
+        def rank() -> tuple[CandidateSet, dict[str, str]]:
+            pool = {nid: node.label for nid, node in state.graph.nodes.items()}
+            return cosine_candidates(label, pool, config.candidate_count, store), pool
+
         ancestors = [] if item.incoming is None else [
             (state.graph.nodes[item.incoming[0]].label, item.incoming[1])
         ]
-        match_id, similarity, how = find_duplicate(label, ancestors, candidates,
-                                                   pool, client)
+        match_id, similarity, how = find_duplicate(
+            label, ancestors, exact_ids[0] if exact_ids else None, rank, client)
         if match_id is not None:
             state.trace.append({"event": "duplicate", "chunk": chunk.chunk_id,
                                 "label": label, "match": match_id, "how": how,

@@ -208,10 +208,11 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
 
 
 class _StepClock:
-    """Deterministic audit clock for scripted runs: one second per record."""
+    """Deterministic audit clock for scripted runs: one second per record,
+    counted from `start`."""
 
-    def __init__(self) -> None:
-        self._count = 0
+    def __init__(self, start: int = 0) -> None:
+        self._count = start
 
     def __call__(self) -> str:
         ts = datetime.fromtimestamp(self._count, tz=timezone.utc)
@@ -221,13 +222,13 @@ class _StepClock:
 
 def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleClient, EmbeddingStore]:
     """Build the oracle client and embedding store for a run."""
-    audit_path = out_dir / "audit.log" if out_dir is not None else None
+    audit = AuditLog(out_dir / "audit.log" if out_dir is not None else None)
     if config.backend.kind == "scripted":
         if not config.backend.fixture_dir:
             raise UsageError("scripted backend needs --fixtures")
         fixtures = FixtureSet.load(config.backend.fixture_dir)
         backend = ScriptedBackend(fixtures)
-        audit = AuditLog(audit_path, clock=_StepClock())
+        audit.clock = _StepClock(audit.prior_records)
         store = EmbeddingStore(HashingEmbeddingBackend())
     else:
         if not config.backend.base_url:
@@ -235,7 +236,6 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
         token = os.environ.get(config.backend.auth_env)
         backend = LiveBackend(config.backend.base_url, config.backend.chat_model,
                               auth_token=token, timeout=config.backend.timeout)
-        audit = AuditLog(audit_path)
         store = EmbeddingStore(LiveEmbeddingBackend(
             config.backend.base_url, config.backend.embed_model,
             auth_token=token, timeout=config.backend.timeout,

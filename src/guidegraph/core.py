@@ -170,6 +170,10 @@ class DecisionGraph:
     Edges form a set of (source, label, target) triples; duplicate triples
     carry no information and are never stored twice. Self-loops produced by
     rewiring are suppressed and logged rather than kept.
+
+    Nodes enter only through `add_node` and leave only through
+    `merge_nodes`, which keep the label index; a node's label never changes
+    once it is in the graph.
     """
 
     def __init__(self) -> None:
@@ -177,11 +181,20 @@ class DecisionGraph:
         self.edges: set[DecisionEdge] = set()
         self.suppressed_self_loops: list[DecisionEdge] = []
         self._id_counters: dict[str, int] = {}
+        self._label_index: dict[str, set[str]] = {}
 
     def add_node(self, node: DecisionNode) -> None:
         if node.node_id in self.nodes:
             raise GraphIntegrityError(f"node id {node.node_id!r} already present")
         self.nodes[node.node_id] = node
+        self._label_index.setdefault(node.label, set()).add(node.node_id)
+
+    def _remove_node(self, node_id: str) -> None:
+        node = self.nodes.pop(node_id)
+        ids = self._label_index[node.label]
+        ids.discard(node_id)
+        if not ids:
+            del self._label_index[node.label]
 
     def next_node_id(self, prefix: str) -> str:
         seq = self._id_counters.get(prefix, 0) + 1
@@ -190,7 +203,7 @@ class DecisionGraph:
 
     def label_ids(self, normalized_label: str) -> list[str]:
         """Node ids whose label equals the given normalized label, ascending."""
-        return sorted(nid for nid, node in self.nodes.items() if node.label == normalized_label)
+        return sorted(self._label_index.get(normalized_label, ()))
 
     def ancestors_of(self, node_id: str) -> list[tuple[str, str]]:
         """(source_id, edge_label) pairs of edges into node_id, sorted."""
@@ -214,7 +227,8 @@ class DecisionGraph:
 
     def copy(self) -> "DecisionGraph":
         dup = DecisionGraph()
-        dup.nodes = {nid: copy.deepcopy(node) for nid, node in self.nodes.items()}
+        for node in self.nodes.values():
+            dup.add_node(copy.deepcopy(node))
         dup.edges = set(self.edges)
         dup.suppressed_self_loops = list(self.suppressed_self_loops)
         dup._id_counters = dict(self._id_counters)
@@ -332,7 +346,7 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
             p_node.interface_labels.append(label)
     if (p_node.kind is NodeKind.TERMINAL) != (s_node.kind is NodeKind.TERMINAL):
         p_node.kind = NodeKind.INTERMEDIATE
-    del graph.nodes[secondary]
+    graph._remove_node(secondary)
     graph.check_integrity()
 
 

@@ -132,19 +132,25 @@ class AuditLog:
     """Append-only, internally synchronized log of oracle traffic.
 
     One record per dispatch call. When a path is configured, records are
-    also written as line-delimited JSON.
+    also written as line-delimited JSON. `prior_records` counts the records
+    already in that file, so a stage that appends to the log of an earlier
+    one can number its requests after them.
     """
 
     def __init__(self, path: str | Path | None = None,
                  clock: Callable[[], str] | None = None) -> None:
         self._path = Path(path) if path is not None else None
-        self._clock = clock or (lambda: datetime.now(timezone.utc).isoformat())
+        self.clock = clock or (lambda: datetime.now(timezone.utc).isoformat())
         self._lock = threading.Lock()
         self.entries: list[dict[str, Any]] = []
+        self.prior_records = 0
+        if self._path is not None and self._path.exists():
+            with self._path.open(encoding="utf-8") as handle:
+                self.prior_records = sum(1 for line in handle if line.strip())
 
     def append(self, request: OracleRequest, outcome: str) -> None:
         record = {
-            "ts": self._clock(),
+            "ts": self.clock(),
             "request_id": request.request_id,
             "task": request.task.value,
             "payload_digest": payload_digest(request.task, request.payload),
@@ -407,8 +413,10 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
 class OracleClient:
     """Bundles a backend with audit logging, retries, and request ids.
 
-    Request ids are sequential, so runs against the scripted backend are
-    fully reproducible. Safe for concurrent use.
+    Request ids are sequential and continue after the records already in
+    the audit file, so runs against the scripted backend are fully
+    reproducible, whether run whole or stage by stage. Safe for concurrent
+    use.
     """
 
     def __init__(self, backend: Backend, *, audit: AuditLog | None = None,
@@ -416,7 +424,7 @@ class OracleClient:
         self.backend = backend
         self.audit = audit if audit is not None else AuditLog()
         self.retry_limit = retry_limit
-        self._counter = 0
+        self._counter = self.audit.prior_records
         self._lock = threading.Lock()
 
     def _next_id(self) -> str:

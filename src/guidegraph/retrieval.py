@@ -1,31 +1,30 @@
 """Embedding store and top-k cosine candidate retrieval for duplicate detection.
 
-Pools are at most hundreds of nodes per document, so retrieval is exact
-brute force. The scripted embedding backend is a seeded character-n-gram
-feature hasher: deterministic, whitespace-insensitive after label
-normalization, and good enough to put near-identical labels first.
+Retrieval is exact, like a flat inner-product index: the store keeps every
+vector as one row of a growing matrix with its norm beside it, and a query
+scores the whole pool with one matrix-vector product. Callers look up exact
+label matches in the graph's label index first and rank only on a miss.
+The scripted embedding backend is a seeded character-n-gram feature
+hasher: deterministic, whitespace-insensitive after label normalization,
+and good enough to put near-identical labels first. Its vectors are
+integer-valued, so every dot product and norm is exact in float64.
 """
 from __future__ import annotations
 
 import hashlib
-import json
-import logging
 import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 import requests
 
-from .core import canonical_json, normalize_label
+from .core import normalize_label
 from .errors import EmbeddingError, OracleTransportError
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 256
 DEFAULT_SEED = 13
-CACHE_FORMAT = "embedding-cache/1"
+INITIAL_ROWS = 64
 
 
 class EmbeddingBackend(Protocol):
@@ -92,73 +91,86 @@ class LiveEmbeddingBackend:
 class EmbeddingStore:
     """Cache of label embeddings keyed by normalized label text.
 
-    Dimensionality is fixed by the first vector; zero vectors are rejected
-    at ingest. Reads and inserts are internally synchronized.
+    Each vector is stored once, as a row of one float64 matrix, with its
+    norm in an array beside it. A label resolves to its row by one dict hit;
+    only a label the store has not seen is normalized. Dimensionality is
+    fixed by the first vector; zero vectors are rejected at ingest. Reads
+    and inserts are internally synchronized. Growing the matrix replaces
+    the array and rows are written once, so a snapshot taken under the lock
+    stays valid.
     """
 
     def __init__(self, backend: EmbeddingBackend) -> None:
         self.backend = backend
-        self._cache: dict[str, np.ndarray] = {}
-        self._dim: int | None = None
+        self._rows: dict[str, int] = {}  # normalized key or label as given -> row
+        self._matrix: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
+        self._count = 0
         self._lock = threading.Lock()
 
-    def _ingest(self, key: str, vector: np.ndarray) -> np.ndarray:
+    def _ingest(self, key: str, vector) -> int:
         vector = np.asarray(vector, dtype=np.float64)
-        if float(np.linalg.norm(vector)) == 0.0:
+        norm = np.linalg.norm(vector)
+        if norm == 0.0:
             raise EmbeddingError(f"zero embedding vector for {key!r}")
-        if self._dim is None:
-            self._dim = vector.size
-        elif vector.size != self._dim:
+        if self._matrix is None:
+            self._matrix = np.empty((INITIAL_ROWS, vector.size))
+            self._norms = np.empty(INITIAL_ROWS)
+        elif vector.size != self._matrix.shape[1]:
             raise EmbeddingError(
-                f"dimension mismatch for {key!r}: {vector.size} != {self._dim}"
+                f"dimension mismatch for {key!r}: {vector.size} != {self._matrix.shape[1]}"
             )
-        self._cache[key] = vector
-        return vector
+        elif self._count == len(self._matrix):
+            self._matrix = np.concatenate([self._matrix, np.empty_like(self._matrix)])
+            self._norms = np.concatenate([self._norms, np.empty_like(self._norms)])
+        row = self._count
+        self._matrix[row] = vector
+        self._norms[row] = norm
+        self._rows[key] = row
+        self._count += 1
+        return row
+
+    def _row(self, label: str) -> int:
+        """Row of a label, embedding it on first sight. Call with the lock held."""
+        row = self._rows.get(label)
+        if row is None:
+            key = normalize_label(label)
+            row = self._rows.get(key)
+            if row is None:
+                row = self._ingest(key, self.backend.embed_text(key))
+            self._rows[label] = row
+        return row
+
+    def rows(self, labels: Iterable[str]) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Row of each label, plus the matrix and norms those rows index."""
+        with self._lock:
+            rows = [self._row(label) for label in labels]
+            count = self._count
+            return rows, self._matrix[:count], self._norms[:count]
 
     def vector(self, label: str) -> np.ndarray:
-        key = normalize_label(label)
+        """The label's embedding, as a read-only view of its row."""
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            return self._ingest(key, self.backend.embed_text(key))
+            row = self._row(label)  # may grow the matrix, so index it afterwards
+            view = self._matrix[row]
+        view.flags.writeable = False
+        return view
 
     def put(self, label: str, vector) -> None:
-        """Install a vector directly (used by tests with hand-placed vectors)."""
+        """Install a vector directly (used by tests with hand-placed vectors).
+
+        A label's vector is fixed once stored, so a label already present is
+        rejected.
+        """
         key = normalize_label(label)
         with self._lock:
-            self._ingest(key, np.asarray(vector, dtype=np.float64))
+            if key in self._rows:
+                raise EmbeddingError(f"{key!r} already has a vector")
+            self._ingest(key, vector)
 
     def cosine(self, label_a: str, label_b: str) -> float:
-        a = self.vector(label_a)
-        b = self.vector(label_b)
-        return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-    def save(self, path: str | Path) -> None:
-        with self._lock:
-            entries = {
-                hashlib.sha256(key.encode("utf-8")).hexdigest(): {
-                    "label": key,
-                    "values": [float(x) for x in vec],
-                }
-                for key, vec in sorted(self._cache.items())
-            }
-        doc = {"format": CACHE_FORMAT, "backend": self.backend.name, "entries": entries}
-        Path(path).write_text(canonical_json(doc), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path, backend: EmbeddingBackend) -> "EmbeddingStore":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format") != CACHE_FORMAT:
-            raise EmbeddingError(f"unsupported cache format {doc.get('format')!r}")
-        store = cls(backend)
-        if doc.get("backend") != backend.name:
-            logger.warning("embedding cache was built by %r, not %r; ignoring it",
-                           doc.get("backend"), backend.name)
-            return store
-        for entry in doc["entries"].values():
-            store._ingest(entry["label"], np.asarray(entry["values"], dtype=np.float64))
-        return store
+        (a, b), matrix, norms = self.rows((label_a, label_b))
+        return float(np.dot(matrix[a], matrix[b]) / (norms[a] * norms[b]))
 
 
 @dataclass(frozen=True)
@@ -168,9 +180,6 @@ class CandidateSet:
     entries: tuple[tuple[str, float], ...]
     k: int
 
-    def labels(self, pool: Mapping[str, str]) -> list[str]:
-        return [pool[node_id] for node_id, _ in self.entries]
-
 
 def cosine_candidates(query: str, pool: Mapping[str, str], k: int,
                       store: EmbeddingStore) -> CandidateSet:
@@ -178,7 +187,10 @@ def cosine_candidates(query: str, pool: Mapping[str, str], k: int,
 
     The query may be a node id present in the pool (which is then excluded
     from its own candidates) or a raw label. An empty pool yields an empty
-    candidate set.
+    candidate set. Similarities are dot products over the product of norms,
+    the same arithmetic as one `np.dot` per member; every member at or above
+    the k-th similarity is sorted, so a tie group cut by k goes to its
+    lowest ids.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -190,12 +202,15 @@ def cosine_candidates(query: str, pool: Mapping[str, str], k: int,
         members = list(pool.items())
     if not members:
         return CandidateSet(entries=(), k=k)
-    q = store.vector(query_label)
-    q_norm = float(np.linalg.norm(q))
-    scored = []
-    for node_id, label in members:
-        v = store.vector(label)
-        sim = float(np.dot(q, v) / (q_norm * np.linalg.norm(v)))
-        scored.append((node_id, sim))
+    rows, matrix, norms = store.rows([query_label] + [label for _, label in members])
+    q_row, rows = rows[0], np.asarray(rows[1:])
+    sims = (matrix @ matrix[q_row])[rows] / (norms[q_row] * norms[rows])
+    cut = len(members) - k
+    if cut > 0:
+        keep = np.flatnonzero(sims >= np.partition(sims, cut)[cut]).tolist()
+    else:
+        keep = range(len(members))
+    values = sims.tolist()
+    scored = [(members[i][0], values[i]) for i in keep]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return CandidateSet(entries=tuple(scored[:k]), k=k)

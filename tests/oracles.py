@@ -3,7 +3,8 @@
 Everything here is deliberately naive: character-by-character
 normalization, relabel-then-dedup graph quotients, compute-all-and-sort
 retrieval, union-find transitive closures. None of it shares code with
-the implementation under test.
+the implementation under test, except that the per-member ranking loop
+reads its vectors from the embedding store.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import math
 import random
 from collections import defaultdict
 from typing import Callable, Iterable
+
+import numpy as np
 
 from guidegraph.core import (
     Chunk,
@@ -72,6 +75,31 @@ def exhaustive_top_k(query_vec, pool_vectors: dict[str, list[float]], k: int,
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
+
+
+def loop_cosine_candidates(query: str, pool: dict[str, str], k: int,
+                           store) -> tuple[tuple[str, float], ...]:
+    """The per-member ranking loop: one `np.dot` per pool member, full sort.
+
+    Same arithmetic as the matrix form, one member at a time, so on
+    integer-valued (hashing) embeddings the results must be equal.
+    """
+    if query in pool:
+        query_label = pool[query]
+        members = [(nid, label) for nid, label in pool.items() if nid != query]
+    else:
+        query_label = query
+        members = list(pool.items())
+    if not members:
+        return ()
+    q = store.vector(query_label)
+    q_norm = float(np.linalg.norm(q))
+    scored = []
+    for node_id, label in members:
+        v = store.vector(label)
+        scored.append((node_id, float(np.dot(q, v) / (q_norm * np.linalg.norm(v)))))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return tuple(scored[:k])
 
 
 def scan_runs(indices: list[int]) -> list[list[int]]:

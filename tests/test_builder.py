@@ -109,6 +109,11 @@ def test_unbounded_chain_hits_cap_exactly():
     assert len(partial.nodes) == 10
 
 
+def ranked(candidates: CandidateSet, pool: dict[str, str]):
+    """A `rank` callable for find_duplicate that returns fixed candidates."""
+    return lambda: (candidates, pool)
+
+
 def test_cap_smaller_than_interface_rejected():
     with pytest.raises(UsageError):
         build(simple_chunk(entry=("a", "b"), terminal=("c", "d")),
@@ -118,11 +123,12 @@ def test_cap_smaller_than_interface_rejected():
 def test_fast_path_exact_match_skips_oracle():
     backend = StaticBackend("never called")
     client = make_client(backend)
+
+    def must_not_rank():
+        raise AssertionError("an exact hit must not rank the pool")
+
     match, similarity, how = find_duplicate(
-        normalize_label("Active Surveillance"), [],
-        CandidateSet(entries=(("n1", 0.5),), k=5),
-        pool={"n1": "active surveillance"},
-        client=client,
+        normalize_label("Active Surveillance"), [], "n1", must_not_rank, client=client,
     )
     assert (match, similarity, how) == ("n1", 1.0, "exact")
     assert backend.calls == 0
@@ -130,8 +136,8 @@ def test_fast_path_exact_match_skips_oracle():
 
 def test_empty_candidate_set_returns_none_without_oracle():
     backend = StaticBackend("never called")
-    match, _, how = find_duplicate("fresh", [], CandidateSet(entries=(), k=5),
-                                   pool={}, client=make_client(backend))
+    match, _, how = find_duplicate("fresh", [], None, ranked(CandidateSet(entries=(), k=5), {}),
+                                   client=make_client(backend))
     assert match is None
     assert how == "empty-pool"
     assert backend.calls == 0
@@ -141,8 +147,8 @@ def test_paraphrase_match_via_verifier():
     backend = TableBackend({}, paraphrases={"as protocol": "active surveillance"})
     candidates = CandidateSet(entries=(("n2", 0.7), ("n1", 0.4)), k=5)
     match, similarity, how = find_duplicate(
-        "as protocol", [], candidates,
-        pool={"n1": "watchful waiting", "n2": "active surveillance"},
+        "as protocol", [], None,
+        ranked(candidates, {"n1": "watchful waiting", "n2": "active surveillance"}),
         client=make_client(backend),
     )
     assert (match, how) == ("n2", "verifier")
@@ -157,8 +163,7 @@ def test_verifier_picks_highest_similarity_then_lowest_id():
 
     candidates = CandidateSet(entries=(("n3", 0.9), ("n1", 0.9), ("n2", 0.2)), k=5)
     match, _, _ = find_duplicate(
-        "x", [], candidates,
-        pool={"n1": "a", "n2": "b", "n3": "c"},
+        "x", [], None, ranked(candidates, {"n1": "a", "n2": "b", "n3": "c"}),
         client=make_client(ConfirmEverything()),
     )
     assert match == "n1"
@@ -167,8 +172,8 @@ def test_verifier_picks_highest_similarity_then_lowest_id():
 def test_duplicate_oracle_failure_degrades_to_new_node():
     backend = StaticBackend("garbage")
     match, _, how = find_duplicate(
-        "x", [], CandidateSet(entries=(("n1", 0.9),), k=5),
-        pool={"n1": "other"}, client=make_client(backend),
+        "x", [], None, ranked(CandidateSet(entries=(("n1", 0.9),), k=5), {"n1": "other"}),
+        client=make_client(backend),
     )
     assert match is None
     assert how == "error-degraded"

@@ -244,7 +244,7 @@ def test_staged_commands_equal_full_run(tmp_path):
 
     compare = ["config.json", "profile.json", "chunks.json", "expansion_trace.json",
                "graphs/chunk_01.json", "graphs/chunk_02.json", "graphs/chunk_03.json",
-               "merged.json", "merge_log.json", "provenance.json"]
+               "merged.json", "merge_log.json", "provenance.json", "audit.log"]
     for name in compare:
         assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 

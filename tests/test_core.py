@@ -8,6 +8,7 @@ import pytest
 
 from oracles import brute_force_merge, reference_normalize
 
+from guidegraph.aggregator import union_graphs
 from guidegraph.core import (
     Chunk,
     DecisionEdge,
@@ -288,6 +289,43 @@ def test_edges_are_a_set_never_a_multiset():
     graph = graph_with(["A", "B"], [("A", "c", "B")])
     graph.add_edge("A", "c", "B")
     assert len(graph.edges) == 1
+
+
+def _assert_label_index_matches_scan(graph: DecisionGraph) -> None:
+    for label in {node.label for node in graph.nodes.values()} | {"absent"}:
+        assert graph.label_ids(label) == sorted(
+            nid for nid, node in graph.nodes.items() if node.label == label
+        ), label
+
+
+def test_label_index_matches_full_scan_under_random_mutations():
+    rng = random.Random(41)
+    labels = ["alpha", "beta", "gamma", "delta"]
+    for _ in range(30):
+        graphs = [DecisionGraph()]
+        for step in range(40):
+            graph = rng.choice(graphs)
+            op = rng.choice(["register", "register", "register", "merge", "copy", "union", "doc"])
+            if op == "register":
+                ancestor = rng.choice(sorted(graph.nodes)) if graph.nodes and rng.random() < 0.5 else None
+                register_node(graph, QueueItem(rng.choice(labels),
+                                               None if ancestor is None else (ancestor, "go")),
+                              NodeKind.INTERMEDIATE, id_prefix=f"s{step:02d}n")
+            elif op == "merge" and len(graph.nodes) >= 2:
+                primary, secondary = rng.sample(sorted(graph.nodes), 2)
+                merge_nodes(graph, primary, secondary)
+            elif op == "copy":
+                graphs.append(graph.copy())
+            elif op == "union":
+                other = DecisionGraph()
+                for _ in range(rng.randint(0, 3)):
+                    register_node(other, QueueItem(rng.choice(labels)), NodeKind.ENTRY,
+                                  id_prefix=f"u{step:02d}n")
+                graphs.append(union_graphs([graph, other]))
+            elif op == "doc":
+                graphs.append(graph_from_doc(graph_to_doc(graph)))
+            for each in graphs:
+                _assert_label_index_matches_scan(each)
 
 
 # ---------------------------------------------------------------------------

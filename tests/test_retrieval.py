@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from oracles import exhaustive_top_k
+from oracles import exhaustive_top_k, loop_cosine_candidates
 
+from guidegraph.core import normalize_label
 from guidegraph.errors import EmbeddingError
 from guidegraph.retrieval import (
     CandidateSet,
@@ -62,6 +65,18 @@ def test_k_larger_than_pool_saturates(hashing_store):
     assert len(result.entries) == 3
     sims = [s for _, s in result.entries]
     assert sims == sorted(sims, reverse=True)
+
+
+def test_vector_is_a_read_only_view(hashing_store):
+    vector = hashing_store.vector("active surveillance")
+    with pytest.raises(ValueError):
+        vector[0] = 1.0
+
+
+def test_put_rejects_a_label_that_has_a_vector(hashing_store):
+    hashing_store.vector("active surveillance")
+    with pytest.raises(EmbeddingError):
+        hashing_store.put("Active Surveillance", [1.0] * 256)
 
 
 def test_zero_vector_rejected():
@@ -128,24 +143,80 @@ def test_tie_break_is_insertion_order_independent(hashing_store):
     assert [nid for nid, _ in fwd.entries] == ["n1", "n2", "n3"]
 
 
-def test_cache_persistence_round_trip(tmp_path, hashing_store):
-    hashing_store.vector("active surveillance")
-    hashing_store.vector("radiation therapy")
-    path = tmp_path / "cache.json"
-    hashing_store.save(path)
-    loaded = EmbeddingStore.load(path, HashingEmbeddingBackend())
-    assert np.array_equal(loaded.vector("active surveillance"),
-                          hashing_store.vector("active surveillance"))
+VOCABULARY = ("active surveillance", "radiation therapy", "prostate biopsy",
+              "psa elevated", "watchful waiting", "radical prostatectomy",
+              "repeat biopsy", "mri")
 
 
-def test_cache_from_other_backend_is_ignored(tmp_path, hashing_store):
-    hashing_store.vector("active surveillance")
-    path = tmp_path / "cache.json"
-    hashing_store.save(path)
-    other = EmbeddingStore.load(path, HashingEmbeddingBackend(seed=99))
-    assert other._cache == {}
+def test_matrix_ranking_equals_per_member_loop_on_hashing_embeddings(hashing_store):
+    # Hashing vectors are integer-valued, so the matrix form must give
+    # exactly the loop's floats, not merely close ones.
+    fixed = [
+        # duplicate labels under shuffled ids; k = 2 cuts the "mri" tie group
+        ("mri scan", {"n07": "mri", "n03": "mri", "n05": "mri", "n01": "repeat biopsy"}, 2),
+        ("n05", {"n07": "mri", "n03": "mri", "n05": "mri", "n01": "repeat biopsy"}, 1),
+        ("mri", {"n09": "watchful waiting"}, 1),  # a pool of one member
+        ("biopsy", {"n02": "prostate biopsy", "n01": "repeat biopsy"}, 9),  # k > pool
+    ]
+    rng = random.Random(5)
+    tie_cuts = 0
+    cases = list(fixed)
+    for _ in range(400):
+        size = rng.randint(1, 14)
+        ids = [f"n{i:02d}" for i in rng.sample(range(60), size)]
+        pool = {node_id: rng.choice(VOCABULARY) for node_id in ids}
+        query = rng.choice([rng.choice(ids), rng.choice(VOCABULARY), "psa elevated again"])
+        cases.append((query, pool, rng.randint(1, size + 2)))
+    for query, pool, k in cases:
+        expected = loop_cosine_candidates(query, pool, k, hashing_store)
+        assert cosine_candidates(query, pool, k, hashing_store).entries == expected
+        full = loop_cosine_candidates(query, pool, len(pool), hashing_store)
+        if len(full) > k and full[k - 1][1] == full[k][1]:
+            tie_cuts += 1
+    assert [nid for nid, _ in cosine_candidates(*fixed[0], hashing_store).entries] == ["n03", "n05"]
+    assert tie_cuts > 20
 
 
-def test_candidate_set_labels_helper():
-    cs = CandidateSet(entries=(("n2", 0.9), ("n1", 0.1)), k=2)
-    assert cs.labels({"n1": "one", "n2": "two"}) == ["two", "one"]
+def test_concurrent_lookups_store_each_key_once():
+    backend = HashingEmbeddingBackend(dim=32)
+    store = EmbeddingStore(backend)
+    # Overlapping windows over 200 keys, spelled two ways, so threads race
+    # to embed the same key and to grow the matrix past its first rows.
+    spellings = [f"label {i}" for i in range(200)] + [f"  Label {i}. " for i in range(200)]
+    label_sets = [[spellings[(t * 50 + j) % 400] for j in range(120)] for t in range(8)]
+    seen: list[dict[str, np.ndarray]] = [{} for _ in label_sets]
+    errors: list[BaseException] = []
+
+    def work(labels: list[str], out: dict[str, np.ndarray]) -> None:
+        try:
+            for label in labels:
+                out[label] = store.vector(label)
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(labels, out))
+               for labels, out in zip(label_sets, seen)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+    labels = sorted({label for labels in label_sets for label in labels})
+    keys = {normalize_label(label) for label in labels}
+    rows, matrix, _ = store.rows(labels)
+    assert len(matrix) == len(keys)
+    row_of_key: dict[str, int] = {}
+    for label, row in zip(labels, rows):
+        key = normalize_label(label)
+        assert row_of_key.setdefault(key, row) == row
+        assert np.array_equal(matrix[row], backend.embed_text(key))
+    for out in seen:
+        for label, vector in out.items():
+            assert np.array_equal(vector, matrix[row_of_key[normalize_label(label)]])
