@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from .core import (
@@ -32,15 +32,6 @@ from .oracle import OracleClient, OracleTask
 from .retrieval import CandidateSet, EmbeddingStore, cosine_candidates
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class ExpansionState:
-    graph: DecisionGraph
-    queue: deque[QueueItem]
-    expanded_count: int = 0
-    cap: int = 200
-    trace: list[dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -152,59 +143,60 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
         )
 
     prefix = f"c{chunk.chunk_id:02d}n"
-    state = ExpansionState(graph=DecisionGraph(), queue=deque(), cap=config.expansion_cap)
+    graph = DecisionGraph()
+    queue: deque[QueueItem] = deque()
+    trace: list[dict[str, Any]] = []
 
     def register(item: QueueItem, kind: NodeKind, interface_label: str | None) -> str:
-        if state.expanded_count + 1 > state.cap:
-            state.trace.append({"event": "cap", "chunk": chunk.chunk_id,
-                                "label": item.candidate_label})
+        if len(graph.nodes) >= config.expansion_cap:
+            trace.append({"event": "cap", "chunk": chunk.chunk_id,
+                          "label": item.candidate_label})
             raise ExpansionBudgetExceeded(
-                f"chunk {chunk.chunk_id}: expansion cap {state.cap} reached",
-                partial_graph=state.graph,
+                f"chunk {chunk.chunk_id}: expansion cap {config.expansion_cap} reached",
+                partial_graph=graph,
             )
         node_id = register_node(
-            state.graph, item, kind,
+            graph, item, kind,
             origin_chunk=chunk.chunk_id,
             provenance_pages=chunk.page_span,
             id_prefix=prefix,
             interface_labels=[interface_label] if interface_label else [],
         )
-        state.expanded_count += 1
-        state.trace.append({"event": "register", "chunk": chunk.chunk_id,
-                            "node_id": node_id, "label": item.candidate_label,
-                            "kind": kind.value})
+        trace.append({"event": "register", "chunk": chunk.chunk_id,
+                      "node_id": node_id, "label": item.candidate_label,
+                      "kind": kind.value})
         return node_id
 
     for raw in chunk.terminal_labels:
         label = normalize_label(raw)
         register(QueueItem(label, None), NodeKind.TERMINAL, label)
     for raw in chunk.entry_labels:
-        state.queue.append(QueueItem(normalize_label(raw), None))
+        queue.append(QueueItem(normalize_label(raw), None))
 
-    while state.queue:
-        item = state.queue.popleft()
+    while queue:
+        item = queue.popleft()
         label = normalize_label(item.candidate_label)
-        exact_ids = state.graph.label_ids(label)
+        exact_ids = graph.label_ids(label)
 
         def rank() -> tuple[CandidateSet, dict[str, str]]:
-            pool = {nid: node.label for nid, node in state.graph.nodes.items()}
+            pool = {nid: node.label for nid, node in graph.nodes.items()}
             return cosine_candidates(label, pool, config.candidate_count, store), pool
 
         ancestors = [] if item.incoming is None else [
-            (state.graph.nodes[item.incoming[0]].label, item.incoming[1])
+            (graph.nodes[item.incoming[0]].label, item.incoming[1])
         ]
         match_id, similarity, how = find_duplicate(
             label, ancestors, exact_ids[0] if exact_ids else None, rank, client)
         if match_id is not None:
-            state.trace.append({"event": "duplicate", "chunk": chunk.chunk_id,
-                                "label": label, "match": match_id, "how": how,
-                                "similarity": None if similarity is None else round(similarity, 6)})
+            trace.append({"event": "duplicate", "chunk": chunk.chunk_id,
+                          "label": label, "match": match_id, "how": how,
+                          "similarity": None if similarity is None else round(similarity, 6)})
             if item.incoming is not None:
                 ancestor, edge_label = item.incoming
-                redirect_ancestor_edge(state.graph, (ancestor, edge_label, label),
+                redirect_ancestor_edge(graph, (ancestor, edge_label, label),
                                        (ancestor, edge_label, match_id))
             else:
-                matched = state.graph.nodes[match_id]
+                matched = graph.nodes[match_id]
                 if label not in matched.interface_labels:
                     matched.interface_labels.append(label)
             continue
@@ -212,18 +204,17 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
         node_id = register(item, kind, label if item.incoming is None else None)
         children = generate_children(label, item.incoming, chunk.context, client)
         if not children:
-            state.trace.append({"event": "dead_end", "chunk": chunk.chunk_id,
-                                "node_id": node_id, "label": label})
+            trace.append({"event": "dead_end", "chunk": chunk.chunk_id,
+                          "node_id": node_id, "label": label})
             logger.warning("chunk %d: non-terminal %r has no successors",
                            chunk.chunk_id, label)
         for child_label, edge_label in children:
-            state.queue.append(QueueItem(child_label, (node_id, edge_label)))
+            queue.append(QueueItem(child_label, (node_id, edge_label)))
 
-    graph = state.graph
     graph.check_integrity()
     _assert_terminal_fixity(chunk, graph)
     _assert_reachability(graph)
-    return BuildResult(graph=graph, trace=state.trace)
+    return BuildResult(graph=graph, trace=trace)
 
 
 def _assert_terminal_fixity(chunk: Chunk, graph: DecisionGraph) -> None:

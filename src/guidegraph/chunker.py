@@ -1,15 +1,15 @@
 """Chunk generation: profile extraction, page classification, run partitioning,
 boundary-predicted buffering, and chunk finalization with interface refinement.
 
-Pages are classified independently (and may be classified concurrently);
-the buffering loop is strictly sequential within a run because the running
-context threads from one chunk to the next. The context resets to the
-profile scope at each run start.
+Pages are classified independently; the buffering loop is strictly
+sequential within a run because the running context threads from one chunk
+to the next. The context resets to the profile scope at each run start, so
+runs are independent. Both pages and runs fan out over the oracle client.
 """
 from __future__ import annotations
 
+import dataclasses
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -117,21 +117,16 @@ def classify_pages(pages: Sequence[PageRecord], profile: GuidelineProfile,
     dropping a page loses recall but never fabricates decision content.
     """
 
-    def classify(page: PageRecord) -> PageLabel:
+    def classify(child: OracleClient, page: PageRecord) -> PageLabel:
         try:
-            body = client.call(OracleTask.CLASSIFY_PAGE, classify_payload(page, profile))
+            body = child.call(OracleTask.CLASSIFY_PAGE, classify_payload(page, profile))
         except OracleProtocolError:
             logger.warning("page %d: classification failed; defaulting to auxiliary",
                            page.index)
             return PageLabel.AUXILIARY
         return PageLabel(body["label"])
 
-    if not pages:
-        return []
-    if parallelism <= 1:
-        return [classify(p) for p in pages]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(classify, pages))
+    return client.fan_out(classify, pages, parallelism)
 
 
 def contiguous_runs(core_indices: Sequence[int]) -> list[Run]:
@@ -288,54 +283,76 @@ class ChunkingResult:
     chunks: list[Chunk]
 
 
+def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfile,
+              budget: int, client: OracleClient) -> list[Chunk]:
+    """Chunk one run of core pages, ids counted from 1 within the run.
+
+    Carry-forward pages from one chunk seed the next buffer and the running
+    context threads across chunks. The run stops after its first invalid
+    chunk, where a serial run raises; `run_chunking` raises it under the
+    chunk's document-wide id.
+    """
+    chunks: list[Chunk] = []
+    buffer = ChunkBuffer(pages=[], running_context=profile.scope_context)
+    for position, index in enumerate(run.page_indices):
+        current = by_index[index]
+        last = position == len(run.page_indices) - 1
+        lookahead = None if last else by_index[run.page_indices[position + 1]]
+        buffer.lookahead = lookahead
+        cut = predict_boundary(buffer, current, lookahead, budget, client)
+        buffer.pages.append(current)
+        if cut or last:
+            outcome = build_chunk(buffer, lookahead, client)
+            entry, terminal = refine_nodes(
+                buffer, outcome.description, outcome.entry_labels,
+                outcome.terminal_labels, client,
+            )
+            context = assemble_context(profile, outcome.description, buffer.pages,
+                                       outcome.updated_context)
+            chunk = Chunk(
+                chunk_id=len(chunks) + 1,
+                context=context,
+                entry_labels=entry,
+                terminal_labels=terminal,
+                description=outcome.description,
+                carried_pages=outcome.carry_pages,
+                page_span=tuple(buffer.indices()),
+            )
+            chunks.append(chunk)
+            try:
+                chunk.validate()
+            except ValueError:
+                return chunks
+            carried = set(outcome.carry_pages)
+            buffer = ChunkBuffer(
+                pages=[p for p in buffer.pages if p.index in carried],
+                running_context=outcome.updated_context,
+            )
+    return chunks
+
+
 def run_chunking(pages: Sequence[PageRecord], config, client: OracleClient) -> ChunkingResult:
     """Run the whole chunking stage over a page-ordered document.
 
-    Chunks come out ordered by first page. Carry-forward pages from one
-    chunk seed the next buffer within the same run; the running context
-    threads across chunks within a run and resets per run.
+    Runs of core pages are chunked independently, fanned out over the
+    client; chunks come out ordered by first page and are numbered in run
+    order as each run commits.
     """
     header = list(pages[: config.header_pages])
     profile = extract_profile(header, client)
     labels = classify_pages(pages, profile, client, parallelism=config.parallelism)
     core_indices = [p.index for p, label in zip(pages, labels) if label is PageLabel.CORE]
-    runs = contiguous_runs(core_indices)
     by_index = {p.index: p for p in pages}
-
     chunks: list[Chunk] = []
-    chunk_id = 0
-    for run in runs:
-        buffer = ChunkBuffer(pages=[], running_context=profile.scope_context)
-        for position, index in enumerate(run.page_indices):
-            current = by_index[index]
-            last = position == len(run.page_indices) - 1
-            lookahead = None if last else by_index[run.page_indices[position + 1]]
-            buffer.lookahead = lookahead
-            cut = predict_boundary(buffer, current, lookahead, config.chunk_budget, client)
-            buffer.pages.append(current)
-            if cut or last:
-                chunk_id += 1
-                outcome = build_chunk(buffer, lookahead, client)
-                entry, terminal = refine_nodes(
-                    buffer, outcome.description, outcome.entry_labels,
-                    outcome.terminal_labels, client,
-                )
-                context = assemble_context(profile, outcome.description, buffer.pages,
-                                           outcome.updated_context)
-                chunk = Chunk(
-                    chunk_id=chunk_id,
-                    context=context,
-                    entry_labels=entry,
-                    terminal_labels=terminal,
-                    description=outcome.description,
-                    carried_pages=outcome.carry_pages,
-                    page_span=tuple(buffer.indices()),
-                )
-                chunk.validate()
-                chunks.append(chunk)
-                carried = set(outcome.carry_pages)
-                buffer = ChunkBuffer(
-                    pages=[p for p in buffer.pages if p.index in carried],
-                    running_context=outcome.updated_context,
-                )
+
+    def number(run: Run, run_chunks: list[Chunk]) -> None:
+        for draft in run_chunks:
+            chunk = dataclasses.replace(draft, chunk_id=len(chunks) + 1)
+            chunk.validate()
+            chunks.append(chunk)
+
+    client.fan_out(
+        lambda child, run: chunk_run(run, by_index, profile, config.chunk_budget, child),
+        contiguous_runs(core_indices), config.parallelism, on_commit=number,
+    )
     return ChunkingResult(profile=profile, page_labels=list(labels), chunks=chunks)

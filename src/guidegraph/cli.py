@@ -5,7 +5,7 @@ The canonical JSON serialization is the single interchange format between
 stages, so each stage command can resume from the previous stage's files
 and a full run equals the stages run one by one. Under the scripted
 backend the audit clock and request ids are deterministic, making whole
-run directories byte-comparable.
+run directories byte-comparable at any parallelism.
 
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
 5 oracle protocol, 6 structural, 7 expansion budget.
@@ -18,10 +18,11 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import aggregator, builder, chunker, core, evaluation
 from .core import DecisionGraph, NodeKind, PageRecord, canonical_json
@@ -244,6 +245,17 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
     return client, store
 
 
+@contextmanager
+def _session(config: PipelineConfig,
+             out_dir: Path) -> Iterator[tuple[OracleClient, EmbeddingStore]]:
+    """`make_session` for one command; closes the audit file when it ends."""
+    client, store = make_session(config, out_dir)
+    try:
+        yield client, store
+    finally:
+        client.audit.close()
+
+
 def make_match_policy(config: PipelineConfig) -> evaluation.MatchPolicy:
     mode = evaluation.MatchMode(config.match_mode)
     return evaluation.MatchPolicy(mode=mode, threshold=config.match_threshold)
@@ -293,16 +305,20 @@ def stage_chunk(pages: Sequence[PageRecord], config: PipelineConfig,
 
 def stage_build(chunks, config: PipelineConfig, client: OracleClient,
                 store: EmbeddingStore, out_dir: Path) -> list[DecisionGraph]:
-    graphs = []
-    trace: list[dict[str, Any]] = []
-    for chunk in chunks:
-        result = builder.build_graph(chunk, client, store, config)
-        graphs.append(result.graph)
-        trace.extend(result.trace)
+    """Build the chunk graphs, fanned out over the client; each graph file is
+    written as its chunk commits, in chunk order."""
+
+    def build(child: OracleClient, chunk: core.Chunk) -> builder.BuildResult:
+        return builder.build_graph(chunk, child, store, config)
+
+    def write(chunk: core.Chunk, result: builder.BuildResult) -> None:
         _write(_chunk_graph_path(out_dir, chunk.chunk_id), core.graph_to_doc(result.graph))
+
+    results = client.fan_out(build, chunks, config.parallelism, on_commit=write)
     _write(out_dir / "expansion_trace.json",
-           {"format": "expansion-trace/1", "events": trace})
-    return graphs
+           {"format": "expansion-trace/1",
+            "events": [event for result in results for event in result.trace]})
+    return [result.graph for result in results]
 
 
 def stage_aggregate(chunks, graphs, config: PipelineConfig, client: OracleClient,
@@ -337,10 +353,10 @@ def run_pipeline(manifest_path: str | Path, config: PipelineConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
     pages = ingest(manifest_path)
-    client, store = make_session(config, out_dir)
-    chunking = stage_chunk(pages, config, client, out_dir)
-    graphs = stage_build(chunking.chunks, config, client, store, out_dir)
-    stage_aggregate(chunking.chunks, graphs, config, client, store, out_dir)
+    with _session(config, out_dir) as (client, store):
+        chunking = stage_chunk(pages, config, client, out_dir)
+        graphs = stage_build(chunking.chunks, config, client, store, out_dir)
+        stage_aggregate(chunking.chunks, graphs, config, client, store, out_dir)
     return out_dir
 
 
@@ -359,20 +375,11 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             raise UsageError(f"config file invalid: {exc}") from exc
     else:
         config = PipelineConfig()
-    overrides = {
-        "header_pages": "header_pages",
-        "chunk_budget": "chunk_budget",
-        "candidate_count": "candidate_count",
-        "expansion_cap": "expansion_cap",
-        "retry_limit": "retry_limit",
-        "parallelism": "parallelism",
-        "match_mode": "match_mode",
-        "match_threshold": "match_threshold",
-    }
-    for arg_name, field_name in overrides.items():
-        value = getattr(args, arg_name, None)
+    for name in ("header_pages", "chunk_budget", "candidate_count", "expansion_cap",
+                 "retry_limit", "parallelism", "match_mode", "match_threshold"):
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, field_name, value)
+            setattr(config, name, value)
     if getattr(args, "backend", None):
         config.backend.kind = args.backend
     if getattr(args, "fixtures", None):
@@ -393,8 +400,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
     pages = ingest(args.manifest)
-    client, _ = make_session(config, out_dir)
-    profile = chunker.extract_profile(pages[: config.header_pages], client)
+    with _session(config, out_dir) as (client, _):
+        profile = chunker.extract_profile(pages[: config.header_pages], client)
     _write(out_dir / "profile.json", core.profile_to_doc(profile))
     print(f"profile written to {out_dir / 'profile.json'}")
     return EXIT_OK
@@ -406,8 +413,8 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
     pages = ingest(args.manifest)
-    client, _ = make_session(config, out_dir)
-    result = stage_chunk(pages, config, client, out_dir)
+    with _session(config, out_dir) as (client, _):
+        result = stage_chunk(pages, config, client, out_dir)
     print(f"{len(result.chunks)} chunks written to {out_dir / 'chunks.json'}")
     return EXIT_OK
 
@@ -419,8 +426,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     chunks = core.chunks_from_doc(
         json.loads((out_dir / "chunks.json").read_text(encoding="utf-8"))
     )
-    client, store = make_session(config, out_dir)
-    graphs = stage_build(chunks, config, client, store, out_dir)
+    with _session(config, out_dir) as (client, store):
+        graphs = stage_build(chunks, config, client, store, out_dir)
     print(f"{len(graphs)} chunk graphs written to {out_dir / 'graphs'}")
     return EXIT_OK
 
@@ -433,8 +440,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         json.loads((out_dir / "chunks.json").read_text(encoding="utf-8"))
     )
     graphs = [core.load_graph(_chunk_graph_path(out_dir, c.chunk_id)) for c in chunks]
-    client, store = make_session(config, out_dir)
-    result = stage_aggregate(chunks, graphs, config, client, store, out_dir)
+    with _session(config, out_dir) as (client, store):
+        result = stage_aggregate(chunks, graphs, config, client, store, out_dir)
     print(f"merged graph with {len(result.graph.nodes)} nodes written to "
           f"{out_dir / 'merged.json'}")
     return EXIT_OK

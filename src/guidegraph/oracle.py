@@ -5,7 +5,8 @@ task has a response schema; free text from a backend is never interpreted
 positionally. Backends are pluggable: a live OpenAI-compatible chat
 endpoint, or a deterministic scripted backend that replays fixture files
 keyed by a content digest of the canonicalized payload. Every dispatch is
-appended to an audit log.
+appended to an audit log. Independent work items that call the oracle can
+fan out over a thread pool and still leave the log a serial run writes.
 """
 from __future__ import annotations
 
@@ -13,11 +14,14 @@ import hashlib
 import json
 import logging
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 
 import requests
 
@@ -128,13 +132,23 @@ def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _unstamped(request: OracleRequest, outcome: str) -> dict[str, Any]:
+    """An audit record without its request id and timestamp."""
+    return {
+        "task": request.task.value,
+        "payload_digest": payload_digest(request.task, request.payload),
+        "outcome": outcome,
+    }
+
+
 class AuditLog:
     """Append-only, internally synchronized log of oracle traffic.
 
     One record per dispatch call. When a path is configured, records are
-    also written as line-delimited JSON. `prior_records` counts the records
-    already in that file, so a stage that appends to the log of an earlier
-    one can number its requests after them.
+    also written as line-delimited JSON through one handle that stays open
+    until `close`. `prior_records` counts the records already in that file,
+    so a stage that appends to the log of an earlier one can number its
+    requests after them.
     """
 
     def __init__(self, path: str | Path | None = None,
@@ -142,6 +156,8 @@ class AuditLog:
         self._path = Path(path) if path is not None else None
         self.clock = clock or (lambda: datetime.now(timezone.utc).isoformat())
         self._lock = threading.Lock()
+        self._handle: TextIO | None = None
+        self._close_handle: weakref.finalize | None = None
         self.entries: list[dict[str, Any]] = []
         self.prior_records = 0
         if self._path is not None and self._path.exists():
@@ -149,21 +165,53 @@ class AuditLog:
                 self.prior_records = sum(1 for line in handle if line.strip())
 
     def append(self, request: OracleRequest, outcome: str) -> None:
-        record = {
-            "ts": self.clock(),
-            "request_id": request.request_id,
-            "task": request.task.value,
-            "payload_digest": payload_digest(request.task, request.payload),
-            "outcome": outcome,
-        }
+        """Write one record under the request's own id."""
+        record = _unstamped(request, outcome)
         with self._lock:
-            self.entries.append(record)
-            if self._path is not None:
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(canonical_json(record, compact=True) + "\n")
+            self._write([self._stamp(record, request.request_id)])
+
+    def commit(self, records: Sequence[dict[str, Any]], next_id: Callable[[], str]) -> None:
+        """Write the held-back records of one fan-out item in one write,
+        stamped with ids from `next_id` and times from the clock."""
+        with self._lock:
+            self._write([self._stamp(record, next_id()) for record in records])
+
+    def _stamp(self, record: dict[str, Any], request_id: str) -> dict[str, Any]:
+        return {"ts": self.clock(), "request_id": request_id, **record}
+
+    def _write(self, records: list[dict[str, Any]]) -> None:
+        self.entries.extend(records)
+        if self._path is None or not records:
+            return
+        if self._handle is None:
+            self._handle = self._path.open("a", encoding="utf-8")
+            # Closes the handle if the owner never calls `close`.
+            self._close_handle = weakref.finalize(self, self._handle.close)
+        self._handle.write("".join(canonical_json(record, compact=True) + "\n"
+                                   for record in records))
+        self._handle.flush()
+
+    def close(self) -> None:
+        """Close the file handle; a later record opens it again."""
+        with self._lock:
+            if self._close_handle is not None:
+                self._close_handle()
+            self._handle = self._close_handle = None
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class _HeldRecords:
+    """Audit records of one fan-out item, held back until the item commits."""
+
+    prior_records = 0
+
+    def __init__(self) -> None:
+        self.records: list[dict[str, Any]] = []
+
+    def append(self, request: OracleRequest, outcome: str) -> None:
+        self.records.append(_unstamped(request, outcome))
 
 
 class Backend(Protocol):
@@ -270,17 +318,6 @@ class ScriptedBackend:
 
     def complete(self, request: OracleRequest) -> str:
         return self._fixtures.lookup_raw(request.task, request.payload)
-
-
-def scripted_lookup(request: OracleRequest, fixtures: FixtureSet) -> OracleResponse:
-    """Resolve a request against a fixture set and validate the reply."""
-    raw = fixtures.lookup_raw(request.task, request.payload)
-    try:
-        body = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise OracleProtocolError(f"fixture for {request.task.value} is not JSON: {exc}") from exc
-    validate_response(request.task, body)
-    return OracleResponse(request.request_id, body, raw)
 
 
 _SYSTEM_PROMPTS: dict[OracleTask, str] = {
@@ -410,13 +447,25 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
         raise
 
 
+Item = TypeVar("Item")
+Result = TypeVar("Result")
+
+
+class _Deferred:
+    """Stands in for a future at parallelism 1: runs its call when the
+    result is read, so each item runs only when its turn to commit comes."""
+
+    def __init__(self, fn: Callable[..., Any], *args: Any) -> None:
+        self.result = partial(fn, *args)
+
+
 class OracleClient:
     """Bundles a backend with audit logging, retries, and request ids.
 
     Request ids are sequential and continue after the records already in
     the audit file, so runs against the scripted backend are fully
-    reproducible, whether run whole or stage by stage. Safe for concurrent
-    use.
+    reproducible, whether run whole or stage by stage, at any parallelism.
+    Safe for concurrent use.
     """
 
     def __init__(self, backend: Backend, *, audit: AuditLog | None = None,
@@ -437,3 +486,72 @@ class OracleClient:
         response = dispatch(request, self.backend, retry_limit=self.retry_limit,
                             audit=self.audit)
         return response.body
+
+    def fan_out(self, fn: Callable[["OracleClient", Item], Result], items: Sequence[Item],
+                parallelism: int = 1,
+                on_commit: Callable[[Item, Result], None] | None = None) -> list[Result]:
+        """Run `fn(client, item)` for every item, up to `parallelism` at a
+        time, and leave what a loop over the items would leave.
+
+        Each item calls the oracle through a child client whose audit
+        records are held back. Items commit strictly in item order: the
+        item's records get this client's next request ids and clock stamps
+        in one write, then `on_commit(item, result)` runs. Results come back
+        in item order.
+
+        If an item (or its `on_commit`) raises, items after it that have not
+        started are skipped, every item that ran is still committed in
+        order, and the exception of the earliest failing item is raised,
+        as a serial run would raise it.
+        """
+        items = list(items)
+        first_failure = len(items)
+        failure_lock = threading.Lock()
+
+        def fail(index: int) -> None:
+            nonlocal first_failure
+            with failure_lock:
+                first_failure = min(first_failure, index)
+
+        def run(index: int, item: Item):
+            if index > first_failure:
+                return None
+            child = OracleClient(self.backend, audit=_HeldRecords(),
+                                 retry_limit=self.retry_limit)
+            try:
+                return child, fn(child, item), None
+            except Exception as exc:  # raised again, in item order, by the caller
+                fail(index)
+                return child, None, exc
+
+        pool = (ThreadPoolExecutor(max_workers=parallelism)
+                if parallelism > 1 and len(items) > 1 else None)
+        submit = pool.submit if pool is not None else _Deferred
+        results: list[Result] = []
+        error: Exception | None = None
+        try:
+            futures = [submit(run, index, item) for index, item in enumerate(items)]
+            for index, (item, future) in enumerate(zip(items, futures)):
+                ran = future.result()
+                if ran is None:
+                    continue
+                child, result, exc = ran
+                self.audit.commit(child.audit.records, self._next_id)
+                if error is not None:
+                    continue
+                if exc is None and on_commit is not None:
+                    try:
+                        on_commit(item, result)
+                    except Exception as raised:
+                        exc = raised
+                if exc is not None:
+                    error = exc
+                    fail(index)
+                else:
+                    results.append(result)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+        if error is not None:
+            raise error
+        return results

@@ -6,11 +6,15 @@ Run from the repository root after an intentional behavior change:
 
 Step 1 records oracle fixtures by driving the pipeline with the rule-table
 backend; step 2 replays the pipeline through the CLI entry points against
-those fixture files and freezes the resulting run directory as golden.
-Tests never call this module; they compare against the committed files.
+those fixture files and freezes the resulting run directory as golden;
+step 3 replays it again at parallelism 4 and exits with an error unless
+that run leaves the same files (the `parallelism` that config.json echoes
+aside). Tests never call this module; they compare against the committed
+files.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import sys
@@ -45,6 +49,28 @@ def record_fixtures(manifest_path: Path, config) -> FixtureSet:
     graphs = [builder.build_graph(c, client, store, config).graph for c in chunking.chunks]
     aggregator.aggregate(chunking.chunks, graphs, client, store, config)
     return fixtures
+
+
+def check_parallel_replay(manifest_path: Path, config, parallelism: int = 4) -> None:
+    """Exit with an error unless a run at `parallelism` leaves the golden files."""
+    replay = dataclasses.replace(config, parallelism=parallelism)
+    frozen = {p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.rglob("*") if p.is_file()}
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = cli.run_pipeline(manifest_path, replay, Path(tmp) / "run")
+        written = {p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file()}
+        differ = sorted(written ^ (frozen - {Path("eval_report.json"), Path("merged.dot")}))
+        for name in sorted(written & frozen):
+            data = (run_dir / name).read_bytes()
+            if name == Path("config.json"):
+                doc = json.loads(data)
+                doc["parallelism"] = config.parallelism
+                data = core.canonical_json(doc).encode("utf-8")
+            if data != (GOLDEN_DIR / name).read_bytes():
+                differ.append(name)
+    if differ:
+        sys.exit(f"a run at parallelism {parallelism} differs from the goldens in "
+                 f"{[str(name) for name in differ]}")
+    print(f"a run at parallelism {parallelism} leaves the same files")
 
 
 def main() -> None:
@@ -85,6 +111,7 @@ def main() -> None:
     doc = json.loads((GOLDEN_DIR / "eval_report.json").read_text())
     print("eval:", {k: doc[k] for k in ("unit_name",)},
           doc["nodes"], doc["edges"], doc["triplets"])
+    check_parallel_replay(manifest_path, config)
 
 
 if __name__ == "__main__":

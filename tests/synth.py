@@ -10,6 +10,9 @@ interface duplicates.
 from __future__ import annotations
 
 import json
+import random
+import threading
+import time
 from pathlib import Path
 from typing import Any
 
@@ -249,6 +252,26 @@ class FlakyBackend:
         if self._remaining > 0:
             self._remaining -= 1
             return self._bad_raw
+        return self._inner.complete(request)
+
+
+class JitterBackend:
+    """Delegates after sleeping a seeded random 0-4 ms, so concurrent calls
+    finish out of order; counts the calls it received."""
+
+    name = "jitter"
+
+    def __init__(self, inner, seed: int) -> None:
+        self._inner = inner
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def complete(self, request: OracleRequest) -> str:
+        with self._lock:
+            self.calls += 1
+            delay = self._rng.uniform(0.0, 0.004)
+        time.sleep(delay)
         return self._inner.complete(request)
 
 

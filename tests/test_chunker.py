@@ -9,11 +9,13 @@ from oracles import scan_runs
 from synth import (
     PAGE_TEXTS,
     PROFILE_BODY,
+    JitterBackend,
     NeverCutBackend,
     StaticBackend,
     SyntheticRuleBackend,
 )
 
+from guidegraph import chunker
 from guidegraph.chunker import (
     ChunkBuffer,
     build_chunk,
@@ -304,6 +306,27 @@ def test_run_chunking_synthetic_document():
     assert result.chunks[1].chunk_id == 2
     assert "[segment] initial risk stratification" in result.chunks[0].context
     assert "[page 2]" in result.chunks[0].context
+
+
+def test_invalid_chunk_error_names_its_document_wide_id(monkeypatch):
+    refine = chunker.refine_nodes
+
+    def overlapping(buffer, description, entry, terminal, client):
+        refined_entry, refined_terminal = refine(buffer, description, entry, terminal, client)
+        if buffer.indices() == [6, 7]:  # the first chunk of the second run
+            return refined_entry, refined_entry
+        return refined_entry, refined_terminal
+
+    monkeypatch.setattr(chunker, "refine_nodes", overlapping)
+    for parallelism in (1, 4):
+        backend = JitterBackend(SyntheticRuleBackend(), seed=parallelism)
+        client = make_client(backend)
+        with pytest.raises(ValueError) as exc_info:
+            run_chunking(pages(), config(parallelism=parallelism), client)
+        assert str(exc_info.value) == "chunk 3: entry/terminal overlap ['active surveillance']"
+        assert len(client.audit.entries) == backend.calls
+        ids = [entry["request_id"] for entry in client.audit.entries]
+        assert ids == [f"req-{i:06d}" for i in range(1, len(ids) + 1)]
 
 
 def test_run_chunking_all_auxiliary_document_yields_no_chunks():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from synth import (
     FIXTURE_DIR,
     GOLDEN_DIR,
     SYNTHETIC_DIR,
+    JitterBackend,
+    SyntheticRuleBackend,
     synthetic_config,
     write_synthetic_document,
 )
@@ -22,8 +25,16 @@ from guidegraph.core import (
     canonical_json,
     load_graph,
 )
-from guidegraph.errors import ManifestError, UsageError
-from guidegraph.oracle import FixtureSet, OracleTask, payload_digest
+from guidegraph.errors import ExpansionBudgetExceeded, ManifestError, UsageError
+from guidegraph.oracle import (
+    AuditLog,
+    FixtureSet,
+    OracleClient,
+    OracleTask,
+    ScriptedBackend,
+    payload_digest,
+)
+from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 
 def write_manifest(tmp_path: Path, pages: list[dict], fmt: str = "page-manifest/1") -> Path:
@@ -288,6 +299,104 @@ def test_relocated_fixtures_reproduce_golden_run(tmp_path, monkeypatch, relative
     backend = json.loads((run_dir / "config.json").read_text())["backend"]
     assert "fixture_dir" not in backend
     assert backend["fixture_digest"] == FixtureSet.content_digest(FIXTURE_DIR)
+
+
+def jitter_scripted_backend(monkeypatch, seed: int) -> None:
+    """Make the scripted backend of `make_session` sleep 0-4 ms per call."""
+    monkeypatch.setattr(cli, "ScriptedBackend",
+                        lambda fixtures: JitterBackend(ScriptedBackend(fixtures), seed))
+
+
+def run_files(run_dir: Path) -> list[Path]:
+    return sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("parallelism", [1, 4, 16])
+def test_run_matches_golden_at_any_parallelism(tmp_path, monkeypatch, parallelism):
+    jitter_scripted_backend(monkeypatch, seed=parallelism)
+    config = synthetic_config(FIXTURE_DIR)
+    config.parallelism = parallelism
+    run_dir = cli.run_pipeline(SYNTHETIC_DIR / "manifest.json", config, tmp_path / "run")
+
+    assert run_files(run_dir) == golden_run_files()
+    for name in golden_run_files():
+        if name == Path("config.json"):
+            doc = json.loads((run_dir / name).read_text())
+            assert doc["parallelism"] == parallelism
+            doc["parallelism"] = 1
+            assert canonical_json(doc) == (GOLDEN_DIR / name).read_text()
+        else:
+            assert (run_dir / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_staged_commands_equal_full_run_at_parallelism_4(tmp_path, monkeypatch):
+    jitter_scripted_backend(monkeypatch, seed=7)
+    manifest = str(SYNTHETIC_DIR / "manifest.json")
+    full = tmp_path / "full"
+    staged = tmp_path / "staged"
+    flags = scripted_flags() + ["--expansion-cap", "50", "--parallelism", "4"]
+    assert run_cli("run", "--manifest", manifest, "--out", str(full), *flags) == 0
+    assert run_cli("chunk", "--manifest", manifest, "--out", str(staged), *flags) == 0
+    assert run_cli("build", "--out", str(staged), *flags) == 0
+    assert run_cli("aggregate", "--out", str(staged), *flags) == 0
+
+    assert run_files(staged) == run_files(full)
+    for name in run_files(full):
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+
+class EndlessInChunks2And3(SyntheticRuleBackend):
+    """Expansion never ends in chunk 2 (pages 3-4, whose calls are slowed)
+    nor in chunk 3 (pages 6-7), so at parallelism > 1 chunk 3 trips the cap
+    first in time while a serial run stops at chunk 2."""
+
+    def complete(self, request):
+        if (request.task is OracleTask.GENERATE_CHILDREN
+                and "[page 4]" in request.payload["context"]):
+            time.sleep(0.005)
+        return super().complete(request)
+
+    def body_for(self, task, payload):
+        if task is OracleTask.GENERATE_CHILDREN and any(
+                marker in payload["context"] for marker in ("[page 4]", "[page 6]")):
+            return {"children": [{"label": payload["node"] + " x", "edge_label": "go"}]}
+        return super().body_for(task, payload)
+
+
+def test_build_failure_raises_what_a_serial_run_raises(tmp_path, monkeypatch):
+    failures = {}
+    logs = {}
+    for parallelism in (1, 4):
+        backend = JitterBackend(EndlessInChunks2And3(), seed=parallelism)
+
+        def session(config, out_dir):
+            audit = AuditLog(out_dir / "audit.log", clock=cli._StepClock())
+            return (OracleClient(backend, audit=audit),
+                    EmbeddingStore(HashingEmbeddingBackend()))
+
+        monkeypatch.setattr(cli, "make_session", session)
+        config = synthetic_config(FIXTURE_DIR)
+        config.expansion_cap = 20
+        config.parallelism = parallelism
+        out = tmp_path / f"p{parallelism}"
+        with pytest.raises(ExpansionBudgetExceeded) as exc_info:
+            cli.run_pipeline(SYNTHETIC_DIR / "manifest.json", config, out)
+        failures[parallelism] = (type(exc_info.value), str(exc_info.value))
+
+        golden_chunk_1 = (GOLDEN_DIR / "graphs" / "chunk_01.json").read_bytes()
+        assert (out / "graphs" / "chunk_01.json").read_bytes() == golden_chunk_1
+        assert not (out / "graphs" / "chunk_02.json").exists()
+        assert not (out / "expansion_trace.json").exists()
+        logs[parallelism] = (out / "audit.log").read_text().splitlines()
+        ids = [json.loads(line)["request_id"] for line in logs[parallelism]]
+        assert len(ids) == backend.calls
+        assert ids == [f"req-{i:06d}" for i in range(1, len(ids) + 1)]
+
+    assert failures[1] == failures[4] == (ExpansionBudgetExceeded,
+                                          "chunk 2: expansion cap 20 reached")
+    # Chunk 3 ran at parallelism 4 and its records follow the serial ones.
+    assert len(logs[4]) > len(logs[1])
+    assert logs[4][:len(logs[1])] == logs[1]
 
 
 def test_fixture_digest_tracks_fixture_content(tmp_path):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
+import sys
+import time
 
 import pytest
 import requests
 
 from conftest import make_client
-from synth import FlakyBackend, StaticBackend, SyntheticRuleBackend
+from synth import FlakyBackend, JitterBackend, StaticBackend, SyntheticRuleBackend
 
 from guidegraph.errors import (
     FixtureMissingError,
@@ -18,11 +21,11 @@ from guidegraph.oracle import (
     FixtureSet,
     LiveBackend,
     OracleRequest,
+    OracleClient,
     OracleTask,
     ScriptedBackend,
     dispatch,
     payload_digest,
-    scripted_lookup,
     validate_response,
 )
 
@@ -77,17 +80,17 @@ def test_scripted_lookup_is_deterministic():
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             classify_page_payload(4, "treatment flowchart: staging to therapy choice"),
                             "req-1")
-    first = scripted_lookup(request, fixtures)
-    second = scripted_lookup(request, fixtures)
+    first = dispatch(request, ScriptedBackend(fixtures))
+    second = dispatch(request, ScriptedBackend(fixtures))
     assert first.raw == second.raw
     assert first.body == second.body
 
 
 def test_scripted_lookup_missing_fixture():
     with pytest.raises(FixtureMissingError):
-        scripted_lookup(
+        dispatch(
             OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"), "r"),
-            make_fixtures(),
+            ScriptedBackend(make_fixtures()),
         )
 
 
@@ -212,7 +215,7 @@ def test_fixture_set_save_and_load_round_trip(tmp_path):
                             {"candidate": "active surveillance", "ancestors": [],
                              "candidates": ["active surveillance", "radiation therapy"]},
                             "r")
-    assert scripted_lookup(request, loaded).body == {"matches": [0]}
+    assert dispatch(request, ScriptedBackend(loaded)).body == {"matches": [0]}
 
 
 class _FakeHTTPResponse:
@@ -276,3 +279,131 @@ def test_audit_log_writes_ndjson(tmp_path):
     assert record["task"] == "classify_page"
     assert record["outcome"] == "ok"
     assert record["ts"] == "T0"
+
+
+# ---------------------------------------------------------------------------
+# fan_out
+
+
+def step_clock():
+    return map(str, itertools.count()).__next__
+
+
+def calls_of(index: int) -> list[dict]:
+    """The payloads item `index` sends: one to three, so items differ in size."""
+    return [classify_page_payload(index, f"call {call}") for call in range(index % 3 + 1)]
+
+
+def classify_all(child: OracleClient, index: int) -> int:
+    for payload in calls_of(index):
+        child.call(OracleTask.CLASSIFY_PAGE, payload)
+    return index
+
+
+def serial_digests(items) -> list[str]:
+    return [payload_digest(OracleTask.CLASSIFY_PAGE, payload)
+            for index in items for payload in calls_of(index)]
+
+
+def core_backend(seed: int) -> JitterBackend:
+    return JitterBackend(StaticBackend('{"label": "core"}'), seed)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_fan_out_commits_records_in_item_order(tmp_path, parallelism):
+    audit = AuditLog(tmp_path / "audit.log", clock=step_clock())
+    client = OracleClient(core_backend(parallelism), audit=audit)
+    committed = []
+    results = client.fan_out(classify_all, range(12), parallelism,
+                             on_commit=lambda item, result: committed.append(
+                                 (item, result, len(audit.entries))))
+
+    assert results == list(range(12))
+    digests = serial_digests(range(12))
+    assert [e["payload_digest"] for e in audit.entries] == digests
+    assert [e["request_id"] for e in audit.entries] == [
+        f"req-{i:06d}" for i in range(1, len(digests) + 1)]
+    assert [e["ts"] for e in audit.entries] == [str(i) for i in range(len(digests))]
+    # Each item's records are written before its on_commit runs.
+    ends = list(itertools.accumulate(len(calls_of(i)) for i in range(12)))
+    assert committed == [(i, i, ends[i]) for i in range(12)]
+    lines = (tmp_path / "audit.log").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == audit.entries
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_fan_out_raises_the_earliest_failure_after_committing_what_ran(parallelism):
+    backend = core_backend(parallelism)
+    client = OracleClient(backend, audit=AuditLog())
+    committed = []
+
+    def work(child: OracleClient, index: int) -> int:
+        classify_all(child, index)
+        if index == 3:
+            time.sleep(0.05)  # item 5 fails first in time at parallelism > 1
+            raise ValueError("item 3")
+        if index == 5:
+            raise KeyError("item 5")
+        return index
+
+    with pytest.raises(ValueError, match="item 3"):
+        client.fan_out(work, range(40), parallelism,
+                       on_commit=lambda item, result: committed.append(item))
+
+    assert committed == [0, 1, 2]
+    digests = [e["payload_digest"] for e in client.audit.entries]
+    assert len(digests) == backend.calls
+    ran = [index for index in range(40) if serial_digests([index])[0] in digests]
+    assert digests == serial_digests(ran)
+    assert ran[:4] == [0, 1, 2, 3]
+    if parallelism == 1:
+        assert ran == [0, 1, 2, 3]
+    assert len(ran) < 40  # items not started when the failure was known are skipped
+    ids = [e["request_id"] for e in client.audit.entries]
+    assert ids == [f"req-{i:06d}" for i in range(1, len(ids) + 1)]
+
+
+def test_fan_out_on_commit_failure_stops_like_an_item_failure():
+    client = OracleClient(core_backend(0), audit=AuditLog())
+
+    def reject(item: int, result: int) -> None:
+        if item == 2:
+            raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        client.fan_out(classify_all, range(6), 1, on_commit=reject)
+    assert [e["payload_digest"] for e in client.audit.entries] == serial_digests(range(3))
+
+
+def test_fan_out_under_thread_pressure_keeps_the_serial_log():
+    items = range(300)
+    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog(clock=step_clock()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    started = time.perf_counter()
+    try:
+        results = client.fan_out(classify_all, items, 16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - started < 60
+    assert results == list(items)
+    entries = client.audit.entries
+    assert [e["payload_digest"] for e in entries] == serial_digests(items)
+    assert [e["request_id"] for e in entries] == [
+        f"req-{i:06d}" for i in range(1, len(entries) + 1)]
+    assert [e["ts"] for e in entries] == [str(i) for i in range(len(entries))]
+
+
+def test_audit_log_continues_after_close(tmp_path):
+    path = tmp_path / "audit.log"
+    audit = AuditLog(path, clock=lambda: "T0")
+    request = OracleRequest(OracleTask.CLASSIFY_PAGE,
+                            classify_page_payload(9, "references list with citations 1-42"),
+                            "req-000001")
+    backend = ScriptedBackend(make_fixtures())
+    dispatch(request, backend, audit=audit)
+    audit.close()
+    dispatch(request, backend, audit=audit)
+    assert [json.loads(line) for line in path.read_text().splitlines()] == audit.entries
+    assert len(audit.entries) == 2
+    assert AuditLog(path).prior_records == 2

@@ -177,6 +177,24 @@ def test_matrix_ranking_equals_per_member_loop_on_hashing_embeddings(hashing_sto
     assert tie_cuts > 20
 
 
+def test_ranking_is_independent_of_store_insertion_order():
+    # Concurrent chunk builds fill a shared store in thread-timing order.
+    labels = list(VOCABULARY) + [f"{a} then {b}" for a in VOCABULARY[:4] for b in VOCABULARY[4:]]
+    rng = random.Random(11)
+    for _ in range(50):
+        size = rng.randint(1, 16)
+        pool = {f"n{i:02d}": rng.choice(labels) for i in rng.sample(range(60), size)}
+        query = rng.choice([rng.choice(list(pool)), rng.choice(labels)])
+        k = rng.randint(1, size + 1)
+        results = []
+        for _ in range(3):
+            store = EmbeddingStore(HashingEmbeddingBackend())
+            for label in rng.sample(labels, len(labels)):
+                store.vector(label)
+            results.append(cosine_candidates(query, pool, k, store))
+        assert results[0] == results[1] == results[2]
+
+
 def test_concurrent_lookups_store_each_key_once():
     backend = HashingEmbeddingBackend(dim=32)
     store = EmbeddingStore(backend)
