@@ -63,32 +63,36 @@ def union_graphs(chunk_graphs: Sequence[DecisionGraph]) -> DecisionGraph:
     """Disjoint union of chunk graphs, origin provenance intact."""
     union = DecisionGraph()
     for graph in chunk_graphs:
-        isolated = graph.copy()
-        for node_id in sorted(isolated.nodes):
+        for node_id in sorted(graph.nodes):
             if node_id in union.nodes:
                 raise IdCollisionError(f"node id {node_id!r} appears in two chunk graphs")
-            union.add_node(isolated.nodes[node_id])
-        union.edges |= isolated.edges
+            union.add_node(graph.nodes[node_id].copy())
+        union.edges |= graph.edges
     union.check_integrity()
     return union
 
 
 def seed_interface_queue(chunks: Sequence[Chunk], graph: DecisionGraph) -> deque[str]:
-    """Queue of interface node ids: per chunk, entries then terminals, deduped."""
+    """Queue of interface node ids: per chunk, entries then terminals, deduped.
+
+    A label resolves to the lowest id among the chunk's nodes that carry it
+    as an interface label.
+    """
+    lowest: dict[tuple[int, str], str] = {}
+    for nid in sorted(graph.nodes):
+        node = graph.nodes[nid]
+        for label in node.interface_labels:
+            lowest.setdefault((node.origin_chunk, label), nid)
     queue: deque[str] = deque()
     seen: set[str] = set()
     for chunk in chunks:
         for raw in tuple(chunk.entry_labels) + tuple(chunk.terminal_labels):
             label = normalize_label(raw)
-            matches = sorted(
-                nid for nid, node in graph.nodes.items()
-                if node.origin_chunk == chunk.chunk_id and label in node.interface_labels
-            )
-            if not matches:
+            node_id = lowest.get((chunk.chunk_id, label))
+            if node_id is None:
                 raise InterfaceResolutionError(
                     f"chunk {chunk.chunk_id}: interface label {label!r} resolves to no node"
                 )
-            node_id = matches[0]
             if node_id not in seen:
                 seen.add(node_id)
                 queue.append(node_id)
@@ -139,6 +143,9 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
     tombstones: set[str] = set()
     decisions: list[MergeDecision] = []
     merge_map: dict[str, str] = {}
+    by_chunk: dict[int, dict[str, str]] = {}  # origin chunk -> live node id -> label
+    for nid, each in graph.nodes.items():
+        by_chunk.setdefault(each.origin_chunk, {})[nid] = each.label
 
     while queue:
         x = queue.popleft()
@@ -146,16 +153,16 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         if x in tombstones or x not in graph.nodes:
             continue
         node = graph.nodes[x]
-        if all(other.origin_chunk == node.origin_chunk for other in graph.nodes.values()):
+        if len(by_chunk[node.origin_chunk]) == len(graph.nodes):  # no node of another chunk
             continue
         exact_id = next((nid for nid in graph.label_ids(node.label)
                          if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
 
         def rank() -> tuple[CandidateSet, dict[str, str]]:
-            pool = {
-                nid: other.label for nid, other in graph.nodes.items()
-                if other.origin_chunk != node.origin_chunk
-            }
+            pool: dict[str, str] = {}
+            for chunk_id, labels in by_chunk.items():
+                if chunk_id != node.origin_chunk:
+                    pool.update(labels)
             return cosine_candidates(node.label, pool, config.candidate_count, store), pool
 
         ancestors = _capped_ancestors(graph, x, store)
@@ -169,6 +176,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         p_origin = graph.nodes[primary].origin_chunk
         s_origin = graph.nodes[secondary].origin_chunk
         merge_nodes(graph, primary, secondary)
+        del by_chunk[s_origin][secondary]
         merge_map[secondary] = primary
         tombstones.add(secondary)
         requeued = primary not in in_queue

@@ -175,7 +175,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     while queue:
         item = queue.popleft()
-        label = normalize_label(item.candidate_label)
+        label = item.candidate_label  # entry and child labels are normalized when enqueued
         exact_ids = graph.label_ids(label)
 
         def rank() -> tuple[CandidateSet, dict[str, str]]:
@@ -229,14 +229,8 @@ def _assert_terminal_fixity(chunk: Chunk, graph: DecisionGraph) -> None:
 
 
 def _assert_reachability(graph: DecisionGraph) -> None:
-    frontier = [nid for nid, node in graph.nodes.items() if node.kind is NodeKind.ENTRY]
-    seen = set(frontier)
-    while frontier:
-        current = frontier.pop()
-        for edge in graph.edges:
-            if edge.source == current and edge.target not in seen:
-                seen.add(edge.target)
-                frontier.append(edge.target)
+    seen = graph.reachable(nid for nid, node in graph.nodes.items()
+                           if node.kind is NodeKind.ENTRY)
     unreachable = [
         nid for nid, node in graph.nodes.items()
         if node.kind is not NodeKind.TERMINAL and nid not in seen

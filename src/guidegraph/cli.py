@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -287,8 +288,26 @@ def export_dot(graph: DecisionGraph) -> str:
 
 
 def _write(path: Path, doc: Any) -> None:
+    """Write a JSON artifact in canonical form, atomically."""
+    _write_text(path, canonical_json(doc))
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write a file atomically: a temp file beside it, then `os.replace`.
+
+    An interrupted or failing write leaves the previous file, if any, as it
+    was, and removes its temp file. (Atomic against the process stopping,
+    not against power loss: nothing is fsynced.)
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(doc), encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _chunk_graph_path(out_dir: Path, chunk_id: int) -> Path:
@@ -480,7 +499,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         content = export_dot(graph)
     else:
         content = canonical_json(core.graph_to_doc(graph))
-    Path(args.out).write_text(content, encoding="utf-8")
+    _write_text(Path(args.out), content)
     print(f"{args.format} export written to {args.out}")
     return EXIT_OK
 

@@ -8,13 +8,12 @@ serialize to equal files.
 """
 from __future__ import annotations
 
-import copy
 import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import AbstractSet, Any, Iterable, Mapping
 
 from .errors import (
     EmptyLabelError,
@@ -163,6 +162,111 @@ class DecisionNode:
     provenance_pages: list[int] = field(default_factory=list)
     interface_labels: list[str] = field(default_factory=list)
 
+    def copy(self) -> "DecisionNode":
+        """A copy with its own lists; the frozen `MergedRef`s are shared."""
+        return DecisionNode(self.node_id, self.label, self.kind, self.origin_chunk,
+                            list(self.merged_from), list(self.provenance_pages),
+                            list(self.interface_labels))
+
+
+_NO_EDGES: frozenset[DecisionEdge] = frozenset()
+
+
+class EdgeSet(set):
+    """A set of edges that keeps per-node in/out adjacency in step with itself.
+
+    Every mutating method of `set` is overridden, so `add`, `discard`, `|=`
+    and the rest update `out` (source id -> edges) and `into` (target id ->
+    edges) as they change the set. Operators that build a new set (`|`,
+    `-`, `copy()`) return a plain `set`. Ids need not name a node: a
+    dangling edge is indexed like any other, and `check_integrity` reports
+    it.
+    """
+
+    __slots__ = ("out", "into")
+
+    def __init__(self, edges: Iterable[DecisionEdge] = ()) -> None:
+        super().__init__(edges)
+        self.out: dict[str, set[DecisionEdge]] = {}
+        self.into: dict[str, set[DecisionEdge]] = {}
+        for edge in self:
+            self.out.setdefault(edge.source, set()).add(edge)
+            self.into.setdefault(edge.target, set()).add(edge)
+
+    def _unlink(self, edge: DecisionEdge) -> None:
+        for index, node_id in ((self.out, edge.source), (self.into, edge.target)):
+            incident = index[node_id]
+            incident.discard(edge)
+            if not incident:
+                del index[node_id]
+
+    def add(self, edge: DecisionEdge) -> None:
+        size = len(self)
+        set.add(self, edge)
+        if len(self) != size:
+            self.out.setdefault(edge.source, set()).add(edge)
+            self.into.setdefault(edge.target, set()).add(edge)
+
+    def discard(self, edge: DecisionEdge) -> None:
+        size = len(self)
+        set.discard(self, edge)
+        if len(self) != size:
+            self._unlink(edge)
+
+    def remove(self, edge: DecisionEdge) -> None:
+        set.remove(self, edge)
+        self._unlink(edge)
+
+    def pop(self) -> DecisionEdge:
+        edge = set.pop(self)
+        self._unlink(edge)
+        return edge
+
+    def clear(self) -> None:
+        set.clear(self)
+        self.out.clear()
+        self.into.clear()
+
+    def update(self, *others: Iterable[DecisionEdge]) -> None:
+        for other in others:
+            for edge in other:
+                self.add(edge)
+
+    def difference_update(self, *others: Iterable[DecisionEdge]) -> None:
+        for other in others:
+            for edge in list(other):
+                self.discard(edge)
+
+    def intersection_update(self, *others: Iterable[DecisionEdge]) -> None:
+        keep = set(self).intersection(*others)
+        for edge in set(self) - keep:
+            self.discard(edge)
+
+    def symmetric_difference_update(self, other: Iterable[DecisionEdge]) -> None:
+        for edge in set(other):
+            if edge in self:
+                self.discard(edge)
+            else:
+                self.add(edge)
+
+    def _in_place(self, update, other):
+        if not isinstance(other, (set, frozenset)):  # as for `set`: `|=` takes sets only
+            return NotImplemented
+        update(other)
+        return self
+
+    def __ior__(self, other):
+        return self._in_place(self.update, other)
+
+    def __iand__(self, other):
+        return self._in_place(self.intersection_update, other)
+
+    def __isub__(self, other):
+        return self._in_place(self.difference_update, other)
+
+    def __ixor__(self, other):
+        return self._in_place(self.symmetric_difference_update, other)
+
 
 class DecisionGraph:
     """Directed labeled graph with per-node provenance.
@@ -173,12 +277,14 @@ class DecisionGraph:
 
     Nodes enter only through `add_node` and leave only through
     `merge_nodes`, which keep the label index; a node's label never changes
-    once it is in the graph.
+    once it is in the graph. `edges` is an `EdgeSet`, which keeps the in/out
+    adjacency on every mutation; assigning any set of edges to `edges`
+    stores an `EdgeSet` built from it.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, DecisionNode] = {}
-        self.edges: set[DecisionEdge] = set()
+        self._edges = EdgeSet()
         self.suppressed_self_loops: list[DecisionEdge] = []
         self._id_counters: dict[str, int] = {}
         self._label_index: dict[str, set[str]] = {}
@@ -188,6 +294,15 @@ class DecisionGraph:
             raise GraphIntegrityError(f"node id {node.node_id!r} already present")
         self.nodes[node.node_id] = node
         self._label_index.setdefault(node.label, set()).add(node.node_id)
+
+    @property
+    def edges(self) -> EdgeSet:
+        return self._edges
+
+    @edges.setter
+    def edges(self, edges: Iterable[DecisionEdge]) -> None:
+        if edges is not self._edges:  # `graph.edges |= ...` assigns the same set back
+            self._edges = EdgeSet(edges)
 
     def _remove_node(self, node_id: str) -> None:
         node = self.nodes.pop(node_id)
@@ -205,9 +320,29 @@ class DecisionGraph:
         """Node ids whose label equals the given normalized label, ascending."""
         return sorted(self._label_index.get(normalized_label, ()))
 
+    def in_edges(self, node_id: str) -> AbstractSet[DecisionEdge]:
+        """Edges into node_id. A live view: snapshot it before changing edges."""
+        return self._edges.into.get(node_id, _NO_EDGES)
+
+    def out_edges(self, node_id: str) -> AbstractSet[DecisionEdge]:
+        """Edges out of node_id. A live view: snapshot it before changing edges."""
+        return self._edges.out.get(node_id, _NO_EDGES)
+
     def ancestors_of(self, node_id: str) -> list[tuple[str, str]]:
         """(source_id, edge_label) pairs of edges into node_id, sorted."""
-        return sorted((e.source, e.label) for e in self.edges if e.target == node_id)
+        return sorted((e.source, e.label) for e in self.in_edges(node_id))
+
+    def reachable(self, start: Iterable[str]) -> set[str]:
+        """Ids reachable from the start ids along out-edges, the start included."""
+        out = self._edges.out
+        seen = set(start)
+        frontier = list(seen)
+        while frontier:
+            for edge in out.get(frontier.pop(), _NO_EDGES):
+                if edge.target not in seen:
+                    seen.add(edge.target)
+                    frontier.append(edge.target)
+        return seen
 
     def add_edge(self, source: str, label: str, target: str) -> None:
         if source not in self.nodes:
@@ -216,10 +351,10 @@ class DecisionGraph:
             raise MissingNodeError(f"edge target {target!r} not in graph")
         if source == target:
             raise GraphIntegrityError(f"self-loop on {source!r} not allowed")
-        self.edges.add(DecisionEdge(source, label, target))
+        self._edges.add(DecisionEdge(source, label, target))
 
     def check_integrity(self) -> None:
-        for edge in self.edges:
+        for edge in self._edges:
             if edge.source not in self.nodes or edge.target not in self.nodes:
                 raise GraphIntegrityError(f"dangling edge {edge.as_triple()}")
             if edge.source == edge.target:
@@ -228,8 +363,8 @@ class DecisionGraph:
     def copy(self) -> "DecisionGraph":
         dup = DecisionGraph()
         for node in self.nodes.values():
-            dup.add_node(copy.deepcopy(node))
-        dup.edges = set(self.edges)
+            dup.add_node(node.copy())
+        dup.edges = self._edges  # the setter builds a new EdgeSet
         dup.suppressed_self_loops = list(self.suppressed_self_loops)
         dup._id_counters = dict(self._id_counters)
         return dup
@@ -307,12 +442,14 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
     """Absorb `secondary` into `primary`, rewiring every incident edge.
 
     Incoming edges (u, l, secondary) become (u, l, primary) and outgoing
-    edges (secondary, l, v) become (primary, l, v); rewires that would form
-    self-loops are suppressed and logged. The secondary's provenance
-    (pages, interface labels, prior merges) is folded into the primary so
-    the merge chain stays auditable. When exactly one of the two nodes is
-    terminal the survivor becomes intermediate: it now sits on both sides
-    of a transition.
+    edges (secondary, l, v) become (primary, l, v). Only the secondary's
+    incident edges are visited, read from the adjacency, in (source, label,
+    target) order; rewires that would form self-loops are suppressed and
+    logged in that order. The secondary's provenance (pages, interface
+    labels, prior merges) is folded into the primary so the merge chain
+    stays auditable. When exactly one of the two nodes is terminal the
+    survivor becomes intermediate: it now sits on both sides of a
+    transition.
 
     Raises:
         InvalidMergeError: primary == secondary.
@@ -328,7 +465,8 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
     p_node = graph.nodes[primary]
     s_node = graph.nodes[secondary]
 
-    for edge in sorted(graph.edges, key=DecisionEdge.as_triple):
+    incident = graph.in_edges(secondary) | graph.out_edges(secondary)
+    for edge in sorted(incident, key=DecisionEdge.as_triple):
         if edge.target == secondary:
             redirect_ancestor_edge(graph, edge.as_triple(), (edge.source, edge.label, primary))
         elif edge.source == secondary:

@@ -143,8 +143,12 @@ class EmbeddingStore:
 
     def rows(self, labels: Iterable[str]) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Row of each label, plus the matrix and norms those rows index."""
+        labels = list(labels)
         with self._lock:
-            rows = [self._row(label) for label in labels]
+            rows = list(map(self._rows.get, labels))
+            if None in rows:
+                rows = [self._row(label) if row is None else row
+                        for label, row in zip(labels, rows)]
             count = self._count
             return rows, self._matrix[:count], self._norms[:count]
 

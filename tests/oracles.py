@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: character-by-character
 normalization, relabel-then-dedup graph quotients, compute-all-and-sort
-retrieval, union-find transitive closures. None of it shares code with
-the implementation under test, except that the per-member ranking loop
-reads its vectors from the embedding store.
+retrieval, union-find transitive closures, a merge that scans every
+edge. None of it shares code with the implementation under test, except
+that the per-member ranking loop reads its vectors from the embedding
+store and the scanning merge mutates a `DecisionGraph` through its edge
+set and node removal.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from guidegraph.core import (
     DecisionEdge,
     DecisionGraph,
     DecisionNode,
+    MergedRef,
     NodeKind,
 )
 
@@ -100,6 +103,39 @@ def loop_cosine_candidates(query: str, pool: dict[str, str], k: int,
         scored.append((node_id, float(np.dot(q, v) / (q_norm * np.linalg.norm(v)))))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return tuple(scored[:k])
+
+
+def scan_merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
+    """The merge that sorts every edge of the graph and rewires the secondary's.
+
+    Edges are visited in (source, label, target) order, so rewires and
+    suppressed self-loops happen in that order; provenance is folded as
+    `merge_nodes` folds it. Assumes a valid graph and two distinct nodes.
+    """
+    p_node = graph.nodes[primary]
+    s_node = graph.nodes[secondary]
+    for edge in sorted(graph.edges, key=DecisionEdge.as_triple):
+        if edge.target == secondary:
+            graph.edges.discard(edge)
+            if edge.source == primary:
+                graph.suppressed_self_loops.append(DecisionEdge(primary, edge.label, primary))
+            else:
+                graph.edges.add(DecisionEdge(edge.source, edge.label, primary))
+        elif edge.source == secondary:
+            graph.edges.discard(edge)
+            if edge.target == primary:
+                graph.suppressed_self_loops.append(DecisionEdge(primary, edge.label, primary))
+            else:
+                graph.edges.add(DecisionEdge(primary, edge.label, edge.target))
+    p_node.merged_from.extend(s_node.merged_from)
+    p_node.merged_from.append(MergedRef(secondary, s_node.origin_chunk))
+    p_node.provenance_pages = sorted(set(p_node.provenance_pages) | set(s_node.provenance_pages))
+    for label in s_node.interface_labels:
+        if label not in p_node.interface_labels:
+            p_node.interface_labels.append(label)
+    if (p_node.kind is NodeKind.TERMINAL) != (s_node.kind is NodeKind.TERMINAL):
+        p_node.kind = NodeKind.INTERMEDIATE
+    graph._remove_node(secondary)
 
 
 def scan_runs(indices: list[int]) -> list[list[int]]:

@@ -141,6 +141,16 @@ def test_seed_queue_counts_entries_then_terminals_in_chunk_order():
                            "c02n002", "c02n001", "c02n004"]
 
 
+def test_seed_queue_resolves_label_to_lowest_id_of_its_chunk():
+    c1, g1 = tiny_graph(1, "a start", "a end")
+    g1.nodes["c01n001"].interface_labels.append("a start")
+    c2, g2 = tiny_graph(2, "b start", "b end")
+    g2.add_node(DecisionNode("c00n001", "a start", NodeKind.INTERMEDIATE, 2,
+                             interface_labels=["a start"]))
+    queue = seed_interface_queue([c1, c2], union_graphs([g1, g2]))
+    assert list(queue) == ["c01n001", "c02n002", "c02n001"]
+
+
 def test_seed_queue_empty_for_no_chunks():
     assert list(seed_interface_queue([], DecisionGraph())) == []
 

@@ -507,3 +507,44 @@ def test_unreachable_live_backend_exits_with_transport_code(tmp_path):
     assert (out / "config.json").exists()
     audit_lines = (out / "audit.log").read_text().splitlines()
     assert json.loads(audit_lines[-1])["outcome"] == "transport_error"
+
+
+# ---------------------------------------------------------------------------
+# atomic artifact writes
+
+
+def _fail_serialization(monkeypatch):
+    return {"unserializable": object()}
+
+
+def _fail_encoding(monkeypatch):
+    return {"label": "x" * 100_000 + "\ud800"}  # a lone surrogate has no UTF-8 form
+
+
+def _fail_rename(monkeypatch):
+    def refuse(src, dst):
+        assert Path(src).read_text(encoding="utf-8")  # the temp file was fully written
+        raise OSError("rename refused")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    return {"new": True}
+
+
+@pytest.mark.parametrize("failure", [_fail_serialization, _fail_encoding, _fail_rename])
+def test_failed_write_keeps_previous_artifact_and_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                                      failure):
+    path = tmp_path / "run" / "merged.json"
+    cli._write(path, {"old": True})
+    before = path.read_bytes()
+    doc = failure(monkeypatch)
+    with pytest.raises((TypeError, UnicodeEncodeError, OSError)):
+        cli._write(path, doc)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == ["merged.json"]
+
+
+def test_write_replaces_artifact_with_canonical_json(tmp_path):
+    path = tmp_path / "a" / "b.json"
+    cli._write(path, {"b": 1, "a": [2]})
+    cli._write(path, {"z": 0})
+    assert path.read_text(encoding="utf-8") == canonical_json({"z": 0})
+    assert sorted(p.name for p in path.parent.iterdir()) == ["b.json"]
