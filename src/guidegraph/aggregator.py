@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import (
@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import IdCollisionError, InterfaceResolutionError
 from .oracle import OracleClient
-from .retrieval import CandidateSet, EmbeddingStore, cosine_candidates
+from .retrieval import EmbeddingStore, cosine_candidates
 from .builder import find_duplicate
 
 logger = logging.getLogger(__name__)
@@ -50,13 +50,6 @@ class MergeDecision:
 class AggregationResult:
     graph: DecisionGraph
     decisions: list[MergeDecision]
-    merge_map: dict[str, str] = field(default_factory=dict)
-
-    def resolve(self, node_id: str) -> str:
-        """Final surviving id for a union node id, following merge chains."""
-        while node_id in self.merge_map:
-            node_id = self.merge_map[node_id]
-        return node_id
 
 
 def union_graphs(chunk_graphs: Sequence[DecisionGraph]) -> DecisionGraph:
@@ -67,8 +60,8 @@ def union_graphs(chunk_graphs: Sequence[DecisionGraph]) -> DecisionGraph:
             if node_id in union.nodes:
                 raise IdCollisionError(f"node id {node_id!r} appears in two chunk graphs")
             union.add_node(graph.nodes[node_id].copy())
-        union.edges |= graph.edges
-    union.check_integrity()
+        for edge in graph.edges:
+            union.add_edge(*edge)
     return union
 
 
@@ -140,9 +133,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
     graph = union_graphs(chunk_graphs)
     queue = seed_interface_queue(chunks, graph)
     in_queue = set(queue)
-    tombstones: set[str] = set()
     decisions: list[MergeDecision] = []
-    merge_map: dict[str, str] = {}
     by_chunk: dict[int, dict[str, str]] = {}  # origin chunk -> live node id -> label
     for nid, each in graph.nodes.items():
         by_chunk.setdefault(each.origin_chunk, {})[nid] = each.label
@@ -150,7 +141,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
     while queue:
         x = queue.popleft()
         in_queue.discard(x)
-        if x in tombstones or x not in graph.nodes:
+        if x not in graph.nodes:  # merged away while queued
             continue
         node = graph.nodes[x]
         if len(by_chunk[node.origin_chunk]) == len(graph.nodes):  # no node of another chunk
@@ -158,7 +149,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         exact_id = next((nid for nid in graph.label_ids(node.label)
                          if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
 
-        def rank() -> tuple[CandidateSet, dict[str, str]]:
+        def rank() -> tuple[tuple[tuple[str, float], ...], dict[str, str]]:
             pool: dict[str, str] = {}
             for chunk_id, labels in by_chunk.items():
                 if chunk_id != node.origin_chunk:
@@ -177,8 +168,6 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         s_origin = graph.nodes[secondary].origin_chunk
         merge_nodes(graph, primary, secondary)
         del by_chunk[s_origin][secondary]
-        merge_map[secondary] = primary
-        tombstones.add(secondary)
         requeued = primary not in in_queue
         if requeued:
             queue.append(primary)
@@ -197,7 +186,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         ))
 
     graph.check_integrity()
-    return AggregationResult(graph=graph, decisions=decisions, merge_map=merge_map)
+    return AggregationResult(graph=graph, decisions=decisions)
 
 
 def merge_log_doc(result: AggregationResult) -> dict[str, Any]:

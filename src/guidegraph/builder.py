@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .oracle import OracleClient, OracleTask
-from .retrieval import CandidateSet, EmbeddingStore, cosine_candidates
+from .retrieval import EmbeddingStore, cosine_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -62,40 +62,35 @@ def find_duplicate(
     candidate_label: str,
     ancestors: Sequence[tuple[str, str]],
     exact_id: str | None,
-    rank: Callable[[], tuple[CandidateSet, Mapping[str, str]]],
+    rank: Callable[[], tuple[Sequence[tuple[str, float]], Mapping[str, str]]],
     client: OracleClient,
 ) -> tuple[str | None, float | None, str]:
     """Decide whether a candidate duplicates an existing node.
 
     Fast path: `exact_id`, the lowest eligible node id whose label equals
     the candidate's, wins without ranking or an oracle call. Otherwise
-    `rank()` returns the retrieved candidates and the pool they came from
-    (every eligible node id -> normalized label), and the verifier judges
-    the candidates; among confirmed matches the highest-similarity one
-    wins, ties broken by ascending node id. Oracle failure degrades to
-    no-duplicate: keeping structure beats silently merging.
+    `rank()` returns the retrieved (node id, similarity) candidates and the
+    pool they came from (every eligible node id -> normalized label), and
+    the verifier judges the candidates; among confirmed matches the
+    highest-similarity one wins, ties broken by ascending node id. Oracle
+    failure degrades to no-duplicate: keeping structure beats silently
+    merging.
 
     Returns (node_id or None, similarity or None, how).
     """
     if exact_id is not None:
         return exact_id, 1.0, "exact"
-    candidate_set, pool = rank()
-    if not candidate_set.entries:
+    candidates, pool = rank()
+    if not candidates:
         return None, None, "empty-pool"
-    payload = duplicate_payload(
-        candidate_label, ancestors,
-        [pool[node_id] for node_id, _ in candidate_set.entries],
-    )
+    payload = duplicate_payload(candidate_label, ancestors,
+                                [pool[node_id] for node_id, _ in candidates])
     try:
         body = client.call(OracleTask.FIND_DUPLICATE, payload)
     except OracleProtocolError:
         logger.warning("duplicate check failed for %r; treating as new", candidate_label)
         return None, None, "error-degraded"
-    confirmed = [
-        candidate_set.entries[i]
-        for i in body["matches"]
-        if 0 <= i < len(candidate_set.entries)
-    ]
+    confirmed = [candidates[i] for i in body["matches"] if 0 <= i < len(candidates)]
     if not confirmed:
         return None, None, "verifier"
     confirmed.sort(key=lambda entry: (-entry[1], entry[0]))
@@ -178,7 +173,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
         label = item.candidate_label  # entry and child labels are normalized when enqueued
         exact_ids = graph.label_ids(label)
 
-        def rank() -> tuple[CandidateSet, dict[str, str]]:
+        def rank() -> tuple[tuple[tuple[str, float], ...], dict[str, str]]:
             pool = {nid: node.label for nid, node in graph.nodes.items()}
             return cosine_candidates(label, pool, config.candidate_count, store), pool
 

@@ -39,7 +39,6 @@ class ChunkBuffer:
 
     pages: list[PageRecord]
     running_context: str
-    lookahead: PageRecord | None = None
 
     def text(self) -> str:
         return "\n".join(p.text for p in self.pages)
@@ -279,7 +278,6 @@ def assemble_context(profile: GuidelineProfile, description: str,
 @dataclass
 class ChunkingResult:
     profile: GuidelineProfile
-    page_labels: list[PageLabel]
     chunks: list[Chunk]
 
 
@@ -298,7 +296,6 @@ def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfi
         current = by_index[index]
         last = position == len(run.page_indices) - 1
         lookahead = None if last else by_index[run.page_indices[position + 1]]
-        buffer.lookahead = lookahead
         cut = predict_boundary(buffer, current, lookahead, budget, client)
         buffer.pages.append(current)
         if cut or last:
@@ -355,4 +352,4 @@ def run_chunking(pages: Sequence[PageRecord], config, client: OracleClient) -> C
         lambda child, run: chunk_run(run, by_index, profile, config.chunk_budget, child),
         contiguous_runs(core_indices), config.parallelism, on_commit=number,
     )
-    return ChunkingResult(profile=profile, page_labels=list(labels), chunks=chunks)
+    return ChunkingResult(profile=profile, chunks=chunks)

@@ -19,25 +19,19 @@ import logging
 import os
 import sys
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import aggregator, builder, chunker, core, evaluation
 from .core import DecisionGraph, NodeKind, PageRecord, canonical_json
 from .errors import (
-    ChunkInterfaceError,
     ExpansionBudgetExceeded,
-    GraphIntegrityError,
     GuidegraphError,
-    IdCollisionError,
-    InterfaceResolutionError,
     ManifestError,
     OracleProtocolError,
     OracleTransportError,
-    ProfileError,
     UsageError,
 )
 from .oracle import AuditLog, FixtureSet, LiveBackend, OracleClient, ScriptedBackend
@@ -97,49 +91,32 @@ class PipelineConfig:
             raise UsageError(f"unknown backend kind {self.backend.kind!r}")
 
     def to_doc(self) -> dict[str, Any]:
-        return {
-            "format": CONFIG_FORMAT,
-            "header_pages": self.header_pages,
-            "chunk_budget": self.chunk_budget,
-            "candidate_count": self.candidate_count,
-            "expansion_cap": self.expansion_cap,
-            "retry_limit": self.retry_limit,
-            "parallelism": self.parallelism,
-            "backend": {
-                "kind": self.backend.kind,
-                "base_url": self.backend.base_url,
-                "chat_model": self.backend.chat_model,
-                "embed_model": self.backend.embed_model,
-                "auth_env": self.backend.auth_env,
-                "fixture_dir": self.backend.fixture_dir,
-                "timeout": self.backend.timeout,
-            },
-            "match_mode": self.match_mode,
-            "match_threshold": self.match_threshold,
-        }
+        return {"format": CONFIG_FORMAT, **asdict(self)}
 
     @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "PipelineConfig":
-        backend_doc = doc.get("backend", {})
-        return cls(
-            header_pages=int(doc.get("header_pages", 3)),
-            chunk_budget=int(doc.get("chunk_budget", 8000)),
-            candidate_count=int(doc.get("candidate_count", 5)),
-            expansion_cap=int(doc.get("expansion_cap", 200)),
-            retry_limit=int(doc.get("retry_limit", 3)),
-            parallelism=int(doc.get("parallelism", 1)),
-            backend=BackendConfig(
-                kind=backend_doc.get("kind", "scripted"),
-                base_url=backend_doc.get("base_url", ""),
-                chat_model=backend_doc.get("chat_model", ""),
-                embed_model=backend_doc.get("embed_model", ""),
-                auth_env=backend_doc.get("auth_env", "GUIDEGRAPH_API_KEY"),
-                fixture_dir=backend_doc.get("fixture_dir", ""),
-                timeout=float(backend_doc.get("timeout", 60.0)),
-            ),
-            match_mode=doc.get("match_mode", "exact"),
-            match_threshold=doc.get("match_threshold"),
-        )
+    def from_doc(cls, doc: Mapping[str, Any]) -> "PipelineConfig":
+        """The config a doc describes. A missing key keeps its field's default,
+        `int` and `float` fields are coerced, and keys that name no field
+        (`format`, `fixture_digest`) are ignored."""
+        return _from_doc(cls, doc)
+
+
+def _from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
+    if not isinstance(doc, Mapping):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    kwargs = {}
+    for spec in fields(cls):
+        if spec.name in doc:
+            kwargs[spec.name] = _COERCE.get(spec.type, lambda value: value)(doc[spec.name])
+    return cls(**kwargs)
+
+
+# Field type annotation -> how a doc value becomes a field value.
+_COERCE: dict[str, Callable[[Any], Any]] = {
+    "int": int,
+    "float": float,
+    "BackendConfig": lambda doc: _from_doc(BackendConfig, doc),
+}
 
 
 def ingest(manifest_path: str | Path) -> list[PageRecord]:
@@ -246,17 +223,6 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
     return client, store
 
 
-@contextmanager
-def _session(config: PipelineConfig,
-             out_dir: Path) -> Iterator[tuple[OracleClient, EmbeddingStore]]:
-    """`make_session` for one command; closes the audit file when it ends."""
-    client, store = make_session(config, out_dir)
-    try:
-        yield client, store
-    finally:
-        client.audit.close()
-
-
 def make_match_policy(config: PipelineConfig) -> evaluation.MatchPolicy:
     mode = evaluation.MatchMode(config.match_mode)
     return evaluation.MatchPolicy(mode=mode, threshold=config.match_threshold)
@@ -279,7 +245,7 @@ def export_dot(graph: DecisionGraph) -> str:
         lines.append(
             f"  {quote(node_id)} [label={quote(node.label)}, shape={shapes[node.kind]}];"
         )
-    for edge in sorted(graph.edges, key=lambda e: e.as_triple()):
+    for edge in sorted(graph.edges):
         lines.append(
             f"  {quote(edge.source)} -> {quote(edge.target)} [label={quote(edge.label)}];"
         )
@@ -312,6 +278,24 @@ def _write_text(path: Path, text: str) -> None:
 
 def _chunk_graph_path(out_dir: Path, chunk_id: int) -> Path:
     return out_dir / "graphs" / f"chunk_{chunk_id:02d}.json"
+
+
+def _load_artifact(path: Path, from_doc: Callable[[Any], Any]) -> Any:
+    """Parse a JSON artifact with `from_doc`. A missing, unreadable or
+    malformed file is a usage error that names it."""
+    try:
+        return from_doc(json.loads(path.read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError, GuidegraphError) as exc:
+        raise UsageError(f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def stage_profile(pages: Sequence[PageRecord], config: PipelineConfig,
+                  client: OracleClient, out_dir: Path) -> core.GuidelineProfile:
+    profile = chunker.extract_profile(pages[: config.header_pages], client)
+    _write(out_dir / "profile.json", core.profile_to_doc(profile))
+    return profile
 
 
 def stage_chunk(pages: Sequence[PageRecord], config: PipelineConfig,
@@ -349,6 +333,84 @@ def stage_aggregate(chunks, graphs, config: PipelineConfig, client: OracleClient
     return result
 
 
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage: the inputs it reads, the artifacts it writes, and how
+    it runs.
+
+    An input is "manifest" (the pages of `--manifest`) or an artifact of the
+    run directory. `run(inputs, config, client, store, out_dir)` takes its
+    inputs from a dict keyed by name and returns the value of the first
+    artifact it writes, which later stages read under that name.
+    """
+
+    help: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    run: Callable[..., Any]
+
+
+# The stage functions are looked up by name each time a stage runs, so
+# rebinding one (as a tracer does) reaches every command.
+STAGES: dict[str, Stage] = {
+    "profile": Stage(
+        "extract the guideline profile", ("manifest",), ("profile.json",),
+        lambda got, config, client, store, out_dir:
+            stage_profile(got["manifest"], config, client, out_dir)),
+    "chunk": Stage(
+        "run the chunking stage", ("manifest",), ("chunks.json", "profile.json"),
+        lambda got, config, client, store, out_dir:
+            stage_chunk(got["manifest"], config, client, out_dir).chunks),
+    "build": Stage(
+        "build per-chunk graphs from chunks.json", ("chunks.json",),
+        ("graphs/", "expansion_trace.json"),
+        lambda got, config, client, store, out_dir:
+            stage_build(got["chunks.json"], config, client, store, out_dir)),
+    "aggregate": Stage(
+        "merge chunk graphs into one graph", ("chunks.json", "graphs/"),
+        ("merged.json", "merge_log.json", "provenance.json"),
+        lambda got, config, client, store, out_dir: stage_aggregate(
+            got["chunks.json"], got["graphs/"], config, client, store, out_dir)),
+}
+PIPELINE = ("chunk", "build", "aggregate")
+
+
+def _read(name: str, manifest: str | Path | None, out_dir: Path,
+          got: dict[str, Any]) -> Any:
+    """Load one stage input: the manifest's pages or a run-directory artifact."""
+    if name == "manifest":
+        return ingest(manifest)
+    if name == "chunks.json":
+        return _load_artifact(out_dir / name, core.chunks_from_doc)
+    return [_load_artifact(_chunk_graph_path(out_dir, chunk.chunk_id), core.graph_from_doc)
+            for chunk in got["chunks.json"]]
+
+
+def _run_stages(names: Sequence[str], config: PipelineConfig, out_dir: Path,
+                manifest: str | Path | None = None) -> None:
+    """Run the named stages in order in one session, then close its audit file.
+
+    An input that no earlier stage of the walk writes is loaded before the
+    session opens; every other input is handed over in memory.
+    """
+    stages = [STAGES[name] for name in names]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _echo_config(config, out_dir)
+    got: dict[str, Any] = {}
+    written: set[str] = set()
+    for stage in stages:
+        for name in stage.reads:
+            if name not in written and name not in got:
+                got[name] = _read(name, manifest, out_dir, got)
+        written.update(stage.writes)
+    client, store = make_session(config, out_dir)
+    try:
+        for stage in stages:
+            got[stage.writes[0]] = stage.run(got, config, client, store, out_dir)
+    finally:
+        client.audit.close()
+
+
 def _echo_config(config: PipelineConfig, out_dir: Path) -> None:
     """Write the resolved config into the run directory.
 
@@ -369,13 +431,7 @@ def run_pipeline(manifest_path: str | Path, config: PipelineConfig,
                  out_dir: str | Path) -> Path:
     """All three stages, writing the full artifact set into the run directory."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, out_dir)
-    pages = ingest(manifest_path)
-    with _session(config, out_dir) as (client, store):
-        chunking = stage_chunk(pages, config, client, out_dir)
-        graphs = stage_build(chunking.chunks, config, client, store, out_dir)
-        stage_aggregate(chunking.chunks, graphs, config, client, store, out_dir)
+    _run_stages(PIPELINE, config, out_dir, manifest_path)
     return out_dir
 
 
@@ -390,8 +446,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             config = PipelineConfig.from_doc(json.loads(path.read_text(encoding="utf-8")))
         except FileNotFoundError as exc:
             raise UsageError(f"config file not found: {path}") from exc
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise UsageError(f"config file invalid: {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"config file invalid: {path}: {exc}") from exc
     else:
         config = PipelineConfig()
     for name in ("header_pages", "chunk_budget", "candidate_count", "expansion_cap",
@@ -413,76 +469,20 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, out_dir)
-    pages = ingest(args.manifest)
-    with _session(config, out_dir) as (client, _):
-        profile = chunker.extract_profile(pages[: config.header_pages], client)
-    _write(out_dir / "profile.json", core.profile_to_doc(profile))
-    print(f"profile written to {out_dir / 'profile.json'}")
-    return EXIT_OK
-
-
-def _cmd_chunk(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, out_dir)
-    pages = ingest(args.manifest)
-    with _session(config, out_dir) as (client, _):
-        result = stage_chunk(pages, config, client, out_dir)
-    print(f"{len(result.chunks)} chunks written to {out_dir / 'chunks.json'}")
-    return EXIT_OK
-
-
-def _cmd_build(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out)
-    _echo_config(config, out_dir)
-    chunks = core.chunks_from_doc(
-        json.loads((out_dir / "chunks.json").read_text(encoding="utf-8"))
-    )
-    with _session(config, out_dir) as (client, store):
-        graphs = stage_build(chunks, config, client, store, out_dir)
-    print(f"{len(graphs)} chunk graphs written to {out_dir / 'graphs'}")
-    return EXIT_OK
-
-
-def _cmd_aggregate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out)
-    _echo_config(config, out_dir)
-    chunks = core.chunks_from_doc(
-        json.loads((out_dir / "chunks.json").read_text(encoding="utf-8"))
-    )
-    graphs = [core.load_graph(_chunk_graph_path(out_dir, c.chunk_id)) for c in chunks]
-    with _session(config, out_dir) as (client, store):
-        result = stage_aggregate(chunks, graphs, config, client, store, out_dir)
-    print(f"merged graph with {len(result.graph.nodes)} nodes written to "
-          f"{out_dir / 'merged.json'}")
-    return EXIT_OK
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = run_pipeline(args.manifest, config, args.out)
-    print(f"run artifacts written to {out_dir}")
+def _cmd_stages(args: argparse.Namespace) -> int:
+    _run_stages(args.stages, _load_config(args), Path(args.out), getattr(args, "manifest", None))
+    print(f"{args.command} artifacts written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    predicted = core.load_graph(args.predicted)
-    reference = core.load_graph(args.reference)
+    predicted = _load_artifact(Path(args.predicted), core.graph_from_doc)
+    reference = _load_artifact(Path(args.reference), core.graph_from_doc)
     policy = make_match_policy(config)
     client = store = None
     if policy.mode is evaluation.MatchMode.ORACLE_VERIFIED:
         client, store = make_session(config, None)
-    elif policy.mode is evaluation.MatchMode.EMBEDDING_THRESHOLD:
-        store = EmbeddingStore(HashingEmbeddingBackend())
     report = evaluation.score(predicted, reference, policy, unit_name=args.unit,
                               store=store, client=client)
     if args.out:
@@ -494,7 +494,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     if args.format not in ("dot", "canonical"):
         raise UsageError(f"unknown export format {args.format!r}")
-    graph = core.load_graph(args.graph)
+    graph = _load_artifact(Path(args.graph), core.graph_from_doc)
     if args.format == "dot":
         content = export_dot(graph)
     else:
@@ -529,33 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("profile", help="extract the guideline profile")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_profile)
-
-    p = sub.add_parser("chunk", help="run the chunking stage")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_chunk)
-
-    p = sub.add_parser("build", help="build per-chunk graphs from chunks.json")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_build)
-
-    p = sub.add_parser("aggregate", help="merge chunk graphs into one graph")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_aggregate)
-
-    p = sub.add_parser("run", help="full pipeline: chunk, build, aggregate")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_run)
+    commands = {name: (stage.help, (name,)) for name, stage in STAGES.items()}
+    commands["run"] = ("full pipeline: chunk, build, aggregate", PIPELINE)
+    for command, (help_text, stages) in commands.items():
+        p = sub.add_parser(command, help=help_text)
+        if "manifest" in STAGES[stages[0]].reads:
+            p.add_argument("--manifest", required=True)
+        p.add_argument("--out", required=True)
+        _add_config_flags(p)
+        p.set_defaults(handler=_cmd_stages, stages=stages)
 
     p = sub.add_parser("eval", help="score a predicted graph against a reference")
     p.add_argument("--predicted", required=True)
@@ -581,13 +563,7 @@ _ERROR_CODES: list[tuple[type, int]] = [
     (OracleTransportError, EXIT_TRANSPORT),
     (OracleProtocolError, EXIT_PROTOCOL),
     (ExpansionBudgetExceeded, EXIT_BUDGET),
-    (ProfileError, EXIT_STRUCTURAL),
-    (ChunkInterfaceError, EXIT_STRUCTURAL),
-    (GraphIntegrityError, EXIT_STRUCTURAL),
-    (IdCollisionError, EXIT_STRUCTURAL),
-    (InterfaceResolutionError, EXIT_STRUCTURAL),
-    (GuidegraphError, EXIT_STRUCTURAL),
-]
+]  # any other GuidegraphError is structural
 
 
 def main(argv: Sequence[str] | None = None) -> int:

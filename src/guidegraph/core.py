@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import AbstractSet, Any, Iterable, Mapping
+from typing import AbstractSet, Any, Iterable, KeysView, Mapping, NamedTuple
 
 from .errors import (
     EmptyLabelError,
@@ -134,14 +134,12 @@ class QueueItem:
     incoming: tuple[str, str] | None = None
 
 
-@dataclass(frozen=True)
-class DecisionEdge:
+class DecisionEdge(NamedTuple):
+    """A (source, label, target) triple; equal to and sorted like the plain tuple."""
+
     source: str
     label: str
     target: str
-
-    def as_triple(self) -> tuple[str, str, str]:
-        return (self.source, self.label, self.target)
 
 
 @dataclass(frozen=True)
@@ -172,102 +170,6 @@ class DecisionNode:
 _NO_EDGES: frozenset[DecisionEdge] = frozenset()
 
 
-class EdgeSet(set):
-    """A set of edges that keeps per-node in/out adjacency in step with itself.
-
-    Every mutating method of `set` is overridden, so `add`, `discard`, `|=`
-    and the rest update `out` (source id -> edges) and `into` (target id ->
-    edges) as they change the set. Operators that build a new set (`|`,
-    `-`, `copy()`) return a plain `set`. Ids need not name a node: a
-    dangling edge is indexed like any other, and `check_integrity` reports
-    it.
-    """
-
-    __slots__ = ("out", "into")
-
-    def __init__(self, edges: Iterable[DecisionEdge] = ()) -> None:
-        super().__init__(edges)
-        self.out: dict[str, set[DecisionEdge]] = {}
-        self.into: dict[str, set[DecisionEdge]] = {}
-        for edge in self:
-            self.out.setdefault(edge.source, set()).add(edge)
-            self.into.setdefault(edge.target, set()).add(edge)
-
-    def _unlink(self, edge: DecisionEdge) -> None:
-        for index, node_id in ((self.out, edge.source), (self.into, edge.target)):
-            incident = index[node_id]
-            incident.discard(edge)
-            if not incident:
-                del index[node_id]
-
-    def add(self, edge: DecisionEdge) -> None:
-        size = len(self)
-        set.add(self, edge)
-        if len(self) != size:
-            self.out.setdefault(edge.source, set()).add(edge)
-            self.into.setdefault(edge.target, set()).add(edge)
-
-    def discard(self, edge: DecisionEdge) -> None:
-        size = len(self)
-        set.discard(self, edge)
-        if len(self) != size:
-            self._unlink(edge)
-
-    def remove(self, edge: DecisionEdge) -> None:
-        set.remove(self, edge)
-        self._unlink(edge)
-
-    def pop(self) -> DecisionEdge:
-        edge = set.pop(self)
-        self._unlink(edge)
-        return edge
-
-    def clear(self) -> None:
-        set.clear(self)
-        self.out.clear()
-        self.into.clear()
-
-    def update(self, *others: Iterable[DecisionEdge]) -> None:
-        for other in others:
-            for edge in other:
-                self.add(edge)
-
-    def difference_update(self, *others: Iterable[DecisionEdge]) -> None:
-        for other in others:
-            for edge in list(other):
-                self.discard(edge)
-
-    def intersection_update(self, *others: Iterable[DecisionEdge]) -> None:
-        keep = set(self).intersection(*others)
-        for edge in set(self) - keep:
-            self.discard(edge)
-
-    def symmetric_difference_update(self, other: Iterable[DecisionEdge]) -> None:
-        for edge in set(other):
-            if edge in self:
-                self.discard(edge)
-            else:
-                self.add(edge)
-
-    def _in_place(self, update, other):
-        if not isinstance(other, (set, frozenset)):  # as for `set`: `|=` takes sets only
-            return NotImplemented
-        update(other)
-        return self
-
-    def __ior__(self, other):
-        return self._in_place(self.update, other)
-
-    def __iand__(self, other):
-        return self._in_place(self.intersection_update, other)
-
-    def __isub__(self, other):
-        return self._in_place(self.difference_update, other)
-
-    def __ixor__(self, other):
-        return self._in_place(self.symmetric_difference_update, other)
-
-
 class DecisionGraph:
     """Directed labeled graph with per-node provenance.
 
@@ -277,14 +179,16 @@ class DecisionGraph:
 
     Nodes enter only through `add_node` and leave only through
     `merge_nodes`, which keep the label index; a node's label never changes
-    once it is in the graph. `edges` is an `EdgeSet`, which keeps the in/out
-    adjacency on every mutation; assigning any set of edges to `edges`
-    stores an `EdgeSet` built from it.
+    once it is in the graph. Edges enter only through `add_edge` and leave
+    only through `remove_edge`, which keep the in/out adjacency; `edges` is
+    a read-only view of them.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, DecisionNode] = {}
-        self._edges = EdgeSet()
+        self._edges: dict[DecisionEdge, None] = {}
+        self._out: dict[str, set[DecisionEdge]] = {}  # source id -> edges
+        self._into: dict[str, set[DecisionEdge]] = {}  # target id -> edges
         self.suppressed_self_loops: list[DecisionEdge] = []
         self._id_counters: dict[str, int] = {}
         self._label_index: dict[str, set[str]] = {}
@@ -296,13 +200,9 @@ class DecisionGraph:
         self._label_index.setdefault(node.label, set()).add(node.node_id)
 
     @property
-    def edges(self) -> EdgeSet:
-        return self._edges
-
-    @edges.setter
-    def edges(self, edges: Iterable[DecisionEdge]) -> None:
-        if edges is not self._edges:  # `graph.edges |= ...` assigns the same set back
-            self._edges = EdgeSet(edges)
+    def edges(self) -> KeysView[DecisionEdge]:
+        """A live, read-only set view of the edges."""
+        return self._edges.keys()
 
     def _remove_node(self, node_id: str) -> None:
         node = self.nodes.pop(node_id)
@@ -322,11 +222,11 @@ class DecisionGraph:
 
     def in_edges(self, node_id: str) -> AbstractSet[DecisionEdge]:
         """Edges into node_id. A live view: snapshot it before changing edges."""
-        return self._edges.into.get(node_id, _NO_EDGES)
+        return self._into.get(node_id, _NO_EDGES)
 
     def out_edges(self, node_id: str) -> AbstractSet[DecisionEdge]:
         """Edges out of node_id. A live view: snapshot it before changing edges."""
-        return self._edges.out.get(node_id, _NO_EDGES)
+        return self._out.get(node_id, _NO_EDGES)
 
     def ancestors_of(self, node_id: str) -> list[tuple[str, str]]:
         """(source_id, edge_label) pairs of edges into node_id, sorted."""
@@ -334,11 +234,10 @@ class DecisionGraph:
 
     def reachable(self, start: Iterable[str]) -> set[str]:
         """Ids reachable from the start ids along out-edges, the start included."""
-        out = self._edges.out
         seen = set(start)
         frontier = list(seen)
         while frontier:
-            for edge in out.get(frontier.pop(), _NO_EDGES):
+            for edge in self._out.get(frontier.pop(), _NO_EDGES):
                 if edge.target not in seen:
                     seen.add(edge.target)
                     frontier.append(edge.target)
@@ -351,20 +250,40 @@ class DecisionGraph:
             raise MissingNodeError(f"edge target {target!r} not in graph")
         if source == target:
             raise GraphIntegrityError(f"self-loop on {source!r} not allowed")
-        self._edges.add(DecisionEdge(source, label, target))
+        self._link(DecisionEdge(source, label, target))
+
+    def _link(self, edge: DecisionEdge) -> None:
+        """Store an edge and index it, unchecked."""
+        if edge not in self._edges:
+            self._edges[edge] = None
+            self._out.setdefault(edge.source, set()).add(edge)
+            self._into.setdefault(edge.target, set()).add(edge)
+
+    def remove_edge(self, source: str, label: str, target: str) -> None:
+        """Remove the edge if it is present; an absent edge is a no-op."""
+        edge = DecisionEdge(source, label, target)
+        if edge not in self._edges:
+            return
+        del self._edges[edge]
+        for index, node_id in ((self._out, source), (self._into, target)):
+            incident = index[node_id]
+            incident.discard(edge)
+            if not incident:
+                del index[node_id]
 
     def check_integrity(self) -> None:
         for edge in self._edges:
             if edge.source not in self.nodes or edge.target not in self.nodes:
-                raise GraphIntegrityError(f"dangling edge {edge.as_triple()}")
+                raise GraphIntegrityError(f"dangling edge {tuple(edge)}")
             if edge.source == edge.target:
-                raise GraphIntegrityError(f"self-loop {edge.as_triple()}")
+                raise GraphIntegrityError(f"self-loop {tuple(edge)}")
 
     def copy(self) -> "DecisionGraph":
         dup = DecisionGraph()
         for node in self.nodes.values():
             dup.add_node(node.copy())
-        dup.edges = self._edges  # the setter builds a new EdgeSet
+        for edge in self._edges:
+            dup._link(edge)
         dup.suppressed_self_loops = list(self.suppressed_self_loops)
         dup._id_counters = dict(self._id_counters)
         return dup
@@ -424,18 +343,17 @@ def redirect_ancestor_edge(
     no-op beyond the removal, keeping the edge set duplicate-free.
 
     Raises:
-        MissingNodeError: the redirect target is not in the graph.
+        MissingNodeError: the redirect target, or the source of an edge that
+            is not a self-loop, is not in the graph.
     """
     source, label, target = to_triple
     if target not in graph.nodes:
         raise MissingNodeError(f"redirect target {target!r} not in graph")
-    graph.edges.discard(DecisionEdge(*from_triple))
+    graph.remove_edge(*from_triple)
     if source == target:
         graph.suppressed_self_loops.append(DecisionEdge(source, label, target))
         return
-    if source not in graph.nodes:
-        raise MissingNodeError(f"redirect source {source!r} not in graph")
-    graph.edges.add(DecisionEdge(source, label, target))
+    graph.add_edge(source, label, target)
 
 
 def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
@@ -466,15 +384,15 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
     s_node = graph.nodes[secondary]
 
     incident = graph.in_edges(secondary) | graph.out_edges(secondary)
-    for edge in sorted(incident, key=DecisionEdge.as_triple):
+    for edge in sorted(incident):
         if edge.target == secondary:
-            redirect_ancestor_edge(graph, edge.as_triple(), (edge.source, edge.label, primary))
+            redirect_ancestor_edge(graph, edge, (edge.source, edge.label, primary))
         elif edge.source == secondary:
-            graph.edges.discard(edge)
+            graph.remove_edge(*edge)
             if edge.target == primary:
                 graph.suppressed_self_loops.append(DecisionEdge(primary, edge.label, primary))
             else:
-                graph.edges.add(DecisionEdge(primary, edge.label, edge.target))
+                graph.add_edge(primary, edge.label, edge.target)
 
     p_node.merged_from.extend(s_node.merged_from)
     p_node.merged_from.append(MergedRef(secondary, s_node.origin_chunk))
@@ -513,7 +431,7 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
         )
     edges = [
         {"source": e.source, "label": e.label, "target": e.target}
-        for e in sorted(graph.edges, key=DecisionEdge.as_triple)
+        for e in sorted(graph.edges)
     ]
     return {"format": GRAPH_FORMAT, "nodes": nodes, "edges": edges}
 
@@ -541,10 +459,6 @@ def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
         graph.add_edge(entry["source"], entry["label"], entry["target"])
     graph.check_integrity()
     return graph
-
-
-def save_graph(graph: DecisionGraph, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(graph_to_doc(graph)), encoding="utf-8")
 
 
 def load_graph(path: str | Path) -> DecisionGraph:
@@ -594,9 +508,3 @@ def profile_to_doc(profile: GuidelineProfile) -> dict[str, Any]:
         "metadata": dict(sorted(profile.metadata.items())),
         "scope_context": profile.scope_context,
     }
-
-
-def profile_from_doc(doc: Mapping[str, Any]) -> GuidelineProfile:
-    if doc.get("format") != PROFILE_FORMAT:
-        raise ValueError(f"unsupported profile format {doc.get('format')!r}")
-    return GuidelineProfile(metadata=dict(doc["metadata"]), scope_context=doc["scope_context"])

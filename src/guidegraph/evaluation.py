@@ -114,9 +114,9 @@ def match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
     """Injective partial mapping predicted node id -> reference node id.
 
     Exact mode pairs equal normalized labels; embedding mode is greedy
-    highest-similarity-first above the threshold; oracle mode asks the
-    verifier for each still-unmatched prediction. Each reference node is
-    used at most once.
+    highest-similarity-first above the threshold, scored with `store`;
+    oracle mode asks the verifier for each still-unmatched prediction. Each
+    reference node is used at most once.
     """
     mapping: dict[str, str] = {}
     used: set[str] = set()
@@ -137,8 +137,6 @@ def match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
                 break
 
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
-        if store is None:
-            store = EmbeddingStore(HashingEmbeddingBackend())
         pairs = []
         for pid in pred_ids:
             if pid in mapping:

@@ -198,9 +198,6 @@ class AuditLog:
                 self._close_handle()
             self._handle = self._close_handle = None
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class _HeldRecords:
     """Audit records of one fan-out item, held back until the item commits."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
 import numpy as np
@@ -108,7 +107,7 @@ class EmbeddingStore:
         self._count = 0
         self._lock = threading.Lock()
 
-    def _ingest(self, key: str, vector) -> int:
+    def _ingest(self, key: str, vector) -> None:
         vector = np.asarray(vector, dtype=np.float64)
         norm = np.linalg.norm(vector)
         if norm == 0.0:
@@ -128,35 +127,37 @@ class EmbeddingStore:
         self._norms[row] = norm
         self._rows[key] = row
         self._count += 1
-        return row
-
-    def _row(self, label: str) -> int:
-        """Row of a label, embedding it on first sight. Call with the lock held."""
-        row = self._rows.get(label)
-        if row is None:
-            key = normalize_label(label)
-            row = self._rows.get(key)
-            if row is None:
-                row = self._ingest(key, self.backend.embed_text(key))
-            self._rows[label] = row
-        return row
 
     def rows(self, labels: Iterable[str]) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Row of each label, plus the matrix and norms those rows index."""
+        """Row of each label, plus the matrix and norms those rows index.
+
+        Labels the store has not seen are embedded outside the lock, so
+        threads wait for each other's embedding round-trips only to store
+        the results. When two threads embed the same key, the first to
+        store it wins.
+        """
         labels = list(labels)
         with self._lock:
             rows = list(map(self._rows.get, labels))
-            if None in rows:
-                rows = [self._row(label) if row is None else row
-                        for label, row in zip(labels, rows)]
-            count = self._count
-            return rows, self._matrix[:count], self._norms[:count]
+            if None not in rows:
+                return rows, self._matrix[: self._count], self._norms[: self._count]
+            keys = {label: normalize_label(label)
+                    for label, row in zip(labels, rows) if row is None}
+            new = [key for key in dict.fromkeys(keys.values()) if key not in self._rows]
+        vectors = [self.backend.embed_text(key) for key in new]
+        with self._lock:
+            for key, vector in zip(new, vectors):
+                if key not in self._rows:
+                    self._ingest(key, vector)
+            for label, key in keys.items():
+                self._rows[label] = self._rows[key]
+            rows = [self._rows[label] for label in labels]
+            return rows, self._matrix[: self._count], self._norms[: self._count]
 
     def vector(self, label: str) -> np.ndarray:
         """The label's embedding, as a read-only view of its row."""
-        with self._lock:
-            row = self._row(label)  # may grow the matrix, so index it afterwards
-            view = self._matrix[row]
+        (row,), matrix, _ = self.rows((label,))
+        view = matrix[row]
         view.flags.writeable = False
         return view
 
@@ -177,21 +178,14 @@ class EmbeddingStore:
         return float(np.dot(matrix[a], matrix[b]) / (norms[a] * norms[b]))
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Top-k pool members by cosine similarity, ties broken by ascending id."""
-
-    entries: tuple[tuple[str, float], ...]
-    k: int
-
-
 def cosine_candidates(query: str, pool: Mapping[str, str], k: int,
-                      store: EmbeddingStore) -> CandidateSet:
-    """Rank pool members (node_id -> label) by cosine similarity to the query.
+                      store: EmbeddingStore) -> tuple[tuple[str, float], ...]:
+    """The top-k pool members (node_id -> label) by cosine similarity to the
+    query, as (node_id, similarity) pairs, ties broken by ascending id.
 
     The query may be a node id present in the pool (which is then excluded
-    from its own candidates) or a raw label. An empty pool yields an empty
-    candidate set. Similarities are dot products over the product of norms,
+    from its own candidates) or a raw label. An empty pool yields no
+    candidates. Similarities are dot products over the product of norms,
     the same arithmetic as one `np.dot` per member; every member at or above
     the k-th similarity is sorted, so a tie group cut by k goes to its
     lowest ids.
@@ -205,7 +199,7 @@ def cosine_candidates(query: str, pool: Mapping[str, str], k: int,
         query_label = query
         members = list(pool.items())
     if not members:
-        return CandidateSet(entries=(), k=k)
+        return ()
     rows, matrix, norms = store.rows([query_label] + [label for _, label in members])
     q_row, rows = rows[0], np.asarray(rows[1:])
     sims = (matrix @ matrix[q_row])[rows] / (norms[q_row] * norms[rows])
@@ -217,4 +211,4 @@ def cosine_candidates(query: str, pool: Mapping[str, str], k: int,
     values = sims.tolist()
     scored = [(members[i][0], values[i]) for i in keep]
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return CandidateSet(entries=tuple(scored[:k]), k=k)
+    return tuple(scored[:k])

@@ -114,19 +114,19 @@ def scan_merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None
     """
     p_node = graph.nodes[primary]
     s_node = graph.nodes[secondary]
-    for edge in sorted(graph.edges, key=DecisionEdge.as_triple):
+    for edge in sorted(graph.edges):
         if edge.target == secondary:
-            graph.edges.discard(edge)
+            graph.remove_edge(*edge)
             if edge.source == primary:
                 graph.suppressed_self_loops.append(DecisionEdge(primary, edge.label, primary))
             else:
-                graph.edges.add(DecisionEdge(edge.source, edge.label, primary))
+                graph.add_edge(edge.source, edge.label, primary)
         elif edge.source == secondary:
-            graph.edges.discard(edge)
+            graph.remove_edge(*edge)
             if edge.target == primary:
                 graph.suppressed_self_loops.append(DecisionEdge(primary, edge.label, primary))
             else:
-                graph.edges.add(DecisionEdge(primary, edge.label, edge.target))
+                graph.add_edge(primary, edge.label, edge.target)
     p_node.merged_from.extend(s_node.merged_from)
     p_node.merged_from.append(MergedRef(secondary, s_node.origin_chunk))
     p_node.provenance_pages = sorted(set(p_node.provenance_pages) | set(s_node.provenance_pages))
@@ -195,11 +195,20 @@ def closure_quotient(union_graph: DecisionGraph,
     return classes, edges
 
 
+def resolve(result, node_id: str) -> str:
+    """Final surviving id of a union node id under an AggregationResult,
+    following its merge decisions' chains."""
+    merged_into = {d.secondary: d.primary for d in result.decisions}
+    while node_id in merged_into:
+        node_id = merged_into[node_id]
+    return node_id
+
+
 def impl_partition(union_graph: DecisionGraph, result) -> set[frozenset[str]]:
-    """Partition induced by an AggregationResult's merge map."""
+    """Partition induced by an AggregationResult's merge decisions."""
     groups: dict[str, set[str]] = defaultdict(set)
     for node_id in union_graph.nodes:
-        groups[result.resolve(node_id)].add(node_id)
+        groups[resolve(result, node_id)].add(node_id)
     return {frozenset(v) for v in groups.values()}
 
 
@@ -208,7 +217,7 @@ def impl_class_edges(union_graph: DecisionGraph, result,
     """Output edges of an AggregationResult relabeled to merge classes."""
     groups: dict[str, set[str]] = defaultdict(set)
     for node_id in union_graph.nodes:
-        groups[result.resolve(node_id)].add(node_id)
+        groups[resolve(result, node_id)].add(node_id)
     class_of = {survivor: frozenset(members) for survivor, members in groups.items()}
     return {
         (class_of[e.source], e.label, class_of[e.target])
@@ -220,12 +229,12 @@ def assert_edge_preservation(union_graph: DecisionGraph, result) -> None:
     """Union edges mapped through the merge map must equal the output edges
     plus exactly the logged suppressed self-loops."""
     mapped = {
-        (result.resolve(e.source), e.label, result.resolve(e.target))
+        (resolve(result, e.source), e.label, resolve(result, e.target))
         for e in union_graph.edges
     }
-    output = {e.as_triple() for e in result.graph.edges}
+    output = {tuple(e) for e in result.graph.edges}
     suppressed = {
-        (result.resolve(e.source), e.label, result.resolve(e.target))
+        (resolve(result, e.source), e.label, resolve(result, e.target))
         for e in result.graph.suppressed_self_loops
     }
     assert all(t[0] == t[2] for t in suppressed), "suppressed entries must be self-loops"
@@ -332,7 +341,7 @@ def random_universe(seed: int, max_nodes: int = 12,
             for _ in range(rng.randint(0, 2)):
                 target = rng.choice(node_ids)
                 if target != source:
-                    graph.edges.add(DecisionEdge(source, rng.choice(CONDITIONS), target))
+                    graph.add_edge(source, rng.choice(CONDITIONS), target)
         graph.check_integrity()
         graphs.append(graph)
 

@@ -262,15 +262,15 @@ def test_acceptance_retrieval_oracle():
 
         result = cosine_candidates("the query", pool, k, vector_store)
         expected = exhaustive_top_k(query_vec, vectors, k)
-        assert [n for n, _ in result.entries] == [n for n, _ in expected]
-        for (_, got), (_, want) in zip(result.entries, expected):
+        assert [n for n, _ in result] == [n for n, _ in expected]
+        for (_, got), (_, want) in zip(result, expected):
             assert abs(got - want) < 1e-9
             assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
 
         shuffled_items = list(pool.items())
         rng.shuffle(shuffled_items)
         again = cosine_candidates("the query", dict(shuffled_items), k, vector_store)
-        assert again.entries == result.entries
+        assert again == result
         cases += 1
     elapsed = time.perf_counter() - started
     assert cases >= 1000

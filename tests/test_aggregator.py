@@ -312,7 +312,7 @@ def test_aggregate_suppresses_self_loops_from_chained_merges():
                        make_client(ClassVerifierBackend(label_class)), store(),
                        config(candidate_count=12))
     assert_edge_preservation(union, result)
-    assert [e.as_triple() for e in result.graph.suppressed_self_loops] == [
+    assert [tuple(e) for e in result.graph.suppressed_self_loops] == [
         ("c02n001", "cond", "c02n001"),
     ]
     labels = sorted(n.label for n in result.graph.nodes.values())

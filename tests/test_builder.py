@@ -24,7 +24,7 @@ from guidegraph.core import (
 )
 from guidegraph.errors import ExpansionBudgetExceeded, UsageError
 from guidegraph.oracle import OracleTask
-from guidegraph.retrieval import CandidateSet, EmbeddingStore, HashingEmbeddingBackend
+from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 
 def load_golden_chunks() -> list[Chunk]:
@@ -94,7 +94,7 @@ def test_entry_label_generating_itself_merges_without_new_node():
     result = build(simple_chunk(), backend)
     labels = sorted(n.label for n in result.graph.nodes.values())
     assert labels == ["alpha", "omega"]
-    assert {e.as_triple() for e in result.graph.edges} == {
+    assert {tuple(e) for e in result.graph.edges} == {
         (result.graph.label_ids("alpha")[0], "done", result.graph.label_ids("omega")[0]),
     }
     # the self-referential child collapsed into its own ancestor
@@ -109,7 +109,7 @@ def test_unbounded_chain_hits_cap_exactly():
     assert len(partial.nodes) == 10
 
 
-def ranked(candidates: CandidateSet, pool: dict[str, str]):
+def ranked(candidates: tuple[tuple[str, float], ...], pool: dict[str, str]):
     """A `rank` callable for find_duplicate that returns fixed candidates."""
     return lambda: (candidates, pool)
 
@@ -136,7 +136,7 @@ def test_fast_path_exact_match_skips_oracle():
 
 def test_empty_candidate_set_returns_none_without_oracle():
     backend = StaticBackend("never called")
-    match, _, how = find_duplicate("fresh", [], None, ranked(CandidateSet(entries=(), k=5), {}),
+    match, _, how = find_duplicate("fresh", [], None, ranked((), {}),
                                    client=make_client(backend))
     assert match is None
     assert how == "empty-pool"
@@ -145,7 +145,7 @@ def test_empty_candidate_set_returns_none_without_oracle():
 
 def test_paraphrase_match_via_verifier():
     backend = TableBackend({}, paraphrases={"as protocol": "active surveillance"})
-    candidates = CandidateSet(entries=(("n2", 0.7), ("n1", 0.4)), k=5)
+    candidates = (("n2", 0.7), ("n1", 0.4))
     match, similarity, how = find_duplicate(
         "as protocol", [], None,
         ranked(candidates, {"n1": "watchful waiting", "n2": "active surveillance"}),
@@ -161,7 +161,7 @@ def test_verifier_picks_highest_similarity_then_lowest_id():
             assert task is OracleTask.FIND_DUPLICATE
             return {"matches": list(range(len(payload["candidates"])))}
 
-    candidates = CandidateSet(entries=(("n3", 0.9), ("n1", 0.9), ("n2", 0.2)), k=5)
+    candidates = (("n3", 0.9), ("n1", 0.9), ("n2", 0.2))
     match, _, _ = find_duplicate(
         "x", [], None, ranked(candidates, {"n1": "a", "n2": "b", "n3": "c"}),
         client=make_client(ConfirmEverything()),
@@ -172,7 +172,7 @@ def test_verifier_picks_highest_similarity_then_lowest_id():
 def test_duplicate_oracle_failure_degrades_to_new_node():
     backend = StaticBackend("garbage")
     match, _, how = find_duplicate(
-        "x", [], None, ranked(CandidateSet(entries=(("n1", 0.9),), k=5), {"n1": "other"}),
+        "x", [], None, ranked((("n1", 0.9),), {"n1": "other"}),
         client=make_client(backend),
     )
     assert match is None
@@ -254,7 +254,7 @@ def test_adversarial_cyclic_fixture_terminates():
         "beta state": [("alpha", "back")],
     })
     result = build(simple_chunk(), backend)
-    triples = {e.as_triple() for e in result.graph.edges}
+    triples = {tuple(e) for e in result.graph.edges}
     alpha = result.graph.label_ids("alpha")[0]
     beta = result.graph.label_ids("beta state")[0]
     assert (alpha, "go", beta) in triples

@@ -200,6 +200,28 @@ def test_config_doc_round_trip():
     assert restored.to_doc() == config.to_doc()
 
 
+def test_config_from_doc_coerces_numbers_and_keeps_defaults():
+    config = cli.PipelineConfig.from_doc({
+        "format": "pipeline-config/1", "chunk_budget": "123", "match_threshold": 0.5,
+        "backend": {"kind": "live", "timeout": "5", "fixture_digest": "ab12"},
+    })
+    expected = cli.PipelineConfig(chunk_budget=123, match_threshold=0.5,
+                                  backend=cli.BackendConfig(kind="live", timeout=5.0))
+    assert config == expected
+    assert type(config.chunk_budget) is int and type(config.backend.timeout) is float
+    assert cli.PipelineConfig.from_doc({}) == cli.PipelineConfig()
+
+
+@pytest.mark.parametrize("doc", ["[]", '{"backend": null}', '{"chunk_budget": null}', "{"])
+def test_malformed_config_file_exits_with_usage_code(tmp_path, capsys, doc):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(doc, encoding="utf-8")
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(tmp_path / "out"), "--config", str(config_path))
+    assert code == cli.EXIT_USAGE
+    assert str(config_path) in capsys.readouterr().err
+
+
 def test_config_file_plus_flag_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(canonical_json(synthetic_config(FIXTURE_DIR).to_doc()),
@@ -485,6 +507,45 @@ def test_exit_code_for_scripted_without_fixtures(tmp_path):
                    "--out", str(tmp_path / "out"), "--backend", "scripted",
                    "--fixtures", "")
     assert code == cli.EXIT_USAGE
+
+
+GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": [], "edges": [
+    {"source": "a", "label": "go", "target": "b"}]})
+
+
+@pytest.mark.parametrize("command, artifact, content", [
+    ("build", "chunks.json", '{"format": "chunk-list/999", "chunks": []}'),
+    ("build", "chunks.json", None),
+    ("aggregate", "graphs/chunk_02.json", "{not json"),
+    ("aggregate", "graphs/chunk_03.json", None),
+    ("eval", "predicted.json", GRAPH_WITH_DANGLING_EDGE),
+    ("eval", "reference.json", '{"format": "decision-graph/1", "nodes": []}'),
+    ("export", "graph.json", "[]"),
+    ("export", "graph.json", None),
+], ids=["build-format", "build-missing", "aggregate-json", "aggregate-missing",
+        "eval-predicted", "eval-reference", "export-shape", "export-missing"])
+def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command, artifact,
+                                                      content):
+    out = tmp_path / "run"
+    shutil.copytree(GOLDEN_DIR / "graphs", out / "graphs")
+    shutil.copy(GOLDEN_DIR / "chunks.json", out)
+    for name in ("predicted.json", "reference.json", "graph.json"):
+        shutil.copy(GOLDEN_DIR / "merged.json", out / name)
+    bad = out / artifact
+    if content is None:
+        bad.unlink()
+    else:
+        bad.write_text(content, encoding="utf-8")
+    argv = {
+        "build": ["build", "--out", str(out), *scripted_flags()],
+        "aggregate": ["aggregate", "--out", str(out), *scripted_flags()],
+        "eval": ["eval", "--predicted", str(out / "predicted.json"),
+                 "--reference", str(out / "reference.json")],
+        "export": ["export", "--graph", str(bad), "--out", str(tmp_path / "graph.dot")],
+    }[command]
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    assert str(bad) in capsys.readouterr().err
+    assert not (out / "audit.log").exists()  # no stage ran
 
 
 def test_partial_artifacts_preserved_on_failure(tmp_path):

@@ -239,8 +239,8 @@ def test_deleting_a_predicted_edge_is_monotone():
     reference = graph_of(labels, edges[:4], prefix="r")
     base = score(predicted, reference, EXACT)
     for removed in list(predicted.edges):
-        smaller = graph_of(labels, [])
-        smaller.edges = set(predicted.edges) - {removed}
+        smaller = graph_of(labels, edges)
+        smaller.remove_edge(*removed)
         after = score(smaller, reference, EXACT)
         assert after.edge_recall.supported <= base.edge_recall.supported
         assert after.triplet_recall.supported <= base.triplet_recall.supported

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from oracles import scan_merge_nodes
 
 from guidegraph.aggregator import union_graphs
@@ -43,8 +45,8 @@ def assert_adjacency_matches_scan(graph: DecisionGraph) -> None:
         assert graph.ancestors_of(nid) == sorted((e.source, e.label) for e in into), nid
         assert graph.reachable([nid]) == scan_reachable(edges, [nid]), nid
     # no entry is left behind for a node that lost its last edge
-    assert set(graph.edges.out) == {e.source for e in edges}
-    assert set(graph.edges.into) == {e.target for e in edges}
+    assert set(graph._out) == {e.source for e in edges}
+    assert set(graph._into) == {e.target for e in edges}
     entries = [nid for nid, node in graph.nodes.items() if node.kind is NodeKind.ENTRY]
     assert graph.reachable(entries) == scan_reachable(edges, entries)
 
@@ -56,12 +58,10 @@ def _random_edge(rng: random.Random, graph: DecisionGraph) -> DecisionEdge:
 
 def _mutate(rng: random.Random, graph: DecisionGraph, graphs: list[DecisionGraph],
             step: int) -> None:
-    edges = sorted(graph.edges, key=DecisionEdge.as_triple)
-    some = {e for e in edges if rng.random() < 0.5}
+    edges = sorted(graph.edges)
     op = rng.choice([
         "register", "register", "add_edge", "add_edge", "redirect", "merge", "merge",
-        "edges.add", "edges.discard", "edges.remove", "edges.pop", "assign", "ior", "isub",
-        "iand", "ixor", "update", "difference_update", "clear", "copy", "union", "doc",
+        "remove_edge", "remove_edge", "copy", "union", "doc",
     ])
     if op == "register" or len(graph.nodes) < 2:
         ancestor = rng.choice(sorted(graph.nodes)) if graph.nodes and rng.random() < 0.7 else None
@@ -69,38 +69,16 @@ def _mutate(rng: random.Random, graph: DecisionGraph, graphs: list[DecisionGraph
                                        None if ancestor is None else (ancestor, "go")),
                       rng.choice(KINDS), id_prefix=f"s{step:02d}n")
     elif op == "add_edge":
-        edge = _random_edge(rng, graph)
-        graph.add_edge(edge.source, edge.label, edge.target)
+        graph.add_edge(*_random_edge(rng, graph))
     elif op == "redirect" and edges:
-        source, label, _ = rng.choice(edges).as_triple()
-        old = rng.choice(edges).as_triple()
+        source, label, _ = rng.choice(edges)
+        old = rng.choice(edges)
         redirect_ancestor_edge(graph, old, (source, label, rng.choice(sorted(graph.nodes))))
     elif op == "merge":
         merge_nodes(graph, *rng.sample(sorted(graph.nodes), 2))
-    elif op == "edges.add":
-        graph.edges.add(_random_edge(rng, graph))
-    elif op == "edges.discard":
-        graph.edges.discard(rng.choice(edges) if edges else _random_edge(rng, graph))
-    elif op == "edges.remove" and edges:
-        graph.edges.remove(rng.choice(edges))
-    elif op == "edges.pop" and edges:
-        graph.edges.pop()
-    elif op == "assign":
-        graph.edges = some | {_random_edge(rng, graph)}
-    elif op == "ior":
-        graph.edges |= {_random_edge(rng, graph) for _ in range(3)}
-    elif op == "isub":
-        graph.edges -= some
-    elif op == "iand":
-        graph.edges &= some
-    elif op == "ixor":
-        graph.edges ^= some | {_random_edge(rng, graph)}
-    elif op == "update":
-        graph.edges.update([_random_edge(rng, graph)], (_random_edge(rng, graph),))
-    elif op == "difference_update":
-        graph.edges.difference_update(list(some))
-    elif op == "clear":
-        graph.edges.clear()
+    elif op == "remove_edge":  # an absent edge is a no-op
+        graph.remove_edge(*(rng.choice(edges) if edges and rng.random() < 0.8
+                            else _random_edge(rng, graph)))
     elif op == "copy":
         graphs.append(graph.copy())
     elif op == "union":
@@ -135,11 +113,33 @@ def test_copies_share_no_mutable_state():
         assert node.merged_from[0] is graph.nodes["a"].merged_from[0]  # frozen, shared
         node.provenance_pages.append(9)
         node.interface_labels.append("x")
-        dup.edges.discard(DecisionEdge("a", "go", "b"))
+        dup.remove_edge("a", "go", "b")
         assert graph.nodes["a"].provenance_pages == [1]
         assert graph.nodes["a"].interface_labels == ["a"]
         assert graph.in_edges("b") == {DecisionEdge("a", "go", "b")}
         assert_adjacency_matches_scan(dup)
+    assert_adjacency_matches_scan(graph)
+
+
+def test_edges_are_a_read_only_view():
+    graph = DecisionGraph()
+    for node_id in "ab":
+        graph.add_node(DecisionNode(node_id, node_id, NodeKind.ENTRY, 1))
+    graph.add_edge("a", "go", "b")
+    edge, back = DecisionEdge("a", "go", "b"), DecisionEdge("b", "go", "a")
+    view = graph.edges
+    with pytest.raises(AttributeError):
+        graph.edges.add(back)
+    with pytest.raises(AttributeError):
+        graph.edges = {back}
+    with pytest.raises(AttributeError):
+        graph.edges |= {back}
+    assert graph.edges == {edge} and edge in graph.edges and len(graph.edges) == 1
+    assert graph.edges | {back} == {edge, back} and not graph.edges - {edge}
+    graph.remove_edge(*back)  # absent: a no-op
+    assert view == {edge}
+    graph.remove_edge(*edge)
+    assert not view and not graph.in_edges("b") and not graph.out_edges("a")
     assert_adjacency_matches_scan(graph)
 
 

@@ -129,7 +129,7 @@ def test_audit_entries_equal_dispatch_calls():
                  "candidates": ["active surveillance", "radiation therapy"]})
     with pytest.raises(OracleProtocolError):
         client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "miss"))
-    assert len(client.audit) == 3
+    assert len(client.audit.entries) == 3
     assert [e["outcome"] for e in client.audit.entries] == ["ok", "ok", "protocol_error"]
     assert [e["request_id"] for e in client.audit.entries] == [
         "req-000001", "req-000002", "req-000003",

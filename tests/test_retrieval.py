@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from oracles import exhaustive_top_k, loop_cosine_candidates
 from guidegraph.core import normalize_label
 from guidegraph.errors import EmbeddingError
 from guidegraph.retrieval import (
-    CandidateSet,
     EmbeddingStore,
     HashingEmbeddingBackend,
     cosine_candidates,
@@ -48,22 +48,22 @@ def test_hand_placed_vectors_rank_as_computed():
     store.put("third", [0.9, 0.1])
     pool = {"n1": "first", "n2": "second", "n3": "third"}
     result = cosine_candidates("n1", pool, 2, store)
-    assert [node_id for node_id, _ in result.entries] == ["n3", "n2"]
-    sims = dict(result.entries)
+    assert [node_id for node_id, _ in result] == ["n3", "n2"]
+    sims = dict(result)
     assert sims["n3"] == pytest.approx(0.9 / (0.81 + 0.01) ** 0.5, abs=1e-9)
     assert sims["n2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_query_excluded_from_its_own_pool(hashing_store):
     result = cosine_candidates("n1", {"n1": "only label"}, 3, hashing_store)
-    assert result.entries == ()
+    assert result == ()
 
 
 def test_k_larger_than_pool_saturates(hashing_store):
     pool = {"a": "active surveillance", "b": "radiation therapy", "c": "prostate biopsy"}
     result = cosine_candidates("active surveillance protocol", pool, 99, hashing_store)
-    assert len(result.entries) == 3
-    sims = [s for _, s in result.entries]
+    assert len(result) == 3
+    sims = [s for _, s in result]
     assert sims == sorted(sims, reverse=True)
 
 
@@ -125,8 +125,8 @@ def test_matches_exhaustive_sort_on_random_pools():
         k = rng.randint(1, 8)
         result = cosine_candidates("query label", pool, k, store)
         expected = exhaustive_top_k(query_vec, vectors, k)
-        assert [nid for nid, _ in result.entries] == [nid for nid, _ in expected]
-        for (_, got), (_, want) in zip(result.entries, expected):
+        assert [nid for nid, _ in result] == [nid for nid, _ in expected]
+        for (_, got), (_, want) in zip(result, expected):
             assert got == pytest.approx(want, abs=1e-9)
             assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
 
@@ -139,8 +139,8 @@ def test_tie_break_is_insertion_order_independent(hashing_store):
     pool_rev = dict(reversed(list(pool_fwd.items())))
     fwd = cosine_candidates("la", pool_fwd, 3, store)
     rev = cosine_candidates("la", pool_rev, 3, store)
-    assert fwd.entries == rev.entries
-    assert [nid for nid, _ in fwd.entries] == ["n1", "n2", "n3"]
+    assert fwd == rev
+    assert [nid for nid, _ in fwd] == ["n1", "n2", "n3"]
 
 
 VOCABULARY = ("active surveillance", "radiation therapy", "prostate biopsy",
@@ -169,11 +169,11 @@ def test_matrix_ranking_equals_per_member_loop_on_hashing_embeddings(hashing_sto
         cases.append((query, pool, rng.randint(1, size + 2)))
     for query, pool, k in cases:
         expected = loop_cosine_candidates(query, pool, k, hashing_store)
-        assert cosine_candidates(query, pool, k, hashing_store).entries == expected
+        assert cosine_candidates(query, pool, k, hashing_store) == expected
         full = loop_cosine_candidates(query, pool, len(pool), hashing_store)
         if len(full) > k and full[k - 1][1] == full[k][1]:
             tie_cuts += 1
-    assert [nid for nid, _ in cosine_candidates(*fixed[0], hashing_store).entries] == ["n03", "n05"]
+    assert [nid for nid, _ in cosine_candidates(*fixed[0], hashing_store)] == ["n03", "n05"]
     assert tie_cuts > 20
 
 
@@ -238,3 +238,33 @@ def test_concurrent_lookups_store_each_key_once():
     for out in seen:
         for label, vector in out.items():
             assert np.array_equal(vector, matrix[row_of_key[normalize_label(label)]])
+
+
+class SlowEmbeddingBackend(HashingEmbeddingBackend):
+    """Hashing embeddings that take 5 ms each, like a round-trip to a server."""
+
+    def embed_text(self, text: str) -> np.ndarray:
+        time.sleep(0.005)
+        return super().embed_text(text)
+
+
+def test_threads_embed_new_labels_concurrently():
+    def wall_time(threads: int) -> float:
+        store = EmbeddingStore(SlowEmbeddingBackend(dim=32))
+        labels = [[f"label {t} {i}" for i in range(40)] for t in range(threads)]
+        workers = [threading.Thread(target=lambda own=own: [store.vector(x) for x in own])
+                   for own in labels]
+        started = time.perf_counter()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        elapsed = time.perf_counter() - started
+        assert not any(worker.is_alive() for worker in workers)
+        _, matrix, _ = store.rows(label for own in labels for label in own)
+        assert len(matrix) == 40 * threads
+        return elapsed
+
+    serial = wall_time(1)
+    # A store that embedded under its lock would take about 4x as long.
+    assert wall_time(4) < 2 * serial
