@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import IdCollisionError, InterfaceResolutionError
 from .oracle import OracleClient
-from .retrieval import EmbeddingStore, cosine_candidates
+from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 from .builder import find_duplicate
 
 logger = logging.getLogger(__name__)
@@ -134,9 +134,9 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
     queue = seed_interface_queue(chunks, graph)
     in_queue = set(queue)
     decisions: list[MergeDecision] = []
-    by_chunk: dict[int, dict[str, str]] = {}  # origin chunk -> live node id -> label
+    pool = RankingPool()  # every live node, grouped by origin chunk
     for nid, each in graph.nodes.items():
-        by_chunk.setdefault(each.origin_chunk, {})[nid] = each.label
+        pool.add(nid, each.label, each.origin_chunk)
 
     while queue:
         x = queue.popleft()
@@ -144,17 +144,15 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         if x not in graph.nodes:  # merged away while queued
             continue
         node = graph.nodes[x]
-        if len(by_chunk[node.origin_chunk]) == len(graph.nodes):  # no node of another chunk
+        eligible = pool.excluding(node.origin_chunk)
+        if not eligible:  # no node of another chunk
             continue
         exact_id = next((nid for nid in graph.label_ids(node.label)
                          if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
 
-        def rank() -> tuple[tuple[tuple[str, float], ...], dict[str, str]]:
-            pool: dict[str, str] = {}
-            for chunk_id, labels in by_chunk.items():
-                if chunk_id != node.origin_chunk:
-                    pool.update(labels)
-            return cosine_candidates(node.label, pool, config.candidate_count, store), pool
+        def rank() -> tuple[tuple[tuple[str, float], ...], RankingPool]:
+            return (cosine_candidates(node.label, eligible, config.candidate_count, store),
+                    eligible)
 
         ancestors = _capped_ancestors(graph, x, store)
         match_id, similarity, how = find_duplicate(node.label, ancestors, exact_id,
@@ -167,7 +165,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         p_origin = graph.nodes[primary].origin_chunk
         s_origin = graph.nodes[secondary].origin_chunk
         merge_nodes(graph, primary, secondary)
-        del by_chunk[s_origin][secondary]
+        pool.discard(secondary)
         requeued = primary not in in_queue
         if requeued:
             queue.append(primary)

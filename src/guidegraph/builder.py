@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .oracle import OracleClient, OracleTask
-from .retrieval import EmbeddingStore, cosine_candidates
+from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -139,6 +139,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     prefix = f"c{chunk.chunk_id:02d}n"
     graph = DecisionGraph()
+    pool = RankingPool()  # every node of the graph
     queue: deque[QueueItem] = deque()
     trace: list[dict[str, Any]] = []
 
@@ -157,6 +158,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
             id_prefix=prefix,
             interface_labels=[interface_label] if interface_label else [],
         )
+        pool.add(node_id, graph.nodes[node_id].label)
         trace.append({"event": "register", "chunk": chunk.chunk_id,
                       "node_id": node_id, "label": item.candidate_label,
                       "kind": kind.value})
@@ -173,8 +175,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
         label = item.candidate_label  # entry and child labels are normalized when enqueued
         exact_ids = graph.label_ids(label)
 
-        def rank() -> tuple[tuple[tuple[str, float], ...], dict[str, str]]:
-            pool = {nid: node.label for nid, node in graph.nodes.items()}
+        def rank() -> tuple[tuple[tuple[str, float], ...], RankingPool]:
             return cosine_candidates(label, pool, config.candidate_count, store), pool
 
         ancestors = [] if item.incoming is None else [

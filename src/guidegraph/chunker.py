@@ -142,6 +142,12 @@ def contiguous_runs(core_indices: Sequence[int]) -> list[Run]:
     return runs
 
 
+def _exceeds_cap(pages: Sequence[PageRecord], page: PageRecord, budget: int) -> bool:
+    """Whether the pages plus one more page would make a chunk text longer
+    than the hard cap of twice the budget."""
+    return len(ChunkBuffer([*pages, page], "").text()) > 2 * budget
+
+
 def predict_boundary(buffer: ChunkBuffer, current: PageRecord,
                      lookahead: PageRecord | None, budget: int,
                      client: OracleClient) -> bool:
@@ -149,10 +155,11 @@ def predict_boundary(buffer: ChunkBuffer, current: PageRecord,
 
     A hard override returns True whenever adding the current page would push
     the buffer text past twice the soft budget, without consulting the
-    oracle: the budget is advisory, the cap is not. An oracle that never
-    produces a valid reply also cuts, bounding chunk growth.
+    oracle: the budget is advisory, the cap is not. `chunk_run` then cuts
+    before the page rather than after it. An oracle that never produces a
+    valid reply also cuts, bounding chunk growth.
     """
-    if len(buffer.text()) + len(current.text) > 2 * budget:
+    if _exceeds_cap(buffer.pages, current, budget):
         logger.warning("page %d: hard budget override, cutting chunk", current.index)
         return True
     try:
@@ -286,45 +293,68 @@ def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfi
     """Chunk one run of core pages, ids counted from 1 within the run.
 
     Carry-forward pages from one chunk seed the next buffer and the running
-    context threads across chunks. The run stops after its first invalid
-    chunk, where a serial run raises; `run_chunking` raises it under the
-    chunk's document-wide id.
+    context threads across chunks. No chunk text exceeds twice the budget
+    unless it is a single page: when the current page would push the buffer
+    past that cap, the chunk is built from the buffer, with the page as its
+    lookahead, and the page begins the next chunk. A carried page that would
+    push the next buffer past the cap together with the page that follows
+    is dropped from the carry. The run stops after its first invalid chunk,
+    where a serial run raises; `run_chunking` raises it under the chunk's
+    document-wide id.
     """
     chunks: list[Chunk] = []
     buffer = ChunkBuffer(pages=[], running_context=profile.scope_context)
+
+    def finish(lookahead: PageRecord | None) -> bool:
+        """Build a chunk from the buffer and start the next buffer from its
+        carry; False when the chunk is invalid."""
+        nonlocal buffer
+        outcome = build_chunk(buffer, lookahead, client)
+        entry, terminal = refine_nodes(
+            buffer, outcome.description, outcome.entry_labels,
+            outcome.terminal_labels, client,
+        )
+        carried: list[PageRecord] = []
+        dropped: set[int] = set()
+        for page in buffer.pages:
+            if page.index not in outcome.carry_pages:
+                continue
+            if lookahead is not None and _exceeds_cap([*carried, page], lookahead, budget):
+                logger.warning("carry page %d would push the next chunk past the cap; "
+                               "dropped", page.index)
+                dropped.add(page.index)
+            else:
+                carried.append(page)
+        chunk = Chunk(
+            chunk_id=len(chunks) + 1,
+            context=assemble_context(profile, outcome.description, buffer.pages,
+                                     outcome.updated_context),
+            entry_labels=entry,
+            terminal_labels=terminal,
+            description=outcome.description,
+            carried_pages=tuple(i for i in outcome.carry_pages if i not in dropped),
+            page_span=tuple(buffer.indices()),
+        )
+        chunks.append(chunk)
+        try:
+            chunk.validate()
+        except ValueError:
+            return False
+        buffer = ChunkBuffer(pages=carried, running_context=outcome.updated_context)
+        return True
+
     for position, index in enumerate(run.page_indices):
         current = by_index[index]
         last = position == len(run.page_indices) - 1
         lookahead = None if last else by_index[run.page_indices[position + 1]]
         cut = predict_boundary(buffer, current, lookahead, budget, client)
-        buffer.pages.append(current)
-        if cut or last:
-            outcome = build_chunk(buffer, lookahead, client)
-            entry, terminal = refine_nodes(
-                buffer, outcome.description, outcome.entry_labels,
-                outcome.terminal_labels, client,
-            )
-            context = assemble_context(profile, outcome.description, buffer.pages,
-                                       outcome.updated_context)
-            chunk = Chunk(
-                chunk_id=len(chunks) + 1,
-                context=context,
-                entry_labels=entry,
-                terminal_labels=terminal,
-                description=outcome.description,
-                carried_pages=outcome.carry_pages,
-                page_span=tuple(buffer.indices()),
-            )
-            chunks.append(chunk)
-            try:
-                chunk.validate()
-            except ValueError:
+        if cut and buffer.pages and _exceeds_cap(buffer.pages, current, budget):
+            if not finish(current):
                 return chunks
-            carried = set(outcome.carry_pages)
-            buffer = ChunkBuffer(
-                pages=[p for p in buffer.pages if p.index in carried],
-                running_context=outcome.updated_context,
-            )
+            cut = False
+        buffer.pages.append(current)
+        if (cut or last) and not finish(lookahead):
+            return chunks
     return chunks
 
 

@@ -372,6 +372,8 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
     Raises:
         InvalidMergeError: primary == secondary.
         MissingNodeError: either node is absent (e.g. a replayed merge).
+        GraphIntegrityError: the rewiring left an edge on the secondary or a
+            self-loop on the primary.
     """
     if primary == secondary:
         raise InvalidMergeError(f"cannot merge {primary!r} with itself")
@@ -402,8 +404,13 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
             p_node.interface_labels.append(label)
     if (p_node.kind is NodeKind.TERMINAL) != (s_node.kind is NodeKind.TERMINAL):
         p_node.kind = NodeKind.INTERMEDIATE
+    # Only the secondary's incident edges changed, so checking them and the
+    # primary's out-edges covers what a full integrity scan would.
+    if (graph.in_edges(secondary) or graph.out_edges(secondary)
+            or any(edge.target == primary for edge in graph.out_edges(primary))):
+        raise GraphIntegrityError(f"merging {secondary!r} into {primary!r} left an edge "
+                                  f"on {secondary!r} or a self-loop on {primary!r}")
     graph._remove_node(secondary)
-    graph.check_integrity()
 
 
 # ---------------------------------------------------------------------------

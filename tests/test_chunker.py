@@ -391,17 +391,24 @@ class ProceduralBackend(SyntheticRuleBackend):
         raise AssertionError(task)
 
 
-def test_run_chunking_invariants_on_random_documents():
+def test_run_chunking_invariants_on_random_documents(caplog):
     rng = random.Random(999)
+    single_oversized = 0
     for _ in range(100):
         count = rng.randint(1, 12)
-        docs = [PageRecord(index=i, text=f"entry p{i} terminal p{i} body text {i}")
+        # Pages of 31 to 131 characters: under budgets 40 and 60 some pages
+        # alone exceed the cap, under 8000 the cap never fires.
+        budget = rng.choice([8000, 40, 60])
+        docs = [PageRecord(index=i, text=f"entry p{i:02d} terminal p{i:02d} body"
+                           + " text" * rng.randint(0, 20))
                 for i in range(1, count + 1)]
-        classes = {i: rng.choice(["core", "auxiliary"]) for i in range(1, count + 1)}
+        by_index = {p.index: p for p in docs}
+        classes = {i: rng.choice(["core", "core", "core", "auxiliary"])
+                   for i in range(1, count + 1)}
         cuts = {i: rng.random() < 0.4 for i in range(1, count + 1)}
         carry_last = {i: rng.random() < 0.5 for i in range(1, count + 1)}
         backend = ProceduralBackend(classes, cuts, carry_last)
-        result = run_chunking(docs, config(), make_client(backend))
+        result = run_chunking(docs, config(chunk_budget=budget), make_client(backend))
 
         core_pages = {i for i, label in classes.items() if label == "core"}
         runs = [set(r) for r in scan_runs(sorted(core_pages))]
@@ -411,6 +418,10 @@ def test_run_chunking_invariants_on_random_documents():
             covered |= span
             assert span <= core_pages, "auxiliary page leaked into a chunk span"
             assert any(span <= run for run in runs), "chunk crossed a run boundary"
+            text = "\n".join(by_index[i].text for i in chunk.page_span)
+            if len(chunk.page_span) > 1:
+                assert len(text) <= 2 * budget, "a chunk of several pages passed the cap"
+            single_oversized += len(text) > 2 * budget
         assert covered == core_pages, "a core page was left uncovered"
 
         by_run: dict[int, list] = {}
@@ -421,6 +432,24 @@ def test_run_chunking_invariants_on_random_documents():
             for earlier, later in zip(siblings, siblings[1:]):
                 overlap = set(earlier.page_span) & set(later.page_span)
                 assert overlap == set(earlier.carried_pages)
+    dropped = [r for r in caplog.records if "past the cap; dropped" in r.getMessage()]
+    assert single_oversized > 20 and len(dropped) >= 3
+
+
+def test_page_over_the_cap_becomes_its_own_chunk_and_drops_the_carry(caplog):
+    # Cap 100: pages 1 and 2 fit together, page 3 alone does not.
+    docs = [PageRecord(1, "entry p1 terminal p1 " + "a" * 19),
+            PageRecord(2, "entry p2 terminal p2 " + "b" * 19),
+            PageRecord(3, "entry p3 terminal p3 " + "c" * 129),
+            PageRecord(4, "entry p4 terminal p4 " + "d" * 19)]
+    backend = ProceduralBackend({i: "core" for i in range(1, 5)},
+                                {i: False for i in range(1, 5)},
+                                {i: True for i in range(1, 5)})
+    result = run_chunking(docs, config(chunk_budget=50), make_client(backend))
+    assert [c.page_span for c in result.chunks] == [(1, 2), (3,), (4,)]
+    assert [c.carried_pages for c in result.chunks] == [(), (), ()]
+    assert [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()] == [
+        "carry page 2 would push the next chunk past the cap; dropped"]
 
 
 def test_budget_override_bounds_chunk_growth():
@@ -433,5 +462,4 @@ def test_budget_override_bounds_chunk_growth():
     assert len(result.chunks) > 1, "override never fired"
     by_index = {p.index: p for p in docs}
     for chunk in result.chunks:
-        without_last = "\n".join(by_index[i].text for i in chunk.page_span[:-1])
-        assert len(without_last) <= 2 * budget
+        assert len("\n".join(by_index[i].text for i in chunk.page_span)) <= 2 * budget

@@ -21,6 +21,7 @@ from guidegraph.core import (
     redirect_ancestor_edge,
     register_node,
 )
+from guidegraph.errors import GraphIntegrityError
 
 KINDS = [NodeKind.ENTRY, NodeKind.INTERMEDIATE, NodeKind.TERMINAL]
 
@@ -178,4 +179,30 @@ def test_merge_order_equals_scanning_merge_on_random_graphs():
             assert graph_to_doc(graph) == graph_to_doc(reference)
             assert graph.suppressed_self_loops == reference.suppressed_self_loops
             assert_adjacency_matches_scan(graph)
+            graph.check_integrity()  # merge_nodes itself checks only incident edges
     assert multi_loop_merges > 100  # the order of several loops per merge is compared
+
+
+class LeakyGraph(DecisionGraph):
+    """A graph whose `remove_edge` keeps one given edge."""
+
+    def __init__(self, kept: tuple[str, str, str] | None) -> None:
+        super().__init__()
+        self.kept = kept
+
+    def remove_edge(self, source: str, label: str, target: str) -> None:
+        if (source, label, target) != self.kept:
+            super().remove_edge(source, label, target)
+
+
+@pytest.mark.parametrize("kept", [("a", "go", "s"), ("s", "go", "b"), None])
+def test_merge_that_leaves_an_edge_behind_raises(kept):
+    graph = LeakyGraph(kept)
+    for node_id in ("a", "p", "s", "b"):
+        graph.add_node(DecisionNode(node_id, node_id, NodeKind.INTERMEDIATE, 1))
+    graph.add_edge("a", "go", "s")
+    graph.add_edge("s", "go", "b")
+    if kept is None:  # a self-loop that entered without add_edge's check
+        graph._link(DecisionEdge("p", "go", "p"))
+    with pytest.raises(GraphIntegrityError):
+        merge_nodes(graph, "p", "s")

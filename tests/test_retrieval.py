@@ -4,17 +4,21 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from oracles import exhaustive_top_k, loop_cosine_candidates
+from synth import FIXTURE_DIR, SYNTHETIC_DIR, synthetic_config
 
+from guidegraph import cli
 from guidegraph.core import normalize_label
 from guidegraph.errors import EmbeddingError
 from guidegraph.retrieval import (
     EmbeddingStore,
     HashingEmbeddingBackend,
+    RankingPool,
     cosine_candidates,
 )
 
@@ -175,6 +179,115 @@ def test_matrix_ranking_equals_per_member_loop_on_hashing_embeddings(hashing_sto
             tie_cuts += 1
     assert [nid for nid, _ in cosine_candidates(*fixed[0], hashing_store)] == ["n03", "n05"]
     assert tie_cuts > 20
+
+
+def test_ranking_pool_under_adds_and_discards_equals_the_loop_over_a_rebuilt_dict():
+    # The aggregator's use: members grouped by chunk, discarded when merged
+    # away, ranked with their own chunk excluded. Ids run past 999, where
+    # c01n1000 sorts before c01n999, so id order is not insertion order.
+    rng = random.Random(31)
+    second_store = EmbeddingStore(HashingEmbeddingBackend())
+    seen: Counter[str] = Counter()
+    for _ in range(120):
+        store = EmbeddingStore(HashingEmbeddingBackend())
+        pool = RankingPool()
+        members: dict[str, tuple[str, int]] = {}  # the rebuilt-dict reference
+        next_seq = {group: rng.choice([1, 995]) for group in (1, 2, 3)}
+        for _ in range(rng.randint(1, 30)):
+            if not members or rng.random() < 0.5:
+                group = rng.randint(1, 3)
+                node_id = f"c{group:02d}n{next_seq[group]:03d}"
+                next_seq[group] += 1
+                label = rng.choice(VOCABULARY)
+                pool.add(node_id, label, group)
+                members[node_id] = (label, group)
+                continue
+            if rng.random() < 0.3:
+                gone = rng.choice(sorted(members))
+                pool.discard(gone)
+                del members[gone]
+            excluded = rng.choice([None, 1, 2, 3])
+            expected = {nid: label for nid, (label, group) in members.items()
+                        if group != excluded}
+            view = pool if excluded is None else pool.excluding(excluded)
+            query = (rng.choice(sorted(members)) if members and rng.random() < 0.5
+                     else rng.choice(VOCABULARY))
+            k = rng.randint(1, len(expected) + 2)
+            ranking_store = second_store if rng.random() < 0.1 else store
+            assert len(view) == len(expected) and (query in view) == (query in expected)
+            assert dict(view) == expected
+            result = cosine_candidates(query, view, k, ranking_store)
+            assert result == loop_cosine_candidates(query, expected, k, ranking_store)
+            full = loop_cosine_candidates(query, expected, len(expected), ranking_store)
+            seen["past 999"] += any(len(nid) > 7 for nid, _ in result)
+            seen["tie cut by k"] += len(full) > k and full[k - 1][1] == full[k][1]
+            seen["one member"] += len(expected) - (query in expected) == 1
+            seen["empty after exclusion"] += bool(members) and not expected
+            seen["query id in pool"] += query in expected
+    assert min(seen[case] for case in ("past 999", "tie cut by k", "one member",
+                                       "empty after exclusion", "query id in pool")) > 10
+
+
+def test_pool_view_lookups_see_only_members_outside_the_group():
+    pool = RankingPool()
+    pool.add("a1", "mri", 1)
+    pool.add("b1", "repeat biopsy", 2)
+    view = pool.excluding(1)
+    assert "a1" in pool and "a1" not in view and "b1" in view
+    assert list(view) == ["b1"] and view["b1"] == "repeat biopsy"
+    with pytest.raises(KeyError):
+        view["a1"]
+    pool.add("b2", "mri", 2)
+    pool.discard("b1")
+    pool.discard("b1")  # absent: a no-op
+    assert dict(view) == {"b2": "mri"} and len(pool) == 2
+    with pytest.raises(ValueError):
+        pool.add("a1", "again", 3)
+
+
+class CountingBackend(HashingEmbeddingBackend):
+    def __init__(self) -> None:
+        super().__init__()
+        self.texts: list[str] = []
+
+    def embed_text(self, text: str) -> np.ndarray:
+        self.texts.append(text)
+        return super().embed_text(text)
+
+
+def test_ranking_embeds_only_the_query_and_the_members_it_sees():
+    backend = CountingBackend()
+    store = EmbeddingStore(backend)
+    pool = RankingPool()
+    for node_id, label, group in [("a1", "mri", 1), ("b1", "repeat biopsy", 2),
+                                  ("b2", "watchful waiting", 2)]:
+        pool.add(node_id, label, group)
+    cosine_candidates("prostate biopsy", pool.excluding(1), 1, store)
+    assert backend.texts == ["prostate biopsy", "repeat biopsy", "watchful waiting"]
+    pool.add("b3", "mri", 2)
+    cosine_candidates("psa elevated", pool.excluding(1), 1, store)
+    assert backend.texts[3:] == ["psa elevated", "mri"]
+
+
+def test_golden_run_embeds_each_label_once_and_only_when_ranked(tmp_path, monkeypatch):
+    # Rows are resolved at ranking time, and only for the members a ranking
+    # sees, so the scripted golden run embeds the labels that ranking over a
+    # dict rebuilt per call embedded, in the same order: none earlier, none
+    # twice.
+    texts: list[str] = []
+    embed = HashingEmbeddingBackend.embed_text
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed_text",
+                        lambda self, text: texts.append(text) or embed(self, text))
+    cli.run_pipeline(SYNTHETIC_DIR / "manifest.json", synthetic_config(FIXTURE_DIR),
+                     tmp_path / "run")
+    assert len(texts) == 12
+    assert texts == [
+        "suspected prostate cancer", "low-risk group", "high-risk group", "prostate biopsy",
+        "risk assessment", "active surveillance", "radiation therapy",
+        "radical prostatectomy", "biochemical recurrence workup",
+        "psa monitoring every 6 months", "repeat prostate biopsy",
+        "active surveillance protocol",
+    ]
 
 
 def test_ranking_is_independent_of_store_insertion_order():
