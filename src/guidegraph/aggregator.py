@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .core import (
@@ -190,21 +190,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
 def merge_log_doc(result: AggregationResult) -> dict[str, Any]:
     return {
         "format": MERGE_LOG_FORMAT,
-        "decisions": [
-            {
-                "primary": d.primary,
-                "secondary": d.secondary,
-                "reason": d.reason,
-                "similarity": d.similarity,
-                "how": d.how,
-                "primary_kind": d.primary_kind,
-                "secondary_kind": d.secondary_kind,
-                "primary_origin": d.primary_origin,
-                "secondary_origin": d.secondary_origin,
-                "requeued_primary": d.requeued_primary,
-            }
-            for d in result.decisions
-        ],
+        "decisions": [asdict(d) for d in result.decisions],
         "suppressed_self_loops": [
             {"source": e.source, "label": e.label, "target": e.target}
             for e in result.graph.suppressed_self_loops
@@ -224,9 +210,6 @@ def provenance_doc(result: AggregationResult) -> dict[str, Any]:
             "kind": node.kind.value,
             "chunks": chunks_involved,
             "pages": list(node.provenance_pages),
-            "merged_from": [
-                {"node_id": m.node_id, "origin_chunk": m.origin_chunk}
-                for m in node.merged_from
-            ],
+            "merged_from": [asdict(m) for m in node.merged_from],
         })
     return {"format": "provenance/1", "nodes": nodes}

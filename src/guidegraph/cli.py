@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import threading
@@ -89,6 +90,10 @@ class PipelineConfig:
             raise UsageError("parallelism must be >= 1")
         if self.backend.kind not in ("scripted", "live"):
             raise UsageError(f"unknown backend kind {self.backend.kind!r}")
+        if self.match_threshold is not None and not math.isfinite(self.match_threshold):
+            raise UsageError("match_threshold must be finite")
+        if not 0 < self.backend.timeout < math.inf:
+            raise UsageError("backend.timeout must be finite and > 0")
 
     def to_doc(self) -> dict[str, Any]:
         return {"format": CONFIG_FORMAT, **asdict(self)}
@@ -455,16 +460,10 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    if getattr(args, "backend", None):
-        config.backend.kind = args.backend
-    if getattr(args, "fixtures", None):
-        config.backend.fixture_dir = args.fixtures
-    if getattr(args, "base_url", None):
-        config.backend.base_url = args.base_url
-    if getattr(args, "chat_model", None):
-        config.backend.chat_model = args.chat_model
-    if getattr(args, "embed_model", None):
-        config.backend.embed_model = args.embed_model
+    for flag, name in (("backend", "kind"), ("fixtures", "fixture_dir"), ("base_url", "base_url"),
+                       ("chat_model", "chat_model"), ("embed_model", "embed_model")):
+        if getattr(args, flag, None):
+            setattr(config.backend, name, getattr(args, flag))
     config.validate()
     return config
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import AbstractSet, Any, Iterable, KeysView, Mapping, NamedTuple
+
+import orjson
 
 from .errors import (
     EmptyLabelError,
@@ -51,13 +53,23 @@ def normalize_label(raw: str) -> str:
 def canonical_json(obj: Any, *, compact: bool = False) -> str:
     """Serialize to the canonical JSON form used for files and digests.
 
-    Keys are sorted and non-ASCII text is kept verbatim so that equal
-    values always produce equal bytes. The pretty form ends with a
-    newline; the compact form is used for content digests.
+    Keys are sorted and non-ASCII text is kept verbatim, so equal values give
+    equal bytes. The pretty form is indented by two spaces and ends with a
+    newline; the compact form, used for digests and audit lines, has no
+    whitespace. The bytes equal those of `json.dumps(obj, sort_keys=True,
+    ensure_ascii=False)`, with `indent=2` or `separators=(",", ":")`, except:
+    - a nonzero float outside [1e-4, 1e16) in magnitude keeps its shortest
+      form, which reloads equal: `1e-05` is `0.00001`, `1e+16` is `1e16`;
+    - NaN and +/-Infinity are written as `null`;
+    - dataclass, datetime and UUID instances are serialized, not rejected;
+    - keys that are not exactly `str` (str-Enum keys included), ints past
+      64 bits, numpy scalars and lone surrogates raise a `TypeError`
+      (`orjson.JSONEncodeError`).
     """
     if compact:
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode("utf-8")
+    pretty = orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_INDENT_2)
+    return pretty.decode("utf-8") + "\n"
 
 
 class PageLabel(str, Enum):
@@ -428,10 +440,7 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
                 "label": node.label,
                 "kind": node.kind.value,
                 "origin_chunk": node.origin_chunk,
-                "merged_from": [
-                    {"node_id": ref.node_id, "origin_chunk": ref.origin_chunk}
-                    for ref in node.merged_from
-                ],
+                "merged_from": [asdict(ref) for ref in node.merged_from],
                 "provenance_pages": list(node.provenance_pages),
                 "interface_labels": list(node.interface_labels),
             }

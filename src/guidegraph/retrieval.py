@@ -48,19 +48,21 @@ class HashingEmbeddingBackend:
         self._dim = dim
         self._seed = seed
         self._ngram = ngram
+        # trigram -> (index, sign), each trigram hashed once. `EmbeddingStore.rows` embeds
+        # outside its lock, so threads may race to fill it: benign, as a trigram's entry is fixed.
+        self._grams: dict[str, tuple[int, float]] = {}
 
     def embed_text(self, text: str) -> np.ndarray:
         padded = f" {text} "
-        vector = np.zeros(self._dim, dtype=np.float64)
-        for i in range(max(1, len(padded) - self._ngram + 1)):
-            gram = padded[i : i + self._ngram]
-            digest = hashlib.blake2b(
-                f"{self._seed}:{gram}".encode("utf-8"), digest_size=8
-            ).digest()
-            value = int.from_bytes(digest, "big")
-            sign = 1.0 if value & 1 else -1.0
-            vector[(value >> 1) % self._dim] += sign
-        return vector
+        grams = [padded[i : i + self._ngram] for i in range(max(1, len(padded) - self._ngram + 1))]
+        index, sign = zip(*[self._grams.get(gram) or self._hash(gram) for gram in grams])
+        return np.bincount(index, weights=sign, minlength=self._dim)
+
+    def _hash(self, gram: str) -> tuple[int, float]:
+        digest = hashlib.blake2b(f"{self._seed}:{gram}".encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        entry = self._grams[gram] = ((value >> 1) % self._dim, 1.0 if value & 1 else -1.0)
+        return entry
 
 
 class LiveEmbeddingBackend:

@@ -10,6 +10,8 @@ set and node removal.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from collections import defaultdict
@@ -43,6 +45,28 @@ def reference_normalize(raw: str) -> str:
     while out and (out[-1] == " " or out[-1] in ".,;:"):
         out.pop()
     return "".join(out)
+
+
+def reference_canonical_json(obj, *, compact: bool = False) -> str:
+    """The standard-library encoding that `core.canonical_json` must match
+    byte for byte on the inputs its docstring names."""
+    if compact:
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def reference_embed_text(text: str, dim: int, seed: int, ngram: int = 3) -> np.ndarray:
+    """The hashing embedder as one `blake2b` per trigram occurrence, added
+    into the vector one at a time."""
+    padded = f" {text} "
+    vector = np.zeros(dim, dtype=np.float64)
+    for i in range(max(1, len(padded) - ngram + 1)):
+        gram = padded[i : i + ngram]
+        digest = hashlib.blake2b(f"{seed}:{gram}".encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        sign = 1.0 if value & 1 else -1.0
+        vector[(value >> 1) % dim] += sign
+    return vector
 
 
 def brute_force_merge(edges: Iterable[tuple[str, str, str]], primary: str,

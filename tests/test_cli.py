@@ -222,6 +222,28 @@ def test_malformed_config_file_exits_with_usage_code(tmp_path, capsys, doc):
     assert str(config_path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["nan", "inf", "-inf"])
+def test_non_finite_match_threshold_exits_with_usage_code(tmp_path, capsys, flag):
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(tmp_path / "out"), *scripted_flags(),
+                   f"--match-threshold={flag}")
+    assert code == cli.EXIT_USAGE
+    assert "match_threshold" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("timeout", ["Infinity", "-Infinity", "NaN", "0", "-1"])
+def test_bad_backend_timeout_exits_with_usage_code(tmp_path, capsys, timeout):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(f'{{"backend": {{"timeout": {timeout}}}}}', encoding="utf-8")
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(tmp_path / "out"), *scripted_flags(),
+                   "--config", str(config_path))
+    assert code == cli.EXIT_USAGE
+    assert "backend.timeout" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_plus_flag_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(canonical_json(synthetic_config(FIXTURE_DIR).to_doc()),

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+import datetime
 import itertools
+import json
+import math
 import random
 import string
+import uuid
 
+import numpy as np
 import pytest
 
-from oracles import brute_force_merge, reference_normalize
+from oracles import brute_force_merge, reference_canonical_json, reference_normalize
 
 from guidegraph.aggregator import union_graphs
 from guidegraph.core import (
@@ -342,6 +348,79 @@ def test_graph_doc_round_trip_and_byte_stability():
     ]
     restored = graph_from_doc(doc)
     assert canonical_json(graph_to_doc(restored)) == canonical_json(doc)
+
+
+# Characters the two encoders must escape or keep alike: quotes, backslash,
+# every control character, DEL, the JS line separators, non-ASCII and astral.
+JSON_ALPHABET = ['"', "\\", "/", " ", "a", "Z", "0", "\x7f", "\u2028", "\u2029", "é", "中",
+                 "\U0001f600", "\U0001d11e"] + [chr(c) for c in range(0x20)]
+
+
+def random_json_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return "".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 8)))
+    if kind == 1:
+        return rng.choice([0, 1, -1, 2**63 - 1, 2**63, -2**63,
+                           rng.randint(-2**63, 2**63), rng.randint(-999, 999)])
+    if kind == 2:
+        if rng.random() < 0.2:
+            return rng.choice([0.0, -0.0, 1e-4, math.nextafter(1e16, 0)])
+        magnitude = 10 ** rng.uniform(-4, 16)
+        if rng.random() < 0.3:
+            magnitude = round(magnitude, rng.randint(0, 6))  # as similarities are rounded
+        if not 1e-4 <= magnitude < 1e16:
+            magnitude = 1e-4
+        return rng.choice([1.0, -1.0]) * magnitude
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return rng.choice(list(NodeKind))
+    if kind == 5:
+        return rng.choice([[], {}, ()])
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {"".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 4))): item
+            for item in items}
+
+
+def test_canonical_json_matches_the_standard_library_encoder():
+    rng = random.Random(2028)
+    for _ in range(600):
+        doc = {"doc": random_json_value(rng)}
+        assert canonical_json(doc) == reference_canonical_json(doc)
+        assert canonical_json(doc, compact=True) == reference_canonical_json(doc, compact=True)
+
+
+@dataclasses.dataclass
+class Point:
+    x: int
+
+
+def test_canonical_json_differences_from_the_standard_library_encoder():
+    # Floats outside [1e-4, 1e16) keep their shortest form and reload equal.
+    for value, text in [(1e-05, "0.00001"), (1e16, "1e16"), (-2.5e-7, "-2.5e-7"),
+                        (1e300, "1e300")]:
+        assert canonical_json(value, compact=True) == text
+        assert canonical_json(value, compact=True) != reference_canonical_json(value, compact=True)
+        assert json.loads(text) == value
+    for value in (math.nan, math.inf, -math.inf):
+        assert canonical_json([value], compact=True) == "[null]"
+    # Dataclasses, datetimes and UUIDs are serialized where json raises.
+    for value, text in [(Point(1), '{"x":1}'), (datetime.date(2026, 1, 2), '"2026-01-02"'),
+                        (uuid.UUID(int=1), '"00000000-0000-0000-0000-000000000001"')]:
+        assert canonical_json(value, compact=True) == text
+        with pytest.raises(TypeError):
+            reference_canonical_json(value)
+    # Keys that are not exactly str, ints past 64 bits, numpy scalars and
+    # lone surrogates raise.
+    for value in ({1: "a"}, {NodeKind.ENTRY: "a"}, 2**64, -2**63 - 1, np.float64(0.5),
+                  np.int64(1), "\ud800"):
+        with pytest.raises(TypeError):
+            canonical_json(value)
 
 
 def test_graph_doc_rejects_unknown_format():

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import exhaustive_top_k, loop_cosine_candidates
+from oracles import exhaustive_top_k, loop_cosine_candidates, reference_embed_text
 from synth import FIXTURE_DIR, SYNTHETIC_DIR, synthetic_config
 
 from guidegraph import cli
@@ -43,6 +43,19 @@ def test_derived_cosine_matches_stored_value(hashing_store):
     # embedder's raw outputs.
     value = hashing_store.cosine("radical prostatectomy", "radiation therapy")
     assert value == pytest.approx(0.16692446522239712, abs=1e-12)
+
+
+def test_trigram_table_embeds_like_the_hashing_loop():
+    rng = random.Random(8)
+    alphabet = "ab c.é中😀-"
+    labels = ["", "a", "ab", "é", "😀"] + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    for dim, seed, ngram in [(256, 13, 3), (7, 2, 3), (16, 5, 2)]:
+        backend = HashingEmbeddingBackend(dim=dim, seed=seed, ngram=ngram)
+        for label in labels + labels:  # the second pass reads a filled table
+            vector = backend.embed_text(label)
+            assert vector.dtype == np.float64 and vector.shape == (dim,)
+            assert np.array_equal(vector, reference_embed_text(label, dim, seed, ngram))
 
 
 def test_hand_placed_vectors_rank_as_computed():
