@@ -4,8 +4,8 @@ full-pipeline command, and exporters.
 The canonical JSON serialization is the single interchange format between
 stages, so each stage command can resume from the previous stage's files
 and a full run equals the stages run one by one. Under the scripted
-backend the audit clock and request ids are deterministic, making whole
-run directories byte-comparable at any parallelism.
+backend the audit log stamps record n at n - 1 seconds after the epoch, so
+whole run directories are byte-comparable at any parallelism.
 
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
 5 oracle protocol, 6 structural, 7 expansion budget.
@@ -139,6 +139,8 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
         raise ManifestError(f"manifest not found: {manifest_path}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError("manifest must be a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ManifestError(f"unsupported manifest format {doc.get('format')!r}")
     entries = doc.get("pages")
@@ -162,11 +164,14 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
             raise ManifestError(
                 f"page {index}: text_path is required (run OCR upstream for scanned pages)"
             )
+        image_path = entry.get("image_path") or None
+        for name, value in (("text_path", text_path), ("image_path", image_path)):
+            if value is not None and not isinstance(value, str):
+                raise ManifestError(f"page {index}: {name} must be a string")
         try:
             text = (base / text_path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ManifestError(f"page {index}: cannot read text file {text_path}: {exc}") from exc
-        image_path = entry.get("image_path") or None
         image_digest = None
         if image_path is not None:
             try:
@@ -191,17 +196,10 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
     return ordered
 
 
-class _StepClock:
-    """Deterministic audit clock for scripted runs: one second per record,
-    counted from `start`."""
-
-    def __init__(self, start: int = 0) -> None:
-        self._count = start
-
-    def __call__(self) -> str:
-        ts = datetime.fromtimestamp(self._count, tz=timezone.utc)
-        self._count += 1
-        return ts.isoformat()
+def _step_clock(number: int) -> str:
+    """Deterministic audit clock for scripted runs: record `number` is
+    stamped `number - 1` seconds after the epoch."""
+    return datetime.fromtimestamp(number - 1, tz=timezone.utc).isoformat()
 
 
 def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleClient, EmbeddingStore]:
@@ -212,7 +210,7 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
             raise UsageError("scripted backend needs --fixtures")
         fixtures = FixtureSet.load(config.backend.fixture_dir)
         backend = ScriptedBackend(fixtures)
-        audit.clock = _StepClock(audit.prior_records)
+        audit.clock = _step_clock
         store = EmbeddingStore(HashingEmbeddingBackend())
     else:
         if not config.backend.base_url:

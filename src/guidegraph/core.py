@@ -290,16 +290,6 @@ class DecisionGraph:
             if edge.source == edge.target:
                 raise GraphIntegrityError(f"self-loop {tuple(edge)}")
 
-    def copy(self) -> "DecisionGraph":
-        dup = DecisionGraph()
-        for node in self.nodes.values():
-            dup.add_node(node.copy())
-        for edge in self._edges:
-            dup._link(edge)
-        dup.suppressed_self_loops = list(self.suppressed_self_loops)
-        dup._id_counters = dict(self._id_counters)
-        return dup
-
 
 def register_node(
     graph: DecisionGraph,

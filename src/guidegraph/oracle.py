@@ -4,9 +4,11 @@ Seven task types cover the call sites of the three pipeline stages. Each
 task has a response schema; free text from a backend is never interpreted
 positionally. Backends are pluggable: a live OpenAI-compatible chat
 endpoint, or a deterministic scripted backend that replays fixture files
-keyed by a content digest of the canonicalized payload. Every dispatch is
-appended to an audit log. Independent work items that call the oracle can
-fan out over a thread pool and still leave the log a serial run writes.
+keyed by a content digest of the canonicalized payload. Every dispatch
+leaves one record in an audit log, which numbers and stamps each record as
+it writes it, so the file is in request-id order. Independent work items
+that call the oracle can fan out over a thread pool and still leave the
+log a serial run writes.
 """
 from __future__ import annotations
 
@@ -19,10 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 
+import orjson
 import requests
 
 from .core import canonical_json
@@ -47,14 +50,12 @@ class OracleTask(str, Enum):
 class OracleRequest:
     task: OracleTask
     payload: dict[str, Any]
-    request_id: str
 
-
-@dataclass(frozen=True)
-class OracleResponse:
-    request_id: str
-    body: dict[str, Any]
-    raw: str
+    @cached_property
+    def digest(self) -> str:
+        """The payload digest, computed once for the fixture lookup and the
+        audit record alike."""
+        return payload_digest(self.task, self.payload)
 
 
 _REQUIRED_PAYLOAD_KEYS: dict[OracleTask, tuple[str, ...]] = {
@@ -136,7 +137,7 @@ def _unstamped(request: OracleRequest, outcome: str) -> dict[str, Any]:
     """An audit record without its request id and timestamp."""
     return {
         "task": request.task.value,
-        "payload_digest": payload_digest(request.task, request.payload),
+        "payload_digest": request.digest,
         "outcome": outcome,
     }
 
@@ -144,17 +145,20 @@ def _unstamped(request: OracleRequest, outcome: str) -> dict[str, Any]:
 class AuditLog:
     """Append-only, internally synchronized log of oracle traffic.
 
-    One record per dispatch call. When a path is configured, records are
-    also written as line-delimited JSON through one handle that stays open
-    until `close`. `prior_records` counts the records already in that file,
-    so a stage that appends to the log of an earlier one can number its
-    requests after them.
+    One record per dispatch call. The log alone numbers and stamps records:
+    under its lock, as it writes a record, it gives it the next request id
+    (`req-000001`, ...) and the time `clock(number)` returns for that
+    number, so records are written in id order whatever the threads do.
+    When a path is configured, records are also written as line-delimited
+    JSON through one handle that stays open until `close`. `prior_records`
+    counts the records already in that file, so a stage that appends to the
+    log of an earlier one numbers its records after them.
     """
 
     def __init__(self, path: str | Path | None = None,
-                 clock: Callable[[], str] | None = None) -> None:
+                 clock: Callable[[int], str] | None = None) -> None:
         self._path = Path(path) if path is not None else None
-        self.clock = clock or (lambda: datetime.now(timezone.utc).isoformat())
+        self.clock = clock or (lambda number: datetime.now(timezone.utc).isoformat())
         self._lock = threading.Lock()
         self._handle: TextIO | None = None
         self._close_handle: weakref.finalize | None = None
@@ -165,19 +169,15 @@ class AuditLog:
                 self.prior_records = sum(1 for line in handle if line.strip())
 
     def append(self, request: OracleRequest, outcome: str) -> None:
-        """Write one record under the request's own id."""
-        record = _unstamped(request, outcome)
-        with self._lock:
-            self._write([self._stamp(record, request.request_id)])
+        """Write the record of one dispatch."""
+        self.commit([_unstamped(request, outcome)])
 
-    def commit(self, records: Sequence[dict[str, Any]], next_id: Callable[[], str]) -> None:
-        """Write the held-back records of one fan-out item in one write,
-        stamped with ids from `next_id` and times from the clock."""
+    def commit(self, records: Sequence[dict[str, Any]]) -> None:
+        """Number and stamp unstamped records, then write them in one write."""
         with self._lock:
-            self._write([self._stamp(record, next_id()) for record in records])
-
-    def _stamp(self, record: dict[str, Any], request_id: str) -> dict[str, Any]:
-        return {"ts": self.clock(), "request_id": request_id, **record}
+            first = self.prior_records + len(self.entries) + 1
+            self._write([{"ts": self.clock(number), "request_id": f"req-{number:06d}", **record}
+                         for number, record in enumerate(records, first)])
 
     def _write(self, records: list[dict[str, Any]]) -> None:
         self.entries.extend(records)
@@ -201,8 +201,6 @@ class AuditLog:
 
 class _HeldRecords:
     """Audit records of one fan-out item, held back until the item commits."""
-
-    prior_records = 0
 
     def __init__(self) -> None:
         self.records: list[dict[str, Any]] = []
@@ -236,11 +234,11 @@ class FixtureSet:
         digest = payload_digest(task, payload)
         self._entries[task][digest] = FixtureEntry(digest, summary, response_body)
 
-    def lookup_raw(self, task: OracleTask, payload: Mapping[str, Any]) -> str:
-        digest = payload_digest(task, payload)
-        entry = self._entries[task].get(digest)
+    def lookup_raw(self, request: OracleRequest) -> str:
+        entry = self._entries[request.task].get(request.digest)
         if entry is None:
-            raise FixtureMissingError(f"no fixture for {task.value} digest {digest[:12]}…")
+            raise FixtureMissingError(
+                f"no fixture for {request.task.value} digest {request.digest[:12]}…")
         if isinstance(entry.response_body, str):
             return entry.response_body
         return json.dumps(entry.response_body, sort_keys=True, ensure_ascii=False)
@@ -314,7 +312,7 @@ class ScriptedBackend:
         self._fixtures = fixtures
 
     def complete(self, request: OracleRequest) -> str:
-        return self._fixtures.lookup_raw(request.task, request.payload)
+        return self._fixtures.lookup_raw(request)
 
 
 _SYSTEM_PROMPTS: dict[OracleTask, str] = {
@@ -397,12 +395,16 @@ class LiveBackend:
 
 
 def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
-             audit: AuditLog | None = None) -> OracleResponse:
-    """Send a request, validating the reply and retrying malformed output.
+             audit: AuditLog | None = None) -> dict[str, Any]:
+    """Send a request and return the validated reply body, retrying
+    malformed output.
 
-    Each retry re-sends the payload with the accumulated validation errors
-    attached, so a live model can correct itself. Exactly one audit record
-    is written per dispatch call, whatever the outcome.
+    Replies are parsed with orjson, the codec that writes payload digests,
+    so whatever is accepted can be digested later: a string holding a lone
+    surrogate is invalid JSON here and is retried. Each retry re-sends the
+    payload with the accumulated validation errors attached, so a live
+    model can correct itself. Exactly one audit record is written per
+    dispatch call, whatever the outcome.
 
     Raises:
         OracleTransportError: the backend could not be reached.
@@ -416,11 +418,11 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
             if errors:
                 payload = dict(request.payload)
                 payload["validation_errors"] = list(errors)
-                attempt = OracleRequest(request.task, payload, request.request_id)
+                attempt = OracleRequest(request.task, payload)
             raw = backend.complete(attempt)
             try:
-                body = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                body = orjson.loads(raw)
+            except orjson.JSONDecodeError as exc:
                 errors.append(f"reply is not valid JSON: {exc}")
                 continue
             try:
@@ -430,7 +432,7 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
                 continue
             if audit is not None:
                 audit.append(request, "ok")
-            return OracleResponse(request.request_id, body, raw)
+            return body
         raise OracleProtocolError(
             f"{request.task.value}: no schema-valid reply after {retry_limit} attempts: {errors}"
         )
@@ -457,12 +459,12 @@ class _Deferred:
 
 
 class OracleClient:
-    """Bundles a backend with audit logging, retries, and request ids.
+    """Bundles a backend with audit logging and retries.
 
-    Request ids are sequential and continue after the records already in
-    the audit file, so runs against the scripted backend are fully
-    reproducible, whether run whole or stage by stage, at any parallelism.
-    Safe for concurrent use.
+    The audit log numbers the records it writes, after those already in its
+    file, so runs against the scripted backend are fully reproducible,
+    whether run whole or stage by stage, at any parallelism. Safe for
+    concurrent use.
     """
 
     def __init__(self, backend: Backend, *, audit: AuditLog | None = None,
@@ -470,19 +472,10 @@ class OracleClient:
         self.backend = backend
         self.audit = audit if audit is not None else AuditLog()
         self.retry_limit = retry_limit
-        self._counter = self.audit.prior_records
-        self._lock = threading.Lock()
-
-    def _next_id(self) -> str:
-        with self._lock:
-            self._counter += 1
-            return f"req-{self._counter:06d}"
 
     def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
-        request = OracleRequest(task, payload, self._next_id())
-        response = dispatch(request, self.backend, retry_limit=self.retry_limit,
-                            audit=self.audit)
-        return response.body
+        return dispatch(OracleRequest(task, payload), self.backend,
+                        retry_limit=self.retry_limit, audit=self.audit)
 
     def fan_out(self, fn: Callable[["OracleClient", Item], Result], items: Sequence[Item],
                 parallelism: int = 1,
@@ -492,8 +485,8 @@ class OracleClient:
 
         Each item calls the oracle through a child client whose audit
         records are held back. Items commit strictly in item order: the
-        item's records get this client's next request ids and clock stamps
-        in one write, then `on_commit(item, result)` runs. Results come back
+        audit log numbers and stamps the item's records and writes them in
+        one write, then `on_commit(item, result)` runs. Results come back
         in item order.
 
         If an item (or its `on_commit`) raises, items after it that have not
@@ -533,7 +526,7 @@ class OracleClient:
                 if ran is None:
                     continue
                 child, result, exc = ran
-                self.audit.commit(child.audit.records, self._next_id)
+                self.audit.commit(child.audit.records)
                 if error is not None:
                     continue
                 if exc is None and on_commit is not None:

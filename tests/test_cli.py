@@ -17,7 +17,7 @@ from synth import (
     write_synthetic_document,
 )
 
-from guidegraph import chunker, cli
+from guidegraph import chunker, cli, oracle
 from guidegraph.core import (
     DecisionGraph,
     DecisionNode,
@@ -139,6 +139,26 @@ def test_ingest_rejects_bad_format_and_missing_file(tmp_path):
         cli.ingest(write_manifest(tmp_path, [], fmt="nope/9"))
     with pytest.raises(ManifestError, match="not found"):
         cli.ingest(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("case", ["top_level_list", "text_path_not_string",
+                                  "image_path_not_string", "text_not_utf8"])
+def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
+    text = write_page(tmp_path, "p1.txt", "text")
+    page = {"index": 1, "text_path": text}
+    if case == "text_path_not_string":
+        page["text_path"] = ["p1.txt"]
+    elif case == "image_path_not_string":
+        page["image_path"] = 7
+    elif case == "text_not_utf8":
+        (tmp_path / "p1.txt").write_bytes(b"\xff\xfe page")
+    manifest = write_manifest(tmp_path, [page])
+    if case == "top_level_list":
+        manifest.write_text(json.dumps([page]), encoding="utf-8")
+    code = run_cli("chunk", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                   *scripted_flags())
+    assert code == cli.EXIT_MANIFEST
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +365,17 @@ def test_relocated_fixtures_reproduce_golden_run(tmp_path, monkeypatch, relative
     assert backend["fixture_digest"] == FixtureSet.content_digest(FIXTURE_DIR)
 
 
+def test_golden_run_digests_each_payload_once(tmp_path, monkeypatch):
+    calls = []
+    digest = oracle.payload_digest
+    monkeypatch.setattr(oracle, "payload_digest",
+                        lambda task, payload: calls.append(task) or digest(task, payload))
+    run_dir = cli.run_pipeline(SYNTHETIC_DIR / "manifest.json",
+                               synthetic_config(FIXTURE_DIR), tmp_path / "run")
+    records = (run_dir / "audit.log").read_text().splitlines()
+    assert len(calls) == len(records) == 44
+
+
 def jitter_scripted_backend(monkeypatch, seed: int) -> None:
     """Make the scripted backend of `make_session` sleep 0-4 ms per call."""
     monkeypatch.setattr(cli, "ScriptedBackend",
@@ -414,7 +445,7 @@ def test_build_failure_raises_what_a_serial_run_raises(tmp_path, monkeypatch):
         backend = JitterBackend(EndlessInChunks2And3(), seed=parallelism)
 
         def session(config, out_dir):
-            audit = AuditLog(out_dir / "audit.log", clock=cli._StepClock())
+            audit = AuditLog(out_dir / "audit.log", clock=cli._step_clock)
             return (OracleClient(backend, audit=audit),
                     EmbeddingStore(HashingEmbeddingBackend()))
 

@@ -310,7 +310,7 @@ def test_label_index_matches_full_scan_under_random_mutations():
         graphs = [DecisionGraph()]
         for step in range(40):
             graph = rng.choice(graphs)
-            op = rng.choice(["register", "register", "register", "merge", "copy", "union", "doc"])
+            op = rng.choice(["register", "register", "register", "merge", "union", "doc"])
             if op == "register":
                 ancestor = rng.choice(sorted(graph.nodes)) if graph.nodes and rng.random() < 0.5 else None
                 register_node(graph, QueueItem(rng.choice(labels),
@@ -319,8 +319,6 @@ def test_label_index_matches_full_scan_under_random_mutations():
             elif op == "merge" and len(graph.nodes) >= 2:
                 primary, secondary = rng.sample(sorted(graph.nodes), 2)
                 merge_nodes(graph, primary, secondary)
-            elif op == "copy":
-                graphs.append(graph.copy())
             elif op == "union":
                 other = DecisionGraph()
                 for _ in range(rng.randint(0, 3)):

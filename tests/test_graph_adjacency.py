@@ -62,7 +62,7 @@ def _mutate(rng: random.Random, graph: DecisionGraph, graphs: list[DecisionGraph
     edges = sorted(graph.edges)
     op = rng.choice([
         "register", "register", "add_edge", "add_edge", "redirect", "merge", "merge",
-        "remove_edge", "remove_edge", "copy", "union", "doc",
+        "remove_edge", "remove_edge", "union", "doc",
     ])
     if op == "register" or len(graph.nodes) < 2:
         ancestor = rng.choice(sorted(graph.nodes)) if graph.nodes and rng.random() < 0.7 else None
@@ -80,8 +80,6 @@ def _mutate(rng: random.Random, graph: DecisionGraph, graphs: list[DecisionGraph
     elif op == "remove_edge":  # an absent edge is a no-op
         graph.remove_edge(*(rng.choice(edges) if edges and rng.random() < 0.8
                             else _random_edge(rng, graph)))
-    elif op == "copy":
-        graphs.append(graph.copy())
     elif op == "union":
         other = DecisionGraph()
         for _ in range(rng.randint(0, 3)):
@@ -107,18 +105,18 @@ def test_copies_share_no_mutable_state():
                                 provenance_pages=[1], interface_labels=["a"]))
     graph.add_node(DecisionNode("b", "b", NodeKind.TERMINAL, 1))
     graph.add_edge("a", "go", "b")
-    for dup in (graph.copy(), union_graphs([graph])):
-        node = dup.nodes["a"]
-        assert node == graph.nodes["a"] and node is not graph.nodes["a"]
-        assert node.merged_from is not graph.nodes["a"].merged_from
-        assert node.merged_from[0] is graph.nodes["a"].merged_from[0]  # frozen, shared
-        node.provenance_pages.append(9)
-        node.interface_labels.append("x")
-        dup.remove_edge("a", "go", "b")
-        assert graph.nodes["a"].provenance_pages == [1]
-        assert graph.nodes["a"].interface_labels == ["a"]
-        assert graph.in_edges("b") == {DecisionEdge("a", "go", "b")}
-        assert_adjacency_matches_scan(dup)
+    dup = union_graphs([graph])
+    node = dup.nodes["a"]
+    assert node == graph.nodes["a"] and node is not graph.nodes["a"]
+    assert node.merged_from is not graph.nodes["a"].merged_from
+    assert node.merged_from[0] is graph.nodes["a"].merged_from[0]  # frozen, shared
+    node.provenance_pages.append(9)
+    node.interface_labels.append("x")
+    dup.remove_edge("a", "go", "b")
+    assert graph.nodes["a"].provenance_pages == [1]
+    assert graph.nodes["a"].interface_labels == ["a"]
+    assert graph.in_edges("b") == {DecisionEdge("a", "go", "b")}
+    assert_adjacency_matches_scan(dup)
     assert_adjacency_matches_scan(graph)
 
 

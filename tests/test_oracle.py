@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+import threading
 import time
 
 import pytest
@@ -78,18 +79,16 @@ def test_scripted_missing_fixture_raises_protocol_error():
 def test_scripted_lookup_is_deterministic():
     fixtures = make_fixtures()
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
-                            classify_page_payload(4, "treatment flowchart: staging to therapy choice"),
-                            "req-1")
+                            classify_page_payload(4, "treatment flowchart: staging to therapy choice"))
     first = dispatch(request, ScriptedBackend(fixtures))
     second = dispatch(request, ScriptedBackend(fixtures))
-    assert first.raw == second.raw
-    assert first.body == second.body
+    assert first == second == {"label": "core"}
 
 
 def test_scripted_lookup_missing_fixture():
     with pytest.raises(FixtureMissingError):
         dispatch(
-            OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"), "r"),
+            OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x")),
             ScriptedBackend(make_fixtures()),
         )
 
@@ -143,6 +142,7 @@ MALFORMED_REPLIES = [
     '{"label": "somewhere in between"}',      # out of vocabulary
     'plain text, no json at all',
     '["core"]',                               # not an object
+    '{"label": "core", "note": "\\ud800"}',  # lone surrogate: could not be digested
     '',
 ]
 
@@ -150,7 +150,7 @@ MALFORMED_REPLIES = [
 @pytest.mark.parametrize("raw", MALFORMED_REPLIES)
 def test_malformed_replies_always_raise_protocol_error(raw):
     backend = StaticBackend(raw)
-    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"), "r")
+    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
     with pytest.raises(OracleProtocolError):
         dispatch(request, backend, retry_limit=2)
     assert backend.calls == 2
@@ -169,9 +169,8 @@ def test_retry_appends_validation_errors_then_succeeds():
     inner = SyntheticRuleBackend()
     backend = FlakyBackend(inner, bad_attempts=1)
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
-                            {"page": {"index": 2, "text": "t"}, "metadata": {}}, "r")
-    response = dispatch(request, backend, retry_limit=3)
-    assert response.body == {"label": "core"}
+                            {"page": {"index": 2, "text": "t"}, "metadata": {}})
+    assert dispatch(request, backend, retry_limit=3) == {"label": "core"}
     assert "validation_errors" not in backend.seen_payloads[0]
     assert backend.seen_payloads[1]["validation_errors"]
 
@@ -180,13 +179,13 @@ def test_retry_exhaustion_raises():
     inner = SyntheticRuleBackend()
     backend = FlakyBackend(inner, bad_attempts=5)
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
-                            {"page": {"index": 2, "text": "t"}, "metadata": {}}, "r")
+                            {"page": {"index": 2, "text": "t"}, "metadata": {}})
     with pytest.raises(OracleProtocolError):
         dispatch(request, backend, retry_limit=3)
 
 
 def test_payload_validation_rejects_missing_keys():
-    request = OracleRequest(OracleTask.CLASSIFY_PAGE, {"page": {"index": 1}}, "r")
+    request = OracleRequest(OracleTask.CLASSIFY_PAGE, {"page": {"index": 1}})
     with pytest.raises(OracleProtocolError):
         dispatch(request, StaticBackend("{}"))
 
@@ -200,7 +199,7 @@ class _RaisingBackend:
 
 def test_transport_error_propagates_and_audited():
     audit = AuditLog()
-    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"), "r")
+    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
     with pytest.raises(OracleTransportError):
         dispatch(request, _RaisingBackend(), audit=audit)
     assert [e["outcome"] for e in audit.entries] == ["transport_error"]
@@ -213,9 +212,8 @@ def test_fixture_set_save_and_load_round_trip(tmp_path):
     assert loaded.count() == fixtures.count()
     request = OracleRequest(OracleTask.FIND_DUPLICATE,
                             {"candidate": "active surveillance", "ancestors": [],
-                             "candidates": ["active surveillance", "radiation therapy"]},
-                            "r")
-    assert dispatch(request, ScriptedBackend(loaded)).body == {"matches": [0]}
+                             "candidates": ["active surveillance", "radiation therapy"]})
+    assert dispatch(request, ScriptedBackend(loaded)) == {"matches": [0]}
 
 
 class _FakeHTTPResponse:
@@ -248,7 +246,7 @@ def test_live_backend_returns_message_content():
     })
     backend = LiveBackend("http://backend.test/v1", "demo-model",
                           auth_token="secret", session=session)
-    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"), "r")
+    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
     assert backend.complete(request) == '{"label": "core"}'
     sent = session.requests[0]
     assert sent["url"] == "http://backend.test/v1/chat/completions"
@@ -259,19 +257,18 @@ def test_live_backend_returns_message_content():
 def test_live_backend_transport_failure():
     session = _FakeSession(error=requests.ConnectionError("down"))
     backend = LiveBackend("http://backend.test/v1", "demo-model", session=session)
-    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"), "r")
+    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
     with pytest.raises(OracleTransportError):
         backend.complete(request)
 
 
 def test_audit_log_writes_ndjson(tmp_path):
     path = tmp_path / "audit.log"
-    audit = AuditLog(path, clock=lambda: "T0")
+    audit = AuditLog(path, clock=lambda number: "T0")
     client = make_client(ScriptedBackend(make_fixtures()))
     client.audit = audit
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
-                            classify_page_payload(9, "references list with citations 1-42"),
-                            "req-000001")
+                            classify_page_payload(9, "references list with citations 1-42"))
     dispatch(request, ScriptedBackend(make_fixtures()), audit=audit)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
@@ -285,8 +282,8 @@ def test_audit_log_writes_ndjson(tmp_path):
 # fan_out
 
 
-def step_clock():
-    return map(str, itertools.count()).__next__
+def step_clock(number: int) -> str:
+    return str(number - 1)
 
 
 def calls_of(index: int) -> list[dict]:
@@ -311,7 +308,7 @@ def core_backend(seed: int) -> JitterBackend:
 
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_fan_out_commits_records_in_item_order(tmp_path, parallelism):
-    audit = AuditLog(tmp_path / "audit.log", clock=step_clock())
+    audit = AuditLog(tmp_path / "audit.log", clock=step_clock)
     client = OracleClient(core_backend(parallelism), audit=audit)
     committed = []
     results = client.fan_out(classify_all, range(12), parallelism,
@@ -377,7 +374,7 @@ def test_fan_out_on_commit_failure_stops_like_an_item_failure():
 
 def test_fan_out_under_thread_pressure_keeps_the_serial_log():
     items = range(300)
-    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog(clock=step_clock()))
+    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog(clock=step_clock))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     started = time.perf_counter()
@@ -396,10 +393,9 @@ def test_fan_out_under_thread_pressure_keeps_the_serial_log():
 
 def test_audit_log_continues_after_close(tmp_path):
     path = tmp_path / "audit.log"
-    audit = AuditLog(path, clock=lambda: "T0")
+    audit = AuditLog(path, clock=lambda number: "T0")
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
-                            classify_page_payload(9, "references list with citations 1-42"),
-                            "req-000001")
+                            classify_page_payload(9, "references list with citations 1-42"))
     backend = ScriptedBackend(make_fixtures())
     dispatch(request, backend, audit=audit)
     audit.close()
@@ -407,3 +403,40 @@ def test_audit_log_continues_after_close(tmp_path):
     assert [json.loads(line) for line in path.read_text().splitlines()] == audit.entries
     assert len(audit.entries) == 2
     assert AuditLog(path).prior_records == 2
+
+
+class _HoldFirstBackend:
+    """Holds the first call in `complete` until `release` is set."""
+
+    name = "hold-first"
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def complete(self, request):
+        if request.payload["page"]["index"] == 1:
+            self.entered.set()
+            assert self.release.wait(10)
+        return '{"label": "core"}'
+
+
+def test_overlapping_direct_calls_leave_the_log_in_id_order(tmp_path):
+    path = tmp_path / "audit.log"
+    backend = _HoldFirstBackend()
+    client = OracleClient(backend, audit=AuditLog(path, clock=step_clock))
+    first = threading.Thread(
+        target=client.call, args=(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x")))
+    first.start()
+    assert backend.entered.wait(10)
+    client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(2, "y"))
+    backend.release.set()
+    first.join(10)
+
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["request_id"] for r in records] == ["req-000001", "req-000002"]
+    assert [r["ts"] for r in records] == ["0", "1"]
+    # The call that finished first is numbered first.
+    assert [r["payload_digest"] for r in records] == [
+        payload_digest(OracleTask.CLASSIFY_PAGE, classify_page_payload(index, text))
+        for index, text in ((2, "y"), (1, "x"))]
