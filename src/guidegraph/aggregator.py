@@ -134,7 +134,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
     queue = seed_interface_queue(chunks, graph)
     in_queue = set(queue)
     decisions: list[MergeDecision] = []
-    pool = RankingPool()  # every live node, grouped by origin chunk
+    pool = RankingPool(store)  # every live node, grouped by origin chunk
     for nid, each in graph.nodes.items():
         pool.add(nid, each.label, each.origin_chunk)
 
@@ -151,8 +151,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
                          if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
 
         def rank() -> tuple[tuple[tuple[str, float], ...], RankingPool]:
-            return (cosine_candidates(node.label, eligible, config.candidate_count, store),
-                    eligible)
+            return cosine_candidates(node.label, eligible, config.candidate_count), eligible
 
         ancestors = _capped_ancestors(graph, x, store)
         match_id, similarity, how = find_duplicate(node.label, ancestors, exact_id,

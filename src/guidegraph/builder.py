@@ -139,7 +139,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     prefix = f"c{chunk.chunk_id:02d}n"
     graph = DecisionGraph()
-    pool = RankingPool()  # every node of the graph
+    pool = RankingPool(store)  # every node of the graph
     queue: deque[QueueItem] = deque()
     trace: list[dict[str, Any]] = []
 
@@ -176,7 +176,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
         exact_ids = graph.label_ids(label)
 
         def rank() -> tuple[tuple[tuple[str, float], ...], RankingPool]:
-            return cosine_candidates(label, pool, config.candidate_count, store), pool
+            return cosine_candidates(label, pool, config.candidate_count), pool
 
         ancestors = [] if item.incoming is None else [
             (graph.nodes[item.incoming[0]].label, item.incoming[1])

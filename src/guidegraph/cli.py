@@ -151,7 +151,8 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
     records: list[PageRecord] = []
     seen: set[int] = set()
     for position, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("index"), int):
+        # `type` rather than `isinstance`, which would accept a JSON `true` as 1
+        if not isinstance(entry, dict) or type(entry.get("index")) is not int:
             raise ManifestError(f"pages[{position}]: each entry needs an integer 'index'")
         index = entry["index"]
         if index < 1:

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from synth import FIXTURE_DIR, GOLDEN_DIR, SYNTHETIC_DIR
 
 from guidegraph.oracle import AuditLog, FixtureSet, OracleClient, ScriptedBackend
-from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
+from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend, RankingPool
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,11 @@ def hashing_store() -> EmbeddingStore:
 
 def make_client(backend) -> OracleClient:
     return OracleClient(backend, audit=AuditLog())
+
+
+def ranking_pool(store: EmbeddingStore, members: dict[str, str]) -> RankingPool:
+    """A pool over `store` holding the members (node id -> label), in order."""
+    pool = RankingPool(store)
+    for node_id, label in members.items():
+        pool.add(node_id, label)
+    return pool

@@ -104,25 +104,19 @@ def exhaustive_top_k(query_vec, pool_vectors: dict[str, list[float]], k: int,
     return scored[:k]
 
 
-def loop_cosine_candidates(query: str, pool: dict[str, str], k: int,
+def loop_cosine_candidates(query_label: str, pool: dict[str, str], k: int,
                            store) -> tuple[tuple[str, float], ...]:
     """The per-member ranking loop: one `np.dot` per pool member, full sort.
 
     Same arithmetic as the matrix form, one member at a time, so on
     integer-valued (hashing) embeddings the results must be equal.
     """
-    if query in pool:
-        query_label = pool[query]
-        members = [(nid, label) for nid, label in pool.items() if nid != query]
-    else:
-        query_label = query
-        members = list(pool.items())
-    if not members:
+    if not pool:
         return ()
     q = store.vector(query_label)
     q_norm = float(np.linalg.norm(q))
     scored = []
-    for node_id, label in members:
+    for node_id, label in pool.items():
         v = store.vector(label)
         scored.append((node_id, float(np.dot(q, v) / (q_norm * np.linalg.norm(v)))))
     scored.sort(key=lambda item: (-item[1], item[0]))

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import make_client
+from conftest import make_client, ranking_pool
 from oracles import (
     assert_edge_preservation,
     closure_quotient,
@@ -259,7 +259,7 @@ def test_acceptance_retrieval_oracle():
         vector_store.put("the query", query_vec)
         k = rng.randint(1, 8)
 
-        result = cosine_candidates("the query", pool, k, vector_store)
+        result = cosine_candidates("the query", ranking_pool(vector_store, pool), k)
         expected = exhaustive_top_k(query_vec, vectors, k)
         assert [n for n, _ in result] == [n for n, _ in expected]
         for (_, got), (_, want) in zip(result, expected):
@@ -268,7 +268,7 @@ def test_acceptance_retrieval_oracle():
 
         shuffled_items = list(pool.items())
         rng.shuffle(shuffled_items)
-        again = cosine_candidates("the query", dict(shuffled_items), k, vector_store)
+        again = cosine_candidates("the query", ranking_pool(vector_store, dict(shuffled_items)), k)
         assert again == result
         cases += 1
     elapsed = time.perf_counter() - started

@@ -248,6 +248,27 @@ def test_entry_merged_into_terminal_records_interface_label():
     assert terminal.interface_labels == ["end state", "begin"]
 
 
+def test_entry_label_equal_to_a_node_id_is_ranked_as_a_label():
+    # The terminal "done" registers as c01n001. The entry label "c01n001"
+    # names no node: it is ranked against "done", so the verifier is asked
+    # before the entry registers.
+    payloads = []
+
+    class RecordingTable(TableBackend):
+        def body_for(self, task, payload):
+            payloads.append((task, payload))
+            return super().body_for(task, payload)
+
+    client = make_client(RecordingTable({}))
+    result = build_graph(simple_chunk(entry=("c01n001",), terminal=("done",)), client,
+                         EmbeddingStore(HashingEmbeddingBackend()), config())
+    assert [record["task"] for record in client.audit.entries] == [
+        "find_duplicate", "generate_children"]
+    assert payloads[0] == (OracleTask.FIND_DUPLICATE,
+                           {"candidate": "c01n001", "ancestors": [], "candidates": ["done"]})
+    assert sorted(n.label for n in result.graph.nodes.values()) == ["c01n001", "done"]
+
+
 def test_adversarial_cyclic_fixture_terminates():
     backend = TableBackend({
         "alpha": [("beta state", "go")],

@@ -141,12 +141,14 @@ def test_ingest_rejects_bad_format_and_missing_file(tmp_path):
         cli.ingest(tmp_path / "absent.json")
 
 
-@pytest.mark.parametrize("case", ["top_level_list", "text_path_not_string",
+@pytest.mark.parametrize("case", ["top_level_list", "index_is_bool", "text_path_not_string",
                                   "image_path_not_string", "text_not_utf8"])
 def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
     text = write_page(tmp_path, "p1.txt", "text")
     page = {"index": 1, "text_path": text}
-    if case == "text_path_not_string":
+    if case == "index_is_bool":
+        page["index"] = True
+    elif case == "text_path_not_string":
         page["text_path"] = ["p1.txt"]
     elif case == "image_path_not_string":
         page["image_path"] = 7

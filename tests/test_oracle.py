@@ -13,6 +13,7 @@ from conftest import make_client
 from synth import FlakyBackend, JitterBackend, StaticBackend, SyntheticRuleBackend
 
 from guidegraph.errors import (
+    EmbeddingError,
     FixtureMissingError,
     OracleProtocolError,
     OracleTransportError,
@@ -29,6 +30,7 @@ from guidegraph.oracle import (
     payload_digest,
     validate_response,
 )
+from guidegraph.retrieval import EmbeddingStore, LiveEmbeddingBackend
 
 
 def classify_page_payload(index: int, text: str) -> dict:
@@ -260,6 +262,39 @@ def test_live_backend_transport_failure():
     request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
     with pytest.raises(OracleTransportError):
         backend.complete(request)
+
+
+def test_live_embedding_backend_returns_the_vector():
+    session = _FakeSession(payload={"data": [{"embedding": [3, 4]}]})
+    backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model", session=session)
+    assert backend.embed_text("mri").tolist() == [3.0, 4.0]
+    sent = session.requests[0]
+    assert sent["url"] == "http://backend.test/v1/embeddings"
+    assert sent["json"] == {"model": "embed-model", "input": ["mri"]}
+
+
+@pytest.mark.parametrize("payload", [
+    {"object": "list"},  # no data
+    {"data": []},
+    {"data": [{"embedding": ["a", "b"]}]},
+    {"data": [{"embedding": [{"x": 1}]}]},
+    {"data": [{"embedding": 5}]},
+    {"data": "embedding"},
+])
+def test_live_embedding_backend_maps_a_malformed_envelope_to_a_protocol_error(payload):
+    backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model",
+                                   session=_FakeSession(payload=payload))
+    with pytest.raises(OracleProtocolError):
+        backend.embed_text("mri")
+
+
+def test_store_rejects_a_non_finite_embedding_reply():
+    # `resp.json()` parses a bare NaN, whose norm passes a zero-norm check.
+    session = _FakeSession(payload={"data": [{"embedding": [1.0, float("nan")]}]})
+    store = EmbeddingStore(LiveEmbeddingBackend("http://backend.test/v1", "embed-model",
+                                                session=session))
+    with pytest.raises(EmbeddingError, match="non-finite"):
+        store.vector("mri")
 
 
 def test_audit_log_writes_ndjson(tmp_path):

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import ranking_pool
 from oracles import exhaustive_top_k, loop_cosine_candidates, reference_embed_text
 from synth import FIXTURE_DIR, SYNTHETIC_DIR, synthetic_config
 
@@ -63,8 +64,7 @@ def test_hand_placed_vectors_rank_as_computed():
     store.put("first", [1.0, 0.0])
     store.put("second", [0.0, 1.0])
     store.put("third", [0.9, 0.1])
-    pool = {"n1": "first", "n2": "second", "n3": "third"}
-    result = cosine_candidates("n1", pool, 2, store)
+    result = cosine_candidates("first", ranking_pool(store, {"n2": "second", "n3": "third"}), 2)
     assert [node_id for node_id, _ in result] == ["n3", "n2"]
     sims = dict(result)
     assert sims["n3"] == pytest.approx(0.9 / (0.81 + 0.01) ** 0.5, abs=1e-9)
@@ -72,13 +72,16 @@ def test_hand_placed_vectors_rank_as_computed():
 
 
 def test_query_excluded_from_its_own_pool(hashing_store):
-    result = cosine_candidates("n1", {"n1": "only label"}, 3, hashing_store)
-    assert result == ()
+    # A node is kept out of its own candidates by its group, not by its id.
+    pool = RankingPool(hashing_store)
+    pool.add("n1", "only label", 1)
+    assert cosine_candidates("only label", pool.excluding(1), 3) == ()
 
 
 def test_k_larger_than_pool_saturates(hashing_store):
-    pool = {"a": "active surveillance", "b": "radiation therapy", "c": "prostate biopsy"}
-    result = cosine_candidates("active surveillance protocol", pool, 99, hashing_store)
+    pool = ranking_pool(hashing_store, {"a": "active surveillance", "b": "radiation therapy",
+                                        "c": "prostate biopsy"})
+    result = cosine_candidates("active surveillance protocol", pool, 99)
     assert len(result) == 3
     sims = [s for _, s in result]
     assert sims == sorted(sims, reverse=True)
@@ -102,6 +105,14 @@ def test_zero_vector_rejected():
         store.put("zero", [0.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_vector_rejected(value):
+    store = EmbeddingStore(HashingEmbeddingBackend(dim=4))
+    with pytest.raises(EmbeddingError, match="non-finite"):
+        store.put("bad", [1.0, value, 0.0, 0.0])
+    store.put("bad", [1.0, 0.0, 0.0, 0.0])  # the rejected vector was not stored
+
+
 def test_dimension_mismatch_rejected():
     store = EmbeddingStore(HashingEmbeddingBackend(dim=4))
     store.put("a", [1.0, 0.0, 0.0, 0.0])
@@ -111,7 +122,7 @@ def test_dimension_mismatch_rejected():
 
 def test_rejects_k_below_one(hashing_store):
     with pytest.raises(ValueError):
-        cosine_candidates("x", {"a": "b"}, 0, hashing_store)
+        cosine_candidates("x", ranking_pool(hashing_store, {"a": "b"}), 0)
 
 
 def _random_store_and_pool(rng: random.Random, size: int):
@@ -140,7 +151,7 @@ def test_matches_exhaustive_sort_on_random_pools():
             query_vec = [rng.uniform(-1, 1) for _ in range(6)]
         store.put("query label", query_vec)
         k = rng.randint(1, 8)
-        result = cosine_candidates("query label", pool, k, store)
+        result = cosine_candidates("query label", ranking_pool(store, pool), k)
         expected = exhaustive_top_k(query_vec, vectors, k)
         assert [nid for nid, _ in result] == [nid for nid, _ in expected]
         for (_, got), (_, want) in zip(result, expected):
@@ -154,8 +165,8 @@ def test_tie_break_is_insertion_order_independent(hashing_store):
         store.put(label, vec)
     pool_fwd = {"n1": "la", "n2": "lb", "n3": "lc"}
     pool_rev = dict(reversed(list(pool_fwd.items())))
-    fwd = cosine_candidates("la", pool_fwd, 3, store)
-    rev = cosine_candidates("la", pool_rev, 3, store)
+    fwd = cosine_candidates("la", ranking_pool(store, pool_fwd), 3)
+    rev = cosine_candidates("la", ranking_pool(store, pool_rev), 3)
     assert fwd == rev
     assert [nid for nid, _ in fwd] == ["n1", "n2", "n3"]
 
@@ -167,7 +178,8 @@ VOCABULARY = ("active surveillance", "radiation therapy", "prostate biopsy",
 
 def test_matrix_ranking_equals_per_member_loop_on_hashing_embeddings(hashing_store):
     # Hashing vectors are integer-valued, so the matrix form must give
-    # exactly the loop's floats, not merely close ones.
+    # exactly the loop's floats, not merely close ones. A query that equals
+    # a member's id is still ranked as a label.
     fixed = [
         # duplicate labels under shuffled ids; k = 2 cuts the "mri" tie group
         ("mri scan", {"n07": "mri", "n03": "mri", "n05": "mri", "n01": "repeat biopsy"}, 2),
@@ -186,11 +198,13 @@ def test_matrix_ranking_equals_per_member_loop_on_hashing_embeddings(hashing_sto
         cases.append((query, pool, rng.randint(1, size + 2)))
     for query, pool, k in cases:
         expected = loop_cosine_candidates(query, pool, k, hashing_store)
-        assert cosine_candidates(query, pool, k, hashing_store) == expected
+        assert cosine_candidates(query, ranking_pool(hashing_store, pool), k) == expected
         full = loop_cosine_candidates(query, pool, len(pool), hashing_store)
         if len(full) > k and full[k - 1][1] == full[k][1]:
             tie_cuts += 1
-    assert [nid for nid, _ in cosine_candidates(*fixed[0], hashing_store)] == ["n03", "n05"]
+    query, pool, k = fixed[0]
+    result = cosine_candidates(query, ranking_pool(hashing_store, pool), k)
+    assert [nid for nid, _ in result] == ["n03", "n05"]
     assert tie_cuts > 20
 
 
@@ -199,11 +213,10 @@ def test_ranking_pool_under_adds_and_discards_equals_the_loop_over_a_rebuilt_dic
     # away, ranked with their own chunk excluded. Ids run past 999, where
     # c01n1000 sorts before c01n999, so id order is not insertion order.
     rng = random.Random(31)
-    second_store = EmbeddingStore(HashingEmbeddingBackend())
     seen: Counter[str] = Counter()
     for _ in range(120):
         store = EmbeddingStore(HashingEmbeddingBackend())
-        pool = RankingPool()
+        pool = RankingPool(store)
         members: dict[str, tuple[str, int]] = {}  # the rebuilt-dict reference
         next_seq = {group: rng.choice([1, 995]) for group in (1, 2, 3)}
         for _ in range(rng.randint(1, 30)):
@@ -226,23 +239,22 @@ def test_ranking_pool_under_adds_and_discards_equals_the_loop_over_a_rebuilt_dic
             query = (rng.choice(sorted(members)) if members and rng.random() < 0.5
                      else rng.choice(VOCABULARY))
             k = rng.randint(1, len(expected) + 2)
-            ranking_store = second_store if rng.random() < 0.1 else store
             assert len(view) == len(expected) and (query in view) == (query in expected)
             assert dict(view) == expected
-            result = cosine_candidates(query, view, k, ranking_store)
-            assert result == loop_cosine_candidates(query, expected, k, ranking_store)
-            full = loop_cosine_candidates(query, expected, len(expected), ranking_store)
+            result = cosine_candidates(query, view, k)
+            assert result == loop_cosine_candidates(query, expected, k, store)
+            full = loop_cosine_candidates(query, expected, len(expected), store)
             seen["past 999"] += any(len(nid) > 7 for nid, _ in result)
             seen["tie cut by k"] += len(full) > k and full[k - 1][1] == full[k][1]
-            seen["one member"] += len(expected) - (query in expected) == 1
+            seen["one member"] += len(expected) == 1
             seen["empty after exclusion"] += bool(members) and not expected
-            seen["query id in pool"] += query in expected
+            seen["query equals a member id"] += query in expected
     assert min(seen[case] for case in ("past 999", "tie cut by k", "one member",
-                                       "empty after exclusion", "query id in pool")) > 10
+                                       "empty after exclusion", "query equals a member id")) > 10
 
 
-def test_pool_view_lookups_see_only_members_outside_the_group():
-    pool = RankingPool()
+def test_pool_view_lookups_see_only_members_outside_the_group(hashing_store):
+    pool = RankingPool(hashing_store)
     pool.add("a1", "mri", 1)
     pool.add("b1", "repeat biopsy", 2)
     view = pool.excluding(1)
@@ -268,25 +280,29 @@ class CountingBackend(HashingEmbeddingBackend):
         return super().embed_text(text)
 
 
-def test_ranking_embeds_only_the_query_and_the_members_it_sees():
+def test_a_label_is_embedded_once_when_a_pool_adds_it_or_a_query_names_it():
     backend = CountingBackend()
     store = EmbeddingStore(backend)
-    pool = RankingPool()
+    pool = RankingPool(store)
+    assert cosine_candidates("psa elevated", pool, 1) == ()  # an empty pool embeds nothing
+    assert backend.texts == []
     for node_id, label, group in [("a1", "mri", 1), ("b1", "repeat biopsy", 2),
-                                  ("b2", "watchful waiting", 2)]:
+                                  ("b2", "MRI", 2)]:
         pool.add(node_id, label, group)
-    cosine_candidates("prostate biopsy", pool.excluding(1), 1, store)
-    assert backend.texts == ["prostate biopsy", "repeat biopsy", "watchful waiting"]
-    pool.add("b3", "mri", 2)
-    cosine_candidates("psa elevated", pool.excluding(1), 1, store)
-    assert backend.texts[3:] == ["psa elevated", "mri"]
+    assert backend.texts == ["mri", "repeat biopsy"]
+    cosine_candidates("prostate biopsy", pool.excluding(1), 1)
+    cosine_candidates("Repeat Biopsy.", pool.excluding(2), 1)
+    assert backend.texts[2:] == ["prostate biopsy"]
+    other = RankingPool(store)
+    other.add("c1", "prostate biopsy")
+    other.add("c2", "watchful waiting")
+    assert backend.texts[3:] == ["watchful waiting"]
 
 
-def test_golden_run_embeds_each_label_once_and_only_when_ranked(tmp_path, monkeypatch):
-    # Rows are resolved at ranking time, and only for the members a ranking
-    # sees, so the scripted golden run embeds the labels that ranking over a
-    # dict rebuilt per call embedded, in the same order: none earlier, none
-    # twice.
+def test_golden_run_embeds_each_label_once(tmp_path, monkeypatch):
+    # Each registered node's label is embedded when its chunk's pool adds
+    # it, and each queried label when the query names it, so a chunk's
+    # terminals come before its entry: none twice.
     texts: list[str] = []
     embed = HashingEmbeddingBackend.embed_text
     monkeypatch.setattr(HashingEmbeddingBackend, "embed_text",
@@ -295,7 +311,7 @@ def test_golden_run_embeds_each_label_once_and_only_when_ranked(tmp_path, monkey
                      tmp_path / "run")
     assert len(texts) == 12
     assert texts == [
-        "suspected prostate cancer", "low-risk group", "high-risk group", "prostate biopsy",
+        "low-risk group", "high-risk group", "suspected prostate cancer", "prostate biopsy",
         "risk assessment", "active surveillance", "radiation therapy",
         "radical prostatectomy", "biochemical recurrence workup",
         "psa monitoring every 6 months", "repeat prostate biopsy",
@@ -317,15 +333,15 @@ def test_ranking_is_independent_of_store_insertion_order():
             store = EmbeddingStore(HashingEmbeddingBackend())
             for label in rng.sample(labels, len(labels)):
                 store.vector(label)
-            results.append(cosine_candidates(query, pool, k, store))
+            results.append(cosine_candidates(query, ranking_pool(store, pool), k))
         assert results[0] == results[1] == results[2]
 
 
 def test_concurrent_lookups_store_each_key_once():
     backend = HashingEmbeddingBackend(dim=32)
     store = EmbeddingStore(backend)
-    # Overlapping windows over 200 keys, spelled two ways, so threads race
-    # to embed the same key and to grow the matrix past its first rows.
+    # Overlapping windows over 200 keys, spelled two ways, looked up in
+    # batches of 6, so threads race to embed and to store the same key.
     spellings = [f"label {i}" for i in range(200)] + [f"  Label {i}. " for i in range(200)]
     label_sets = [[spellings[(t * 50 + j) % 400] for j in range(120)] for t in range(8)]
     seen: list[dict[str, np.ndarray]] = [{} for _ in label_sets]
@@ -333,8 +349,9 @@ def test_concurrent_lookups_store_each_key_once():
 
     def work(labels: list[str], out: dict[str, np.ndarray]) -> None:
         try:
-            for label in labels:
-                out[label] = store.vector(label)
+            for start in range(0, len(labels), 6):
+                batch = labels[start : start + 6]
+                out.update(zip(batch, (vector for vector, _ in store.lookup(batch))))
         except BaseException as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -353,17 +370,15 @@ def test_concurrent_lookups_store_each_key_once():
     assert errors == []
 
     labels = sorted({label for labels in label_sets for label in labels})
-    keys = {normalize_label(label) for label in labels}
-    rows, matrix, _ = store.rows(labels)
-    assert len(matrix) == len(keys)
-    row_of_key: dict[str, int] = {}
-    for label, row in zip(labels, rows):
+    stored: dict[str, np.ndarray] = {}  # key -> the one vector stored for it
+    for label, (vector, norm) in zip(labels, store.lookup(labels)):
         key = normalize_label(label)
-        assert row_of_key.setdefault(key, row) == row
-        assert np.array_equal(matrix[row], backend.embed_text(key))
+        assert stored.setdefault(key, vector) is vector
+        assert np.array_equal(vector, backend.embed_text(key))
+        assert norm == np.linalg.norm(vector)
     for out in seen:
         for label, vector in out.items():
-            assert np.array_equal(vector, matrix[row_of_key[normalize_label(label)]])
+            assert vector is stored[normalize_label(label)]
 
 
 class SlowEmbeddingBackend(HashingEmbeddingBackend):
@@ -378,7 +393,7 @@ def test_threads_embed_new_labels_concurrently():
     def wall_time(threads: int) -> float:
         store = EmbeddingStore(SlowEmbeddingBackend(dim=32))
         labels = [[f"label {t} {i}" for i in range(40)] for t in range(threads)]
-        workers = [threading.Thread(target=lambda own=own: [store.vector(x) for x in own])
+        workers = [threading.Thread(target=lambda own=own: [store.lookup((x,)) for x in own])
                    for own in labels]
         started = time.perf_counter()
         for worker in workers:
@@ -387,8 +402,8 @@ def test_threads_embed_new_labels_concurrently():
             worker.join(timeout=30)
         elapsed = time.perf_counter() - started
         assert not any(worker.is_alive() for worker in workers)
-        _, matrix, _ = store.rows(label for own in labels for label in own)
-        assert len(matrix) == 40 * threads
+        entries = store.lookup(label for own in labels for label in own)
+        assert len({id(vector) for vector, _ in entries}) == 40 * threads
         return elapsed
 
     serial = wall_time(1)
