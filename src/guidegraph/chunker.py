@@ -347,7 +347,10 @@ def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfi
         current = by_index[index]
         last = position == len(run.page_indices) - 1
         lookahead = None if last else by_index[run.page_indices[position + 1]]
-        cut = predict_boundary(buffer, current, lookahead, budget, client)
+        # The last page ends its chunk whatever the oracle says, so only the
+        # hard cap is checked there.
+        cut = (_exceeds_cap(buffer.pages, current, budget) if last
+               else predict_boundary(buffer, current, lookahead, budget, client))
         if cut and buffer.pages and _exceeds_cap(buffer.pages, current, budget):
             if not finish(current):
                 return chunks

@@ -35,8 +35,8 @@ from .errors import (
     OracleTransportError,
     UsageError,
 )
-from .oracle import AuditLog, FixtureSet, LiveBackend, OracleClient, ScriptedBackend
-from .retrieval import EmbeddingStore, HashingEmbeddingBackend, LiveEmbeddingBackend
+from .oracle import AuditLog, FixtureSet, OracleClient, ScriptedBackend
+from .retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 logger = logging.getLogger(__name__)
 
@@ -216,10 +216,12 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
     else:
         if not config.backend.base_url:
             raise UsageError("live backend needs a base_url")
+        from . import live  # the HTTP stack, which only a live session loads
+
         token = os.environ.get(config.backend.auth_env)
-        backend = LiveBackend(config.backend.base_url, config.backend.chat_model,
-                              auth_token=token, timeout=config.backend.timeout)
-        store = EmbeddingStore(LiveEmbeddingBackend(
+        backend = live.LiveBackend(config.backend.base_url, config.backend.chat_model,
+                                   auth_token=token, timeout=config.backend.timeout)
+        store = EmbeddingStore(live.LiveEmbeddingBackend(
             config.backend.base_url, config.backend.embed_model,
             auth_token=token, timeout=config.backend.timeout,
         ))

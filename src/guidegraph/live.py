@@ -1,0 +1,143 @@
+"""Backends of a live session: an OpenAI-compatible chat-completions oracle
+and embeddings endpoint.
+
+This is the only module that imports `requests`. `cli.make_session`
+imports it for a live session only, so a scripted run, a stage command,
+`eval` and `export` never load the HTTP stack. Both backends post through
+one `_Endpoint`, which sends the headers and the timeout and maps failures:
+no reply or an error status is an `OracleTransportError`; a body that is not
+JSON, or a JSON envelope without what the backend reads from it, is an
+`OracleProtocolError`.
+"""
+from __future__ import annotations
+
+from typing import Any, Callable, TypeVar
+
+import numpy as np
+import requests
+
+from .core import canonical_json
+from .errors import OracleProtocolError, OracleTransportError
+from .oracle import OracleRequest, OracleTask
+
+Reply = TypeVar("Reply")
+
+_SYSTEM_PROMPTS: dict[OracleTask, str] = {
+    OracleTask.EXTRACT_PROFILE: (
+        "You extract a guideline profile from document header pages. Reply with a JSON "
+        "object {\"metadata\": {string: string}, \"scope_context\": string} where "
+        "scope_context summarizes the covered population and clinical focus."
+    ),
+    OracleTask.CLASSIFY_PAGE: (
+        "You classify one guideline page. Core pages carry actionable decision content "
+        "(algorithms, criteria, recommendations, flowcharts); auxiliary pages carry "
+        "references, author lists, or administrative text. Reply with a JSON object "
+        "{\"label\": \"core\"|\"auxiliary\"}."
+    ),
+    OracleTask.PREDICT_BOUNDARY: (
+        "You decide whether the current page should end the chunk being buffered, "
+        "respecting the soft length budget and never splitting multi-page tables or "
+        "figures (use the lookahead page). Reply with {\"cut\": true|false}."
+    ),
+    OracleTask.BUILD_CHUNK: (
+        "You summarize a buffered run of guideline pages into a chunk. Reply with "
+        "{\"description\": string, \"entry_labels\": [string], \"terminal_labels\": "
+        "[string], \"carry_pages\": [int], \"updated_context\": string}."
+    ),
+    OracleTask.REFINE_NODES: (
+        "You refine chunk interface labels: keep only labels supported by the page "
+        "text, verbatim or as a faithful paraphrase. Reply with {\"entry_labels\": "
+        "[string], \"terminal_labels\": [string]}."
+    ),
+    OracleTask.FIND_DUPLICATE: (
+        "You judge whether the candidate clinical state is semantically equivalent "
+        "to any listed existing node, given its ancestor context. Reply with "
+        "{\"matches\": [int]} listing the indices of equivalent candidates (empty "
+        "list if none)."
+    ),
+    OracleTask.GENERATE_CHILDREN: (
+        "You generate the clinically valid successor states of a node from the chunk "
+        "context. Reply with {\"children\": [{\"label\": string, \"edge_label\": "
+        "string}]} where edge_label is the transition condition (empty list if the "
+        "node has no successors)."
+    ),
+}
+
+
+class _Endpoint:
+    """One POST route of an OpenAI-compatible API, over a keep-alive session."""
+
+    def __init__(self, base_url: str, route: str, auth_token: str | None,
+                 timeout: float, session: requests.Session | None) -> None:
+        self.url = base_url.rstrip("/") + route
+        self._headers = {"Content-Type": "application/json"}
+        if auth_token:
+            self._headers["Authorization"] = f"Bearer {auth_token}"
+        self._timeout = timeout
+        self._session = session or requests.Session()
+
+    def post(self, body: dict[str, Any], read: Callable[[Any], Reply]) -> Reply:
+        """Post `body` and return `read` of the parsed reply.
+
+        Raises:
+            OracleTransportError: no reply, or an error status.
+            OracleProtocolError: the body is not JSON, or `read` cannot find
+                what it reads in it.
+        """
+        try:
+            reply = self._session.post(self.url, json=body, headers=self._headers,
+                                       timeout=self._timeout)
+            reply.raise_for_status()
+        except requests.RequestException as exc:
+            raise OracleTransportError(f"POST {self.url} failed: {exc}") from exc
+        # Parsed apart from the post: requests' JSONDecodeError is also a
+        # RequestException, and a body that is not JSON is a protocol error.
+        try:
+            return read(reply.json())
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise OracleProtocolError(f"malformed reply from {self.url}: {exc!r}") from exc
+
+
+def _message_content(reply: Any) -> str:
+    return reply["choices"][0]["message"]["content"]
+
+
+def _embedding(reply: Any) -> np.ndarray:
+    vector = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
+    if vector.ndim != 1:
+        raise ValueError(f"embedding has shape {vector.shape}, not one axis")
+    return vector
+
+
+class LiveBackend:
+    """OpenAI-compatible chat-completions backend with JSON-object forcing."""
+
+    def __init__(self, base_url: str, model: str, auth_token: str | None = None,
+                 timeout: float = 60.0, session: requests.Session | None = None) -> None:
+        self.name = f"live:{model}"
+        self._model = model
+        self._endpoint = _Endpoint(base_url, "/chat/completions", auth_token, timeout, session)
+
+    def complete(self, request: OracleRequest) -> str:
+        return self._endpoint.post({
+            "model": self._model,
+            "temperature": 0,
+            "response_format": {"type": "json_object"},
+            "messages": [
+                {"role": "system", "content": _SYSTEM_PROMPTS[request.task]},
+                {"role": "user", "content": canonical_json(request.payload, compact=True)},
+            ],
+        }, _message_content)
+
+
+class LiveEmbeddingBackend:
+    """Embeddings endpoint sharing the OpenAI-compatible API surface."""
+
+    def __init__(self, base_url: str, model: str, auth_token: str | None = None,
+                 timeout: float = 60.0, session: requests.Session | None = None) -> None:
+        self.name = f"live:{model}"
+        self._model = model
+        self._endpoint = _Endpoint(base_url, "/embeddings", auth_token, timeout, session)
+
+    def embed_text(self, text: str) -> np.ndarray:
+        return self._endpoint.post({"model": self._model, "input": [text]}, _embedding)

@@ -2,9 +2,10 @@
 
 Seven task types cover the call sites of the three pipeline stages. Each
 task has a response schema; free text from a backend is never interpreted
-positionally. Backends are pluggable: a live OpenAI-compatible chat
-endpoint, or a deterministic scripted backend that replays fixture files
-keyed by a content digest of the canonicalized payload. Every dispatch
+positionally. Backends are pluggable: the deterministic scripted backend
+here replays fixture files keyed by a content digest of the canonicalized
+payload, and `live.LiveBackend` posts to an OpenAI-compatible chat
+endpoint. Every dispatch
 leaves one record in an audit log, which numbers and stamps each record as
 it writes it, so the file is in request-id order. Independent work items
 that call the oracle can fan out over a thread pool and still leave the
@@ -26,7 +27,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 
 import orjson
-import requests
 
 from .core import canonical_json
 from .errors import FixtureMissingError, OracleProtocolError, OracleTransportError
@@ -313,85 +313,6 @@ class ScriptedBackend:
 
     def complete(self, request: OracleRequest) -> str:
         return self._fixtures.lookup_raw(request)
-
-
-_SYSTEM_PROMPTS: dict[OracleTask, str] = {
-    OracleTask.EXTRACT_PROFILE: (
-        "You extract a guideline profile from document header pages. Reply with a JSON "
-        "object {\"metadata\": {string: string}, \"scope_context\": string} where "
-        "scope_context summarizes the covered population and clinical focus."
-    ),
-    OracleTask.CLASSIFY_PAGE: (
-        "You classify one guideline page. Core pages carry actionable decision content "
-        "(algorithms, criteria, recommendations, flowcharts); auxiliary pages carry "
-        "references, author lists, or administrative text. Reply with a JSON object "
-        "{\"label\": \"core\"|\"auxiliary\"}."
-    ),
-    OracleTask.PREDICT_BOUNDARY: (
-        "You decide whether the current page should end the chunk being buffered, "
-        "respecting the soft length budget and never splitting multi-page tables or "
-        "figures (use the lookahead page). Reply with {\"cut\": true|false}."
-    ),
-    OracleTask.BUILD_CHUNK: (
-        "You summarize a buffered run of guideline pages into a chunk. Reply with "
-        "{\"description\": string, \"entry_labels\": [string], \"terminal_labels\": "
-        "[string], \"carry_pages\": [int], \"updated_context\": string}."
-    ),
-    OracleTask.REFINE_NODES: (
-        "You refine chunk interface labels: keep only labels supported by the page "
-        "text, verbatim or as a faithful paraphrase. Reply with {\"entry_labels\": "
-        "[string], \"terminal_labels\": [string]}."
-    ),
-    OracleTask.FIND_DUPLICATE: (
-        "You judge whether the candidate clinical state is semantically equivalent "
-        "to any listed existing node, given its ancestor context. Reply with "
-        "{\"matches\": [int]} listing the indices of equivalent candidates (empty "
-        "list if none)."
-    ),
-    OracleTask.GENERATE_CHILDREN: (
-        "You generate the clinically valid successor states of a node from the chunk "
-        "context. Reply with {\"children\": [{\"label\": string, \"edge_label\": "
-        "string}]} where edge_label is the transition condition (empty list if the "
-        "node has no successors)."
-    ),
-}
-
-
-class LiveBackend:
-    """OpenAI-compatible chat-completions backend with JSON-object forcing."""
-
-    def __init__(self, base_url: str, model: str, auth_token: str | None = None,
-                 timeout: float = 60.0, session: requests.Session | None = None) -> None:
-        self.name = f"live:{model}"
-        self._url = base_url.rstrip("/") + "/chat/completions"
-        self._model = model
-        self._token = auth_token
-        self._timeout = timeout
-        self._session = session or requests.Session()
-
-    def complete(self, request: OracleRequest) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        body = {
-            "model": self._model,
-            "temperature": 0,
-            "response_format": {"type": "json_object"},
-            "messages": [
-                {"role": "system", "content": _SYSTEM_PROMPTS[request.task]},
-                {"role": "user", "content": canonical_json(request.payload, compact=True)},
-            ],
-        }
-        try:
-            resp = self._session.post(self._url, json=body, headers=headers,
-                                      timeout=self._timeout)
-            resp.raise_for_status()
-            data = resp.json()
-            return data["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
-            raise OracleTransportError(f"chat completion failed: {exc}") from exc
-        except (KeyError, IndexError, ValueError) as exc:
-            raise OracleProtocolError(f"malformed completion envelope: {exc}") from exc
 
 
 def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,

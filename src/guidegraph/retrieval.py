@@ -11,7 +11,10 @@ label matches in the graph's label index first and rank only on a miss.
 The scripted embedding backend is a seeded character-n-gram feature
 hasher: deterministic, whitespace-insensitive after label normalization,
 and good enough to put near-identical labels first. Its vectors are
-integer-valued, so every dot product and norm is exact in float64.
+integer-valued, so every dot product and norm is exact in float64. The
+live embedder, `live.LiveEmbeddingBackend`, posts each label to an
+OpenAI-compatible embeddings endpoint; the store embeds each label once,
+so each costs one round-trip.
 """
 from __future__ import annotations
 
@@ -21,10 +24,9 @@ from collections import Counter
 from typing import Iterable, Iterator, Mapping, Protocol
 
 import numpy as np
-import requests
 
 from .core import normalize_label
-from .errors import EmbeddingError, OracleProtocolError, OracleTransportError
+from .errors import EmbeddingError
 
 DEFAULT_DIM = 256
 DEFAULT_SEED = 13
@@ -64,40 +66,6 @@ class HashingEmbeddingBackend:
         return entry
 
 
-class LiveEmbeddingBackend:
-    """Embeddings endpoint sharing the OpenAI-compatible API surface."""
-
-    def __init__(self, base_url: str, model: str, auth_token: str | None = None,
-                 timeout: float = 60.0, session: requests.Session | None = None) -> None:
-        self.name = f"live:{model}"
-        self._url = base_url.rstrip("/") + "/embeddings"
-        self._model = model
-        self._token = auth_token
-        self._timeout = timeout
-        self._session = session or requests.Session()
-
-    def embed_text(self, text: str) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        try:
-            resp = self._session.post(
-                self._url,
-                json={"model": self._model, "input": [text]},
-                headers=headers,
-                timeout=self._timeout,
-            )
-            resp.raise_for_status()
-            vector = np.asarray(resp.json()["data"][0]["embedding"], dtype=np.float64)
-        except requests.RequestException as exc:
-            raise OracleTransportError(f"embedding request failed: {exc}") from exc
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise OracleProtocolError(f"malformed embedding envelope: {exc}") from exc
-        if vector.ndim != 1:
-            raise OracleProtocolError(f"malformed embedding envelope: shape {vector.shape}")
-        return vector
-
-
 class EmbeddingStore:
     """Cache of label embeddings keyed by normalized label text.
 
@@ -106,15 +74,18 @@ class EmbeddingStore:
     kept beside it, so only a label the store has not seen is normalized.
     Dimensionality is fixed by the first vector; zero and non-finite
     vectors are rejected at ingest. Reads and inserts are internally
-    synchronized, and a stored pair never changes.
+    synchronized, a stored pair never changes, and each key is embedded
+    once, however many threads miss it together.
     """
 
     def __init__(self, backend: EmbeddingBackend) -> None:
         self.backend = backend
         # normalized key or label as given -> (vector, norm)
         self._entries: dict[str, tuple[np.ndarray, float]] = {}
+        self._embedding: set[str] = set()  # keys a thread is embedding now
         self._dim: int | None = None
         self._lock = threading.Lock()
+        self._embedded = threading.Condition(self._lock)  # notified as keys leave `_embedding`
 
     def _ingest(self, key: str, vector) -> None:
         vector = np.array(vector, dtype=np.float64)
@@ -133,27 +104,42 @@ class EmbeddingStore:
     def lookup(self, labels: Iterable[str]) -> list[tuple[np.ndarray, float]]:
         """Each label's read-only vector and its norm.
 
-        Labels the store has not seen are embedded outside the lock, so
-        threads wait for each other's embedding round-trips only to store
-        the results. When two threads embed the same key, the first to
-        store it wins.
+        Each key is embedded once. A thread claims the missing keys nobody
+        is embedding and embeds them outside the lock, so distinct keys
+        embed concurrently; it waits for the keys other threads claimed.
+        If a claimed embed raises, its keys are unclaimed, so a waiter
+        embeds them itself, or raises.
         """
         labels = list(labels)
-        with self._lock:
+        self._lock.acquire()
+        try:
             entries = list(map(self._entries.get, labels))
             if None not in entries:
                 return entries
             keys = {label: normalize_label(label)
                     for label, entry in zip(labels, entries) if entry is None}
-            new = [key for key in dict.fromkeys(keys.values()) if key not in self._entries]
-        vectors = [self.backend.embed_text(key) for key in new]
-        with self._lock:
-            for key, vector in zip(new, vectors):
-                if key not in self._entries:
-                    self._ingest(key, vector)
+            wanted = list(dict.fromkeys(keys.values()))
+            while missing := [key for key in wanted if key not in self._entries]:
+                new = [key for key in missing if key not in self._embedding]
+                if not new:
+                    self._embedded.wait()
+                    continue
+                self._embedding.update(new)
+                self._lock.release()
+                vectors = []
+                try:
+                    vectors = [self.backend.embed_text(key) for key in new]
+                finally:
+                    self._lock.acquire()
+                    self._embedding.difference_update(new)
+                    self._embedded.notify_all()
+                    for key, vector in zip(new, vectors):
+                        self._ingest(key, vector)
             for label, key in keys.items():
                 self._entries[label] = self._entries[key]
             return [self._entries[label] for label in labels]
+        finally:
+            self._lock.release()
 
     def vector(self, label: str) -> np.ndarray:
         """The label's embedding, read-only."""
@@ -167,7 +153,7 @@ class EmbeddingStore:
         """
         key = normalize_label(label)
         with self._lock:
-            if key in self._entries:
+            if key in self._entries or key in self._embedding:
                 raise EmbeddingError(f"{key!r} already has a vector")
             self._ingest(key, vector)
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from synth import (
     write_synthetic_document,
 )
 
+import guidegraph
 from guidegraph import chunker, cli, oracle
 from guidegraph.core import (
     DecisionGraph,
@@ -375,7 +379,7 @@ def test_golden_run_digests_each_payload_once(tmp_path, monkeypatch):
     run_dir = cli.run_pipeline(SYNTHETIC_DIR / "manifest.json",
                                synthetic_config(FIXTURE_DIR), tmp_path / "run")
     records = (run_dir / "audit.log").read_text().splitlines()
-    assert len(calls) == len(records) == 44
+    assert len(calls) == len(records) == 42
 
 
 def jitter_scripted_backend(monkeypatch, seed: int) -> None:
@@ -523,6 +527,43 @@ def test_export_command_round_trip(tmp_path):
                    "--format", "dot", "--out", str(out))
     assert code == cli.EXIT_OK
     assert out.read_text(encoding="utf-8") == (GOLDEN_DIR / "merged.dot").read_text(encoding="utf-8")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds the package under test."""
+    package_root = Path(guidegraph.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(package_root)))
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    done = _python("-c", "import sys, guidegraph.cli; print(sorted({name.split('.')[0] "
+                         "for name in sys.modules} & {'requests', 'urllib3', 'charset_normalizer'}))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_scripted_run_eval_and_export_need_no_requests(tmp_path):
+    commands = [
+        ["run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"), "--out", str(tmp_path / "run"),
+         *scripted_flags(), "--expansion-cap", "50"],
+        ["eval", "--predicted", str(tmp_path / "run" / "merged.json"),
+         "--reference", str(SYNTHETIC_DIR / "reference_graph.json"), "--unit", "complete",
+         "--out", str(tmp_path / "report.json")],
+        ["export", "--graph", str(tmp_path / "run" / "merged.json"), "--out",
+         str(tmp_path / "merged.dot")],
+    ]
+    done = _python("-c", "import json, sys\n"
+                         "sys.modules['requests'] = None  # an import of requests raises\n"
+                         "from guidegraph import cli\n"
+                         "for argv in json.loads(sys.argv[1]):\n"
+                         "    if cli.main(argv):\n"
+                         "        sys.exit(f'{argv[0]} failed')\n",
+                   json.dumps(commands))
+    assert done.returncode == 0, done.stderr
+    for name, golden in (("run/merged.json", "merged.json"), ("report.json", "eval_report.json"),
+                         ("merged.dot", "merged.dot")):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / golden).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

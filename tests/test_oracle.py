@@ -21,7 +21,6 @@ from guidegraph.errors import (
 from guidegraph.oracle import (
     AuditLog,
     FixtureSet,
-    LiveBackend,
     OracleRequest,
     OracleClient,
     OracleTask,
@@ -30,7 +29,8 @@ from guidegraph.oracle import (
     payload_digest,
     validate_response,
 )
-from guidegraph.retrieval import EmbeddingStore, LiveEmbeddingBackend
+from guidegraph.live import LiveBackend, LiveEmbeddingBackend
+from guidegraph.retrieval import EmbeddingStore
 
 
 def classify_page_payload(index: int, text: str) -> dict:
@@ -218,28 +218,25 @@ def test_fixture_set_save_and_load_round_trip(tmp_path):
     assert dispatch(request, ScriptedBackend(loaded)) == {"matches": [0]}
 
 
-class _FakeHTTPResponse:
-    def __init__(self, payload):
-        self._payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self._payload
+def _http_reply(status: int, body: bytes) -> requests.Response:
+    reply = requests.Response()
+    reply.status_code, reply._content = status, body
+    return reply
 
 
 class _FakeSession:
-    def __init__(self, payload=None, error: Exception | None = None):
-        self.payload = payload
-        self.error = error
+    """Records each post and answers it with a 200 reply carrying `payload`
+    as JSON, or with `reply`: a response, or an exception to raise."""
+
+    def __init__(self, payload=None, reply: requests.Response | Exception | None = None):
+        self.reply = reply if reply is not None else _http_reply(200, json.dumps(payload).encode())
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.requests.append({"url": url, "json": json, "headers": headers})
-        if self.error is not None:
-            raise self.error
-        return _FakeHTTPResponse(self.payload)
+        if isinstance(self.reply, Exception):
+            raise self.reply
+        return self.reply
 
 
 def test_live_backend_returns_message_content():
@@ -254,14 +251,6 @@ def test_live_backend_returns_message_content():
     assert sent["url"] == "http://backend.test/v1/chat/completions"
     assert sent["json"]["response_format"] == {"type": "json_object"}
     assert sent["headers"]["Authorization"] == "Bearer secret"
-
-
-def test_live_backend_transport_failure():
-    session = _FakeSession(error=requests.ConnectionError("down"))
-    backend = LiveBackend("http://backend.test/v1", "demo-model", session=session)
-    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
-    with pytest.raises(OracleTransportError):
-        backend.complete(request)
 
 
 def test_live_embedding_backend_returns_the_vector():
@@ -286,6 +275,28 @@ def test_live_embedding_backend_maps_a_malformed_envelope_to_a_protocol_error(pa
                                    session=_FakeSession(payload=payload))
     with pytest.raises(OracleProtocolError):
         backend.embed_text("mri")
+
+
+def _chat(session) -> None:
+    request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
+    LiveBackend("http://backend.test/v1", "demo-model", session=session).complete(request)
+
+
+def _embed(session) -> None:
+    LiveEmbeddingBackend("http://backend.test/v1", "embed-model", session=session).embed_text("x")
+
+
+@pytest.mark.parametrize("call", [_chat, _embed], ids=["chat", "embeddings"])
+@pytest.mark.parametrize("reply, error", [
+    # requests' JSONDecodeError is also a RequestException: still a protocol error.
+    (_http_reply(200, b"<html>proxy login</html>"), OracleProtocolError),
+    (_http_reply(200, b'{"object": "error"}'), OracleProtocolError),
+    (requests.ConnectionError("down"), OracleTransportError),
+    (_http_reply(500, b'{"error": "overloaded"}'), OracleTransportError),
+], ids=["non_json_body", "malformed_envelope", "connection_error", "http_500"])
+def test_live_backends_map_failures(call, reply, error):
+    with pytest.raises(error):
+        call(_FakeSession(reply=reply))
 
 
 def test_store_rejects_a_non_finite_embedding_reply():

@@ -409,3 +409,70 @@ def test_threads_embed_new_labels_concurrently():
     serial = wall_time(1)
     # A store that embedded under its lock would take about 4x as long.
     assert wall_time(4) < 2 * serial
+
+
+class CountingEmbeddingBackend(HashingEmbeddingBackend):
+    """Hashing embeddings that take 20 ms each and count their calls; the
+    first call for each text in `fail_once` raises instead."""
+
+    def __init__(self, fail_once: tuple[str, ...] = ()) -> None:
+        super().__init__(dim=32)
+        self.calls: Counter[str] = Counter()
+        self._fail_once = set(fail_once)
+        self._lock = threading.Lock()
+
+    def embed_text(self, text: str) -> np.ndarray:
+        with self._lock:
+            self.calls[text] += 1
+            fail = self.calls[text] == 1 and text in self._fail_once
+        time.sleep(0.02)
+        if fail:
+            raise RuntimeError(f"embedding {text!r} failed")
+        return super().embed_text(text)
+
+
+def _look_up_together(store: EmbeddingStore, label_lists: list[list[str]]) -> list:
+    """Each list looked up by its own thread, all starting at once; each
+    thread's vectors or the exception it raised."""
+    start = threading.Barrier(len(label_lists))
+    outcomes: list = [None] * len(label_lists)
+
+    def work(index: int, labels: list[str]) -> None:
+        start.wait(timeout=10)
+        try:
+            outcomes[index] = [vector for vector, _ in store.lookup(labels)]
+        except Exception as exc:  # checked by the caller
+            outcomes[index] = exc
+
+    threads = [threading.Thread(target=work, args=item) for item in enumerate(label_lists)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcomes
+
+
+def test_threads_that_miss_the_same_key_embed_it_once():
+    backend = CountingEmbeddingBackend()
+    store = EmbeddingStore(backend)
+    keys = [f"shared label {i}" for i in range(8)]
+    spellings = keys + [f"  Shared Label {i}. " for i in range(8)]
+    label_lists = [[spellings[(5 * t + 3 * j) % 16] for j in range(6)] for t in range(4)]
+    outcomes = _look_up_together(store, label_lists)
+    assert backend.calls == Counter(
+        {normalize_label(label): 1 for labels in label_lists for label in labels})
+    for labels, vectors in zip(label_lists, outcomes):
+        for label, vector in zip(labels, vectors):
+            assert vector is store.vector(normalize_label(label))
+
+
+def test_a_failed_embed_leaves_the_key_to_the_thread_waiting_for_it():
+    backend = CountingEmbeddingBackend(fail_once=("flaky label",))
+    store = EmbeddingStore(backend)
+    outcomes = _look_up_together(store, [["flaky label"], ["flaky label"]])
+    # One thread's embed raised; the other embedded the key itself.
+    assert sorted(type(outcome).__name__ for outcome in outcomes) == ["RuntimeError", "list"]
+    assert backend.calls == Counter({"flaky label": 2})
+    vector, = next(outcome for outcome in outcomes if isinstance(outcome, list))
+    assert vector is store.vector("flaky label")
