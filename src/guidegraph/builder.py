@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 from .core import (
     Chunk,
@@ -61,40 +61,40 @@ def duplicate_payload(candidate_label: str, ancestors: Sequence[tuple[str, str]]
 def find_duplicate(
     candidate_label: str,
     ancestors: Sequence[tuple[str, str]],
-    exact_id: str | None,
-    rank: Callable[[], tuple[Sequence[tuple[str, float]], Mapping[str, str]]],
+    graph: DecisionGraph,
+    pool: RankingPool,
+    k: int,
     client: OracleClient,
 ) -> tuple[str | None, float | None, str]:
-    """Decide whether a candidate duplicates an existing node.
+    """Decide whether a candidate duplicates a node of `pool`, which is a
+    pool of `graph`'s nodes or a view of one.
 
-    Fast path: `exact_id`, the lowest eligible node id whose label equals
-    the candidate's, wins without ranking or an oracle call. Otherwise
-    `rank()` returns the retrieved (node id, similarity) candidates and the
-    pool they came from (every eligible node id -> normalized label), and
-    the verifier judges the candidates; among confirmed matches the
-    highest-similarity one wins, ties broken by ascending node id. Oracle
-    failure degrades to no-duplicate: keeping structure beats silently
-    merging.
+    Fast path: the lowest id in the pool whose label equals the candidate's
+    normalized label wins without ranking or an oracle call. Otherwise the
+    pool's top k by cosine similarity go to the verifier; among confirmed
+    matches the highest-similarity one wins, ties broken by ascending node
+    id. An empty pool is "empty-pool", with no call. Oracle failure
+    degrades to no-duplicate: keeping structure beats silently merging.
 
     Returns (node_id or None, similarity or None, how).
     """
+    exact_id = next((nid for nid in graph.label_ids(candidate_label) if nid in pool), None)
     if exact_id is not None:
         return exact_id, 1.0, "exact"
-    candidates, pool = rank()
+    candidates = cosine_candidates(candidate_label, pool, k)
     if not candidates:
         return None, None, "empty-pool"
     payload = duplicate_payload(candidate_label, ancestors,
-                                [pool[node_id] for node_id, _ in candidates])
+                                [label for _, label, _ in candidates])
     try:
         body = client.call(OracleTask.FIND_DUPLICATE, payload)
     except OracleProtocolError:
         logger.warning("duplicate check failed for %r; treating as new", candidate_label)
         return None, None, "error-degraded"
-    confirmed = [candidates[i] for i in body["matches"] if 0 <= i < len(candidates)]
+    confirmed = [i for i in body["matches"] if 0 <= i < len(candidates)]
     if not confirmed:
         return None, None, "verifier"
-    confirmed.sort(key=lambda entry: (-entry[1], entry[0]))
-    node_id, similarity = confirmed[0]
+    node_id, _, similarity = candidates[min(confirmed)]  # candidates come best first
     return node_id, similarity, "verifier"
 
 
@@ -173,16 +173,11 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
     while queue:
         item = queue.popleft()
         label = item.candidate_label  # entry and child labels are normalized when enqueued
-        exact_ids = graph.label_ids(label)
-
-        def rank() -> tuple[tuple[tuple[str, float], ...], RankingPool]:
-            return cosine_candidates(label, pool, config.candidate_count), pool
-
         ancestors = [] if item.incoming is None else [
             (graph.nodes[item.incoming[0]].label, item.incoming[1])
         ]
         match_id, similarity, how = find_duplicate(
-            label, ancestors, exact_ids[0] if exact_ids else None, rank, client)
+            label, ancestors, graph, pool, config.candidate_count, client)
         if match_id is not None:
             trace.append({"event": "duplicate", "chunk": chunk.chunk_id,
                           "label": label, "match": match_id, "how": how,

@@ -90,6 +90,8 @@ class PipelineConfig:
             raise UsageError("parallelism must be >= 1")
         if self.backend.kind not in ("scripted", "live"):
             raise UsageError(f"unknown backend kind {self.backend.kind!r}")
+        if self.match_mode not in [mode.value for mode in evaluation.MatchMode]:
+            raise UsageError(f"unknown match_mode {self.match_mode!r}")
         if self.match_threshold is not None and not math.isfinite(self.match_threshold):
             raise UsageError("match_threshold must be finite")
         if not 0 < self.backend.timeout < math.inf:
@@ -102,7 +104,8 @@ class PipelineConfig:
     def from_doc(cls, doc: Mapping[str, Any]) -> "PipelineConfig":
         """The config a doc describes. A missing key keeps its field's default,
         `int` and `float` fields are coerced, and keys that name no field
-        (`format`, `fixture_digest`) are ignored."""
+        (`format`, `fixture_digest`) are ignored. A value that cannot be
+        coerced raises a ValueError that names its field."""
         return _from_doc(cls, doc)
 
 
@@ -112,14 +115,25 @@ def _from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
     kwargs = {}
     for spec in fields(cls):
         if spec.name in doc:
-            kwargs[spec.name] = _COERCE.get(spec.type, lambda value: value)(doc[spec.name])
+            try:
+                kwargs[spec.name] = _COERCE.get(spec.type, lambda value: value)(doc[spec.name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{spec.name}: {exc}") from exc
     return cls(**kwargs)
+
+
+def _to_int(value: Any) -> int:
+    """An integer, or an integral number or numeric string, as an int."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 # Field type annotation -> how a doc value becomes a field value.
 _COERCE: dict[str, Callable[[Any], Any]] = {
-    "int": int,
+    "int": _to_int,
     "float": float,
+    "float | None": lambda value: None if value is None else float(value),
     "BackendConfig": lambda doc: _from_doc(BackendConfig, doc),
 }
 

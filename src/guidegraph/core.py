@@ -122,15 +122,22 @@ class Chunk:
     page_span: tuple[int, ...]
 
     def validate(self) -> None:
+        """Raise ValueError unless the interface is well formed: labels that
+        are distinct and disjoint once normalized, none of them empty."""
         if self.chunk_id < 1:
             raise ValueError(f"chunk_id must be >= 1, got {self.chunk_id}")
         if not self.entry_labels or not self.terminal_labels:
             raise ValueError(f"chunk {self.chunk_id}: interface labels must be non-empty")
-        if len(set(self.entry_labels)) != len(self.entry_labels):
+        try:
+            entries = [normalize_label(label) for label in self.entry_labels]
+            terminals = [normalize_label(label) for label in self.terminal_labels]
+        except EmptyLabelError as exc:
+            raise ValueError(f"chunk {self.chunk_id}: {exc}") from exc
+        if len(set(entries)) != len(entries):
             raise ValueError(f"chunk {self.chunk_id}: duplicate entry labels")
-        if len(set(self.terminal_labels)) != len(self.terminal_labels):
+        if len(set(terminals)) != len(terminals):
             raise ValueError(f"chunk {self.chunk_id}: duplicate terminal labels")
-        overlap = set(self.entry_labels) & set(self.terminal_labels)
+        overlap = set(entries) & set(terminals)
         if overlap:
             raise ValueError(f"chunk {self.chunk_id}: entry/terminal overlap {sorted(overlap)}")
         span = set(self.page_span)

@@ -6,8 +6,9 @@ store and kept beside a graph by its owner, which adds and discards
 members as nodes are created and merged away; adding a member copies its
 vector and norm into the pool's arrays. A query then scores the pool with
 one matrix-vector product, partitions at the k-th similarity and sorts
-only what is kept: no per-member dict or list work. Callers look up exact
-label matches in the graph's label index first and rank only on a miss.
+only what is kept: no per-member dict or list work. The one caller,
+`builder.find_duplicate`, looks up an exact label match in the graph's
+label index first and ranks only on a miss.
 The scripted embedding backend is a seeded character-n-gram feature
 hasher: deterministic, whitespace-insensitive after label normalization,
 and good enough to put near-identical labels first. Its vectors are
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -212,18 +213,18 @@ class _Members:
         self.vectors[slot] = self.vectors[last]
 
 
-class RankingPool(Mapping[str, str]):
-    """The members a query is ranked against (node id -> label), with each
-    member's embedding kept beside it.
+class RankingPool:
+    """The members a query is ranked against, each a node id with its label
+    and embedding.
 
     The owner adds a member when it creates a node and discards it when a
     merge absorbs the node, so the pool follows the graph. Each member
     belongs to a group (the aggregator's origin chunk). `excluding(group)`
     is a view of the members outside one group; it shares the pool's
-    arrays, and its `len`, `in` and lookups see only those members. A
-    member's vector is copied from the pool's store when the member is
-    added, so a label is embedded once, when a pool adds it or a query
-    names it. Single-writer, like the graph.
+    arrays, and its `len` and `in` see only those members. A member's
+    vector is copied from the pool's store when the member is added, so a
+    label is embedded once, when a pool adds it or a query names it.
+    Single-writer, like the graph.
     """
 
     def __init__(self, store: EmbeddingStore) -> None:
@@ -243,34 +244,19 @@ class RankingPool(Mapping[str, str]):
         view._members, view._excluded = self._members, group
         return view
 
-    def _slot(self, node_id: object) -> int | None:
-        """The member's slot, or None if it is absent or excluded."""
-        slot = self._members.slots.get(node_id)
-        if slot is None or (self._excluded is not None
-                            and self._members.groups[slot] == self._excluded):
-            return None
-        return slot
-
-    def __getitem__(self, node_id: str) -> str:
-        slot = self._slot(node_id)
-        if slot is None:
-            raise KeyError(node_id)
-        return self._members.labels[slot]
-
     def __contains__(self, node_id: object) -> bool:
-        return self._slot(node_id) is not None
-
-    def __iter__(self) -> Iterator[str]:
-        return (node_id for node_id in self._members.slots if node_id in self)
+        slot = self._members.slots.get(node_id)
+        return slot is not None and (self._excluded is None
+                                     or self._members.groups[slot] != self._excluded)
 
     def __len__(self) -> int:
         return len(self._members.slots) - self._members.group_sizes.get(self._excluded, 0)
 
 
 def cosine_candidates(query_label: str, pool: RankingPool,
-                      k: int) -> tuple[tuple[str, float], ...]:
+                      k: int) -> tuple[tuple[str, str, float], ...]:
     """The top-k pool members by cosine similarity to the query label, as
-    (node_id, similarity) pairs, ties broken by ascending id.
+    (node_id, label, similarity) triples, ties broken by ascending id.
 
     The query is always a label, even one that equals a member's id; a
     caller keeps a node out of its own candidates by excluding its group.
@@ -294,6 +280,8 @@ def cosine_candidates(query_label: str, pool: RankingPool,
         sims[data.groups[:count] == pool._excluded] = -np.inf
     cut = count - min(k, eligible)
     keep = np.flatnonzero(sims >= np.partition(sims, cut)[cut])
-    scored = sorted(zip(map(data.ids.__getitem__, keep.tolist()), sims[keep].tolist()),
-                    key=lambda item: (-item[1], item[0]))
+    slots = keep.tolist()
+    scored = sorted(zip(map(data.ids.__getitem__, slots), map(data.labels.__getitem__, slots),
+                        sims[keep].tolist()),
+                    key=lambda item: (-item[2], item[0]))
     return tuple(scored[:k])

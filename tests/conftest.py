@@ -43,9 +43,11 @@ def make_client(backend) -> OracleClient:
     return OracleClient(backend, audit=AuditLog())
 
 
-def ranking_pool(store: EmbeddingStore, members: dict[str, str]) -> RankingPool:
-    """A pool over `store` holding the members (node id -> label), in order."""
+def ranking_pool(store: EmbeddingStore, members: dict[str, str],
+                 groups: dict[str, int] | None = None) -> RankingPool:
+    """A pool over `store` holding the members (node id -> label), in order,
+    each in its group from `groups` (default 0)."""
     pool = RankingPool(store)
     for node_id, label in members.items():
-        pool.add(node_id, label)
+        pool.add(node_id, label, (groups or {}).get(node_id, 0))
     return pool

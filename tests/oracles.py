@@ -105,7 +105,7 @@ def exhaustive_top_k(query_vec, pool_vectors: dict[str, list[float]], k: int,
 
 
 def loop_cosine_candidates(query_label: str, pool: dict[str, str], k: int,
-                           store) -> tuple[tuple[str, float], ...]:
+                           store) -> tuple[tuple[str, str, float], ...]:
     """The per-member ranking loop: one `np.dot` per pool member, full sort.
 
     Same arithmetic as the matrix form, one member at a time, so on
@@ -118,8 +118,8 @@ def loop_cosine_candidates(query_label: str, pool: dict[str, str], k: int,
     scored = []
     for node_id, label in pool.items():
         v = store.vector(label)
-        scored.append((node_id, float(np.dot(q, v) / (q_norm * np.linalg.norm(v)))))
-    scored.sort(key=lambda item: (-item[1], item[0]))
+        scored.append((node_id, label, float(np.dot(q, v) / (q_norm * np.linalg.norm(v)))))
+    scored.sort(key=lambda item: (-item[2], item[0]))
     return tuple(scored[:k])
 
 

@@ -261,8 +261,8 @@ def test_acceptance_retrieval_oracle():
 
         result = cosine_candidates("the query", ranking_pool(vector_store, pool), k)
         expected = exhaustive_top_k(query_vec, vectors, k)
-        assert [n for n, _ in result] == [n for n, _ in expected]
-        for (_, got), (_, want) in zip(result, expected):
+        assert [(n, label) for n, label, _ in result] == [(n, pool[n]) for n, _ in expected]
+        for (_, _, got), (_, want) in zip(result, expected):
             assert abs(got - want) < 1e-9
             assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
 

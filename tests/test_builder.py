@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import make_client
+from conftest import make_client, ranking_pool
 from synth import (
     GOLDEN_DIR,
     EndlessChildrenBackend,
@@ -13,9 +13,12 @@ from synth import (
     synthetic_config,
 )
 
+from guidegraph import builder
 from guidegraph.builder import build_graph, find_duplicate, generate_children
 from guidegraph.core import (
     Chunk,
+    DecisionGraph,
+    DecisionNode,
     NodeKind,
     canonical_json,
     chunks_from_doc,
@@ -24,7 +27,7 @@ from guidegraph.core import (
 )
 from guidegraph.errors import ExpansionBudgetExceeded, UsageError
 from guidegraph.oracle import OracleTask
-from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
+from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend, RankingPool
 
 
 def load_golden_chunks() -> list[Chunk]:
@@ -109,72 +112,140 @@ def test_unbounded_chain_hits_cap_exactly():
     assert len(partial.nodes) == 10
 
 
-def ranked(candidates: tuple[tuple[str, float], ...], pool: dict[str, str]):
-    """A `rank` callable for find_duplicate that returns fixed candidates."""
-    return lambda: (candidates, pool)
-
-
 def test_cap_smaller_than_interface_rejected():
     with pytest.raises(UsageError):
         build(simple_chunk(entry=("a", "b"), terminal=("c", "d")),
               SyntheticRuleBackend(), expansion_cap=3)
 
 
+def dedup_graph(members: dict[str, str], store: EmbeddingStore | None = None,
+                groups: dict[str, int] | None = None) -> tuple[DecisionGraph, RankingPool]:
+    """A graph of the members (node id -> label) and a pool of all of them,
+    each in its group (origin chunk), by default 1."""
+    groups = {node_id: (groups or {}).get(node_id, 1) for node_id in members}
+    graph = DecisionGraph()
+    for node_id, label in members.items():
+        graph.add_node(DecisionNode(node_id, label, NodeKind.INTERMEDIATE, groups[node_id]))
+    return graph, ranking_pool(store or EmbeddingStore(HashingEmbeddingBackend()),
+                               members, groups)
+
+
+def placed_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
+    """A store holding the given hand-placed vectors."""
+    store = EmbeddingStore(HashingEmbeddingBackend(dim=2))
+    for label, vector in vectors.items():
+        store.put(label, vector)
+    return store
+
+
+class RecordingBackend(TableBackend):
+    """A `TableBackend` that keeps each find_duplicate payload it answers."""
+
+    def __init__(self, paraphrases: dict[str, str] | None = None):
+        super().__init__({}, paraphrases)
+        self.payloads: list[dict] = []
+
+    def body_for(self, task, payload):
+        if task is OracleTask.FIND_DUPLICATE:
+            self.payloads.append(payload)
+        return super().body_for(task, payload)
+
+
 def test_fast_path_exact_match_skips_oracle():
     backend = StaticBackend("never called")
-    client = make_client(backend)
+    graph, pool = dedup_graph({"n2": "active surveillance", "n1": "active surveillance",
+                               "n0": "watchful waiting"})
+    match, similarity, how = find_duplicate(
+        normalize_label("Active Surveillance"), [], graph, pool, 5, make_client(backend))
+    assert (match, similarity, how) == ("n1", 1.0, "exact")
+    assert backend.calls == 0
 
-    def must_not_rank():
+
+def test_exact_hit_never_ranks(monkeypatch):
+    def must_not_rank(*args):
         raise AssertionError("an exact hit must not rank the pool")
 
-    match, similarity, how = find_duplicate(
-        normalize_label("Active Surveillance"), [], "n1", must_not_rank, client=client,
-    )
-    assert (match, similarity, how) == ("n1", 1.0, "exact")
+    monkeypatch.setattr(builder, "cosine_candidates", must_not_rank)
+    # a1 is the lowest id with the label, but the view leaves its group out.
+    graph, pool = dedup_graph({"a1": "mri", "b2": "mri", "b3": "mri"},
+                              groups={"a1": 1, "b2": 2, "b3": 2})
+    backend = StaticBackend("never called")
+    match, _, how = find_duplicate("mri", [], graph, pool.excluding(1), 5,
+                                   make_client(backend))
+    assert (match, how) == ("b2", "exact")
     assert backend.calls == 0
 
 
 def test_empty_candidate_set_returns_none_without_oracle():
     backend = StaticBackend("never called")
-    match, _, how = find_duplicate("fresh", [], None, ranked((), {}),
-                                   client=make_client(backend))
+    graph, pool = dedup_graph({})
+    match, _, how = find_duplicate("fresh", [], graph, pool, 5, make_client(backend))
     assert match is None
     assert how == "empty-pool"
     assert backend.calls == 0
 
 
+def test_empty_view_is_empty_pool_without_a_call_or_an_embed():
+    texts: list[str] = []
+
+    class CountingBackend(HashingEmbeddingBackend):
+        def embed_text(self, text):
+            texts.append(text)
+            return super().embed_text(text)
+
+    graph, pool = dedup_graph({"a1": "mri", "a2": "repeat biopsy"},
+                              store=EmbeddingStore(CountingBackend()))
+    backend = StaticBackend("never called")
+    for label in ("mri", "prostate mri"):
+        result = find_duplicate(label, [], graph, pool.excluding(1), 5, make_client(backend))
+        assert result == (None, None, "empty-pool")
+    assert backend.calls == 0
+    assert texts == ["mri", "repeat biopsy"]  # embedded by the pool, not by a query
+
+
+def test_same_label_in_the_excluded_group_goes_to_the_verifier():
+    backend = RecordingBackend()
+    graph, pool = dedup_graph({"a1": "mri", "b1": "magnetic resonance imaging"},
+                              groups={"a1": 1, "b1": 2})
+    match, _, how = find_duplicate("mri", [("psa elevated", "yes")], graph,
+                                   pool.excluding(1), 5, make_client(backend))
+    assert (match, how) == (None, "verifier")
+    assert backend.payloads == [{"candidate": "mri",
+                                 "ancestors": [{"label": "psa elevated", "edge": "yes"}],
+                                 "candidates": ["magnetic resonance imaging"]}]
+
+
 def test_paraphrase_match_via_verifier():
-    backend = TableBackend({}, paraphrases={"as protocol": "active surveillance"})
-    candidates = (("n2", 0.7), ("n1", 0.4))
-    match, similarity, how = find_duplicate(
-        "as protocol", [], None,
-        ranked(candidates, {"n1": "watchful waiting", "n2": "active surveillance"}),
-        client=make_client(backend),
-    )
+    backend = RecordingBackend(paraphrases={"as protocol": "active surveillance"})
+    store = placed_store({"as protocol": [1.0, 0.0],
+                          "active surveillance": [0.7, 0.51 ** 0.5],
+                          "watchful waiting": [0.4, 0.84 ** 0.5]})
+    graph, pool = dedup_graph({"n1": "watchful waiting", "n2": "active surveillance"}, store)
+    match, similarity, how = find_duplicate("as protocol", [], graph, pool, 5,
+                                            make_client(backend))
     assert (match, how) == ("n2", "verifier")
     assert similarity == pytest.approx(0.7)
+    assert backend.payloads[0]["candidates"] == ["active surveillance", "watchful waiting"]
 
 
 def test_verifier_picks_highest_similarity_then_lowest_id():
-    class ConfirmEverything(SyntheticRuleBackend):
+    class ConfirmEverythingWorstFirst(SyntheticRuleBackend):
         def body_for(self, task, payload):
             assert task is OracleTask.FIND_DUPLICATE
-            return {"matches": list(range(len(payload["candidates"])))}
+            return {"matches": list(reversed(range(len(payload["candidates"]))))}
 
-    candidates = (("n3", 0.9), ("n1", 0.9), ("n2", 0.2))
-    match, _, _ = find_duplicate(
-        "x", [], None, ranked(candidates, {"n1": "a", "n2": "b", "n3": "c"}),
-        client=make_client(ConfirmEverything()),
-    )
-    assert match == "n1"
+    store = placed_store({"x": [1.0, 0.0], "a": [0.0, 1.0], "b": [1.0, 0.0],
+                          "c": [1.0, 0.0]})
+    graph, pool = dedup_graph({"n3": "c", "n1": "a", "n2": "b"}, store)
+    match, similarity, _ = find_duplicate("x", [], graph, pool, 5,
+                                          make_client(ConfirmEverythingWorstFirst()))
+    assert (match, similarity) == ("n2", 1.0)
 
 
 def test_duplicate_oracle_failure_degrades_to_new_node():
     backend = StaticBackend("garbage")
-    match, _, how = find_duplicate(
-        "x", [], None, ranked((("n1", 0.9),), {"n1": "other"}),
-        client=make_client(backend),
-    )
+    graph, pool = dedup_graph({"n1": "other"})
+    match, _, how = find_duplicate("x", [], graph, pool, 5, make_client(backend))
     assert match is None
     assert how == "error-degraded"
 

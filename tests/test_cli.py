@@ -228,13 +228,15 @@ def test_config_doc_round_trip():
 
 def test_config_from_doc_coerces_numbers_and_keeps_defaults():
     config = cli.PipelineConfig.from_doc({
-        "format": "pipeline-config/1", "chunk_budget": "123", "match_threshold": 0.5,
-        "backend": {"kind": "live", "timeout": "5", "fixture_digest": "ab12"},
+        "format": "pipeline-config/1", "chunk_budget": "123", "match_threshold": "0.5",
+        "header_pages": 2.0, "backend": {"kind": "live", "timeout": "5", "fixture_digest": "ab12"},
     })
-    expected = cli.PipelineConfig(chunk_budget=123, match_threshold=0.5,
+    expected = cli.PipelineConfig(chunk_budget=123, match_threshold=0.5, header_pages=2,
                                   backend=cli.BackendConfig(kind="live", timeout=5.0))
     assert config == expected
     assert type(config.chunk_budget) is int and type(config.backend.timeout) is float
+    assert type(config.match_threshold) is float and type(config.header_pages) is int
+    assert cli.PipelineConfig.from_doc({"match_threshold": None}).match_threshold is None
     assert cli.PipelineConfig.from_doc({}) == cli.PipelineConfig()
 
 
@@ -246,6 +248,27 @@ def test_malformed_config_file_exits_with_usage_code(tmp_path, capsys, doc):
                    "--out", str(tmp_path / "out"), "--config", str(config_path))
     assert code == cli.EXIT_USAGE
     assert str(config_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"match_threshold": "high"}', "match_threshold"),
+    ('{"match_threshold": [0.5]}', "match_threshold"),
+    ('{"match_mode": "fuzzy"}', "match_mode"),
+    ('{"header_pages": 2.5}', "header_pages"),
+    ('{"header_pages": true}', "header_pages"),
+    ('{"expansion_cap": "many"}', "expansion_cap"),
+    ('{"parallelism": Infinity}', "parallelism"),
+    ('{"backend": {"timeout": "soon"}}', "timeout"),
+])
+def test_bad_config_value_exits_with_usage_code_naming_the_field(tmp_path, capsys, doc, field):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(doc, encoding="utf-8")
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(tmp_path / "out"), *scripted_flags(),
+                   "--config", str(config_path))
+    assert code == cli.EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["nan", "inf", "-inf"])
@@ -605,6 +628,13 @@ def test_exit_code_for_scripted_without_fixtures(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def _golden_chunks_with_interface(entry: list[str], terminal: list[str]) -> str:
+    """The golden chunks.json with chunk 1's interface replaced."""
+    doc = json.loads((GOLDEN_DIR / "chunks.json").read_text(encoding="utf-8"))
+    doc["chunks"][0].update(entry_labels=entry, terminal_labels=terminal)
+    return json.dumps(doc)
+
+
 GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": [], "edges": [
     {"source": "a", "label": "go", "target": "b"}]})
 
@@ -612,13 +642,18 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
 @pytest.mark.parametrize("command, artifact, content", [
     ("build", "chunks.json", '{"format": "chunk-list/999", "chunks": []}'),
     ("build", "chunks.json", None),
+    ("build", "chunks.json", _golden_chunks_with_interface(
+        ["suspected prostate cancer"], ["Repeat Biopsy", "repeat biopsy."])),
+    ("build", "chunks.json", _golden_chunks_with_interface(["MRI"], ["mri."])),
+    ("build", "chunks.json", _golden_chunks_with_interface(["suspected prostate cancer"], ["..."])),
     ("aggregate", "graphs/chunk_02.json", "{not json"),
     ("aggregate", "graphs/chunk_03.json", None),
     ("eval", "predicted.json", GRAPH_WITH_DANGLING_EDGE),
     ("eval", "reference.json", '{"format": "decision-graph/1", "nodes": []}'),
     ("export", "graph.json", "[]"),
     ("export", "graph.json", None),
-], ids=["build-format", "build-missing", "aggregate-json", "aggregate-missing",
+], ids=["build-format", "build-missing", "build-duplicate-terminals",
+        "build-entry-terminal-overlap", "build-empty-label", "aggregate-json", "aggregate-missing",
         "eval-predicted", "eval-reference", "export-shape", "export-missing"])
 def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command, artifact,
                                                       content):

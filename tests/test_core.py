@@ -442,3 +442,15 @@ def test_chunk_validation():
     stray_carry = Chunk(1, "ctx", ("a",), ("b",), "d", (9,), (1, 2))
     with pytest.raises(ValueError):
         stray_carry.validate()
+
+
+@pytest.mark.parametrize("entry, terminal, message", [
+    (("a",), ("Repeat Biopsy", "repeat biopsy."), "chunk 1: duplicate terminal labels"),
+    (("MRI", " mri "), ("b",), "chunk 1: duplicate entry labels"),
+    (("MRI",), ("mri.",), "chunk 1: entry/terminal overlap ['mri']"),
+    (("a", "..."), ("b",), "chunk 1: label '...' is empty after normalization"),
+], ids=["duplicate-terminals", "duplicate-entries", "overlap", "empty-label"])
+def test_chunk_validation_compares_normalized_labels(entry, terminal, message):
+    with pytest.raises(ValueError) as exc_info:
+        Chunk(1, "ctx", entry, terminal, "d", (), (1,)).validate()
+    assert str(exc_info.value) == message

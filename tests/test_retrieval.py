@@ -65,8 +65,9 @@ def test_hand_placed_vectors_rank_as_computed():
     store.put("second", [0.0, 1.0])
     store.put("third", [0.9, 0.1])
     result = cosine_candidates("first", ranking_pool(store, {"n2": "second", "n3": "third"}), 2)
-    assert [node_id for node_id, _ in result] == ["n3", "n2"]
-    sims = dict(result)
+    assert [(node_id, label) for node_id, label, _ in result] == [("n3", "third"),
+                                                                  ("n2", "second")]
+    sims = {node_id: similarity for node_id, _, similarity in result}
     assert sims["n3"] == pytest.approx(0.9 / (0.81 + 0.01) ** 0.5, abs=1e-9)
     assert sims["n2"] == pytest.approx(0.0, abs=1e-12)
 
@@ -83,7 +84,7 @@ def test_k_larger_than_pool_saturates(hashing_store):
                                         "c": "prostate biopsy"})
     result = cosine_candidates("active surveillance protocol", pool, 99)
     assert len(result) == 3
-    sims = [s for _, s in result]
+    sims = [s for _, _, s in result]
     assert sims == sorted(sims, reverse=True)
 
 
@@ -153,8 +154,9 @@ def test_matches_exhaustive_sort_on_random_pools():
         k = rng.randint(1, 8)
         result = cosine_candidates("query label", ranking_pool(store, pool), k)
         expected = exhaustive_top_k(query_vec, vectors, k)
-        assert [nid for nid, _ in result] == [nid for nid, _ in expected]
-        for (_, got), (_, want) in zip(result, expected):
+        assert [(nid, label) for nid, label, _ in result] == [
+            (nid, pool[nid]) for nid, _ in expected]
+        for (_, _, got), (_, want) in zip(result, expected):
             assert got == pytest.approx(want, abs=1e-9)
             assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
 
@@ -168,7 +170,7 @@ def test_tie_break_is_insertion_order_independent(hashing_store):
     fwd = cosine_candidates("la", ranking_pool(store, pool_fwd), 3)
     rev = cosine_candidates("la", ranking_pool(store, pool_rev), 3)
     assert fwd == rev
-    assert [nid for nid, _ in fwd] == ["n1", "n2", "n3"]
+    assert [nid for nid, _, _ in fwd] == ["n1", "n2", "n3"]
 
 
 VOCABULARY = ("active surveillance", "radiation therapy", "prostate biopsy",
@@ -200,11 +202,11 @@ def test_matrix_ranking_equals_per_member_loop_on_hashing_embeddings(hashing_sto
         expected = loop_cosine_candidates(query, pool, k, hashing_store)
         assert cosine_candidates(query, ranking_pool(hashing_store, pool), k) == expected
         full = loop_cosine_candidates(query, pool, len(pool), hashing_store)
-        if len(full) > k and full[k - 1][1] == full[k][1]:
+        if len(full) > k and full[k - 1][2] == full[k][2]:
             tie_cuts += 1
     query, pool, k = fixed[0]
     result = cosine_candidates(query, ranking_pool(hashing_store, pool), k)
-    assert [nid for nid, _ in result] == ["n03", "n05"]
+    assert [nid for nid, _, _ in result] == ["n03", "n05"]
     assert tie_cuts > 20
 
 
@@ -240,12 +242,12 @@ def test_ranking_pool_under_adds_and_discards_equals_the_loop_over_a_rebuilt_dic
                      else rng.choice(VOCABULARY))
             k = rng.randint(1, len(expected) + 2)
             assert len(view) == len(expected) and (query in view) == (query in expected)
-            assert dict(view) == expected
             result = cosine_candidates(query, view, k)
             assert result == loop_cosine_candidates(query, expected, k, store)
             full = loop_cosine_candidates(query, expected, len(expected), store)
-            seen["past 999"] += any(len(nid) > 7 for nid, _ in result)
-            seen["tie cut by k"] += len(full) > k and full[k - 1][1] == full[k][1]
+            assert cosine_candidates(query, view, max(len(expected), 1)) == full
+            seen["past 999"] += any(len(nid) > 7 for nid, _, _ in result)
+            seen["tie cut by k"] += len(full) > k and full[k - 1][2] == full[k][2]
             seen["one member"] += len(expected) == 1
             seen["empty after exclusion"] += bool(members) and not expected
             seen["query equals a member id"] += query in expected
@@ -259,13 +261,11 @@ def test_pool_view_lookups_see_only_members_outside_the_group(hashing_store):
     pool.add("b1", "repeat biopsy", 2)
     view = pool.excluding(1)
     assert "a1" in pool and "a1" not in view and "b1" in view
-    assert list(view) == ["b1"] and view["b1"] == "repeat biopsy"
-    with pytest.raises(KeyError):
-        view["a1"]
+    assert len(view) == 1
     pool.add("b2", "mri", 2)
     pool.discard("b1")
     pool.discard("b1")  # absent: a no-op
-    assert dict(view) == {"b2": "mri"} and len(pool) == 2
+    assert "b1" not in view and "b2" in view and len(view) == 1 and len(pool) == 2
     with pytest.raises(ValueError):
         pool.add("a1", "again", 3)
 
