@@ -7,13 +7,22 @@ transition label to match under the active policy, which is what makes it
 the topological-consistency metric. Percentages are supported/total
 rounded half-up to one decimal; an empty denominator reports as undefined
 rather than 0%.
+
+A score normalizes each distinct label of the two graphs once, and every
+match reads that table. A label with no text left after normalization
+matches nothing under any policy; it is never embedded or sent to the
+verifier, but it counts in the totals. The embedding policy scores every
+open (prediction, reference) pair in one matrix product.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Any
+
+import numpy as np
 
 from .core import DecisionGraph, normalize_label
 from .errors import EmptyLabelError, UsageError
@@ -92,10 +101,18 @@ def _norm(label: str) -> str:
         return ""
 
 
-def _labels_equivalent(a: str, b: str, policy: MatchPolicy,
+def _normalize_all(labels: Iterable[str]) -> dict[str, str]:
+    """Raw label -> normalized label ("" when nothing is left), normalizing
+    each distinct label once."""
+    return {label: _norm(label) for label in dict.fromkeys(labels)}
+
+
+def _labels_equivalent(left: str, right: str, policy: MatchPolicy,
                        store: EmbeddingStore | None,
                        client: OracleClient | None) -> bool:
-    left, right = _norm(a), _norm(b)
+    """Whether two normalized labels match; a label with no text matches nothing."""
+    if not left or not right:
+        return False
     if left == right:
         return True
     if policy.mode is MatchMode.EXACT_NORMALIZED:
@@ -108,75 +125,79 @@ def _labels_equivalent(a: str, b: str, policy: MatchPolicy,
     return 0 in body["matches"]
 
 
+def _cosines(store: EmbeddingStore, left: list[str], right: list[str]) -> np.ndarray:
+    """Cosine of every (left, right) label pair: each dot product over the
+    product of the two norms, as `EmbeddingStore.cosine` divides."""
+    (left_vectors, left_norms), (right_vectors, right_norms) = (
+        zip(*store.lookup(labels)) for labels in (left, right))
+    return (np.array(left_vectors) @ np.array(right_vectors).T) / np.outer(left_norms, right_norms)
+
+
 def match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
                 policy: MatchPolicy, store: EmbeddingStore | None = None,
-                client: OracleClient | None = None) -> dict[str, str]:
+                client: OracleClient | None = None,
+                labels: Mapping[str, str] | None = None) -> dict[str, str]:
     """Injective partial mapping predicted node id -> reference node id.
 
     Exact mode pairs equal normalized labels; embedding mode is greedy
     highest-similarity-first above the threshold, scored with `store`;
     oracle mode asks the verifier for each still-unmatched prediction. Each
-    reference node is used at most once.
+    reference node is used at most once, and a node whose label has no text
+    is never matched. `labels` maps raw to normalized labels and must cover
+    both graphs' node labels; it is built when not given.
     """
+    if policy.mode is MatchMode.ORACLE_VERIFIED and client is None:
+        raise UsageError("oracle-verified matching needs an oracle client")
+    if labels is None:
+        labels = _normalize_all(node.label for graph in (predicted, reference)
+                                for node in graph.nodes.values())
+    pred_labels = {pid: labels[predicted.nodes[pid].label] for pid in sorted(predicted.nodes)}
+    ref_labels = {rid: labels[reference.nodes[rid].label] for rid in sorted(reference.nodes)}
     mapping: dict[str, str] = {}
     used: set[str] = set()
-    pred_ids = sorted(predicted.nodes)
-    ref_ids = sorted(reference.nodes)
 
     # Exact pass runs first under every policy: equal normalized labels
     # never need a similarity judgment.
     by_label: dict[str, list[str]] = {}
-    for rid in ref_ids:
-        by_label.setdefault(_norm(reference.nodes[rid].label), []).append(rid)
-    for pid in pred_ids:
-        label = _norm(predicted.nodes[pid].label)
+    for rid, label in ref_labels.items():
+        by_label.setdefault(label, []).append(rid)
+    by_label.pop("", None)
+    for pid, label in pred_labels.items():
         for rid in by_label.get(label, []):
             if rid not in used:
                 mapping[pid] = rid
                 used.add(rid)
                 break
 
+    open_preds = [pid for pid, label in pred_labels.items() if label and pid not in mapping]
+    open_refs = [rid for rid, label in ref_labels.items() if label and rid not in used]
+    if not open_preds or not open_refs:
+        return mapping
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
-        pairs = []
-        for pid in pred_ids:
-            if pid in mapping:
-                continue
-            for rid in ref_ids:
-                if rid in used:
-                    continue
-                sim = store.cosine(_norm(predicted.nodes[pid].label),
-                                   _norm(reference.nodes[rid].label))
-                if sim >= (policy.threshold or 1.0):
-                    pairs.append((sim, pid, rid))
-        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-        for _, pid, rid in pairs:
+        assert store is not None
+        sims = _cosines(store, [pred_labels[pid] for pid in open_preds],
+                        [ref_labels[rid] for rid in open_refs])
+        pairs = [(-float(sims[i, j]), open_preds[i], open_refs[j])
+                 for i, j in zip(*np.nonzero(sims >= (policy.threshold or 1.0)))]
+        for _, pid, rid in sorted(pairs):
             if pid not in mapping and rid not in used:
                 mapping[pid] = rid
                 used.add(rid)
     elif policy.mode is MatchMode.ORACLE_VERIFIED:
-        if client is None:
-            raise UsageError("oracle-verified matching needs an oracle client")
-        for pid in pred_ids:
-            if pid in mapping:
-                continue
-            open_refs = [rid for rid in ref_ids if rid not in used]
-            if not open_refs:
-                break
+        for pid in open_preds:
             body = client.call(OracleTask.FIND_DUPLICATE, duplicate_payload(
-                _norm(predicted.nodes[pid].label), [],
-                [_norm(reference.nodes[rid].label) for rid in open_refs],
-            ))
+                pred_labels[pid], [], [ref_labels[rid] for rid in open_refs]))
             valid = [i for i in body["matches"] if 0 <= i < len(open_refs)]
             if valid:
-                rid = open_refs[valid[0]]
-                mapping[pid] = rid
-                used.add(rid)
+                mapping[pid] = open_refs.pop(valid[0])
+                if not open_refs:
+                    break
     return mapping
 
 
 def _edge_counts(source: DecisionGraph, target: DecisionGraph,
-                 mapping: dict[str, str], policy: MatchPolicy,
-                 store: EmbeddingStore | None,
+                 mapping: dict[str, str], labels: Mapping[str, str],
+                 policy: MatchPolicy, store: EmbeddingStore | None,
                  client: OracleClient | None) -> tuple[MetricCount, MetricCount]:
     """(edge, triplet) supported-over-total for source edges against target."""
     target_pairs: dict[tuple[str, str], list[str]] = {}
@@ -189,12 +210,12 @@ def _edge_counts(source: DecisionGraph, target: DecisionGraph,
         tgt_img = mapping.get(edge.target)
         if src_img is None or tgt_img is None:
             continue
-        labels = target_pairs.get((src_img, tgt_img))
-        if not labels:
+        others = target_pairs.get((src_img, tgt_img))
+        if not others:
             continue
         edge_supported += 1
-        if any(_labels_equivalent(edge.label, other, policy, store, client)
-               for other in sorted(labels)):
+        if any(_labels_equivalent(labels[edge.label], labels[other], policy, store, client)
+               for other in sorted(others)):
             triplet_supported += 1
     total = len(source.edges)
     return MetricCount(edge_supported, total), MetricCount(triplet_supported, total)
@@ -206,10 +227,14 @@ def score(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolic
     """Score a predicted graph against a reference at node/edge/triplet level."""
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD and store is None:
         store = EmbeddingStore(HashingEmbeddingBackend())
-    forward = match_nodes(predicted, reference, policy, store, client)
-    backward = match_nodes(reference, predicted, policy, store, client)
-    edge_p, triplet_p = _edge_counts(predicted, reference, forward, policy, store, client)
-    edge_r, triplet_r = _edge_counts(reference, predicted, backward, policy, store, client)
+    labels = _normalize_all(
+        label for graph in (predicted, reference)
+        for label in [*(node.label for node in graph.nodes.values()),
+                      *(edge.label for edge in graph.edges)])
+    forward = match_nodes(predicted, reference, policy, store, client, labels)
+    backward = match_nodes(reference, predicted, policy, store, client, labels)
+    edge_p, triplet_p = _edge_counts(predicted, reference, forward, labels, policy, store, client)
+    edge_r, triplet_r = _edge_counts(reference, predicted, backward, labels, policy, store, client)
     return EvalReport(
         unit_name=unit_name,
         node_precision=MetricCount(len(forward), len(predicted.nodes)),

@@ -3,10 +3,12 @@
 Everything here is deliberately naive: character-by-character
 normalization, relabel-then-dedup graph quotients, compute-all-and-sort
 retrieval, union-find transitive closures, a merge that scans every
-edge. None of it shares code with the implementation under test, except
-that the per-member ranking loop reads its vectors from the embedding
-store and the scanning merge mutates a `DecisionGraph` through its edge
-set and node removal.
+edge, evaluation by pair loops. None of it shares code with the
+implementation under test, except that the per-member ranking loop reads
+its vectors from the embedding store, the scanning merge mutates a
+`DecisionGraph` through its edge set and node removal, and the loop
+evaluation normalizes with `normalize_label`, scores with
+`EmbeddingStore.cosine` and reports in `evaluation`'s types.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from guidegraph.builder import duplicate_payload
 from guidegraph.core import (
     Chunk,
     DecisionEdge,
@@ -26,7 +29,12 @@ from guidegraph.core import (
     DecisionNode,
     MergedRef,
     NodeKind,
+    normalize_label,
 )
+from guidegraph.errors import EmptyLabelError, UsageError
+from guidegraph.evaluation import EvalReport, MatchMode, MatchPolicy, MetricCount
+from guidegraph.oracle import OracleClient, OracleTask
+from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 
 def reference_normalize(raw: str) -> str:
@@ -121,6 +129,151 @@ def loop_cosine_candidates(query_label: str, pool: dict[str, str], k: int,
         scored.append((node_id, label, float(np.dot(q, v) / (q_norm * np.linalg.norm(v)))))
     scored.sort(key=lambda item: (-item[2], item[0]))
     return tuple(scored[:k])
+
+
+# ---------------------------------------------------------------------------
+# Evaluation by pair loops
+
+# Each label is normalized again inside every loop that reads it, and each
+# (prediction, reference) pair is scored by its own `EmbeddingStore.cosine`.
+# `evaluation` must agree with it wherever no label normalizes to "": here
+# such labels match each other, and are embedded or sent to the verifier.
+
+
+def _loop_norm(label: str) -> str:
+    try:
+        return normalize_label(label)
+    except EmptyLabelError:
+        return ""
+
+
+def _loop_labels_equivalent(a: str, b: str, policy: MatchPolicy,
+                            store: EmbeddingStore | None,
+                            client: OracleClient | None) -> bool:
+    left, right = _loop_norm(a), _loop_norm(b)
+    if left == right:
+        return True
+    if policy.mode is MatchMode.EXACT_NORMALIZED:
+        return False
+    if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
+        assert store is not None
+        return store.cosine(left, right) >= (policy.threshold or 1.0)
+    assert client is not None
+    body = client.call(OracleTask.FIND_DUPLICATE, duplicate_payload(left, [], [right]))
+    return 0 in body["matches"]
+
+
+def loop_match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
+                     policy: MatchPolicy, store: EmbeddingStore | None = None,
+                     client: OracleClient | None = None) -> dict[str, str]:
+    """Injective partial mapping predicted node id -> reference node id.
+
+    Exact mode pairs equal normalized labels; embedding mode is greedy
+    highest-similarity-first above the threshold, scored with `store`;
+    oracle mode asks the verifier for each still-unmatched prediction. Each
+    reference node is used at most once.
+    """
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    pred_ids = sorted(predicted.nodes)
+    ref_ids = sorted(reference.nodes)
+
+    # Exact pass runs first under every policy: equal normalized labels
+    # never need a similarity judgment.
+    by_label: dict[str, list[str]] = {}
+    for rid in ref_ids:
+        by_label.setdefault(_loop_norm(reference.nodes[rid].label), []).append(rid)
+    for pid in pred_ids:
+        label = _loop_norm(predicted.nodes[pid].label)
+        for rid in by_label.get(label, []):
+            if rid not in used:
+                mapping[pid] = rid
+                used.add(rid)
+                break
+
+    if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
+        pairs = []
+        for pid in pred_ids:
+            if pid in mapping:
+                continue
+            for rid in ref_ids:
+                if rid in used:
+                    continue
+                sim = store.cosine(_loop_norm(predicted.nodes[pid].label),
+                                   _loop_norm(reference.nodes[rid].label))
+                if sim >= (policy.threshold or 1.0):
+                    pairs.append((sim, pid, rid))
+        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+        for _, pid, rid in pairs:
+            if pid not in mapping and rid not in used:
+                mapping[pid] = rid
+                used.add(rid)
+    elif policy.mode is MatchMode.ORACLE_VERIFIED:
+        if client is None:
+            raise UsageError("oracle-verified matching needs an oracle client")
+        for pid in pred_ids:
+            if pid in mapping:
+                continue
+            open_refs = [rid for rid in ref_ids if rid not in used]
+            if not open_refs:
+                break
+            body = client.call(OracleTask.FIND_DUPLICATE, duplicate_payload(
+                _loop_norm(predicted.nodes[pid].label), [],
+                [_loop_norm(reference.nodes[rid].label) for rid in open_refs],
+            ))
+            valid = [i for i in body["matches"] if 0 <= i < len(open_refs)]
+            if valid:
+                rid = open_refs[valid[0]]
+                mapping[pid] = rid
+                used.add(rid)
+    return mapping
+
+
+def _loop_edge_counts(source: DecisionGraph, target: DecisionGraph,
+                      mapping: dict[str, str], policy: MatchPolicy,
+                      store: EmbeddingStore | None,
+                      client: OracleClient | None) -> tuple[MetricCount, MetricCount]:
+    """(edge, triplet) supported-over-total for source edges against target."""
+    target_pairs: dict[tuple[str, str], list[str]] = {}
+    for edge in target.edges:
+        target_pairs.setdefault((edge.source, edge.target), []).append(edge.label)
+    edge_supported = 0
+    triplet_supported = 0
+    for edge in source.edges:
+        src_img = mapping.get(edge.source)
+        tgt_img = mapping.get(edge.target)
+        if src_img is None or tgt_img is None:
+            continue
+        labels = target_pairs.get((src_img, tgt_img))
+        if not labels:
+            continue
+        edge_supported += 1
+        if any(_loop_labels_equivalent(edge.label, other, policy, store, client)
+               for other in sorted(labels)):
+            triplet_supported += 1
+    total = len(source.edges)
+    return MetricCount(edge_supported, total), MetricCount(triplet_supported, total)
+
+
+def loop_score(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolicy,
+               unit_name: str = "unit", store: EmbeddingStore | None = None,
+               client: OracleClient | None = None) -> EvalReport:
+    """Score a predicted graph against a reference at node/edge/triplet level."""
+    if policy.mode is MatchMode.EMBEDDING_THRESHOLD and store is None:
+        store = EmbeddingStore(HashingEmbeddingBackend())
+    forward = loop_match_nodes(predicted, reference, policy, store, client)
+    backward = loop_match_nodes(reference, predicted, policy, store, client)
+    edge_p, triplet_p = _loop_edge_counts(predicted, reference, forward, policy, store, client)
+    edge_r, triplet_r = _loop_edge_counts(reference, predicted, backward, policy, store, client)
+    return EvalReport(
+        unit_name=unit_name,
+        node_precision=MetricCount(len(forward), len(predicted.nodes)),
+        node_recall=MetricCount(len(backward), len(reference.nodes)),
+        edge_precision=edge_p,
+        edge_recall=edge_r,
+        triplet_precision=triplet_p,
+        triplet_recall=triplet_r,
+    )
 
 
 def scan_merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:

@@ -27,6 +27,7 @@ from guidegraph.core import (
     DecisionNode,
     NodeKind,
     canonical_json,
+    graph_to_doc,
     load_graph,
 )
 from guidegraph.errors import ExpansionBudgetExceeded, ManifestError, UsageError
@@ -218,6 +219,25 @@ def test_eval_needs_no_backend_under_exact_policy(tmp_path, capsys):
                    "--reference", str(SYNTHETIC_DIR / "reference_graph.json"))
     assert code == cli.EXIT_OK
     assert "100.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--match-mode", "exact"],
+                                   ["--match-mode", "embedding", "--match-threshold", "0.5"]])
+def test_eval_matches_no_label_without_text(tmp_path, capsys, flags):
+    paths = []
+    for name, labels in (("predicted", ["psa monitoring", ".", "bone scan"]),
+                         ("reference", ["PSA monitoring", "...", "bone scan"])):
+        graph = DecisionGraph()
+        for i, label in enumerate(labels):
+            graph.add_node(DecisionNode(f"n{i}", label, NodeKind.INTERMEDIATE, 0))
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(canonical_json(graph_to_doc(graph)), encoding="utf-8")
+    code = run_cli("eval", "--predicted", str(paths[0]), "--reference", str(paths[1]),
+                   "--out", str(tmp_path / "report.json"), *flags)
+    assert code == cli.EXIT_OK
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["nodes"]["precision"] == {"supported": 2, "total": 3, "percent": 66.7}
+    assert "2/3" in capsys.readouterr().out
 
 
 def test_config_doc_round_trip():

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import make_client
+from oracles import loop_match_nodes, loop_score
 from synth import SyntheticRuleBackend
 
+from guidegraph import evaluation
 from guidegraph.core import DecisionGraph, DecisionNode, NodeKind
 from guidegraph.errors import UsageError
 from guidegraph.evaluation import (
@@ -24,6 +27,11 @@ from guidegraph.oracle import OracleTask
 from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 EXACT = MatchPolicy(MatchMode.EXACT_NORMALIZED)
+ORACLE = MatchPolicy(MatchMode.ORACLE_VERIFIED)
+
+
+def embedding(threshold: float) -> MatchPolicy:
+    return MatchPolicy(MatchMode.EMBEDDING_THRESHOLD, threshold=threshold)
 
 
 def graph_of(labels: list[str], edges: list[tuple[int, str, int]] = (),
@@ -273,3 +281,171 @@ def test_render_table_shows_undefined_cells():
                         MetricCount(0, 0), MetricCount(0, 0),
                         MetricCount(0, 0), MetricCount(0, 0))
     assert "undef" in render_table([report])
+
+
+# ---------------------------------------------------------------------------
+# agreement with the pair-loop reference
+
+WORDS = ("active", "surveillance", "radical", "prostatectomy", "psa",
+         "monitoring", "bone", "scan", "radiation", "therapy")
+EDGE_LABELS = ("if psa rising", "If PSA rising.", "if psa  rises", "otherwise",
+               "Otherwise;", "if bone scan positive", "IF BONE SCAN POSITIVE:")
+
+
+def _paraphrase(rng: random.Random, text: str) -> str:
+    """Drop a word, add a word or pluralize one."""
+    words = text.split()
+    op = rng.randrange(3)
+    if op == 0 and len(words) > 1:
+        del words[rng.randrange(len(words))]
+    elif op == 1:
+        words.insert(rng.randrange(len(words) + 1), rng.choice(WORDS))
+    else:
+        words[-1] += "s"
+    return " ".join(words)
+
+
+def _spelling(rng: random.Random, text: str) -> str:
+    """A raw spelling of `text`: random casing, whitespace and trailing punctuation."""
+    words = [rng.choice((word, word.upper(), word.capitalize())) for word in text.split()]
+    return (rng.choice(("", " ", "\t")) + rng.choice((" ", "  ", " \n ")).join(words)
+            + rng.choice(("", "", ".", " ;", ":")))
+
+
+def random_eval_pair(rng: random.Random) -> tuple[DecisionGraph, DecisionGraph]:
+    """Two graphs whose labels are drawn from a few shared texts, so labels
+    repeat, and half of them paraphrased, so similarities spread across
+    the thresholds."""
+    texts = [" ".join(rng.sample(WORDS, rng.randint(1, 3))) for _ in range(rng.randint(2, 6))]
+
+    def graph(prefix: str) -> DecisionGraph:
+        count = rng.randint(1, 8)
+        labels = [_spelling(rng, _paraphrase(rng, text) if rng.random() < 0.5 else text)
+                  for text in rng.choices(texts, k=count)]
+        edges = [(s + 1, label, t + 1)
+                 for s in range(count) for t in range(count) if s != t and rng.random() < 0.3
+                 for label in rng.sample(EDGE_LABELS, rng.choice((1, 1, 2)))]
+        return graph_of(labels, edges, prefix=prefix)
+
+    return graph("n"), graph("r")
+
+
+class FirstWordVerifier(SyntheticRuleBackend):
+    """Confirms the candidates whose first word is the candidate's, after
+    one out-of-range index."""
+
+    def body_for(self, task, payload):
+        first = payload["candidate"].split()[0]
+        return {"matches": [len(payload["candidates"])] + [
+            i for i, label in enumerate(payload["candidates"]) if label.split()[0] == first]}
+
+
+@pytest.mark.parametrize("policy", [EXACT, embedding(0.3), embedding(0.5), embedding(0.7),
+                                    embedding(0.9), ORACLE],
+                         ids=lambda policy: f"{policy.mode.value}-{policy.threshold}")
+def test_matching_and_scores_equal_the_pair_loops(policy):
+    rng = random.Random(1313)
+    beyond_exact = 0
+    for _ in range(60):
+        predicted, reference = random_eval_pair(rng)
+        store = EmbeddingStore(HashingEmbeddingBackend())
+        client, loop_client = make_client(FirstWordVerifier()), make_client(FirstWordVerifier())
+        mapping = match_nodes(predicted, reference, policy, store, client)
+        assert mapping == loop_match_nodes(predicted, reference, policy, store, loop_client)
+        beyond_exact += len(mapping) > len(match_nodes(predicted, reference, EXACT))
+        report = score(predicted, reference, policy, store=store, client=client)
+        assert report == loop_score(predicted, reference, policy, store=store, client=loop_client)
+        assert ([e["payload_digest"] for e in client.audit.entries]
+                == [e["payload_digest"] for e in loop_client.audit.entries])
+    # Both sides of the threshold are exercised: some similarity judgments
+    # match, and (but at 0.3) fewer than all of them.
+    if policy.mode is not MatchMode.EXACT_NORMALIZED:
+        assert 0 < beyond_exact < 60
+
+
+def test_embedding_threshold_is_inclusive():
+    store = EmbeddingStore(HashingEmbeddingBackend())
+    store.put("alpha", [1.0, 0.0])
+    store.put("beta", [3.0, 4.0])  # cosine with alpha is 3/5, exactly the double 0.6
+    predicted, reference = graph_of(["alpha"]), graph_of(["beta"], prefix="r")
+    assert match_nodes(predicted, reference, embedding(0.6), store) == {"n01": "r01"}
+    assert match_nodes(predicted, reference, embedding(0.6000001), store) == {}
+
+
+def test_score_normalizes_each_distinct_label_once(monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def counting(raw: str) -> str:
+        calls[raw] += 1
+        return normalize(raw)
+
+    normalize = evaluation.normalize_label
+    monkeypatch.setattr(evaluation, "normalize_label", counting)
+    predicted = graph_of(["PSA monitoring", "psa monitoring.", ".", "bone scan", "Bone Scan"],
+                         [(1, "If rising", 2), (2, "if rising", 3), (3, "If rising", 4), (4, ";", 5)])
+    reference = graph_of(["psa monitoring", "...", "bone scans", "radiation"],
+                         [(1, "if rising", 2), (2, "If rising", 3), (3, "otherwise", 4)], prefix="r")
+    raw = ({node.label for graph in (predicted, reference) for node in graph.nodes.values()}
+           | {edge.label for graph in (predicted, reference) for edge in graph.edges})
+    for policy in (EXACT, embedding(0.5), ORACLE):
+        calls.clear()
+        score(predicted, reference, policy, client=make_client(FirstWordVerifier()))
+        assert calls == Counter(raw), policy
+
+
+# ---------------------------------------------------------------------------
+# labels with no text
+
+
+class RecordingBackend(HashingEmbeddingBackend):
+    def __init__(self) -> None:
+        super().__init__()
+        self.texts: list[str] = []
+
+    def embed_text(self, text: str):
+        self.texts.append(text)
+        return super().embed_text(text)
+
+
+class ConfirmAllVerifier(SyntheticRuleBackend):
+    def __init__(self) -> None:
+        self.payloads: list[dict] = []
+
+    def body_for(self, task, payload):
+        self.payloads.append(payload)
+        return {"matches": list(range(len(payload["candidates"])))}
+
+
+def empty_label_pair() -> tuple[DecisionGraph, DecisionGraph]:
+    predicted = graph_of(["a", ".", "b"], [(1, ".", 3), (1, "x", 2)])
+    reference = graph_of(["a", "...", "b"], [(1, " ;", 3), (1, "x", 2)], prefix="r")
+    return predicted, reference
+
+
+def test_exact_policy_never_matches_a_label_with_no_text():
+    predicted, reference = empty_label_pair()
+    report = score(predicted, reference, EXACT)
+    assert match_nodes(predicted, reference, EXACT) == {"n01": "r01", "n03": "r03"}
+    assert report.node_precision == MetricCount(2, 3)
+    assert report.node_recall == MetricCount(2, 3)
+    # "." and " ;" connect matched nodes, so the edge holds but not the triplet.
+    assert report.edge_precision == MetricCount(1, 2)
+    assert report.triplet_precision == MetricCount(0, 2)
+
+
+def test_embedding_policy_never_embeds_a_label_with_no_text():
+    predicted, reference = empty_label_pair()
+    backend = RecordingBackend()
+    report = score(predicted, reference, embedding(0.01), store=EmbeddingStore(backend))
+    assert report.node_precision == MetricCount(2, 3)
+    assert report.triplet_recall == MetricCount(0, 2)
+    assert "" not in backend.texts
+
+
+def test_oracle_policy_never_sends_a_label_with_no_text():
+    predicted, reference = empty_label_pair()
+    verifier = ConfirmAllVerifier()
+    report = score(predicted, reference, ORACLE, client=make_client(verifier))
+    assert report.node_precision == MetricCount(2, 3)
+    assert report.triplet_precision == MetricCount(0, 2)
+    assert verifier.payloads == []
