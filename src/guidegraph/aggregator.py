@@ -14,17 +14,12 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
-from .core import (
-    Chunk,
-    DecisionGraph,
-    NodeKind,
-    merge_nodes,
-    normalize_label,
-)
+# `normalize_label` and `cosine_candidates` are not called here: the
+# benchmark's tracer wraps this module's bindings of them (perfbench/tracer.py
+# reads vars(aggregator)).
+from .core import Chunk, DecisionGraph, NodeKind, merge_nodes, normalize_label
 from .errors import IdCollisionError, InterfaceResolutionError
 from .oracle import OracleClient
-# `cosine_candidates` is not called here: the benchmark's tracer wraps this
-# module's binding of it (perfbench/tracer.py reads vars(aggregator)).
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 from .builder import find_duplicate
 
@@ -71,7 +66,7 @@ def seed_interface_queue(chunks: Sequence[Chunk], graph: DecisionGraph) -> deque
     """Queue of interface node ids: per chunk, entries then terminals, deduped.
 
     A label resolves to the lowest id among the chunk's nodes that carry it
-    as an interface label.
+    as an interface label; both sides are normalized already.
     """
     lowest: dict[tuple[int, str], str] = {}
     for nid in sorted(graph.nodes):
@@ -81,8 +76,7 @@ def seed_interface_queue(chunks: Sequence[Chunk], graph: DecisionGraph) -> deque
     queue: deque[str] = deque()
     seen: set[str] = set()
     for chunk in chunks:
-        for raw in tuple(chunk.entry_labels) + tuple(chunk.terminal_labels):
-            label = normalize_label(raw)
+        for label in chunk.entry_labels + chunk.terminal_labels:
             node_id = lowest.get((chunk.chunk_id, label))
             if node_id is None:
                 raise InterfaceResolutionError(

@@ -127,9 +127,10 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     Terminals come only from the chunk's terminal labels; every non-terminal
     node is reachable from an entry; node ids are assigned in deterministic
-    worklist order so repeated runs serialize identically.
+    worklist order so repeated runs serialize identically. The chunk's
+    interface labels are normalized when it is made, and child and edge
+    labels when the reply is parsed, so every label is stored as it comes.
     """
-    chunk.validate()
     interface_size = len(chunk.entry_labels) + len(chunk.terminal_labels)
     if config.expansion_cap < interface_size:
         raise UsageError(
@@ -164,15 +165,13 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
                       "kind": kind.value})
         return node_id
 
-    for raw in chunk.terminal_labels:
-        label = normalize_label(raw)
+    for label in chunk.terminal_labels:
         register(QueueItem(label, None), NodeKind.TERMINAL, label)
-    for raw in chunk.entry_labels:
-        queue.append(QueueItem(normalize_label(raw), None))
+    queue.extend(QueueItem(label, None) for label in chunk.entry_labels)
 
     while queue:
         item = queue.popleft()
-        label = item.candidate_label  # entry and child labels are normalized when enqueued
+        label = item.candidate_label
         ancestors = [] if item.incoming is None else [
             (graph.nodes[item.incoming[0]].label, item.incoming[1])
         ]
@@ -211,7 +210,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 def _assert_terminal_fixity(chunk: Chunk, graph: DecisionGraph) -> None:
     terminals = {node.label for node in graph.nodes.values()
                  if node.kind is NodeKind.TERMINAL}
-    expected = {normalize_label(z) for z in chunk.terminal_labels}
+    expected = set(chunk.terminal_labels)
     if terminals != expected:
         raise GraphIntegrityError(
             f"chunk {chunk.chunk_id}: terminal set {sorted(terminals)} != "

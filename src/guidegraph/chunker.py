@@ -8,10 +8,10 @@ runs are independent. Both pages and runs fan out over the oracle client.
 """
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from .core import Chunk, GuidelineProfile, PageLabel, PageRecord, normalize_label
 from .errors import (
@@ -289,8 +289,9 @@ class ChunkingResult:
 
 
 def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfile,
-              budget: int, client: OracleClient) -> list[Chunk]:
-    """Chunk one run of core pages, ids counted from 1 within the run.
+              budget: int, client: OracleClient) -> list[Callable[..., Chunk]]:
+    """Chunk one run of core pages into drafts: each makes its `Chunk` when
+    called with the chunk's document-wide `chunk_id`.
 
     Carry-forward pages from one chunk seed the next buffer and the running
     context threads across chunks. No chunk text exceeds twice the budget
@@ -298,16 +299,15 @@ def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfi
     past that cap, the chunk is built from the buffer, with the page as its
     lookahead, and the page begins the next chunk. A carried page that would
     push the next buffer past the cap together with the page that follows
-    is dropped from the carry. The run stops after its first invalid chunk,
-    where a serial run raises; `run_chunking` raises it under the chunk's
-    document-wide id.
+    is dropped from the carry. `refine_nodes` returns a normalized, valid
+    interface and every carried page lies in the buffer, so a draft makes a
+    valid `Chunk`.
     """
-    chunks: list[Chunk] = []
+    drafts: list[Callable[..., Chunk]] = []
     buffer = ChunkBuffer(pages=[], running_context=profile.scope_context)
 
-    def finish(lookahead: PageRecord | None) -> bool:
-        """Build a chunk from the buffer and start the next buffer from its
-        carry; False when the chunk is invalid."""
+    def finish(lookahead: PageRecord | None) -> None:
+        """Draft a chunk from the buffer and start the next buffer from its carry."""
         nonlocal buffer
         outcome = build_chunk(buffer, lookahead, client)
         entry, terminal = refine_nodes(
@@ -325,8 +325,8 @@ def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfi
                 dropped.add(page.index)
             else:
                 carried.append(page)
-        chunk = Chunk(
-            chunk_id=len(chunks) + 1,
+        drafts.append(partial(
+            Chunk,
             context=assemble_context(profile, outcome.description, buffer.pages,
                                      outcome.updated_context),
             entry_labels=entry,
@@ -334,14 +334,8 @@ def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfi
             description=outcome.description,
             carried_pages=tuple(i for i in outcome.carry_pages if i not in dropped),
             page_span=tuple(buffer.indices()),
-        )
-        chunks.append(chunk)
-        try:
-            chunk.validate()
-        except ValueError:
-            return False
+        ))
         buffer = ChunkBuffer(pages=carried, running_context=outcome.updated_context)
-        return True
 
     for position, index in enumerate(run.page_indices):
         current = by_index[index]
@@ -352,21 +346,21 @@ def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfi
         cut = (_exceeds_cap(buffer.pages, current, budget) if last
                else predict_boundary(buffer, current, lookahead, budget, client))
         if cut and buffer.pages and _exceeds_cap(buffer.pages, current, budget):
-            if not finish(current):
-                return chunks
+            finish(current)
             cut = False
         buffer.pages.append(current)
-        if (cut or last) and not finish(lookahead):
-            return chunks
-    return chunks
+        if cut or last:
+            finish(lookahead)
+    return drafts
 
 
 def run_chunking(pages: Sequence[PageRecord], config, client: OracleClient) -> ChunkingResult:
     """Run the whole chunking stage over a page-ordered document.
 
     Runs of core pages are chunked independently, fanned out over the
-    client; chunks come out ordered by first page and are numbered in run
-    order as each run commits.
+    client; chunks come out ordered by first page. Each `Chunk` is made
+    once, with its document-wide id, as its run commits, so an invalid
+    chunk raises under that id.
     """
     header = list(pages[: config.header_pages])
     profile = extract_profile(header, client)
@@ -375,11 +369,9 @@ def run_chunking(pages: Sequence[PageRecord], config, client: OracleClient) -> C
     by_index = {p.index: p for p in pages}
     chunks: list[Chunk] = []
 
-    def number(run: Run, run_chunks: list[Chunk]) -> None:
-        for draft in run_chunks:
-            chunk = dataclasses.replace(draft, chunk_id=len(chunks) + 1)
-            chunk.validate()
-            chunks.append(chunk)
+    def number(run: Run, drafts: list[Callable[..., Chunk]]) -> None:
+        for draft in drafts:
+            chunks.append(draft(chunk_id=len(chunks) + 1))
 
     client.fan_out(
         lambda child, run: chunk_run(run, by_index, profile, config.chunk_budget, child),

@@ -111,7 +111,14 @@ class GuidelineProfile:
 
 @dataclass(frozen=True)
 class Chunk:
-    """One decision segment with its entry/terminal interface."""
+    """One decision segment with its entry/terminal interface.
+
+    Construction checks the interface and stores its labels normalized, so
+    every `Chunk`, a loaded one included, is valid and later stages use its
+    labels as they are. Raises ValueError unless the labels are distinct
+    and disjoint once normalized, none of them empty, and the carried pages
+    lie in the page span.
+    """
 
     chunk_id: int
     context: str
@@ -121,16 +128,14 @@ class Chunk:
     carried_pages: tuple[int, ...]
     page_span: tuple[int, ...]
 
-    def validate(self) -> None:
-        """Raise ValueError unless the interface is well formed: labels that
-        are distinct and disjoint once normalized, none of them empty."""
+    def __post_init__(self) -> None:
         if self.chunk_id < 1:
             raise ValueError(f"chunk_id must be >= 1, got {self.chunk_id}")
         if not self.entry_labels or not self.terminal_labels:
             raise ValueError(f"chunk {self.chunk_id}: interface labels must be non-empty")
         try:
-            entries = [normalize_label(label) for label in self.entry_labels]
-            terminals = [normalize_label(label) for label in self.terminal_labels]
+            entries = tuple(normalize_label(label) for label in self.entry_labels)
+            terminals = tuple(normalize_label(label) for label in self.terminal_labels)
         except EmptyLabelError as exc:
             raise ValueError(f"chunk {self.chunk_id}: {exc}") from exc
         if len(set(entries)) != len(entries):
@@ -143,6 +148,8 @@ class Chunk:
         span = set(self.page_span)
         if not set(self.carried_pages) <= span:
             raise ValueError(f"chunk {self.chunk_id}: carried pages outside page span")
+        object.__setattr__(self, "entry_labels", entries)
+        object.__setattr__(self, "terminal_labels", terminals)
 
 
 @dataclass(frozen=True)
@@ -310,13 +317,12 @@ def register_node(
 ) -> str:
     """Add a fresh node for a queue item; wire the incoming edge if present.
 
-    Returns the new node id.
+    The candidate and edge labels are stored as given, so they must already
+    be normalized. Returns the new node id.
 
     Raises:
         MissingAncestorError: the incoming context names an absent ancestor.
-        EmptyLabelError: the candidate label normalizes to nothing.
     """
-    label = normalize_label(item.candidate_label)
     if item.incoming is not None:
         ancestor, _ = item.incoming
         if ancestor not in graph.nodes:
@@ -325,7 +331,7 @@ def register_node(
     graph.add_node(
         DecisionNode(
             node_id=node_id,
-            label=label,
+            label=item.candidate_label,
             kind=kind,
             origin_chunk=origin_chunk,
             provenance_pages=sorted(provenance_pages),
@@ -334,7 +340,7 @@ def register_node(
     )
     if item.incoming is not None:
         ancestor, edge_label = item.incoming
-        graph.add_edge(ancestor, normalize_label(edge_label), node_id)
+        graph.add_edge(ancestor, edge_label, node_id)
     return node_id
 
 
@@ -499,9 +505,8 @@ def chunks_to_doc(chunks: Iterable[Chunk]) -> dict[str, Any]:
 def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
     if doc.get("format") != CHUNKS_FORMAT:
         raise ValueError(f"unsupported chunk-list format {doc.get('format')!r}")
-    out = []
-    for entry in doc["chunks"]:
-        chunk = Chunk(
+    return [
+        Chunk(
             chunk_id=int(entry["chunk_id"]),
             context=entry["context"],
             entry_labels=tuple(entry["entry_labels"]),
@@ -510,9 +515,8 @@ def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
             carried_pages=tuple(int(p) for p in entry["carried_pages"]),
             page_span=tuple(int(p) for p in entry["page_span"]),
         )
-        chunk.validate()
-        out.append(chunk)
-    return out
+        for entry in doc["chunks"]
+    ]
 
 
 def profile_to_doc(profile: GuidelineProfile) -> dict[str, Any]:

@@ -199,7 +199,8 @@ def _edge_counts(source: DecisionGraph, target: DecisionGraph,
                  mapping: dict[str, str], labels: Mapping[str, str],
                  policy: MatchPolicy, store: EmbeddingStore | None,
                  client: OracleClient | None) -> tuple[MetricCount, MetricCount]:
-    """(edge, triplet) supported-over-total for source edges against target."""
+    """(edge, triplet) supported-over-total for source edges against target; an
+    equal parallel label settles a triplet before any other is judged."""
     target_pairs: dict[tuple[str, str], list[str]] = {}
     for edge in target.edges:
         target_pairs.setdefault((edge.source, edge.target), []).append(edge.label)
@@ -214,8 +215,10 @@ def _edge_counts(source: DecisionGraph, target: DecisionGraph,
         if not others:
             continue
         edge_supported += 1
-        if any(_labels_equivalent(labels[edge.label], labels[other], policy, store, client)
-               for other in sorted(others)):
+        label = labels[edge.label]
+        parallel = [labels[other] for other in sorted(others)]
+        if (label and label in parallel) or any(
+                _labels_equivalent(label, other, policy, store, client) for other in parallel):
             triplet_supported += 1
     total = len(source.edges)
     return MetricCount(edge_supported, total), MetricCount(triplet_supported, total)

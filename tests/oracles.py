@@ -248,8 +248,10 @@ def _loop_edge_counts(source: DecisionGraph, target: DecisionGraph,
         if not labels:
             continue
         edge_supported += 1
-        if any(_loop_labels_equivalent(edge.label, other, policy, store, client)
-               for other in sorted(labels)):
+        # An equal label settles the triplet before any other is judged.
+        if any(_loop_norm(edge.label) == _loop_norm(other) for other in labels) or any(
+                _loop_labels_equivalent(edge.label, other, policy, store, client)
+                for other in sorted(labels)):
             triplet_supported += 1
     total = len(source.edges)
     return MetricCount(edge_supported, total), MetricCount(triplet_supported, total)
@@ -516,7 +518,7 @@ def random_universe(seed: int, max_nodes: int = 12,
         graph.check_integrity()
         graphs.append(graph)
 
-        chunk = Chunk(
+        chunks.append(Chunk(
             chunk_id=chunk_id,
             context=f"universe chunk {chunk_id}",
             entry_labels=entry_labels,
@@ -524,8 +526,6 @@ def random_universe(seed: int, max_nodes: int = 12,
             description=f"chunk {chunk_id}",
             carried_pages=(),
             page_span=(chunk_id,),
-        )
-        chunk.validate()
-        chunks.append(chunk)
+        ))
 
     return chunks, graphs, label_class

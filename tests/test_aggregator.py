@@ -78,7 +78,6 @@ def tiny_graph(chunk_id: int, entry_label: str, terminal_label: str,
     chunk = Chunk(chunk_id=chunk_id, context=f"chunk {chunk_id}",
                   entry_labels=(entry_label,), terminal_labels=(terminal_label,),
                   description="d", carried_pages=(), page_span=(chunk_id,))
-    chunk.validate()
     return chunk, graph
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -274,6 +275,37 @@ def test_terminal_fixity_on_all_golden_graphs():
         terminals = {n.label for n in result.graph.nodes.values()
                      if n.kind is NodeKind.TERMINAL}
         assert terminals == {normalize_label(z) for z in chunk.terminal_labels}
+
+
+def _raw_spelling(rng: random.Random, label: str) -> str:
+    """The label with random case, padding, inner whitespace and end punctuation."""
+    words = [word.upper() if rng.random() < 0.5 else word.title() for word in label.split()]
+    return (" " * rng.randint(0, 2) + (" " * rng.randint(1, 3)).join(words)
+            + rng.choice(["", ".", ";", " :"]) + " " * rng.randint(0, 2))
+
+
+def test_every_stored_label_is_normalized_whatever_the_raw_spelling():
+    children = {"active surveillance": [("repeat biopsy", "psa rising"),
+                                        ("watchful waiting", "psa stable")],
+                "repeat biopsy": [("radical treatment", "upgrade found"),
+                                  ("active surveillance", "no upgrade")],
+                "watchful waiting": [("discharge", "ten years stable")]}
+    for seed in range(20):
+        rng = random.Random(seed)
+        raw_children = {node: [(_raw_spelling(rng, label), _raw_spelling(rng, edge))
+                               for label, edge in pairs] for node, pairs in children.items()}
+        chunk = simple_chunk(entry=[_raw_spelling(rng, "active surveillance")],
+                             terminal=[_raw_spelling(rng, "radical treatment"),
+                                       _raw_spelling(rng, "discharge")])
+        graph = build(chunk, TableBackend(raw_children)).graph
+        labels = [label for node in graph.nodes.values()
+                  for label in (node.label, *node.interface_labels)]
+        labels.extend(edge.label for edge in graph.edges)
+        assert all(label == normalize_label(label) for label in labels), labels
+        assert sorted(node.label for node in graph.nodes.values()) == sorted(
+            {label for pairs in children.values() for label, _ in pairs}
+            | {"active surveillance"})
+        assert len(graph.edges) == 5
 
 
 def test_every_nonterminal_nonentry_node_has_incoming_edge():

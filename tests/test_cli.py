@@ -373,6 +373,29 @@ def test_staged_commands_equal_full_run(tmp_path):
         assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
 
+def test_build_from_raw_spelled_chunks_equals_build_from_normalized(tmp_path):
+    # A loaded chunks.json is normalized as it loads, so a hand-written file
+    # with raw spellings builds the same graphs and trace as the normalized one.
+    doc = json.loads((GOLDEN_DIR / "chunks.json").read_text(encoding="utf-8"))
+    for chunk in doc["chunks"]:
+        chunk["entry_labels"] = [f"  {label.title()}. " for label in chunk["entry_labels"]]
+        chunk["terminal_labels"] = [label.upper().replace(" ", "\t ") + ";"
+                                    for label in chunk["terminal_labels"]]
+    runs = {"normalized": tmp_path / "normalized", "raw": tmp_path / "raw"}
+    for run_dir in runs.values():
+        run_dir.mkdir()
+    shutil.copy(GOLDEN_DIR / "chunks.json", runs["normalized"])
+    (runs["raw"] / "chunks.json").write_text(json.dumps(doc), encoding="utf-8")
+    for run_dir in runs.values():
+        assert run_cli("build", "--out", str(run_dir), *scripted_flags()) == cli.EXIT_OK
+    names = ["expansion_trace.json", "graphs/chunk_01.json", "graphs/chunk_02.json",
+             "graphs/chunk_03.json"]
+    for name in names:
+        assert (runs["raw"] / name).read_bytes() == (runs["normalized"] / name).read_bytes(), name
+    assert (runs["raw"] / "graphs/chunk_01.json").read_bytes() == (
+        GOLDEN_DIR / "graphs/chunk_01.json").read_bytes()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     manifest = str(SYNTHETIC_DIR / "manifest.json")
     flags = scripted_flags() + ["--expansion-cap", "50"]

@@ -120,14 +120,6 @@ def test_register_node_missing_ancestor():
         register_node(graph, QueueItem("x", ("Z", "c")), NodeKind.INTERMEDIATE)
 
 
-def test_register_node_normalizes_labels():
-    graph = graph_with(["A"], [])
-    node_id = register_node(graph, QueueItem("  Biopsy. ", ("A", " PSA   Elevated ")),
-                            NodeKind.INTERMEDIATE)
-    assert graph.nodes[node_id].label == "biopsy"
-    assert DecisionEdge("A", "psa elevated", node_id) in graph.edges
-
-
 def test_node_ids_are_sequential_per_prefix():
     graph = DecisionGraph()
     first = register_node(graph, QueueItem("one", None), NodeKind.ENTRY, id_prefix="c01n")
@@ -434,23 +426,26 @@ def test_finalized_graph_rejects_self_loop():
 
 
 def test_chunk_validation():
-    good = Chunk(1, "ctx", ("a",), ("b",), "d", (2,), (1, 2))
-    good.validate()
-    overlapping = Chunk(1, "ctx", ("a",), ("a",), "d", (), (1,))
+    Chunk(1, "ctx", ("a",), ("b",), "d", (2,), (1, 2))
     with pytest.raises(ValueError):
-        overlapping.validate()
-    stray_carry = Chunk(1, "ctx", ("a",), ("b",), "d", (9,), (1, 2))
+        Chunk(1, "ctx", ("a",), ("a",), "d", (), (1,))  # overlapping interface
     with pytest.raises(ValueError):
-        stray_carry.validate()
+        Chunk(1, "ctx", ("a",), ("b",), "d", (9,), (1, 2))  # carried page outside the span
 
 
-@pytest.mark.parametrize("entry, terminal, message", [
+@pytest.mark.parametrize("entry, terminal, outcome", [
     (("a",), ("Repeat Biopsy", "repeat biopsy."), "chunk 1: duplicate terminal labels"),
     (("MRI", " mri "), ("b",), "chunk 1: duplicate entry labels"),
     (("MRI",), ("mri.",), "chunk 1: entry/terminal overlap ['mri']"),
     (("a", "..."), ("b",), "chunk 1: label '...' is empty after normalization"),
-], ids=["duplicate-terminals", "duplicate-entries", "overlap", "empty-label"])
-def test_chunk_validation_compares_normalized_labels(entry, terminal, message):
-    with pytest.raises(ValueError) as exc_info:
-        Chunk(1, "ctx", entry, terminal, "d", (), (1,)).validate()
-    assert str(exc_info.value) == message
+    ((" MRI ",), ("Done.",), (("mri",), ("done",))),
+], ids=["duplicate-terminals", "duplicate-entries", "overlap", "empty-label", "normalized"])
+def test_chunk_validation_compares_normalized_labels(entry, terminal, outcome):
+    """An invalid interface raises its message; a valid one is stored normalized."""
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as exc_info:
+            Chunk(1, "ctx", entry, terminal, "d", (), (1,))
+        assert str(exc_info.value) == outcome
+    else:
+        chunk = Chunk(1, "ctx", entry, terminal, "d", (), (1,))
+        assert (chunk.entry_labels, chunk.terminal_labels) == outcome

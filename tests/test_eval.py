@@ -442,6 +442,20 @@ def test_embedding_policy_never_embeds_a_label_with_no_text():
     assert "" not in backend.texts
 
 
+def test_oracle_policy_settles_an_equal_parallel_label_without_the_verifier():
+    # The predicted "if b" has an equal reference label beside "if a", so only
+    # the reference "if a", which has no equal, goes to the verifier.
+    predicted = graph_of(["a", "b"], [(1, "If B.", 2)])
+    reference = graph_of(["a", "b"], [(1, "if a", 2), (1, "if b", 2)], prefix="r")
+    expected = [{"candidate": "if a", "ancestors": [], "candidates": ["if b"]}]
+    for scorer in (score, loop_score):
+        verifier = ConfirmAllVerifier()
+        report = scorer(predicted, reference, ORACLE, client=make_client(verifier))
+        assert report.triplet_precision == MetricCount(1, 1)
+        assert report.triplet_recall == MetricCount(2, 2)
+        assert verifier.payloads == expected
+
+
 def test_oracle_policy_never_sends_a_label_with_no_text():
     predicted, reference = empty_label_pair()
     verifier = ConfirmAllVerifier()
