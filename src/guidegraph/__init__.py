@@ -9,7 +9,6 @@ from .core import (
     NodeKind,
     PageLabel,
     PageRecord,
-    QueueItem,
     normalize_label,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "NodeKind",
     "PageLabel",
     "PageRecord",
-    "QueueItem",
     "normalize_label",
     "__version__",
 ]

@@ -90,10 +90,7 @@ def seed_interface_queue(chunks: Sequence[Chunk], graph: DecisionGraph) -> deque
 
 def get_ancestors(graph: DecisionGraph, node_id: str) -> list[tuple[str, str]]:
     """(ancestor label, edge label) pairs for edges into node_id, sorted."""
-    return sorted(
-        (graph.nodes[source].label, edge_label)
-        for source, edge_label in graph.ancestors_of(node_id)
-    )
+    return sorted((graph.nodes[edge.source].label, edge.label) for edge in graph.in_edges(node_id))
 
 
 def choose_primary_secondary(graph: DecisionGraph, a: str, b: str) -> tuple[str, str, str]:

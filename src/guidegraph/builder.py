@@ -1,9 +1,11 @@
 """Per-chunk graph expansion: FIFO worklist from the entry labels toward a
 fixed terminal set, with duplicate detection against the growing node pool.
 
-Terminal nodes are registered up front and are never created by expansion;
-a candidate that matches one is merged into it by redirecting its incoming
-edge. The node cap turns a hallucination loop into a diagnosable error.
+Terminal nodes are registered up front and are never created by expansion.
+A candidate that duplicates a node creates none: its incoming edge is
+pointed at the duplicate. The builder names and makes its own nodes
+(`register_node`). The node cap turns a hallucination loop into a
+diagnosable error.
 """
 from __future__ import annotations
 
@@ -15,11 +17,10 @@ from typing import Any, Sequence
 from .core import (
     Chunk,
     DecisionGraph,
+    DecisionNode,
     NodeKind,
-    QueueItem,
+    add_edge_or_log_loop,
     normalize_label,
-    register_node,
-    redirect_ancestor_edge,
 )
 from .errors import (
     EmptyLabelError,
@@ -121,13 +122,36 @@ def generate_children(label: str, incoming: tuple[str, str] | None, context: str
     return children
 
 
+def register_node(graph: DecisionGraph, chunk: Chunk, label: str, kind: NodeKind,
+                  incoming: tuple[str, str] | None) -> str:
+    """Add a node of `chunk` with `label`, wire its incoming (ancestor id,
+    edge label) edge if it has one, and return its id.
+
+    Ids are `c{chunk:02d}n{sequence:03d}` in registration order: the builder
+    never removes a node, so the graph's size gives the sequence. A node
+    without an incoming edge, an entry or terminal, keeps its label as an
+    interface label. Labels are stored as given, so they must be normalized.
+    """
+    node_id = f"c{chunk.chunk_id:02d}n{len(graph.nodes) + 1:03d}"
+    graph.add_node(DecisionNode(node_id, label, kind, chunk.chunk_id,
+                                provenance_pages=sorted(chunk.page_span),
+                                interface_labels=[label] if incoming is None else []))
+    if incoming is not None:
+        graph.add_edge(incoming[0], incoming[1], node_id)
+    return node_id
+
+
 def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
                 config) -> BuildResult:
     """Expand one chunk into its decision graph.
 
     Terminals come only from the chunk's terminal labels; every non-terminal
     node is reachable from an entry; node ids are assigned in deterministic
-    worklist order so repeated runs serialize identically. The chunk's
+    worklist order so repeated runs serialize identically. The worklist
+    holds (label, incoming) pairs, where incoming is the (ancestor id, edge
+    label) a child was generated under; a candidate that duplicates a node
+    adds that edge to the duplicate instead of a node, or logs it as a
+    suppressed self-loop when the duplicate is the ancestor. The chunk's
     interface labels are normalized when it is made, and child and edge
     labels when the reply is parsed, so every label is stored as it comes.
     """
@@ -138,68 +162,53 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
             f"than the interface ({interface_size} nodes)"
         )
 
-    prefix = f"c{chunk.chunk_id:02d}n"
     graph = DecisionGraph()
     pool = RankingPool(store)  # every node of the graph
-    queue: deque[QueueItem] = deque()
     trace: list[dict[str, Any]] = []
 
-    def register(item: QueueItem, kind: NodeKind, interface_label: str | None) -> str:
+    def register(label: str, kind: NodeKind, incoming: tuple[str, str] | None) -> str:
         if len(graph.nodes) >= config.expansion_cap:
-            trace.append({"event": "cap", "chunk": chunk.chunk_id,
-                          "label": item.candidate_label})
+            trace.append({"event": "cap", "chunk": chunk.chunk_id, "label": label})
             raise ExpansionBudgetExceeded(
                 f"chunk {chunk.chunk_id}: expansion cap {config.expansion_cap} reached",
                 partial_graph=graph,
             )
-        node_id = register_node(
-            graph, item, kind,
-            origin_chunk=chunk.chunk_id,
-            provenance_pages=chunk.page_span,
-            id_prefix=prefix,
-            interface_labels=[interface_label] if interface_label else [],
-        )
-        pool.add(node_id, graph.nodes[node_id].label)
+        node_id = register_node(graph, chunk, label, kind, incoming)
+        pool.add(node_id, label)
         trace.append({"event": "register", "chunk": chunk.chunk_id,
-                      "node_id": node_id, "label": item.candidate_label,
-                      "kind": kind.value})
+                      "node_id": node_id, "label": label, "kind": kind.value})
         return node_id
 
     for label in chunk.terminal_labels:
-        register(QueueItem(label, None), NodeKind.TERMINAL, label)
-    queue.extend(QueueItem(label, None) for label in chunk.entry_labels)
+        register(label, NodeKind.TERMINAL, None)
+    queue: deque[tuple[str, tuple[str, str] | None]] = deque(
+        (label, None) for label in chunk.entry_labels)
 
     while queue:
-        item = queue.popleft()
-        label = item.candidate_label
-        ancestors = [] if item.incoming is None else [
-            (graph.nodes[item.incoming[0]].label, item.incoming[1])
-        ]
+        label, incoming = queue.popleft()
+        ancestors = [] if incoming is None else [(graph.nodes[incoming[0]].label, incoming[1])]
         match_id, similarity, how = find_duplicate(
             label, ancestors, graph, pool, config.candidate_count, client)
         if match_id is not None:
             trace.append({"event": "duplicate", "chunk": chunk.chunk_id,
                           "label": label, "match": match_id, "how": how,
                           "similarity": None if similarity is None else round(similarity, 6)})
-            if item.incoming is not None:
-                ancestor, edge_label = item.incoming
-                redirect_ancestor_edge(graph, (ancestor, edge_label, label),
-                                       (ancestor, edge_label, match_id))
+            if incoming is not None:
+                add_edge_or_log_loop(graph, incoming[0], incoming[1], match_id)
             else:
                 matched = graph.nodes[match_id]
                 if label not in matched.interface_labels:
                     matched.interface_labels.append(label)
             continue
-        kind = NodeKind.ENTRY if item.incoming is None else NodeKind.INTERMEDIATE
-        node_id = register(item, kind, label if item.incoming is None else None)
-        children = generate_children(label, item.incoming, chunk.context, client)
+        kind = NodeKind.ENTRY if incoming is None else NodeKind.INTERMEDIATE
+        node_id = register(label, kind, incoming)
+        children = generate_children(label, incoming, chunk.context, client)
         if not children:
             trace.append({"event": "dead_end", "chunk": chunk.chunk_id,
                           "node_id": node_id, "label": label})
             logger.warning("chunk %d: non-terminal %r has no successors",
                            chunk.chunk_id, label)
-        for child_label, edge_label in children:
-            queue.append(QueueItem(child_label, (node_id, edge_label)))
+        queue.extend((child_label, (node_id, edge_label)) for child_label, edge_label in children)
 
     graph.check_integrity()
     _assert_terminal_fixity(chunk, graph)

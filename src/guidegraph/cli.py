@@ -565,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--format", default="dot")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(handler=_cmd_export)
 
     return parser

@@ -4,7 +4,9 @@ Every stage (chunking, per-chunk expansion, cross-chunk aggregation,
 evaluation) speaks in terms of these types. Graphs are mutable,
 single-writer values; the canonical JSON form defined here is the
 interchange format between stages and is byte-stable, so equal graphs
-serialize to equal files.
+serialize to equal files. The mutations are the graph's own node and edge
+methods, `add_edge_or_log_loop` and `merge_nodes`; callers name and make
+their nodes themselves (the builder gives each chunk's nodes their ids).
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .errors import (
     EmptyLabelError,
     GraphIntegrityError,
     InvalidMergeError,
-    MissingAncestorError,
     MissingNodeError,
 )
 
@@ -152,14 +153,6 @@ class Chunk:
         object.__setattr__(self, "terminal_labels", terminals)
 
 
-@dataclass(frozen=True)
-class QueueItem:
-    """A node candidate paired with its incoming (ancestor_id, edge_label) context."""
-
-    candidate_label: str
-    incoming: tuple[str, str] | None = None
-
-
 class DecisionEdge(NamedTuple):
     """A (source, label, target) triple; equal to and sorted like the plain tuple."""
 
@@ -216,7 +209,6 @@ class DecisionGraph:
         self._out: dict[str, set[DecisionEdge]] = {}  # source id -> edges
         self._into: dict[str, set[DecisionEdge]] = {}  # target id -> edges
         self.suppressed_self_loops: list[DecisionEdge] = []
-        self._id_counters: dict[str, int] = {}
         self._label_index: dict[str, set[str]] = {}
 
     def add_node(self, node: DecisionNode) -> None:
@@ -237,11 +229,6 @@ class DecisionGraph:
         if not ids:
             del self._label_index[node.label]
 
-    def next_node_id(self, prefix: str) -> str:
-        seq = self._id_counters.get(prefix, 0) + 1
-        self._id_counters[prefix] = seq
-        return f"{prefix}{seq:03d}"
-
     def label_ids(self, normalized_label: str) -> list[str]:
         """Node ids whose label equals the given normalized label, ascending."""
         return sorted(self._label_index.get(normalized_label, ()))
@@ -253,10 +240,6 @@ class DecisionGraph:
     def out_edges(self, node_id: str) -> AbstractSet[DecisionEdge]:
         """Edges out of node_id. A live view: snapshot it before changing edges."""
         return self._out.get(node_id, _NO_EDGES)
-
-    def ancestors_of(self, node_id: str) -> list[tuple[str, str]]:
-        """(source_id, edge_label) pairs of edges into node_id, sorted."""
-        return sorted((e.source, e.label) for e in self.in_edges(node_id))
 
     def reachable(self, start: Iterable[str]) -> set[str]:
         """Ids reachable from the start ids along out-edges, the start included."""
@@ -305,84 +288,33 @@ class DecisionGraph:
                 raise GraphIntegrityError(f"self-loop {tuple(edge)}")
 
 
-def register_node(
-    graph: DecisionGraph,
-    item: QueueItem,
-    kind: NodeKind,
-    *,
-    origin_chunk: int = 0,
-    provenance_pages: Iterable[int] = (),
-    id_prefix: str = "n",
-    interface_labels: Iterable[str] = (),
-) -> str:
-    """Add a fresh node for a queue item; wire the incoming edge if present.
-
-    The candidate and edge labels are stored as given, so they must already
-    be normalized. Returns the new node id.
+def add_edge_or_log_loop(graph: DecisionGraph, source: str, label: str, target: str) -> None:
+    """Add the edge, or log it in `graph.suppressed_self_loops` when it
+    would be a self-loop. Adding a present edge is a no-op.
 
     Raises:
-        MissingAncestorError: the incoming context names an absent ancestor.
+        MissingNodeError: the source or target of an edge that is not a
+            self-loop is not in the graph.
     """
-    if item.incoming is not None:
-        ancestor, _ = item.incoming
-        if ancestor not in graph.nodes:
-            raise MissingAncestorError(f"ancestor {ancestor!r} not in graph")
-    node_id = graph.next_node_id(id_prefix)
-    graph.add_node(
-        DecisionNode(
-            node_id=node_id,
-            label=item.candidate_label,
-            kind=kind,
-            origin_chunk=origin_chunk,
-            provenance_pages=sorted(provenance_pages),
-            interface_labels=list(interface_labels),
-        )
-    )
-    if item.incoming is not None:
-        ancestor, edge_label = item.incoming
-        graph.add_edge(ancestor, edge_label, node_id)
-    return node_id
-
-
-def redirect_ancestor_edge(
-    graph: DecisionGraph,
-    from_triple: tuple[str, str, str],
-    to_triple: tuple[str, str, str],
-) -> None:
-    """Replace an ancestor edge (a, e, u) with (a, e, u_star).
-
-    The from-edge is removed if it exists (it may name a candidate that was
-    never registered, in which case removal is a no-op). Adding the new edge
-    is skipped when it would form a self-loop; the suppressed triple is
-    logged on the graph. Redirecting onto an already-present triple is a
-    no-op beyond the removal, keeping the edge set duplicate-free.
-
-    Raises:
-        MissingNodeError: the redirect target, or the source of an edge that
-            is not a self-loop, is not in the graph.
-    """
-    source, label, target = to_triple
-    if target not in graph.nodes:
-        raise MissingNodeError(f"redirect target {target!r} not in graph")
-    graph.remove_edge(*from_triple)
     if source == target:
         graph.suppressed_self_loops.append(DecisionEdge(source, label, target))
-        return
-    graph.add_edge(source, label, target)
+    else:
+        graph.add_edge(source, label, target)
 
 
 def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
     """Absorb `secondary` into `primary`, rewiring every incident edge.
 
-    Incoming edges (u, l, secondary) become (u, l, primary) and outgoing
-    edges (secondary, l, v) become (primary, l, v). Only the secondary's
-    incident edges are visited, read from the adjacency, in (source, label,
-    target) order; rewires that would form self-loops are suppressed and
-    logged in that order. The secondary's provenance (pages, interface
-    labels, prior merges) is folded into the primary so the merge chain
-    stays auditable. When exactly one of the two nodes is terminal the
-    survivor becomes intermediate: it now sits on both sides of a
-    transition.
+    Both directions follow one rule: each of the secondary's incident
+    edges, read from the adjacency in (source, label, target) order, is
+    removed and added again through `add_edge_or_log_loop` with `primary`
+    in place of `secondary` at either end. So (u, l, secondary) becomes
+    (u, l, primary), (secondary, l, v) becomes (primary, l, v), and rewires
+    that would form self-loops are logged in that order. The secondary's
+    provenance (pages, interface labels, prior merges) is folded into the
+    primary so the merge chain stays auditable. When exactly one of the two
+    nodes is terminal the survivor becomes intermediate: it now sits on both
+    sides of a transition.
 
     Raises:
         InvalidMergeError: primary == secondary.
@@ -401,15 +333,10 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
     s_node = graph.nodes[secondary]
 
     incident = graph.in_edges(secondary) | graph.out_edges(secondary)
-    for edge in sorted(incident):
-        if edge.target == secondary:
-            redirect_ancestor_edge(graph, edge, (edge.source, edge.label, primary))
-        elif edge.source == secondary:
-            graph.remove_edge(*edge)
-            if edge.target == primary:
-                graph.suppressed_self_loops.append(DecisionEdge(primary, edge.label, primary))
-            else:
-                graph.add_edge(primary, edge.label, edge.target)
+    for source, label, target in sorted(incident):
+        graph.remove_edge(source, label, target)
+        add_edge_or_log_loop(graph, primary if source == secondary else source, label,
+                             primary if target == secondary else target)
 
     p_node.merged_from.extend(s_node.merged_from)
     p_node.merged_from.append(MergedRef(secondary, s_node.origin_chunk))

@@ -10,10 +10,6 @@ class EmptyLabelError(GuidegraphError):
     """A label normalized to the empty string."""
 
 
-class MissingAncestorError(GuidegraphError):
-    """A queue item referenced an ancestor node id that is not in the graph."""
-
-
 class MissingNodeError(GuidegraphError):
     """An operation referenced a node id that is not in the graph."""
 

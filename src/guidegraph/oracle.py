@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 import orjson
 
 from .core import canonical_json
-from .errors import FixtureMissingError, OracleProtocolError, OracleTransportError
+from .errors import FixtureMissingError, OracleProtocolError, OracleTransportError, UsageError
 
 logger = logging.getLogger(__name__)
 
@@ -270,6 +270,8 @@ class FixtureSet:
 
     @staticmethod
     def _files(directory: str | Path) -> list[Path]:
+        if not Path(directory).is_dir():
+            raise UsageError(f"fixture directory {directory} is missing or not a directory")
         return sorted(Path(directory).glob("*.json"))
 
     @classmethod
@@ -278,24 +280,34 @@ class FixtureSet:
         sorted order: it names a fixture set by content, not by location."""
         digest = hashlib.sha256()
         for path in cls._files(directory):
-            data = path.read_bytes()
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise UsageError(f"cannot read fixture file {path}: {exc.strerror or exc}") from exc
             digest.update(f"{path.name}\0{len(data)}\0".encode("utf-8"))
             digest.update(data)
         return digest.hexdigest()
 
     @classmethod
     def load(cls, directory: str | Path) -> "FixtureSet":
+        """Read every `*.json` fixture file of a directory. A missing
+        directory or an unreadable or malformed file is a usage error that
+        names it."""
         fixtures = cls()
         for path in cls._files(directory):
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            if doc.get("format") != FIXTURES_FORMAT:
-                raise OracleProtocolError(f"{path.name}: unsupported fixture format")
-            task = OracleTask(doc["task"])
-            for entry in doc["entries"]:
-                fixtures._entries[task][entry["key_digest"]] = FixtureEntry(
-                    entry["key_digest"], entry.get("payload_summary", ""),
-                    entry["response_body"],
-                )
+            try:
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                if doc.get("format") != FIXTURES_FORMAT:
+                    raise ValueError(f"unsupported fixture format {doc.get('format')!r}")
+                task = OracleTask(doc["task"])
+                for entry in doc["entries"]:
+                    fixtures._entries[task][entry["key_digest"]] = FixtureEntry(
+                        entry["key_digest"], entry.get("payload_summary", ""),
+                        entry["response_body"],
+                    )
+            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise UsageError(f"malformed fixture file {path}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
         return fixtures
 
 

@@ -372,6 +372,19 @@ def test_entry_label_equal_to_a_node_id_is_ranked_as_a_label():
     assert sorted(n.label for n in result.graph.nodes.values()) == ["c01n001", "done"]
 
 
+def test_child_label_spelled_like_a_sibling_id_keeps_the_sibling_edge():
+    # "biopsy" registers as c01n003; its sibling "c01n003" duplicates the
+    # terminal. Pointing the sibling's edge at the terminal must not touch
+    # the edge into the node whose id the sibling's label spells.
+    backend = TableBackend({"alpha": [("biopsy", "go"), ("c01n003", "go")]},
+                           paraphrases={"c01n003": "omega"})
+    result = build(simple_chunk(), backend)
+    assert [(n.node_id, n.label) for n in result.graph.nodes.values()] == [
+        ("c01n001", "omega"), ("c01n002", "alpha"), ("c01n003", "biopsy")]
+    assert set(result.graph.edges) == {("c01n002", "go", "c01n001"),
+                                       ("c01n002", "go", "c01n003")}
+
+
 def test_adversarial_cyclic_fixture_terminates():
     backend = TableBackend({
         "alpha": [("beta state", "go")],

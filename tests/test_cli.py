@@ -657,6 +657,50 @@ def test_exit_code_for_missing_fixture(tmp_path):
     assert code == cli.EXIT_PROTOCOL
 
 
+def _fixture_doc(task: str = "generate_children", entry: dict | None = None,
+                 fmt: str = "oracle-fixtures/1") -> str:
+    entry = {"key_digest": "0" * 64, "response_body": {"children": []}} if entry is None else entry
+    return json.dumps({"format": fmt, "task": task, "entries": [entry]})
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    "[]",
+    _fixture_doc(task="summon_dragon"),
+    _fixture_doc(entry={"response_body": {"children": []}}),
+    _fixture_doc(entry={"key_digest": "0" * 64}),
+    _fixture_doc(fmt="oracle-fixtures/999"),
+    "directory",
+    None,
+], ids=["not-json", "list", "unknown-task", "no-key-digest", "no-response-body", "format",
+        "directory", "missing-directory"])
+def test_malformed_fixture_directory_exits_with_usage_code_naming_it(tmp_path, capsys,
+                                                                     content):
+    fixtures = tmp_path / "fixtures"
+    if content is None:
+        named = fixtures
+    else:
+        shutil.copytree(FIXTURE_DIR, fixtures)
+        named = fixtures / "generate_children.json"
+        if content == "directory":
+            named.unlink()
+            named.mkdir()
+        else:
+            named.write_text(content, encoding="utf-8")
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(tmp_path / "out"), "--backend", "scripted",
+                   "--fixtures", str(fixtures))
+    assert code == cli.EXIT_USAGE
+    assert str(named) in capsys.readouterr().err
+
+
+def test_export_takes_no_pipeline_flags(tmp_path):
+    code = run_cli("export", "--graph", str(GOLDEN_DIR / "merged.json"),
+                   "--out", str(tmp_path / "x.dot"), "--chunk-budget", "5")
+    assert code == cli.EXIT_USAGE
+    assert not (tmp_path / "x.dot").exists()
+
+
 def test_exit_code_for_budget_error(tmp_path):
     manifest = str(SYNTHETIC_DIR / "manifest.json")
     code = run_cli("run", "--manifest", manifest, "--out", str(tmp_path / "out"),

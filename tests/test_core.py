@@ -15,6 +15,7 @@ import pytest
 from oracles import brute_force_merge, reference_canonical_json, reference_normalize
 
 from guidegraph.aggregator import union_graphs
+from guidegraph.builder import register_node
 from guidegraph.core import (
     Chunk,
     DecisionEdge,
@@ -22,20 +23,17 @@ from guidegraph.core import (
     DecisionNode,
     MergedRef,
     NodeKind,
-    QueueItem,
+    add_edge_or_log_loop,
     canonical_json,
     graph_from_doc,
     graph_to_doc,
     merge_nodes,
     normalize_label,
-    redirect_ancestor_edge,
-    register_node,
 )
 from guidegraph.errors import (
     EmptyLabelError,
     GraphIntegrityError,
     InvalidMergeError,
-    MissingAncestorError,
     MissingNodeError,
 )
 
@@ -95,73 +93,65 @@ def test_normalize_matches_reference_and_is_idempotent_on_random_corpus():
 
 
 # ---------------------------------------------------------------------------
-# register_node
+# builder.register_node
+
+
+def chunk_of(chunk_id: int, page_span: tuple[int, ...] = (1,)) -> Chunk:
+    return Chunk(chunk_id, "ctx", ("entry",), ("terminal",), "d", (), page_span)
 
 
 def test_register_node_without_ancestor():
     graph = DecisionGraph()
-    node_id = register_node(graph, QueueItem("biopsy", None), NodeKind.ENTRY)
+    node_id = register_node(graph, chunk_of(1, (3, 2)), "biopsy", NodeKind.ENTRY, None)
     assert len(graph.nodes) == 1
     assert not graph.edges
-    assert graph.nodes[node_id].label == "biopsy"
+    assert graph.nodes[node_id] == DecisionNode(node_id, "biopsy", NodeKind.ENTRY, 1,
+                                                provenance_pages=[2, 3],
+                                                interface_labels=["biopsy"])
 
 
 def test_register_node_adds_incoming_edge():
-    graph = graph_with(["A"], [])
-    node_id = register_node(graph, QueueItem("biopsy", ("A", "psa elevated")),
-                            NodeKind.INTERMEDIATE)
+    graph = DecisionGraph()
+    chunk = chunk_of(1)
+    ancestor = register_node(graph, chunk, "psa", NodeKind.ENTRY, None)
+    node_id = register_node(graph, chunk, "biopsy", NodeKind.INTERMEDIATE,
+                            (ancestor, "psa elevated"))
     assert len(graph.nodes) == 2
-    assert DecisionEdge("A", "psa elevated", node_id) in graph.edges
-
-
-def test_register_node_missing_ancestor():
-    graph = graph_with(["A"], [])
-    with pytest.raises(MissingAncestorError):
-        register_node(graph, QueueItem("x", ("Z", "c")), NodeKind.INTERMEDIATE)
+    assert set(graph.edges) == {DecisionEdge(ancestor, "psa elevated", node_id)}
+    assert graph.nodes[node_id].interface_labels == []
 
 
 def test_node_ids_are_sequential_per_prefix():
-    graph = DecisionGraph()
-    first = register_node(graph, QueueItem("one", None), NodeKind.ENTRY, id_prefix="c01n")
-    second = register_node(graph, QueueItem("two", None), NodeKind.ENTRY, id_prefix="c01n")
-    assert [first, second] == ["c01n001", "c01n002"]
+    first, second = DecisionGraph(), DecisionGraph()
+    ids = [register_node(first, chunk_of(1), "one", NodeKind.ENTRY, None),
+           register_node(first, chunk_of(1), "two", NodeKind.ENTRY, None),
+           register_node(second, chunk_of(12), "one", NodeKind.ENTRY, None)]
+    assert ids == ["c01n001", "c01n002", "c12n001"]
 
 
 # ---------------------------------------------------------------------------
-# redirect_ancestor_edge
+# add_edge and add_edge_or_log_loop
 
 
-def test_redirect_simple_rewiring():
-    graph = graph_with(["A", "B", "B2"], [("A", "c", "B")])
-    redirect_ancestor_edge(graph, ("A", "c", "B"), ("A", "c", "B2"))
-    assert {tuple(e) for e in graph.edges} == {("A", "c", "B2")}
-
-
-def test_redirect_onto_existing_triple_is_noop_beyond_removal():
-    graph = graph_with(["A", "B", "B2"], [("A", "c", "B"), ("A", "c", "B2")])
-    redirect_ancestor_edge(graph, ("A", "c", "B"), ("A", "c", "B2"))
-    # set-union oracle over the resulting triples
-    expected = ({("A", "c", "B"), ("A", "c", "B2")} - {("A", "c", "B")}) | {("A", "c", "B2")}
-    assert {tuple(e) for e in graph.edges} == expected == {("A", "c", "B2")}
-
-
-def test_redirect_suppresses_self_loop_and_logs():
-    graph = graph_with(["A", "A2"], [("A", "c", "A2")])
-    redirect_ancestor_edge(graph, ("A", "c", "A2"), ("A", "c", "A"))
-    assert not graph.edges
-    assert [tuple(e) for e in graph.suppressed_self_loops] == [("A", "c", "A")]
-
-
-def test_redirect_missing_target():
-    graph = graph_with(["A", "B"], [("A", "c", "B")])
-    with pytest.raises(MissingNodeError):
-        redirect_ancestor_edge(graph, ("A", "c", "B"), ("A", "c", "ghost"))
-
-
-def test_redirect_tolerates_unregistered_from_candidate():
+def test_add_edge_rejects_absent_nodes_and_self_loops():
     graph = graph_with(["A", "B"], [])
-    redirect_ancestor_edge(graph, ("A", "c", "never registered"), ("A", "c", "B"))
-    assert {tuple(e) for e in graph.edges} == {("A", "c", "B")}
+    for source, target in (("A", "ghost"), ("ghost", "B"), ("ghost", "ghost")):
+        with pytest.raises(MissingNodeError):
+            graph.add_edge(source, "c", target)
+    with pytest.raises(GraphIntegrityError):
+        graph.add_edge("A", "c", "A")
+    assert not graph.edges and not graph.suppressed_self_loops
+
+
+def test_add_edge_or_log_loop_adds_once_and_logs_self_loops():
+    graph = graph_with(["A", "B"], [("A", "c", "B")])
+    add_edge_or_log_loop(graph, "A", "c", "B")  # present: a no-op
+    add_edge_or_log_loop(graph, "B", "d", "A")
+    add_edge_or_log_loop(graph, "A", "e", "A")
+    assert set(graph.edges) == {("A", "c", "B"), ("B", "d", "A")}
+    assert graph.suppressed_self_loops == [("A", "e", "A")]
+    with pytest.raises(MissingNodeError):
+        add_edge_or_log_loop(graph, "A", "c", "ghost")
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +264,9 @@ def test_merge_equals_quotient_on_sampled_4_to_6_node_graphs():
 
 def test_integrity_holds_after_each_mutation():
     graph = graph_with(["A"], [])
-    b = register_node(graph, QueueItem("b", ("A", "go")), NodeKind.INTERMEDIATE)
+    b = register_node(graph, chunk_of(1), "b", NodeKind.INTERMEDIATE, ("A", "go"))
     graph.check_integrity()
-    redirect_ancestor_edge(graph, ("A", "go", b), ("A", "go", b))
+    add_edge_or_log_loop(graph, b, "back", b)
     graph.check_integrity()
     merge_nodes(graph, "A", b)
     graph.check_integrity()
@@ -295,6 +285,14 @@ def _assert_label_index_matches_scan(graph: DecisionGraph) -> None:
         ), label
 
 
+def add_node(graph: DecisionGraph, node_id: str, label: str,
+             incoming: tuple[str, str] | None = None) -> None:
+    """Add a node, then its incoming (ancestor, edge label) edge if any."""
+    graph.add_node(make_node(node_id, label))
+    if incoming is not None:
+        graph.add_edge(incoming[0], incoming[1], node_id)
+
+
 def test_label_index_matches_full_scan_under_random_mutations():
     rng = random.Random(41)
     labels = ["alpha", "beta", "gamma", "delta"]
@@ -305,17 +303,15 @@ def test_label_index_matches_full_scan_under_random_mutations():
             op = rng.choice(["register", "register", "register", "merge", "union", "doc"])
             if op == "register":
                 ancestor = rng.choice(sorted(graph.nodes)) if graph.nodes and rng.random() < 0.5 else None
-                register_node(graph, QueueItem(rng.choice(labels),
-                                               None if ancestor is None else (ancestor, "go")),
-                              NodeKind.INTERMEDIATE, id_prefix=f"s{step:02d}n")
+                add_node(graph, f"s{step:02d}", rng.choice(labels),
+                         None if ancestor is None else (ancestor, "go"))
             elif op == "merge" and len(graph.nodes) >= 2:
                 primary, secondary = rng.sample(sorted(graph.nodes), 2)
                 merge_nodes(graph, primary, secondary)
             elif op == "union":
                 other = DecisionGraph()
-                for _ in range(rng.randint(0, 3)):
-                    register_node(other, QueueItem(rng.choice(labels)), NodeKind.ENTRY,
-                                  id_prefix=f"u{step:02d}n")
+                for seq in range(rng.randint(0, 3)):
+                    add_node(other, f"u{step:02d}n{seq:03d}", rng.choice(labels))
                 graphs.append(union_graphs([graph, other]))
             elif op == "doc":
                 graphs.append(graph_from_doc(graph_to_doc(graph)))

@@ -14,12 +14,9 @@ from guidegraph.core import (
     DecisionNode,
     MergedRef,
     NodeKind,
-    QueueItem,
     graph_from_doc,
     graph_to_doc,
     merge_nodes,
-    redirect_ancestor_edge,
-    register_node,
 )
 from guidegraph.errors import GraphIntegrityError
 
@@ -43,7 +40,6 @@ def assert_adjacency_matches_scan(graph: DecisionGraph) -> None:
         out = {e for e in edges if e.source == nid}
         assert set(graph.in_edges(nid)) == into, nid
         assert set(graph.out_edges(nid)) == out, nid
-        assert graph.ancestors_of(nid) == sorted((e.source, e.label) for e in into), nid
         assert graph.reachable([nid]) == scan_reachable(edges, [nid]), nid
     # no entry is left behind for a node that lost its last edge
     assert set(graph._out) == {e.source for e in edges}
@@ -57,24 +53,27 @@ def _random_edge(rng: random.Random, graph: DecisionGraph) -> DecisionEdge:
     return DecisionEdge(source, rng.choice("ab"), target)
 
 
+def add_node(graph: DecisionGraph, node_id: str, label: str, kind: NodeKind,
+             incoming: tuple[str, str] | None = None) -> None:
+    """Add a node, then its incoming (ancestor, edge label) edge if any."""
+    graph.add_node(DecisionNode(node_id, label, kind, 1))
+    if incoming is not None:
+        graph.add_edge(incoming[0], incoming[1], node_id)
+
+
 def _mutate(rng: random.Random, graph: DecisionGraph, graphs: list[DecisionGraph],
             step: int) -> None:
     edges = sorted(graph.edges)
     op = rng.choice([
-        "register", "register", "add_edge", "add_edge", "redirect", "merge", "merge",
+        "register", "register", "add_edge", "add_edge", "merge", "merge",
         "remove_edge", "remove_edge", "union", "doc",
     ])
     if op == "register" or len(graph.nodes) < 2:
         ancestor = rng.choice(sorted(graph.nodes)) if graph.nodes and rng.random() < 0.7 else None
-        register_node(graph, QueueItem(rng.choice(["p", "q", "r"]),
-                                       None if ancestor is None else (ancestor, "go")),
-                      rng.choice(KINDS), id_prefix=f"s{step:02d}n")
+        add_node(graph, f"s{step:02d}", rng.choice(["p", "q", "r"]), rng.choice(KINDS),
+                 None if ancestor is None else (ancestor, "go"))
     elif op == "add_edge":
         graph.add_edge(*_random_edge(rng, graph))
-    elif op == "redirect" and edges:
-        source, label, _ = rng.choice(edges)
-        old = rng.choice(edges)
-        redirect_ancestor_edge(graph, old, (source, label, rng.choice(sorted(graph.nodes))))
     elif op == "merge":
         merge_nodes(graph, *rng.sample(sorted(graph.nodes), 2))
     elif op == "remove_edge":  # an absent edge is a no-op
@@ -82,8 +81,8 @@ def _mutate(rng: random.Random, graph: DecisionGraph, graphs: list[DecisionGraph
                             else _random_edge(rng, graph)))
     elif op == "union":
         other = DecisionGraph()
-        for _ in range(rng.randint(0, 3)):
-            register_node(other, QueueItem("u"), NodeKind.ENTRY, id_prefix=f"u{step:02d}n")
+        for seq in range(rng.randint(0, 3)):
+            add_node(other, f"u{step:02d}n{seq}", "u", NodeKind.ENTRY)
         graphs.append(union_graphs([graph, other]))
     elif op == "doc":
         graphs.append(graph_from_doc(graph_to_doc(graph)))
