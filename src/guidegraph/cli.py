@@ -411,10 +411,10 @@ def _run_stages(names: Sequence[str], config: PipelineConfig, out_dir: Path,
     """Run the named stages in order in one session, then close its audit file.
 
     An input that no earlier stage of the walk writes is loaded before the
-    session opens; every other input is handed over in memory.
+    session opens; every other input is handed over in memory. The config
+    echo is the first write, so it makes the run directory.
     """
     stages = [STAGES[name] for name in names]
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
     got: dict[str, Any] = {}
     written: set[str] = set()

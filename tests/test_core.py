@@ -143,15 +143,21 @@ def test_add_edge_rejects_absent_nodes_and_self_loops():
     assert not graph.edges and not graph.suppressed_self_loops
 
 
-def test_add_edge_or_log_loop_adds_once_and_logs_self_loops():
+def test_add_edge_or_log_loop_adds_an_edge_once():
     graph = graph_with(["A", "B"], [("A", "c", "B")])
     add_edge_or_log_loop(graph, "A", "c", "B")  # present: a no-op
     add_edge_or_log_loop(graph, "B", "d", "A")
-    add_edge_or_log_loop(graph, "A", "e", "A")
     assert set(graph.edges) == {("A", "c", "B"), ("B", "d", "A")}
-    assert graph.suppressed_self_loops == [("A", "e", "A")]
+    assert not graph.suppressed_self_loops
     with pytest.raises(MissingNodeError):
         add_edge_or_log_loop(graph, "A", "c", "ghost")
+
+
+def test_add_edge_or_log_loop_logs_self_loops():
+    graph = graph_with(["A", "B"], [("A", "c", "B")])
+    add_edge_or_log_loop(graph, "A", "e", "A")
+    assert set(graph.edges) == {("A", "c", "B")}
+    assert graph.suppressed_self_loops == [("A", "e", "A")]
 
 
 # ---------------------------------------------------------------------------
