@@ -8,7 +8,8 @@ backend the audit log stamps record n at n - 1 seconds after the epoch, so
 whole run directories are byte-comparable at any parallelism.
 
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
-5 oracle protocol, 6 structural, 7 expansion budget.
+5 oracle protocol, 6 structural, 7 expansion budget. A path that cannot be
+read or written exits 2, or 3 for the manifest.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .errors import (
     OracleTransportError,
     UsageError,
 )
-from .oracle import AuditLog, FixtureSet, OracleClient, ScriptedBackend
+from .oracle import AuditLog, FixtureSet, OracleClient
 from .retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 logger = logging.getLogger(__name__)
@@ -151,6 +152,8 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ManifestError(f"manifest not found: {manifest_path}") from exc
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {manifest_path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -223,8 +226,7 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
     if config.backend.kind == "scripted":
         if not config.backend.fixture_dir:
             raise UsageError("scripted backend needs --fixtures")
-        fixtures = FixtureSet.load(config.backend.fixture_dir)
-        backend = ScriptedBackend(fixtures)
+        backend = FixtureSet.load(config.backend.fixture_dir)
         audit.clock = _step_clock
         store = EmbeddingStore(HashingEmbeddingBackend())
     else:
@@ -595,7 +597,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return code
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,14 +2,14 @@
 
 Seven task types cover the call sites of the three pipeline stages. Each
 task has a response schema; free text from a backend is never interpreted
-positionally. Backends are pluggable: the deterministic scripted backend
-here replays fixture files keyed by a content digest of the canonicalized
-payload, and `live.LiveBackend` posts to an OpenAI-compatible chat
-endpoint. Every dispatch
-leaves one record in an audit log, which numbers and stamps each record as
-it writes it, so the file is in request-id order. Independent work items
-that call the oracle can fan out over a thread pool and still leave the
-log a serial run writes.
+positionally. Backends are pluggable: the deterministic scripted backend is
+a `FixtureSet`, which replays fixture files keyed by a content digest of
+the canonicalized payload, and `live.LiveBackend` posts to an
+OpenAI-compatible chat endpoint. Every dispatch leaves one record in an
+audit log, which numbers and stamps each record as it writes it, so the
+file is in request-id order. Independent work items that call the oracle
+can fan out over a thread pool and still leave the log a serial run
+writes.
 """
 from __future__ import annotations
 
@@ -176,20 +176,18 @@ class AuditLog:
         """Number and stamp unstamped records, then write them in one write."""
         with self._lock:
             first = self.prior_records + len(self.entries) + 1
-            self._write([{"ts": self.clock(number), "request_id": f"req-{number:06d}", **record}
-                         for number, record in enumerate(records, first)])
-
-    def _write(self, records: list[dict[str, Any]]) -> None:
-        self.entries.extend(records)
-        if self._path is None or not records:
-            return
-        if self._handle is None:
-            self._handle = self._path.open("a", encoding="utf-8")
-            # Closes the handle if the owner never calls `close`.
-            self._close_handle = weakref.finalize(self, self._handle.close)
-        self._handle.write("".join(canonical_json(record, compact=True) + "\n"
-                                   for record in records))
-        self._handle.flush()
+            records = [{"ts": self.clock(number), "request_id": f"req-{number:06d}", **record}
+                       for number, record in enumerate(records, first)]
+            self.entries.extend(records)
+            if self._path is None or not records:
+                return
+            if self._handle is None:
+                self._handle = self._path.open("a", encoding="utf-8")
+                # Closes the handle if the owner never calls `close`.
+                self._close_handle = weakref.finalize(self, self._handle.close)
+            self._handle.write("".join(canonical_json(record, compact=True) + "\n"
+                                       for record in records))
+            self._handle.flush()
 
     def close(self) -> None:
         """Close the file handle; a later record opens it again."""
@@ -216,32 +214,36 @@ class Backend(Protocol):
         """Return the raw backend reply for a request."""
 
 
-@dataclass
-class FixtureEntry:
-    key_digest: str
-    payload_summary: str
-    response_body: Any
-
-
 class FixtureSet:
-    """Fixture responses keyed by content digest of (task, payload)."""
+    """The scripted backend: fixture replies keyed by content digest of
+    (task, payload).
+
+    Each entry is kept as the object a fixture file holds, so `load` stores
+    what it reads and `save` writes what it stores. Identical payloads
+    yield identical replies; a missing fixture raises immediately, since
+    retrying a deterministic lookup cannot succeed.
+    """
+
+    name = "scripted"
 
     def __init__(self) -> None:
-        self._entries: dict[OracleTask, dict[str, FixtureEntry]] = {t: {} for t in OracleTask}
+        self._entries: dict[OracleTask, dict[str, dict[str, Any]]] = {t: {} for t in OracleTask}
 
     def add(self, task: OracleTask, payload: Mapping[str, Any], response_body: Any,
             summary: str = "") -> None:
         digest = payload_digest(task, payload)
-        self._entries[task][digest] = FixtureEntry(digest, summary, response_body)
+        self._entries[task][digest] = {"key_digest": digest, "payload_summary": summary,
+                                       "response_body": response_body}
 
-    def lookup_raw(self, request: OracleRequest) -> str:
+    def complete(self, request: OracleRequest) -> str:
         entry = self._entries[request.task].get(request.digest)
         if entry is None:
             raise FixtureMissingError(
                 f"no fixture for {request.task.value} digest {request.digest[:12]}…")
-        if isinstance(entry.response_body, str):
-            return entry.response_body
-        return json.dumps(entry.response_body, sort_keys=True, ensure_ascii=False)
+        body = entry["response_body"]
+        if isinstance(body, str):
+            return body
+        return json.dumps(body, sort_keys=True, ensure_ascii=False)
 
     def count(self) -> int:
         return sum(len(v) for v in self._entries.values())
@@ -255,14 +257,7 @@ class FixtureSet:
             doc = {
                 "format": FIXTURES_FORMAT,
                 "task": task.value,
-                "entries": [
-                    {
-                        "key_digest": e.key_digest,
-                        "payload_summary": e.payload_summary,
-                        "response_body": e.response_body,
-                    }
-                    for _, e in sorted(entries.items())
-                ],
+                "entries": [entry for _, entry in sorted(entries.items())],
             }
             (directory / f"{task.value}.json").write_text(
                 canonical_json(doc), encoding="utf-8"
@@ -301,30 +296,13 @@ class FixtureSet:
                     raise ValueError(f"unsupported fixture format {doc.get('format')!r}")
                 task = OracleTask(doc["task"])
                 for entry in doc["entries"]:
-                    fixtures._entries[task][entry["key_digest"]] = FixtureEntry(
-                        entry["key_digest"], entry.get("payload_summary", ""),
-                        entry["response_body"],
-                    )
+                    if "response_body" not in entry:
+                        raise KeyError("response_body")
+                    fixtures._entries[task][entry["key_digest"]] = entry
             except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise UsageError(f"malformed fixture file {path}: "
                                  f"{type(exc).__name__}: {exc}") from exc
         return fixtures
-
-
-class ScriptedBackend:
-    """Deterministic backend that replays fixture responses.
-
-    Identical payloads yield identical replies; a missing fixture raises
-    immediately, since retrying a deterministic lookup cannot succeed.
-    """
-
-    name = "scripted"
-
-    def __init__(self, fixtures: FixtureSet) -> None:
-        self._fixtures = fixtures
-
-    def complete(self, request: OracleRequest) -> str:
-        return self._fixtures.lookup_raw(request)
 
 
 def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,

@@ -1,14 +1,16 @@
 """Embedding store and top-k cosine candidate retrieval for duplicate detection.
 
 Retrieval is exact, like a flat inner-product index. The store maps each
-label to one read-only vector and its norm. A `RankingPool` is bound to a
-store and kept beside a graph by its owner, which adds and discards
-members as nodes are created and merged away; adding a member copies its
-vector and norm into the pool's arrays. A query then scores the pool with
-one matrix-vector product, partitions at the k-th similarity and sorts
-only what is kept: no per-member dict or list work. The one caller,
-`builder.find_duplicate`, looks up an exact label match in the graph's
-label index first and ranks only on a miss.
+label to one read-only vector and its norm, keyed by the normalized label
+it is given: callers normalize a label once, where it enters the system,
+and `put`, through which hand-placed vectors enter, normalizes its key. A
+`RankingPool` is bound to a store and kept beside a graph by its owner,
+which adds and discards members as nodes are created and merged away;
+adding a member copies its vector and norm into the pool's arrays. A
+query then scores the pool with one matrix-vector product, partitions at
+the k-th similarity and sorts only what is kept: no per-member dict or
+list work. The one caller, `builder.find_duplicate`, looks up an exact
+label match in the graph's label index first and ranks only on a miss.
 The scripted embedding backend is a seeded character-n-gram feature
 hasher: deterministic, whitespace-insensitive after label normalization,
 and good enough to put near-identical labels first. Its vectors are
@@ -68,20 +70,20 @@ class HashingEmbeddingBackend:
 
 
 class EmbeddingStore:
-    """Cache of label embeddings keyed by normalized label text.
+    """Cache of label embeddings keyed by the normalized label it is given.
 
-    Each label maps to a read-only (vector, norm) pair by one dict hit: the
-    pair is stored under the normalized key, and each spelling looked up is
-    kept beside it, so only a label the store has not seen is normalized.
-    Dimensionality is fixed by the first vector; zero and non-finite
-    vectors are rejected at ingest. Reads and inserts are internally
-    synchronized, a stored pair never changes, and each key is embedded
-    once, however many threads miss it together.
+    Each label maps to a read-only (vector, norm) pair by one dict hit.
+    `lookup` keys a label as given, since its callers pass labels normalized
+    where they entered; `put` normalizes its key, as hand-placed vectors
+    enter the store there. Dimensionality is fixed by the first vector;
+    zero and non-finite vectors are rejected at ingest. Reads and inserts
+    are internally synchronized, a stored pair never changes, and each key
+    is embedded once, however many threads miss it together.
     """
 
     def __init__(self, backend: EmbeddingBackend) -> None:
         self.backend = backend
-        # normalized key or label as given -> (vector, norm)
+        # normalized label -> (vector, norm)
         self._entries: dict[str, tuple[np.ndarray, float]] = {}
         self._embedding: set[str] = set()  # keys a thread is embedding now
         self._dim: int | None = None
@@ -103,7 +105,8 @@ class EmbeddingStore:
         self._entries[key] = (vector, norm)
 
     def lookup(self, labels: Iterable[str]) -> list[tuple[np.ndarray, float]]:
-        """Each label's read-only vector and its norm.
+        """Each label's read-only vector and its norm, keyed by the label as
+        given.
 
         Each key is embedded once. A thread claims the missing keys nobody
         is embedding and embeds them outside the lock, so distinct keys
@@ -117,9 +120,8 @@ class EmbeddingStore:
             entries = list(map(self._entries.get, labels))
             if None not in entries:
                 return entries
-            keys = {label: normalize_label(label)
-                    for label, entry in zip(labels, entries) if entry is None}
-            wanted = list(dict.fromkeys(keys.values()))
+            wanted = list(dict.fromkeys(label for label, entry in zip(labels, entries)
+                                        if entry is None))
             while missing := [key for key in wanted if key not in self._entries]:
                 new = [key for key in missing if key not in self._embedding]
                 if not new:
@@ -136,8 +138,6 @@ class EmbeddingStore:
                     self._embedded.notify_all()
                     for key, vector in zip(new, vectors):
                         self._ingest(key, vector)
-            for label, key in keys.items():
-                self._entries[label] = self._entries[key]
             return [self._entries[label] for label in labels]
         finally:
             self._lock.release()

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from synth import FIXTURE_DIR, GOLDEN_DIR, SYNTHETIC_DIR
 
-from guidegraph.oracle import AuditLog, FixtureSet, OracleClient, ScriptedBackend
+from guidegraph.oracle import AuditLog, FixtureSet, OracleClient
 from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend, RankingPool
 
 
@@ -30,8 +30,7 @@ def golden_dir() -> Path:
 
 @pytest.fixture()
 def scripted_client() -> OracleClient:
-    fixtures = FixtureSet.load(FIXTURE_DIR)
-    return OracleClient(ScriptedBackend(fixtures), audit=AuditLog())
+    return OracleClient(FixtureSet.load(FIXTURE_DIR), audit=AuditLog())
 
 
 @pytest.fixture()

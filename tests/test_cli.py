@@ -36,7 +36,6 @@ from guidegraph.oracle import (
     FixtureSet,
     OracleClient,
     OracleTask,
-    ScriptedBackend,
     payload_digest,
 )
 from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
@@ -270,6 +269,36 @@ def test_malformed_config_file_exits_with_usage_code(tmp_path, capsys, doc):
     assert str(config_path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, code", [
+    ("manifest-directory", cli.EXIT_MANIFEST),
+    ("config-directory", cli.EXIT_USAGE),
+    ("run-out-file", cli.EXIT_USAGE),
+    ("export-out-directory", cli.EXIT_USAGE),
+    ("eval-out-directory", cli.EXIT_USAGE),
+])
+def test_unusable_path_exits_with_its_code_naming_it(tmp_path, capsys, case, code):
+    directory = tmp_path / "directory"
+    directory.mkdir()
+    file = tmp_path / "file"
+    file.write_text("taken", encoding="utf-8")
+    manifest, out = str(SYNTHETIC_DIR / "manifest.json"), str(tmp_path / "out")
+    graph = str(GOLDEN_DIR / "merged.json")
+    argv, named = {
+        "manifest-directory": (["run", "--manifest", str(directory), "--out", out,
+                                *scripted_flags()], directory),
+        "config-directory": (["run", "--manifest", manifest, "--out", out,
+                              "--config", str(directory)], directory),
+        "run-out-file": (["run", "--manifest", manifest, "--out", str(file),
+                          *scripted_flags()], file),
+        "export-out-directory": (["export", "--graph", graph, "--out", str(directory)],
+                                 directory),
+        "eval-out-directory": (["eval", "--predicted", graph, "--reference", graph,
+                                "--out", str(directory)], directory),
+    }[case]
+    assert run_cli(*argv) == code
+    assert str(named) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, field", [
     ('{"match_threshold": "high"}', "match_threshold"),
     ('{"match_threshold": [0.5]}', "match_threshold"),
@@ -450,8 +479,9 @@ def test_golden_run_digests_each_payload_once(tmp_path, monkeypatch):
 
 def jitter_scripted_backend(monkeypatch, seed: int) -> None:
     """Make the scripted backend of `make_session` sleep 0-4 ms per call."""
-    monkeypatch.setattr(cli, "ScriptedBackend",
-                        lambda fixtures: JitterBackend(ScriptedBackend(fixtures), seed))
+    load = FixtureSet.load
+    monkeypatch.setattr(FixtureSet, "load",
+                        staticmethod(lambda directory: JitterBackend(load(directory), seed)))
 
 
 def run_files(run_dir: Path) -> list[Path]:

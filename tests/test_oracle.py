@@ -24,7 +24,6 @@ from guidegraph.oracle import (
     OracleRequest,
     OracleClient,
     OracleTask,
-    ScriptedBackend,
     dispatch,
     payload_digest,
     validate_response,
@@ -59,21 +58,21 @@ def make_fixtures() -> FixtureSet:
 
 
 def test_scripted_references_page_is_auxiliary():
-    client = make_client(ScriptedBackend(make_fixtures()))
+    client = make_client(make_fixtures())
     body = client.call(OracleTask.CLASSIFY_PAGE,
                        classify_page_payload(9, "references list with citations 1-42"))
     assert body["label"] == "auxiliary"
 
 
 def test_scripted_flowchart_page_is_core():
-    client = make_client(ScriptedBackend(make_fixtures()))
+    client = make_client(make_fixtures())
     body = client.call(OracleTask.CLASSIFY_PAGE,
                        classify_page_payload(4, "treatment flowchart: staging to therapy choice"))
     assert body["label"] == "core"
 
 
 def test_scripted_missing_fixture_raises_protocol_error():
-    client = make_client(ScriptedBackend(make_fixtures()))
+    client = make_client(make_fixtures())
     with pytest.raises(OracleProtocolError):
         client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "unseen page"))
 
@@ -82,8 +81,8 @@ def test_scripted_lookup_is_deterministic():
     fixtures = make_fixtures()
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             classify_page_payload(4, "treatment flowchart: staging to therapy choice"))
-    first = dispatch(request, ScriptedBackend(fixtures))
-    second = dispatch(request, ScriptedBackend(fixtures))
+    first = dispatch(request, fixtures)
+    second = dispatch(request, fixtures)
     assert first == second == {"label": "core"}
 
 
@@ -91,12 +90,12 @@ def test_scripted_lookup_missing_fixture():
     with pytest.raises(FixtureMissingError):
         dispatch(
             OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x")),
-            ScriptedBackend(make_fixtures()),
+            make_fixtures(),
         )
 
 
 def test_find_duplicate_fixture_match_index():
-    client = make_client(ScriptedBackend(make_fixtures()))
+    client = make_client(make_fixtures())
     body = client.call(OracleTask.FIND_DUPLICATE,
                        {"candidate": "active surveillance", "ancestors": [],
                         "candidates": ["active surveillance", "radiation therapy"]})
@@ -104,7 +103,7 @@ def test_find_duplicate_fixture_match_index():
 
 
 def test_generate_children_fixture():
-    client = make_client(ScriptedBackend(make_fixtures()))
+    client = make_client(make_fixtures())
     body = client.call(OracleTask.GENERATE_CHILDREN,
                        {"node": "low-risk group", "incoming": None, "context": "chunk text"})
     assert [(c["label"], c["edge_label"]) for c in body["children"]] == [
@@ -122,7 +121,7 @@ def test_digest_depends_on_content_not_key_order():
 
 
 def test_audit_entries_equal_dispatch_calls():
-    client = make_client(ScriptedBackend(make_fixtures()))
+    client = make_client(make_fixtures())
     client.call(OracleTask.CLASSIFY_PAGE,
                 classify_page_payload(9, "references list with citations 1-42"))
     client.call(OracleTask.FIND_DUPLICATE,
@@ -209,13 +208,16 @@ def test_transport_error_propagates_and_audited():
 
 def test_fixture_set_save_and_load_round_trip(tmp_path):
     fixtures = make_fixtures()
-    fixtures.save(tmp_path)
-    loaded = FixtureSet.load(tmp_path)
+    fixtures.save(tmp_path / "saved")
+    loaded = FixtureSet.load(tmp_path / "saved")
     assert loaded.count() == fixtures.count()
+    loaded.save(tmp_path / "resaved")
+    assert FixtureSet.content_digest(tmp_path / "resaved") == FixtureSet.content_digest(
+        tmp_path / "saved")
     request = OracleRequest(OracleTask.FIND_DUPLICATE,
                             {"candidate": "active surveillance", "ancestors": [],
                              "candidates": ["active surveillance", "radiation therapy"]})
-    assert dispatch(request, ScriptedBackend(loaded)) == {"matches": [0]}
+    assert dispatch(request, loaded) == {"matches": [0]}
 
 
 def _http_reply(status: int, body: bytes) -> requests.Response:
@@ -311,11 +313,11 @@ def test_store_rejects_a_non_finite_embedding_reply():
 def test_audit_log_writes_ndjson(tmp_path):
     path = tmp_path / "audit.log"
     audit = AuditLog(path, clock=lambda number: "T0")
-    client = make_client(ScriptedBackend(make_fixtures()))
+    client = make_client(make_fixtures())
     client.audit = audit
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             classify_page_payload(9, "references list with citations 1-42"))
-    dispatch(request, ScriptedBackend(make_fixtures()), audit=audit)
+    dispatch(request, make_fixtures(), audit=audit)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
@@ -442,7 +444,7 @@ def test_audit_log_continues_after_close(tmp_path):
     audit = AuditLog(path, clock=lambda number: "T0")
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             classify_page_payload(9, "references list with citations 1-42"))
-    backend = ScriptedBackend(make_fixtures())
+    backend = make_fixtures()
     dispatch(request, backend, audit=audit)
     audit.close()
     dispatch(request, backend, audit=audit)

@@ -13,8 +13,7 @@ from conftest import ranking_pool
 from oracles import exhaustive_top_k, loop_cosine_candidates, reference_embed_text
 from synth import FIXTURE_DIR, SYNTHETIC_DIR, synthetic_config
 
-from guidegraph import cli
-from guidegraph.core import normalize_label
+from guidegraph import cli, retrieval
 from guidegraph.errors import EmbeddingError
 from guidegraph.retrieval import (
     EmbeddingStore,
@@ -31,8 +30,22 @@ def test_embed_twice_returns_identical_vectors(hashing_store):
 
 
 def test_cache_keyed_by_normalized_label(hashing_store):
-    assert np.array_equal(hashing_store.vector(" Radical  Prostatectomy. "),
-                          hashing_store.vector("radical prostatectomy"))
+    # `put` normalizes its key; a lookup keys the label as given.
+    hashing_store.put("Active Surveillance", [1.0] * 256)
+    assert np.array_equal(hashing_store.vector("active surveillance"), [1.0] * 256)
+
+
+def test_lookups_key_labels_as_given_without_normalizing(monkeypatch):
+    def refuse(label: str) -> str:
+        raise AssertionError(f"a lookup normalized {label!r}")
+
+    monkeypatch.setattr(retrieval, "normalize_label", refuse)
+    store = EmbeddingStore(HashingEmbeddingBackend())
+    pool = ranking_pool(store, {"a1": "radiation therapy", "a2": "radical prostatectomy"})
+    assert [node_id for node_id, _, _ in
+            cosine_candidates("radical prostatectomy", pool, 2)] == ["a2", "a1"]
+    assert store.cosine("radical prostatectomy", "radiation therapy") == pytest.approx(
+        0.16692446522239712, abs=1e-12)
 
 
 def test_self_similarity_is_one(hashing_store):
@@ -287,11 +300,11 @@ def test_a_label_is_embedded_once_when_a_pool_adds_it_or_a_query_names_it():
     assert cosine_candidates("psa elevated", pool, 1) == ()  # an empty pool embeds nothing
     assert backend.texts == []
     for node_id, label, group in [("a1", "mri", 1), ("b1", "repeat biopsy", 2),
-                                  ("b2", "MRI", 2)]:
+                                  ("b2", "mri", 2)]:
         pool.add(node_id, label, group)
     assert backend.texts == ["mri", "repeat biopsy"]
     cosine_candidates("prostate biopsy", pool.excluding(1), 1)
-    cosine_candidates("Repeat Biopsy.", pool.excluding(2), 1)
+    cosine_candidates("repeat biopsy", pool.excluding(2), 1)
     assert backend.texts[2:] == ["prostate biopsy"]
     other = RankingPool(store)
     other.add("c1", "prostate biopsy")
@@ -340,10 +353,10 @@ def test_ranking_is_independent_of_store_insertion_order():
 def test_concurrent_lookups_store_each_key_once():
     backend = HashingEmbeddingBackend(dim=32)
     store = EmbeddingStore(backend)
-    # Overlapping windows over 200 keys, spelled two ways, looked up in
-    # batches of 6, so threads race to embed and to store the same key.
-    spellings = [f"label {i}" for i in range(200)] + [f"  Label {i}. " for i in range(200)]
-    label_sets = [[spellings[(t * 50 + j) % 400] for j in range(120)] for t in range(8)]
+    # Overlapping windows over 200 keys, looked up in batches of 6, so
+    # threads race to embed and to store the same key.
+    keys = [f"label {i}" for i in range(200)]
+    label_sets = [[keys[(t * 25 + j) % 200] for j in range(120)] for t in range(8)]
     seen: list[dict[str, np.ndarray]] = [{} for _ in label_sets]
     errors: list[BaseException] = []
 
@@ -372,13 +385,13 @@ def test_concurrent_lookups_store_each_key_once():
     labels = sorted({label for labels in label_sets for label in labels})
     stored: dict[str, np.ndarray] = {}  # key -> the one vector stored for it
     for label, (vector, norm) in zip(labels, store.lookup(labels)):
-        key = normalize_label(label)
-        assert stored.setdefault(key, vector) is vector
-        assert np.array_equal(vector, backend.embed_text(key))
+        stored[label] = vector
+        assert np.array_equal(vector, backend.embed_text(label))
         assert norm == np.linalg.norm(vector)
+    assert len({id(vector) for vector in stored.values()}) == len(stored) == 200
     for out in seen:
         for label, vector in out.items():
-            assert vector is stored[normalize_label(label)]
+            assert vector is stored[label]
 
 
 class SlowEmbeddingBackend(HashingEmbeddingBackend):
@@ -457,14 +470,12 @@ def test_threads_that_miss_the_same_key_embed_it_once():
     backend = CountingEmbeddingBackend()
     store = EmbeddingStore(backend)
     keys = [f"shared label {i}" for i in range(8)]
-    spellings = keys + [f"  Shared Label {i}. " for i in range(8)]
-    label_lists = [[spellings[(5 * t + 3 * j) % 16] for j in range(6)] for t in range(4)]
+    label_lists = [[keys[(5 * t + 3 * j) % 8] for j in range(6)] for t in range(4)]
     outcomes = _look_up_together(store, label_lists)
-    assert backend.calls == Counter(
-        {normalize_label(label): 1 for labels in label_lists for label in labels})
+    assert backend.calls == Counter({label: 1 for labels in label_lists for label in labels})
     for labels, vectors in zip(label_lists, outcomes):
         for label, vector in zip(labels, vectors):
-            assert vector is store.vector(normalize_label(label))
+            assert vector is store.vector(label)
 
 
 def test_a_failed_embed_leaves_the_key_to_the_thread_waiting_for_it():
