@@ -139,8 +139,8 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         node = graph.nodes[x]
         ancestors = _capped_ancestors(graph, x, store)
         match_id, similarity, how = find_duplicate(
-            node.label, ancestors, graph, pool.excluding(node.origin_chunk),
-            config.candidate_count, client)
+            node.label, ancestors, graph, pool, config.candidate_count, client,
+            exclude=node.origin_chunk)
         if match_id is None:
             continue
         primary, secondary, reason = choose_primary_secondary(graph, x, match_id)

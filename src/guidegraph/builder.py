@@ -66,23 +66,26 @@ def find_duplicate(
     pool: RankingPool,
     k: int,
     client: OracleClient,
+    exclude: int | None = None,
 ) -> tuple[str | None, float | None, str]:
-    """Decide whether a candidate duplicates a node of `pool`, which is a
-    pool of `graph`'s nodes or a view of one.
+    """Decide whether a candidate duplicates a node of `graph` whose origin
+    chunk is not `exclude`; `pool` holds exactly the graph's nodes.
 
-    Fast path: the lowest id in the pool whose label equals the candidate's
+    Fast path: the lowest such id whose label equals the candidate's
     normalized label wins without ranking or an oracle call. Otherwise the
-    pool's top k by cosine similarity go to the verifier; among confirmed
-    matches the highest-similarity one wins, ties broken by ascending node
-    id. An empty pool is "empty-pool", with no call. Oracle failure
-    degrades to no-duplicate: keeping structure beats silently merging.
+    pool's top k outside group `exclude` by cosine similarity go to the
+    verifier; among confirmed matches the highest-similarity one wins, ties
+    broken by ascending node id. No eligible node is "empty-pool", with no
+    call. Oracle failure degrades to no-duplicate: keeping structure beats
+    silently merging.
 
     Returns (node_id or None, similarity or None, how).
     """
-    exact_id = next((nid for nid in graph.label_ids(candidate_label) if nid in pool), None)
+    exact_id = next((nid for nid in graph.label_ids(candidate_label)
+                     if graph.nodes[nid].origin_chunk != exclude), None)
     if exact_id is not None:
         return exact_id, 1.0, "exact"
-    candidates = cosine_candidates(candidate_label, pool, k)
+    candidates = cosine_candidates(candidate_label, pool, k, exclude)
     if not candidates:
         return None, None, "empty-pool"
     payload = duplicate_payload(candidate_label, ancestors,
@@ -174,7 +177,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
                 partial_graph=graph,
             )
         node_id = register_node(graph, chunk, label, kind, incoming)
-        pool.add(node_id, label)
+        pool.add(node_id, label, chunk.chunk_id)
         trace.append({"event": "register", "chunk": chunk.chunk_id,
                       "node_id": node_id, "label": label, "kind": kind.value})
         return node_id

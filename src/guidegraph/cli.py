@@ -154,7 +154,7 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
         raise ManifestError(f"manifest not found: {manifest_path}") from exc
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {manifest_path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")

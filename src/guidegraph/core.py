@@ -259,14 +259,11 @@ class DecisionGraph:
             raise MissingNodeError(f"edge target {target!r} not in graph")
         if source == target:
             raise GraphIntegrityError(f"self-loop on {source!r} not allowed")
-        self._link(DecisionEdge(source, label, target))
-
-    def _link(self, edge: DecisionEdge) -> None:
-        """Store an edge and index it, unchecked."""
+        edge = DecisionEdge(source, label, target)
         if edge not in self._edges:
             self._edges[edge] = None
-            self._out.setdefault(edge.source, set()).add(edge)
-            self._into.setdefault(edge.target, set()).add(edge)
+            self._out.setdefault(source, set()).add(edge)
+            self._into.setdefault(target, set()).add(edge)
 
     def remove_edge(self, source: str, label: str, target: str) -> None:
         """Remove the edge if it is present; an absent edge is a no-op."""

@@ -114,7 +114,6 @@ class LiveBackend:
 
     def __init__(self, base_url: str, model: str, auth_token: str | None = None,
                  timeout: float = 60.0, session: requests.Session | None = None) -> None:
-        self.name = f"live:{model}"
         self._model = model
         self._endpoint = _Endpoint(base_url, "/chat/completions", auth_token, timeout, session)
 
@@ -135,7 +134,6 @@ class LiveEmbeddingBackend:
 
     def __init__(self, base_url: str, model: str, auth_token: str | None = None,
                  timeout: float = 60.0, session: requests.Session | None = None) -> None:
-        self.name = f"live:{model}"
         self._model = model
         self._endpoint = _Endpoint(base_url, "/embeddings", auth_token, timeout, session)
 

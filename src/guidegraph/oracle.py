@@ -85,6 +85,12 @@ def _str_list(value: Any, what: str) -> None:
              f"{what} must be a list of strings")
 
 
+def _int_list(value: Any, what: str) -> None:
+    # `type` rather than `isinstance`, which would accept a JSON `true` as 1
+    _require(isinstance(value, list) and all(type(x) is int for x in value),
+             f"{what} must be a list of integers")
+
+
 def validate_response(task: OracleTask, body: Any) -> None:
     """Check a parsed backend reply against the task's response schema."""
     _require(isinstance(body, dict), f"{task.value} response must be a JSON object")
@@ -103,19 +109,14 @@ def validate_response(task: OracleTask, body: Any) -> None:
         _require(isinstance(body.get("description"), str), "description must be a string")
         _str_list(body.get("entry_labels"), "entry_labels")
         _str_list(body.get("terminal_labels"), "terminal_labels")
-        carry = body.get("carry_pages")
-        _require(isinstance(carry, list) and all(isinstance(p, int) for p in carry),
-                 "carry_pages must be a list of integers")
+        _int_list(body.get("carry_pages"), "carry_pages")
         _require(isinstance(body.get("updated_context"), str),
                  "updated_context must be a string")
     elif task is OracleTask.REFINE_NODES:
         _str_list(body.get("entry_labels"), "entry_labels")
         _str_list(body.get("terminal_labels"), "terminal_labels")
     elif task is OracleTask.FIND_DUPLICATE:
-        matches = body.get("matches")
-        _require(isinstance(matches, list) and all(
-            isinstance(i, int) and not isinstance(i, bool) for i in matches
-        ), "matches must be a list of integer candidate indices")
+        _int_list(body.get("matches"), "matches")
     elif task is OracleTask.GENERATE_CHILDREN:
         children = body.get("children")
         _require(isinstance(children, list), "children must be a list")
@@ -165,7 +166,7 @@ class AuditLog:
         self.entries: list[dict[str, Any]] = []
         self.prior_records = 0
         if self._path is not None and self._path.exists():
-            with self._path.open(encoding="utf-8") as handle:
+            with self._path.open("rb") as handle:
                 self.prior_records = sum(1 for line in handle if line.strip())
 
     def append(self, request: OracleRequest, outcome: str) -> None:
@@ -208,8 +209,6 @@ class _HeldRecords:
 
 
 class Backend(Protocol):
-    name: str
-
     def complete(self, request: OracleRequest) -> str:
         """Return the raw backend reply for a request."""
 
@@ -223,8 +222,6 @@ class FixtureSet:
     yield identical replies; a missing fixture raises immediately, since
     retrying a deterministic lookup cannot succeed.
     """
-
-    name = "scripted"
 
     def __init__(self) -> None:
         self._entries: dict[OracleTask, dict[str, dict[str, Any]]] = {t: {} for t in OracleTask}

@@ -6,11 +6,12 @@ it is given: callers normalize a label once, where it enters the system,
 and `put`, through which hand-placed vectors enter, normalizes its key. A
 `RankingPool` is bound to a store and kept beside a graph by its owner,
 which adds and discards members as nodes are created and merged away;
-adding a member copies its vector and norm into the pool's arrays. A
-query then scores the pool with one matrix-vector product, partitions at
-the k-th similarity and sorts only what is kept: no per-member dict or
-list work. The one caller, `builder.find_duplicate`, looks up an exact
-label match in the graph's label index first and ranks only on a miss.
+adding a member copies its vector, norm and group (the node's origin
+chunk) into the pool's arrays. A query names the group it excludes, if
+any, scores the pool with one matrix-vector product, partitions at the
+k-th similarity and sorts only what is kept: no per-member dict or list
+work. The one caller, `builder.find_duplicate`, looks up an exact label
+match in the graph's label index first and ranks only on a miss.
 The scripted embedding backend is a seeded character-n-gram feature
 hasher: deterministic, whitespace-insensitive after label normalization,
 and good enough to put near-identical labels first. Its vectors are
@@ -37,8 +38,6 @@ INITIAL_ROWS = 64
 
 
 class EmbeddingBackend(Protocol):
-    name: str
-
     def embed_text(self, text: str) -> np.ndarray: ...
 
 
@@ -48,7 +47,6 @@ class HashingEmbeddingBackend:
     def __init__(self, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED, ngram: int = 3) -> None:
         if dim <= 0:
             raise EmbeddingError("embedding dimension must be positive")
-        self.name = f"hashing-v1:dim={dim}:seed={seed}:n={ngram}"
         self._dim = dim
         self._seed = seed
         self._ngram = ngram
@@ -163,12 +161,17 @@ class EmbeddingStore:
         return float(np.dot(a, b) / (norm_a * norm_b))
 
 
-class _Members:
-    """The arrays a `RankingPool` and its views share, indexed by slot.
+class RankingPool:
+    """The members a query is ranked against, each a node id with its label,
+    embedding and group (the node's origin chunk).
 
-    Live members fill slots 0..n-1: a discarded member's slot is refilled
-    by the last member, so the arrays hold no dead rows. A member's vector
-    and norm are copied from the store when it is added.
+    The owner adds a member when it creates a node and discards it when a
+    merge absorbs the node, so the pool follows the graph. Live members
+    fill slots 0..n-1: a discarded member's slot is refilled by the last
+    member, so the arrays hold no dead rows. A member's vector and norm are
+    copied from the pool's store when it is added, so a label is embedded
+    once, when a pool adds it or a query names it. Single-writer, like the
+    graph.
     """
 
     def __init__(self, store: EmbeddingStore) -> None:
@@ -199,6 +202,7 @@ class _Members:
         self.groups[slot], self.norms[slot], self.vectors[slot] = group, norm, vector
 
     def discard(self, node_id: str) -> None:
+        """Drop a member; an absent id is a no-op."""
         slot = self.slots.pop(node_id, None)
         if slot is None:
             return
@@ -212,76 +216,43 @@ class _Members:
         self.groups[slot], self.norms[slot] = self.groups[last], self.norms[last]
         self.vectors[slot] = self.vectors[last]
 
-
-class RankingPool:
-    """The members a query is ranked against, each a node id with its label
-    and embedding.
-
-    The owner adds a member when it creates a node and discards it when a
-    merge absorbs the node, so the pool follows the graph. Each member
-    belongs to a group (the aggregator's origin chunk). `excluding(group)`
-    is a view of the members outside one group; it shares the pool's
-    arrays, and its `len` and `in` see only those members. A member's
-    vector is copied from the pool's store when the member is added, so a
-    label is embedded once, when a pool adds it or a query names it.
-    Single-writer, like the graph.
-    """
-
-    def __init__(self, store: EmbeddingStore) -> None:
-        self._members = _Members(store)
-        self._excluded: int | None = None
-
-    def add(self, node_id: str, label: str, group: int = 0) -> None:
-        self._members.add(node_id, label, group)
-
-    def discard(self, node_id: str) -> None:
-        """Drop a member; an absent id is a no-op."""
-        self._members.discard(node_id)
-
-    def excluding(self, group: int) -> RankingPool:
-        """The members outside `group`, as a view that follows the pool."""
-        view = RankingPool.__new__(RankingPool)
-        view._members, view._excluded = self._members, group
-        return view
-
+    # Only the benchmark's pool hook (perfbench/layers.py) reads `in`.
     def __contains__(self, node_id: object) -> bool:
-        slot = self._members.slots.get(node_id)
-        return slot is not None and (self._excluded is None
-                                     or self._members.groups[slot] != self._excluded)
+        return node_id in self.slots
 
     def __len__(self) -> int:
-        return len(self._members.slots) - self._members.group_sizes.get(self._excluded, 0)
+        return len(self.slots)
 
 
-def cosine_candidates(query_label: str, pool: RankingPool,
-                      k: int) -> tuple[tuple[str, str, float], ...]:
-    """The top-k pool members by cosine similarity to the query label, as
-    (node_id, label, similarity) triples, ties broken by ascending id.
+def cosine_candidates(query_label: str, pool: RankingPool, k: int,
+                      exclude: int | None = None) -> tuple[tuple[str, str, float], ...]:
+    """The top-k pool members outside group `exclude` by cosine similarity to
+    the query label, as (node_id, label, similarity) triples, ties broken by
+    ascending id.
 
     The query is always a label, even one that equals a member's id; a
     caller keeps a node out of its own candidates by excluding its group.
-    An empty pool yields no candidates and embeds nothing. Similarities are
-    dot products over the product of norms, the same arithmetic as one
-    `np.dot` per member; every member at or above the k-th similarity is
-    sorted, so a tie group cut by k goes to its lowest ids. The whole pool
-    is scored in one matrix-vector product; excluded members score -inf,
-    which no kept similarity equals.
+    No eligible member yields no candidates and embeds nothing.
+    Similarities are dot products over the product of norms, the same
+    arithmetic as one `np.dot` per member; every member at or above the
+    k-th similarity is sorted, so a tie group cut by k goes to its lowest
+    ids. The whole pool is scored in one matrix-vector product; members of
+    the excluded group score -inf, which no kept similarity equals.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    eligible = len(pool)
+    eligible = len(pool) - pool.group_sizes.get(exclude, 0)
     if not eligible:
         return ()
-    data = pool._members
-    (vector, norm), = data.store.lookup((query_label,))
-    count = len(data.ids)
-    sims = data.vectors[:count] @ vector / (norm * data.norms[:count])
-    if pool._excluded is not None:
-        sims[data.groups[:count] == pool._excluded] = -np.inf
+    (vector, norm), = pool.store.lookup((query_label,))
+    count = len(pool.ids)
+    sims = pool.vectors[:count] @ vector / (norm * pool.norms[:count])
+    if exclude is not None:
+        sims[pool.groups[:count] == exclude] = -np.inf
     cut = count - min(k, eligible)
     keep = np.flatnonzero(sims >= np.partition(sims, cut)[cut])
     slots = keep.tolist()
-    scored = sorted(zip(map(data.ids.__getitem__, slots), map(data.labels.__getitem__, slots),
+    scored = sorted(zip(map(pool.ids.__getitem__, slots), map(pool.labels.__getitem__, slots),
                         sims[keep].tolist()),
                     key=lambda item: (-item[2], item[0]))
     return tuple(scored[:k])

@@ -139,8 +139,6 @@ PARAPHRASES = {"active surveillance protocol": "active surveillance"}
 class SyntheticRuleBackend:
     """Deterministic oracle implementing the synthetic guideline by table lookup."""
 
-    name = "synthetic-rules"
-
     def body_for(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
         if task is OracleTask.EXTRACT_PROFILE:
             return dict(PROFILE_BODY)
@@ -174,8 +172,6 @@ class SyntheticRuleBackend:
 class ClassVerifierBackend:
     """Duplicate verifier for random universes: equivalent iff same class."""
 
-    name = "class-verifier"
-
     def __init__(self, label_class: dict[str, int]) -> None:
         self._classes = label_class
 
@@ -193,7 +189,6 @@ class RecordingBackend:
     """Wraps a backend and captures every (payload, body) pair as a fixture."""
 
     def __init__(self, inner, fixtures: FixtureSet) -> None:
-        self.name = f"recording({inner.name})"
         self._inner = inner
         self.fixtures = fixtures
 
@@ -225,8 +220,6 @@ def _summarize(request: OracleRequest) -> str:
 class StaticBackend:
     """Always returns the same raw string; for schema-rejection tests."""
 
-    name = "static"
-
     def __init__(self, raw: str) -> None:
         self.raw = raw
         self.calls = 0
@@ -238,8 +231,6 @@ class StaticBackend:
 
 class FlakyBackend:
     """Fails validation N times, then delegates; for retry tests."""
-
-    name = "flaky"
 
     def __init__(self, inner, bad_attempts: int, bad_raw: str = "not json {") -> None:
         self._inner = inner
@@ -259,8 +250,6 @@ class JitterBackend:
     """Delegates after sleeping a seeded random 0-4 ms, so concurrent calls
     finish out of order; counts the calls it received."""
 
-    name = "jitter"
-
     def __init__(self, inner, seed: int) -> None:
         self._inner = inner
         self._rng = random.Random(seed)
@@ -278,8 +267,6 @@ class JitterBackend:
 class EndlessChildrenBackend(SyntheticRuleBackend):
     """Adversarial: every node spawns a fresh child, so expansion never ends."""
 
-    name = "endless-children"
-
     def body_for(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
         if task is OracleTask.FIND_DUPLICATE:
             return {"matches": []}
@@ -290,8 +277,6 @@ class EndlessChildrenBackend(SyntheticRuleBackend):
 
 class NeverCutBackend(SyntheticRuleBackend):
     """Adversarial: boundary oracle never cuts; everything is core."""
-
-    name = "never-cut"
 
     def body_for(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
         if task is OracleTask.PREDICT_BOUNDARY:

@@ -167,12 +167,11 @@ def test_exact_hit_never_ranks(monkeypatch):
         raise AssertionError("an exact hit must not rank the pool")
 
     monkeypatch.setattr(builder, "cosine_candidates", must_not_rank)
-    # a1 is the lowest id with the label, but the view leaves its group out.
+    # a1 is the lowest id with the label, but its group is excluded.
     graph, pool = dedup_graph({"a1": "mri", "b2": "mri", "b3": "mri"},
                               groups={"a1": 1, "b2": 2, "b3": 2})
     backend = StaticBackend("never called")
-    match, _, how = find_duplicate("mri", [], graph, pool.excluding(1), 5,
-                                   make_client(backend))
+    match, _, how = find_duplicate("mri", [], graph, pool, 5, make_client(backend), exclude=1)
     assert (match, how) == ("b2", "exact")
     assert backend.calls == 0
 
@@ -186,7 +185,7 @@ def test_empty_candidate_set_returns_none_without_oracle():
     assert backend.calls == 0
 
 
-def test_empty_view_is_empty_pool_without_a_call_or_an_embed():
+def test_all_excluded_is_empty_pool_without_a_call_or_an_embed():
     texts: list[str] = []
 
     class CountingBackend(HashingEmbeddingBackend):
@@ -198,7 +197,7 @@ def test_empty_view_is_empty_pool_without_a_call_or_an_embed():
                               store=EmbeddingStore(CountingBackend()))
     backend = StaticBackend("never called")
     for label in ("mri", "prostate mri"):
-        result = find_duplicate(label, [], graph, pool.excluding(1), 5, make_client(backend))
+        result = find_duplicate(label, [], graph, pool, 5, make_client(backend), exclude=1)
         assert result == (None, None, "empty-pool")
     assert backend.calls == 0
     assert texts == ["mri", "repeat biopsy"]  # embedded by the pool, not by a query
@@ -208,8 +207,8 @@ def test_same_label_in_the_excluded_group_goes_to_the_verifier():
     backend = RecordingBackend()
     graph, pool = dedup_graph({"a1": "mri", "b1": "magnetic resonance imaging"},
                               groups={"a1": 1, "b1": 2})
-    match, _, how = find_duplicate("mri", [("psa elevated", "yes")], graph,
-                                   pool.excluding(1), 5, make_client(backend))
+    match, _, how = find_duplicate("mri", [("psa elevated", "yes")], graph, pool, 5,
+                                   make_client(backend), exclude=1)
     assert (match, how) == (None, "verifier")
     assert backend.payloads == [{"candidate": "mri",
                                  "ancestors": [{"label": "psa elevated", "edge": "yes"}],

@@ -146,7 +146,8 @@ def test_ingest_rejects_bad_format_and_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["top_level_list", "index_is_bool", "text_path_not_string",
-                                  "image_path_not_string", "text_not_utf8"])
+                                  "image_path_not_string", "text_not_utf8",
+                                  "manifest_not_utf8"])
 def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
     text = write_page(tmp_path, "p1.txt", "text")
     page = {"index": 1, "text_path": text}
@@ -161,6 +162,8 @@ def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
     manifest = write_manifest(tmp_path, [page])
     if case == "top_level_list":
         manifest.write_text(json.dumps([page]), encoding="utf-8")
+    elif case == "manifest_not_utf8":
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
     code = run_cli("chunk", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
                    *scripted_flags())
     assert code == cli.EXIT_MANIFEST
@@ -400,6 +403,18 @@ def test_staged_commands_equal_full_run(tmp_path):
                "merged.json", "merge_log.json", "provenance.json", "audit.log"]
     for name in compare:
         assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_stage_appends_after_an_audit_log_line_that_is_not_utf8(tmp_path):
+    manifest = str(SYNTHETIC_DIR / "manifest.json")
+    out = tmp_path / "out"
+    assert run_cli("chunk", "--manifest", manifest, "--out", str(out), *scripted_flags()) == 0
+    prior = len((out / "audit.log").read_bytes().splitlines())
+    with (out / "audit.log").open("ab") as handle:
+        handle.write(b"\xff\xfe damaged\n")
+    assert run_cli("build", "--out", str(out), *scripted_flags()) == cli.EXIT_OK
+    records = (out / "audit.log").read_bytes().splitlines()[prior + 1:]
+    assert records and json.loads(records[0])["request_id"] == f"req-{prior + 2:06d}"
 
 
 def test_build_from_raw_spelled_chunks_equals_build_from_normalized(tmp_path):

@@ -166,6 +166,16 @@ def test_malformed_children_payloads_rejected():
             validate_response(OracleTask.GENERATE_CHILDREN, body)
 
 
+@pytest.mark.parametrize("task, body", [
+    (OracleTask.BUILD_CHUNK, {"description": "", "entry_labels": [], "terminal_labels": [],
+                              "carry_pages": [True], "updated_context": ""}),
+    (OracleTask.FIND_DUPLICATE, {"matches": [False]}),
+])
+def test_boolean_page_or_match_index_rejected(task, body):
+    with pytest.raises(OracleProtocolError, match="list of integers"):
+        validate_response(task, body)
+
+
 def test_retry_appends_validation_errors_then_succeeds():
     inner = SyntheticRuleBackend()
     backend = FlakyBackend(inner, bad_attempts=1)
@@ -192,8 +202,6 @@ def test_payload_validation_rejects_missing_keys():
 
 
 class _RaisingBackend:
-    name = "raising"
-
     def complete(self, request):
         raise OracleTransportError("connection refused")
 
@@ -455,8 +463,6 @@ def test_audit_log_continues_after_close(tmp_path):
 
 class _HoldFirstBackend:
     """Holds the first call in `complete` until `release` is set."""
-
-    name = "hold-first"
 
     def __init__(self) -> None:
         self.entered = threading.Event()

@@ -89,7 +89,7 @@ def test_query_excluded_from_its_own_pool(hashing_store):
     # A node is kept out of its own candidates by its group, not by its id.
     pool = RankingPool(hashing_store)
     pool.add("n1", "only label", 1)
-    assert cosine_candidates("only label", pool.excluding(1), 3) == ()
+    assert cosine_candidates("only label", pool, 3, exclude=1) == ()
 
 
 def test_k_larger_than_pool_saturates(hashing_store):
@@ -250,15 +250,14 @@ def test_ranking_pool_under_adds_and_discards_equals_the_loop_over_a_rebuilt_dic
             excluded = rng.choice([None, 1, 2, 3])
             expected = {nid: label for nid, (label, group) in members.items()
                         if group != excluded}
-            view = pool if excluded is None else pool.excluding(excluded)
             query = (rng.choice(sorted(members)) if members and rng.random() < 0.5
                      else rng.choice(VOCABULARY))
             k = rng.randint(1, len(expected) + 2)
-            assert len(view) == len(expected) and (query in view) == (query in expected)
-            result = cosine_candidates(query, view, k)
+            assert len(pool) == len(members) and (query in pool) == (query in members)
+            result = cosine_candidates(query, pool, k, excluded)
             assert result == loop_cosine_candidates(query, expected, k, store)
             full = loop_cosine_candidates(query, expected, len(expected), store)
-            assert cosine_candidates(query, view, max(len(expected), 1)) == full
+            assert cosine_candidates(query, pool, max(len(expected), 1), excluded) == full
             seen["past 999"] += any(len(nid) > 7 for nid, _, _ in result)
             seen["tie cut by k"] += len(full) > k and full[k - 1][2] == full[k][2]
             seen["one member"] += len(expected) == 1
@@ -268,17 +267,17 @@ def test_ranking_pool_under_adds_and_discards_equals_the_loop_over_a_rebuilt_dic
                                        "empty after exclusion", "query equals a member id")) > 10
 
 
-def test_pool_view_lookups_see_only_members_outside_the_group(hashing_store):
+def test_pool_lookups_see_every_member_and_follow_discards(hashing_store):
     pool = RankingPool(hashing_store)
     pool.add("a1", "mri", 1)
     pool.add("b1", "repeat biopsy", 2)
-    view = pool.excluding(1)
-    assert "a1" in pool and "a1" not in view and "b1" in view
-    assert len(view) == 1
+    assert "a1" in pool and "b1" in pool and "mri" not in pool
+    assert len(pool) == 2
     pool.add("b2", "mri", 2)
     pool.discard("b1")
     pool.discard("b1")  # absent: a no-op
-    assert "b1" not in view and "b2" in view and len(view) == 1 and len(pool) == 2
+    assert "b1" not in pool and "b2" in pool and len(pool) == 2
+    assert [nid for nid, _, _ in cosine_candidates("mri", pool, 2, exclude=1)] == ["b2"]
     with pytest.raises(ValueError):
         pool.add("a1", "again", 3)
 
@@ -303,12 +302,12 @@ def test_a_label_is_embedded_once_when_a_pool_adds_it_or_a_query_names_it():
                                   ("b2", "mri", 2)]:
         pool.add(node_id, label, group)
     assert backend.texts == ["mri", "repeat biopsy"]
-    cosine_candidates("prostate biopsy", pool.excluding(1), 1)
-    cosine_candidates("repeat biopsy", pool.excluding(2), 1)
+    cosine_candidates("prostate biopsy", pool, 1, exclude=1)
+    cosine_candidates("repeat biopsy", pool, 1, exclude=2)
     assert backend.texts[2:] == ["prostate biopsy"]
     other = RankingPool(store)
-    other.add("c1", "prostate biopsy")
-    other.add("c2", "watchful waiting")
+    other.add("c1", "prostate biopsy", 3)
+    other.add("c2", "watchful waiting", 3)
     assert backend.texts[3:] == ["watchful waiting"]
 
 
