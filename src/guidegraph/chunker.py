@@ -17,7 +17,6 @@ from .core import Chunk, GuidelineProfile, PageLabel, PageRecord, normalize_labe
 from .errors import (
     ChunkInterfaceError,
     EmptyLabelError,
-    FixtureMissingError,
     OracleProtocolError,
     ProfileError,
 )
@@ -93,19 +92,16 @@ def refine_payload(buffer: ChunkBuffer, description: str, entry: Sequence[str],
 
 
 def extract_profile(pages: Sequence[PageRecord], client: OracleClient) -> GuidelineProfile:
-    """Derive the document profile from the header pages."""
+    """Derive the document profile from the header pages. The reply schema
+    requires a non-blank scope context; no valid reply is a ProfileError."""
     if not pages:
         raise ProfileError("no header pages available for profile extraction")
     try:
         body = client.call(OracleTask.EXTRACT_PROFILE, profile_payload(pages))
-    except FixtureMissingError:
-        raise
     except OracleProtocolError as exc:
         raise ProfileError(f"profile extraction failed: {exc}") from exc
-    scope = body["scope_context"].strip()
-    if not scope:
-        raise ProfileError("profile extraction returned an empty scope context")
-    return GuidelineProfile(metadata=dict(body["metadata"]), scope_context=scope)
+    return GuidelineProfile(metadata=dict(body["metadata"]),
+                            scope_context=body["scope_context"].strip())
 
 
 def classify_pages(pages: Sequence[PageRecord], profile: GuidelineProfile,
@@ -184,21 +180,12 @@ def build_chunk(buffer: ChunkBuffer, lookahead: PageRecord | None,
                 client: OracleClient) -> BuildOutcome:
     """Summarize the buffered pages into description, interface, and carry set.
 
-    An empty entry or terminal list triggers exactly one re-request with an
-    explicit complaint before giving up.
+    The reply schema requires non-empty entry and terminal lists, so an
+    empty interface is retried like any invalid reply.
     """
     if not buffer.pages:
         raise ChunkInterfaceError("cannot build a chunk from an empty buffer")
-    payload = build_payload(buffer, lookahead)
-    body = client.call(OracleTask.BUILD_CHUNK, payload)
-    if not body["entry_labels"] or not body["terminal_labels"]:
-        retry_payload = dict(payload)
-        retry_payload["complaint"] = "entry_labels and terminal_labels must be non-empty"
-        body = client.call(OracleTask.BUILD_CHUNK, retry_payload)
-        if not body["entry_labels"] or not body["terminal_labels"]:
-            raise ChunkInterfaceError(
-                f"pages {buffer.indices()}: empty chunk interface after re-request"
-            )
+    body = client.call(OracleTask.BUILD_CHUNK, build_payload(buffer, lookahead))
     valid_indices = set(buffer.indices())
     carry = []
     for page in body["carry_pages"]:

@@ -1,11 +1,13 @@
-"""Operator surface: configuration, manifest ingestion, stage commands, the
-full-pipeline command, and exporters.
+"""Operator surface: configuration, manifest ingestion, the stage commands
+and the full-pipeline command, and exporters.
 
-The canonical JSON serialization is the single interchange format between
-stages, so each stage command can resume from the previous stage's files
-and a full run equals the stages run one by one. Under the scripted
-backend the audit log stamps record n at n - 1 seconds after the epoch, so
-whole run directories are byte-comparable at any parallelism.
+Every stage command and `run` is one walk of `_run_stages` over the stages
+`COMMANDS` lists for it. The canonical JSON serialization is the single
+interchange format between stages, so each stage command can resume from
+the previous stage's files and a full run equals the stages run one by
+one. Under the scripted backend the audit log stamps record n at n - 1
+seconds after the epoch, so whole run directories are byte-comparable at
+any parallelism.
 
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
 5 oracle protocol, 6 structural, 7 expansion budget. A path that cannot be
@@ -104,9 +106,9 @@ class PipelineConfig:
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "PipelineConfig":
         """The config a doc describes. A missing key keeps its field's default,
-        `int` and `float` fields are coerced, and keys that name no field
-        (`format`, `fixture_digest`) are ignored. A value that cannot be
-        coerced raises a ValueError that names its field."""
+        `int` and `float` fields are coerced, a `str` field takes only a string,
+        and keys that name no field (`format`, `fixture_digest`) are ignored. A
+        value that cannot be coerced raises a ValueError that names its field."""
         return _from_doc(cls, doc)
 
 
@@ -117,10 +119,16 @@ def _from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
     for spec in fields(cls):
         if spec.name in doc:
             try:
-                kwargs[spec.name] = _COERCE.get(spec.type, lambda value: value)(doc[spec.name])
+                kwargs[spec.name] = _COERCE[spec.type](doc[spec.name])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{spec.name}: {exc}") from exc
     return cls(**kwargs)
+
+
+def _to_str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _to_int(value: Any) -> int:
@@ -132,6 +140,7 @@ def _to_int(value: Any) -> int:
 
 # Field type annotation -> how a doc value becomes a field value.
 _COERCE: dict[str, Callable[[Any], Any]] = {
+    "str": _to_str,
     "int": _to_int,
     "float": float,
     "float | None": lambda value: None if value is None else float(value),
@@ -355,80 +364,46 @@ def stage_aggregate(chunks, graphs, config: PipelineConfig, client: OracleClient
     return result
 
 
-@dataclass(frozen=True)
-class Stage:
-    """A pipeline stage: the inputs it reads, the artifacts it writes, and how
-    it runs.
-
-    An input is "manifest" (the pages of `--manifest`) or an artifact of the
-    run directory. `run(inputs, config, client, store, out_dir)` takes its
-    inputs from a dict keyed by name and returns the value of the first
-    artifact it writes, which later stages read under that name.
-    """
-
-    help: str
-    reads: tuple[str, ...]
-    writes: tuple[str, ...]
-    run: Callable[..., Any]
-
-
-# The stage functions are looked up by name each time a stage runs, so
-# rebinding one (as a tracer does) reaches every command.
-STAGES: dict[str, Stage] = {
-    "profile": Stage(
-        "extract the guideline profile", ("manifest",), ("profile.json",),
-        lambda got, config, client, store, out_dir:
-            stage_profile(got["manifest"], config, client, out_dir)),
-    "chunk": Stage(
-        "run the chunking stage", ("manifest",), ("chunks.json", "profile.json"),
-        lambda got, config, client, store, out_dir:
-            stage_chunk(got["manifest"], config, client, out_dir).chunks),
-    "build": Stage(
-        "build per-chunk graphs from chunks.json", ("chunks.json",),
-        ("graphs/", "expansion_trace.json"),
-        lambda got, config, client, store, out_dir:
-            stage_build(got["chunks.json"], config, client, store, out_dir)),
-    "aggregate": Stage(
-        "merge chunk graphs into one graph", ("chunks.json", "graphs/"),
-        ("merged.json", "merge_log.json", "provenance.json"),
-        lambda got, config, client, store, out_dir: stage_aggregate(
-            got["chunks.json"], got["graphs/"], config, client, store, out_dir)),
+# command -> (help text, the stages it runs, in order)
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "profile": ("extract the guideline profile", ("profile",)),
+    "chunk": ("run the chunking stage", ("chunk",)),
+    "build": ("build per-chunk graphs from chunks.json", ("build",)),
+    "aggregate": ("merge chunk graphs into one graph", ("aggregate",)),
+    "run": ("full pipeline: chunk, build, aggregate", ("chunk", "build", "aggregate")),
 }
-PIPELINE = ("chunk", "build", "aggregate")
 
 
-def _read(name: str, manifest: str | Path | None, out_dir: Path,
-          got: dict[str, Any]) -> Any:
-    """Load one stage input: the manifest's pages or a run-directory artifact."""
-    if name == "manifest":
-        return ingest(manifest)
-    if name == "chunks.json":
-        return _load_artifact(out_dir / name, core.chunks_from_doc)
-    return [_load_artifact(_chunk_graph_path(out_dir, chunk.chunk_id), core.graph_from_doc)
-            for chunk in got["chunks.json"]]
-
-
-def _run_stages(names: Sequence[str], config: PipelineConfig, out_dir: Path,
+def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
                 manifest: str | Path | None = None) -> None:
     """Run the named stages in order in one session, then close its audit file.
 
-    An input that no earlier stage of the walk writes is loaded before the
-    session opens; every other input is handed over in memory. The config
-    echo is the first write, so it makes the run directory.
+    The config echo is the first write, so it makes the run directory. The
+    walk's inputs are loaded before the session opens: the manifest's pages
+    when one is given, else `chunks.json` and, for `aggregate`, the chunk
+    graphs. Later stages take chunks and graphs in memory.
     """
-    stages = [STAGES[name] for name in names]
     _echo_config(config, out_dir)
-    got: dict[str, Any] = {}
-    written: set[str] = set()
-    for stage in stages:
-        for name in stage.reads:
-            if name not in written and name not in got:
-                got[name] = _read(name, manifest, out_dir, got)
-        written.update(stage.writes)
+    pages = chunks = graphs = None
+    if manifest is not None:
+        pages = ingest(manifest)
+    else:
+        chunks = _load_artifact(out_dir / "chunks.json", core.chunks_from_doc)
+        if stages[0] == "aggregate":
+            graphs = [_load_artifact(_chunk_graph_path(out_dir, chunk.chunk_id),
+                                     core.graph_from_doc) for chunk in chunks]
     client, store = make_session(config, out_dir)
+    # The stage functions are called by their global names, so rebinding one
+    # (as a tracer does) reaches every command.
     try:
-        for stage in stages:
-            got[stage.writes[0]] = stage.run(got, config, client, store, out_dir)
+        if "profile" in stages:
+            stage_profile(pages, config, client, out_dir)
+        if "chunk" in stages:
+            chunks = stage_chunk(pages, config, client, out_dir).chunks
+        if "build" in stages:
+            graphs = stage_build(chunks, config, client, store, out_dir)
+        if "aggregate" in stages:
+            stage_aggregate(chunks, graphs, config, client, store, out_dir)
     finally:
         client.audit.close()
 
@@ -453,7 +428,7 @@ def run_pipeline(manifest_path: str | Path, config: PipelineConfig,
                  out_dir: str | Path) -> Path:
     """All three stages, writing the full artifact set into the run directory."""
     out_dir = Path(out_dir)
-    _run_stages(PIPELINE, config, out_dir, manifest_path)
+    _run_stages(COMMANDS["run"][1], config, out_dir, manifest_path)
     return out_dir
 
 
@@ -508,8 +483,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    if args.format not in ("dot", "canonical"):
-        raise UsageError(f"unknown export format {args.format!r}")
     graph = _load_artifact(Path(args.graph), core.graph_from_doc)
     if args.format == "dot":
         content = export_dot(graph)
@@ -545,11 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = {name: (stage.help, (name,)) for name, stage in STAGES.items()}
-    commands["run"] = ("full pipeline: chunk, build, aggregate", PIPELINE)
-    for command, (help_text, stages) in commands.items():
+    for command, (help_text, stages) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        if "manifest" in STAGES[stages[0]].reads:
+        if stages[0] in ("profile", "chunk"):
             p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)
         _add_config_flags(p)
@@ -565,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--format", default="dot")
+    p.add_argument("--format", choices=["dot", "canonical"], default="dot")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_export)
 

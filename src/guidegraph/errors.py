@@ -30,20 +30,16 @@ class InterfaceResolutionError(GuidegraphError):
     """A chunk interface label could not be resolved to a node in the union."""
 
 
-class OracleError(GuidegraphError):
-    """Base class for oracle backend failures."""
-
-
-class OracleTransportError(OracleError):
+class OracleTransportError(GuidegraphError):
     """The backend could not be reached or the transport failed."""
 
 
-class OracleProtocolError(OracleError):
+class OracleProtocolError(GuidegraphError):
     """The backend reply never validated against the task schema."""
 
 
-class FixtureMissingError(OracleProtocolError):
-    """The scripted backend had no fixture for the request digest."""
+class FixtureMissingError(OracleTransportError):
+    """No fixture for the request digest: no retry or fallback can make a reply."""
 
 
 class EmbeddingError(GuidegraphError):

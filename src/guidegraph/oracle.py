@@ -58,23 +58,6 @@ class OracleRequest:
         return payload_digest(self.task, self.payload)
 
 
-_REQUIRED_PAYLOAD_KEYS: dict[OracleTask, tuple[str, ...]] = {
-    OracleTask.EXTRACT_PROFILE: ("pages",),
-    OracleTask.CLASSIFY_PAGE: ("page", "metadata"),
-    OracleTask.PREDICT_BOUNDARY: ("buffer", "current", "context", "budget"),
-    OracleTask.BUILD_CHUNK: ("pages", "context"),
-    OracleTask.REFINE_NODES: ("pages", "description", "entry_labels", "terminal_labels"),
-    OracleTask.FIND_DUPLICATE: ("candidate", "ancestors", "candidates"),
-    OracleTask.GENERATE_CHILDREN: ("node", "context"),
-}
-
-
-def validate_payload(task: OracleTask, payload: Mapping[str, Any]) -> None:
-    missing = [key for key in _REQUIRED_PAYLOAD_KEYS[task] if key not in payload]
-    if missing:
-        raise OracleProtocolError(f"{task.value} payload missing keys {missing}")
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise OracleProtocolError(message)
@@ -99,7 +82,9 @@ def validate_response(task: OracleTask, body: Any) -> None:
         _require(isinstance(meta, dict) and all(
             isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
         ), "metadata must map strings to strings")
-        _require(isinstance(body.get("scope_context"), str), "scope_context must be a string")
+        scope = body.get("scope_context")
+        _require(isinstance(scope, str) and bool(scope.strip()),
+                 "scope_context must be a non-blank string")
     elif task is OracleTask.CLASSIFY_PAGE:
         _require(body.get("label") in ("core", "auxiliary"),
                  "label must be 'core' or 'auxiliary'")
@@ -112,6 +97,8 @@ def validate_response(task: OracleTask, body: Any) -> None:
         _int_list(body.get("carry_pages"), "carry_pages")
         _require(isinstance(body.get("updated_context"), str),
                  "updated_context must be a string")
+        _require(bool(body["entry_labels"]) and bool(body["terminal_labels"]),
+                 "entry_labels and terminal_labels must be non-empty")
     elif task is OracleTask.REFINE_NODES:
         _str_list(body.get("entry_labels"), "entry_labels")
         _str_list(body.get("terminal_labels"), "terminal_labels")
@@ -219,8 +206,9 @@ class FixtureSet:
 
     Each entry is kept as the object a fixture file holds, so `load` stores
     what it reads and `save` writes what it stores. Identical payloads
-    yield identical replies; a missing fixture raises immediately, since
-    retrying a deterministic lookup cannot succeed.
+    yield identical replies. A missing fixture raises `FixtureMissingError`,
+    a transport error, at once: no retry of a deterministic lookup and no
+    caller's fallback can stand in for the reply.
     """
 
     def __init__(self) -> None:
@@ -307,6 +295,7 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
     """Send a request and return the validated reply body, retrying
     malformed output.
 
+    This is the pipeline's only retry: up to `retry_limit` attempts in all.
     Replies are parsed with orjson, the codec that writes payload digests,
     so whatever is accepted can be digested later: a string holding a lone
     surrogate is invalid JSON here and is retried. Each retry re-sends the
@@ -315,12 +304,12 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
     dispatch call, whatever the outcome.
 
     Raises:
-        OracleTransportError: the backend could not be reached.
+        OracleTransportError: the backend could not be reached, or the
+            scripted backend has no fixture for the request.
         OracleProtocolError: no schema-valid reply within the retry limit.
     """
     errors: list[str] = []
     try:
-        validate_payload(request.task, request.payload)
         for _ in range(max(1, retry_limit)):
             attempt = request
             if errors:

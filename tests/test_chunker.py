@@ -9,6 +9,7 @@ from oracles import scan_runs
 from synth import (
     PAGE_TEXTS,
     PROFILE_BODY,
+    FlakyBackend,
     JitterBackend,
     NeverCutBackend,
     StaticBackend,
@@ -28,7 +29,7 @@ from guidegraph.chunker import (
 )
 from guidegraph.cli import PipelineConfig
 from guidegraph.core import GuidelineProfile, PageLabel, PageRecord
-from guidegraph.errors import ChunkInterfaceError, ProfileError
+from guidegraph.errors import ChunkInterfaceError, OracleProtocolError, ProfileError
 from guidegraph.oracle import OracleTask
 
 
@@ -215,14 +216,27 @@ def test_build_chunk_carry_subset_of_buffer():
     assert outcome.carry_pages == (2, 3)
 
 
-def test_build_chunk_empty_interface_re_requests_then_errors():
-    backend = StaticBackend(
-        '{"description": "d", "entry_labels": [], "terminal_labels": ["z"],'
-        ' "carry_pages": [], "updated_context": "c"}'
-    )
-    with pytest.raises(ChunkInterfaceError):
-        build_chunk(chunk1_buffer(), None, make_client(backend))
-    assert backend.calls == 2  # one original call plus one complaint re-request
+EMPTY_INTERFACE = ('{"description": "d", "entry_labels": [], "terminal_labels": ["z"],'
+                   ' "carry_pages": [], "updated_context": "c"}')
+
+
+def test_build_chunk_empty_interface_is_retried_then_protocol_error():
+    backend = FlakyBackend(SyntheticRuleBackend(), bad_attempts=5, bad_raw=EMPTY_INTERFACE)
+    client = make_client(backend)
+    with pytest.raises(OracleProtocolError, match="must be non-empty"):
+        build_chunk(chunk1_buffer(), None, client)
+    assert len(backend.seen_payloads) == client.retry_limit  # no other re-request
+    assert "validation_errors" not in backend.seen_payloads[0]
+    assert all(payload["validation_errors"] for payload in backend.seen_payloads[1:])
+    assert [e["outcome"] for e in client.audit.entries] == ["protocol_error"]
+
+
+def test_build_chunk_empty_interface_then_valid_reply_succeeds():
+    backend = FlakyBackend(SyntheticRuleBackend(), bad_attempts=1, bad_raw=EMPTY_INTERFACE)
+    outcome = build_chunk(chunk1_buffer(), PageRecord(4, PAGE_TEXTS[4]), make_client(backend))
+    assert len(backend.seen_payloads) == 2
+    assert outcome.entry_labels == ("suspected prostate cancer",)
+    assert outcome.terminal_labels == ("low-risk group", "high-risk group")
 
 
 def test_refine_dedups_after_normalization():

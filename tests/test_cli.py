@@ -311,6 +311,9 @@ def test_unusable_path_exits_with_its_code_naming_it(tmp_path, capsys, case, cod
     ('{"expansion_cap": "many"}', "expansion_cap"),
     ('{"parallelism": Infinity}', "parallelism"),
     ('{"backend": {"timeout": "soon"}}', "timeout"),
+    ('{"backend": {"fixture_dir": 5}}', "fixture_dir"),
+    ('{"backend": {"base_url": 5}}', "base_url"),
+    ('{"backend": {"auth_env": 5}}', "auth_env"),
 ])
 def test_bad_config_value_exits_with_usage_code_naming_the_field(tmp_path, capsys, doc, field):
     config_path = tmp_path / "config.json"
@@ -699,7 +702,26 @@ def test_exit_code_for_missing_fixture(tmp_path):
     empty_fixtures.mkdir()
     code = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
                    "--backend", "scripted", "--fixtures", str(empty_fixtures))
-    assert code == cli.EXIT_PROTOCOL
+    assert code == cli.EXIT_TRANSPORT
+
+
+def test_fixture_set_missing_one_entry_exits_with_transport_code(tmp_path):
+    # A missing reply is never degraded into a fallback (here: an auxiliary page).
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURE_DIR, fixtures)
+    path = fixtures / "classify_page.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["entries"][0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"), "--out", str(out),
+                   "--backend", "scripted", "--fixtures", str(fixtures))
+    assert code == cli.EXIT_TRANSPORT
+    assert not (out / "merged.json").exists()
+    audit = (out / "audit.log").read_text(encoding="utf-8")
+    outcomes = [json.loads(line)["outcome"] for line in audit.splitlines()]
+    assert outcomes.count("transport_error") == 1
+    assert "protocol_error" not in outcomes
 
 
 def _fixture_doc(task: str = "generate_children", entry: dict | None = None,

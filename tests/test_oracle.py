@@ -71,9 +71,9 @@ def test_scripted_flowchart_page_is_core():
     assert body["label"] == "core"
 
 
-def test_scripted_missing_fixture_raises_protocol_error():
+def test_scripted_missing_fixture_raises_transport_error():
     client = make_client(make_fixtures())
-    with pytest.raises(OracleProtocolError):
+    with pytest.raises(OracleTransportError):
         client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "unseen page"))
 
 
@@ -127,10 +127,10 @@ def test_audit_entries_equal_dispatch_calls():
     client.call(OracleTask.FIND_DUPLICATE,
                 {"candidate": "active surveillance", "ancestors": [],
                  "candidates": ["active surveillance", "radiation therapy"]})
-    with pytest.raises(OracleProtocolError):
+    with pytest.raises(OracleTransportError):
         client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "miss"))
     assert len(client.audit.entries) == 3
-    assert [e["outcome"] for e in client.audit.entries] == ["ok", "ok", "protocol_error"]
+    assert [e["outcome"] for e in client.audit.entries] == ["ok", "ok", "transport_error"]
     assert [e["request_id"] for e in client.audit.entries] == [
         "req-000001", "req-000002", "req-000003",
     ]
@@ -193,12 +193,6 @@ def test_retry_exhaustion_raises():
                             {"page": {"index": 2, "text": "t"}, "metadata": {}})
     with pytest.raises(OracleProtocolError):
         dispatch(request, backend, retry_limit=3)
-
-
-def test_payload_validation_rejects_missing_keys():
-    request = OracleRequest(OracleTask.CLASSIFY_PAGE, {"page": {"index": 1}})
-    with pytest.raises(OracleProtocolError):
-        dispatch(request, StaticBackend("{}"))
 
 
 class _RaisingBackend:
