@@ -25,27 +25,6 @@ from .oracle import OracleClient, OracleTask
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Run:
-    """A maximal consecutive run of core page indices."""
-
-    page_indices: tuple[int, ...]
-
-
-@dataclass
-class ChunkBuffer:
-    """Pages accumulated for the chunk under construction, plus running memory."""
-
-    pages: list[PageRecord]
-    running_context: str
-
-    def text(self) -> str:
-        return "\n".join(p.text for p in self.pages)
-
-    def indices(self) -> list[int]:
-        return [p.index for p in self.pages]
-
-
 def _page_payload(page: PageRecord) -> dict[str, Any]:
     payload: dict[str, Any] = {"index": page.index, "text": page.text}
     if page.image_ref is not None:
@@ -59,32 +38,33 @@ def profile_payload(pages: Sequence[PageRecord]) -> dict[str, Any]:
 
 
 def classify_payload(page: PageRecord, profile: GuidelineProfile) -> dict[str, Any]:
-    return {"page": _page_payload(page), "metadata": dict(sorted(profile.metadata.items()))}
+    return {"page": _page_payload(page), "metadata": profile.metadata}
 
 
-def boundary_payload(buffer: ChunkBuffer, current: PageRecord,
+def boundary_payload(pages: Sequence[PageRecord], context: str, current: PageRecord,
                      lookahead: PageRecord | None, budget: int) -> dict[str, Any]:
     return {
-        "buffer": [_page_payload(p) for p in buffer.pages],
+        "buffer": [_page_payload(p) for p in pages],
         "current": _page_payload(current),
         "lookahead": _page_payload(lookahead) if lookahead is not None else None,
-        "context": buffer.running_context,
+        "context": context,
         "budget": budget,
     }
 
 
-def build_payload(buffer: ChunkBuffer, lookahead: PageRecord | None) -> dict[str, Any]:
+def build_payload(pages: Sequence[PageRecord], context: str,
+                  lookahead: PageRecord | None) -> dict[str, Any]:
     return {
-        "pages": [_page_payload(p) for p in buffer.pages],
+        "pages": [_page_payload(p) for p in pages],
         "lookahead": _page_payload(lookahead) if lookahead is not None else None,
-        "context": buffer.running_context,
+        "context": context,
     }
 
 
-def refine_payload(buffer: ChunkBuffer, description: str, entry: Sequence[str],
+def refine_payload(pages: Sequence[PageRecord], description: str, entry: Sequence[str],
                    terminal: Sequence[str]) -> dict[str, Any]:
     return {
-        "pages": [_page_payload(p) for p in buffer.pages],
+        "pages": [_page_payload(p) for p in pages],
         "description": description,
         "entry_labels": list(entry),
         "terminal_labels": list(terminal),
@@ -124,91 +104,71 @@ def classify_pages(pages: Sequence[PageRecord], profile: GuidelineProfile,
     return client.fan_out(classify, pages, parallelism)
 
 
-def contiguous_runs(core_indices: Sequence[int]) -> list[Run]:
+def contiguous_runs(core_indices: Sequence[int]) -> list[tuple[int, ...]]:
     """Partition sorted, duplicate-free indices into maximal consecutive runs."""
-    runs: list[Run] = []
+    runs: list[tuple[int, ...]] = []
     current: list[int] = []
     for index in core_indices:
         if current and index != current[-1] + 1:
-            runs.append(Run(tuple(current)))
+            runs.append(tuple(current))
             current = []
         current.append(index)
     if current:
-        runs.append(Run(tuple(current)))
+        runs.append(tuple(current))
     return runs
+
+
+def _text(pages: Sequence[PageRecord]) -> str:
+    return "\n".join(p.text for p in pages)
 
 
 def _exceeds_cap(pages: Sequence[PageRecord], page: PageRecord, budget: int) -> bool:
     """Whether the pages plus one more page would make a chunk text longer
     than the hard cap of twice the budget."""
-    return len(ChunkBuffer([*pages, page], "").text()) > 2 * budget
+    return len(_text([*pages, page])) > 2 * budget
 
 
-def predict_boundary(buffer: ChunkBuffer, current: PageRecord,
+def predict_boundary(pages: Sequence[PageRecord], context: str, current: PageRecord,
                      lookahead: PageRecord | None, budget: int,
                      client: OracleClient) -> bool:
-    """Decide whether the current page should end the chunk.
+    """Ask the oracle whether the current page should end the chunk.
 
-    A hard override returns True whenever adding the current page would push
-    the buffer text past twice the soft budget, without consulting the
-    oracle: the budget is advisory, the cap is not. `chunk_run` then cuts
-    before the page rather than after it. An oracle that never produces a
-    valid reply also cuts, bounding chunk growth.
+    Only the oracle is asked: `chunk_run` enforces the hard cap before it
+    calls here, so the budget in the payload is advisory. An oracle that
+    never produces a valid reply cuts, bounding chunk growth.
     """
-    if _exceeds_cap(buffer.pages, current, budget):
-        logger.warning("page %d: hard budget override, cutting chunk", current.index)
-        return True
     try:
         body = client.call(OracleTask.PREDICT_BOUNDARY,
-                           boundary_payload(buffer, current, lookahead, budget))
+                           boundary_payload(pages, context, current, lookahead, budget))
     except OracleProtocolError:
         logger.warning("page %d: boundary prediction failed; cutting chunk", current.index)
         return True
     return bool(body["cut"])
 
 
-@dataclass(frozen=True)
-class BuildOutcome:
-    description: str
-    entry_labels: tuple[str, ...]
-    terminal_labels: tuple[str, ...]
-    carry_pages: tuple[int, ...]
-    updated_context: str
-
-
-def build_chunk(buffer: ChunkBuffer, lookahead: PageRecord | None,
-                client: OracleClient) -> BuildOutcome:
+def build_chunk(pages: Sequence[PageRecord], context: str, lookahead: PageRecord | None,
+                client: OracleClient) -> dict[str, Any]:
     """Summarize the buffered pages into description, interface, and carry set.
 
-    The reply schema requires non-empty entry and terminal lists, so an
-    empty interface is retried like any invalid reply.
+    Returns the validated reply, with every carry page that lies outside the
+    buffer dropped from `carry_pages`. The reply schema requires non-empty
+    entry and terminal lists, so an empty interface is retried like any
+    invalid reply.
     """
-    if not buffer.pages:
+    if not pages:
         raise ChunkInterfaceError("cannot build a chunk from an empty buffer")
-    body = client.call(OracleTask.BUILD_CHUNK, build_payload(buffer, lookahead))
-    valid_indices = set(buffer.indices())
+    body = client.call(OracleTask.BUILD_CHUNK, build_payload(pages, context, lookahead))
+    indices = [p.index for p in pages]
     carry = []
     for page in body["carry_pages"]:
-        if page in valid_indices:
+        if page in indices:
             carry.append(page)
         else:
-            logger.warning("carry page %d outside buffer %s; dropped", page, buffer.indices())
-    return BuildOutcome(
-        description=body["description"],
-        entry_labels=tuple(body["entry_labels"]),
-        terminal_labels=tuple(body["terminal_labels"]),
-        carry_pages=tuple(carry),
-        updated_context=body["updated_context"],
-    )
+            logger.warning("carry page %d outside buffer %s; dropped", page, indices)
+    return {**body, "carry_pages": carry}
 
 
-def _supported(label: str, originals: set[str], buffer_text: str) -> bool:
-    # A label survives if it appears verbatim in the buffer or the oracle
-    # confirmed it by returning a label from the original interface.
-    return label in buffer_text or label in originals
-
-
-def refine_nodes(buffer: ChunkBuffer, description: str, entry: Sequence[str],
+def refine_nodes(pages: Sequence[PageRecord], description: str, entry: Sequence[str],
                  terminal: Sequence[str], client: OracleClient,
                  ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Normalize, dedup, and support-check the chunk interface labels.
@@ -218,8 +178,11 @@ def refine_nodes(buffer: ChunkBuffer, description: str, entry: Sequence[str],
     must stay non-empty and disjoint.
     """
     body = client.call(OracleTask.REFINE_NODES,
-                       refine_payload(buffer, description, entry, terminal))
-    buffer_text = normalize_label(buffer.text()) if buffer.text().strip() else ""
+                       refine_payload(pages, description, entry, terminal))
+    try:
+        buffer_text = normalize_label(_text(pages))
+    except EmptyLabelError:  # blank or punctuation-only text supports no label
+        buffer_text = ""
 
     def clean(raw_labels: Sequence[str], originals: Sequence[str]) -> tuple[str, ...]:
         normalized_originals = set()
@@ -237,7 +200,9 @@ def refine_nodes(buffer: ChunkBuffer, description: str, entry: Sequence[str],
                 continue
             if label in out:
                 continue
-            if not _supported(label, normalized_originals, buffer_text):
+            # A label survives if it appears verbatim in the buffer or the oracle
+            # confirmed it by returning a label from the original interface.
+            if label not in buffer_text and label not in normalized_originals:
                 logger.warning("dropping unsupported interface label %r", label)
                 continue
             out.append(label)
@@ -245,15 +210,12 @@ def refine_nodes(buffer: ChunkBuffer, description: str, entry: Sequence[str],
 
     refined_entry = clean(body["entry_labels"], entry)
     refined_terminal = clean(body["terminal_labels"], terminal)
+    indices = [p.index for p in pages]
     if not refined_entry or not refined_terminal:
-        raise ChunkInterfaceError(
-            f"pages {buffer.indices()}: refinement emptied the chunk interface"
-        )
+        raise ChunkInterfaceError(f"pages {indices}: refinement emptied the chunk interface")
     overlap = set(refined_entry) & set(refined_terminal)
     if overlap:
-        raise ChunkInterfaceError(
-            f"pages {buffer.indices()}: entry/terminal overlap {sorted(overlap)}"
-        )
+        raise ChunkInterfaceError(f"pages {indices}: entry/terminal overlap {sorted(overlap)}")
     return refined_entry, refined_terminal
 
 
@@ -275,67 +237,68 @@ class ChunkingResult:
     chunks: list[Chunk]
 
 
-def chunk_run(run: Run, by_index: dict[int, PageRecord], profile: GuidelineProfile,
+def chunk_run(run: tuple[int, ...], by_index: dict[int, PageRecord], profile: GuidelineProfile,
               budget: int, client: OracleClient) -> list[Callable[..., Chunk]]:
     """Chunk one run of core pages into drafts: each makes its `Chunk` when
     called with the chunk's document-wide `chunk_id`.
 
-    Carry-forward pages from one chunk seed the next buffer and the running
-    context threads across chunks. No chunk text exceeds twice the budget
-    unless it is a single page: when the current page would push the buffer
-    past that cap, the chunk is built from the buffer, with the page as its
-    lookahead, and the page begins the next chunk. A carried page that would
-    push the next buffer past the cap together with the page that follows
-    is dropped from the carry. `refine_nodes` returns a normalized, valid
-    interface and every carried page lies in the buffer, so a draft makes a
-    valid `Chunk`.
+    The buffer is a page list plus the running context, which starts as the
+    profile scope and threads across chunks; carried pages seed the next
+    buffer. This loop alone enforces the hard cap of twice the budget, once
+    per page. A page that would push the buffer past the cap gets no
+    boundary call: the chunk is built from the buffer, with the page as its
+    lookahead, and the page begins the next chunk; a page over the cap on
+    its own is a chunk of its own. Any other page asks `predict_boundary`,
+    except the last of the run, which ends its chunk. A carried page that
+    would push the next buffer past the cap with the page that follows is
+    dropped, so `carried_pages` lists the pages actually carried, each once,
+    in page order. `refine_nodes` returns a normalized, valid interface, so
+    a draft makes a valid `Chunk`.
     """
     drafts: list[Callable[..., Chunk]] = []
-    buffer = ChunkBuffer(pages=[], running_context=profile.scope_context)
+    pages: list[PageRecord] = []
+    context = profile.scope_context
 
     def finish(lookahead: PageRecord | None) -> None:
         """Draft a chunk from the buffer and start the next buffer from its carry."""
-        nonlocal buffer
-        outcome = build_chunk(buffer, lookahead, client)
-        entry, terminal = refine_nodes(
-            buffer, outcome.description, outcome.entry_labels,
-            outcome.terminal_labels, client,
-        )
+        nonlocal pages, context
+        body = build_chunk(pages, context, lookahead, client)
+        entry, terminal = refine_nodes(pages, body["description"], body["entry_labels"],
+                                       body["terminal_labels"], client)
         carried: list[PageRecord] = []
-        dropped: set[int] = set()
-        for page in buffer.pages:
-            if page.index not in outcome.carry_pages:
+        for page in pages:
+            if page.index not in body["carry_pages"]:
                 continue
             if lookahead is not None and _exceeds_cap([*carried, page], lookahead, budget):
                 logger.warning("carry page %d would push the next chunk past the cap; "
                                "dropped", page.index)
-                dropped.add(page.index)
             else:
                 carried.append(page)
         drafts.append(partial(
             Chunk,
-            context=assemble_context(profile, outcome.description, buffer.pages,
-                                     outcome.updated_context),
+            context=assemble_context(profile, body["description"], pages,
+                                     body["updated_context"]),
             entry_labels=entry,
             terminal_labels=terminal,
-            description=outcome.description,
-            carried_pages=tuple(i for i in outcome.carry_pages if i not in dropped),
-            page_span=tuple(buffer.indices()),
+            description=body["description"],
+            carried_pages=tuple(p.index for p in carried),
+            page_span=tuple(p.index for p in pages),
         ))
-        buffer = ChunkBuffer(pages=carried, running_context=outcome.updated_context)
+        pages, context = carried, body["updated_context"]
 
-    for position, index in enumerate(run.page_indices):
+    for position, index in enumerate(run):
         current = by_index[index]
-        last = position == len(run.page_indices) - 1
-        lookahead = None if last else by_index[run.page_indices[position + 1]]
-        # The last page ends its chunk whatever the oracle says, so only the
-        # hard cap is checked there.
-        cut = (_exceeds_cap(buffer.pages, current, budget) if last
-               else predict_boundary(buffer, current, lookahead, budget, client))
-        if cut and buffer.pages and _exceeds_cap(buffer.pages, current, budget):
-            finish(current)
-            cut = False
-        buffer.pages.append(current)
+        last = position == len(run) - 1
+        lookahead = None if last else by_index[run[position + 1]]
+        if _exceeds_cap(pages, current, budget):
+            logger.warning("page %d: hard budget override, cutting chunk", current.index)
+            cut = not pages  # a page over the cap on its own is a chunk of its own
+            if pages:
+                finish(current)
+        else:
+            cut = not last and predict_boundary(pages, context, current, lookahead,
+                                                budget, client)
+        pages.append(current)
         if cut or last:
             finish(lookahead)
     return drafts
@@ -356,7 +319,7 @@ def run_chunking(pages: Sequence[PageRecord], config, client: OracleClient) -> C
     by_index = {p.index: p for p in pages}
     chunks: list[Chunk] = []
 
-    def number(run: Run, drafts: list[Callable[..., Chunk]]) -> None:
+    def number(run: tuple[int, ...], drafts: list[Callable[..., Chunk]]) -> None:
         for draft in drafts:
             chunks.append(draft(chunk_id=len(chunks) + 1))
 

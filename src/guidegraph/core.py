@@ -446,6 +446,6 @@ def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
 def profile_to_doc(profile: GuidelineProfile) -> dict[str, Any]:
     return {
         "format": PROFILE_FORMAT,
-        "metadata": dict(sorted(profile.metadata.items())),
+        "metadata": profile.metadata,
         "scope_context": profile.scope_context,
     }

@@ -31,7 +31,7 @@ class InterfaceResolutionError(GuidegraphError):
 
 
 class OracleTransportError(GuidegraphError):
-    """The backend could not be reached or the transport failed."""
+    """The backend could not be reached or gave no usable reply."""
 
 
 class OracleProtocolError(GuidegraphError):

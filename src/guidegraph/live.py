@@ -4,10 +4,11 @@ and embeddings endpoint.
 This is the only module that imports `requests`. `cli.make_session`
 imports it for a live session only, so a scripted run, a stage command,
 `eval` and `export` never load the HTTP stack. Both backends post through
-one `_Endpoint`, which sends the headers and the timeout and maps failures:
-no reply or an error status is an `OracleTransportError`; a body that is not
-JSON, or a JSON envelope without what the backend reads from it, is an
-`OracleProtocolError`.
+one `_Endpoint`, which sends the headers and the timeout and maps every
+failure to an `OracleTransportError`: no reply, an error status, a body that
+is not JSON (a proxy login page, say), or a JSON envelope without what the
+backend reads from it. Only message content that fails the task schema is a
+protocol error, which `oracle.dispatch` retries.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 import requests
 
 from .core import canonical_json
-from .errors import OracleProtocolError, OracleTransportError
+from .errors import OracleTransportError
 from .oracle import OracleRequest, OracleTask
 
 Reply = TypeVar("Reply")
@@ -80,22 +81,17 @@ class _Endpoint:
         """Post `body` and return `read` of the parsed reply.
 
         Raises:
-            OracleTransportError: no reply, or an error status.
-            OracleProtocolError: the body is not JSON, or `read` cannot find
-                what it reads in it.
+            OracleTransportError: no reply, an error status, a body that is
+                not JSON, or a JSON envelope without what `read` reads: the
+                endpoint gave no usable reply.
         """
         try:
             reply = self._session.post(self.url, json=body, headers=self._headers,
                                        timeout=self._timeout)
             reply.raise_for_status()
-        except requests.RequestException as exc:
-            raise OracleTransportError(f"POST {self.url} failed: {exc}") from exc
-        # Parsed apart from the post: requests' JSONDecodeError is also a
-        # RequestException, and a body that is not JSON is a protocol error.
-        try:
             return read(reply.json())
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise OracleProtocolError(f"malformed reply from {self.url}: {exc!r}") from exc
+        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise OracleTransportError(f"POST {self.url} gave no usable reply: {exc!r}") from exc
 
 
 def _message_content(reply: Any) -> str:

@@ -304,8 +304,9 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
     dispatch call, whatever the outcome.
 
     Raises:
-        OracleTransportError: the backend could not be reached, or the
-            scripted backend has no fixture for the request.
+        OracleTransportError: the backend could not be reached or gave no
+            usable reply, or the scripted backend has no fixture for the
+            request.
         OracleProtocolError: no schema-valid reply within the retry limit.
     """
     errors: list[str] = []

@@ -286,7 +286,7 @@ def test_acceptance_chunking_structure():
     runs_checked = 0
     for _ in range(120):
         indices = sorted(rng.sample(range(1, 50), rng.randint(0, 25)))
-        assert [list(r.page_indices) for r in contiguous_runs(indices)] == scan_runs(indices)
+        assert [list(run) for run in contiguous_runs(indices)] == scan_runs(indices)
         runs_checked += 1
 
     docs_checked = 0

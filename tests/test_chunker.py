@@ -18,8 +18,8 @@ from synth import (
 
 from guidegraph import chunker
 from guidegraph.chunker import (
-    ChunkBuffer,
     build_chunk,
+    chunk_run,
     classify_pages,
     contiguous_runs,
     extract_profile,
@@ -130,11 +130,11 @@ def test_parallel_classification_matches_sequential():
 
 
 def test_runs_definition_example():
-    assert [list(r.page_indices) for r in contiguous_runs([2, 3, 4, 6, 7])] == [[2, 3, 4], [6, 7]]
+    assert contiguous_runs([2, 3, 4, 6, 7]) == [(2, 3, 4), (6, 7)]
 
 
 def test_runs_singleton():
-    assert [list(r.page_indices) for r in contiguous_runs([5])] == [[5]]
+    assert contiguous_runs([5]) == [(5,)]
 
 
 def test_runs_empty():
@@ -145,43 +145,33 @@ def test_runs_match_scan_oracle_on_random_sets():
     rng = random.Random(31)
     for _ in range(100):
         indices = sorted(rng.sample(range(1, 40), rng.randint(0, 20)))
-        got = [list(r.page_indices) for r in contiguous_runs(indices)]
+        got = [list(run) for run in contiguous_runs(indices)]
         assert got == scan_runs(indices)
         for run in contiguous_runs(indices):
-            assert all(b == a + 1 for a, b in zip(run.page_indices, run.page_indices[1:]))
+            assert all(b == a + 1 for a, b in zip(run, run[1:]))
 
 
 # ---------------------------------------------------------------------------
 # predict_boundary
 
 
-def test_hard_override_cuts_without_consulting_oracle():
-    backend = StaticBackend('{"cut": false}')
-    buffer = ChunkBuffer(pages=[PageRecord(1, "x" * 200)], running_context="ctx")
-    current = PageRecord(2, "y" * 10)
-    assert predict_boundary(buffer, current, None, budget=100, client=make_client(backend))
-    assert backend.calls == 0
-
-
 def test_mid_table_page_with_continuing_lookahead_is_not_cut():
-    buffer = ChunkBuffer(pages=[], running_context=PROFILE.scope_context)
     current = PageRecord(6, PAGE_TEXTS[6])
     lookahead = PageRecord(7, PAGE_TEXTS[7])
-    assert predict_boundary(buffer, current, lookahead, 8000, rule_client()) is False
+    assert predict_boundary([], PROFILE.scope_context, current, lookahead, 8000,
+                            rule_client()) is False
 
 
 def test_last_page_of_run_returns_oracle_answer():
     # Finalization still happens through the run-end branch in run_chunking.
-    buffer = ChunkBuffer(pages=[PageRecord(6, PAGE_TEXTS[6])],
-                         running_context="initial management selected; surveillance follows")
-    assert predict_boundary(buffer, PageRecord(7, PAGE_TEXTS[7]), None, 8000,
-                            rule_client()) is False
+    assert predict_boundary([PageRecord(6, PAGE_TEXTS[6])],
+                            "initial management selected; surveillance follows",
+                            PageRecord(7, PAGE_TEXTS[7]), None, 8000, rule_client()) is False
 
 
 def test_boundary_oracle_failure_cuts():
     backend = StaticBackend("garbage")
-    buffer = ChunkBuffer(pages=[], running_context="ctx")
-    assert predict_boundary(buffer, PageRecord(1, "t"), None, 8000,
+    assert predict_boundary([], "ctx", PageRecord(1, "t"), None, 8000,
                             client=make_client(backend)) is True
 
 
@@ -189,19 +179,17 @@ def test_boundary_oracle_failure_cuts():
 # build_chunk / refine_nodes
 
 
-def chunk1_buffer() -> ChunkBuffer:
-    return ChunkBuffer(
-        pages=[PageRecord(2, PAGE_TEXTS[2]), PageRecord(3, PAGE_TEXTS[3])],
-        running_context=PROFILE.scope_context,
-    )
+def chunk1_buffer() -> list[PageRecord]:
+    return [PageRecord(2, PAGE_TEXTS[2]), PageRecord(3, PAGE_TEXTS[3])]
 
 
 def test_build_chunk_synthetic_first_segment():
-    outcome = build_chunk(chunk1_buffer(), PageRecord(4, PAGE_TEXTS[4]), rule_client())
-    assert outcome.description == "initial risk stratification"
-    assert outcome.entry_labels == ("suspected prostate cancer",)
-    assert outcome.terminal_labels == ("low-risk group", "high-risk group")
-    assert outcome.carry_pages == (3,)
+    body = build_chunk(chunk1_buffer(), PROFILE.scope_context, PageRecord(4, PAGE_TEXTS[4]),
+                       rule_client())
+    assert body["description"] == "initial risk stratification"
+    assert body["entry_labels"] == ["suspected prostate cancer"]
+    assert body["terminal_labels"] == ["low-risk group", "high-risk group"]
+    assert body["carry_pages"] == [3]
 
 
 def test_build_chunk_carry_subset_of_buffer():
@@ -212,8 +200,9 @@ def test_build_chunk_carry_subset_of_buffer():
                 body["carry_pages"] = [2, 3, 99]
             return body
 
-    outcome = build_chunk(chunk1_buffer(), None, make_client(CarryEverything()))
-    assert outcome.carry_pages == (2, 3)
+    body = build_chunk(chunk1_buffer(), PROFILE.scope_context, None,
+                       make_client(CarryEverything()))
+    assert body["carry_pages"] == [2, 3]
 
 
 EMPTY_INTERFACE = ('{"description": "d", "entry_labels": [], "terminal_labels": ["z"],'
@@ -224,7 +213,7 @@ def test_build_chunk_empty_interface_is_retried_then_protocol_error():
     backend = FlakyBackend(SyntheticRuleBackend(), bad_attempts=5, bad_raw=EMPTY_INTERFACE)
     client = make_client(backend)
     with pytest.raises(OracleProtocolError, match="must be non-empty"):
-        build_chunk(chunk1_buffer(), None, client)
+        build_chunk(chunk1_buffer(), PROFILE.scope_context, None, client)
     assert len(backend.seen_payloads) == client.retry_limit  # no other re-request
     assert "validation_errors" not in backend.seen_payloads[0]
     assert all(payload["validation_errors"] for payload in backend.seen_payloads[1:])
@@ -233,10 +222,11 @@ def test_build_chunk_empty_interface_is_retried_then_protocol_error():
 
 def test_build_chunk_empty_interface_then_valid_reply_succeeds():
     backend = FlakyBackend(SyntheticRuleBackend(), bad_attempts=1, bad_raw=EMPTY_INTERFACE)
-    outcome = build_chunk(chunk1_buffer(), PageRecord(4, PAGE_TEXTS[4]), make_client(backend))
+    body = build_chunk(chunk1_buffer(), PROFILE.scope_context, PageRecord(4, PAGE_TEXTS[4]),
+                       make_client(backend))
     assert len(backend.seen_payloads) == 2
-    assert outcome.entry_labels == ("suspected prostate cancer",)
-    assert outcome.terminal_labels == ("low-risk group", "high-risk group")
+    assert body["entry_labels"] == ["suspected prostate cancer"]
+    assert body["terminal_labels"] == ["low-risk group", "high-risk group"]
 
 
 def test_refine_dedups_after_normalization():
@@ -307,6 +297,14 @@ def test_refine_overlapping_interface_errors():
                      make_client(backend))
 
 
+def test_refine_keeps_confirmed_labels_of_a_punctuation_only_page():
+    # "..." normalizes to nothing: it supports no label, and fails nothing.
+    backend = StaticBackend('{"entry_labels": ["start"], "terminal_labels": ["end"]}')
+    entry, terminal = refine_nodes([PageRecord(1, "...")], "d", ["start"], ["end"],
+                                   make_client(backend))
+    assert (entry, terminal) == (("start",), ("end",))
+
+
 # ---------------------------------------------------------------------------
 # run_chunking
 
@@ -325,9 +323,9 @@ def test_run_chunking_synthetic_document():
 def test_invalid_chunk_error_names_its_document_wide_id(monkeypatch):
     refine = chunker.refine_nodes
 
-    def overlapping(buffer, description, entry, terminal, client):
-        refined_entry, refined_terminal = refine(buffer, description, entry, terminal, client)
-        if buffer.indices() == [6, 7]:  # the first chunk of the second run
+    def overlapping(pages, description, entry, terminal, client):
+        refined_entry, refined_terminal = refine(pages, description, entry, terminal, client)
+        if [p.index for p in pages] == [6, 7]:  # the first chunk of the second run
             return refined_entry, refined_entry
         return refined_entry, refined_terminal
 
@@ -464,6 +462,31 @@ def test_page_over_the_cap_becomes_its_own_chunk_and_drops_the_carry(caplog):
     assert [c.carried_pages for c in result.chunks] == [(), (), ()]
     assert [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()] == [
         "carry page 2 would push the next chunk past the cap; dropped"]
+
+
+def test_page_over_the_cap_gets_no_boundary_call():
+    # Cap 200: page 1 fits alone, page 2 would push it past the cap, page 3 is last.
+    docs = [PageRecord(1, "x" * 200), PageRecord(2, "y" * 10), PageRecord(3, "z")]
+    client = make_client(NeverCutBackend())
+    drafts = chunk_run((1, 2, 3), {p.index: p for p in docs}, PROFILE, 100, client)
+    assert [draft(chunk_id=1).page_span for draft in drafts] == [(1,), (2, 3)]
+    boundary = [e for e in client.audit.entries if e["task"] == "predict_boundary"]
+    assert len(boundary) == 1
+
+
+def test_carried_pages_are_listed_once_in_page_order():
+    class CarryLastFirstLast(NeverCutBackend):
+        def body_for(self, task, payload):
+            body = super().body_for(task, payload)
+            if task is OracleTask.BUILD_CHUNK:
+                indices = [p["index"] for p in payload["pages"]]
+                body["carry_pages"] = [indices[-1], indices[0], indices[-1]]
+            return body
+
+    docs = [PageRecord(i, f"entry p{i} terminal p{i}") for i in (1, 2, 3)]
+    drafts = chunk_run((1, 2, 3), {p.index: p for p in docs}, PROFILE, 8000,
+                       make_client(CarryLastFirstLast()))
+    assert [draft(chunk_id=1).carried_pages for draft in drafts] == [(1, 3)]
 
 
 def test_budget_override_bounds_chunk_growth():

@@ -12,6 +12,8 @@ import requests
 from conftest import make_client
 from synth import FlakyBackend, JitterBackend, StaticBackend, SyntheticRuleBackend
 
+from guidegraph.chunker import classify_pages
+from guidegraph.core import GuidelineProfile, PageRecord
 from guidegraph.errors import (
     EmbeddingError,
     FixtureMissingError,
@@ -274,10 +276,10 @@ def test_live_embedding_backend_returns_the_vector():
     {"data": [{"embedding": 5}]},
     {"data": "embedding"},
 ])
-def test_live_embedding_backend_maps_a_malformed_envelope_to_a_protocol_error(payload):
+def test_live_embedding_backend_maps_a_malformed_envelope_to_a_transport_error(payload):
     backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model",
                                    session=_FakeSession(payload=payload))
-    with pytest.raises(OracleProtocolError):
+    with pytest.raises(OracleTransportError):
         backend.embed_text("mri")
 
 
@@ -292,15 +294,27 @@ def _embed(session) -> None:
 
 @pytest.mark.parametrize("call", [_chat, _embed], ids=["chat", "embeddings"])
 @pytest.mark.parametrize("reply, error", [
-    # requests' JSONDecodeError is also a RequestException: still a protocol error.
-    (_http_reply(200, b"<html>proxy login</html>"), OracleProtocolError),
-    (_http_reply(200, b'{"object": "error"}'), OracleProtocolError),
+    # The endpoint gave no usable reply: nothing a retried request could fix.
+    (_http_reply(200, b"<html>proxy login</html>"), OracleTransportError),
+    (_http_reply(200, b'{"object": "error"}'), OracleTransportError),
     (requests.ConnectionError("down"), OracleTransportError),
     (_http_reply(500, b'{"error": "overloaded"}'), OracleTransportError),
 ], ids=["non_json_body", "malformed_envelope", "connection_error", "http_500"])
 def test_live_backends_map_failures(call, reply, error):
     with pytest.raises(error):
         call(_FakeSession(reply=reply))
+
+
+def test_live_proxy_page_fails_classification_instead_of_degrading_it():
+    # A fallback that catches protocol errors would turn every page auxiliary.
+    session = _FakeSession(reply=_http_reply(200, b"<html>proxy login</html>"))
+    client = make_client(LiveBackend("http://backend.test/v1", "demo-model", session=session))
+    profile = GuidelineProfile(metadata={"title": "t"}, scope_context="scope")
+    pages = [PageRecord(1, "flowchart"), PageRecord(2, "references")]
+    with pytest.raises(OracleTransportError):
+        classify_pages(pages, profile, client)
+    assert [e["outcome"] for e in client.audit.entries] == ["transport_error"]
+    assert len(session.requests) == 1
 
 
 def test_store_rejects_a_non_finite_embedding_reply():
