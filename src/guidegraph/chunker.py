@@ -72,14 +72,12 @@ def refine_payload(pages: Sequence[PageRecord], description: str, entry: Sequenc
 
 
 def extract_profile(pages: Sequence[PageRecord], client: OracleClient) -> GuidelineProfile:
-    """Derive the document profile from the header pages. The reply schema
-    requires a non-blank scope context; no valid reply is a ProfileError."""
+    """Derive the document profile from the header pages. No header pages is
+    a ProfileError; the reply schema requires a non-blank scope context, and
+    no valid reply is the OracleProtocolError that `dispatch` raises."""
     if not pages:
         raise ProfileError("no header pages available for profile extraction")
-    try:
-        body = client.call(OracleTask.EXTRACT_PROFILE, profile_payload(pages))
-    except OracleProtocolError as exc:
-        raise ProfileError(f"profile extraction failed: {exc}") from exc
+    body = client.call(OracleTask.EXTRACT_PROFILE, profile_payload(pages))
     return GuidelineProfile(metadata=dict(body["metadata"]),
                             scope_context=body["scope_context"].strip())
 

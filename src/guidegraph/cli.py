@@ -10,14 +10,15 @@ seconds after the epoch, so whole run directories are byte-comparable at
 any parallelism.
 
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
-5 oracle protocol, 6 structural, 7 expansion budget. A path that cannot be
-read or written exits 2, or 3 for the manifest.
+5 oracle protocol, 6 structural, 7 expansion budget. Every JSON input
+(manifest, config, fixture files and the artifacts a stage resumes from)
+is read by `core.load_doc`, so a path that cannot be read, parsed or
+written exits 2, or 3 for the manifest, with a message that names it.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import math
 import os
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from . import aggregator, builder, chunker, core, evaluation
-from .core import DecisionGraph, NodeKind, PageRecord, canonical_json
+from .core import DecisionGraph, NodeKind, PageRecord, canonical_json, load_doc
 from .errors import (
     ExpansionBudgetExceeded,
     GuidegraphError,
@@ -79,18 +80,9 @@ class PipelineConfig:
     match_threshold: float | None = None
 
     def validate(self) -> None:
-        if self.header_pages < 1:
-            raise UsageError("header_pages must be >= 1")
-        if self.chunk_budget < 1:
-            raise UsageError("chunk_budget must be >= 1")
-        if self.candidate_count < 1:
-            raise UsageError("candidate_count must be >= 1")
-        if self.expansion_cap < 1:
-            raise UsageError("expansion_cap must be >= 1")
-        if self.retry_limit < 1:
-            raise UsageError("retry_limit must be >= 1")
-        if self.parallelism < 1:
-            raise UsageError("parallelism must be >= 1")
+        for name in (spec.name for spec in fields(self) if spec.type == "int"):
+            if not 1 <= getattr(self, name) < 2**63:  # orjson writes the echo in 64 bits
+                raise UsageError(f"{name} must be >= 1 and < 2**63")
         if self.backend.kind not in ("scripted", "live"):
             raise UsageError(f"unknown backend kind {self.backend.kind!r}")
         if self.match_mode not in [mode.value for mode in evaluation.MatchMode]:
@@ -157,14 +149,7 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
     bytes, so neither depends on how the manifest path was spelled.
     """
     manifest_path = Path(manifest_path)
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ManifestError(f"manifest not found: {manifest_path}") from exc
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {manifest_path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    doc = load_doc(manifest_path, error=ManifestError)
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
@@ -311,17 +296,6 @@ def _chunk_graph_path(out_dir: Path, chunk_id: int) -> Path:
     return out_dir / "graphs" / f"chunk_{chunk_id:02d}.json"
 
 
-def _load_artifact(path: Path, from_doc: Callable[[Any], Any]) -> Any:
-    """Parse a JSON artifact with `from_doc`. A missing, unreadable or
-    malformed file is a usage error that names it."""
-    try:
-        return from_doc(json.loads(path.read_text(encoding="utf-8")))
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError, GuidegraphError) as exc:
-        raise UsageError(f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
-
-
 def stage_profile(pages: Sequence[PageRecord], config: PipelineConfig,
                   client: OracleClient, out_dir: Path) -> core.GuidelineProfile:
     profile = chunker.extract_profile(pages[: config.header_pages], client)
@@ -388,10 +362,10 @@ def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
     if manifest is not None:
         pages = ingest(manifest)
     else:
-        chunks = _load_artifact(out_dir / "chunks.json", core.chunks_from_doc)
+        chunks = load_doc(out_dir / "chunks.json", core.chunks_from_doc)
         if stages[0] == "aggregate":
-            graphs = [_load_artifact(_chunk_graph_path(out_dir, chunk.chunk_id),
-                                     core.graph_from_doc) for chunk in chunks]
+            graphs = [load_doc(_chunk_graph_path(out_dir, chunk.chunk_id), core.graph_from_doc)
+                      for chunk in chunks]
     client, store = make_session(config, out_dir)
     # The stage functions are called by their global names, so rebinding one
     # (as a tracer does) reaches every command.
@@ -438,13 +412,7 @@ def run_pipeline(manifest_path: str | Path, config: PipelineConfig,
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            config = PipelineConfig.from_doc(json.loads(path.read_text(encoding="utf-8")))
-        except FileNotFoundError as exc:
-            raise UsageError(f"config file not found: {path}") from exc
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"config file invalid: {path}: {exc}") from exc
+        config = load_doc(args.config, PipelineConfig.from_doc)
     else:
         config = PipelineConfig()
     for name in ("header_pages", "chunk_budget", "candidate_count", "expansion_cap",
@@ -468,8 +436,8 @@ def _cmd_stages(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    predicted = _load_artifact(Path(args.predicted), core.graph_from_doc)
-    reference = _load_artifact(Path(args.reference), core.graph_from_doc)
+    predicted = load_doc(args.predicted, core.graph_from_doc)
+    reference = load_doc(args.reference, core.graph_from_doc)
     policy = make_match_policy(config)
     client = store = None
     if policy.mode is evaluation.MatchMode.ORACLE_VERIFIED:
@@ -483,7 +451,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    graph = _load_artifact(Path(args.graph), core.graph_from_doc)
+    graph = load_doc(args.graph, core.graph_from_doc)
     if args.format == "dot":
         content = export_dot(graph)
     else:

@@ -7,23 +7,26 @@ interchange format between stages and is byte-stable, so equal graphs
 serialize to equal files. The mutations are the graph's own node and edge
 methods, `add_edge_or_log_loop` and `merge_nodes`; callers name and make
 their nodes themselves (the builder gives each chunk's nodes their ids).
+Every JSON input file enters through `load_doc`, parsed by orjson, the
+codec that writes every artifact and digest.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import AbstractSet, Any, Iterable, KeysView, Mapping, NamedTuple
+from typing import AbstractSet, Any, Callable, Iterable, KeysView, Mapping, NamedTuple
 
 import orjson
 
 from .errors import (
     EmptyLabelError,
     GraphIntegrityError,
+    GuidegraphError,
     InvalidMergeError,
     MissingNodeError,
+    UsageError,
 )
 
 GRAPH_FORMAT = "decision-graph/1"
@@ -404,8 +407,27 @@ def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
     return graph
 
 
+def load_doc(path: str | Path, from_doc: Callable[[Any], Any] = lambda doc: doc,
+             error: type[GuidegraphError] = UsageError) -> Any:
+    """`from_doc` of a file's JSON document, parsed by orjson: `NaN`, `Infinity`,
+    overflowing numbers and unpaired surrogate escapes are malformed, and an
+    integer past 64 bits reads as a float. A file that cannot be read or parsed,
+    or that `from_doc` rejects with a ValueError, KeyError, TypeError,
+    AttributeError or GuidegraphError, raises `error` naming the path."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
+        raise error(f"cannot read {path}: {reason}") from exc
+    try:
+        return from_doc(orjson.loads(data))
+    except (ValueError, KeyError, TypeError, AttributeError, GuidegraphError) as exc:
+        raise error(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_graph(path: str | Path) -> DecisionGraph:
-    return graph_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    """A graph file's graph, read by `load_doc`, so a bad file is a UsageError."""
+    return load_doc(path, graph_from_doc)
 
 
 def chunks_to_doc(chunks: Iterable[Chunk]) -> dict[str, Any]:

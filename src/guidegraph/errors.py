@@ -47,7 +47,7 @@ class EmbeddingError(GuidegraphError):
 
 
 class ProfileError(GuidegraphError):
-    """Guideline profile extraction produced no usable scope context."""
+    """Profile extraction had no header pages (an invalid reply is a protocol error)."""
 
 
 class ChunkInterfaceError(GuidegraphError):

@@ -14,7 +14,6 @@ writes.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import threading
 import weakref
@@ -28,7 +27,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 
 import orjson
 
-from .core import canonical_json
+from .core import canonical_json, load_doc
 from .errors import FixtureMissingError, OracleProtocolError, OracleTransportError, UsageError
 
 logger = logging.getLogger(__name__)
@@ -228,7 +227,7 @@ class FixtureSet:
         body = entry["response_body"]
         if isinstance(body, str):
             return body
-        return json.dumps(body, sort_keys=True, ensure_ascii=False)
+        return canonical_json(body, compact=True)
 
     def count(self) -> int:
         return sum(len(v) for v in self._entries.values())
@@ -270,23 +269,22 @@ class FixtureSet:
 
     @classmethod
     def load(cls, directory: str | Path) -> "FixtureSet":
-        """Read every `*.json` fixture file of a directory. A missing
-        directory or an unreadable or malformed file is a usage error that
-        names it."""
+        """Read every `*.json` fixture file of a directory, each by
+        `core.load_doc`. A missing directory, or a file that is unreadable,
+        malformed or not a fixture file, is a usage error that names it."""
         fixtures = cls()
+
+        def add_file(doc: dict[str, Any]) -> None:
+            if doc.get("format") != FIXTURES_FORMAT:
+                raise ValueError(f"unsupported fixture format {doc.get('format')!r}")
+            task = OracleTask(doc["task"])
+            for entry in doc["entries"]:
+                if "response_body" not in entry:
+                    raise KeyError("response_body")
+                fixtures._entries[task][entry["key_digest"]] = entry
+
         for path in cls._files(directory):
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                if doc.get("format") != FIXTURES_FORMAT:
-                    raise ValueError(f"unsupported fixture format {doc.get('format')!r}")
-                task = OracleTask(doc["task"])
-                for entry in doc["entries"]:
-                    if "response_body" not in entry:
-                        raise KeyError("response_body")
-                    fixtures._entries[task][entry["key_digest"]] = entry
-            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise UsageError(f"malformed fixture file {path}: "
-                                 f"{type(exc).__name__}: {exc}") from exc
+            load_doc(path, add_file)
         return fixtures
 
 

@@ -68,15 +68,21 @@ def test_profile_from_single_page_document():
 
 
 def test_profile_error_after_persistent_malformed_replies():
+    # A reply that never validates is a protocol error, as for every task.
     client = make_client(StaticBackend('{"metadata": "broken"}'))
-    with pytest.raises(ProfileError):
+    with pytest.raises(OracleProtocolError):
         extract_profile(pages()[:2], client)
 
 
 def test_profile_error_on_empty_scope():
     client = make_client(StaticBackend('{"metadata": {}, "scope_context": "  "}'))
-    with pytest.raises(ProfileError):
+    with pytest.raises(OracleProtocolError):
         extract_profile(pages()[:1], client)
+
+
+def test_profile_error_without_header_pages():
+    with pytest.raises(ProfileError, match="no header pages"):
+        extract_profile([], rule_client())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -322,7 +323,24 @@ def test_bad_config_value_exits_with_usage_code_naming_the_field(tmp_path, capsy
                    "--out", str(tmp_path / "out"), *scripted_flags(),
                    "--config", str(config_path))
     assert code == cli.EXIT_USAGE
-    assert field in capsys.readouterr().err
+    # `Infinity` is not JSON: the file is malformed, and the message names it.
+    assert (str(config_path) if "Infinity" in doc else field) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_count_setting_past_64_bits_exits_with_usage_code_naming_the_field(tmp_path, capsys,
+                                                                           source):
+    # orjson reads the file's integer as a float, which `from_doc` turns back into it.
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"expansion_cap": 123456789012345678901234567890}',
+                           encoding="utf-8")
+    setting = (["--expansion-cap", str(2**64)] if source == "flag"
+               else ["--config", str(config_path)])
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(tmp_path / "out"), *scripted_flags(), *setting)
+    assert code == cli.EXIT_USAGE
+    assert "expansion_cap" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -344,8 +362,17 @@ def test_bad_backend_timeout_exits_with_usage_code(tmp_path, capsys, timeout):
                    "--out", str(tmp_path / "out"), *scripted_flags(),
                    "--config", str(config_path))
     assert code == cli.EXIT_USAGE
-    assert "backend.timeout" in capsys.readouterr().err
+    # `NaN` and `Infinity` are not JSON: the file is malformed, and the message names it.
+    named = str(config_path) if timeout.endswith(("Infinity", "NaN")) else "backend.timeout"
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("timeout", [math.inf, -math.inf, math.nan])
+def test_non_finite_backend_timeout_fails_validation(timeout):
+    config = cli.PipelineConfig(backend=cli.BackendConfig(timeout=timeout))
+    with pytest.raises(UsageError, match="backend.timeout"):
+        config.validate()
 
 
 def test_config_file_plus_flag_overrides(tmp_path):
@@ -831,6 +858,78 @@ def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command,
     assert run_cli(*argv) == cli.EXIT_USAGE
     assert str(bad) in capsys.readouterr().err
     assert not (out / "audit.log").exists()  # no stage ran
+
+
+def _with_unpaired_surrogate(path: Path, edit) -> None:
+    """Rewrite a JSON file with `edit` applied to its doc; `json.dumps`
+    escapes the lone surrogate the edit adds as `\\ud800`."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _add_surrogate_to_label(doc: dict) -> None:
+    doc["nodes"][0]["label"] += "\ud800"
+
+
+@pytest.mark.parametrize("case", ["manifest", "config", "build-chunks", "aggregate-graph",
+                                  "eval-predicted", "export-graph", "fixture"])
+def test_unpaired_surrogate_in_any_input_exits_naming_the_file(tmp_path, capsys, case):
+    # orjson, which writes every artifact and digest, cannot hold `\ud800`:
+    # each input that holds one is malformed before any stage runs.
+    out = tmp_path / "run"
+    shutil.copytree(GOLDEN_DIR / "graphs", out / "graphs")
+    shutil.copy(GOLDEN_DIR / "chunks.json", out)
+    graph = out / "graph.json"
+    shutil.copy(GOLDEN_DIR / "merged.json", graph)
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURE_DIR, fixtures)
+    manifest = tmp_path / "manifest.json"
+    shutil.copy(SYNTHETIC_DIR / "manifest.json", manifest)
+    config = tmp_path / "config.json"
+    config.write_text('{"backend": {"chat_model": "m"}}', encoding="utf-8")
+    flags = ["--out", str(out), "--backend", "scripted", "--fixtures", str(fixtures)]
+    run = ["run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"), *flags]
+    argv, bad, edit = {
+        "manifest": (["chunk", "--manifest", str(manifest), *flags], manifest,
+                     lambda doc: doc["pages"][0].update(text_path="p\ud800.txt")),
+        "config": ([*run, "--config", str(config)], config,
+                   lambda doc: doc["backend"].update(chat_model="m\ud800")),
+        "build-chunks": (["build", "--out", str(out), *scripted_flags()], out / "chunks.json",
+                         lambda doc: doc["chunks"][0].update(context="ctx \ud800")),
+        "aggregate-graph": (["aggregate", "--out", str(out), *scripted_flags()],
+                            out / "graphs" / "chunk_02.json", _add_surrogate_to_label),
+        "eval-predicted": (["eval", "--predicted", str(graph),
+                            "--reference", str(GOLDEN_DIR / "merged.json")],
+                           graph, _add_surrogate_to_label),
+        "export-graph": (["export", "--graph", str(graph), "--out", str(tmp_path / "g.dot")],
+                         graph, _add_surrogate_to_label),
+        "fixture": (run, fixtures / "extract_profile.json",
+                    lambda doc: doc["entries"][0]["response_body"].update(
+                        scope_context="scope \ud800")),
+    }[case]
+    _with_unpaired_surrogate(bad, edit)
+    expected = cli.EXIT_MANIFEST if case == "manifest" else cli.EXIT_USAGE
+    assert run_cli(*argv) == expected
+    assert str(bad) in capsys.readouterr().err
+    assert not (out / "audit.log").exists()  # no stage ran
+
+
+def test_profile_reply_that_never_validates_exits_with_protocol_code(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURE_DIR, fixtures)
+    path = fixtures / "extract_profile.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["entries"][0]["response_body"] = {"metadata": "broken"}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    # One attempt: a retry would send a new payload, which has no fixture.
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"), "--out", str(out),
+                   "--backend", "scripted", "--fixtures", str(fixtures), "--retry-limit", "1")
+    assert code == cli.EXIT_PROTOCOL
+    outcomes = [json.loads(line)["outcome"]
+                for line in (out / "audit.log").read_text(encoding="utf-8").splitlines()]
+    assert outcomes == ["protocol_error"]
 
 
 def test_partial_artifacts_preserved_on_failure(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import datetime
 import itertools
@@ -8,12 +9,14 @@ import math
 import random
 import string
 import uuid
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import brute_force_merge, reference_canonical_json, reference_normalize
 
+import guidegraph
 from guidegraph.aggregator import union_graphs
 from guidegraph.builder import register_node
 from guidegraph.core import (
@@ -27,6 +30,7 @@ from guidegraph.core import (
     canonical_json,
     graph_from_doc,
     graph_to_doc,
+    load_doc,
     merge_nodes,
     normalize_label,
 )
@@ -34,7 +38,9 @@ from guidegraph.errors import (
     EmptyLabelError,
     GraphIntegrityError,
     InvalidMergeError,
+    ManifestError,
     MissingNodeError,
+    UsageError,
 )
 
 
@@ -413,6 +419,46 @@ def test_canonical_json_differences_from_the_standard_library_encoder():
                   np.int64(1), "\ud800"):
         with pytest.raises(TypeError):
             canonical_json(value)
+
+
+def test_load_doc_parses_a_file_and_builds_from_its_doc(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": [1, 2.5, "\\u00e9"]}', encoding="utf-8")
+    assert load_doc(path) == {"a": [1, 2.5, "\u00e9"]}
+    assert load_doc(path, lambda doc: doc["a"][0]) == 1
+
+
+@pytest.mark.parametrize("content", [b"{", b"NaN", b"[Infinity]", b"[1e999]", b'"\\ud800"',
+                                     b'"\xff"', b'{"b": 1}', b"[]"],
+                         ids=["truncated", "nan", "infinity", "overflow", "lone-surrogate",
+                              "not-utf8", "from-doc-key", "from-doc-type"])
+def test_load_doc_raises_the_given_error_naming_a_malformed_file(tmp_path, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(ManifestError, match="malformed") as info:
+        load_doc(path, lambda doc: doc["a"], error=ManifestError)
+    assert str(path) in str(info.value)
+
+
+def test_load_doc_names_a_missing_or_unreadable_file(tmp_path):
+    with pytest.raises(UsageError, match="not found") as info:
+        load_doc(tmp_path / "absent.json")
+    assert str(tmp_path / "absent.json") in str(info.value)
+    with pytest.raises(UsageError, match="cannot read") as info:
+        load_doc(tmp_path)
+    assert str(tmp_path) in str(info.value)
+
+
+def test_no_module_imports_the_standard_json_codec():
+    """Every JSON input enters through `load_doc`; a module importing `json`
+    could parse one around it, with the other codec's rules."""
+    for path in sorted(Path(guidegraph.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert "json" not in {name.partition(".")[0] for name in imported}, path.name
 
 
 def test_graph_doc_rejects_unknown_format():
