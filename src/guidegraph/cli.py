@@ -5,9 +5,11 @@ Every stage command and `run` is one walk of `_run_stages` over the stages
 `COMMANDS` lists for it. The canonical JSON serialization is the single
 interchange format between stages, so each stage command can resume from
 the previous stage's files and a full run equals the stages run one by
-one. Under the scripted backend the audit log stamps record n at n - 1
-seconds after the epoch, so whole run directories are byte-comparable at
-any parallelism.
+one. A run directory records only what shaped the run: `config.json`
+echoes the pipeline settings, once the command's inputs have loaded, and
+`audit.log` holds no clock reading, so whole run directories are
+byte-comparable at any parallelism. The match settings are flags of
+`eval` alone.
 
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
 5 oracle protocol, 6 structural, 7 expansion budget. Every JSON input
@@ -25,7 +27,6 @@ import os
 import sys
 import threading
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -76,8 +77,6 @@ class PipelineConfig:
     retry_limit: int = 3
     parallelism: int = 1
     backend: BackendConfig = field(default_factory=BackendConfig)
-    match_mode: str = "exact"
-    match_threshold: float | None = None
 
     def validate(self) -> None:
         for name in (spec.name for spec in fields(self) if spec.type == "int"):
@@ -85,10 +84,6 @@ class PipelineConfig:
                 raise UsageError(f"{name} must be >= 1 and < 2**63")
         if self.backend.kind not in ("scripted", "live"):
             raise UsageError(f"unknown backend kind {self.backend.kind!r}")
-        if self.match_mode not in [mode.value for mode in evaluation.MatchMode]:
-            raise UsageError(f"unknown match_mode {self.match_mode!r}")
-        if self.match_threshold is not None and not math.isfinite(self.match_threshold):
-            raise UsageError("match_threshold must be finite")
         if not 0 < self.backend.timeout < math.inf:
             raise UsageError("backend.timeout must be finite and > 0")
 
@@ -135,7 +130,6 @@ _COERCE: dict[str, Callable[[Any], Any]] = {
     "str": _to_str,
     "int": _to_int,
     "float": float,
-    "float | None": lambda value: None if value is None else float(value),
     "BackendConfig": lambda doc: _from_doc(BackendConfig, doc),
 }
 
@@ -176,10 +170,11 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
             raise ManifestError(
                 f"page {index}: text_path is required (run OCR upstream for scanned pages)"
             )
-        image_path = entry.get("image_path") or None
+        image_path = entry.get("image_path")
         for name, value in (("text_path", text_path), ("image_path", image_path)):
             if value is not None and not isinstance(value, str):
                 raise ManifestError(f"page {index}: {name} must be a string")
+        image_path = image_path or None  # an empty string names no image
         try:
             text = (base / text_path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -208,12 +203,6 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
     return ordered
 
 
-def _step_clock(number: int) -> str:
-    """Deterministic audit clock for scripted runs: record `number` is
-    stamped `number - 1` seconds after the epoch."""
-    return datetime.fromtimestamp(number - 1, tz=timezone.utc).isoformat()
-
-
 def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleClient, EmbeddingStore]:
     """Build the oracle client and embedding store for a run."""
     audit = AuditLog(out_dir / "audit.log" if out_dir is not None else None)
@@ -221,7 +210,6 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
         if not config.backend.fixture_dir:
             raise UsageError("scripted backend needs --fixtures")
         backend = FixtureSet.load(config.backend.fixture_dir)
-        audit.clock = _step_clock
         store = EmbeddingStore(HashingEmbeddingBackend())
     else:
         if not config.backend.base_url:
@@ -237,11 +225,6 @@ def make_session(config: PipelineConfig, out_dir: Path | None) -> tuple[OracleCl
         ))
     client = OracleClient(backend, audit=audit, retry_limit=config.retry_limit)
     return client, store
-
-
-def make_match_policy(config: PipelineConfig) -> evaluation.MatchPolicy:
-    mode = evaluation.MatchMode(config.match_mode)
-    return evaluation.MatchPolicy(mode=mode, threshold=config.match_threshold)
 
 
 def export_dot(graph: DecisionGraph) -> str:
@@ -352,12 +335,13 @@ def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
                 manifest: str | Path | None = None) -> None:
     """Run the named stages in order in one session, then close its audit file.
 
-    The config echo is the first write, so it makes the run directory. The
-    walk's inputs are loaded before the session opens: the manifest's pages
-    when one is given, else `chunks.json` and, for `aggregate`, the chunk
-    graphs. Later stages take chunks and graphs in memory.
+    The walk's inputs are loaded first: the manifest's pages when one is
+    given, else `chunks.json` and, for `aggregate`, the chunk graphs. Then
+    the session opens, and only then is the config echoed, as the first
+    write, which makes the run directory. So a command that cannot load
+    its inputs or open its session leaves a run directory as it was. Later
+    stages take chunks and graphs in memory.
     """
-    _echo_config(config, out_dir)
     pages = chunks = graphs = None
     if manifest is not None:
         pages = ingest(manifest)
@@ -367,6 +351,7 @@ def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
             graphs = [load_doc(_chunk_graph_path(out_dir, chunk.chunk_id), core.graph_from_doc)
                       for chunk in chunks]
     client, store = make_session(config, out_dir)
+    _echo_config(config, out_dir)
     # The stage functions are called by their global names, so rebinding one
     # (as a tracer does) reaches every command.
     try:
@@ -416,7 +401,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     else:
         config = PipelineConfig()
     for name in ("header_pages", "chunk_budget", "candidate_count", "expansion_cap",
-                 "retry_limit", "parallelism", "match_mode", "match_threshold"):
+                 "retry_limit", "parallelism"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
@@ -435,10 +420,10 @@ def _cmd_stages(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    policy = evaluation.MatchPolicy(evaluation.MatchMode(args.match_mode), args.match_threshold)
     config = _load_config(args)
     predicted = load_doc(args.predicted, core.graph_from_doc)
     reference = load_doc(args.reference, core.graph_from_doc)
-    policy = make_match_policy(config)
     client = store = None
     if policy.mode is evaluation.MatchMode.ORACLE_VERIFIED:
         client, store = make_session(config, None)
@@ -461,22 +446,24 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every command that may open an oracle session."""
     parser.add_argument("--config", help="pipeline config JSON file")
-    parser.add_argument("--header-pages", dest="header_pages", type=int)
-    parser.add_argument("--chunk-budget", dest="chunk_budget", type=int)
-    parser.add_argument("--candidate-count", dest="candidate_count", type=int)
-    parser.add_argument("--expansion-cap", dest="expansion_cap", type=int)
     parser.add_argument("--retry-limit", dest="retry_limit", type=int)
-    parser.add_argument("--parallelism", type=int)
     parser.add_argument("--backend", choices=["scripted", "live"])
     parser.add_argument("--fixtures", help="fixture directory for the scripted backend")
     parser.add_argument("--base-url", dest="base_url")
     parser.add_argument("--chat-model", dest="chat_model")
     parser.add_argument("--embed-model", dest="embed_model")
-    parser.add_argument("--match-mode", dest="match_mode",
-                        choices=["exact", "embedding", "oracle"])
-    parser.add_argument("--match-threshold", dest="match_threshold", type=float)
+
+
+def _add_count_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that size a pipeline run; `eval` neither chunks nor fans out."""
+    parser.add_argument("--header-pages", dest="header_pages", type=int)
+    parser.add_argument("--chunk-budget", dest="chunk_budget", type=int)
+    parser.add_argument("--candidate-count", dest="candidate_count", type=int)
+    parser.add_argument("--expansion-cap", dest="expansion_cap", type=int)
+    parser.add_argument("--parallelism", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         if stages[0] in ("profile", "chunk"):
             p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)
-        _add_config_flags(p)
+        _add_session_flags(p)
+        _add_count_flags(p)
         p.set_defaults(handler=_cmd_stages, stages=stages)
 
     p = sub.add_parser("eval", help="score a predicted graph against a reference")
@@ -499,7 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--unit", default="unit")
     p.add_argument("--out")
-    _add_config_flags(p)
+    p.add_argument("--match-mode", dest="match_mode", default="exact",
+                   choices=[mode.value for mode in evaluation.MatchMode])
+    p.add_argument("--match-threshold", dest="match_threshold", type=float)
+    _add_session_flags(p)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("export", help="export a graph file")

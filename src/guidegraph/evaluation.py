@@ -41,13 +41,17 @@ class MatchMode(str, Enum):
 
 @dataclass(frozen=True)
 class MatchPolicy:
+    """How `eval` matches labels. A given threshold lies in (0, 1] under
+    every mode, which refuses `nan` too; the embedding mode needs one."""
+
     mode: MatchMode = MatchMode.EXACT_NORMALIZED
     threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode is MatchMode.EMBEDDING_THRESHOLD:
-            if self.threshold is None or not (0.0 < self.threshold <= 1.0):
-                raise UsageError("embedding policy needs a threshold in (0, 1]")
+        if self.threshold is not None and not 0.0 < self.threshold <= 1.0:
+            raise UsageError(f"match_threshold must lie in (0, 1], got {self.threshold}")
+        if self.mode is MatchMode.EMBEDDING_THRESHOLD and self.threshold is None:
+            raise UsageError("the embedding match mode needs a match_threshold")
 
 
 def percent_value(supported: int, total: int) -> float | None:

@@ -6,10 +6,11 @@ positionally. Backends are pluggable: the deterministic scripted backend is
 a `FixtureSet`, which replays fixture files keyed by a content digest of
 the canonicalized payload, and `live.LiveBackend` posts to an
 OpenAI-compatible chat endpoint. Every dispatch leaves one record in an
-audit log, which numbers and stamps each record as it writes it, so the
-file is in request-id order. Independent work items that call the oracle
-can fan out over a thread pool and still leave the log a serial run
-writes.
+audit log, which numbers each record as it writes it, so the file is in
+request-id order. A record holds no clock reading, so the log is
+deterministic under either backend. Independent work items that call the
+oracle can fan out over a thread pool and still leave the log a serial
+run writes.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property, partial
 from pathlib import Path
@@ -120,8 +120,8 @@ def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _unstamped(request: OracleRequest, outcome: str) -> dict[str, Any]:
-    """An audit record without its request id and timestamp."""
+def _unnumbered(request: OracleRequest, outcome: str) -> dict[str, Any]:
+    """An audit record without its request id."""
     return {
         "task": request.task.value,
         "payload_digest": request.digest,
@@ -132,20 +132,20 @@ def _unstamped(request: OracleRequest, outcome: str) -> dict[str, Any]:
 class AuditLog:
     """Append-only, internally synchronized log of oracle traffic.
 
-    One record per dispatch call. The log alone numbers and stamps records:
-    under its lock, as it writes a record, it gives it the next request id
-    (`req-000001`, ...) and the time `clock(number)` returns for that
-    number, so records are written in id order whatever the threads do.
-    When a path is configured, records are also written as line-delimited
-    JSON through one handle that stays open until `close`. `prior_records`
-    counts the records already in that file, so a stage that appends to the
-    log of an earlier one numbers its records after them.
+    One record per dispatch call: `request_id`, `task`, `payload_digest`
+    and `outcome`. The log alone numbers records: under its lock, as it
+    writes a record, it gives it the next request id (`req-000001`, ...),
+    so records are written in id order whatever the threads do. A record
+    holds no timestamp, so the same calls leave the same bytes under either
+    backend. When a path is configured, records are also written as
+    line-delimited JSON through one handle that stays open until `close`.
+    `prior_records` counts the records already in that file, so a stage
+    that appends to the log of an earlier one numbers its records after
+    them.
     """
 
-    def __init__(self, path: str | Path | None = None,
-                 clock: Callable[[int], str] | None = None) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self._path = Path(path) if path is not None else None
-        self.clock = clock or (lambda number: datetime.now(timezone.utc).isoformat())
         self._lock = threading.Lock()
         self._handle: TextIO | None = None
         self._close_handle: weakref.finalize | None = None
@@ -157,13 +157,13 @@ class AuditLog:
 
     def append(self, request: OracleRequest, outcome: str) -> None:
         """Write the record of one dispatch."""
-        self.commit([_unstamped(request, outcome)])
+        self.commit([_unnumbered(request, outcome)])
 
     def commit(self, records: Sequence[dict[str, Any]]) -> None:
-        """Number and stamp unstamped records, then write them in one write."""
+        """Number unnumbered records, then write them in one write."""
         with self._lock:
             first = self.prior_records + len(self.entries) + 1
-            records = [{"ts": self.clock(number), "request_id": f"req-{number:06d}", **record}
+            records = [{"request_id": f"req-{number:06d}", **record}
                        for number, record in enumerate(records, first)]
             self.entries.extend(records)
             if self._path is None or not records:
@@ -191,7 +191,7 @@ class _HeldRecords:
         self.records: list[dict[str, Any]] = []
 
     def append(self, request: OracleRequest, outcome: str) -> None:
-        self.records.append(_unstamped(request, outcome))
+        self.records.append(_unnumbered(request, outcome))
 
 
 class Backend(Protocol):
@@ -381,7 +381,7 @@ class OracleClient:
 
         Each item calls the oracle through a child client whose audit
         records are held back. Items commit strictly in item order: the
-        audit log numbers and stamps the item's records and writes them in
+        audit log numbers the item's records and writes them in
         one write, then `on_commit(item, result)` runs. Results come back
         in item order.
 

@@ -22,7 +22,7 @@ from synth import (
 )
 
 import guidegraph
-from guidegraph import chunker, cli, oracle
+from guidegraph import chunker, cli, evaluation, oracle
 from guidegraph.core import (
     DecisionGraph,
     DecisionNode,
@@ -147,7 +147,8 @@ def test_ingest_rejects_bad_format_and_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["top_level_list", "index_is_bool", "text_path_not_string",
-                                  "image_path_not_string", "text_not_utf8",
+                                  "image_path_not_string", "image_path_false",
+                                  "image_path_zero", "image_path_list", "text_not_utf8",
                                   "manifest_not_utf8"])
 def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
     text = write_page(tmp_path, "p1.txt", "text")
@@ -156,8 +157,9 @@ def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
         page["index"] = True
     elif case == "text_path_not_string":
         page["text_path"] = ["p1.txt"]
-    elif case == "image_path_not_string":
-        page["image_path"] = 7
+    elif case.startswith("image_path_"):
+        page["image_path"] = {"image_path_not_string": 7, "image_path_false": False,
+                              "image_path_zero": 0, "image_path_list": []}[case]
     elif case == "text_not_utf8":
         (tmp_path / "p1.txt").write_bytes(b"\xff\xfe page")
     manifest = write_manifest(tmp_path, [page])
@@ -251,16 +253,18 @@ def test_config_doc_round_trip():
 
 def test_config_from_doc_coerces_numbers_and_keeps_defaults():
     config = cli.PipelineConfig.from_doc({
-        "format": "pipeline-config/1", "chunk_budget": "123", "match_threshold": "0.5",
-        "header_pages": 2.0, "backend": {"kind": "live", "timeout": "5", "fixture_digest": "ab12"},
+        "format": "pipeline-config/1", "chunk_budget": "123", "header_pages": 2.0,
+        "backend": {"kind": "live", "timeout": "5", "fixture_digest": "ab12"},
     })
-    expected = cli.PipelineConfig(chunk_budget=123, match_threshold=0.5, header_pages=2,
+    expected = cli.PipelineConfig(chunk_budget=123, header_pages=2,
                                   backend=cli.BackendConfig(kind="live", timeout=5.0))
     assert config == expected
     assert type(config.chunk_budget) is int and type(config.backend.timeout) is float
-    assert type(config.match_threshold) is float and type(config.header_pages) is int
-    assert cli.PipelineConfig.from_doc({"match_threshold": None}).match_threshold is None
+    assert type(config.header_pages) is int
     assert cli.PipelineConfig.from_doc({}) == cli.PipelineConfig()
+    # A key that names no field, such as a match setting, is ignored.
+    old_echo = {"match_mode": "embedding", "match_threshold": 0.5}
+    assert cli.PipelineConfig.from_doc(old_echo) == cli.PipelineConfig()
 
 
 @pytest.mark.parametrize("doc", ["[]", '{"backend": null}', '{"chunk_budget": null}', "{"])
@@ -304,9 +308,6 @@ def test_unusable_path_exits_with_its_code_naming_it(tmp_path, capsys, case, cod
 
 
 @pytest.mark.parametrize("doc, field", [
-    ('{"match_threshold": "high"}', "match_threshold"),
-    ('{"match_threshold": [0.5]}', "match_threshold"),
-    ('{"match_mode": "fuzzy"}', "match_mode"),
     ('{"header_pages": 2.5}', "header_pages"),
     ('{"header_pages": true}', "header_pages"),
     ('{"expansion_cap": "many"}', "expansion_cap"),
@@ -344,14 +345,52 @@ def test_count_setting_past_64_bits_exits_with_usage_code_naming_the_field(tmp_p
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", ["nan", "inf", "-inf"])
-def test_non_finite_match_threshold_exits_with_usage_code(tmp_path, capsys, flag):
-    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
-                   "--out", str(tmp_path / "out"), *scripted_flags(),
-                   f"--match-threshold={flag}")
-    assert code == cli.EXIT_USAGE
-    assert "match_threshold" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1.5"])
+def test_match_threshold_outside_unit_interval_exits_with_usage_code(tmp_path, capsys, value):
+    graph = str(GOLDEN_DIR / "merged.json")
+    for mode in evaluation.MatchMode:
+        code = run_cli("eval", "--predicted", graph, "--reference", graph,
+                       "--out", str(tmp_path / "report.json"), *scripted_flags(),
+                       "--match-mode", mode.value, f"--match-threshold={value}")
+        assert code == cli.EXIT_USAGE, mode
+        assert "match_threshold" in capsys.readouterr().err, mode
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--match-mode", "fuzzy"], ["--match-threshold", "high"]],
+                         ids=["mode", "threshold"])
+def test_malformed_match_flag_exits_with_usage_code_naming_it(tmp_path, capsys, flag):
+    graph = str(GOLDEN_DIR / "merged.json")
+    assert run_cli("eval", "--predicted", graph, "--reference", graph, *flag) == cli.EXIT_USAGE
+    assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
+
+
+PIPELINE_ARGV = {
+    "profile": ["--manifest", "manifest.json"],
+    "chunk": ["--manifest", "manifest.json"],
+    "build": [],
+    "aggregate": [],
+    "run": ["--manifest", "manifest.json"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(command, flag) for command in PIPELINE_ARGV
+      for flag in (["--match-mode", "exact"], ["--match-threshold", "0.5"])],
+    *[("eval", [flag, "2"]) for flag in ("--header-pages", "--chunk-budget",
+                                         "--candidate-count", "--expansion-cap",
+                                         "--parallelism")],
+], ids=lambda value: value if isinstance(value, str) else value[0].lstrip("-"))
+def test_a_flag_the_command_does_not_read_exits_with_usage_code(tmp_path, capsys, command,
+                                                                 flag):
+    # Match settings shape only `eval`; `eval` neither chunks nor fans out.
+    out = tmp_path / "out"
+    graph = str(GOLDEN_DIR / "merged.json")
+    argv = ([*PIPELINE_ARGV[command], "--out", str(out)] if command in PIPELINE_ARGV
+            else ["--predicted", graph, "--reference", graph, "--out", str(out)])
+    assert run_cli(command, *argv, *scripted_flags(), *flag) == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("timeout", ["Infinity", "-Infinity", "NaN", "0", "-1"])
@@ -592,7 +631,7 @@ def test_build_failure_raises_what_a_serial_run_raises(tmp_path, monkeypatch):
         backend = JitterBackend(EndlessInChunks2And3(), seed=parallelism)
 
         def session(config, out_dir):
-            audit = AuditLog(out_dir / "audit.log", clock=cli._step_clock)
+            audit = AuditLog(out_dir / "audit.log")
             return (OracleClient(backend, audit=audit),
                     EmbeddingStore(HashingEmbeddingBackend()))
 
@@ -940,6 +979,29 @@ def test_partial_artifacts_preserved_on_failure(tmp_path):
     assert code == cli.EXIT_BUDGET
     assert (out / "chunks.json").exists()
     assert (out / "audit.log").exists()
+
+
+@pytest.mark.parametrize("case, code", [("missing-manifest", cli.EXIT_MANIFEST),
+                                        ("missing-fixtures", cli.EXIT_USAGE)])
+def test_command_that_cannot_start_keeps_the_config_echo_of_a_finished_run(tmp_path, case,
+                                                                          code):
+    out = tmp_path / "run"
+    shutil.copytree(GOLDEN_DIR, out)
+    manifest, fixtures = SYNTHETIC_DIR / "manifest.json", FIXTURE_DIR
+    if case == "missing-manifest":
+        manifest = tmp_path / "missing.json"
+    else:
+        fixtures = tmp_path / "missing"
+    assert run_cli("run", "--manifest", str(manifest), "--out", str(out),
+                   "--backend", "scripted", "--fixtures", str(fixtures),
+                   "--chunk-budget", "5") == code
+    assert (out / "config.json").read_bytes() == (GOLDEN_DIR / "config.json").read_bytes()
+
+
+def test_build_without_chunks_makes_no_run_directory(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("build", "--out", str(out), *scripted_flags()) == cli.EXIT_USAGE
+    assert not out.exists()
 
 
 def test_unreachable_live_backend_exits_with_transport_code(tmp_path):

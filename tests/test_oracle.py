@@ -328,7 +328,7 @@ def test_store_rejects_a_non_finite_embedding_reply():
 
 def test_audit_log_writes_ndjson(tmp_path):
     path = tmp_path / "audit.log"
-    audit = AuditLog(path, clock=lambda number: "T0")
+    audit = AuditLog(path)
     client = make_client(make_fixtures())
     client.audit = audit
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
@@ -337,17 +337,26 @@ def test_audit_log_writes_ndjson(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert record["task"] == "classify_page"
-    assert record["outcome"] == "ok"
-    assert record["ts"] == "T0"
+    assert record == {"request_id": "req-000001", "task": "classify_page",
+                      "payload_digest": request.digest, "outcome": "ok"}
+
+
+def test_live_audit_log_is_byte_identical_across_runs(tmp_path):
+    # A record holds no clock reading, so the same live calls leave the same file.
+    for name in ("first", "second"):
+        session = _FakeSession(payload={"choices": [{"message": {"content": '{"label": "core"}'}}]})
+        client = OracleClient(LiveBackend("http://backend.test/v1", "demo-model", session=session),
+                              audit=AuditLog(tmp_path / f"{name}.log"))
+        client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
+        client.fan_out(classify_all, range(4), 2)
+        client.audit.close()
+    first = (tmp_path / "first.log").read_bytes()
+    assert len(first.splitlines()) == 1 + len(serial_digests(range(4)))
+    assert (tmp_path / "second.log").read_bytes() == first
 
 
 # ---------------------------------------------------------------------------
 # fan_out
-
-
-def step_clock(number: int) -> str:
-    return str(number - 1)
 
 
 def calls_of(index: int) -> list[dict]:
@@ -372,7 +381,7 @@ def core_backend(seed: int) -> JitterBackend:
 
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_fan_out_commits_records_in_item_order(tmp_path, parallelism):
-    audit = AuditLog(tmp_path / "audit.log", clock=step_clock)
+    audit = AuditLog(tmp_path / "audit.log")
     client = OracleClient(core_backend(parallelism), audit=audit)
     committed = []
     results = client.fan_out(classify_all, range(12), parallelism,
@@ -384,7 +393,6 @@ def test_fan_out_commits_records_in_item_order(tmp_path, parallelism):
     assert [e["payload_digest"] for e in audit.entries] == digests
     assert [e["request_id"] for e in audit.entries] == [
         f"req-{i:06d}" for i in range(1, len(digests) + 1)]
-    assert [e["ts"] for e in audit.entries] == [str(i) for i in range(len(digests))]
     # Each item's records are written before its on_commit runs.
     ends = list(itertools.accumulate(len(calls_of(i)) for i in range(12)))
     assert committed == [(i, i, ends[i]) for i in range(12)]
@@ -438,7 +446,7 @@ def test_fan_out_on_commit_failure_stops_like_an_item_failure():
 
 def test_fan_out_under_thread_pressure_keeps_the_serial_log():
     items = range(300)
-    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog(clock=step_clock))
+    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     started = time.perf_counter()
@@ -452,12 +460,11 @@ def test_fan_out_under_thread_pressure_keeps_the_serial_log():
     assert [e["payload_digest"] for e in entries] == serial_digests(items)
     assert [e["request_id"] for e in entries] == [
         f"req-{i:06d}" for i in range(1, len(entries) + 1)]
-    assert [e["ts"] for e in entries] == [str(i) for i in range(len(entries))]
 
 
 def test_audit_log_continues_after_close(tmp_path):
     path = tmp_path / "audit.log"
-    audit = AuditLog(path, clock=lambda number: "T0")
+    audit = AuditLog(path)
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             classify_page_payload(9, "references list with citations 1-42"))
     backend = make_fixtures()
@@ -486,7 +493,7 @@ class _HoldFirstBackend:
 def test_overlapping_direct_calls_leave_the_log_in_id_order(tmp_path):
     path = tmp_path / "audit.log"
     backend = _HoldFirstBackend()
-    client = OracleClient(backend, audit=AuditLog(path, clock=step_clock))
+    client = OracleClient(backend, audit=AuditLog(path))
     first = threading.Thread(
         target=client.call, args=(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x")))
     first.start()
@@ -497,7 +504,6 @@ def test_overlapping_direct_calls_leave_the_log_in_id_order(tmp_path):
 
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["request_id"] for r in records] == ["req-000001", "req-000002"]
-    assert [r["ts"] for r in records] == ["0", "1"]
     # The call that finished first is numbered first.
     assert [r["payload_digest"] for r in records] == [
         payload_digest(OracleTask.CLASSIFY_PAGE, classify_page_payload(index, text))
