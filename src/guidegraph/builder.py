@@ -171,11 +171,8 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     def register(label: str, kind: NodeKind, incoming: tuple[str, str] | None) -> str:
         if len(graph.nodes) >= config.expansion_cap:
-            trace.append({"event": "cap", "chunk": chunk.chunk_id, "label": label})
             raise ExpansionBudgetExceeded(
-                f"chunk {chunk.chunk_id}: expansion cap {config.expansion_cap} reached",
-                partial_graph=graph,
-            )
+                f"chunk {chunk.chunk_id}: expansion cap {config.expansion_cap} reached")
         node_id = register_node(graph, chunk, label, kind, incoming)
         pool.add(node_id, label, chunk.chunk_id)
         trace.append({"event": "register", "chunk": chunk.chunk_id,

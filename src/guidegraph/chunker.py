@@ -1,15 +1,16 @@
 """Chunk generation: profile extraction, page classification, run partitioning,
 boundary-predicted buffering, and chunk finalization with interface refinement.
 
-Pages are classified independently; the buffering loop is strictly
-sequential within a run because the running context threads from one chunk
-to the next. The context resets to the profile scope at each run start, so
-runs are independent. Both pages and runs fan out over the oracle client.
+The profile is its own stage (`cli.stage_profile`), run before chunking,
+which takes the profile as an argument. Pages are classified
+independently; the buffering loop is strictly sequential within a run
+because the running context threads from one chunk to the next. The
+context resets to the profile scope at each run start, so runs are
+independent. Both pages and runs fan out over the oracle client.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -148,22 +149,13 @@ def build_chunk(pages: Sequence[PageRecord], context: str, lookahead: PageRecord
                 client: OracleClient) -> dict[str, Any]:
     """Summarize the buffered pages into description, interface, and carry set.
 
-    Returns the validated reply, with every carry page that lies outside the
-    buffer dropped from `carry_pages`. The reply schema requires non-empty
-    entry and terminal lists, so an empty interface is retried like any
-    invalid reply.
+    Returns the validated reply as it is; `chunk_run` carries only buffer
+    pages. The reply schema requires non-empty entry and terminal lists, so
+    an empty interface is retried like any invalid reply.
     """
     if not pages:
         raise ChunkInterfaceError("cannot build a chunk from an empty buffer")
-    body = client.call(OracleTask.BUILD_CHUNK, build_payload(pages, context, lookahead))
-    indices = [p.index for p in pages]
-    carry = []
-    for page in body["carry_pages"]:
-        if page in indices:
-            carry.append(page)
-        else:
-            logger.warning("carry page %d outside buffer %s; dropped", page, indices)
-    return {**body, "carry_pages": carry}
+    return client.call(OracleTask.BUILD_CHUNK, build_payload(pages, context, lookahead))
 
 
 def refine_nodes(pages: Sequence[PageRecord], description: str, entry: Sequence[str],
@@ -229,12 +221,6 @@ def assemble_context(profile: GuidelineProfile, description: str,
     return "\n".join(lines)
 
 
-@dataclass
-class ChunkingResult:
-    profile: GuidelineProfile
-    chunks: list[Chunk]
-
-
 def chunk_run(run: tuple[int, ...], by_index: dict[int, PageRecord], profile: GuidelineProfile,
               budget: int, client: OracleClient) -> list[Callable[..., Chunk]]:
     """Chunk one run of core pages into drafts: each makes its `Chunk` when
@@ -247,11 +233,12 @@ def chunk_run(run: tuple[int, ...], by_index: dict[int, PageRecord], profile: Gu
     boundary call: the chunk is built from the buffer, with the page as its
     lookahead, and the page begins the next chunk; a page over the cap on
     its own is a chunk of its own. Any other page asks `predict_boundary`,
-    except the last of the run, which ends its chunk. A carried page that
-    would push the next buffer past the cap with the page that follows is
-    dropped, so `carried_pages` lists the pages actually carried, each once,
-    in page order. `refine_nodes` returns a normalized, valid interface, so
-    a draft makes a valid `Chunk`.
+    except the last of the run, which ends its chunk. A carry page outside
+    the buffer is logged and dropped here, the one place that drops it. A
+    carried page that would push the next buffer past the cap with the page
+    that follows is dropped too, so `carried_pages` lists the pages actually
+    carried, each once, in page order. `refine_nodes` returns a normalized,
+    valid interface, so a draft makes a valid `Chunk`.
     """
     drafts: list[Callable[..., Chunk]] = []
     pages: list[PageRecord] = []
@@ -263,6 +250,10 @@ def chunk_run(run: tuple[int, ...], by_index: dict[int, PageRecord], profile: Gu
         body = build_chunk(pages, context, lookahead, client)
         entry, terminal = refine_nodes(pages, body["description"], body["entry_labels"],
                                        body["terminal_labels"], client)
+        indices = [p.index for p in pages]
+        for index in body["carry_pages"]:
+            if index not in indices:
+                logger.warning("carry page %d outside buffer %s; dropped", index, indices)
         carried: list[PageRecord] = []
         for page in pages:
             if page.index not in body["carry_pages"]:
@@ -302,16 +293,15 @@ def chunk_run(run: tuple[int, ...], by_index: dict[int, PageRecord], profile: Gu
     return drafts
 
 
-def run_chunking(pages: Sequence[PageRecord], config, client: OracleClient) -> ChunkingResult:
-    """Run the whole chunking stage over a page-ordered document.
+def run_chunking(pages: Sequence[PageRecord], profile: GuidelineProfile, config,
+                 client: OracleClient) -> list[Chunk]:
+    """Chunk a page-ordered document under its profile.
 
     Runs of core pages are chunked independently, fanned out over the
     client; chunks come out ordered by first page. Each `Chunk` is made
     once, with its document-wide id, as its run commits, so an invalid
     chunk raises under that id.
     """
-    header = list(pages[: config.header_pages])
-    profile = extract_profile(header, client)
     labels = classify_pages(pages, profile, client, parallelism=config.parallelism)
     core_indices = [p.index for p, label in zip(pages, labels) if label is PageLabel.CORE]
     by_index = {p.index: p for p in pages}
@@ -325,4 +315,4 @@ def run_chunking(pages: Sequence[PageRecord], config, client: OracleClient) -> C
         lambda child, run: chunk_run(run, by_index, profile, config.chunk_budget, child),
         contiguous_runs(core_indices), config.parallelism, on_commit=number,
     )
-    return ChunkingResult(profile=profile, chunks=chunks)
+    return chunks

@@ -2,14 +2,17 @@
 and the full-pipeline command, and exporters.
 
 Every stage command and `run` is one walk of `_run_stages` over the stages
-`COMMANDS` lists for it. The canonical JSON serialization is the single
-interchange format between stages, so each stage command can resume from
-the previous stage's files and a full run equals the stages run one by
-one. A run directory records only what shaped the run: `config.json`
-echoes the pipeline settings, once the command's inputs have loaded, and
-`audit.log` holds no clock reading, so whole run directories are
-byte-comparable at any parallelism. The match settings are flags of
-`eval` alone.
+`COMMANDS` lists for it. `chunk` and `run` begin with the profile stage,
+which writes `profile.json` and hands the profile to the chunk stage, so
+the profile is extracted and written in one place. The canonical JSON
+serialization is the single interchange format between stages, so each
+stage command can resume from the previous stage's files and a full run
+equals the stages run one by one. A run directory records only what shaped
+the run: `config.json` echoes the pipeline settings, once the command's
+inputs have loaded, and `audit.log` holds no clock reading, so whole run
+directories are byte-comparable at any parallelism. The match settings are
+flags of `eval` alone, and `eval` checks only the settings its session
+reads.
 
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
 5 oracle protocol, 6 structural, 7 expansion budget. Every JSON input
@@ -79,9 +82,15 @@ class PipelineConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
 
     def validate(self) -> None:
-        for name in (spec.name for spec in fields(self) if spec.type == "int"):
-            if not 1 <= getattr(self, name) < 2**63:  # orjson writes the echo in 64 bits
-                raise UsageError(f"{name} must be >= 1 and < 2**63")
+        """Check every setting."""
+        _check_counts(self, [spec.name for spec in fields(self)
+                             if spec.type == "int" and spec.name != "retry_limit"])
+        self.validate_session()
+
+    def validate_session(self) -> None:
+        """Check what opening a session reads: `retry_limit` and the backend.
+        These are all the settings `eval` reads."""
+        _check_counts(self, ["retry_limit"])
         if self.backend.kind not in ("scripted", "live"):
             raise UsageError(f"unknown backend kind {self.backend.kind!r}")
         if not 0 < self.backend.timeout < math.inf:
@@ -97,6 +106,12 @@ class PipelineConfig:
         and keys that name no field (`format`, `fixture_digest`) are ignored. A
         value that cannot be coerced raises a ValueError that names its field."""
         return _from_doc(cls, doc)
+
+
+def _check_counts(config: PipelineConfig, names: Sequence[str]) -> None:
+    for name in names:
+        if not 1 <= getattr(config, name) < 2**63:  # orjson writes the echo in 64 bits
+            raise UsageError(f"{name} must be >= 1 and < 2**63")
 
 
 def _from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
@@ -286,12 +301,11 @@ def stage_profile(pages: Sequence[PageRecord], config: PipelineConfig,
     return profile
 
 
-def stage_chunk(pages: Sequence[PageRecord], config: PipelineConfig,
-                client: OracleClient, out_dir: Path) -> chunker.ChunkingResult:
-    result = chunker.run_chunking(pages, config, client)
-    _write(out_dir / "profile.json", core.profile_to_doc(result.profile))
-    _write(out_dir / "chunks.json", core.chunks_to_doc(result.chunks))
-    return result
+def stage_chunk(pages: Sequence[PageRecord], profile: core.GuidelineProfile,
+                config: PipelineConfig, client: OracleClient, out_dir: Path) -> list[core.Chunk]:
+    chunks = chunker.run_chunking(pages, profile, config, client)
+    _write(out_dir / "chunks.json", core.chunks_to_doc(chunks))
+    return chunks
 
 
 def stage_build(chunks, config: PipelineConfig, client: OracleClient,
@@ -324,10 +338,11 @@ def stage_aggregate(chunks, graphs, config: PipelineConfig, client: OracleClient
 # command -> (help text, the stages it runs, in order)
 COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "profile": ("extract the guideline profile", ("profile",)),
-    "chunk": ("run the chunking stage", ("chunk",)),
+    "chunk": ("extract the profile, then run the chunking stage", ("profile", "chunk")),
     "build": ("build per-chunk graphs from chunks.json", ("build",)),
     "aggregate": ("merge chunk graphs into one graph", ("aggregate",)),
-    "run": ("full pipeline: chunk, build, aggregate", ("chunk", "build", "aggregate")),
+    "run": ("full pipeline: profile, chunk, build, aggregate",
+            ("profile", "chunk", "build", "aggregate")),
 }
 
 
@@ -339,10 +354,11 @@ def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
     given, else `chunks.json` and, for `aggregate`, the chunk graphs. Then
     the session opens, and only then is the config echoed, as the first
     write, which makes the run directory. So a command that cannot load
-    its inputs or open its session leaves a run directory as it was. Later
-    stages take chunks and graphs in memory.
+    its inputs or open its session leaves a run directory as it was. Each
+    stage writes its artifacts as it finishes; later stages take the
+    profile, chunks and graphs in memory.
     """
-    pages = chunks = graphs = None
+    pages = profile = chunks = graphs = None
     if manifest is not None:
         pages = ingest(manifest)
     else:
@@ -356,9 +372,9 @@ def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
     # (as a tracer does) reaches every command.
     try:
         if "profile" in stages:
-            stage_profile(pages, config, client, out_dir)
+            profile = stage_profile(pages, config, client, out_dir)
         if "chunk" in stages:
-            chunks = stage_chunk(pages, config, client, out_dir).chunks
+            chunks = stage_chunk(pages, profile, config, client, out_dir)
         if "build" in stages:
             graphs = stage_build(chunks, config, client, store, out_dir)
         if "aggregate" in stages:
@@ -385,7 +401,7 @@ def _echo_config(config: PipelineConfig, out_dir: Path) -> None:
 
 def run_pipeline(manifest_path: str | Path, config: PipelineConfig,
                  out_dir: str | Path) -> Path:
-    """All three stages, writing the full artifact set into the run directory."""
+    """Every stage, writing the full artifact set into the run directory."""
     out_dir = Path(out_dir)
     _run_stages(COMMANDS["run"][1], config, out_dir, manifest_path)
     return out_dir
@@ -396,6 +412,7 @@ def run_pipeline(manifest_path: str | Path, config: PipelineConfig,
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config the flags and `--config` describe, not yet validated."""
     if getattr(args, "config", None):
         config = load_doc(args.config, PipelineConfig.from_doc)
     else:
@@ -409,12 +426,13 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
                        ("chat_model", "chat_model"), ("embed_model", "embed_model")):
         if getattr(args, flag, None):
             setattr(config.backend, name, getattr(args, flag))
-    config.validate()
     return config
 
 
 def _cmd_stages(args: argparse.Namespace) -> int:
-    _run_stages(args.stages, _load_config(args), Path(args.out), getattr(args, "manifest", None))
+    config = _load_config(args)
+    config.validate()
+    _run_stages(args.stages, config, Path(args.out), getattr(args, "manifest", None))
     print(f"{args.command} artifacts written to {args.out}")
     return EXIT_OK
 
@@ -422,6 +440,7 @@ def _cmd_stages(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     policy = evaluation.MatchPolicy(evaluation.MatchMode(args.match_mode), args.match_threshold)
     config = _load_config(args)
+    config.validate_session()
     predicted = load_doc(args.predicted, core.graph_from_doc)
     reference = load_doc(args.reference, core.graph_from_doc)
     client = store = None
@@ -475,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, (help_text, stages) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        if stages[0] in ("profile", "chunk"):
+        if stages[0] == "profile":
             p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)
         _add_session_flags(p)

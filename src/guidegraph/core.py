@@ -451,7 +451,7 @@ def chunks_to_doc(chunks: Iterable[Chunk]) -> dict[str, Any]:
 def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
     if doc.get("format") != CHUNKS_FORMAT:
         raise ValueError(f"unsupported chunk-list format {doc.get('format')!r}")
-    return [
+    chunks = [
         Chunk(
             chunk_id=int(entry["chunk_id"]),
             context=entry["context"],
@@ -463,6 +463,12 @@ def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
         )
         for entry in doc["chunks"]
     ]
+    seen: set[int] = set()
+    for chunk in chunks:  # two chunks with one id would share a graph file and node ids
+        if chunk.chunk_id in seen:
+            raise ValueError(f"chunk_id {chunk.chunk_id} appears twice")
+        seen.add(chunk.chunk_id)
+    return chunks
 
 
 def profile_to_doc(profile: GuidelineProfile) -> dict[str, Any]:

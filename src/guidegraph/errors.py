@@ -1,4 +1,8 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+An error carries only its message; `cli.main` maps its type to an exit
+code.
+"""
 from __future__ import annotations
 
 
@@ -55,11 +59,7 @@ class ChunkInterfaceError(GuidegraphError):
 
 
 class ExpansionBudgetExceeded(GuidegraphError):
-    """Chunk expansion hit the node cap; carries the partial graph."""
-
-    def __init__(self, message: str, partial_graph=None):
-        super().__init__(message)
-        self.partial_graph = partial_graph
+    """Chunk expansion hit the node cap."""
 
 
 class ManifestError(GuidegraphError):

@@ -114,16 +114,13 @@ def _normalize_all(labels: Iterable[str]) -> dict[str, str]:
 def _labels_equivalent(left: str, right: str, policy: MatchPolicy,
                        store: EmbeddingStore | None,
                        client: OracleClient | None) -> bool:
-    """Whether two normalized labels match; a label with no text matches nothing."""
-    if not left or not right:
-        return False
-    if left == right:
-        return True
-    if policy.mode is MatchMode.EXACT_NORMALIZED:
+    """Whether two distinct normalized labels match (the caller settles equal
+    ones); a label with no text matches nothing."""
+    if not left or not right or policy.mode is MatchMode.EXACT_NORMALIZED:
         return False
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
         assert store is not None
-        return store.cosine(left, right) >= (policy.threshold or 1.0)
+        return store.cosine(left, right) >= policy.threshold
     assert client is not None
     body = client.call(OracleTask.FIND_DUPLICATE, duplicate_payload(left, [], [right]))
     return 0 in body["matches"]
@@ -137,10 +134,9 @@ def _cosines(store: EmbeddingStore, left: list[str], right: list[str]) -> np.nda
     return (np.array(left_vectors) @ np.array(right_vectors).T) / np.outer(left_norms, right_norms)
 
 
-def match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
-                policy: MatchPolicy, store: EmbeddingStore | None = None,
-                client: OracleClient | None = None,
-                labels: Mapping[str, str] | None = None) -> dict[str, str]:
+def match_nodes(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolicy,
+                store: EmbeddingStore | None, client: OracleClient | None,
+                labels: Mapping[str, str]) -> dict[str, str]:
     """Injective partial mapping predicted node id -> reference node id.
 
     Exact mode pairs equal normalized labels; embedding mode is greedy
@@ -148,13 +144,10 @@ def match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
     oracle mode asks the verifier for each still-unmatched prediction. Each
     reference node is used at most once, and a node whose label has no text
     is never matched. `labels` maps raw to normalized labels and must cover
-    both graphs' node labels; it is built when not given.
+    both graphs' node labels.
     """
     if policy.mode is MatchMode.ORACLE_VERIFIED and client is None:
         raise UsageError("oracle-verified matching needs an oracle client")
-    if labels is None:
-        labels = _normalize_all(node.label for graph in (predicted, reference)
-                                for node in graph.nodes.values())
     pred_labels = {pid: labels[predicted.nodes[pid].label] for pid in sorted(predicted.nodes)}
     ref_labels = {rid: labels[reference.nodes[rid].label] for rid in sorted(reference.nodes)}
     mapping: dict[str, str] = {}
@@ -182,7 +175,7 @@ def match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
         sims = _cosines(store, [pred_labels[pid] for pid in open_preds],
                         [ref_labels[rid] for rid in open_refs])
         pairs = [(-float(sims[i, j]), open_preds[i], open_refs[j])
-                 for i, j in zip(*np.nonzero(sims >= (policy.threshold or 1.0)))]
+                 for i, j in zip(*np.nonzero(sims >= policy.threshold))]
         for _, pid, rid in sorted(pairs):
             if pid not in mapping and rid not in used:
                 mapping[pid] = rid

@@ -288,8 +288,8 @@ class FixtureSet:
         return fixtures
 
 
-def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
-             audit: AuditLog | None = None) -> dict[str, Any]:
+def dispatch(request: OracleRequest, backend: Backend, *, audit: AuditLog | _HeldRecords,
+             retry_limit: int = 3) -> dict[str, Any]:
     """Send a request and return the validated reply body, retrying
     malformed output.
 
@@ -326,19 +326,16 @@ def dispatch(request: OracleRequest, backend: Backend, *, retry_limit: int = 3,
             except OracleProtocolError as exc:
                 errors.append(str(exc))
                 continue
-            if audit is not None:
-                audit.append(request, "ok")
+            audit.append(request, "ok")
             return body
         raise OracleProtocolError(
             f"{request.task.value}: no schema-valid reply after {retry_limit} attempts: {errors}"
         )
     except OracleTransportError:
-        if audit is not None:
-            audit.append(request, "transport_error")
+        audit.append(request, "transport_error")
         raise
     except OracleProtocolError:
-        if audit is not None:
-            audit.append(request, "protocol_error")
+        audit.append(request, "protocol_error")
         raise
 
 
@@ -363,10 +360,10 @@ class OracleClient:
     concurrent use.
     """
 
-    def __init__(self, backend: Backend, *, audit: AuditLog | None = None,
+    def __init__(self, backend: Backend, *, audit: AuditLog | _HeldRecords,
                  retry_limit: int = 3) -> None:
         self.backend = backend
-        self.audit = audit if audit is not None else AuditLog()
+        self.audit = audit
         self.retry_limit = retry_limit
 
     def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:

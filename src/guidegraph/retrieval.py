@@ -2,23 +2,24 @@
 
 Retrieval is exact, like a flat inner-product index. The store maps each
 label to one read-only vector and its norm, keyed by the normalized label
-it is given: callers normalize a label once, where it enters the system,
-and `put`, through which hand-placed vectors enter, normalizes its key. A
-`RankingPool` is bound to a store and kept beside a graph by its owner,
-which adds and discards members as nodes are created and merged away;
-adding a member copies its vector, norm and group (the node's origin
-chunk) into the pool's arrays. A query names the group it excludes, if
-any, scores the pool with one matrix-vector product, partitions at the
-k-th similarity and sorts only what is kept: no per-member dict or list
-work. The one caller, `builder.find_duplicate`, looks up an exact label
-match in the graph's label index first and ranks only on a miss.
-The scripted embedding backend is a seeded character-n-gram feature
-hasher: deterministic, whitespace-insensitive after label normalization,
-and good enough to put near-identical labels first. Its vectors are
-integer-valued, so every dot product and norm is exact in float64. The
-live embedder, `live.LiveEmbeddingBackend`, posts each label to an
-OpenAI-compatible embeddings endpoint; the store embeds each label once,
-so each costs one round-trip.
+it is given: callers normalize a label once, where it enters the system.
+Every vector enters through the store's backend, so a test that places
+vectors by hand passes a backend that returns them. A `RankingPool` is
+bound to a store and kept beside a graph by its owner, which adds and
+discards members as nodes are created and merged away; adding a member
+copies its vector, norm and group (the node's origin chunk) into the
+pool's arrays. A query names the group it excludes, if any, scores the
+pool with one matrix-vector product, partitions at the k-th similarity and
+sorts only what is kept: no per-member dict or list work. The one caller,
+`builder.find_duplicate`, looks up an exact label match in the graph's
+label index first and ranks only on a miss. The scripted embedding backend
+is a seeded character-trigram feature hasher of fixed dimension:
+deterministic, whitespace-insensitive after label normalization, and good
+enough to put near-identical labels first. Its vectors are integer-valued,
+so every dot product and norm is exact in float64. The live embedder,
+`live.LiveEmbeddingBackend`, posts each label to an OpenAI-compatible
+embeddings endpoint; the store embeds each label once, so each costs one
+round-trip.
 """
 from __future__ import annotations
 
@@ -29,11 +30,14 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
+# `normalize_label` is not called here: perfbench/layers.py rebinds it
+# through NORMALIZE_BINDINGS.
 from .core import normalize_label
 from .errors import EmbeddingError
 
-DEFAULT_DIM = 256
-DEFAULT_SEED = 13
+DIM = 256
+SEED = 13
+NGRAM = 3
 INITIAL_ROWS = 64
 
 
@@ -42,28 +46,24 @@ class EmbeddingBackend(Protocol):
 
 
 class HashingEmbeddingBackend:
-    """Deterministic feature-hashing embedder over character trigrams."""
+    """Deterministic feature-hashing embedder over character trigrams, into
+    `DIM` dimensions under hash seed `SEED`."""
 
-    def __init__(self, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED, ngram: int = 3) -> None:
-        if dim <= 0:
-            raise EmbeddingError("embedding dimension must be positive")
-        self._dim = dim
-        self._seed = seed
-        self._ngram = ngram
+    def __init__(self) -> None:
         # trigram -> (index, sign), each trigram hashed once. `EmbeddingStore.lookup` embeds
         # outside its lock, so threads may race to fill it: benign, as a trigram's entry is fixed.
         self._grams: dict[str, tuple[int, float]] = {}
 
     def embed_text(self, text: str) -> np.ndarray:
         padded = f" {text} "
-        grams = [padded[i : i + self._ngram] for i in range(max(1, len(padded) - self._ngram + 1))]
+        grams = [padded[i : i + NGRAM] for i in range(max(1, len(padded) - NGRAM + 1))]
         index, sign = zip(*[self._grams.get(gram) or self._hash(gram) for gram in grams])
-        return np.bincount(index, weights=sign, minlength=self._dim)
+        return np.bincount(index, weights=sign, minlength=DIM)
 
     def _hash(self, gram: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(f"{self._seed}:{gram}".encode("utf-8"), digest_size=8).digest()
+        digest = hashlib.blake2b(f"{SEED}:{gram}".encode("utf-8"), digest_size=8).digest()
         value = int.from_bytes(digest, "big")
-        entry = self._grams[gram] = ((value >> 1) % self._dim, 1.0 if value & 1 else -1.0)
+        entry = self._grams[gram] = ((value >> 1) % DIM, 1.0 if value & 1 else -1.0)
         return entry
 
 
@@ -72,8 +72,7 @@ class EmbeddingStore:
 
     Each label maps to a read-only (vector, norm) pair by one dict hit.
     `lookup` keys a label as given, since its callers pass labels normalized
-    where they entered; `put` normalizes its key, as hand-placed vectors
-    enter the store there. Dimensionality is fixed by the first vector;
+    where they entered. Dimensionality is fixed by the first vector;
     zero and non-finite vectors are rejected at ingest. Reads and inserts
     are internally synchronized, a stored pair never changes, and each key
     is embedded once, however many threads miss it together.
@@ -143,18 +142,6 @@ class EmbeddingStore:
     def vector(self, label: str) -> np.ndarray:
         """The label's embedding, read-only."""
         return self.lookup((label,))[0][0]
-
-    def put(self, label: str, vector) -> None:
-        """Install a vector directly (used by tests with hand-placed vectors).
-
-        A label's vector is fixed once stored, so a label already present is
-        rejected.
-        """
-        key = normalize_label(label)
-        with self._lock:
-            if key in self._entries or key in self._embedding:
-                raise EmbeddingError(f"{key!r} already has a vector")
-            self._ingest(key, vector)
 
     def cosine(self, label_a: str, label_b: str) -> float:
         (a, norm_a), (b, norm_b) = self.lookup((label_a, label_b))

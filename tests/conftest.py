@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -40,6 +41,22 @@ def hashing_store() -> EmbeddingStore:
 
 def make_client(backend) -> OracleClient:
     return OracleClient(backend, audit=AuditLog())
+
+
+class PlacedVectors:
+    """An embedding backend of hand-placed vectors: each label's vector is
+    the one `vectors` maps it to, read when the store first looks it up."""
+
+    def __init__(self, vectors: dict[str, Sequence[float]]) -> None:
+        self.vectors = vectors
+
+    def embed_text(self, text: str) -> Sequence[float]:
+        return self.vectors[text]
+
+
+def placed_store(vectors: dict[str, Sequence[float]]) -> EmbeddingStore:
+    """A store whose labels embed as `vectors` places them."""
+    return EmbeddingStore(PlacedVectors(vectors))
 
 
 def ranking_pool(store: EmbeddingStore, members: dict[str, str],

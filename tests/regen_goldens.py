@@ -4,13 +4,14 @@ Run from the repository root after an intentional behavior change:
 
     python3 tests/regen_goldens.py
 
-Step 1 records oracle fixtures by driving the pipeline with the rule-table
-backend; step 2 replays the pipeline through the CLI entry points against
-those fixture files and freezes the resulting run directory as golden;
-step 3 replays it again at parallelism 4 and exits with an error unless
-that run leaves the same files (the `parallelism` that config.json echoes
-aside). Tests never call this module; they compare against the committed
-files.
+Step 1 records oracle fixtures by running the shipped walk,
+`cli.run_pipeline`, with a session whose backend records every reply of
+the rule-table backend; step 2 replays the pipeline through the CLI entry
+points against those fixture files and freezes the resulting run directory
+as golden; step 3 replays it again at parallelism 4 and exits with an
+error unless that run leaves the same files (the `parallelism` that
+config.json echoes aside). Tests never call this module; they compare
+against the committed files.
 """
 from __future__ import annotations
 
@@ -34,20 +35,30 @@ from synth import (
     write_synthetic_document,
 )
 
-from guidegraph import aggregator, builder, chunker, cli, core, evaluation
+from guidegraph import cli, core, evaluation
 from guidegraph.oracle import AuditLog, FixtureSet, OracleClient
 from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 
 def record_fixtures(manifest_path: Path, config) -> FixtureSet:
+    """The fixtures of one `cli.run_pipeline` with `cli.make_session`
+    swapped for a recording session. The config names a live backend, so the
+    config echo needs no fixture directory; the session never opens one."""
     fixtures = FixtureSet()
     backend = RecordingBackend(SyntheticRuleBackend(), fixtures)
-    client = OracleClient(backend, audit=AuditLog(), retry_limit=config.retry_limit)
-    store = EmbeddingStore(HashingEmbeddingBackend())
-    pages = cli.ingest(manifest_path)
-    chunking = chunker.run_chunking(pages, config, client)
-    graphs = [builder.build_graph(c, client, store, config).graph for c in chunking.chunks]
-    aggregator.aggregate(chunking.chunks, graphs, client, store, config)
+
+    def recording_session(config, out_dir):
+        return (OracleClient(backend, audit=AuditLog(), retry_limit=config.retry_limit),
+                EmbeddingStore(HashingEmbeddingBackend()))
+
+    live = dataclasses.replace(config, backend=dataclasses.replace(config.backend, kind="live"))
+    original = vars(cli)["make_session"]
+    cli.make_session = recording_session
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cli.run_pipeline(manifest_path, live, Path(tmp) / "run")
+    finally:
+        cli.make_session = original
     return fixtures
 
 

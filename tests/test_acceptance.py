@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import make_client, ranking_pool
+from conftest import make_client, placed_store, ranking_pool
 from oracles import (
     assert_edge_preservation,
     closure_quotient,
@@ -31,12 +31,13 @@ from synth import (
     SyntheticRuleBackend,
     synthetic_config,
 )
+from test_chunker import PROFILE
 from test_eval import PUBLISHED_TABLE
 
 from guidegraph import cli
 from guidegraph.aggregator import aggregate, merge_log_doc, union_graphs
 from guidegraph.builder import build_graph
-from guidegraph.chunker import run_chunking
+from guidegraph.chunker import extract_profile, run_chunking
 from guidegraph.core import (
     Chunk,
     PageRecord,
@@ -160,19 +161,20 @@ def test_acceptance_merge_map_edge_preservation():
 def test_acceptance_termination():
     cap = 17
     chunk = Chunk(1, "ctx", ("start here",), ("never reached",), "d", (), (1,))
-    with pytest.raises(ExpansionBudgetExceeded) as exc_info:
-        build_graph(chunk, make_client(EndlessChildrenBackend()), store(),
-                    config(expansion_cap=cap))
-    assert len(exc_info.value.partial_graph.nodes) == cap
+    client = make_client(EndlessChildrenBackend())
+    with pytest.raises(ExpansionBudgetExceeded):
+        build_graph(chunk, client, store(), config(expansion_cap=cap))
+    # the cap admits the terminal and cap - 1 nodes that each asked for children
+    assert [e["task"] for e in client.audit.entries].count("generate_children") == cap - 1
 
     budget = 90
     docs = [PageRecord(index=i, text=f"entry p{i} terminal p{i} " + "word " * 10)
             for i in range(1, 13)]
-    result = run_chunking(docs, config(chunk_budget=budget),
+    chunks = run_chunking(docs, PROFILE, config(chunk_budget=budget),
                           make_client(NeverCutBackend()))
-    assert len(result.chunks) > 1
+    assert len(chunks) > 1
     by_index = {p.index: p for p in docs}
-    for chunk_out in result.chunks:
+    for chunk_out in chunks:
         assert len("\n".join(by_index[i].text for i in chunk_out.page_span)) <= 2 * budget
     print(f"PASS termination: cap stops expansion at exactly {cap} nodes and "
           f"never-cut chunking respects the 2L override")
@@ -188,15 +190,17 @@ def test_acceptance_determinism(tmp_path):
         client, _ = cli.make_session(fixtures_cfg, None)
         return client
 
-    # 1. chunking stage
-    first = run_chunking(pages, fixtures_cfg, scripted())
-    second = run_chunking(pages, fixtures_cfg, scripted())
-    assert canonical_json(chunks_to_doc(first.chunks)) == canonical_json(
-        chunks_to_doc(second.chunks))
+    # 1. profile and chunking stages
+    header = pages[: fixtures_cfg.header_pages]
+    profile = extract_profile(header, scripted())
+    assert extract_profile(header, scripted()) == profile
+    first = run_chunking(pages, profile, fixtures_cfg, scripted())
+    second = run_chunking(pages, profile, fixtures_cfg, scripted())
+    assert canonical_json(chunks_to_doc(first)) == canonical_json(chunks_to_doc(second))
     combos += 1
 
     # 2. per-chunk build stage (every chunk)
-    for chunk in first.chunks:
+    for chunk in first:
         a = build_graph(chunk, scripted(), store(), fixtures_cfg).graph
         b = build_graph(chunk, scripted(), store(), fixtures_cfg).graph
         assert canonical_json(graph_to_doc(a)) == canonical_json(graph_to_doc(b))
@@ -204,9 +208,9 @@ def test_acceptance_determinism(tmp_path):
 
     # 3. aggregation stage
     graphs = [build_graph(c, scripted(), store(), fixtures_cfg).graph
-              for c in first.chunks]
-    agg_a = aggregate(first.chunks, graphs, scripted(), store(), fixtures_cfg)
-    agg_b = aggregate(first.chunks, graphs, scripted(), store(), fixtures_cfg)
+              for c in first]
+    agg_a = aggregate(first, graphs, scripted(), store(), fixtures_cfg)
+    agg_b = aggregate(first, graphs, scripted(), store(), fixtures_cfg)
     assert canonical_json(graph_to_doc(agg_a.graph)) == canonical_json(
         graph_to_doc(agg_b.graph))
     assert canonical_json(merge_log_doc(agg_a)) == canonical_json(merge_log_doc(agg_b))
@@ -241,7 +245,7 @@ def test_acceptance_retrieval_oracle():
     cases = 0
     for _ in range(1000):
         size = rng.randint(1, 8)
-        vector_store = EmbeddingStore(HashingEmbeddingBackend(dim=5))
+        placed = {}
         pool = {}
         vectors = {}
         for i in range(size):
@@ -250,13 +254,14 @@ def test_acceptance_retrieval_oracle():
             vec = [rng.uniform(-1, 1) for _ in range(5)]
             while all(abs(x) < 1e-9 for x in vec):
                 vec = [rng.uniform(-1, 1) for _ in range(5)]
-            vector_store.put(label, vec)
+            placed[label] = vec
             pool[node_id] = label
             vectors[node_id] = vec
         query_vec = [rng.uniform(-1, 1) for _ in range(5)]
         while all(abs(x) < 1e-9 for x in query_vec):
             query_vec = [rng.uniform(-1, 1) for _ in range(5)]
-        vector_store.put("the query", query_vec)
+        placed["the query"] = query_vec
+        vector_store = placed_store(placed)
         k = rng.randint(1, 8)
 
         result = cosine_candidates("the query", ranking_pool(vector_store, pool), k)
@@ -297,19 +302,19 @@ def test_acceptance_chunking_structure():
         classes = {i: rng.choice(["core", "auxiliary"]) for i in range(1, count + 1)}
         cuts = {i: rng.random() < 0.4 for i in range(1, count + 1)}
         carry_last = {i: rng.random() < 0.5 for i in range(1, count + 1)}
-        result = run_chunking(docs, config(),
+        chunks = run_chunking(docs, PROFILE, config(),
                               make_client(ProceduralBackend(classes, cuts, carry_last)))
         core_pages = {i for i, label in classes.items() if label == "core"}
         runs = [set(r) for r in scan_runs(sorted(core_pages))]
         covered = set()
-        for chunk in result.chunks:
+        for chunk in chunks:
             span = set(chunk.page_span)
             covered |= span
             assert span <= core_pages
             assert any(span <= run for run in runs)
         assert covered == core_pages
         by_run: dict[int, list] = {}
-        for chunk in result.chunks:
+        for chunk in chunks:
             run_idx = next(i for i, run in enumerate(runs) if set(chunk.page_span) <= run)
             by_run.setdefault(run_idx, []).append(chunk)
         for siblings in by_run.values():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import make_client, ranking_pool
+from conftest import make_client, placed_store, ranking_pool
 from synth import (
     GOLDEN_DIR,
     EndlessChildrenBackend,
@@ -106,11 +106,14 @@ def test_entry_label_generating_itself_merges_without_new_node():
 
 
 def test_unbounded_chain_hits_cap_exactly():
-    with pytest.raises(ExpansionBudgetExceeded) as exc_info:
-        build(simple_chunk(entry=("start here",), terminal=("never reached",)),
-              EndlessChildrenBackend(), expansion_cap=10)
-    partial = exc_info.value.partial_graph
-    assert len(partial.nodes) == 10
+    client = make_client(EndlessChildrenBackend())
+    with pytest.raises(ExpansionBudgetExceeded):
+        build_graph(simple_chunk(entry=("start here",), terminal=("never reached",)), client,
+                    EmbeddingStore(HashingEmbeddingBackend()), config(expansion_cap=10))
+    # The cap admits 10 nodes, the terminal and 9 that each asked for children;
+    # the 11th is refused before it asks.
+    tasks = [entry["task"] for entry in client.audit.entries]
+    assert tasks.count("generate_children") == 10 - 1
 
 
 def test_cap_smaller_than_interface_rejected():
@@ -129,14 +132,6 @@ def dedup_graph(members: dict[str, str], store: EmbeddingStore | None = None,
         graph.add_node(DecisionNode(node_id, label, NodeKind.INTERMEDIATE, groups[node_id]))
     return graph, ranking_pool(store or EmbeddingStore(HashingEmbeddingBackend()),
                                members, groups)
-
-
-def placed_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
-    """A store holding the given hand-placed vectors."""
-    store = EmbeddingStore(HashingEmbeddingBackend(dim=2))
-    for label, vector in vectors.items():
-        store.put(label, vector)
-    return store
 
 
 class RecordingBackend(TableBackend):

@@ -169,7 +169,7 @@ def test_mid_table_page_with_continuing_lookahead_is_not_cut():
 
 
 def test_last_page_of_run_returns_oracle_answer():
-    # Finalization still happens through the run-end branch in run_chunking.
+    # Finalization still happens through the run-end branch in chunk_run.
     assert predict_boundary([PageRecord(6, PAGE_TEXTS[6])],
                             "initial management selected; surveillance follows",
                             PageRecord(7, PAGE_TEXTS[7]), None, 8000, rule_client()) is False
@@ -196,19 +196,6 @@ def test_build_chunk_synthetic_first_segment():
     assert body["entry_labels"] == ["suspected prostate cancer"]
     assert body["terminal_labels"] == ["low-risk group", "high-risk group"]
     assert body["carry_pages"] == [3]
-
-
-def test_build_chunk_carry_subset_of_buffer():
-    class CarryEverything(SyntheticRuleBackend):
-        def body_for(self, task, payload):
-            body = super().body_for(task, payload)
-            if task is OracleTask.BUILD_CHUNK:
-                body["carry_pages"] = [2, 3, 99]
-            return body
-
-    body = build_chunk(chunk1_buffer(), PROFILE.scope_context, None,
-                       make_client(CarryEverything()))
-    assert body["carry_pages"] == [2, 3]
 
 
 EMPTY_INTERFACE = ('{"description": "d", "entry_labels": [], "terminal_labels": ["z"],'
@@ -316,14 +303,14 @@ def test_refine_keeps_confirmed_labels_of_a_punctuation_only_page():
 
 
 def test_run_chunking_synthetic_document():
-    result = run_chunking(pages(), config(), rule_client())
-    spans = [list(c.page_span) for c in result.chunks]
+    chunks = run_chunking(pages(), PROFILE, config(), rule_client())
+    spans = [list(c.page_span) for c in chunks]
     assert spans == [[2, 3], [3, 4], [6, 7]]
-    assert list(result.chunks[0].carried_pages) == [3]
-    assert result.chunks[0].entry_labels == ("suspected prostate cancer",)
-    assert result.chunks[1].chunk_id == 2
-    assert "[segment] initial risk stratification" in result.chunks[0].context
-    assert "[page 2]" in result.chunks[0].context
+    assert list(chunks[0].carried_pages) == [3]
+    assert chunks[0].entry_labels == ("suspected prostate cancer",)
+    assert chunks[1].chunk_id == 2
+    assert "[segment] initial risk stratification" in chunks[0].context
+    assert "[page 2]" in chunks[0].context
 
 
 def test_invalid_chunk_error_names_its_document_wide_id(monkeypatch):
@@ -340,7 +327,7 @@ def test_invalid_chunk_error_names_its_document_wide_id(monkeypatch):
         backend = JitterBackend(SyntheticRuleBackend(), seed=parallelism)
         client = make_client(backend)
         with pytest.raises(ValueError) as exc_info:
-            run_chunking(pages(), config(parallelism=parallelism), client)
+            run_chunking(pages(), PROFILE, config(parallelism=parallelism), client)
         assert str(exc_info.value) == "chunk 3: entry/terminal overlap ['active surveillance']"
         assert len(client.audit.entries) == backend.calls
         ids = [entry["request_id"] for entry in client.audit.entries]
@@ -354,8 +341,8 @@ def test_run_chunking_all_auxiliary_document_yields_no_chunks():
                 return {"label": "auxiliary"}
             return super().body_for(task, payload)
 
-    result = run_chunking(pages(), config(), make_client(AllAux()))
-    assert result.chunks == []
+    chunks = run_chunking(pages(), PROFILE, config(), make_client(AllAux()))
+    assert chunks == []
 
 
 def test_run_chunking_single_core_page():
@@ -373,8 +360,8 @@ def test_run_chunking_single_core_page():
                 }
             return super().body_for(task, payload)
 
-    result = run_chunking(pages(), config(), make_client(OnlyPage2Core()))
-    assert [list(c.page_span) for c in result.chunks] == [[2]]
+    chunks = run_chunking(pages(), PROFILE, config(), make_client(OnlyPage2Core()))
+    assert [list(c.page_span) for c in chunks] == [[2]]
 
 
 class ProceduralBackend(SyntheticRuleBackend):
@@ -426,12 +413,12 @@ def test_run_chunking_invariants_on_random_documents(caplog):
         cuts = {i: rng.random() < 0.4 for i in range(1, count + 1)}
         carry_last = {i: rng.random() < 0.5 for i in range(1, count + 1)}
         backend = ProceduralBackend(classes, cuts, carry_last)
-        result = run_chunking(docs, config(chunk_budget=budget), make_client(backend))
+        chunks = run_chunking(docs, PROFILE, config(chunk_budget=budget), make_client(backend))
 
         core_pages = {i for i, label in classes.items() if label == "core"}
         runs = [set(r) for r in scan_runs(sorted(core_pages))]
         covered = set()
-        for chunk in result.chunks:
+        for chunk in chunks:
             span = set(chunk.page_span)
             covered |= span
             assert span <= core_pages, "auxiliary page leaked into a chunk span"
@@ -443,7 +430,7 @@ def test_run_chunking_invariants_on_random_documents(caplog):
         assert covered == core_pages, "a core page was left uncovered"
 
         by_run: dict[int, list] = {}
-        for chunk in result.chunks:
+        for chunk in chunks:
             run_idx = next(i for i, run in enumerate(runs) if set(chunk.page_span) <= run)
             by_run.setdefault(run_idx, []).append(chunk)
         for siblings in by_run.values():
@@ -463,11 +450,26 @@ def test_page_over_the_cap_becomes_its_own_chunk_and_drops_the_carry(caplog):
     backend = ProceduralBackend({i: "core" for i in range(1, 5)},
                                 {i: False for i in range(1, 5)},
                                 {i: True for i in range(1, 5)})
-    result = run_chunking(docs, config(chunk_budget=50), make_client(backend))
-    assert [c.page_span for c in result.chunks] == [(1, 2), (3,), (4,)]
-    assert [c.carried_pages for c in result.chunks] == [(), (), ()]
+    chunks = run_chunking(docs, PROFILE, config(chunk_budget=50), make_client(backend))
+    assert [c.page_span for c in chunks] == [(1, 2), (3,), (4,)]
+    assert [c.carried_pages for c in chunks] == [(), (), ()]
     assert [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()] == [
         "carry page 2 would push the next chunk past the cap; dropped"]
+
+
+def test_carry_page_outside_the_buffer_is_logged_once_and_dropped(caplog):
+    class CarryEverything(SyntheticRuleBackend):
+        def body_for(self, task, payload):
+            body = super().body_for(task, payload)
+            if task is OracleTask.BUILD_CHUNK:
+                body["carry_pages"] = [2, 3, 99]
+            return body
+
+    drafts = chunk_run((2, 3), {p.index: p for p in pages()}, PROFILE, 8000,
+                       make_client(CarryEverything()))
+    assert [draft(chunk_id=1).carried_pages for draft in drafts] == [(2, 3)]
+    assert [r.getMessage() for r in caplog.records if "outside buffer" in r.getMessage()] == [
+        "carry page 99 outside buffer [2, 3]; dropped"]
 
 
 def test_page_over_the_cap_gets_no_boundary_call():
@@ -500,9 +502,9 @@ def test_budget_override_bounds_chunk_growth():
     docs = [PageRecord(index=i, text=f"entry p{i} terminal p{i} " + "word " * 10)
             for i in range(1, page_count + 1)]
     budget = 90
-    result = run_chunking(docs, config(chunk_budget=budget),
+    chunks = run_chunking(docs, PROFILE, config(chunk_budget=budget),
                           make_client(NeverCutBackend()))
-    assert len(result.chunks) > 1, "override never fired"
+    assert len(chunks) > 1, "override never fired"
     by_index = {p.index: p for p in docs}
-    for chunk in result.chunks:
+    for chunk in chunks:
         assert len("\n".join(by_index[i].text for i in chunk.page_span)) <= 2 * budget

@@ -245,6 +245,24 @@ def test_eval_matches_no_label_without_text(tmp_path, capsys, flags):
     assert "2/3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc, outcome", [
+    ({"chunk_budget": 0, "parallelism": -1}, None),
+    ({"retry_limit": 0}, "retry_limit must be >= 1"),
+    ({"backend": {"kind": "bogus"}}, "unknown backend kind 'bogus'"),
+    ({"backend": {"timeout": -1}}, "backend.timeout must be finite and > 0"),
+], ids=["count-settings", "retry-limit", "backend-kind", "backend-timeout"])
+def test_eval_checks_only_the_settings_its_session_reads(tmp_path, capsys, doc, outcome):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("eval", "--predicted", str(GOLDEN_DIR / "merged.json"),
+                   "--reference", str(GOLDEN_DIR / "merged.json"), "--config", str(config_path))
+    if outcome is None:
+        assert code == cli.EXIT_OK
+    else:
+        assert code == cli.EXIT_USAGE
+        assert outcome in capsys.readouterr().err
+
+
 def test_config_doc_round_trip():
     config = synthetic_config(FIXTURE_DIR)
     restored = cli.PipelineConfig.from_doc(config.to_doc())
@@ -790,6 +808,19 @@ def test_fixture_set_missing_one_entry_exits_with_transport_code(tmp_path):
     assert "protocol_error" not in outcomes
 
 
+@pytest.mark.parametrize("command", ["chunk", "run"])
+def test_chunking_failure_leaves_the_profile_the_profile_stage_wrote(tmp_path, command):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURE_DIR, fixtures)
+    (fixtures / "classify_page.json").unlink()
+    out = tmp_path / "out"
+    code = run_cli(command, "--manifest", str(SYNTHETIC_DIR / "manifest.json"), "--out", str(out),
+                   "--backend", "scripted", "--fixtures", str(fixtures))
+    assert code == cli.EXIT_TRANSPORT
+    assert (out / "profile.json").read_bytes() == (GOLDEN_DIR / "profile.json").read_bytes()
+    assert not (out / "chunks.json").exists()
+
+
 def _fixture_doc(task: str = "generate_children", entry: dict | None = None,
                  fmt: str = "oracle-fixtures/1") -> str:
     entry = {"key_digest": "0" * 64, "response_body": {"children": []}} if entry is None else entry
@@ -855,6 +886,14 @@ def _golden_chunks_with_interface(entry: list[str], terminal: list[str]) -> str:
     return json.dumps(doc)
 
 
+def _golden_chunks_with_ids(ids: list[int]) -> str:
+    """The golden chunks.json with its chunks renumbered."""
+    doc = json.loads((GOLDEN_DIR / "chunks.json").read_text(encoding="utf-8"))
+    for chunk, chunk_id in zip(doc["chunks"], ids, strict=True):
+        chunk["chunk_id"] = chunk_id
+    return json.dumps(doc)
+
+
 GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": [], "edges": [
     {"source": "a", "label": "go", "target": "b"}]})
 
@@ -866,6 +905,7 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
         ["suspected prostate cancer"], ["Repeat Biopsy", "repeat biopsy."])),
     ("build", "chunks.json", _golden_chunks_with_interface(["MRI"], ["mri."])),
     ("build", "chunks.json", _golden_chunks_with_interface(["suspected prostate cancer"], ["..."])),
+    ("build", "chunks.json", _golden_chunks_with_ids([1, 1, 3])),
     ("aggregate", "graphs/chunk_02.json", "{not json"),
     ("aggregate", "graphs/chunk_03.json", None),
     ("eval", "predicted.json", GRAPH_WITH_DANGLING_EDGE),
@@ -873,7 +913,8 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
     ("export", "graph.json", "[]"),
     ("export", "graph.json", None),
 ], ids=["build-format", "build-missing", "build-duplicate-terminals",
-        "build-entry-terminal-overlap", "build-empty-label", "aggregate-json", "aggregate-missing",
+        "build-entry-terminal-overlap", "build-empty-label", "build-repeated-chunk-id",
+        "aggregate-json", "aggregate-missing",
         "eval-predicted", "eval-reference", "export-shape", "export-missing"])
 def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command, artifact,
                                                       content):

@@ -28,6 +28,8 @@ from guidegraph.core import (
     NodeKind,
     add_edge_or_log_loop,
     canonical_json,
+    chunks_from_doc,
+    chunks_to_doc,
     graph_from_doc,
     graph_to_doc,
     load_doc,
@@ -479,6 +481,15 @@ def test_chunk_validation():
         Chunk(1, "ctx", ("a",), ("a",), "d", (), (1,))  # overlapping interface
     with pytest.raises(ValueError):
         Chunk(1, "ctx", ("a",), ("b",), "d", (9,), (1, 2))  # carried page outside the span
+
+
+def test_chunk_list_rejects_a_repeated_chunk_id():
+    chunks = [Chunk(i, "ctx", ("a",), ("b",), "d", (), (i,)) for i in (1, 2, 3)]
+    assert chunks_from_doc(chunks_to_doc(chunks)) == chunks
+    doc = chunks_to_doc(chunks)
+    doc["chunks"][1]["chunk_id"] = 1  # ids [1, 1, 3]
+    with pytest.raises(ValueError, match="^chunk_id 1 appears twice$"):
+        chunks_from_doc(doc)
 
 
 @pytest.mark.parametrize("entry, terminal, outcome", [

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import make_client
+from conftest import make_client, placed_store
 from oracles import loop_match_nodes, loop_score
 from synth import SyntheticRuleBackend
 
@@ -28,6 +28,14 @@ from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend
 
 EXACT = MatchPolicy(MatchMode.EXACT_NORMALIZED)
 ORACLE = MatchPolicy(MatchMode.ORACLE_VERIFIED)
+
+
+def match(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolicy,
+          store: EmbeddingStore | None = None, client=None) -> dict[str, str]:
+    """`match_nodes` over the label table of the two graphs' node labels."""
+    labels = evaluation._normalize_all(node.label for graph in (predicted, reference)
+                                       for node in graph.nodes.values())
+    return match_nodes(predicted, reference, policy, store, client, labels)
 
 
 def embedding(threshold: float) -> MatchPolicy:
@@ -107,20 +115,20 @@ def test_every_published_cell_reproduces_exactly():
 
 def test_identical_graphs_identity_mapping():
     graph = graph_of(["a", "b", "c"], [(1, "x", 2), (2, "y", 3)])
-    mapping = match_nodes(graph, graph, EXACT)
+    mapping = match(graph, graph, EXACT)
     assert mapping == {"n01": "n01", "n02": "n02", "n03": "n03"}
 
 
 def test_exact_matching_normalizes_labels():
     predicted = graph_of(["Radical Prostatectomy."])
     reference = graph_of(["radical prostatectomy"], prefix="r")
-    assert match_nodes(predicted, reference, EXACT) == {"n01": "r01"}
+    assert match(predicted, reference, EXACT) == {"n01": "r01"}
 
 
 def test_mapping_is_injective_with_duplicate_labels():
     predicted = graph_of(["state", "state"])
     reference = graph_of(["state"], prefix="r")
-    mapping = match_nodes(predicted, reference, EXACT)
+    mapping = match(predicted, reference, EXACT)
     assert len(mapping) == 1
 
 
@@ -147,7 +155,7 @@ def test_embedding_threshold_matches_optimal_assignment_on_five_node_pair():
     reference = graph_of(ref_labels, prefix="r")
     store = EmbeddingStore(HashingEmbeddingBackend())
     policy = MatchPolicy(MatchMode.EMBEDDING_THRESHOLD, threshold=0.8)
-    mapping = match_nodes(predicted, reference, policy, store=store)
+    mapping = match(predicted, reference, policy, store=store)
     assert len(mapping) == 2
     assert mapping["n01"] == "r01"
     assert mapping["n02"] == "r02"
@@ -173,9 +181,8 @@ def test_oracle_verified_matching():
 
     predicted = graph_of(["as protocol", "bone scan"])
     reference = graph_of(["active surveillance", "radiation therapy"], prefix="r")
-    mapping = match_nodes(predicted, reference,
-                          MatchPolicy(MatchMode.ORACLE_VERIFIED),
-                          client=make_client(Verifier()))
+    mapping = match(predicted, reference, MatchPolicy(MatchMode.ORACLE_VERIFIED),
+                    client=make_client(Verifier()))
     assert mapping == {"n01": "r01"}
 
 
@@ -183,7 +190,7 @@ def test_oracle_policy_without_client_errors():
     graph = graph_of(["a"])
     other = graph_of(["b"], prefix="r")
     with pytest.raises(UsageError):
-        match_nodes(graph, other, MatchPolicy(MatchMode.ORACLE_VERIFIED))
+        match(graph, other, MatchPolicy(MatchMode.ORACLE_VERIFIED))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +357,9 @@ def test_matching_and_scores_equal_the_pair_loops(policy):
         predicted, reference = random_eval_pair(rng)
         store = EmbeddingStore(HashingEmbeddingBackend())
         client, loop_client = make_client(FirstWordVerifier()), make_client(FirstWordVerifier())
-        mapping = match_nodes(predicted, reference, policy, store, client)
+        mapping = match(predicted, reference, policy, store, client)
         assert mapping == loop_match_nodes(predicted, reference, policy, store, loop_client)
-        beyond_exact += len(mapping) > len(match_nodes(predicted, reference, EXACT))
+        beyond_exact += len(mapping) > len(match(predicted, reference, EXACT))
         report = score(predicted, reference, policy, store=store, client=client)
         assert report == loop_score(predicted, reference, policy, store=store, client=loop_client)
         assert ([e["payload_digest"] for e in client.audit.entries]
@@ -364,12 +371,11 @@ def test_matching_and_scores_equal_the_pair_loops(policy):
 
 
 def test_embedding_threshold_is_inclusive():
-    store = EmbeddingStore(HashingEmbeddingBackend())
-    store.put("alpha", [1.0, 0.0])
-    store.put("beta", [3.0, 4.0])  # cosine with alpha is 3/5, exactly the double 0.6
+    store = placed_store({"alpha": [1.0, 0.0],
+                          "beta": [3.0, 4.0]})  # cosine 3/5, exactly the double 0.6
     predicted, reference = graph_of(["alpha"]), graph_of(["beta"], prefix="r")
-    assert match_nodes(predicted, reference, embedding(0.6), store) == {"n01": "r01"}
-    assert match_nodes(predicted, reference, embedding(0.6000001), store) == {}
+    assert match(predicted, reference, embedding(0.6), store) == {"n01": "r01"}
+    assert match(predicted, reference, embedding(0.6000001), store) == {}
 
 
 def test_score_normalizes_each_distinct_label_once(monkeypatch):
@@ -425,7 +431,7 @@ def empty_label_pair() -> tuple[DecisionGraph, DecisionGraph]:
 def test_exact_policy_never_matches_a_label_with_no_text():
     predicted, reference = empty_label_pair()
     report = score(predicted, reference, EXACT)
-    assert match_nodes(predicted, reference, EXACT) == {"n01": "r01", "n03": "r03"}
+    assert match(predicted, reference, EXACT) == {"n01": "r01", "n03": "r03"}
     assert report.node_precision == MetricCount(2, 3)
     assert report.node_recall == MetricCount(2, 3)
     # "." and " ;" connect matched nodes, so the edge holds but not the triplet.

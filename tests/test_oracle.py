@@ -83,8 +83,8 @@ def test_scripted_lookup_is_deterministic():
     fixtures = make_fixtures()
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             classify_page_payload(4, "treatment flowchart: staging to therapy choice"))
-    first = dispatch(request, fixtures)
-    second = dispatch(request, fixtures)
+    first = dispatch(request, fixtures, audit=AuditLog())
+    second = dispatch(request, fixtures, audit=AuditLog())
     assert first == second == {"label": "core"}
 
 
@@ -92,7 +92,7 @@ def test_scripted_lookup_missing_fixture():
     with pytest.raises(FixtureMissingError):
         dispatch(
             OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x")),
-            make_fixtures(),
+            make_fixtures(), audit=AuditLog(),
         )
 
 
@@ -155,7 +155,7 @@ def test_malformed_replies_always_raise_protocol_error(raw):
     backend = StaticBackend(raw)
     request = OracleRequest(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
     with pytest.raises(OracleProtocolError):
-        dispatch(request, backend, retry_limit=2)
+        dispatch(request, backend, audit=AuditLog(), retry_limit=2)
     assert backend.calls == 2
 
 
@@ -183,7 +183,7 @@ def test_retry_appends_validation_errors_then_succeeds():
     backend = FlakyBackend(inner, bad_attempts=1)
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             {"page": {"index": 2, "text": "t"}, "metadata": {}})
-    assert dispatch(request, backend, retry_limit=3) == {"label": "core"}
+    assert dispatch(request, backend, audit=AuditLog(), retry_limit=3) == {"label": "core"}
     assert "validation_errors" not in backend.seen_payloads[0]
     assert backend.seen_payloads[1]["validation_errors"]
 
@@ -194,7 +194,7 @@ def test_retry_exhaustion_raises():
     request = OracleRequest(OracleTask.CLASSIFY_PAGE,
                             {"page": {"index": 2, "text": "t"}, "metadata": {}})
     with pytest.raises(OracleProtocolError):
-        dispatch(request, backend, retry_limit=3)
+        dispatch(request, backend, audit=AuditLog(), retry_limit=3)
 
 
 class _RaisingBackend:
@@ -221,7 +221,7 @@ def test_fixture_set_save_and_load_round_trip(tmp_path):
     request = OracleRequest(OracleTask.FIND_DUPLICATE,
                             {"candidate": "active surveillance", "ancestors": [],
                              "candidates": ["active surveillance", "radiation therapy"]})
-    assert dispatch(request, loaded) == {"matches": [0]}
+    assert dispatch(request, loaded, audit=AuditLog()) == {"matches": [0]}
 
 
 def _http_reply(status: int, body: bytes) -> requests.Response:

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import ranking_pool
+from conftest import placed_store, ranking_pool
 from oracles import exhaustive_top_k, loop_cosine_candidates, reference_embed_text
 from synth import FIXTURE_DIR, SYNTHETIC_DIR, synthetic_config
 
@@ -27,12 +27,6 @@ def test_embed_twice_returns_identical_vectors(hashing_store):
     first = hashing_store.vector("radical prostatectomy")
     second = hashing_store.vector("radical prostatectomy")
     assert np.array_equal(first, second)
-
-
-def test_cache_keyed_by_normalized_label(hashing_store):
-    # `put` normalizes its key; a lookup keys the label as given.
-    hashing_store.put("Active Surveillance", [1.0] * 256)
-    assert np.array_equal(hashing_store.vector("active surveillance"), [1.0] * 256)
 
 
 def test_lookups_key_labels_as_given_without_normalizing(monkeypatch):
@@ -64,19 +58,16 @@ def test_trigram_table_embeds_like_the_hashing_loop():
     alphabet = "ab c.é中😀-"
     labels = ["", "a", "ab", "é", "😀"] + [
         "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(300)]
-    for dim, seed, ngram in [(256, 13, 3), (7, 2, 3), (16, 5, 2)]:
-        backend = HashingEmbeddingBackend(dim=dim, seed=seed, ngram=ngram)
-        for label in labels + labels:  # the second pass reads a filled table
-            vector = backend.embed_text(label)
-            assert vector.dtype == np.float64 and vector.shape == (dim,)
-            assert np.array_equal(vector, reference_embed_text(label, dim, seed, ngram))
+    backend = HashingEmbeddingBackend()
+    for label in labels + labels:  # the second pass reads a filled table
+        vector = backend.embed_text(label)
+        assert vector.dtype == np.float64 and vector.shape == (retrieval.DIM,)
+        assert np.array_equal(vector, reference_embed_text(label, retrieval.DIM, retrieval.SEED,
+                                                           retrieval.NGRAM))
 
 
 def test_hand_placed_vectors_rank_as_computed():
-    store = EmbeddingStore(HashingEmbeddingBackend(dim=2))
-    store.put("first", [1.0, 0.0])
-    store.put("second", [0.0, 1.0])
-    store.put("third", [0.9, 0.1])
+    store = placed_store({"first": [1.0, 0.0], "second": [0.0, 1.0], "third": [0.9, 0.1]})
     result = cosine_candidates("first", ranking_pool(store, {"n2": "second", "n3": "third"}), 2)
     assert [(node_id, label) for node_id, label, _ in result] == [("n3", "third"),
                                                                   ("n2", "second")]
@@ -107,31 +98,27 @@ def test_vector_is_a_read_only_view(hashing_store):
         vector[0] = 1.0
 
 
-def test_put_rejects_a_label_that_has_a_vector(hashing_store):
-    hashing_store.vector("active surveillance")
-    with pytest.raises(EmbeddingError):
-        hashing_store.put("Active Surveillance", [1.0] * 256)
-
-
 def test_zero_vector_rejected():
-    store = EmbeddingStore(HashingEmbeddingBackend(dim=4))
-    with pytest.raises(EmbeddingError):
-        store.put("zero", [0.0, 0.0, 0.0, 0.0])
+    store = placed_store({"zero": [0.0, 0.0, 0.0, 0.0]})
+    with pytest.raises(EmbeddingError, match="zero"):
+        store.lookup(["zero"])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_vector_rejected(value):
-    store = EmbeddingStore(HashingEmbeddingBackend(dim=4))
+    vectors = {"bad": [1.0, value, 0.0, 0.0]}
+    store = placed_store(vectors)
     with pytest.raises(EmbeddingError, match="non-finite"):
-        store.put("bad", [1.0, value, 0.0, 0.0])
-    store.put("bad", [1.0, 0.0, 0.0, 0.0])  # the rejected vector was not stored
+        store.lookup(["bad"])
+    vectors["bad"] = [1.0, 0.0, 0.0, 0.0]  # the rejected vector was not stored
+    assert store.vector("bad").tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_dimension_mismatch_rejected():
-    store = EmbeddingStore(HashingEmbeddingBackend(dim=4))
-    store.put("a", [1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(EmbeddingError):
-        store.put("b", [1.0, 0.0])
+    store = placed_store({"a": [1.0, 0.0, 0.0, 0.0], "b": [1.0, 0.0]})
+    store.lookup(["a"])
+    with pytest.raises(EmbeddingError, match="dimension mismatch"):
+        store.lookup(["b"])
 
 
 def test_rejects_k_below_one(hashing_store):
@@ -139,33 +126,25 @@ def test_rejects_k_below_one(hashing_store):
         cosine_candidates("x", ranking_pool(hashing_store, {"a": "b"}), 0)
 
 
-def _random_store_and_pool(rng: random.Random, size: int):
-    store = EmbeddingStore(HashingEmbeddingBackend(dim=6))
-    pool = {}
-    vectors = {}
-    for i in range(size):
-        node_id = f"n{i:02d}"
-        label = f"label {rng.randrange(10_000)} {i}"
+def _random_vector(rng: random.Random) -> list[float]:
+    vec = [rng.uniform(-1, 1) for _ in range(6)]
+    while all(abs(x) < 1e-9 for x in vec):
         vec = [rng.uniform(-1, 1) for _ in range(6)]
-        while all(abs(x) < 1e-9 for x in vec):
-            vec = [rng.uniform(-1, 1) for _ in range(6)]
-        store.put(label, vec)
-        pool[node_id] = label
-        vectors[node_id] = vec
-    return store, pool, vectors
+    return vec
 
 
 def test_matches_exhaustive_sort_on_random_pools():
     rng = random.Random(2024)
     for _ in range(300):
         size = rng.randint(1, 8)
-        store, pool, vectors = _random_store_and_pool(rng, size)
-        query_vec = [rng.uniform(-1, 1) for _ in range(6)]
-        while all(abs(x) < 1e-9 for x in query_vec):
-            query_vec = [rng.uniform(-1, 1) for _ in range(6)]
-        store.put("query label", query_vec)
+        placed, pool, vectors = {}, {}, {}
+        for i in range(size):
+            node_id, label = f"n{i:02d}", f"label {rng.randrange(10_000)} {i}"
+            placed[label] = vectors[node_id] = _random_vector(rng)
+            pool[node_id] = label
+        placed["query label"] = query_vec = _random_vector(rng)
         k = rng.randint(1, 8)
-        result = cosine_candidates("query label", ranking_pool(store, pool), k)
+        result = cosine_candidates("query label", ranking_pool(placed_store(placed), pool), k)
         expected = exhaustive_top_k(query_vec, vectors, k)
         assert [(nid, label) for nid, label, _ in result] == [
             (nid, pool[nid]) for nid, _ in expected]
@@ -174,10 +153,8 @@ def test_matches_exhaustive_sort_on_random_pools():
             assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
 
 
-def test_tie_break_is_insertion_order_independent(hashing_store):
-    store = EmbeddingStore(HashingEmbeddingBackend(dim=3))
-    for label, vec in [("la", [1, 0, 0]), ("lb", [1, 0, 0]), ("lc", [0, 1, 0])]:
-        store.put(label, vec)
+def test_tie_break_is_insertion_order_independent():
+    store = placed_store({"la": [1, 0, 0], "lb": [1, 0, 0], "lc": [0, 1, 0]})
     pool_fwd = {"n1": "la", "n2": "lb", "n3": "lc"}
     pool_rev = dict(reversed(list(pool_fwd.items())))
     fwd = cosine_candidates("la", ranking_pool(store, pool_fwd), 3)
@@ -350,7 +327,7 @@ def test_ranking_is_independent_of_store_insertion_order():
 
 
 def test_concurrent_lookups_store_each_key_once():
-    backend = HashingEmbeddingBackend(dim=32)
+    backend = HashingEmbeddingBackend()
     store = EmbeddingStore(backend)
     # Overlapping windows over 200 keys, looked up in batches of 6, so
     # threads race to embed and to store the same key.
@@ -403,7 +380,7 @@ class SlowEmbeddingBackend(HashingEmbeddingBackend):
 
 def test_threads_embed_new_labels_concurrently():
     def wall_time(threads: int) -> float:
-        store = EmbeddingStore(SlowEmbeddingBackend(dim=32))
+        store = EmbeddingStore(SlowEmbeddingBackend())
         labels = [[f"label {t} {i}" for i in range(40)] for t in range(threads)]
         workers = [threading.Thread(target=lambda own=own: [store.lookup((x,)) for x in own])
                    for own in labels]
@@ -428,7 +405,7 @@ class CountingEmbeddingBackend(HashingEmbeddingBackend):
     first call for each text in `fail_once` raises instead."""
 
     def __init__(self, fail_once: tuple[str, ...] = ()) -> None:
-        super().__init__(dim=32)
+        super().__init__()
         self.calls: Counter[str] = Counter()
         self._fail_once = set(fail_once)
         self._lock = threading.Lock()
