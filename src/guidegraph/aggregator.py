@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 # `normalize_label` and `cosine_candidates` are not called here: the
 # benchmark's tracer wraps this module's bindings of them (perfbench/tracer.py
 # reads vars(aggregator)).
-from .core import Chunk, DecisionGraph, NodeKind, merge_nodes, normalize_label
-from .errors import IdCollisionError, InterfaceResolutionError
+from .core import Chunk, DecisionGraph, NodeKind, merge_nodes, merged_refs_doc, normalize_label
+from .errors import InterfaceResolutionError
 from .oracle import OracleClient
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 from .builder import find_duplicate
@@ -50,15 +50,19 @@ class AggregationResult:
 
 
 def union_graphs(chunk_graphs: Sequence[DecisionGraph]) -> DecisionGraph:
-    """Disjoint union of chunk graphs, origin provenance intact."""
+    """Disjoint union of chunk graphs, origin provenance intact.
+
+    Each graph is added whole by `DecisionGraph.add_graph`, which copies its
+    nodes and adjacency and does not check its edges again: it relies on
+    each chunk graph having passed `check_integrity` (`build_graph` and
+    `graph_from_doc` both check) and on the graphs' node ids being disjoint.
+
+    Raises:
+        IdCollisionError: a node id appears in two chunk graphs.
+    """
     union = DecisionGraph()
     for graph in chunk_graphs:
-        for node_id in sorted(graph.nodes):
-            if node_id in union.nodes:
-                raise IdCollisionError(f"node id {node_id!r} appears in two chunk graphs")
-            union.add_node(graph.nodes[node_id].copy())
-        for edge in graph.edges:
-            union.add_edge(*edge)
+        union.add_graph(graph)
     return union
 
 
@@ -128,8 +132,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
     in_queue = set(queue)
     decisions: list[MergeDecision] = []
     pool = RankingPool(store)  # every live node, grouped by origin chunk
-    for nid, each in graph.nodes.items():
-        pool.add(nid, each.label, each.origin_chunk)
+    pool.extend([(nid, each.label, each.origin_chunk) for nid, each in graph.nodes.items()])
 
     while queue:
         x = queue.popleft()
@@ -174,7 +177,18 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
 def merge_log_doc(result: AggregationResult) -> dict[str, Any]:
     return {
         "format": MERGE_LOG_FORMAT,
-        "decisions": [asdict(d) for d in result.decisions],
+        "decisions": [{
+            "primary": d.primary,
+            "secondary": d.secondary,
+            "reason": d.reason,
+            "similarity": d.similarity,
+            "how": d.how,
+            "primary_kind": d.primary_kind,
+            "secondary_kind": d.secondary_kind,
+            "primary_origin": d.primary_origin,
+            "secondary_origin": d.secondary_origin,
+            "requeued_primary": d.requeued_primary,
+        } for d in result.decisions],
         "suppressed_self_loops": [
             {"source": e.source, "label": e.label, "target": e.target}
             for e in result.graph.suppressed_self_loops
@@ -194,6 +208,6 @@ def provenance_doc(result: AggregationResult) -> dict[str, Any]:
             "kind": node.kind.value,
             "chunks": chunks_involved,
             "pages": list(node.provenance_pages),
-            "merged_from": [asdict(m) for m in node.merged_from],
+            "merged_from": merged_refs_doc(node.merged_from),
         })
     return {"format": "provenance/1", "nodes": nodes}

@@ -12,8 +12,7 @@ codec that writes every artifact and digest.
 """
 from __future__ import annotations
 
-import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Iterable, KeysView, Mapping, NamedTuple
@@ -24,6 +23,7 @@ from .errors import (
     EmptyLabelError,
     GraphIntegrityError,
     GuidegraphError,
+    IdCollisionError,
     InvalidMergeError,
     MissingNodeError,
     UsageError,
@@ -33,22 +33,22 @@ GRAPH_FORMAT = "decision-graph/1"
 CHUNKS_FORMAT = "chunk-list/1"
 PROFILE_FORMAT = "guideline-profile/1"
 
-_WS_RUN = re.compile(r"\s+")
-_TRAILING_PUNCT = ".,;:"
-
 
 def normalize_label(raw: str) -> str:
     """Canonicalize a node or edge label.
 
-    Casefolds, collapses whitespace runs to single spaces, strips
-    leading/trailing whitespace and trailing sentence punctuation.
-    Idempotent by construction.
+    Casefolds, collapses each whitespace run to one space, drops leading
+    whitespace and strips any trailing mix of spaces and sentence
+    punctuation (`.,;:`). Whitespace is what `str.isspace` accepts: the
+    same 29 code points as `re`'s whitespace class in a str pattern, U+00A0,
+    U+2028 and U+3000 among them. Idempotent: a normalized label normalizes
+    to itself, so `"Repeat biopsy. ."` gives `"repeat biopsy"` once and for
+    all.
 
     Raises:
         EmptyLabelError: if nothing is left after normalization.
     """
-    text = _WS_RUN.sub(" ", raw.casefold()).strip()
-    text = text.rstrip(_TRAILING_PUNCT).strip()
+    text = " ".join(raw.casefold().split()).rstrip(".,;: ")
     if not text:
         raise EmptyLabelError(f"label {raw!r} is empty after normalization")
     return text
@@ -199,11 +199,11 @@ class DecisionGraph:
     carry no information and are never stored twice. Self-loops produced by
     rewiring are suppressed and logged rather than kept.
 
-    Nodes enter only through `add_node` and leave only through
-    `merge_nodes`, which keep the label index; a node's label never changes
-    once it is in the graph. Edges enter only through `add_edge` and leave
-    only through `remove_edge`, which keep the in/out adjacency; `edges` is
-    a read-only view of them.
+    Nodes enter only through `add_node` and `add_graph` and leave only
+    through `merge_nodes`, which keep the label index; a node's label never
+    changes once it is in the graph. Edges enter only through `add_edge`
+    and `add_graph` and leave only through `remove_edge`, which keep the
+    in/out adjacency; `edges` is a read-only view of them.
     """
 
     def __init__(self) -> None:
@@ -219,6 +219,27 @@ class DecisionGraph:
             raise GraphIntegrityError(f"node id {node.node_id!r} already present")
         self.nodes[node.node_id] = node
         self._label_index.setdefault(node.label, set()).add(node.node_id)
+
+    def add_graph(self, other: "DecisionGraph") -> None:
+        """Add copies of another graph's nodes, in id order, and all its edges.
+
+        The other graph must have passed `check_integrity`; its edges are
+        not checked again. Its nodes and adjacency sets are copied, so the
+        two graphs share no mutable state, and its suppressed self-loops
+        are not carried over.
+
+        Raises:
+            IdCollisionError: a node id is in both graphs; nothing is added.
+        """
+        shared = other.nodes.keys() & self.nodes.keys()
+        if shared:
+            raise IdCollisionError(f"node id {min(shared)!r} appears in two chunk graphs")
+        self.nodes.update((nid, other.nodes[nid].copy()) for nid in sorted(other.nodes))
+        for label, ids in other._label_index.items():
+            self._label_index.setdefault(label, set()).update(ids)
+        self._edges.update(other._edges)
+        self._out.update((nid, set(edges)) for nid, edges in other._out.items())
+        self._into.update((nid, set(edges)) for nid, edges in other._into.items())
 
     @property
     def edges(self) -> KeysView[DecisionEdge]:
@@ -359,6 +380,10 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
 # Canonical serialization
 
 
+def merged_refs_doc(refs: Iterable[MergedRef]) -> list[dict[str, Any]]:
+    return [{"node_id": ref.node_id, "origin_chunk": ref.origin_chunk} for ref in refs]
+
+
 def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
     """Canonical document form: nodes sorted by id, edges by triple."""
     nodes = []
@@ -370,7 +395,7 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
                 "label": node.label,
                 "kind": node.kind.value,
                 "origin_chunk": node.origin_chunk,
-                "merged_from": [asdict(ref) for ref in node.merged_from],
+                "merged_from": merged_refs_doc(node.merged_from),
                 "provenance_pages": list(node.provenance_pages),
                 "interface_labels": list(node.interface_labels),
             }

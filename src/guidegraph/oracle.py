@@ -63,61 +63,88 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _str_list(value: Any, what: str) -> None:
-    _require(isinstance(value, list) and all(isinstance(x, str) for x in value),
-             f"{what} must be a list of strings")
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise OracleProtocolError(f"{what} must be a list of strings")
 
 
 def _int_list(value: Any, what: str) -> None:
     # `type` rather than `isinstance`, which would accept a JSON `true` as 1
-    _require(isinstance(value, list) and all(type(x) is int for x in value),
-             f"{what} must be a list of integers")
+    if not (isinstance(value, list) and all(type(x) is int for x in value)):
+        raise OracleProtocolError(f"{what} must be a list of integers")
+
+
+def _check_profile(body: dict[str, Any]) -> None:
+    meta = body.get("metadata")
+    _require(isinstance(meta, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
+    ), "metadata must map strings to strings")
+    scope = body.get("scope_context")
+    _require(isinstance(scope, str) and bool(scope.strip()),
+             "scope_context must be a non-blank string")
+
+
+def _check_page_label(body: dict[str, Any]) -> None:
+    _require(body.get("label") in ("core", "auxiliary"), "label must be 'core' or 'auxiliary'")
+
+
+def _check_boundary(body: dict[str, Any]) -> None:
+    _require(isinstance(body.get("cut"), bool), "cut must be a boolean")
+
+
+def _check_interface(body: dict[str, Any]) -> None:
+    _str_list(body.get("entry_labels"), "entry_labels")
+    _str_list(body.get("terminal_labels"), "terminal_labels")
+
+
+def _check_chunk(body: dict[str, Any]) -> None:
+    _require(isinstance(body.get("description"), str), "description must be a string")
+    _check_interface(body)
+    _int_list(body.get("carry_pages"), "carry_pages")
+    _require(isinstance(body.get("updated_context"), str), "updated_context must be a string")
+    _require(bool(body["entry_labels"]) and bool(body["terminal_labels"]),
+             "entry_labels and terminal_labels must be non-empty")
+
+
+def _check_matches(body: dict[str, Any]) -> None:
+    _int_list(body.get("matches"), "matches")
+
+
+def _check_children(body: dict[str, Any]) -> None:
+    children = body.get("children")
+    _require(isinstance(children, list), "children must be a list")
+    for child in children:
+        _require(
+            isinstance(child, dict)
+            and isinstance(child.get("label"), str)
+            and isinstance(child.get("edge_label"), str),
+            "each child must carry string 'label' and 'edge_label'",
+        )
+
+
+# Each task's response schema, past the check that the reply is an object.
+_RESPONSE_CHECKS: dict[OracleTask, Callable[[dict[str, Any]], None]] = {
+    OracleTask.EXTRACT_PROFILE: _check_profile,
+    OracleTask.CLASSIFY_PAGE: _check_page_label,
+    OracleTask.PREDICT_BOUNDARY: _check_boundary,
+    OracleTask.BUILD_CHUNK: _check_chunk,
+    OracleTask.REFINE_NODES: _check_interface,
+    OracleTask.FIND_DUPLICATE: _check_matches,
+    OracleTask.GENERATE_CHILDREN: _check_children,
+}
 
 
 def validate_response(task: OracleTask, body: Any) -> None:
     """Check a parsed backend reply against the task's response schema."""
-    _require(isinstance(body, dict), f"{task.value} response must be a JSON object")
-    if task is OracleTask.EXTRACT_PROFILE:
-        meta = body.get("metadata")
-        _require(isinstance(meta, dict) and all(
-            isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-        ), "metadata must map strings to strings")
-        scope = body.get("scope_context")
-        _require(isinstance(scope, str) and bool(scope.strip()),
-                 "scope_context must be a non-blank string")
-    elif task is OracleTask.CLASSIFY_PAGE:
-        _require(body.get("label") in ("core", "auxiliary"),
-                 "label must be 'core' or 'auxiliary'")
-    elif task is OracleTask.PREDICT_BOUNDARY:
-        _require(isinstance(body.get("cut"), bool), "cut must be a boolean")
-    elif task is OracleTask.BUILD_CHUNK:
-        _require(isinstance(body.get("description"), str), "description must be a string")
-        _str_list(body.get("entry_labels"), "entry_labels")
-        _str_list(body.get("terminal_labels"), "terminal_labels")
-        _int_list(body.get("carry_pages"), "carry_pages")
-        _require(isinstance(body.get("updated_context"), str),
-                 "updated_context must be a string")
-        _require(bool(body["entry_labels"]) and bool(body["terminal_labels"]),
-                 "entry_labels and terminal_labels must be non-empty")
-    elif task is OracleTask.REFINE_NODES:
-        _str_list(body.get("entry_labels"), "entry_labels")
-        _str_list(body.get("terminal_labels"), "terminal_labels")
-    elif task is OracleTask.FIND_DUPLICATE:
-        _int_list(body.get("matches"), "matches")
-    elif task is OracleTask.GENERATE_CHILDREN:
-        children = body.get("children")
-        _require(isinstance(children, list), "children must be a list")
-        for child in children:
-            _require(
-                isinstance(child, dict)
-                and isinstance(child.get("label"), str)
-                and isinstance(child.get("edge_label"), str),
-                "each child must carry string 'label' and 'edge_label'",
-            )
+    if not isinstance(body, dict):
+        raise OracleProtocolError(f"{task.value} response must be a JSON object")
+    _RESPONSE_CHECKS[task](body)
 
 
 def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
-    blob = canonical_json({"task": task.value, "payload": payload}, compact=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """sha256 of the compact `canonical_json` bytes of the task and payload,
+    hashed as orjson writes them."""
+    blob = orjson.dumps({"task": task.value, "payload": payload}, option=orjson.OPT_SORT_KEYS)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _unnumbered(request: OracleRequest, outcome: str) -> dict[str, Any]:

@@ -24,9 +24,10 @@ round-trip.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import Counter
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -73,9 +74,10 @@ class EmbeddingStore:
     Each label maps to a read-only (vector, norm) pair by one dict hit.
     `lookup` keys a label as given, since its callers pass labels normalized
     where they entered. Dimensionality is fixed by the first vector;
-    zero and non-finite vectors are rejected at ingest. Reads and inserts
-    are internally synchronized, a stored pair never changes, and each key
-    is embedded once, however many threads miss it together.
+    zero and non-finite vectors are rejected at ingest. A stored pair never
+    changes, so a lookup whose labels are all stored reads them without
+    taking the lock; a miss claims its keys under the lock, and each key is
+    embedded once, however many threads miss it together.
     """
 
     def __init__(self, backend: EmbeddingBackend) -> None:
@@ -89,8 +91,8 @@ class EmbeddingStore:
 
     def _ingest(self, key: str, vector) -> None:
         vector = np.array(vector, dtype=np.float64)
-        norm = float(np.linalg.norm(vector))
-        if not np.isfinite(norm):
+        norm = math.sqrt(vector @ vector)  # the arithmetic of `np.linalg.norm`
+        if not math.isfinite(norm):
             raise EmbeddingError(f"non-finite embedding vector for {key!r}")
         if norm == 0.0:
             raise EmbeddingError(f"zero embedding vector for {key!r}")
@@ -105,6 +107,7 @@ class EmbeddingStore:
         """Each label's read-only vector and its norm, keyed by the label as
         given.
 
+        A hit takes no lock: an entry is stored whole and never replaced.
         Each key is embedded once. A thread claims the missing keys nobody
         is embedding and embeds them outside the lock, so distinct keys
         embed concurrently; it waits for the keys other threads claimed.
@@ -112,13 +115,13 @@ class EmbeddingStore:
         embeds them itself, or raises.
         """
         labels = list(labels)
+        entries = list(map(self._entries.get, labels))
+        if None not in entries:
+            return entries
+        wanted = list(dict.fromkeys(label for label, entry in zip(labels, entries)
+                                    if entry is None))
         self._lock.acquire()
         try:
-            entries = list(map(self._entries.get, labels))
-            if None not in entries:
-                return entries
-            wanted = list(dict.fromkeys(label for label, entry in zip(labels, entries)
-                                        if entry is None))
             while missing := [key for key in wanted if key not in self._entries]:
                 new = [key for key in missing if key not in self._embedding]
                 if not new:
@@ -157,8 +160,9 @@ class RankingPool:
     fill slots 0..n-1: a discarded member's slot is refilled by the last
     member, so the arrays hold no dead rows. A member's vector and norm are
     copied from the pool's store when it is added, so a label is embedded
-    once, when a pool adds it or a query names it. Single-writer, like the
-    graph.
+    once, when a pool adds it or a query names it. The arrays start at
+    `INITIAL_ROWS` rows, or at the size of a larger first batch, and double
+    when full. Single-writer, like the graph.
     """
 
     def __init__(self, store: EmbeddingStore) -> None:
@@ -167,26 +171,49 @@ class RankingPool:
         self.ids: list[str] = []
         self.labels: list[str] = []
         self.group_sizes: Counter[int] = Counter()  # group -> members
-        self.groups = np.empty(INITIAL_ROWS, dtype=np.int64)
-        self.norms = np.empty(INITIAL_ROWS)
-        self.vectors: np.ndarray | None = None  # allocated by the first add
+        self.groups = np.empty(0, dtype=np.int64)
+        self.norms = np.empty(0)
+        self.vectors = np.empty((0, 0))  # its width is set by the first add
 
     def add(self, node_id: str, label: str, group: int) -> None:
-        if node_id in self.slots:
-            raise ValueError(f"{node_id!r} is already in the pool")
-        (vector, norm), = self.store.lookup((label,))
-        slot = len(self.ids)
-        if self.vectors is None:
-            self.vectors = np.empty((len(self.groups), vector.size))
-        elif slot == len(self.groups):
-            self.groups, self.norms, self.vectors = (
-                np.resize(array, (2 * slot, *array.shape[1:]))
-                for array in (self.groups, self.norms, self.vectors))
-        self.slots[node_id] = slot
-        self.ids.append(node_id)
-        self.labels.append(label)
-        self.group_sizes[group] += 1
-        self.groups[slot], self.norms[slot], self.vectors[slot] = group, norm, vector
+        self.extend(((node_id, label, group),))
+
+    def extend(self, members: Sequence[tuple[str, str, int]]) -> None:
+        """Add (node id, label, group) members in order, as a loop of `add`
+        would, with one store lookup and one write per array.
+
+        Raises:
+            ValueError: an id is in the pool or twice in `members`; the pool
+                is left unchanged.
+        """
+        if not members:
+            return
+        ids, labels, groups = zip(*members)
+        start = len(self.ids)
+        end = start + len(ids)
+        slots = dict(zip(ids, range(start, end)))
+        if len(slots) < len(ids) or not self.slots.keys().isdisjoint(slots):
+            seen = set(self.slots)
+            for node_id in ids:
+                if node_id in seen:
+                    raise ValueError(f"{node_id!r} is already in the pool")
+                seen.add(node_id)
+        vectors, norms = zip(*self.store.lookup(labels))
+        if end > len(self.norms):
+            rows = max(INITIAL_ROWS, 2 * len(self.norms), end)
+            grown = (np.empty(rows, dtype=np.int64), np.empty(rows),
+                     np.empty((rows, vectors[0].size)))
+            if start:
+                for new, old in zip(grown, (self.groups, self.norms, self.vectors)):
+                    new[:start] = old[:start]
+            self.groups, self.norms, self.vectors = grown
+        self.slots.update(slots)
+        self.ids += ids
+        self.labels += labels
+        for group in groups:
+            self.group_sizes[group] += 1
+        self.groups[start:end], self.norms[start:end], self.vectors[start:end] = (
+            groups, norms, vectors)
 
     def discard(self, node_id: str) -> None:
         """Drop a member; an absent id is a no-op."""
@@ -233,7 +260,8 @@ def cosine_candidates(query_label: str, pool: RankingPool, k: int,
         return ()
     (vector, norm), = pool.store.lookup((query_label,))
     count = len(pool.ids)
-    sims = pool.vectors[:count] @ vector / (norm * pool.norms[:count])
+    sims = pool.vectors[:count] @ vector
+    sims /= norm * pool.norms[:count]
     if exclude is not None:
         sims[pool.groups[:count] == exclude] = -np.inf
     cut = count - min(k, eligible)

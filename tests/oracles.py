@@ -77,6 +77,17 @@ def reference_embed_text(text: str, dim: int, seed: int, ngram: int = 3) -> np.n
     return vector
 
 
+def per_edge_union(graphs: Iterable[DecisionGraph]) -> DecisionGraph:
+    """Disjoint union built one node copy and one checked `add_edge` at a time."""
+    union = DecisionGraph()
+    for graph in graphs:
+        for node_id in sorted(graph.nodes):
+            union.add_node(graph.nodes[node_id].copy())
+        for edge in graph.edges:
+            union.add_edge(*edge)
+    return union
+
+
 def brute_force_merge(edges: Iterable[tuple[str, str, str]], primary: str,
                       secondary: str) -> tuple[set[tuple[str, str, str]], set[tuple[str, str, str]]]:
     """Relabel secondary->primary across all triples, dedup, drop self-loops.

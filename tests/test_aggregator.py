@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     closure_quotient,
     impl_class_edges,
     impl_partition,
+    per_edge_union,
     random_universe,
 )
 from synth import (
@@ -121,6 +123,45 @@ def test_union_does_not_alias_input_nodes():
     union = union_graphs([g1])
     union.nodes["c01n001"].provenance_pages.append(99)
     assert g1.nodes["c01n001"].provenance_pages == [1]
+
+
+def graph_state(graph: DecisionGraph) -> tuple:
+    """Nodes, edges, adjacency and label index, compared by value."""
+    labels = {node.label for node in graph.nodes.values()}
+    return (graph_to_doc(graph), set(graph.edges),
+            {nid: (set(graph.in_edges(nid)), set(graph.out_edges(nid))) for nid in graph.nodes},
+            {label: graph.label_ids(label) for label in labels})
+
+
+def test_bulk_union_equals_the_per_edge_union():
+    cases = [golden_chunks_and_graphs()[1]]
+    cases += [random_universe(seed, max_nodes=30)[1] for seed in range(40)]
+    for graphs in cases:
+        union, reference = union_graphs(graphs), per_edge_union(graphs)
+        assert graph_state(union) == graph_state(reference)
+        assert list(union.nodes) == list(reference.nodes)
+    assert max(len(graphs) for graphs in cases) > 2
+
+
+def test_union_collision_adds_nothing_of_the_colliding_graph():
+    _, g1 = tiny_graph(1, "a start", "a end")
+    _, g2 = tiny_graph(2, "b start", "b end", "b mid")
+    g2.add_node(node("c01n002", "clash", NodeKind.ENTRY, 2))
+    union = union_graphs([g1])
+    before = graph_state(union)
+    with pytest.raises(IdCollisionError, match="c01n002"):
+        union.add_graph(g2)
+    assert graph_state(union) == before
+
+
+def test_aggregation_leaves_the_chunk_graphs_untouched():
+    chunks, graphs = golden_chunks_and_graphs()
+    before = [graph_state(graph) for graph in graphs]
+    result = aggregate(chunks, graphs, make_client(SyntheticRuleBackend()), store(), config())
+    assert len(result.decisions) == 3
+    assert [graph_state(graph) for graph in graphs] == before
+    assert not any(result.graph.nodes.get(nid) is node_obj
+                   for graph in graphs for nid, node_obj in graph.nodes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +425,7 @@ def test_merge_log_and_provenance_docs():
     assert log["format"] == "merge-log/1"
     assert len(log["decisions"]) == 3
     assert all(d["reason"] == "non_terminal_preferred" for d in log["decisions"])
+    assert log["decisions"] == [dataclasses.asdict(d) for d in result.decisions]
     prov = provenance_doc(result)
     merged_rows = [row for row in prov["nodes"] if row["merged_from"]]
     assert merged_rows

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import string
 import uuid
 from pathlib import Path
@@ -98,6 +99,69 @@ def test_normalize_matches_reference_and_is_idempotent_on_random_corpus():
         once = normalize_label(raw)
         assert once == expected
         assert normalize_label(once) == once
+
+
+WHITESPACE = "".join(chr(code) for code in range(0x110000) if chr(code).isspace())
+
+
+def regex_normalize(raw: str) -> str:
+    """The earlier regex form of `normalize_label`, kept as a reference. It
+    is not idempotent: one `rstrip` of the punctuation stops at a space."""
+    text = re.sub(r"\s+", " ", raw.casefold()).strip()
+    return text.rstrip(".,;:").strip()
+
+
+def test_whitespace_set_is_the_29_code_points_of_the_regex_class():
+    assert len(WHITESPACE) == 29
+    assert re.findall(r"\s", "".join(map(chr, range(0x110000)))) == list(WHITESPACE)
+    assert {"\u00a0", "\u2028", "\u3000"} <= set(WHITESPACE)
+
+
+def label_corpus(seed: int, count: int) -> list[str]:
+    """Labels of words, every whitespace code point, `.,;:` and mixed case."""
+    rng = random.Random(seed)
+    pieces = ["Repeat", "biopsy", "PSA", "ÉTAPE", "straße", "x", "10", "ng/mL",
+              *WHITESPACE, *".,;:"]
+    return ["".join(rng.choices(pieces, k=rng.randint(1, 12))) for _ in range(count)]
+
+
+def test_normalize_is_idempotent():
+    assert normalize_label("Repeat biopsy. .") == "repeat biopsy"
+    assert regex_normalize("Repeat biopsy. .") == "repeat biopsy."  # the earlier defect
+    checked = 0
+    for raw in label_corpus(613, 4000):
+        try:
+            once = normalize_label(raw)
+        except EmptyLabelError:
+            continue
+        assert normalize_label(once) == once, raw
+        checked += 1
+    assert checked > 2000
+
+
+def test_normalize_equals_the_regex_form_wherever_that_form_is_idempotent():
+    compared = differed = 0
+    for raw in label_corpus(709, 4000) + list(WHITESPACE) + [f"A{c}b{c}." for c in WHITESPACE]:
+        expected = regex_normalize(raw)
+        if regex_normalize(expected) != expected:
+            differed += 1
+            continue
+        compared += 1
+        if not expected:
+            with pytest.raises(EmptyLabelError):
+                normalize_label(raw)
+        else:
+            assert normalize_label(raw) == expected, raw
+    assert compared > 3000 and differed > 10
+
+
+def test_a_label_ending_in_spaced_punctuation_survives_a_chunk_list_round_trip():
+    chunk = Chunk(1, "ctx", ("Repeat biopsy. .",), ("Watchful waiting ;",), "d", (), (1,))
+    assert chunk.entry_labels == ("repeat biopsy",)
+    assert chunk.terminal_labels == ("watchful waiting",)
+    doc = chunks_to_doc([chunk])
+    assert chunks_from_doc(json.loads(canonical_json(doc))) == [chunk]
+    assert chunks_to_doc(chunks_from_doc(doc)) == doc
 
 
 # ---------------------------------------------------------------------------

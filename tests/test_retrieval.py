@@ -259,6 +259,66 @@ def test_pool_lookups_see_every_member_and_follow_discards(hashing_store):
         pool.add("a1", "again", 3)
 
 
+def pool_state(pool: RankingPool) -> tuple:
+    """A pool's members, slots, group sizes and live array rows."""
+    count = len(pool.ids)
+    return (list(pool.ids), dict(pool.slots), list(pool.labels), Counter(pool.group_sizes),
+            pool.groups[:count].tolist(), pool.norms[:count].tolist(),
+            pool.vectors[:count].tolist())
+
+
+def test_add_is_a_one_member_extend(hashing_store, monkeypatch):
+    batches = []
+    monkeypatch.setattr(RankingPool, "extend", lambda self, members: batches.append(members))
+    RankingPool(hashing_store).add("a1", "mri", 1)
+    assert [list(batch) for batch in batches] == [[("a1", "mri", 1)]]
+
+
+def test_extend_equals_a_loop_of_add():
+    rng = random.Random(2024)
+    seen: Counter[str] = Counter()
+    for _ in range(30):
+        store = EmbeddingStore(HashingEmbeddingBackend())
+        looped, extended = RankingPool(store), RankingPool(store)
+        serial = 0
+        for _ in range(rng.randint(1, 4)):
+            groups = rng.choices((1, 2, 3), k=rng.choice((0, 1, 7, 70, 150)))
+            batch = [(f"c{group}n{serial + i:04d}", f"{rng.choice(VOCABULARY)} {rng.randint(0, 40)}",
+                      group) for i, group in enumerate(groups)]
+            seen["extend after discards"] += bool(batch) and len(looped) < serial
+            serial += len(batch)
+            for member in batch:
+                looped.add(*member)
+            extended.extend(batch)
+            seen["past INITIAL_ROWS"] += len(extended) > retrieval.INITIAL_ROWS
+            for gone in rng.sample(sorted(looped.slots), min(len(looped), rng.randint(0, 30))):
+                looped.discard(gone)
+                extended.discard(gone)
+            assert pool_state(extended) == pool_state(looped)
+            for query in rng.sample(VOCABULARY, 3):
+                for exclude in (None, 1, 2):
+                    k = rng.randint(1, 12)
+                    assert (cosine_candidates(query, extended, k, exclude)
+                            == cosine_candidates(query, looped, k, exclude))
+    assert seen["extend after discards"] > 10 and seen["past INITIAL_ROWS"] > 10
+
+
+@pytest.mark.parametrize("batch", [
+    [("b1", "watchful waiting", 1), ("b2", "mri", 2), ("b1", "psa elevated", 3)],
+    [("b1", "watchful waiting", 1), ("a2", "psa elevated", 3)],
+    [(f"b{i}", f"label {i}", 1) for i in range(100)] + [("a1", "mri", 1)],
+], ids=["within-the-batch", "already-in-the-pool", "after-a-batch-that-would-grow-it"])
+def test_extend_with_a_duplicate_id_raises_and_leaves_the_pool_unchanged(batch):
+    backend = CountingBackend()
+    pool = RankingPool(EmbeddingStore(backend))
+    pool.extend([("a1", "mri", 1), ("a2", "repeat biopsy", 2)])
+    before, capacity = pool_state(pool), len(pool.norms)
+    with pytest.raises(ValueError, match="already in the pool"):
+        pool.extend(batch)
+    assert pool_state(pool) == before and len(pool.norms) == capacity
+    assert backend.texts == ["mri", "repeat biopsy"]  # nothing of the batch was embedded
+
+
 class CountingBackend(HashingEmbeddingBackend):
     def __init__(self) -> None:
         super().__init__()
