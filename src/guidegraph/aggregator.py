@@ -6,22 +6,27 @@ The duplicate search never considers nodes from the candidate's own chunk.
 After each merge the surviving node is re-enqueued once so chains of
 near-duplicates spanning three or more chunks can collapse; each such
 requeue is recorded on the merge decision rather than applied silently.
+
+Decisions are made one at a time, in queue order, but the verifier calls
+of upcoming items that no earlier undecided item can change are sent
+early, up to `parallelism` in flight (`_LookAhead`); every artifact and
+the audit log are a serial run's.
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-# `normalize_label` and `cosine_candidates` are not called here: the
-# benchmark's tracer wraps this module's bindings of them (perfbench/tracer.py
-# reads vars(aggregator)).
+# `normalize_label` is not called here: the benchmark's tracer wraps this
+# module's binding of it (perfbench/tracer.py reads vars(aggregator)).
 from .core import Chunk, DecisionGraph, NodeKind, merge_nodes, merged_refs_doc, normalize_label
 from .errors import InterfaceResolutionError
-from .oracle import OracleClient
+from .oracle import Deferred, OracleClient, OracleTask
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
-from .builder import find_duplicate
+from .builder import duplicate_payload, find_duplicate
 
 logger = logging.getLogger(__name__)
 
@@ -124,51 +129,207 @@ def _capped_ancestors(graph: DecisionGraph, node_id: str,
     return ranked[:MAX_ANCESTOR_CONTEXT]
 
 
+@dataclass
+class _Plan:
+    """A queued item as the look-ahead sees it under the current graph."""
+
+    footprint: set[str]  # what its payload reads: `joins` and its in-edge sources
+    joins: set[str]  # what its decision may merge: it, its exact partner or top-k candidates
+    payload: dict[str, Any] | None  # its verifier payload; None when it makes no call
+    child: OracleClient | None = None  # the early call's client, its records held
+    reply: Any = None  # the early call's future
+
+
+class _LookAhead:
+    """The oracle client that `find_duplicate` calls for the current item.
+
+    `call` sends the current item's verifier call and, while it is in
+    flight, scans the queue in order. It sends early the call of each
+    upcoming item whose decision no undecided item before it, the current
+    one included, can change. An item's footprint is the item, its
+    in-edge sources, its exact-match partner and its top-k candidates:
+    all that its payload reads. Its decision can merge only the item with
+    its partner or a candidate, and a merge changes the payloads of only
+    those items whose footprint holds one of the two nodes it joins. So
+    an upcoming item passes when no earlier undecided item can join a node
+    of its footprint. The scan stops at the first item that fails the
+    test, or once `parallelism` calls are in flight, the current one
+    included. Every item up to there keeps its footprint until its turn,
+    so an early call sends the payload that the turn works out again; the
+    turn raises if it does not.
+
+    Each call runs on a held child client and its audit records are
+    committed when the item's turn takes the reply, so the audit log is a
+    serial run's. At parallelism 1 the width is 0: nothing is scanned, and
+    each call runs when its turn reads the reply.
+    """
+
+    def __init__(self, client: OracleClient, graph: DecisionGraph, pool: RankingPool,
+                 queue: deque[str], store: EmbeddingStore, config) -> None:
+        self.client, self.graph, self.pool, self.queue, self.store = (
+            client, graph, pool, queue, store)
+        self.k = config.candidate_count
+        self.width = config.parallelism - 1  # early calls in flight beside the current one
+        self.executor = ThreadPoolExecutor(config.parallelism) if self.width > 0 else None
+        self.submit = self.executor.submit if self.executor is not None else Deferred
+        self.plans: dict[str, _Plan] = {}  # scanned items, until a merge touches a footprint
+        self.early: deque[_Plan] = deque()  # early calls not yet taken, in queue order
+        self.item: str | None = None
+        self.plan: _Plan | None = None  # the current item's, if it was scanned
+
+    def reach(self, item: str) -> None:
+        """Make `item` the current item."""
+        self.item, self.plan = item, self.plans.pop(item, None)
+
+    def merged(self, primary: str, secondary: str) -> None:
+        """Forget the plans whose footprint a merge of the two nodes touches."""
+        for item, plan in list(self.plans.items()):
+            if plan.reply is None and (primary in plan.footprint or secondary in plan.footprint):
+                del self.plans[item]
+
+    def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
+        """The current item's verifier reply: its early call's, or a call's
+        sent now."""
+        plan = self.plan
+        if plan is not None and plan.reply is not None:
+            if self.early[0] is not plan or plan.payload != payload:
+                raise RuntimeError(f"aggregation look-ahead: the early verifier call for "
+                                   f"{self.item!r} is not the call its turn makes")
+            self.early.popleft()
+            child, reply = plan.child, plan.reply
+        else:
+            child = self.client.held()
+            reply = self.submit(child.call, task, payload)
+        try:
+            self._scan()
+        finally:
+            try:
+                body = reply.result()
+            finally:
+                self.client.commit(child)
+        return body
+
+    def close(self) -> int:
+        """Wait for the early calls not taken, commit their records in queue
+        order and stop the executor; returns how many there were."""
+        untaken = len(self.early)
+        try:
+            while self.early:
+                plan = self.early.popleft()
+                try:
+                    plan.reply.exception()
+                finally:
+                    self.client.commit(plan.child)
+        finally:
+            if self.executor is not None:
+                self.executor.shutdown()
+        return untaken
+
+    def _scan(self) -> None:
+        if len(self.early) >= self.width:
+            return
+        if self.plan is None:
+            self.plan = self._plan(self.item)
+        joinable = set(self.plan.joins)  # what the undecided items so far may merge
+        for item in self.queue:
+            if item not in self.graph.nodes:  # skipped at its turn
+                continue
+            plan = self.plans.get(item)
+            if plan is None:
+                plan = self.plans[item] = self._plan(item)
+            if not joinable.isdisjoint(plan.footprint):
+                return
+            joinable |= plan.joins
+            if plan.payload is not None and plan.reply is None:
+                plan.child = self.client.held()
+                plan.reply = self.submit(plan.child.call, OracleTask.FIND_DUPLICATE,
+                                         plan.payload)
+                self.early.append(plan)
+                if len(self.early) >= self.width:
+                    return
+
+    def _plan(self, item: str) -> _Plan:
+        """The item's footprint and payload, worked out as `find_duplicate`
+        works them out."""
+        graph = self.graph
+        node = graph.nodes[item]
+        sources = {edge.source for edge in graph.in_edges(item)}
+        exact = next((nid for nid in graph.label_ids(node.label)
+                      if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
+        if exact is not None:
+            return _Plan(sources | {item, exact}, {item, exact}, None)
+        candidates = cosine_candidates(node.label, self.pool, self.k, node.origin_chunk)
+        joins = {item, *(node_id for node_id, _, _ in candidates)}
+        if not candidates:
+            return _Plan(sources | joins, joins, None)
+        return _Plan(sources | joins, joins, duplicate_payload(
+            node.label, _capped_ancestors(graph, item, self.store),
+            [label for _, label, _ in candidates]))
+
+
 def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
               client: OracleClient, store: EmbeddingStore, config) -> AggregationResult:
-    """Merge chunk graphs into one consolidated decision graph."""
+    """Merge chunk graphs into one consolidated decision graph.
+
+    Items are decided one at a time in queue order; `_LookAhead` overlaps
+    the verifier calls that no earlier decision can change, up to
+    `config.parallelism` in flight.
+
+    Raises:
+        RuntimeError: an early verifier call was not the call its item's
+            turn made; the look-ahead's rule is wrong.
+    """
     graph = union_graphs(chunk_graphs)
     queue = seed_interface_queue(chunks, graph)
     in_queue = set(queue)
     decisions: list[MergeDecision] = []
     pool = RankingPool(store)  # every live node, grouped by origin chunk
     pool.extend([(nid, each.label, each.origin_chunk) for nid, each in graph.nodes.items()])
+    lookahead = _LookAhead(client, graph, pool, queue, store, config)
 
-    while queue:
-        x = queue.popleft()
-        in_queue.discard(x)
-        if x not in graph.nodes:  # merged away while queued
-            continue
-        node = graph.nodes[x]
-        ancestors = _capped_ancestors(graph, x, store)
-        match_id, similarity, how = find_duplicate(
-            node.label, ancestors, graph, pool, config.candidate_count, client,
-            exclude=node.origin_chunk)
-        if match_id is None:
-            continue
-        primary, secondary, reason = choose_primary_secondary(graph, x, match_id)
-        p_kind = graph.nodes[primary].kind.value
-        s_kind = graph.nodes[secondary].kind.value
-        p_origin = graph.nodes[primary].origin_chunk
-        s_origin = graph.nodes[secondary].origin_chunk
-        merge_nodes(graph, primary, secondary)
-        pool.discard(secondary)
-        requeued = primary not in in_queue
-        if requeued:
-            queue.append(primary)
-            in_queue.add(primary)
-        decisions.append(MergeDecision(
-            primary=primary,
-            secondary=secondary,
-            reason=reason,
-            similarity=None if similarity is None else round(similarity, 6),
-            how=how,
-            primary_kind=p_kind,
-            secondary_kind=s_kind,
-            primary_origin=p_origin,
-            secondary_origin=s_origin,
-            requeued_primary=requeued,
-        ))
+    try:
+        while queue:
+            x = queue.popleft()
+            in_queue.discard(x)
+            lookahead.reach(x)
+            if x not in graph.nodes:  # merged away while queued
+                continue
+            node = graph.nodes[x]
+            ancestors = _capped_ancestors(graph, x, store)
+            match_id, similarity, how = find_duplicate(
+                node.label, ancestors, graph, pool, config.candidate_count, lookahead,
+                exclude=node.origin_chunk)
+            if match_id is None:
+                continue
+            primary, secondary, reason = choose_primary_secondary(graph, x, match_id)
+            p_kind = graph.nodes[primary].kind.value
+            s_kind = graph.nodes[secondary].kind.value
+            p_origin = graph.nodes[primary].origin_chunk
+            s_origin = graph.nodes[secondary].origin_chunk
+            merge_nodes(graph, primary, secondary)
+            lookahead.merged(primary, secondary)
+            pool.discard(secondary)
+            requeued = primary not in in_queue
+            if requeued:
+                queue.append(primary)
+                in_queue.add(primary)
+            decisions.append(MergeDecision(
+                primary=primary,
+                secondary=secondary,
+                reason=reason,
+                similarity=None if similarity is None else round(similarity, 6),
+                how=how,
+                primary_kind=p_kind,
+                secondary_kind=s_kind,
+                primary_origin=p_origin,
+                secondary_origin=s_origin,
+                requeued_primary=requeued,
+            ))
+    finally:
+        untaken = lookahead.close()
+    if untaken:
+        raise RuntimeError(f"aggregation look-ahead: {untaken} early verifier calls were "
+                           "never taken by their item's turn")
 
     graph.check_integrity()
     return AggregationResult(graph=graph, decisions=decisions)

@@ -19,9 +19,9 @@ import logging
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 
@@ -49,12 +49,12 @@ class OracleTask(str, Enum):
 class OracleRequest:
     task: OracleTask
     payload: dict[str, Any]
+    # The payload digest, computed once, as the request is made, for the
+    # fixture lookup and the audit record alike.
+    digest: str = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def digest(self) -> str:
-        """The payload digest, computed once for the fixture lookup and the
-        audit record alike."""
-        return payload_digest(self.task, self.payload)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", payload_digest(self.task, self.payload))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -142,8 +142,8 @@ def validate_response(task: OracleTask, body: Any) -> None:
 
 def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
     """sha256 of the compact `canonical_json` bytes of the task and payload,
-    hashed as orjson writes them."""
-    blob = orjson.dumps({"task": task.value, "payload": payload}, option=orjson.OPT_SORT_KEYS)
+    hashed as orjson writes them; orjson writes a task as its value."""
+    blob = orjson.dumps({"task": task, "payload": payload}, option=orjson.OPT_SORT_KEYS)
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -370,7 +370,7 @@ Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 
-class _Deferred:
+class Deferred:
     """Stands in for a future at parallelism 1: runs its call when the
     result is read, so each item runs only when its turn to commit comes."""
 
@@ -396,6 +396,15 @@ class OracleClient:
     def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
         return dispatch(OracleRequest(task, payload), self.backend,
                         retry_limit=self.retry_limit, audit=self.audit)
+
+    def held(self) -> "OracleClient":
+        """A child client on the same backend whose audit records are held
+        back, until `commit` writes them to this client's log."""
+        return OracleClient(self.backend, audit=_HeldRecords(), retry_limit=self.retry_limit)
+
+    def commit(self, child: "OracleClient") -> None:
+        """Number and write a held child's records, in one write."""
+        self.audit.commit(child.audit.records)
 
     def fan_out(self, fn: Callable[["OracleClient", Item], Result], items: Sequence[Item],
                 parallelism: int = 1,
@@ -426,8 +435,7 @@ class OracleClient:
         def run(index: int, item: Item):
             if index > first_failure:
                 return None
-            child = OracleClient(self.backend, audit=_HeldRecords(),
-                                 retry_limit=self.retry_limit)
+            child = self.held()
             try:
                 return child, fn(child, item), None
             except Exception as exc:  # raised again, in item order, by the caller
@@ -436,7 +444,7 @@ class OracleClient:
 
         pool = (ThreadPoolExecutor(max_workers=parallelism)
                 if parallelism > 1 and len(items) > 1 else None)
-        submit = pool.submit if pool is not None else _Deferred
+        submit = pool.submit if pool is not None else Deferred
         results: list[Result] = []
         error: Exception | None = None
         try:
@@ -446,7 +454,7 @@ class OracleClient:
                 if ran is None:
                     continue
                 child, result, exc = ran
-                self.audit.commit(child.audit.records)
+                self.commit(child)
                 if error is not None:
                     continue
                 if exc is None and on_commit is not None:

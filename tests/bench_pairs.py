@@ -6,7 +6,11 @@ Run from the repository root:
         --seconds 30 --what "one line on the change being measured"
 
 The parent revision's tree is extracted with `git archive` into a temporary
-directory; the change is the working tree. For each workload of
+directory, and the change is a copy of the working tree's files that git
+tracks or would add, in another: neither side has bytecode caches left by
+earlier runs, which would otherwise speed one side's import (where
+`PYTHONDONTWRITEBYTECODE` is set, the other side compiles on every run). For
+each workload of
 BENCHMARK.json (or those named by `--workloads`), pair i runs
 `perfbench/run.py --trace 0` with seed `first-seed + i` on both sides, the
 parent first when i is even and the change first when i is odd, so drift in
@@ -16,8 +20,9 @@ BENCH_<name>.json, at the repository root, holds every run's last output
 line with workload, seed, side, pair and commit added, and, per workload and
 end-to-end metric, each side's median and quartiles and the number of pairs
 in which the change was strictly better. It is rewritten after every pair,
-so an interrupted session leaves the pairs it finished. Pytest does not
-collect this file.
+so an interrupted session leaves the pairs it finished. Once the file is
+written, the script exits non-zero and names every run whose last line
+says `"correct": false`. Pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +56,14 @@ def extract(revision: str, directory: Path) -> None:
                           capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as archive:
         archive.extractall(directory, filter="data")
+
+
+def copy_working_tree(directory: Path) -> None:
+    """The working tree's files that git tracks or would add, under `directory`."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():
+            (directory / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, directory / name)
 
 
 def working_src_tree() -> str:
@@ -140,10 +154,12 @@ def main(argv: list[str] | None = None) -> int:
         "summary": {},
         "runs": [],
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
-        checkout = Path(scratch)
-        extract(parent, checkout)
-        sides = {"parent": (checkout, parent), "change": (ROOT, "working tree")}
+    with (tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change_dir):
+        extract(parent, Path(parent_dir))
+        copy_working_tree(Path(change_dir))
+        sides = {"parent": (Path(parent_dir), parent),
+                 "change": (Path(change_dir), "working tree")}
         for workload in args.workloads:
             for pair, seed in enumerate(seeds):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -166,6 +182,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload:<13} {name:<12} parent {row['parent_median']:<10g} "
                       f"change {row['change_median']:<10g} change better in "
                       f"{row['change_lower_in_pairs']}/{row['pairs']} pairs")
+    incorrect = [f"{run['workload']} seed {run['seed']} {run['side']}"
+                 for run in doc["runs"] if run["correct"] is not True]
+    if incorrect:
+        print(f"not correct: {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -248,20 +248,29 @@ class FlakyBackend:
 
 class JitterBackend:
     """Delegates after sleeping a seeded random 0-4 ms, so concurrent calls
-    finish out of order; counts the calls it received."""
+    finish out of order; counts the calls it received and records `peak`,
+    the most it held at once since the owner last reset it."""
 
     def __init__(self, inner, seed: int) -> None:
         self._inner = inner
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
 
     def complete(self, request: OracleRequest) -> str:
         with self._lock:
             self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
             delay = self._rng.uniform(0.0, 0.004)
-        time.sleep(delay)
-        return self._inner.complete(request)
+        try:
+            time.sleep(delay)
+            return self._inner.complete(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
 
 
 class EndlessChildrenBackend(SyntheticRuleBackend):
