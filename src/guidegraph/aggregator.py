@@ -22,7 +22,15 @@ from typing import Any, Sequence
 
 # `normalize_label` is not called here: the benchmark's tracer wraps this
 # module's binding of it (perfbench/tracer.py reads vars(aggregator)).
-from .core import Chunk, DecisionGraph, NodeKind, merge_nodes, merged_refs_doc, normalize_label
+from .core import (
+    KIND_NAMES,
+    Chunk,
+    DecisionGraph,
+    NodeKind,
+    merge_nodes,
+    merged_refs_doc,
+    normalize_label,
+)
 from .errors import InterfaceResolutionError
 from .oracle import Deferred, OracleClient, OracleTask
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
@@ -302,8 +310,8 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
             if match_id is None:
                 continue
             primary, secondary, reason = choose_primary_secondary(graph, x, match_id)
-            p_kind = graph.nodes[primary].kind.value
-            s_kind = graph.nodes[secondary].kind.value
+            p_kind = KIND_NAMES[graph.nodes[primary].kind]
+            s_kind = KIND_NAMES[graph.nodes[secondary].kind]
             p_origin = graph.nodes[primary].origin_chunk
             s_origin = graph.nodes[secondary].origin_chunk
             merge_nodes(graph, primary, secondary)
@@ -366,7 +374,7 @@ def provenance_doc(result: AggregationResult) -> dict[str, Any]:
         nodes.append({
             "node_id": node.node_id,
             "label": node.label,
-            "kind": node.kind.value,
+            "kind": KIND_NAMES[node.kind],
             "chunks": chunks_involved,
             "pages": list(node.provenance_pages),
             "merged_from": merged_refs_doc(node.merged_from),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import (
+    KIND_NAMES,
     Chunk,
     DecisionGraph,
     DecisionNode,
@@ -176,7 +177,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
         node_id = register_node(graph, chunk, label, kind, incoming)
         pool.add(node_id, label, chunk.chunk_id)
         trace.append({"event": "register", "chunk": chunk.chunk_id,
-                      "node_id": node_id, "label": label, "kind": kind.value})
+                      "node_id": node_id, "label": label, "kind": KIND_NAMES[kind]})
         return node_id
 
     for label in chunk.terminal_labels:

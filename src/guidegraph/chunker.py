@@ -150,8 +150,9 @@ def build_chunk(pages: Sequence[PageRecord], context: str, lookahead: PageRecord
     """Summarize the buffered pages into description, interface, and carry set.
 
     Returns the validated reply as it is; `chunk_run` carries only buffer
-    pages. The reply schema requires non-empty entry and terminal lists, so
-    an empty interface is retried like any invalid reply.
+    pages. The reply schema requires an entry and a terminal label with
+    text after normalization, so a blank or empty interface is retried like
+    any invalid reply.
     """
     if not pages:
         raise ChunkInterfaceError("cannot build a chunk from an empty buffer")

@@ -87,6 +87,11 @@ class NodeKind(str, Enum):
     INTERMEDIATE = "intermediate"
 
 
+# Each kind's name as documents and trace events write it, read once here
+# rather than through the `Enum.value` property for every node.
+KIND_NAMES: dict[NodeKind, str] = {kind: kind.value for kind in NodeKind}
+
+
 @dataclass(frozen=True)
 class PageRecord:
     """One document page: 1-based index, extracted text, optional image.
@@ -393,7 +398,7 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
             {
                 "id": node.node_id,
                 "label": node.label,
-                "kind": node.kind.value,
+                "kind": KIND_NAMES[node.kind],
                 "origin_chunk": node.origin_chunk,
                 "merged_from": merged_refs_doc(node.merged_from),
                 "provenance_pages": list(node.provenance_pages),

@@ -8,19 +8,25 @@ the topological-consistency metric. Percentages are supported/total
 rounded half-up to one decimal; an empty denominator reports as undefined
 rather than 0%.
 
-A score normalizes each distinct label of the two graphs once, and every
-match reads that table. A label with no text left after normalization
-matches nothing under any policy; it is never embedded or sent to the
-verifier, but it counts in the totals. The embedding policy scores every
-open (prediction, reference) pair in one matrix product.
+A score normalizes each distinct label of the two graphs once, then
+builds one `GraphIndex` per graph: its node labels in id order, and for
+each (source, target) pair the labels of its parallel edges. Both match
+directions and both edge counts read these indexes, so an edge costs two
+mapping lookups, one pair lookup and one membership test. Parallel labels
+are judged one at a time, in raw-label order, only when none is equal and
+the policy is not exact. Nothing is kept across calls. A label with no
+text left after normalization matches nothing under any policy; it is
+never embedded or sent to the verifier, but it counts in the totals. The
+embedding policy scores every open (prediction, reference) pair in one
+matrix product.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -98,26 +104,56 @@ class EvalReport:
         }
 
 
-def _norm(label: str) -> str:
-    try:
-        return normalize_label(label)
-    except EmptyLabelError:
-        return ""
+def _label_table(*graphs: DecisionGraph) -> dict[str, str]:
+    """Raw -> normalized label ("" when nothing is left) for every node and
+    edge label of the graphs, normalizing each distinct label once."""
+    table = dict.fromkeys([node.label for graph in graphs for node in graph.nodes.values()]
+                          + [label for graph in graphs for _, label, _ in graph.edges], "")
+    for label in table:
+        try:
+            table[label] = normalize_label(label)
+        except EmptyLabelError:
+            pass
+    return table
 
 
-def _normalize_all(labels: Iterable[str]) -> dict[str, str]:
-    """Raw label -> normalized label ("" when nothing is left), normalizing
-    each distinct label once."""
-    return {label: _norm(label) for label in dict.fromkeys(labels)}
+class GraphIndex(NamedTuple):
+    """What a score reads of one graph, built once per `score` call.
+
+    `labels` maps raw to normalized labels and covers the graph's node and
+    edge labels. `nodes` maps each node id, in id order, to its normalized
+    label. `pairs` maps the (source, target) pair of every edge to the
+    normalized labels of the edges between them, for the equal-label test.
+    """
+
+    graph: DecisionGraph
+    labels: Mapping[str, str]
+    nodes: dict[str, str]
+    pairs: dict[tuple[str, str], tuple[str, ...]]
+
+    def parallel(self, source: str, target: str) -> list[str]:
+        """The normalized labels of the edges source -> target, in the order
+        of their raw labels: the order in which they are judged."""
+        return [self.labels[edge.label] for edge in sorted(self.graph.out_edges(source))
+                if edge.target == target]
+
+
+def index_graph(graph: DecisionGraph, labels: Mapping[str, str]) -> GraphIndex:
+    """The `GraphIndex` of `graph` under the label table `labels`."""
+    nodes = graph.nodes
+    pairs: dict[tuple[str, str], tuple[str, ...]] = {}
+    for source, raw, target in graph.edges:
+        pair = source, target
+        pairs[pair] = pairs.get(pair, ()) + (labels[raw],)
+    return GraphIndex(graph, labels, {nid: labels[nodes[nid].label] for nid in sorted(nodes)},
+                      pairs)
 
 
 def _labels_equivalent(left: str, right: str, policy: MatchPolicy,
                        store: EmbeddingStore | None,
                        client: OracleClient | None) -> bool:
-    """Whether two distinct normalized labels match (the caller settles equal
-    ones); a label with no text matches nothing."""
-    if not left or not right or policy.mode is MatchMode.EXACT_NORMALIZED:
-        return False
+    """Whether two distinct normalized labels with text match under the
+    embedding or the oracle policy."""
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
         assert store is not None
         return store.cosine(left, right) >= policy.threshold
@@ -134,37 +170,33 @@ def _cosines(store: EmbeddingStore, left: list[str], right: list[str]) -> np.nda
     return (np.array(left_vectors) @ np.array(right_vectors).T) / np.outer(left_norms, right_norms)
 
 
-def match_nodes(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolicy,
-                store: EmbeddingStore | None, client: OracleClient | None,
-                labels: Mapping[str, str]) -> dict[str, str]:
+def match_nodes(predicted: GraphIndex, reference: GraphIndex, policy: MatchPolicy,
+                store: EmbeddingStore | None, client: OracleClient | None) -> dict[str, str]:
     """Injective partial mapping predicted node id -> reference node id.
 
     Exact mode pairs equal normalized labels; embedding mode is greedy
     highest-similarity-first above the threshold, scored with `store`;
     oracle mode asks the verifier for each still-unmatched prediction. Each
     reference node is used at most once, and a node whose label has no text
-    is never matched. `labels` maps raw to normalized labels and must cover
-    both graphs' node labels.
+    is never matched.
     """
     if policy.mode is MatchMode.ORACLE_VERIFIED and client is None:
         raise UsageError("oracle-verified matching needs an oracle client")
-    pred_labels = {pid: labels[predicted.nodes[pid].label] for pid in sorted(predicted.nodes)}
-    ref_labels = {rid: labels[reference.nodes[rid].label] for rid in sorted(reference.nodes)}
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+    pred_labels, ref_labels = predicted.nodes, reference.nodes
 
     # Exact pass runs first under every policy: equal normalized labels
-    # never need a similarity judgment.
+    # never need a similarity judgment. Each label's reference ids are
+    # stacked highest first, so a pop takes the lowest one left.
     by_label: dict[str, list[str]] = {}
-    for rid, label in ref_labels.items():
-        by_label.setdefault(label, []).append(rid)
+    for rid in reversed(ref_labels):
+        by_label.setdefault(ref_labels[rid], []).append(rid)
     by_label.pop("", None)
+    mapping: dict[str, str] = {}
     for pid, label in pred_labels.items():
-        for rid in by_label.get(label, []):
-            if rid not in used:
-                mapping[pid] = rid
-                used.add(rid)
-                break
+        ids = by_label.get(label)
+        if ids:
+            mapping[pid] = ids.pop()
+    used = set(mapping.values())
 
     open_preds = [pid for pid, label in pred_labels.items() if label and pid not in mapping]
     open_refs = [rid for rid, label in ref_labels.items() if label and rid not in used]
@@ -192,32 +224,30 @@ def match_nodes(predicted: DecisionGraph, reference: DecisionGraph, policy: Matc
     return mapping
 
 
-def _edge_counts(source: DecisionGraph, target: DecisionGraph,
-                 mapping: dict[str, str], labels: Mapping[str, str],
+def _edge_counts(source: GraphIndex, target: GraphIndex, mapping: dict[str, str],
                  policy: MatchPolicy, store: EmbeddingStore | None,
                  client: OracleClient | None) -> tuple[MetricCount, MetricCount]:
-    """(edge, triplet) supported-over-total for source edges against target; an
-    equal parallel label settles a triplet before any other is judged."""
-    target_pairs: dict[tuple[str, str], list[str]] = {}
-    for edge in target.edges:
-        target_pairs.setdefault((edge.source, edge.target), []).append(edge.label)
+    """(edge, triplet) supported-over-total for source edges against target.
+
+    An equal parallel label settles a triplet; only when none is equal, and
+    the policy is not exact, are the parallel labels judged, in order.
+    """
+    judged = policy.mode is not MatchMode.EXACT_NORMALIZED
+    labels = source.labels
     edge_supported = 0
     triplet_supported = 0
-    for edge in source.edges:
-        src_img = mapping.get(edge.source)
-        tgt_img = mapping.get(edge.target)
-        if src_img is None or tgt_img is None:
-            continue
-        others = target_pairs.get((src_img, tgt_img))
-        if not others:
+    for source_id, raw, target_id in source.graph.edges:
+        src_img, tgt_img = mapping.get(source_id), mapping.get(target_id)
+        parallel = target.pairs.get((src_img, tgt_img))
+        if parallel is None:
             continue
         edge_supported += 1
-        label = labels[edge.label]
-        parallel = [labels[other] for other in sorted(others)]
-        if (label and label in parallel) or any(
-                _labels_equivalent(label, other, policy, store, client) for other in parallel):
+        label = labels[raw]
+        if label and (label in parallel or judged and any(
+                _labels_equivalent(label, other, policy, store, client)
+                for other in target.parallel(src_img, tgt_img) if other)):
             triplet_supported += 1
-    total = len(source.edges)
+    total = len(source.graph.edges)
     return MetricCount(edge_supported, total), MetricCount(triplet_supported, total)
 
 
@@ -227,14 +257,12 @@ def score(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolic
     """Score a predicted graph against a reference at node/edge/triplet level."""
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD and store is None:
         store = EmbeddingStore(HashingEmbeddingBackend())
-    labels = _normalize_all(
-        label for graph in (predicted, reference)
-        for label in [*(node.label for node in graph.nodes.values()),
-                      *(edge.label for edge in graph.edges)])
-    forward = match_nodes(predicted, reference, policy, store, client, labels)
-    backward = match_nodes(reference, predicted, policy, store, client, labels)
-    edge_p, triplet_p = _edge_counts(predicted, reference, forward, labels, policy, store, client)
-    edge_r, triplet_r = _edge_counts(reference, predicted, backward, labels, policy, store, client)
+    labels = _label_table(predicted, reference)
+    pred_index, ref_index = index_graph(predicted, labels), index_graph(reference, labels)
+    forward = match_nodes(pred_index, ref_index, policy, store, client)
+    backward = match_nodes(ref_index, pred_index, policy, store, client)
+    edge_p, triplet_p = _edge_counts(pred_index, ref_index, forward, policy, store, client)
+    edge_r, triplet_r = _edge_counts(ref_index, pred_index, backward, policy, store, client)
     return EvalReport(
         unit_name=unit_name,
         node_precision=MetricCount(len(forward), len(predicted.nodes)),

@@ -27,8 +27,14 @@ from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 
 import orjson
 
-from .core import canonical_json, load_doc
-from .errors import FixtureMissingError, OracleProtocolError, OracleTransportError, UsageError
+from .core import canonical_json, load_doc, normalize_label
+from .errors import (
+    EmptyLabelError,
+    FixtureMissingError,
+    OracleProtocolError,
+    OracleTransportError,
+    UsageError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +49,11 @@ class OracleTask(str, Enum):
     REFINE_NODES = "refine_nodes"
     FIND_DUPLICATE = "find_duplicate"
     GENERATE_CHILDREN = "generate_children"
+
+
+# Each task's name as digests and audit records write it, read once here
+# rather than through the `Enum.value` property on every request.
+_TASK_NAMES: dict[OracleTask, str] = {task: task.value for task in OracleTask}
 
 
 @dataclass(frozen=True)
@@ -96,13 +107,25 @@ def _check_interface(body: dict[str, Any]) -> None:
     _str_list(body.get("terminal_labels"), "terminal_labels")
 
 
+def _has_text(labels: list[str]) -> bool:
+    """Whether some label keeps text after `normalize_label`."""
+    for label in labels:
+        try:
+            normalize_label(label)
+        except EmptyLabelError:
+            continue
+        return True
+    return False
+
+
 def _check_chunk(body: dict[str, Any]) -> None:
     _require(isinstance(body.get("description"), str), "description must be a string")
     _check_interface(body)
     _int_list(body.get("carry_pages"), "carry_pages")
     _require(isinstance(body.get("updated_context"), str), "updated_context must be a string")
-    _require(bool(body["entry_labels"]) and bool(body["terminal_labels"]),
-             "entry_labels and terminal_labels must be non-empty")
+    _require(_has_text(body["entry_labels"]) and _has_text(body["terminal_labels"]),
+             "entry_labels and terminal_labels must be non-empty: each needs a label "
+             "with text after normalization")
 
 
 def _check_matches(body: dict[str, Any]) -> None:
@@ -142,15 +165,16 @@ def validate_response(task: OracleTask, body: Any) -> None:
 
 def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
     """sha256 of the compact `canonical_json` bytes of the task and payload,
-    hashed as orjson writes them; orjson writes a task as its value."""
-    blob = orjson.dumps({"task": task, "payload": payload}, option=orjson.OPT_SORT_KEYS)
+    hashed as orjson writes them."""
+    blob = orjson.dumps({"task": _TASK_NAMES[task], "payload": payload},
+                        option=orjson.OPT_SORT_KEYS)
     return hashlib.sha256(blob).hexdigest()
 
 
 def _unnumbered(request: OracleRequest, outcome: str) -> dict[str, Any]:
     """An audit record without its request id."""
     return {
-        "task": request.task.value,
+        "task": _TASK_NAMES[request.task],
         "payload_digest": request.digest,
         "outcome": outcome,
     }

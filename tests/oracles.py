@@ -147,8 +147,8 @@ def loop_cosine_candidates(query_label: str, pool: dict[str, str], k: int,
 
 # Each label is normalized again inside every loop that reads it, and each
 # (prediction, reference) pair is scored by its own `EmbeddingStore.cosine`.
-# `evaluation` must agree with it wherever no label normalizes to "": here
-# such labels match each other, and are embedded or sent to the verifier.
+# A label that normalizes to "" matches nothing, and is never embedded or
+# sent to the verifier.
 
 
 def _loop_norm(label: str) -> str:
@@ -162,6 +162,8 @@ def _loop_labels_equivalent(a: str, b: str, policy: MatchPolicy,
                             store: EmbeddingStore | None,
                             client: OracleClient | None) -> bool:
     left, right = _loop_norm(a), _loop_norm(b)
+    if not left or not right:
+        return False
     if left == right:
         return True
     if policy.mode is MatchMode.EXACT_NORMALIZED:
@@ -196,7 +198,7 @@ def loop_match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
         by_label.setdefault(_loop_norm(reference.nodes[rid].label), []).append(rid)
     for pid in pred_ids:
         label = _loop_norm(predicted.nodes[pid].label)
-        for rid in by_label.get(label, []):
+        for rid in by_label.get(label, []) if label else []:
             if rid not in used:
                 mapping[pid] = rid
                 used.add(rid)
@@ -210,8 +212,11 @@ def loop_match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
             for rid in ref_ids:
                 if rid in used:
                     continue
-                sim = store.cosine(_loop_norm(predicted.nodes[pid].label),
-                                   _loop_norm(reference.nodes[rid].label))
+                left = _loop_norm(predicted.nodes[pid].label)
+                right = _loop_norm(reference.nodes[rid].label)
+                if not left or not right:
+                    continue
+                sim = store.cosine(left, right)
                 if sim >= (policy.threshold or 1.0):
                     pairs.append((sim, pid, rid))
         pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
@@ -223,9 +228,10 @@ def loop_match_nodes(predicted: DecisionGraph, reference: DecisionGraph,
         if client is None:
             raise UsageError("oracle-verified matching needs an oracle client")
         for pid in pred_ids:
-            if pid in mapping:
+            if pid in mapping or not _loop_norm(predicted.nodes[pid].label):
                 continue
-            open_refs = [rid for rid in ref_ids if rid not in used]
+            open_refs = [rid for rid in ref_ids
+                         if rid not in used and _loop_norm(reference.nodes[rid].label)]
             if not open_refs:
                 break
             body = client.call(OracleTask.FIND_DUPLICATE, duplicate_payload(
@@ -260,7 +266,7 @@ def _loop_edge_counts(source: DecisionGraph, target: DecisionGraph,
             continue
         edge_supported += 1
         # An equal label settles the triplet before any other is judged.
-        if any(_loop_norm(edge.label) == _loop_norm(other) for other in labels) or any(
+        if any(_loop_norm(edge.label) == _loop_norm(other) != "" for other in labels) or any(
                 _loop_labels_equivalent(edge.label, other, policy, store, client)
                 for other in sorted(labels)):
             triplet_supported += 1

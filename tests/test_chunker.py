@@ -222,6 +222,25 @@ def test_build_chunk_empty_interface_then_valid_reply_succeeds():
     assert body["terminal_labels"] == ["low-risk group", "high-risk group"]
 
 
+def test_chunk_whose_first_reply_has_only_blank_entries_builds_from_the_retry():
+    class BlankFirstInterface(SyntheticRuleBackend):
+        sent_blank = False
+
+        def body_for(self, task, payload):
+            body = super().body_for(task, payload)
+            if task is OracleTask.BUILD_CHUNK and not self.sent_blank:
+                self.sent_blank = True
+                return {**body, "entry_labels": ["...", " ;"]}
+            return body
+
+    client = make_client(BlankFirstInterface())
+    chunks = run_chunking(pages(), PROFILE, config(), client)
+    assert chunks == run_chunking(pages(), PROFILE, config(), rule_client())
+    assert chunks[0].entry_labels == ("suspected prostate cancer",)
+    builds = [e for e in client.audit.entries if e["task"] == "build_chunk"]
+    assert [e["outcome"] for e in builds] == ["ok"] * len(chunks)
+
+
 def test_refine_dedups_after_normalization():
     backend = StaticBackend(
         '{"entry_labels": ["Low-Risk Group", "low-risk group"],'

@@ -18,6 +18,7 @@ from guidegraph.evaluation import (
     MatchMode,
     MatchPolicy,
     MetricCount,
+    index_graph,
     match_nodes,
     percent_value,
     render_table,
@@ -32,10 +33,10 @@ ORACLE = MatchPolicy(MatchMode.ORACLE_VERIFIED)
 
 def match(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolicy,
           store: EmbeddingStore | None = None, client=None) -> dict[str, str]:
-    """`match_nodes` over the label table of the two graphs' node labels."""
-    labels = evaluation._normalize_all(node.label for graph in (predicted, reference)
-                                       for node in graph.nodes.values())
-    return match_nodes(predicted, reference, policy, store, client, labels)
+    """`match_nodes` over the indexes of the two graphs."""
+    labels = evaluation._label_table(predicted, reference)
+    return match_nodes(index_graph(predicted, labels), index_graph(reference, labels),
+                       policy, store, client)
 
 
 def embedding(threshold: float) -> MatchPolicy:
@@ -296,7 +297,7 @@ def test_render_table_shows_undefined_cells():
 WORDS = ("active", "surveillance", "radical", "prostatectomy", "psa",
          "monitoring", "bone", "scan", "radiation", "therapy")
 EDGE_LABELS = ("if psa rising", "If PSA rising.", "if psa  rises", "otherwise",
-               "Otherwise;", "if bone scan positive", "IF BONE SCAN POSITIVE:")
+               "Otherwise;", "if bone scan positive", "IF BONE SCAN POSITIVE:", "...", " ;")
 
 
 def _paraphrase(rng: random.Random, text: str) -> str:
@@ -322,7 +323,8 @@ def _spelling(rng: random.Random, text: str) -> str:
 def random_eval_pair(rng: random.Random) -> tuple[DecisionGraph, DecisionGraph]:
     """Two graphs whose labels are drawn from a few shared texts, so labels
     repeat, and half of them paraphrased, so similarities spread across
-    the thresholds."""
+    the thresholds. Up to three parallel edges join a node pair, and some
+    edge labels have no text."""
     texts = [" ".join(rng.sample(WORDS, rng.randint(1, 3))) for _ in range(rng.randint(2, 6))]
 
     def graph(prefix: str) -> DecisionGraph:
@@ -331,7 +333,7 @@ def random_eval_pair(rng: random.Random) -> tuple[DecisionGraph, DecisionGraph]:
                   for text in rng.choices(texts, k=count)]
         edges = [(s + 1, label, t + 1)
                  for s in range(count) for t in range(count) if s != t and rng.random() < 0.3
-                 for label in rng.sample(EDGE_LABELS, rng.choice((1, 1, 2)))]
+                 for label in rng.sample(EDGE_LABELS, rng.choice((1, 1, 2, 3)))]
         return graph_of(labels, edges, prefix=prefix)
 
     return graph("n"), graph("r")
@@ -368,6 +370,23 @@ def test_matching_and_scores_equal_the_pair_loops(policy):
     # match, and (but at 0.3) fewer than all of them.
     if policy.mode is not MatchMode.EXACT_NORMALIZED:
         assert 0 < beyond_exact < 60
+
+
+@pytest.mark.parametrize("policy", [EXACT, embedding(0.5), ORACLE],
+                         ids=lambda policy: f"{policy.mode.value}-{policy.threshold}")
+def test_a_score_keeps_nothing_for_the_next(policy):
+    rng = random.Random(2718)
+    pairs = [random_eval_pair(rng) for _ in range(8)]
+
+    def alone(pair):
+        return score(*pair, policy, client=make_client(FirstWordVerifier()))
+
+    reports = [alone(pair) for pair in pairs]
+    assert len(set(reports)) > 1
+    for (i, first), (j, second) in itertools.permutations(enumerate(pairs), 2):
+        client = make_client(FirstWordVerifier())
+        assert score(*first, policy, client=client) == reports[i]
+        assert score(*second, policy, client=client) == reports[j]
 
 
 def test_embedding_threshold_is_inclusive():

@@ -1,5 +1,6 @@
 """The aggregation look-ahead: which verifier calls go early, and that a run
-leaves a serial run's files at any parallelism, on the failure paths too."""
+leaves a serial run's files at any parallelism, on the failure paths too,
+with no more calls in flight than its parallelism."""
 from __future__ import annotations
 
 import json
@@ -64,10 +65,12 @@ def test_generator_shapes_leave_the_same_files_at_any_parallelism(tmp_path, monk
                 EmbeddingStore(HashingEmbeddingBackend()))
 
     stage_aggregate = cli.stage_aggregate
+    peaks_before_aggregation: dict[int, int] = {}
 
     def watched_aggregate(chunks, graphs, settings, client, store, out_dir):
         # Chunk builds have all returned: from here on the backend sees only
         # the aggregation's verifier calls.
+        peaks_before_aggregation[settings.parallelism] = client.backend.peak
         client.backend.peak = 0
         client.backend.threads.clear()
         return stage_aggregate(chunks, graphs, settings, client, store, out_dir)
@@ -86,6 +89,9 @@ def test_generator_shapes_leave_the_same_files_at_any_parallelism(tmp_path, monk
         run_dir = cli.run_pipeline(manifest, settings, tmp_path / f"p{parallelism}")
         files[parallelism] = {name: (run_dir / name).read_bytes() for name in ARTIFACTS}
         backend = backends[parallelism]
+        # `parallelism` bounds the calls in flight over the whole run, any
+        # overlap nested in a fanned-out item included.
+        assert max(peaks_before_aggregation[parallelism], backend.peak) <= parallelism
         if parallelism == 1:
             # Width 0: nothing planned, one call at a time, each made by the loop.
             assert plans == []

@@ -178,6 +178,16 @@ def test_boolean_page_or_match_index_rejected(task, body):
         validate_response(task, body)
 
 
+def test_chunk_interface_without_a_label_with_text_rejected():
+    body = {"description": "d", "entry_labels": ["a"], "terminal_labels": ["z"],
+            "carry_pages": [], "updated_context": "c"}
+    validate_response(OracleTask.BUILD_CHUNK, {**body, "entry_labels": ["...", "a"]})
+    for blank in ({"entry_labels": ["...", " ;"]}, {"terminal_labels": [" ;"]},
+                  {"entry_labels": []}):
+        with pytest.raises(OracleProtocolError, match="label with text after normalization"):
+            validate_response(OracleTask.BUILD_CHUNK, {**body, **blank})
+
+
 def test_retry_appends_validation_errors_then_succeeds():
     inner = SyntheticRuleBackend()
     backend = FlakyBackend(inner, bad_attempts=1)
