@@ -262,8 +262,7 @@ class _LookAhead:
         graph = self.graph
         node = graph.nodes[item]
         sources = {edge.source for edge in graph.in_edges(item)}
-        exact = next((nid for nid in graph.label_ids(node.label)
-                      if graph.nodes[nid].origin_chunk != node.origin_chunk), None)
+        exact = graph.lowest_label_id(node.label, node.origin_chunk)
         if exact is not None:
             return _Plan(sources | {item, exact}, {item, exact}, None)
         candidates = cosine_candidates(node.label, self.pool, self.k, node.origin_chunk)

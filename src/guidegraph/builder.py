@@ -82,8 +82,7 @@ def find_duplicate(
 
     Returns (node_id or None, similarity or None, how).
     """
-    exact_id = next((nid for nid in graph.label_ids(candidate_label)
-                     if graph.nodes[nid].origin_chunk != exclude), None)
+    exact_id = graph.lowest_label_id(candidate_label, exclude)
     if exact_id is not None:
         return exact_id, 1.0, "exact"
     candidates = cosine_candidates(candidate_label, pool, k, exclude)

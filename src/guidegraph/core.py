@@ -262,6 +262,16 @@ class DecisionGraph:
         """Node ids whose label equals the given normalized label, ascending."""
         return sorted(self._label_index.get(normalized_label, ()))
 
+    def lowest_label_id(self, normalized_label: str,
+                        exclude_chunk: int | None = None) -> str | None:
+        """The lowest id of a node whose label equals the given normalized
+        label and whose origin chunk is not `exclude_chunk`, or None."""
+        ids = self._label_index.get(normalized_label, ())
+        if exclude_chunk is not None:
+            nodes = self.nodes
+            ids = [nid for nid in ids if nodes[nid].origin_chunk != exclude_chunk]
+        return min(ids, default=None)
+
     def in_edges(self, node_id: str) -> AbstractSet[DecisionEdge]:
         """Edges into node_id. A live view: snapshot it before changing edges."""
         return self._into.get(node_id, _NO_EDGES)

@@ -47,7 +47,8 @@ class FixtureMissingError(OracleTransportError):
 
 
 class EmbeddingError(GuidegraphError):
-    """An embedding was rejected (zero norm or dimension mismatch)."""
+    """An embedding was rejected (not one axis, non-finite, zero norm or
+    dimension mismatch)."""
 
 
 class ProfileError(GuidegraphError):

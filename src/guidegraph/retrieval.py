@@ -7,19 +7,29 @@ Every vector enters through the store's backend, so a test that places
 vectors by hand passes a backend that returns them. A `RankingPool` is
 bound to a store and kept beside a graph by its owner, which adds and
 discards members as nodes are created and merged away; adding a member
-copies its vector, norm and group (the node's origin chunk) into the
-pool's arrays. A query names the group it excludes, if any, scores the
-pool with one matrix-vector product, partitions at the k-th similarity and
-sorts only what is kept: no per-member dict or list work. The one caller,
-`builder.find_duplicate`, looks up an exact label match in the graph's
-label index first and ranks only on a miss. The scripted embedding backend
-is a seeded character-trigram feature hasher of fixed dimension:
-deterministic, whitespace-insensitive after label normalization, and good
-enough to put near-identical labels first. Its vectors are integer-valued,
-so every dot product and norm is exact in float64. The live embedder,
-`live.LiveEmbeddingBackend`, posts each label to an OpenAI-compatible
-embeddings endpoint; the store embeds each label once, so each costs one
-round-trip.
+writes its vector, norm and group (the node's origin chunk) into its row
+of the pool's arrays. A query names the group it excludes, if any. It
+scores the pool with one matrix-vector product, masks the excluded
+group's members when the group has any, partitions at the k-th
+similarity when more than k members are eligible, and sorts only what
+is kept: no per-member dict or list work.
+
+Two callers rank, and both look up an exact label match first, by
+`DecisionGraph.lowest_label_id`, and rank only on a miss:
+`builder.find_duplicate`, for every dequeued candidate and every
+aggregation item at its turn, and `aggregator._LookAhead._plan`, for an
+upcoming aggregation item, which at `parallelism` 2 or more is ranked
+again at its turn.
+
+The scripted embedding backend is a seeded character-trigram feature
+hasher of fixed dimension: deterministic, whitespace-insensitive after
+label normalization, and good enough to put near-identical labels first.
+Each trigram is hashed once to an int code that holds its dimension and
+sign, and a label is embedded by one `np.bincount` of its codes. Its
+vectors are integer-valued, so every dot product and norm is exact in
+float64. The live embedder, `live.LiveEmbeddingBackend`, posts each label
+to an OpenAI-compatible embeddings endpoint; the store embeds each label
+once, so each costs one round-trip.
 """
 from __future__ import annotations
 
@@ -48,24 +58,39 @@ class EmbeddingBackend(Protocol):
 
 class HashingEmbeddingBackend:
     """Deterministic feature-hashing embedder over character trigrams, into
-    `DIM` dimensions under hash seed `SEED`."""
+    `DIM` dimensions under hash seed `SEED`.
+
+    Each trigram is hashed once, to the code 2 * index + sign bit (1 for a
+    -1 sign). A label's vector is one count of its trigram codes: each
+    index's +1 occurrences minus its -1 occurrences, as float64.
+    """
 
     def __init__(self) -> None:
-        # trigram -> (index, sign), each trigram hashed once. `EmbeddingStore.lookup` embeds
-        # outside its lock, so threads may race to fill it: benign, as a trigram's entry is fixed.
-        self._grams: dict[str, tuple[int, float]] = {}
+        # `EmbeddingStore.lookup` embeds outside its lock, so threads may race
+        # to fill the table: benign, as a trigram's code is fixed.
+        self._codes = _TrigramCodes()
 
     def embed_text(self, text: str) -> np.ndarray:
         padded = f" {text} "
-        grams = [padded[i : i + NGRAM] for i in range(max(1, len(padded) - NGRAM + 1))]
-        index, sign = zip(*[self._grams.get(gram) or self._hash(gram) for gram in grams])
-        return np.bincount(index, weights=sign, minlength=DIM)
+        codes = self._codes
+        counts = np.bincount([codes[padded[i : i + NGRAM]]
+                              for i in range(max(1, len(padded) - NGRAM + 1))],
+                             minlength=2 * DIM)
+        return (counts[0::2] - counts[1::2]).astype(np.float64)
 
-    def _hash(self, gram: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(f"{SEED}:{gram}".encode("utf-8"), digest_size=8).digest()
-        value = int.from_bytes(digest, "big")
-        entry = self._grams[gram] = ((value >> 1) % DIM, 1.0 if value & 1 else -1.0)
-        return entry
+
+class _TrigramCodes(dict):
+    """trigram -> 2 * index + sign bit, hashed on first use: the blake2b
+    digest of `f"{SEED}:{gram}"`, continued from the hashed seed prefix."""
+
+    _seeded = hashlib.blake2b(f"{SEED}:".encode("utf-8"), digest_size=8)  # only copied
+
+    def __missing__(self, gram: str) -> int:
+        hasher = self._seeded.copy()
+        hasher.update(gram.encode("utf-8"))
+        value = int.from_bytes(hasher.digest(), "big")
+        code = self[gram] = 2 * ((value >> 1) % DIM) + (~value & 1)
+        return code
 
 
 class EmbeddingStore:
@@ -74,10 +99,11 @@ class EmbeddingStore:
     Each label maps to a read-only (vector, norm) pair by one dict hit.
     `lookup` keys a label as given, since its callers pass labels normalized
     where they entered. Dimensionality is fixed by the first vector;
-    zero and non-finite vectors are rejected at ingest. A stored pair never
-    changes, so a lookup whose labels are all stored reads them without
-    taking the lock; a miss claims its keys under the lock, and each key is
-    embedded once, however many threads miss it together.
+    vectors without exactly one axis, zero and non-finite vectors are
+    rejected at ingest. A stored pair never changes, so a lookup whose
+    labels are all stored reads them without taking the lock; a miss claims
+    its keys one at a time under the lock, with no batch de-duplication,
+    and each key is embedded once, however many threads miss it together.
     """
 
     def __init__(self, backend: EmbeddingBackend) -> None:
@@ -91,6 +117,8 @@ class EmbeddingStore:
 
     def _ingest(self, key: str, vector) -> None:
         vector = np.array(vector, dtype=np.float64)
+        if vector.ndim != 1:
+            raise EmbeddingError(f"embedding for {key!r} has shape {vector.shape}, not one axis")
         norm = math.sqrt(vector @ vector)  # the arithmetic of `np.linalg.norm`
         if not math.isfinite(norm):
             raise EmbeddingError(f"non-finite embedding vector for {key!r}")
@@ -108,39 +136,41 @@ class EmbeddingStore:
         given.
 
         A hit takes no lock: an entry is stored whole and never replaced.
-        Each key is embedded once. A thread claims the missing keys nobody
-        is embedding and embeds them outside the lock, so distinct keys
-        embed concurrently; it waits for the keys other threads claimed.
-        If a claimed embed raises, its keys are unclaimed, so a waiter
-        embeds them itself, or raises.
+        Each missing key is embedded once, in order of first appearance, by
+        `_embed_once`.
         """
         labels = list(labels)
         entries = list(map(self._entries.get, labels))
         if None not in entries:
             return entries
-        wanted = list(dict.fromkeys(label for label, entry in zip(labels, entries)
-                                    if entry is None))
-        self._lock.acquire()
-        try:
-            while missing := [key for key in wanted if key not in self._entries]:
-                new = [key for key in missing if key not in self._embedding]
-                if not new:
+        for label, entry in zip(labels, entries):
+            if entry is None:
+                self._embed_once(label)
+        return list(map(self._entries.__getitem__, labels))
+
+    def _embed_once(self, key: str) -> None:
+        """Store the key's entry, unless it is stored, embedding it unless
+        another thread does.
+
+        A thread claims a key nobody is embedding and embeds it outside the
+        lock, so distinct keys embed concurrently; it waits for a key
+        another thread claimed. If a claimed embed raises, the key is
+        unclaimed, so a waiter embeds it itself, or raises.
+        """
+        with self._lock:
+            while key not in self._entries:
+                if key in self._embedding:
                     self._embedded.wait()
                     continue
-                self._embedding.update(new)
+                self._embedding.add(key)
                 self._lock.release()
-                vectors = []
                 try:
-                    vectors = [self.backend.embed_text(key) for key in new]
+                    vector = self.backend.embed_text(key)
                 finally:
                     self._lock.acquire()
-                    self._embedding.difference_update(new)
+                    self._embedding.discard(key)
                     self._embedded.notify_all()
-                    for key, vector in zip(new, vectors):
-                        self._ingest(key, vector)
-            return [self._entries[label] for label in labels]
-        finally:
-            self._lock.release()
+                self._ingest(key, vector)
 
     def vector(self, label: str) -> np.ndarray:
         """The label's embedding, read-only."""
@@ -180,7 +210,7 @@ class RankingPool:
 
     def extend(self, members: Sequence[tuple[str, str, int]]) -> None:
         """Add (node id, label, group) members in order, as a loop of `add`
-        would, with one store lookup and one write per array.
+        would, with one store lookup; each member's row is written in place.
 
         Raises:
             ValueError: an id is in the pool or twice in `members`; the pool
@@ -188,32 +218,34 @@ class RankingPool:
         """
         if not members:
             return
-        ids, labels, groups = zip(*members)
         start = len(self.ids)
-        end = start + len(ids)
-        slots = dict(zip(ids, range(start, end)))
-        if len(slots) < len(ids) or not self.slots.keys().isdisjoint(slots):
+        end = start + len(members)
+        slots = {node_id: slot for slot, (node_id, _, _) in enumerate(members, start)}
+        if len(slots) < len(members) or not self.slots.keys().isdisjoint(slots):
             seen = set(self.slots)
-            for node_id in ids:
+            for node_id, _, _ in members:
                 if node_id in seen:
                     raise ValueError(f"{node_id!r} is already in the pool")
                 seen.add(node_id)
-        vectors, norms = zip(*self.store.lookup(labels))
+        entries = self.store.lookup([label for _, label, _ in members])
         if end > len(self.norms):
             rows = max(INITIAL_ROWS, 2 * len(self.norms), end)
             grown = (np.empty(rows, dtype=np.int64), np.empty(rows),
-                     np.empty((rows, vectors[0].size)))
+                     np.empty((rows, entries[0][0].size)))
             if start:
                 for new, old in zip(grown, (self.groups, self.norms, self.vectors)):
                     new[:start] = old[:start]
             self.groups, self.norms, self.vectors = grown
         self.slots.update(slots)
-        self.ids += ids
-        self.labels += labels
-        for group in groups:
+        groups, norms, vectors = self.groups, self.norms, self.vectors
+        for slot, ((node_id, label, group), (vector, norm)) in enumerate(zip(members, entries),
+                                                                        start):
+            self.ids.append(node_id)
+            self.labels.append(label)
             self.group_sizes[group] += 1
-        self.groups[start:end], self.norms[start:end], self.vectors[start:end] = (
-            groups, norms, vectors)
+            groups[slot] = group
+            norms[slot] = norm
+            vectors[slot] = vector
 
     def discard(self, node_id: str) -> None:
         """Drop a member; an absent id is a no-op."""
@@ -251,23 +283,33 @@ def cosine_candidates(query_label: str, pool: RankingPool, k: int,
     arithmetic as one `np.dot` per member; every member at or above the
     k-th similarity is sorted, so a tie group cut by k goes to its lowest
     ids. The whole pool is scored in one matrix-vector product; members of
-    the excluded group score -inf, which no kept similarity equals.
+    the excluded group, when it has any, score -inf, which no kept
+    similarity equals. When at most k members are eligible, all are kept
+    without a partition.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    eligible = len(pool) - pool.group_sizes.get(exclude, 0)
-    if not eligible:
+    count = len(pool.ids)
+    excluded = pool.group_sizes.get(exclude, 0)
+    if excluded == count:
         return ()
     (vector, norm), = pool.store.lookup((query_label,))
-    count = len(pool.ids)
     sims = pool.vectors[:count] @ vector
     sims /= norm * pool.norms[:count]
-    if exclude is not None:
-        sims[pool.groups[:count] == exclude] = -np.inf
-    cut = count - min(k, eligible)
-    keep = np.flatnonzero(sims >= np.partition(sims, cut)[cut])
-    slots = keep.tolist()
-    scored = sorted(zip(map(pool.ids.__getitem__, slots), map(pool.labels.__getitem__, slots),
-                        sims[keep].tolist()),
-                    key=lambda item: (-item[2], item[0]))
+    if excluded:
+        inside = pool.groups[:count] == exclude
+        sims[inside] = -np.inf
+    ids, labels = pool.ids, pool.labels
+    if k < count - excluded:
+        cut = count - k
+        keep = (sims >= np.partition(sims, cut)[cut]).nonzero()[0]
+    elif excluded:
+        keep = (~inside).nonzero()[0]
+    else:
+        keep = None  # every member
+    if keep is not None:
+        slots = keep.tolist()
+        ids, labels = map(ids.__getitem__, slots), map(labels.__getitem__, slots)
+        sims = sims[keep]
+    scored = sorted(zip(ids, labels, sims.tolist()), key=lambda item: (-item[2], item[0]))
     return tuple(scored[:k])

@@ -18,8 +18,10 @@ machine speed falls on both sides alike.
 
 BENCH_<name>.json, at the repository root, holds every run's last output
 line with workload, seed, side, pair and commit added, and, per workload and
-end-to-end metric, each side's median and quartiles and the number of pairs
-in which the change was strictly better. It is rewritten after every pair,
+end-to-end metric, each side's median and quartiles, the number of pairs
+in which the change was strictly better, and `claim_rule_met`: whether the
+change was better in at least 9 of 10 pairs and its median gain exceeds
+the parent's interquartile range. It is rewritten after every pair,
 so an interrupted session leaves the pairs it finished. Once the file is
 written, the script exits non-zero and names every run whose last line
 says `"correct": false`. Pytest does not collect this file.
@@ -87,9 +89,17 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> d
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def claim_rule_met(wins: int, pairs: int, median_gain: float, parent_iqr: float) -> bool:
+    """The rule for claiming a gain: the change is strictly better in at
+    least nine tenths of the pairs, and its median is better than the
+    parent's by more than the distance between the parent's quartiles."""
+    return 10 * wins >= 9 * pairs and median_gain > parent_iqr
+
+
 def summarize(runs: list[dict[str, Any]]) -> dict[str, dict[str, dict[str, Any]]]:
-    """Per workload and metric: each side's median and quartiles, and the
-    pairs in which the change was strictly better."""
+    """Per workload and metric: each side's median and quartiles, the pairs
+    in which the change was strictly better, and whether the claim rule
+    (`claim_rule_met`) holds, in the direction BENCHMARK.json calls better."""
     summary: dict[str, dict[str, dict[str, Any]]] = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict[str, Any]]] = {}
@@ -105,17 +115,23 @@ def summarize(runs: list[dict[str, Any]]) -> dict[str, dict[str, dict[str, Any]]
             if not all(name in pair[side] for pair in complete for side in pair):
                 continue
             row: dict[str, Any] = {}
+            medians, quartiles = {}, {}
             for side in ("parent", "change"):
                 values = [pair[side][name]["value"] for pair in complete]
-                row[f"{side}_median"] = round(statistics.median(values), 6)
-                quartiles = (statistics.quantiles(values, n=4) if len(values) > 1
-                             else [values[0]] * 3)
-                row[f"{side}_quartiles"] = [round(quartiles[0], 6), round(quartiles[2], 6)]
+                medians[side] = statistics.median(values)
+                quartiles[side] = (statistics.quantiles(values, n=4) if len(values) > 1
+                                   else [values[0]] * 3)
+                row[f"{side}_median"] = round(medians[side], 6)
+                row[f"{side}_quartiles"] = [round(quartiles[side][0], 6),
+                                            round(quartiles[side][2], 6)]
             sign = 1 if better == "lower" else -1
-            row[f"change_{better}_in_pairs"] = sum(
-                sign * (pair["change"][name]["value"] - pair["parent"][name]["value"]) < 0
-                for pair in complete)
+            wins = sum(sign * (pair["change"][name]["value"] - pair["parent"][name]["value"]) < 0
+                       for pair in complete)
+            row[f"change_{better}_in_pairs"] = wins
             row["pairs"] = len(complete)
+            row["claim_rule_met"] = claim_rule_met(
+                wins, len(complete), sign * (medians["parent"] - medians["change"]),
+                quartiles["parent"][2] - quartiles["parent"][0])
             metrics[name] = row
     return summary
 
@@ -181,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
             if row:
                 print(f"{workload:<13} {name:<12} parent {row['parent_median']:<10g} "
                       f"change {row['change_median']:<10g} change better in "
-                      f"{row['change_lower_in_pairs']}/{row['pairs']} pairs")
+                      f"{row['change_lower_in_pairs']}/{row['pairs']} pairs, claim rule "
+                      f"{'met' if row['claim_rule_met'] else 'not met'}")
     incorrect = [f"{run['workload']} seed {run['seed']} {run['side']}"
                  for run in doc["runs"] if run["correct"] is not True]
     if incorrect:

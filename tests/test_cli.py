@@ -872,6 +872,15 @@ def test_exit_code_for_budget_error(tmp_path):
     assert code in (cli.EXIT_BUDGET, cli.EXIT_USAGE)
 
 
+def test_embedding_without_one_axis_exits_with_structural_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed_text",
+                        lambda self, text: [[1.0, 0.0, 0.0, 0.0]])
+    code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(tmp_path / "out"), *scripted_flags())
+    assert code == cli.EXIT_STRUCTURAL
+    assert "has shape (1, 4), not one axis" in capsys.readouterr().err
+
+
 def test_exit_code_for_scripted_without_fixtures(tmp_path):
     code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
                    "--out", str(tmp_path / "out"), "--backend", "scripted",

@@ -397,6 +397,39 @@ def test_label_index_matches_full_scan_under_random_mutations():
                 _assert_label_index_matches_scan(each)
 
 
+def test_lowest_label_id_equals_a_scan_of_the_nodes():
+    # Ids run past 999 in each chunk, where c01n1000 sorts before c01n999.
+    rng = random.Random(57)
+    labels = ["alpha", "beta", "gamma"]
+    seen: dict[str, int] = dict.fromkeys(
+        ("excluded chunk holds the lowest id", "only the excluded chunk has the label",
+         "no exclusion", "absent label"), 0)
+    for _ in range(200):
+        graph = DecisionGraph()
+        next_seq = {chunk: rng.choice([1, 997]) for chunk in (1, 2, 3)}
+        for _ in range(rng.randint(0, 12)):
+            chunk = rng.randint(1, 3)
+            graph.add_node(make_node(f"c{chunk:02d}n{next_seq[chunk]:03d}", rng.choice(labels),
+                                     origin=chunk))
+            next_seq[chunk] += 1
+        if len(graph.nodes) >= 2 and rng.random() < 0.5:
+            merge_nodes(graph, *rng.sample(sorted(graph.nodes), 2))
+        for label in labels + ["absent"]:
+            for exclude in (None, 1, 2, 3, 9):
+                eligible = sorted(nid for nid, node in graph.nodes.items()
+                                  if node.label == label and node.origin_chunk != exclude)
+                expected = eligible[0] if eligible else None
+                assert graph.lowest_label_id(label, exclude) == expected, (label, exclude)
+                everyone = graph.label_ids(label)
+                seen["no exclusion"] += exclude is None and expected is not None
+                seen["absent label"] += not everyone
+                seen["excluded chunk holds the lowest id"] += bool(everyone) and (
+                    expected != everyone[0])
+                seen["only the excluded chunk has the label"] += bool(everyone) and (
+                    expected is None)
+    assert min(seen.values()) > 20, seen
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -56,14 +56,22 @@ def test_derived_cosine_matches_stored_value(hashing_store):
 def test_trigram_table_embeds_like_the_hashing_loop():
     rng = random.Random(8)
     alphabet = "ab c.é中😀-"
-    labels = ["", "a", "ab", "é", "😀"] + [
+    labels = ["", "a", "ab", "é", "😀", "中文", "aaaaaaa", "abcabcabc", "a a a a", "😀😀😀😀"] + [
         "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    seen: Counter[str] = Counter()
     backend = HashingEmbeddingBackend()
     for label in labels + labels:  # the second pass reads a filled table
         vector = backend.embed_text(label)
         assert vector.dtype == np.float64 and vector.shape == (retrieval.DIM,)
-        assert np.array_equal(vector, reference_embed_text(label, retrieval.DIM, retrieval.SEED,
-                                                           retrieval.NGRAM))
+        reference = reference_embed_text(label, retrieval.DIM, retrieval.SEED, retrieval.NGRAM)
+        assert vector.tobytes() == reference.tobytes()  # bit for bit, so no -0.0 for 0.0
+        padded = f" {label} "
+        grams = [padded[i : i + retrieval.NGRAM] for i in range(len(padded) - 2)]
+        seen["repeated trigram"] += len(set(grams)) < len(grams)
+        seen["non-ASCII"] += not label.isascii()
+        seen["one or two characters"] += len(label) in (1, 2)
+    assert min(seen[case] for case in ("repeated trigram", "non-ASCII",
+                                       "one or two characters")) > 10
 
 
 def test_hand_placed_vectors_rank_as_computed():
@@ -112,6 +120,17 @@ def test_non_finite_vector_rejected(value):
         store.lookup(["bad"])
     vectors["bad"] = [1.0, 0.0, 0.0, 0.0]  # the rejected vector was not stored
     assert store.vector("bad").tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("reply", [[[1.0, 0.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 3.0],
+                         ids=["1-by-n", "n-by-n", "0-d"])
+def test_embedding_without_one_axis_rejected(reply):
+    vectors = {"bad": reply}
+    store = placed_store(vectors)
+    with pytest.raises(EmbeddingError, match=r"'bad' has shape .*, not one axis"):
+        store.lookup(["bad"])
+    vectors["bad"] = [0.0, 2.0]  # the rejected reply was not stored
+    assert store.vector("bad").tolist() == [0.0, 2.0]
 
 
 def test_dimension_mismatch_rejected():
@@ -240,8 +259,18 @@ def test_ranking_pool_under_adds_and_discards_equals_the_loop_over_a_rebuilt_dic
             seen["one member"] += len(expected) == 1
             seen["empty after exclusion"] += bool(members) and not expected
             seen["query equals a member id"] += query in expected
-    assert min(seen[case] for case in ("past 999", "tie cut by k", "one member",
-                                       "empty after exclusion", "query equals a member id")) > 10
+            present = len(expected) < len(members)  # the excluded group has members
+            seen["all eligible kept, some excluded"] += bool(expected) and (
+                len(expected) <= k and present)
+            seen["all eligible kept, none excluded"] += bool(expected) and (
+                len(expected) <= k and not present)
+            seen["excluded group absent"] += excluded is not None and not present
+            seen["partition with exclusion"] += len(expected) > k and present
+    cases = ("past 999", "tie cut by k", "one member", "empty after exclusion",
+             "query equals a member id", "all eligible kept, some excluded",
+             "all eligible kept, none excluded", "excluded group absent",
+             "partition with exclusion")
+    assert min(seen[case] for case in cases) > 10, seen
 
 
 def test_pool_lookups_see_every_member_and_follow_discards(hashing_store):
