@@ -258,10 +258,6 @@ class DecisionGraph:
         if not ids:
             del self._label_index[node.label]
 
-    def label_ids(self, normalized_label: str) -> list[str]:
-        """Node ids whose label equals the given normalized label, ascending."""
-        return sorted(self._label_index.get(normalized_label, ()))
-
     def lowest_label_id(self, normalized_label: str,
                         exclude_chunk: int | None = None) -> str | None:
         """The lowest id of a node whose label equals the given normalized

@@ -11,8 +11,8 @@ writes its vector, norm and group (the node's origin chunk) into its row
 of the pool's arrays. A query names the group it excludes, if any. It
 scores the pool with one matrix-vector product, masks the excluded
 group's members when the group has any, partitions at the k-th
-similarity when more than k members are eligible, and sorts only what
-is kept: no per-member dict or list work.
+eligible similarity and sorts only what is kept: no per-member dict or
+list work.
 
 Two callers rank, and both look up an exact label match first, by
 `DecisionGraph.lowest_label_id`, and rank only on a miss:
@@ -284,32 +284,23 @@ def cosine_candidates(query_label: str, pool: RankingPool, k: int,
     k-th similarity is sorted, so a tie group cut by k goes to its lowest
     ids. The whole pool is scored in one matrix-vector product; members of
     the excluded group, when it has any, score -inf, which no kept
-    similarity equals. When at most k members are eligible, all are kept
-    without a partition.
+    similarity equals.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    count = len(pool.ids)
-    excluded = pool.group_sizes.get(exclude, 0)
-    if excluded == count:
+    eligible = len(pool) - pool.group_sizes.get(exclude, 0)
+    if not eligible:
         return ()
     (vector, norm), = pool.store.lookup((query_label,))
+    count = len(pool.ids)
     sims = pool.vectors[:count] @ vector
     sims /= norm * pool.norms[:count]
-    if excluded:
-        inside = pool.groups[:count] == exclude
-        sims[inside] = -np.inf
-    ids, labels = pool.ids, pool.labels
-    if k < count - excluded:
-        cut = count - k
-        keep = (sims >= np.partition(sims, cut)[cut]).nonzero()[0]
-    elif excluded:
-        keep = (~inside).nonzero()[0]
-    else:
-        keep = None  # every member
-    if keep is not None:
-        slots = keep.tolist()
-        ids, labels = map(ids.__getitem__, slots), map(labels.__getitem__, slots)
-        sims = sims[keep]
-    scored = sorted(zip(ids, labels, sims.tolist()), key=lambda item: (-item[2], item[0]))
+    if eligible < count:
+        sims[pool.groups[:count] == exclude] = -np.inf
+    cut = count - min(k, eligible)
+    keep = (sims >= np.partition(sims, cut)[cut]).nonzero()[0]
+    slots = keep.tolist()
+    scored = sorted(zip(map(pool.ids.__getitem__, slots), map(pool.labels.__getitem__, slots),
+                        sims[keep].tolist()),
+                    key=lambda item: (-item[2], item[0]))
     return tuple(scored[:k])

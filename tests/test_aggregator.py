@@ -127,10 +127,9 @@ def test_union_does_not_alias_input_nodes():
 
 def graph_state(graph: DecisionGraph) -> tuple:
     """Nodes, edges, adjacency and label index, compared by value."""
-    labels = {node.label for node in graph.nodes.values()}
     return (graph_to_doc(graph), set(graph.edges),
             {nid: (set(graph.in_edges(nid)), set(graph.out_edges(nid))) for nid in graph.nodes},
-            {label: graph.label_ids(label) for label in labels})
+            graph._label_index)
 
 
 def test_bulk_union_equals_the_per_edge_union():

@@ -37,3 +37,15 @@ def test_claim_rule_follows_the_better_direction_of_the_metric():
     assert row["change_higher_in_pairs"] == 10 and row["claim_rule_met"] is True
     row = bench_pairs.summarize(_runs("w", "run_s", PARENT, higher))["w"]["run_s"]
     assert row["change_lower_in_pairs"] == 0 and row["claim_rule_met"] is False
+
+
+def test_every_end_to_end_metric_gets_a_claim_rule_and_a_missing_one_gets_no_row():
+    names = [spec["name"] for spec in bench_pairs.SPEC["end_to_end"]]
+    runs = [{"workload": "w", "pair": pair, "side": side,
+             "metrics": {name: {"value": 1.0 + pair, "unit": ""} for name in names}}
+            for pair in range(3) for side in ("parent", "change")]
+    rows = bench_pairs.summarize(runs)["w"]
+    assert list(rows) == names
+    assert all(isinstance(row["claim_rule_met"], bool) for row in rows.values())
+    del runs[-1]["metrics"][names[0]]
+    assert list(bench_pairs.summarize(runs)["w"]) == names[1:]

@@ -99,7 +99,7 @@ def test_entry_label_generating_itself_merges_without_new_node():
     labels = sorted(n.label for n in result.graph.nodes.values())
     assert labels == ["alpha", "omega"]
     assert {tuple(e) for e in result.graph.edges} == {
-        (result.graph.label_ids("alpha")[0], "done", result.graph.label_ids("omega")[0]),
+        (result.graph.lowest_label_id("alpha"), "done", result.graph.lowest_label_id("omega")),
     }
     # the self-referential child collapsed into its own ancestor
     assert len(result.graph.suppressed_self_loops) == 1
@@ -386,8 +386,8 @@ def test_adversarial_cyclic_fixture_terminates():
     })
     result = build(simple_chunk(), backend)
     triples = {tuple(e) for e in result.graph.edges}
-    alpha = result.graph.label_ids("alpha")[0]
-    beta = result.graph.label_ids("beta state")[0]
+    alpha = result.graph.lowest_label_id("alpha")
+    beta = result.graph.lowest_label_id("beta state")
     assert (alpha, "go", beta) in triples
     assert (beta, "back", alpha) in triples
 

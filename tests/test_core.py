@@ -357,10 +357,10 @@ def test_edges_are_a_set_never_a_multiset():
 
 
 def _assert_label_index_matches_scan(graph: DecisionGraph) -> None:
-    for label in {node.label for node in graph.nodes.values()} | {"absent"}:
-        assert graph.label_ids(label) == sorted(
-            nid for nid, node in graph.nodes.items() if node.label == label
-        ), label
+    scan: dict[str, set[str]] = {}
+    for nid, node in graph.nodes.items():
+        scan.setdefault(node.label, set()).add(nid)
+    assert graph._label_index == scan
 
 
 def add_node(graph: DecisionGraph, node_id: str, label: str,
@@ -420,7 +420,7 @@ def test_lowest_label_id_equals_a_scan_of_the_nodes():
                                   if node.label == label and node.origin_chunk != exclude)
                 expected = eligible[0] if eligible else None
                 assert graph.lowest_label_id(label, exclude) == expected, (label, exclude)
-                everyone = graph.label_ids(label)
+                everyone = sorted(nid for nid, node in graph.nodes.items() if node.label == label)
                 seen["no exclusion"] += exclude is None and expected is not None
                 seen["absent label"] += not everyone
                 seen["excluded chunk holds the lowest id"] += bool(everyone) and (
