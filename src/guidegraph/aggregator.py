@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -32,7 +33,7 @@ from .core import (
     normalize_label,
 )
 from .errors import InterfaceResolutionError
-from .oracle import Deferred, OracleClient, OracleTask
+from .oracle import Held, OracleClient, OracleTask
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 from .builder import duplicate_payload, find_duplicate
 
@@ -144,8 +145,7 @@ class _Plan:
     footprint: set[str]  # what its payload reads: `joins` and its in-edge sources
     joins: set[str]  # what its decision may merge: it, its exact partner or top-k candidates
     payload: dict[str, Any] | None  # its verifier payload; None when it makes no call
-    child: OracleClient | None = None  # the early call's client, its records held
-    reply: Any = None  # the early call's future
+    call: Held | None = None  # its early verifier call, once sent
 
 
 class _LookAhead:
@@ -166,10 +166,10 @@ class _LookAhead:
     so an early call sends the payload that the turn works out again; the
     turn raises if it does not.
 
-    Each call runs on a held child client and its audit records are
-    committed when the item's turn takes the reply, so the audit log is a
-    serial run's. At parallelism 1 the width is 0: nothing is scanned, and
-    each call runs when its turn reads the reply.
+    Each call, the current one and the early ones alike, is a `Held` call,
+    taken by its item's turn, so the audit log is a serial run's. At
+    parallelism 1 the width is 0 and there is no executor: nothing is
+    scanned, and each call runs when its turn takes it.
     """
 
     def __init__(self, client: OracleClient, graph: DecisionGraph, pool: RankingPool,
@@ -179,7 +179,6 @@ class _LookAhead:
         self.k = config.candidate_count
         self.width = config.parallelism - 1  # early calls in flight beside the current one
         self.executor = ThreadPoolExecutor(config.parallelism) if self.width > 0 else None
-        self.submit = self.executor.submit if self.executor is not None else Deferred
         self.plans: dict[str, _Plan] = {}  # scanned items, until a merge touches a footprint
         self.early: deque[_Plan] = deque()  # early calls not yet taken, in queue order
         self.item: str | None = None
@@ -192,42 +191,36 @@ class _LookAhead:
     def merged(self, primary: str, secondary: str) -> None:
         """Forget the plans whose footprint a merge of the two nodes touches."""
         for item, plan in list(self.plans.items()):
-            if plan.reply is None and (primary in plan.footprint or secondary in plan.footprint):
+            if plan.call is None and (primary in plan.footprint or secondary in plan.footprint):
                 del self.plans[item]
 
     def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
         """The current item's verifier reply: its early call's, or a call's
         sent now."""
         plan = self.plan
-        if plan is not None and plan.reply is not None:
+        if plan is not None and plan.call is not None:
             if self.early[0] is not plan or plan.payload != payload:
                 raise RuntimeError(f"aggregation look-ahead: the early verifier call for "
                                    f"{self.item!r} is not the call its turn makes")
             self.early.popleft()
-            child, reply = plan.child, plan.reply
+            call = plan.call
         else:
-            child = self.client.held()
-            reply = self.submit(child.call, task, payload)
+            call = Held(self.client, self.executor, OracleClient.call, task, payload)
         try:
             self._scan()
         finally:
-            try:
-                body = reply.result()
-            finally:
-                self.client.commit(child)
+            body = call.take()
         return body
 
     def close(self) -> int:
-        """Wait for the early calls not taken, commit their records in queue
-        order and stop the executor; returns how many there were."""
+        """Take the early calls not taken, in queue order, and stop the
+        executor; returns how many there were."""
         untaken = len(self.early)
         try:
             while self.early:
-                plan = self.early.popleft()
-                try:
-                    plan.reply.exception()
-                finally:
-                    self.client.commit(plan.child)
+                # The error of a call whose turn never came is not the run's.
+                with suppress(Exception):
+                    self.early.popleft().call.take()
         finally:
             if self.executor is not None:
                 self.executor.shutdown()
@@ -248,10 +241,9 @@ class _LookAhead:
             if not joinable.isdisjoint(plan.footprint):
                 return
             joinable |= plan.joins
-            if plan.payload is not None and plan.reply is None:
-                plan.child = self.client.held()
-                plan.reply = self.submit(plan.child.call, OracleTask.FIND_DUPLICATE,
-                                         plan.payload)
+            if plan.payload is not None and plan.call is None:
+                plan.call = Held(self.client, self.executor, OracleClient.call,
+                                 OracleTask.FIND_DUPLICATE, plan.payload)
                 self.early.append(plan)
                 if len(self.early) >= self.width:
                     return

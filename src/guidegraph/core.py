@@ -418,27 +418,41 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
     return {"format": GRAPH_FORMAT, "nodes": nodes, "edges": edges}
 
 
+def _typed(value: Any, kind: type, what: str, of: type = object) -> Any:
+    """`value`, which a document must give as a `kind` whose entries, if `of`
+    is given, are `of`s; else a TypeError, so no string is read as a list."""
+    if not isinstance(value, kind) or (of is not object
+                                       and not all(isinstance(x, of) for x in value)):
+        raise TypeError(f"{what} must be a {kind.__name__}"
+                        + ("" if of is object else f" of {of.__name__}"))
+    return value
+
+
 def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
     if doc.get("format") != GRAPH_FORMAT:
         raise ValueError(f"unsupported graph format {doc.get('format')!r}")
     graph = DecisionGraph()
-    for entry in doc["nodes"]:
+    for entry in _typed(doc["nodes"], list, "nodes"):
         graph.add_node(
             DecisionNode(
-                node_id=entry["id"],
-                label=entry["label"],
+                node_id=_typed(entry["id"], str, "id"),
+                label=_typed(entry["label"], str, "label"),
                 kind=NodeKind(entry["kind"]),
                 origin_chunk=int(entry.get("origin_chunk", 0)),
                 merged_from=[
-                    MergedRef(ref["node_id"], int(ref["origin_chunk"]))
-                    for ref in entry.get("merged_from", [])
+                    MergedRef(_typed(ref["node_id"], str, "node_id"), int(ref["origin_chunk"]))
+                    for ref in _typed(entry.get("merged_from", []), list, "merged_from")
                 ],
-                provenance_pages=[int(p) for p in entry.get("provenance_pages", [])],
-                interface_labels=list(entry.get("interface_labels", [])),
+                provenance_pages=[int(p) for p in _typed(entry.get("provenance_pages", []),
+                                                         list, "provenance_pages")],
+                interface_labels=list(_typed(entry.get("interface_labels", []), list,
+                                             "interface_labels", str)),
             )
         )
-    for entry in doc["edges"]:
-        graph.add_edge(entry["source"], entry["label"], entry["target"])
+    for entry in _typed(doc["edges"], list, "edges"):
+        graph.add_edge(_typed(entry["source"], str, "source"),
+                       _typed(entry["label"], str, "label"),
+                       _typed(entry["target"], str, "target"))
     graph.check_integrity()
     return graph
 
@@ -490,14 +504,14 @@ def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
     chunks = [
         Chunk(
             chunk_id=int(entry["chunk_id"]),
-            context=entry["context"],
-            entry_labels=tuple(entry["entry_labels"]),
-            terminal_labels=tuple(entry["terminal_labels"]),
-            description=entry["description"],
-            carried_pages=tuple(int(p) for p in entry["carried_pages"]),
-            page_span=tuple(int(p) for p in entry["page_span"]),
+            context=_typed(entry["context"], str, "context"),
+            entry_labels=tuple(_typed(entry["entry_labels"], list, "entry_labels", str)),
+            terminal_labels=tuple(_typed(entry["terminal_labels"], list, "terminal_labels", str)),
+            description=_typed(entry["description"], str, "description"),
+            carried_pages=tuple(map(int, _typed(entry["carried_pages"], list, "carried_pages"))),
+            page_span=tuple(map(int, _typed(entry["page_span"], list, "page_span"))),
         )
-        for entry in doc["chunks"]
+        for entry in _typed(doc["chunks"], list, "chunks")
     ]
     seen: set[int] = set()
     for chunk in chunks:  # two chunks with one id would share a graph file and node ids

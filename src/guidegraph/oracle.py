@@ -8,9 +8,9 @@ the canonicalized payload, and `live.LiveBackend` posts to an
 OpenAI-compatible chat endpoint. Every dispatch leaves one record in an
 audit log, which numbers each record as it writes it, so the file is in
 request-id order. A record holds no clock reading, so the log is
-deterministic under either backend. Independent work items that call the
-oracle can fan out over a thread pool and still leave the log a serial
-run writes.
+deterministic under either backend. Every overlap of calls goes through
+`Held`, which holds a call's records until the call is taken, so calls
+taken in program order leave the log a serial run writes.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import hashlib
 import logging
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -235,16 +235,6 @@ class AuditLog:
             self._handle = self._close_handle = None
 
 
-class _HeldRecords:
-    """Audit records of one fan-out item, held back until the item commits."""
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-
-    def append(self, request: OracleRequest, outcome: str) -> None:
-        self.records.append(_unnumbered(request, outcome))
-
-
 class Backend(Protocol):
     def complete(self, request: OracleRequest) -> str:
         """Return the raw backend reply for a request."""
@@ -339,7 +329,7 @@ class FixtureSet:
         return fixtures
 
 
-def dispatch(request: OracleRequest, backend: Backend, *, audit: AuditLog | _HeldRecords,
+def dispatch(request: OracleRequest, backend: Backend, *, audit: AuditLog | Held,
              retry_limit: int = 3) -> dict[str, Any]:
     """Send a request and return the validated reply body, retrying
     malformed output.
@@ -394,12 +384,33 @@ Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 
-class Deferred:
-    """Stands in for a future at parallelism 1: runs its call when the
-    result is read, so each item runs only when its turn to commit comes."""
+class Held:
+    """One call, `fn(child, *args)`, on a child client whose audit log is
+    this object. It starts at once on `executor`, or, with no executor,
+    runs when taken. `take` waits for it, commits its records to the
+    parent's log in one write and returns its result or raises what it
+    raised, so calls taken in program order leave a serial run's log."""
 
-    def __init__(self, fn: Callable[..., Any], *args: Any) -> None:
-        self.result = partial(fn, *args)
+    def __init__(self, parent: OracleClient, executor: Executor | None,
+                 fn: Callable[..., Any], *args: Any) -> None:
+        self.parent = parent
+        self.records: list[dict[str, Any]] = []
+        child = OracleClient(parent.backend, audit=self, retry_limit=parent.retry_limit)
+        run = partial(fn, child, *args)
+        # What `take` calls: the future's `result`, or the call itself.
+        self._result = executor.submit(run).result if executor is not None else run
+
+    def append(self, request: OracleRequest, outcome: str) -> None:
+        self.records.append(_unnumbered(request, outcome))
+
+    def take(self) -> Any:
+        """The call's result, once its records are committed; take once."""
+        # Dropping `_result` breaks the cycle Held -> child client -> Held.
+        result, self._result = self._result, None
+        try:
+            return result()
+        finally:
+            self.parent.audit.commit(self.records)
 
 
 class OracleClient:
@@ -411,7 +422,7 @@ class OracleClient:
     concurrent use.
     """
 
-    def __init__(self, backend: Backend, *, audit: AuditLog | _HeldRecords,
+    def __init__(self, backend: Backend, *, audit: AuditLog | Held,
                  retry_limit: int = 3) -> None:
         self.backend = backend
         self.audit = audit
@@ -421,24 +432,14 @@ class OracleClient:
         return dispatch(OracleRequest(task, payload), self.backend,
                         retry_limit=self.retry_limit, audit=self.audit)
 
-    def held(self) -> "OracleClient":
-        """A child client on the same backend whose audit records are held
-        back, until `commit` writes them to this client's log."""
-        return OracleClient(self.backend, audit=_HeldRecords(), retry_limit=self.retry_limit)
-
-    def commit(self, child: "OracleClient") -> None:
-        """Number and write a held child's records, in one write."""
-        self.audit.commit(child.audit.records)
-
     def fan_out(self, fn: Callable[["OracleClient", Item], Result], items: Sequence[Item],
                 parallelism: int = 1,
                 on_commit: Callable[[Item, Result], None] | None = None) -> list[Result]:
         """Run `fn(client, item)` for every item, up to `parallelism` at a
         time, and leave what a loop over the items would leave.
 
-        Each item calls the oracle through a child client whose audit
-        records are held back. Items commit strictly in item order: the
-        audit log numbers the item's records and writes them in
+        Each item is one `Held` call, and items are taken strictly in item
+        order: the audit log numbers the item's records and writes them in
         one write, then `on_commit(item, result)` runs. Results come back
         in item order.
 
@@ -456,41 +457,32 @@ class OracleClient:
             with failure_lock:
                 first_failure = min(first_failure, index)
 
-        def run(index: int, item: Item):
+        def run(child: OracleClient, index: int, item: Item) -> Result | None:
             if index > first_failure:
                 return None
-            child = self.held()
             try:
-                return child, fn(child, item), None
-            except Exception as exc:  # raised again, in item order, by the caller
+                return fn(child, item)
+            except Exception:  # raised again, in item order, by its `take`
                 fail(index)
-                return child, None, exc
+                raise
 
         pool = (ThreadPoolExecutor(max_workers=parallelism)
                 if parallelism > 1 and len(items) > 1 else None)
-        submit = pool.submit if pool is not None else Deferred
         results: list[Result] = []
         error: Exception | None = None
         try:
-            futures = [submit(run, index, item) for index, item in enumerate(items)]
-            for index, (item, future) in enumerate(zip(items, futures)):
-                ran = future.result()
-                if ran is None:
-                    continue
-                child, result, exc = ran
-                self.commit(child)
-                if error is not None:
-                    continue
-                if exc is None and on_commit is not None:
-                    try:
-                        on_commit(item, result)
-                    except Exception as raised:
-                        exc = raised
-                if exc is not None:
-                    error = exc
-                    fail(index)
-                else:
-                    results.append(result)
+            calls = [Held(self, pool, run, index, item) for index, item in enumerate(items)]
+            for index, (item, call) in enumerate(zip(items, calls)):
+                try:
+                    result = call.take()
+                    if error is None:  # else it ran past the failure, or was skipped
+                        if on_commit is not None:
+                            on_commit(item, result)
+                        results.append(result)
+                except Exception as exc:
+                    if error is None:
+                        error = exc
+                        fail(index)
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)

@@ -903,6 +903,13 @@ def _golden_chunks_with_ids(ids: list[int]) -> str:
     return json.dumps(doc)
 
 
+def _golden_with(name: str, entries: str, key: str, value) -> str:
+    """The golden file `name` with `key` of its first chunk or node set to `value`."""
+    doc = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+    doc[entries][0][key] = value
+    return json.dumps(doc)
+
+
 GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": [], "edges": [
     {"source": "a", "label": "go", "target": "b"}]})
 
@@ -915,16 +922,30 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
     ("build", "chunks.json", _golden_chunks_with_interface(["MRI"], ["mri."])),
     ("build", "chunks.json", _golden_chunks_with_interface(["suspected prostate cancer"], ["..."])),
     ("build", "chunks.json", _golden_chunks_with_ids([1, 1, 3])),
+    # A string where a list belongs would read as a list of its characters.
+    ("build", "chunks.json", _golden_with("chunks.json", "chunks", "entry_labels", "mri")),
+    ("build", "chunks.json", _golden_with("chunks.json", "chunks", "carried_pages", "23")),
+    ("build", "chunks.json", _golden_with("chunks.json", "chunks", "context", 7)),
+    ("build", "chunks.json", _golden_with("chunks.json", "chunks", "description", None)),
     ("aggregate", "graphs/chunk_02.json", "{not json"),
     ("aggregate", "graphs/chunk_03.json", None),
+    ("aggregate", "graphs/chunk_01.json",
+     _golden_with("graphs/chunk_01.json", "nodes", "provenance_pages", "23")),
+    ("aggregate", "graphs/chunk_01.json",
+     _golden_with("graphs/chunk_01.json", "nodes", "interface_labels", "low-risk group")),
     ("eval", "predicted.json", GRAPH_WITH_DANGLING_EDGE),
     ("eval", "reference.json", '{"format": "decision-graph/1", "nodes": []}'),
+    ("eval", "predicted.json", _golden_with("merged.json", "nodes", "label", 7)),
     ("export", "graph.json", "[]"),
     ("export", "graph.json", None),
+    ("export", "graph.json", _golden_with("merged.json", "nodes", "label", 7)),
 ], ids=["build-format", "build-missing", "build-duplicate-terminals",
         "build-entry-terminal-overlap", "build-empty-label", "build-repeated-chunk-id",
-        "aggregate-json", "aggregate-missing",
-        "eval-predicted", "eval-reference", "export-shape", "export-missing"])
+        "build-string-labels", "build-string-pages", "build-numeric-context",
+        "build-null-description", "aggregate-json", "aggregate-missing",
+        "aggregate-string-pages", "aggregate-string-interface", "eval-predicted",
+        "eval-reference", "eval-numeric-label", "export-shape", "export-missing",
+        "export-numeric-label"])
 def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command, artifact,
                                                       content):
     out = tmp_path / "run"

@@ -560,6 +560,48 @@ def test_no_module_imports_the_standard_json_codec():
         assert "json" not in {name.partition(".")[0] for name in imported}, path.name
 
 
+# Imports kept for a binding that perfbench/layers.py rebinds (NORMALIZE_BINDINGS),
+# not for a read in the module itself.
+TRACER_BOUND_IMPORTS = {
+    ("aggregator.py", "normalize_label"),  # perfbench/layers.py counts calls through it
+    ("retrieval.py", "normalize_label"),  # perfbench/layers.py counts calls through it
+}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, `__all__`'s entries and the names in
+    string annotations included."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _names_read(ast.parse(node.value))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """An import left behind by a refactor reads as a dependency that is not there."""
+    for path in sorted(Path(guidegraph.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {alias.asname or alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                     for alias in node.names}
+        unread = {(path.name, name) for name in imported - _names_read(tree)}
+        assert unread <= TRACER_BOUND_IMPORTS, sorted(unread - TRACER_BOUND_IMPORTS)
+
+
 def test_graph_doc_rejects_unknown_format():
     with pytest.raises(ValueError):
         graph_from_doc({"format": "decision-graph/999", "nodes": [], "edges": []})

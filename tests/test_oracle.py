@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import sys
 import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -23,6 +26,7 @@ from guidegraph.errors import (
 from guidegraph.oracle import (
     AuditLog,
     FixtureSet,
+    Held,
     OracleRequest,
     OracleClient,
     OracleTask,
@@ -363,6 +367,76 @@ def test_live_audit_log_is_byte_identical_across_runs(tmp_path):
     first = (tmp_path / "first.log").read_bytes()
     assert len(first.splitlines()) == 1 + len(serial_digests(range(4)))
     assert (tmp_path / "second.log").read_bytes() == first
+
+
+# ---------------------------------------------------------------------------
+# Held
+
+
+def test_held_calls_that_finish_out_of_order_leave_the_log_in_take_order():
+    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog())
+    second_done = threading.Event()
+
+    def first(child: OracleClient) -> str:
+        assert second_done.wait(5), "the second call never finished"
+        classify_all(child, 2)
+        return "first"
+
+    def second(child: OracleClient) -> str:
+        classify_all(child, 1)
+        second_done.set()
+        return "second"
+
+    with ThreadPoolExecutor(2) as executor:
+        calls = [Held(client, executor, first), Held(client, executor, second)]
+        assert [call.take() for call in calls] == ["first", "second"]
+    assert [e["payload_digest"] for e in client.audit.entries] == serial_digests([2, 1])
+    assert [e["request_id"] for e in client.audit.entries] == [
+        f"req-{i:06d}" for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_a_held_call_that_raises_is_committed_and_raises_again_at_take(threaded):
+    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog())
+    raised = ValueError("item 4")
+
+    def work(child: OracleClient, index: int) -> int:
+        classify_all(child, index)
+        raise raised
+
+    with ThreadPoolExecutor(1) as executor:
+        call = Held(client, executor if threaded else None, work, 4)
+        with pytest.raises(ValueError) as info:
+            call.take()
+    assert info.value is raised
+    assert [e["payload_digest"] for e in client.audit.entries] == serial_digests([4])
+
+
+def test_a_held_call_without_an_executor_runs_when_taken():
+    backend = StaticBackend('{"label": "core"}')
+    client = OracleClient(backend, audit=AuditLog())
+    call = Held(client, None, classify_all, 2)
+    assert backend.calls == 0 and client.audit.entries == []
+    assert call.take() == 2
+    assert backend.calls == len(calls_of(2))
+    assert [e["payload_digest"] for e in client.audit.entries] == serial_digests([2])
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_a_taken_held_call_is_freed_by_reference_counting(threaded):
+    # The child client's audit log is the `Held`, so a `Held` that kept its
+    # callable after `take` would be freed only by the cycle collector.
+    client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog())
+    gc.disable()
+    try:
+        with ThreadPoolExecutor(1) as executor:
+            call = Held(client, executor if threaded else None, classify_all, 1)
+            assert call.take() == 1
+        freed = weakref.ref(call)
+        del call
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
