@@ -21,8 +21,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-# `normalize_label` is not called here: the benchmark's tracer wraps this
-# module's binding of it (perfbench/tracer.py reads vars(aggregator)).
+# `normalize_label` and `cosine_candidates` are not called here: the benchmark's
+# tracer wraps these bindings (perfbench/tracer.py reads vars(aggregator)).
 from .core import (
     KIND_NAMES,
     Chunk,
@@ -35,7 +35,7 @@ from .core import (
 from .errors import InterfaceResolutionError
 from .oracle import Held, OracleClient, OracleTask
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
-from .builder import duplicate_payload, find_duplicate
+from .builder import DuplicateQuery, duplicate_query, find_duplicate
 
 logger = logging.getLogger(__name__)
 
@@ -142,34 +142,35 @@ def _capped_ancestors(graph: DecisionGraph, node_id: str,
 class _Plan:
     """A queued item as the look-ahead sees it under the current graph."""
 
-    footprint: set[str]  # what its payload reads: `joins` and its in-edge sources
+    query: DuplicateQuery  # what its turn takes if the plan survives
+    footprint: set[str]  # what its query reads: `joins` and its in-edge sources
     joins: set[str]  # what its decision may merge: it, its exact partner or top-k candidates
-    payload: dict[str, Any] | None  # its verifier payload; None when it makes no call
     call: Held | None = None  # its early verifier call, once sent
 
 
 class _LookAhead:
-    """The oracle client that `find_duplicate` calls for the current item.
+    """Each aggregation item's duplicate query, and the oracle client that
+    `find_duplicate` calls for the current item.
 
     `call` sends the current item's verifier call and, while it is in
-    flight, scans the queue in order. It sends early the call of each
-    upcoming item whose decision no undecided item before it, the current
-    one included, can change. An item's footprint is the item, its
-    in-edge sources, its exact-match partner and its top-k candidates:
-    all that its payload reads. Its decision can merge only the item with
-    its partner or a candidate, and a merge changes the payloads of only
-    those items whose footprint holds one of the two nodes it joins. So
-    an upcoming item passes when no earlier undecided item can join a node
-    of its footprint. The scan stops at the first item that fails the
-    test, or once `parallelism` calls are in flight, the current one
-    included. Every item up to there keeps its footprint until its turn,
-    so an early call sends the payload that the turn works out again; the
-    turn raises if it does not.
+    flight, scans the queue in order: it plans each upcoming item (works
+    out its query) and sends early the call of each one whose decision no
+    undecided item before it can change. An item's footprint is all that
+    its query reads: the item, its in-edge sources and its exact partner
+    or top-k candidates. Its decision can merge only the item with its
+    partner or a candidate, and a merge changes only the queries whose
+    footprint holds a node it joins. So an upcoming item passes when no
+    earlier undecided item, the current one included, can join a node of
+    its footprint. The scan stops at the first item that fails, or once
+    `parallelism` calls are in flight. `merged` drops every plan whose
+    footprint a merge touches. The pool only shrinks and a merge keeps the
+    primary's label, so a surviving plan's query is the one its turn would
+    work out, and `reach` takes it without ranking again.
 
     Each call, the current one and the early ones alike, is a `Held` call,
     taken by its item's turn, so the audit log is a serial run's. At
     parallelism 1 the width is 0 and there is no executor: nothing is
-    scanned, and each call runs when its turn takes it.
+    planned or scanned, and each call runs when its turn takes it.
     """
 
     def __init__(self, client: OracleClient, graph: DecisionGraph, pool: RankingPool,
@@ -179,14 +180,17 @@ class _LookAhead:
         self.k = config.candidate_count
         self.width = config.parallelism - 1  # early calls in flight beside the current one
         self.executor = ThreadPoolExecutor(config.parallelism) if self.width > 0 else None
-        self.plans: dict[str, _Plan] = {}  # scanned items, until a merge touches a footprint
+        self.plans: dict[str, _Plan] = {}  # planned items, until a merge touches a footprint
         self.early: deque[_Plan] = deque()  # early calls not yet taken, in queue order
-        self.item: str | None = None
-        self.plan: _Plan | None = None  # the current item's, if it was scanned
+        self.plan: _Plan | None = None  # the current item's; None at width 0
 
-    def reach(self, item: str) -> None:
-        """Make `item` the current item."""
-        self.item, self.plan = item, self.plans.pop(item, None)
+    def reach(self, item: str) -> DuplicateQuery:
+        """Make the live `item` the current item and return its query: its
+        surviving plan's, or one worked out now."""
+        self.plan = self.plans.pop(item, None)
+        if self.plan is None and self.width:
+            self.plan = self._plan(item)
+        return self._query(item) if self.plan is None else self.plan.query
 
     def merged(self, primary: str, secondary: str) -> None:
         """Forget the plans whose footprint a merge of the two nodes touches."""
@@ -199,9 +203,9 @@ class _LookAhead:
         sent now."""
         plan = self.plan
         if plan is not None and plan.call is not None:
-            if self.early[0] is not plan or plan.payload != payload:
+            if self.early[0] is not plan:
                 raise RuntimeError(f"aggregation look-ahead: the early verifier call for "
-                                   f"{self.item!r} is not the call its turn makes")
+                                   f"{plan.query.label!r} is taken out of order")
             self.early.popleft()
             call = plan.call
         else:
@@ -229,8 +233,6 @@ class _LookAhead:
     def _scan(self) -> None:
         if len(self.early) >= self.width:
             return
-        if self.plan is None:
-            self.plan = self._plan(self.item)
         joinable = set(self.plan.joins)  # what the undecided items so far may merge
         for item in self.queue:
             if item not in self.graph.nodes:  # skipped at its turn
@@ -241,29 +243,25 @@ class _LookAhead:
             if not joinable.isdisjoint(plan.footprint):
                 return
             joinable |= plan.joins
-            if plan.payload is not None and plan.call is None:
+            if plan.query.payload is not None and plan.call is None:
                 plan.call = Held(self.client, self.executor, OracleClient.call,
-                                 OracleTask.FIND_DUPLICATE, plan.payload)
+                                 OracleTask.FIND_DUPLICATE, plan.query.payload)
                 self.early.append(plan)
                 if len(self.early) >= self.width:
                     return
 
+    def _query(self, item: str) -> DuplicateQuery:
+        node = self.graph.nodes[item]
+        return duplicate_query(node.label, lambda: _capped_ancestors(self.graph, item, self.store),
+                               self.graph, self.pool, self.k, node.origin_chunk)
+
     def _plan(self, item: str) -> _Plan:
-        """The item's footprint and payload, worked out as `find_duplicate`
-        works them out."""
-        graph = self.graph
-        node = graph.nodes[item]
-        sources = {edge.source for edge in graph.in_edges(item)}
-        exact = graph.lowest_label_id(node.label, node.origin_chunk)
-        if exact is not None:
-            return _Plan(sources | {item, exact}, {item, exact}, None)
-        candidates = cosine_candidates(node.label, self.pool, self.k, node.origin_chunk)
-        joins = {item, *(node_id for node_id, _, _ in candidates)}
-        if not candidates:
-            return _Plan(sources | joins, joins, None)
-        return _Plan(sources | joins, joins, duplicate_payload(
-            node.label, _capped_ancestors(graph, item, self.store),
-            [label for _, label, _ in candidates]))
+        """The item's query, what it reads and what its decision may merge."""
+        query = self._query(item)
+        joins = {item, query.exact} if query.exact is not None else {
+            item, *(node_id for node_id, _, _ in query.candidates)}
+        sources = {edge.source for edge in self.graph.in_edges(item)}
+        return _Plan(query, sources | joins, joins)
 
 
 def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
@@ -275,8 +273,8 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
     `config.parallelism` in flight.
 
     Raises:
-        RuntimeError: an early verifier call was not the call its item's
-            turn made; the look-ahead's rule is wrong.
+        RuntimeError: an early verifier call was taken out of order or never
+            taken; the look-ahead's rule is wrong.
     """
     graph = union_graphs(chunk_graphs)
     queue = seed_interface_queue(chunks, graph)
@@ -290,14 +288,9 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
         while queue:
             x = queue.popleft()
             in_queue.discard(x)
-            lookahead.reach(x)
             if x not in graph.nodes:  # merged away while queued
                 continue
-            node = graph.nodes[x]
-            ancestors = _capped_ancestors(graph, x, store)
-            match_id, similarity, how = find_duplicate(
-                node.label, ancestors, graph, pool, config.candidate_count, lookahead,
-                exclude=node.origin_chunk)
+            match_id, similarity, how = find_duplicate(lookahead.reach(x), lookahead)
             if match_id is None:
                 continue
             primary, secondary, reason = choose_primary_secondary(graph, x, match_id)
@@ -337,18 +330,7 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
 def merge_log_doc(result: AggregationResult) -> dict[str, Any]:
     return {
         "format": MERGE_LOG_FORMAT,
-        "decisions": [{
-            "primary": d.primary,
-            "secondary": d.secondary,
-            "reason": d.reason,
-            "similarity": d.similarity,
-            "how": d.how,
-            "primary_kind": d.primary_kind,
-            "secondary_kind": d.secondary_kind,
-            "primary_origin": d.primary_origin,
-            "secondary_origin": d.secondary_origin,
-            "requeued_primary": d.requeued_primary,
-        } for d in result.decisions],
+        "decisions": [dict(vars(d)) for d in result.decisions],
         "suppressed_self_loops": [
             {"source": e.source, "label": e.label, "target": e.target}
             for e in result.graph.suppressed_self_loops

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     KIND_NAMES,
@@ -60,45 +60,60 @@ def duplicate_payload(candidate_label: str, ancestors: Sequence[tuple[str, str]]
     }
 
 
-def find_duplicate(
-    candidate_label: str,
-    ancestors: Sequence[tuple[str, str]],
-    graph: DecisionGraph,
-    pool: RankingPool,
-    k: int,
-    client: OracleClient,
-    exclude: int | None = None,
-) -> tuple[str | None, float | None, str]:
-    """Decide whether a candidate duplicates a node of `graph` whose origin
-    chunk is not `exclude`; `pool` holds exactly the graph's nodes.
+@dataclass(slots=True)
+class DuplicateQuery:
+    """A candidate's exact match or, on a miss, its ranked candidates."""
 
-    Fast path: the lowest such id whose label equals the candidate's
-    normalized label wins without ranking or an oracle call. Otherwise the
-    pool's top k outside group `exclude` by cosine similarity go to the
-    verifier; among confirmed matches the highest-similarity one wins, ties
-    broken by ascending node id. No eligible node is "empty-pool", with no
-    call. Oracle failure degrades to no-duplicate: keeping structure beats
-    silently merging.
+    label: str
+    exact: str | None
+    candidates: tuple[tuple[str, str, float], ...]  # best first; () on an exact hit
+    payload: dict[str, Any] | None  # the verifier payload; None without candidates
+
+
+def duplicate_query(candidate_label: str, ancestors: Callable[[], Sequence[tuple[str, str]]],
+                    graph: DecisionGraph, pool: RankingPool, k: int,
+                    exclude: int | None = None) -> DuplicateQuery:
+    """What `find_duplicate` decides on for a candidate among the nodes of
+    `graph` (`pool` holds them all) outside origin chunk `exclude`.
+
+    The exact match is the lowest such id whose label is the candidate's
+    normalized label, found without ranking. On a miss the pool's top k
+    outside group `exclude` by cosine similarity go into the verifier
+    payload, with the (ancestor label, edge label) context that
+    `ancestors()` builds only then.
+    """
+    exact = graph.lowest_label_id(candidate_label, exclude)
+    if exact is not None:
+        return DuplicateQuery(candidate_label, exact, (), None)
+    candidates = cosine_candidates(candidate_label, pool, k, exclude)
+    payload = duplicate_payload(candidate_label, ancestors(),
+                                [label for _, label, _ in candidates]) if candidates else None
+    return DuplicateQuery(candidate_label, None, candidates, payload)
+
+
+def find_duplicate(query: DuplicateQuery,
+                   client: OracleClient) -> tuple[str | None, float | None, str]:
+    """Decide on a duplicate query: an exact match wins without an oracle
+    call; otherwise the candidates go to the verifier, and among confirmed
+    matches the highest-similarity one wins, ties broken by ascending node
+    id. No candidate is "empty-pool", with no call. Oracle failure degrades
+    to no-duplicate: keeping structure beats silently merging.
 
     Returns (node_id or None, similarity or None, how).
     """
-    exact_id = graph.lowest_label_id(candidate_label, exclude)
-    if exact_id is not None:
-        return exact_id, 1.0, "exact"
-    candidates = cosine_candidates(candidate_label, pool, k, exclude)
-    if not candidates:
+    if query.exact is not None:
+        return query.exact, 1.0, "exact"
+    if query.payload is None:
         return None, None, "empty-pool"
-    payload = duplicate_payload(candidate_label, ancestors,
-                                [label for _, label, _ in candidates])
     try:
-        body = client.call(OracleTask.FIND_DUPLICATE, payload)
+        body = client.call(OracleTask.FIND_DUPLICATE, query.payload)
     except OracleProtocolError:
-        logger.warning("duplicate check failed for %r; treating as new", candidate_label)
+        logger.warning("duplicate check failed for %r; treating as new", query.label)
         return None, None, "error-degraded"
-    confirmed = [i for i in body["matches"] if 0 <= i < len(candidates)]
+    confirmed = [i for i in body["matches"] if 0 <= i < len(query.candidates)]
     if not confirmed:
         return None, None, "verifier"
-    node_id, _, similarity = candidates[min(confirmed)]  # candidates come best first
+    node_id, _, similarity = query.candidates[min(confirmed)]  # candidates come best first
     return node_id, similarity, "verifier"
 
 
@@ -186,9 +201,9 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     while queue:
         label, incoming = queue.popleft()
-        ancestors = [] if incoming is None else [(graph.nodes[incoming[0]].label, incoming[1])]
-        match_id, similarity, how = find_duplicate(
-            label, ancestors, graph, pool, config.candidate_count, client)
+        query = duplicate_query(label, lambda: [] if incoming is None else [
+            (graph.nodes[incoming[0]].label, incoming[1])], graph, pool, config.candidate_count)
+        match_id, similarity, how = find_duplicate(query, client)
         if match_id is not None:
             trace.append({"event": "duplicate", "chunk": chunk.chunk_id,
                           "label": label, "match": match_id, "how": how,

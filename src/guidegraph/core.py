@@ -420,10 +420,11 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
 
 def _typed(value: Any, kind: type, what: str, of: type = object) -> Any:
     """`value`, which a document must give as a `kind` whose entries, if `of`
-    is given, are `of`s; else a TypeError, so no string is read as a list."""
-    if not isinstance(value, kind) or (of is not object
-                                       and not all(isinstance(x, of) for x in value)):
-        raise TypeError(f"{what} must be a {kind.__name__}"
+    is given, are `of`s; else a TypeError. A JSON value has exactly one of
+    these types, so no string is read as a list, and no `2.2`, `"3"` or
+    `true` as an int."""
+    if type(value) is not kind or (of is not object and any(type(x) is not of for x in value)):
+        raise TypeError(f"{what} must be {kind.__name__}"
                         + ("" if of is object else f" of {of.__name__}"))
     return value
 
@@ -438,13 +439,14 @@ def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
                 node_id=_typed(entry["id"], str, "id"),
                 label=_typed(entry["label"], str, "label"),
                 kind=NodeKind(entry["kind"]),
-                origin_chunk=int(entry.get("origin_chunk", 0)),
+                origin_chunk=_typed(entry.get("origin_chunk", 0), int, "origin_chunk"),
                 merged_from=[
-                    MergedRef(_typed(ref["node_id"], str, "node_id"), int(ref["origin_chunk"]))
+                    MergedRef(_typed(ref["node_id"], str, "node_id"),
+                              _typed(ref["origin_chunk"], int, "origin_chunk"))
                     for ref in _typed(entry.get("merged_from", []), list, "merged_from")
                 ],
-                provenance_pages=[int(p) for p in _typed(entry.get("provenance_pages", []),
-                                                         list, "provenance_pages")],
+                provenance_pages=list(_typed(entry.get("provenance_pages", []), list,
+                                             "provenance_pages", int)),
                 interface_labels=list(_typed(entry.get("interface_labels", []), list,
                                              "interface_labels", str)),
             )
@@ -503,13 +505,13 @@ def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
         raise ValueError(f"unsupported chunk-list format {doc.get('format')!r}")
     chunks = [
         Chunk(
-            chunk_id=int(entry["chunk_id"]),
+            chunk_id=_typed(entry["chunk_id"], int, "chunk_id"),
             context=_typed(entry["context"], str, "context"),
             entry_labels=tuple(_typed(entry["entry_labels"], list, "entry_labels", str)),
             terminal_labels=tuple(_typed(entry["terminal_labels"], list, "terminal_labels", str)),
             description=_typed(entry["description"], str, "description"),
-            carried_pages=tuple(map(int, _typed(entry["carried_pages"], list, "carried_pages"))),
-            page_span=tuple(map(int, _typed(entry["page_span"], list, "page_span"))),
+            carried_pages=tuple(_typed(entry["carried_pages"], list, "carried_pages", int)),
+            page_span=tuple(_typed(entry["page_span"], list, "page_span", int)),
         )
         for entry in _typed(doc["chunks"], list, "chunks")
     ]

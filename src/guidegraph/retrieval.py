@@ -14,12 +14,9 @@ group's members when the group has any, partitions at the k-th
 eligible similarity and sorts only what is kept: no per-member dict or
 list work.
 
-Two callers rank, and both look up an exact label match first, by
-`DecisionGraph.lowest_label_id`, and rank only on a miss:
-`builder.find_duplicate`, for every dequeued candidate and every
-aggregation item at its turn, and `aggregator._LookAhead._plan`, for an
-upcoming aggregation item, which at `parallelism` 2 or more is ranked
-again at its turn.
+Only `builder.duplicate_query` ranks, after an exact-match miss: once per
+dequeued build candidate and once per aggregation plan (at `parallelism`
+1, per turn); a turn takes the query of its item's surviving plan.
 
 The scripted embedding backend is a seeded character-trigram feature
 hasher of fixed dimension: deterministic, whitespace-insensitive after

@@ -15,7 +15,7 @@ from synth import (
 )
 
 from guidegraph import builder
-from guidegraph.builder import build_graph, find_duplicate, generate_children
+from guidegraph.builder import build_graph, duplicate_query, find_duplicate, generate_children
 from guidegraph.core import (
     Chunk,
     DecisionGraph,
@@ -151,8 +151,8 @@ def test_fast_path_exact_match_skips_oracle():
     backend = StaticBackend("never called")
     graph, pool = dedup_graph({"n2": "active surveillance", "n1": "active surveillance",
                                "n0": "watchful waiting"})
-    match, similarity, how = find_duplicate(
-        normalize_label("Active Surveillance"), [], graph, pool, 5, make_client(backend))
+    match, similarity, how = find_duplicate(duplicate_query(
+        normalize_label("Active Surveillance"), lambda: [], graph, pool, 5), make_client(backend))
     assert (match, similarity, how) == ("n1", 1.0, "exact")
     assert backend.calls == 0
 
@@ -166,15 +166,36 @@ def test_exact_hit_never_ranks(monkeypatch):
     graph, pool = dedup_graph({"a1": "mri", "b2": "mri", "b3": "mri"},
                               groups={"a1": 1, "b2": 2, "b3": 2})
     backend = StaticBackend("never called")
-    match, _, how = find_duplicate("mri", [], graph, pool, 5, make_client(backend), exclude=1)
+    match, _, how = find_duplicate(duplicate_query("mri", lambda: [], graph, pool, 5, exclude=1),
+                                   make_client(backend))
     assert (match, how) == ("b2", "exact")
     assert backend.calls == 0
+
+
+def test_only_a_ranked_query_builds_its_ancestor_context():
+    built = []
+
+    def ancestors():
+        built.append(True)
+        return [("psa elevated", "yes")]
+
+    graph, pool = dedup_graph({"a1": "mri", "b1": "prostate mri"}, groups={"a1": 1, "b1": 2})
+    assert duplicate_query("mri", ancestors, graph, pool, 5).exact == "a1"
+    assert duplicate_query("mri", ancestors, graph, pool, 5, exclude=2).exact == "a1"
+    empty_graph, empty_pool = dedup_graph({})
+    assert duplicate_query("mri", ancestors, empty_graph, empty_pool, 5).payload is None
+    assert built == []
+    query = duplicate_query("mri", ancestors, graph, pool, 5, exclude=1)
+    assert (query.exact, [c[0] for c in query.candidates]) == (None, ["b1"])
+    assert query.payload["ancestors"] == [{"label": "psa elevated", "edge": "yes"}]
+    assert built == [True]
 
 
 def test_empty_candidate_set_returns_none_without_oracle():
     backend = StaticBackend("never called")
     graph, pool = dedup_graph({})
-    match, _, how = find_duplicate("fresh", [], graph, pool, 5, make_client(backend))
+    match, _, how = find_duplicate(duplicate_query("fresh", lambda: [], graph, pool, 5),
+                                   make_client(backend))
     assert match is None
     assert how == "empty-pool"
     assert backend.calls == 0
@@ -192,7 +213,8 @@ def test_all_excluded_is_empty_pool_without_a_call_or_an_embed():
                               store=EmbeddingStore(CountingBackend()))
     backend = StaticBackend("never called")
     for label in ("mri", "prostate mri"):
-        result = find_duplicate(label, [], graph, pool, 5, make_client(backend), exclude=1)
+        result = find_duplicate(duplicate_query(label, lambda: [], graph, pool, 5, exclude=1),
+                                make_client(backend))
         assert result == (None, None, "empty-pool")
     assert backend.calls == 0
     assert texts == ["mri", "repeat biopsy"]  # embedded by the pool, not by a query
@@ -202,8 +224,9 @@ def test_same_label_in_the_excluded_group_goes_to_the_verifier():
     backend = RecordingBackend()
     graph, pool = dedup_graph({"a1": "mri", "b1": "magnetic resonance imaging"},
                               groups={"a1": 1, "b1": 2})
-    match, _, how = find_duplicate("mri", [("psa elevated", "yes")], graph, pool, 5,
-                                   make_client(backend), exclude=1)
+    match, _, how = find_duplicate(duplicate_query(
+        "mri", lambda: [("psa elevated", "yes")], graph, pool, 5, exclude=1),
+        make_client(backend))
     assert (match, how) == (None, "verifier")
     assert backend.payloads == [{"candidate": "mri",
                                  "ancestors": [{"label": "psa elevated", "edge": "yes"}],
@@ -216,8 +239,8 @@ def test_paraphrase_match_via_verifier():
                           "active surveillance": [0.7, 0.51 ** 0.5],
                           "watchful waiting": [0.4, 0.84 ** 0.5]})
     graph, pool = dedup_graph({"n1": "watchful waiting", "n2": "active surveillance"}, store)
-    match, similarity, how = find_duplicate("as protocol", [], graph, pool, 5,
-                                            make_client(backend))
+    match, similarity, how = find_duplicate(
+        duplicate_query("as protocol", lambda: [], graph, pool, 5), make_client(backend))
     assert (match, how) == ("n2", "verifier")
     assert similarity == pytest.approx(0.7)
     assert backend.payloads[0]["candidates"] == ["active surveillance", "watchful waiting"]
@@ -232,7 +255,7 @@ def test_verifier_picks_highest_similarity_then_lowest_id():
     store = placed_store({"x": [1.0, 0.0], "a": [0.0, 1.0], "b": [1.0, 0.0],
                           "c": [1.0, 0.0]})
     graph, pool = dedup_graph({"n3": "c", "n1": "a", "n2": "b"}, store)
-    match, similarity, _ = find_duplicate("x", [], graph, pool, 5,
+    match, similarity, _ = find_duplicate(duplicate_query("x", lambda: [], graph, pool, 5),
                                           make_client(ConfirmEverythingWorstFirst()))
     assert (match, similarity) == ("n2", 1.0)
 
@@ -240,7 +263,8 @@ def test_verifier_picks_highest_similarity_then_lowest_id():
 def test_duplicate_oracle_failure_degrades_to_new_node():
     backend = StaticBackend("garbage")
     graph, pool = dedup_graph({"n1": "other"})
-    match, _, how = find_duplicate("x", [], graph, pool, 5, make_client(backend))
+    match, _, how = find_duplicate(duplicate_query("x", lambda: [], graph, pool, 5),
+                                   make_client(backend))
     assert match is None
     assert how == "error-degraded"
 

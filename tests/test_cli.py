@@ -910,6 +910,15 @@ def _golden_with(name: str, entries: str, key: str, value) -> str:
     return json.dumps(doc)
 
 
+def _golden_merged_ref_origin(value) -> str:
+    """The golden merged.json with the first merged-from reference's
+    `origin_chunk` set to `value`."""
+    doc = json.loads((GOLDEN_DIR / "merged.json").read_text(encoding="utf-8"))
+    next(node for node in doc["nodes"] if node["merged_from"])["merged_from"][0][
+        "origin_chunk"] = value
+    return json.dumps(doc)
+
+
 GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": [], "edges": [
     {"source": "a", "label": "go", "target": "b"}]})
 
@@ -927,25 +936,37 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
     ("build", "chunks.json", _golden_with("chunks.json", "chunks", "carried_pages", "23")),
     ("build", "chunks.json", _golden_with("chunks.json", "chunks", "context", 7)),
     ("build", "chunks.json", _golden_with("chunks.json", "chunks", "description", None)),
+    # An integer field takes no fraction, numeric string or boolean.
+    ("build", "chunks.json", _golden_with("chunks.json", "chunks", "page_span", [2.2, 3.9])),
+    ("build", "chunks.json", _golden_with("chunks.json", "chunks", "carried_pages", ["3"])),
+    ("build", "chunks.json", _golden_with("chunks.json", "chunks", "chunk_id", True)),
     ("aggregate", "graphs/chunk_02.json", "{not json"),
     ("aggregate", "graphs/chunk_03.json", None),
     ("aggregate", "graphs/chunk_01.json",
      _golden_with("graphs/chunk_01.json", "nodes", "provenance_pages", "23")),
     ("aggregate", "graphs/chunk_01.json",
      _golden_with("graphs/chunk_01.json", "nodes", "interface_labels", "low-risk group")),
+    ("aggregate", "graphs/chunk_01.json",
+     _golden_with("graphs/chunk_01.json", "nodes", "provenance_pages", [2.5])),
+    ("aggregate", "graphs/chunk_01.json",
+     _golden_with("graphs/chunk_01.json", "nodes", "origin_chunk", "1")),
     ("eval", "predicted.json", GRAPH_WITH_DANGLING_EDGE),
     ("eval", "reference.json", '{"format": "decision-graph/1", "nodes": []}'),
     ("eval", "predicted.json", _golden_with("merged.json", "nodes", "label", 7)),
+    ("eval", "reference.json", _golden_merged_ref_origin(1.5)),
     ("export", "graph.json", "[]"),
     ("export", "graph.json", None),
     ("export", "graph.json", _golden_with("merged.json", "nodes", "label", 7)),
+    ("export", "graph.json", _golden_with("merged.json", "nodes", "origin_chunk", True)),
 ], ids=["build-format", "build-missing", "build-duplicate-terminals",
         "build-entry-terminal-overlap", "build-empty-label", "build-repeated-chunk-id",
         "build-string-labels", "build-string-pages", "build-numeric-context",
-        "build-null-description", "aggregate-json", "aggregate-missing",
-        "aggregate-string-pages", "aggregate-string-interface", "eval-predicted",
-        "eval-reference", "eval-numeric-label", "export-shape", "export-missing",
-        "export-numeric-label"])
+        "build-null-description", "build-fractional-pages", "build-string-page",
+        "build-boolean-chunk-id", "aggregate-json", "aggregate-missing",
+        "aggregate-string-pages", "aggregate-string-interface", "aggregate-fractional-page",
+        "aggregate-string-origin", "eval-predicted", "eval-reference", "eval-numeric-label",
+        "eval-fractional-merged-origin", "export-shape", "export-missing",
+        "export-numeric-label", "export-boolean-origin"])
 def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command, artifact,
                                                       content):
     out = tmp_path / "run"

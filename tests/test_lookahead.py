@@ -1,6 +1,7 @@
-"""The aggregation look-ahead: which verifier calls go early, and that a run
-leaves a serial run's files at any parallelism, on the failure paths too,
-with no more calls in flight than its parallelism."""
+"""The aggregation look-ahead: which verifier calls go early, that a turn
+takes its surviving plan's query unranked, and that a run leaves a serial
+run's files at any parallelism, on the failure paths too, with no more calls
+in flight than its parallelism."""
 from __future__ import annotations
 
 import json
@@ -14,7 +15,7 @@ import pytest
 from conftest import make_client, placed_store
 from synth import ClassVerifierBackend, JitterBackend, StaticBackend
 
-from guidegraph import aggregator, cli
+from guidegraph import aggregator, builder, cli
 from guidegraph.aggregator import _LookAhead, aggregate, merge_log_doc
 from guidegraph.core import Chunk, DecisionGraph, DecisionNode, NodeKind
 from guidegraph.errors import OracleTransportError
@@ -103,6 +104,90 @@ def test_generator_shapes_leave_the_same_files_at_any_parallelism(tmp_path, monk
     assert files[1]["merge_log.json"].count(b'"how"') > 0
 
 
+def run_shape(tmp_path, monkeypatch, shape: str, parallelisms: tuple[int, ...]) -> list[Path]:
+    """Run directories of the generator shape at each parallelism (seed 1)."""
+    document = make_document(SHAPES[shape], seed=1)
+    manifest = write_manifest(document, tmp_path / "in")
+    monkeypatch.setattr(cli, "make_session", lambda settings, out_dir: (
+        OracleClient(GeneratorBackend(document), audit=AuditLog(out_dir / "audit.log")),
+        EmbeddingStore(HashingEmbeddingBackend())))
+    return [cli.run_pipeline(manifest, cli.PipelineConfig(expansion_cap=400,
+                                                          parallelism=parallelism),
+                             tmp_path / f"p{parallelism}")
+            for parallelism in parallelisms]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_surviving_plan_is_the_query_its_turn_would_work_out(tmp_path, monkeypatch, shape):
+    taken, stale = [], []
+    reach = _LookAhead.reach
+
+    def checked(self, item):
+        survived = item in self.plans
+        query = reach(self, item)
+        if survived:
+            taken.append(item)
+            if query != self._query(item):  # worked out again from the live graph and pool
+                stale.append(item)
+        return query
+
+    monkeypatch.setattr(_LookAhead, "reach", checked)
+    for parallelism in (2, 4, 8):
+        taken.clear()
+        run_shape(tmp_path / f"p{parallelism}", monkeypatch, shape, (parallelism,))
+        assert taken, f"no plan survived to its turn at parallelism {parallelism}"
+        assert stale == []
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_turn_does_not_rank_an_item_whose_plan_survived(tmp_path, monkeypatch, shape):
+    turns: list[list] = []  # [item, whether its plan survived, rankings outside a scan]
+    scanning = [False]
+    for module in (builder, aggregator):
+        def counted(*args, rank=vars(module)["cosine_candidates"]):
+            if turns and not scanning[0]:
+                turns[-1][2] += 1
+            return rank(*args)
+        monkeypatch.setattr(module, "cosine_candidates", counted)
+    reach, scan = _LookAhead.reach, _LookAhead._scan
+
+    def reached(self, item):
+        turns.append([item, item in self.plans, 0])
+        return reach(self, item)
+
+    def scanned(self):
+        scanning[0] = True
+        try:
+            scan(self)
+        finally:
+            scanning[0] = False
+
+    monkeypatch.setattr(_LookAhead, "reach", reached)
+    monkeypatch.setattr(_LookAhead, "_scan", scanned)
+    run_shape(tmp_path, monkeypatch, shape, (2,))
+    assert any(survived for _, survived, _ in turns)
+    assert [item for item, survived, ranked in turns if survived and ranked] == []
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_an_exact_aggregation_hit_builds_no_ancestor_context(tmp_path, monkeypatch, shape):
+    built, exact = [], []
+    capped = aggregator._capped_ancestors
+
+    def checked(graph, node_id, store):
+        node = graph.nodes[node_id]
+        missed = graph.lowest_label_id(node.label, node.origin_chunk) is None
+        (built if missed else exact).append(node_id)
+        return capped(graph, node_id, store)
+
+    monkeypatch.setattr(aggregator, "_capped_ancestors", checked)
+    run_dirs = run_shape(tmp_path, monkeypatch, shape, (1, 4))
+    assert built
+    assert all(b'"how": "exact"' in (run_dir / "merge_log.json").read_bytes()
+               for run_dir in run_dirs)
+    assert exact == []
+
+
 # ---------------------------------------------------------------------------
 # The rule, on hand-built graphs. A node's label is its id unless `labels`
 # names another, and its vector is the axis it is placed on, so with k = 1
@@ -142,7 +227,7 @@ def early_calls(nodes: dict[str, tuple[int, str]], current: str, queue: list[str
                            deque(queue), store, config(parallelism=8, candidate_count=1))
     lookahead.reach(current)
     lookahead._scan()
-    sent = [plan.payload["candidate"] for plan in lookahead.early]
+    sent = [plan.query.label for plan in lookahead.early]
     assert lookahead.close() == len(sent)
     return sent
 
@@ -306,9 +391,9 @@ def test_protocol_error_on_an_early_call_degrades_as_in_a_serial_run(tmp_path, m
     hows: list[tuple[str, str]] = []
     find_duplicate = aggregator.find_duplicate
 
-    def recorded(label, *args, **kwargs):
-        result = find_duplicate(label, *args, **kwargs)
-        hows.append((label, result[2]))
+    def recorded(query, *args, **kwargs):
+        result = find_duplicate(query, *args, **kwargs)
+        hows.append((query.label, result[2]))
         return result
 
     monkeypatch.setattr(aggregator, "find_duplicate", recorded)
