@@ -14,7 +14,6 @@ the audit log are a serial run's.
 """
 from __future__ import annotations
 
-import logging
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
@@ -36,8 +35,6 @@ from .errors import InterfaceResolutionError
 from .oracle import Held, OracleClient, OracleTask
 from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 from .builder import DuplicateQuery, duplicate_query, find_duplicate
-
-logger = logging.getLogger(__name__)
 
 MERGE_LOG_FORMAT = "merge-log/1"
 MAX_ANCESTOR_CONTEXT = 8

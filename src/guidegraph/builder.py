@@ -168,8 +168,9 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
     worklist order so repeated runs serialize identically. The worklist
     holds (label, incoming) pairs, where incoming is the (ancestor id, edge
     label) a child was generated under; a candidate that duplicates a node
-    adds that edge to the duplicate instead of a node, or logs it as a
-    suppressed self-loop when the duplicate is the ancestor. The chunk's
+    adds that edge to the duplicate instead of a node, or, when the
+    duplicate is the ancestor, logs it as a suppressed self-loop and a
+    `self_loop` trace event. The chunk's
     interface labels are normalized when it is made, and child and edge
     labels when the reply is parsed, so every label is stored as it comes.
     """
@@ -209,6 +210,9 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
                           "label": label, "match": match_id, "how": how,
                           "similarity": None if similarity is None else round(similarity, 6)})
             if incoming is not None:
+                if match_id == incoming[0]:
+                    trace.append({"event": "self_loop", "chunk": chunk.chunk_id,
+                                  "source": match_id, "label": incoming[1]})
                 add_edge_or_log_loop(graph, incoming[0], incoming[1], match_id)
             else:
                 matched = graph.nodes[match_id]

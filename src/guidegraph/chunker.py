@@ -299,21 +299,15 @@ def run_chunking(pages: Sequence[PageRecord], profile: GuidelineProfile, config,
     """Chunk a page-ordered document under its profile.
 
     Runs of core pages are chunked independently, fanned out over the
-    client; chunks come out ordered by first page. Each `Chunk` is made
-    once, with its document-wide id, as its run commits, so an invalid
-    chunk raises under that id.
+    client; chunks come out ordered by first page, numbered from 1 in that
+    order once every run has committed.
     """
     labels = classify_pages(pages, profile, client, parallelism=config.parallelism)
     core_indices = [p.index for p, label in zip(pages, labels) if label is PageLabel.CORE]
     by_index = {p.index: p for p in pages}
-    chunks: list[Chunk] = []
-
-    def number(run: tuple[int, ...], drafts: list[Callable[..., Chunk]]) -> None:
-        for draft in drafts:
-            chunks.append(draft(chunk_id=len(chunks) + 1))
-
-    client.fan_out(
+    runs = client.fan_out(
         lambda child, run: chunk_run(run, by_index, profile, config.chunk_budget, child),
-        contiguous_runs(core_indices), config.parallelism, on_commit=number,
+        contiguous_runs(core_indices), config.parallelism,
     )
-    return chunks
+    drafts = [draft for run_drafts in runs for draft in run_drafts]
+    return [draft(chunk_id=chunk_id) for chunk_id, draft in enumerate(drafts, 1)]

@@ -17,8 +17,10 @@ reads.
 Exit codes: 0 success, 2 usage, 3 manifest, 4 oracle transport,
 5 oracle protocol, 6 structural, 7 expansion budget. Every JSON input
 (manifest, config, fixture files and the artifacts a stage resumes from)
-is read by `core.load_doc`, so a path that cannot be read, parsed or
-written exits 2, or 3 for the manifest, with a message that names it.
+is read by `core.load_doc` and its values type-checked by `core.typed`,
+so a path that cannot be read, parsed or written, or that holds a value
+of the wrong JSON type, exits 2, or 3 for the manifest, with a message
+that names it.
 """
 from __future__ import annotations
 
@@ -29,12 +31,12 @@ import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence, get_type_hints
 
 from . import aggregator, builder, chunker, core, evaluation
-from .core import DecisionGraph, NodeKind, PageRecord, canonical_json, load_doc
+from .core import DecisionGraph, NodeKind, PageRecord, canonical_json, load_doc, typed
 from .errors import (
     ExpansionBudgetExceeded,
     GuidegraphError,
@@ -83,8 +85,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Check every setting."""
-        _check_counts(self, [spec.name for spec in fields(self)
-                             if spec.type == "int" and spec.name != "retry_limit"])
+        _check_counts(self, [name for name, kind in get_type_hints(type(self)).items()
+                             if kind is int and name != "retry_limit"])
         self.validate_session()
 
     def validate_session(self) -> None:
@@ -100,12 +102,14 @@ class PipelineConfig:
         return {"format": CONFIG_FORMAT, **asdict(self)}
 
     @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "PipelineConfig":
+    def from_doc(cls, doc: Any) -> "PipelineConfig":
         """The config a doc describes. A missing key keeps its field's default,
-        `int` and `float` fields are coerced, a `str` field takes only a string,
-        and keys that name no field (`format`, `fixture_digest`) are ignored. A
-        value that cannot be coerced raises a ValueError that names its field."""
-        return _from_doc(cls, doc)
+        a present one must hold its field's type by `core.typed` (so an int
+        field takes no `2.0`, `"3"` or `true`, and `timeout` takes any JSON
+        number but no string or boolean), and keys that name no field
+        (`format`, `fixture_digest`) are ignored. A value of another type
+        raises a TypeError that names its field."""
+        return _from_doc(cls, typed(doc, dict, "config"))
 
 
 def _check_counts(config: PipelineConfig, names: Sequence[str]) -> None:
@@ -114,39 +118,29 @@ def _check_counts(config: PipelineConfig, names: Sequence[str]) -> None:
             raise UsageError(f"{name} must be >= 1 and < 2**63")
 
 
-def _from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
-    if not isinstance(doc, Mapping):
-        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-    kwargs = {}
-    for spec in fields(cls):
-        if spec.name in doc:
-            try:
-                kwargs[spec.name] = _COERCE[spec.type](doc[spec.name])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{spec.name}: {exc}") from exc
-    return cls(**kwargs)
+def _from_doc(cls: type, doc: dict[str, Any], prefix: str = "") -> Any:
+    """The dataclass `cls` from a JSON object, each field it names checked
+    against the field's type hint; a dataclass field is read from its own
+    object."""
+    return cls(**{
+        name: (_from_doc(kind, typed(doc[name], dict, prefix + name), f"{prefix}{name}.")
+               if is_dataclass(kind) else typed(doc[name], kind, prefix + name))
+        for name, kind in get_type_hints(cls).items() if name in doc})
 
 
-def _to_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _to_int(value: Any) -> int:
-    """An integer, or an integral number or numeric string, as an int."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-# Field type annotation -> how a doc value becomes a field value.
-_COERCE: dict[str, Callable[[Any], Any]] = {
-    "str": _to_str,
-    "int": _to_int,
-    "float": float,
-    "BackendConfig": lambda doc: _from_doc(BackendConfig, doc),
-}
+def _manifest_entries(doc: Any) -> list[dict[str, Any]]:
+    """A page manifest's entries, once `core.typed` has checked each value
+    `ingest` reads: an int `index`, and a string or null `text_path` and
+    `image_path`."""
+    if typed(doc, dict, "manifest").get("format") != MANIFEST_FORMAT:
+        raise ValueError(f"unsupported manifest format {doc.get('format')!r}")
+    entries = typed(doc.get("pages"), list, "pages", dict)
+    for position, entry in enumerate(entries):
+        typed(entry.get("index"), int, f"pages[{position}].index")
+        for name in ("text_path", "image_path"):
+            if entry.get(name) is not None:
+                typed(entry[name], str, f"pages[{position}].{name}")
+    return entries
 
 
 def ingest(manifest_path: str | Path) -> list[PageRecord]:
@@ -155,25 +149,16 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
     Every page needs a text_path (OCR happens upstream); a page with empty
     text is usable only when it carries an image reference. An image is
     kept as its path exactly as the manifest gives it plus a sha256 of its
-    bytes, so neither depends on how the manifest path was spelled.
+    bytes, so neither depends on how the manifest path was spelled. A
+    manifest of the wrong format or types is a `ManifestError` naming it.
     """
     manifest_path = Path(manifest_path)
-    doc = load_doc(manifest_path, error=ManifestError)
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise ManifestError(f"unsupported manifest format {doc.get('format')!r}")
-    entries = doc.get("pages")
-    if not isinstance(entries, list):
-        raise ManifestError("manifest field 'pages' must be a list")
+    entries = load_doc(manifest_path, _manifest_entries, error=ManifestError)
 
     base = manifest_path.parent
     records: list[PageRecord] = []
     seen: set[int] = set()
-    for position, entry in enumerate(entries):
-        # `type` rather than `isinstance`, which would accept a JSON `true` as 1
-        if not isinstance(entry, dict) or type(entry.get("index")) is not int:
-            raise ManifestError(f"pages[{position}]: each entry needs an integer 'index'")
+    for entry in entries:
         index = entry["index"]
         if index < 1:
             raise ManifestError(f"page {index}: index must be >= 1")
@@ -185,11 +170,7 @@ def ingest(manifest_path: str | Path) -> list[PageRecord]:
             raise ManifestError(
                 f"page {index}: text_path is required (run OCR upstream for scanned pages)"
             )
-        image_path = entry.get("image_path")
-        for name, value in (("text_path", text_path), ("image_path", image_path)):
-            if value is not None and not isinstance(value, str):
-                raise ManifestError(f"page {index}: {name} must be a string")
-        image_path = image_path or None  # an empty string names no image
+        image_path = entry.get("image_path") or None  # an empty string names no image
         try:
             text = (base / text_path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

@@ -8,7 +8,8 @@ serialize to equal files. The mutations are the graph's own node and edge
 methods, `add_edge_or_log_loop` and `merge_nodes`; callers name and make
 their nodes themselves (the builder gives each chunk's nodes their ids).
 Every JSON input file enters through `load_doc`, parsed by orjson, the
-codec that writes every artifact and digest.
+codec that writes every artifact and digest, and every JSON value, oracle
+replies included, is type-checked by `typed`.
 """
 from __future__ import annotations
 
@@ -418,43 +419,53 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
     return {"format": GRAPH_FORMAT, "nodes": nodes, "edges": edges}
 
 
-def _typed(value: Any, kind: type, what: str, of: type = object) -> Any:
-    """`value`, which a document must give as a `kind` whose entries, if `of`
-    is given, are `of`s; else a TypeError. A JSON value has exactly one of
-    these types, so no string is read as a list, and no `2.2`, `"3"` or
-    `true` as an int."""
-    if type(value) is not kind or (of is not object and any(type(x) is not of for x in value)):
-        raise TypeError(f"{what} must be {kind.__name__}"
-                        + ("" if of is object else f" of {of.__name__}"))
-    return value
+def typed(value: Any, kind: type, what: str, of: type = object) -> Any:
+    """`value`, which a JSON document must give as a `kind`: the one type
+    check of every JSON input. A JSON value has exactly one of these types,
+    so no string is read as a list, and no `2.2`, `"3"` or `true` as an
+    int; a `float` kind alone also takes an int, as a float. If `of` is
+    given, each entry of a list, or each value of a dict, must be exactly
+    an `of`. Anything else raises a TypeError naming `what`."""
+    if type(value) is kind:
+        if of is object:
+            return value
+        for entry in (value.values() if kind is dict else value):
+            if type(entry) is not of:
+                break
+        else:
+            return value
+    elif kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"{what} must be {kind.__name__}"
+                    + ("" if of is object else f" of {of.__name__}"))
 
 
 def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
     if doc.get("format") != GRAPH_FORMAT:
         raise ValueError(f"unsupported graph format {doc.get('format')!r}")
     graph = DecisionGraph()
-    for entry in _typed(doc["nodes"], list, "nodes"):
+    for entry in typed(doc["nodes"], list, "nodes"):
         graph.add_node(
             DecisionNode(
-                node_id=_typed(entry["id"], str, "id"),
-                label=_typed(entry["label"], str, "label"),
+                node_id=typed(entry["id"], str, "id"),
+                label=typed(entry["label"], str, "label"),
                 kind=NodeKind(entry["kind"]),
-                origin_chunk=_typed(entry.get("origin_chunk", 0), int, "origin_chunk"),
+                origin_chunk=typed(entry.get("origin_chunk", 0), int, "origin_chunk"),
                 merged_from=[
-                    MergedRef(_typed(ref["node_id"], str, "node_id"),
-                              _typed(ref["origin_chunk"], int, "origin_chunk"))
-                    for ref in _typed(entry.get("merged_from", []), list, "merged_from")
+                    MergedRef(typed(ref["node_id"], str, "node_id"),
+                              typed(ref["origin_chunk"], int, "origin_chunk"))
+                    for ref in typed(entry.get("merged_from", []), list, "merged_from")
                 ],
-                provenance_pages=list(_typed(entry.get("provenance_pages", []), list,
-                                             "provenance_pages", int)),
-                interface_labels=list(_typed(entry.get("interface_labels", []), list,
-                                             "interface_labels", str)),
+                provenance_pages=list(typed(entry.get("provenance_pages", []), list,
+                                            "provenance_pages", int)),
+                interface_labels=list(typed(entry.get("interface_labels", []), list,
+                                            "interface_labels", str)),
             )
         )
-    for entry in _typed(doc["edges"], list, "edges"):
-        graph.add_edge(_typed(entry["source"], str, "source"),
-                       _typed(entry["label"], str, "label"),
-                       _typed(entry["target"], str, "target"))
+    for entry in typed(doc["edges"], list, "edges"):
+        graph.add_edge(typed(entry["source"], str, "source"),
+                       typed(entry["label"], str, "label"),
+                       typed(entry["target"], str, "target"))
     graph.check_integrity()
     return graph
 
@@ -505,15 +516,15 @@ def chunks_from_doc(doc: Mapping[str, Any]) -> list[Chunk]:
         raise ValueError(f"unsupported chunk-list format {doc.get('format')!r}")
     chunks = [
         Chunk(
-            chunk_id=_typed(entry["chunk_id"], int, "chunk_id"),
-            context=_typed(entry["context"], str, "context"),
-            entry_labels=tuple(_typed(entry["entry_labels"], list, "entry_labels", str)),
-            terminal_labels=tuple(_typed(entry["terminal_labels"], list, "terminal_labels", str)),
-            description=_typed(entry["description"], str, "description"),
-            carried_pages=tuple(_typed(entry["carried_pages"], list, "carried_pages", int)),
-            page_span=tuple(_typed(entry["page_span"], list, "page_span", int)),
+            chunk_id=typed(entry["chunk_id"], int, "chunk_id"),
+            context=typed(entry["context"], str, "context"),
+            entry_labels=tuple(typed(entry["entry_labels"], list, "entry_labels", str)),
+            terminal_labels=tuple(typed(entry["terminal_labels"], list, "terminal_labels", str)),
+            description=typed(entry["description"], str, "description"),
+            carried_pages=tuple(typed(entry["carried_pages"], list, "carried_pages", int)),
+            page_span=tuple(typed(entry["page_span"], list, "page_span", int)),
         )
-        for entry in _typed(doc["chunks"], list, "chunks")
+        for entry in typed(doc["chunks"], list, "chunks")
     ]
     seen: set[int] = set()
     for chunk in chunks:  # two chunks with one id would share a graph file and node ids

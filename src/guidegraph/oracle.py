@@ -15,7 +15,6 @@ taken in program order leave the log a serial run writes.
 from __future__ import annotations
 
 import hashlib
-import logging
 import threading
 import weakref
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -27,7 +26,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
 
 import orjson
 
-from .core import canonical_json, load_doc, normalize_label
+from .core import canonical_json, load_doc, normalize_label, typed
 from .errors import (
     EmptyLabelError,
     FixtureMissingError,
@@ -35,8 +34,6 @@ from .errors import (
     OracleTransportError,
     UsageError,
 )
-
-logger = logging.getLogger(__name__)
 
 FIXTURES_FORMAT = "oracle-fixtures/1"
 
@@ -73,24 +70,9 @@ def _require(condition: bool, message: str) -> None:
         raise OracleProtocolError(message)
 
 
-def _str_list(value: Any, what: str) -> None:
-    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-        raise OracleProtocolError(f"{what} must be a list of strings")
-
-
-def _int_list(value: Any, what: str) -> None:
-    # `type` rather than `isinstance`, which would accept a JSON `true` as 1
-    if not (isinstance(value, list) and all(type(x) is int for x in value)):
-        raise OracleProtocolError(f"{what} must be a list of integers")
-
-
 def _check_profile(body: dict[str, Any]) -> None:
-    meta = body.get("metadata")
-    _require(isinstance(meta, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-    ), "metadata must map strings to strings")
-    scope = body.get("scope_context")
-    _require(isinstance(scope, str) and bool(scope.strip()),
+    typed(body.get("metadata"), dict, "metadata", str)
+    _require(bool(typed(body.get("scope_context"), str, "scope_context").strip()),
              "scope_context must be a non-blank string")
 
 
@@ -99,12 +81,12 @@ def _check_page_label(body: dict[str, Any]) -> None:
 
 
 def _check_boundary(body: dict[str, Any]) -> None:
-    _require(isinstance(body.get("cut"), bool), "cut must be a boolean")
+    typed(body.get("cut"), bool, "cut")
 
 
 def _check_interface(body: dict[str, Any]) -> None:
-    _str_list(body.get("entry_labels"), "entry_labels")
-    _str_list(body.get("terminal_labels"), "terminal_labels")
+    typed(body.get("entry_labels"), list, "entry_labels", str)
+    typed(body.get("terminal_labels"), list, "terminal_labels", str)
 
 
 def _has_text(labels: list[str]) -> bool:
@@ -119,29 +101,23 @@ def _has_text(labels: list[str]) -> bool:
 
 
 def _check_chunk(body: dict[str, Any]) -> None:
-    _require(isinstance(body.get("description"), str), "description must be a string")
+    typed(body.get("description"), str, "description")
     _check_interface(body)
-    _int_list(body.get("carry_pages"), "carry_pages")
-    _require(isinstance(body.get("updated_context"), str), "updated_context must be a string")
+    typed(body.get("carry_pages"), list, "carry_pages", int)
+    typed(body.get("updated_context"), str, "updated_context")
     _require(_has_text(body["entry_labels"]) and _has_text(body["terminal_labels"]),
              "entry_labels and terminal_labels must be non-empty: each needs a label "
              "with text after normalization")
 
 
 def _check_matches(body: dict[str, Any]) -> None:
-    _int_list(body.get("matches"), "matches")
+    typed(body.get("matches"), list, "matches", int)
 
 
 def _check_children(body: dict[str, Any]) -> None:
-    children = body.get("children")
-    _require(isinstance(children, list), "children must be a list")
-    for child in children:
-        _require(
-            isinstance(child, dict)
-            and isinstance(child.get("label"), str)
-            and isinstance(child.get("edge_label"), str),
-            "each child must carry string 'label' and 'edge_label'",
-        )
+    for child in typed(body.get("children"), list, "children", dict):
+        typed([child.get("label"), child.get("edge_label")], list,
+              "each child's [label, edge_label]", str)
 
 
 # Each task's response schema, past the check that the reply is an object.
@@ -157,10 +133,13 @@ _RESPONSE_CHECKS: dict[OracleTask, Callable[[dict[str, Any]], None]] = {
 
 
 def validate_response(task: OracleTask, body: Any) -> None:
-    """Check a parsed backend reply against the task's response schema."""
-    if not isinstance(body, dict):
-        raise OracleProtocolError(f"{task.value} response must be a JSON object")
-    _RESPONSE_CHECKS[task](body)
+    """Check a parsed backend reply against the task's response schema;
+    a reply of the wrong JSON types, as `core.typed` finds them, is an
+    `OracleProtocolError` like any other invalid reply."""
+    try:
+        _RESPONSE_CHECKS[task](typed(body, dict, "response"))
+    except TypeError as exc:
+        raise OracleProtocolError(f"{_TASK_NAMES[task]}: {exc}") from exc
 
 
 def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
@@ -311,18 +290,20 @@ class FixtureSet:
     @classmethod
     def load(cls, directory: str | Path) -> "FixtureSet":
         """Read every `*.json` fixture file of a directory, each by
-        `core.load_doc`. A missing directory, or a file that is unreadable,
-        malformed or not a fixture file, is a usage error that names it."""
+        `core.load_doc`: its `entries` are objects, each with a string
+        `key_digest` and a `response_body`. A missing directory, or a file
+        that is unreadable, malformed or not a fixture file, is a usage
+        error that names it."""
         fixtures = cls()
 
         def add_file(doc: dict[str, Any]) -> None:
             if doc.get("format") != FIXTURES_FORMAT:
                 raise ValueError(f"unsupported fixture format {doc.get('format')!r}")
             task = OracleTask(doc["task"])
-            for entry in doc["entries"]:
+            for entry in typed(doc["entries"], list, "entries", dict):
                 if "response_body" not in entry:
                     raise KeyError("response_body")
-                fixtures._entries[task][entry["key_digest"]] = entry
+                fixtures._entries[task][typed(entry["key_digest"], str, "key_digest")] = entry
 
         for path in cls._files(directory):
             load_doc(path, add_file)

@@ -8,30 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from synth import FIXTURE_DIR, GOLDEN_DIR, SYNTHETIC_DIR
-
-from guidegraph.oracle import AuditLog, FixtureSet, OracleClient
+from guidegraph.oracle import AuditLog, OracleClient
 from guidegraph.retrieval import EmbeddingStore, HashingEmbeddingBackend, RankingPool
-
-
-@pytest.fixture(scope="session")
-def synthetic_manifest() -> Path:
-    return SYNTHETIC_DIR / "manifest.json"
-
-
-@pytest.fixture(scope="session")
-def fixture_dir() -> Path:
-    return FIXTURE_DIR
-
-
-@pytest.fixture(scope="session")
-def golden_dir() -> Path:
-    return GOLDEN_DIR
-
-
-@pytest.fixture()
-def scripted_client() -> OracleClient:
-    return OracleClient(FixtureSet.load(FIXTURE_DIR), audit=AuditLog())
 
 
 @pytest.fixture()

@@ -101,8 +101,11 @@ def test_entry_label_generating_itself_merges_without_new_node():
     assert {tuple(e) for e in result.graph.edges} == {
         (result.graph.lowest_label_id("alpha"), "done", result.graph.lowest_label_id("omega")),
     }
-    # the self-referential child collapsed into its own ancestor
-    assert len(result.graph.suppressed_self_loops) == 1
+    # the self-referential child collapsed into its own ancestor, and the trace says so
+    alpha = result.graph.lowest_label_id("alpha")
+    assert result.graph.suppressed_self_loops == [(alpha, "loop", alpha)]
+    assert [event for event in result.trace if event["event"] == "self_loop"] == [
+        {"event": "self_loop", "chunk": 1, "source": alpha, "label": "loop"}]
 
 
 def test_unbounded_chain_hits_cap_exactly():

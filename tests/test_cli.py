@@ -146,10 +146,10 @@ def test_ingest_rejects_bad_format_and_missing_file(tmp_path):
         cli.ingest(tmp_path / "absent.json")
 
 
-@pytest.mark.parametrize("case", ["top_level_list", "index_is_bool", "text_path_not_string",
-                                  "image_path_not_string", "image_path_false",
-                                  "image_path_zero", "image_path_list", "text_not_utf8",
-                                  "manifest_not_utf8"])
+@pytest.mark.parametrize("case", ["top_level_list", "entry_not_object", "index_is_bool",
+                                  "text_path_not_string", "image_path_not_string",
+                                  "image_path_false", "image_path_zero", "image_path_list",
+                                  "text_not_utf8", "manifest_not_utf8"])
 def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
     text = write_page(tmp_path, "p1.txt", "text")
     page = {"index": 1, "text_path": text}
@@ -162,6 +162,8 @@ def test_malformed_manifest_exits_with_manifest_code(tmp_path, capsys, case):
                               "image_path_zero": 0, "image_path_list": []}[case]
     elif case == "text_not_utf8":
         (tmp_path / "p1.txt").write_bytes(b"\xff\xfe page")
+    elif case == "entry_not_object":
+        page = text
     manifest = write_manifest(tmp_path, [page])
     if case == "top_level_list":
         manifest.write_text(json.dumps([page]), encoding="utf-8")
@@ -269,20 +271,28 @@ def test_config_doc_round_trip():
     assert restored.to_doc() == config.to_doc()
 
 
-def test_config_from_doc_coerces_numbers_and_keeps_defaults():
+def test_config_from_doc_takes_exact_types_and_keeps_defaults():
     config = cli.PipelineConfig.from_doc({
-        "format": "pipeline-config/1", "chunk_budget": "123", "header_pages": 2.0,
-        "backend": {"kind": "live", "timeout": "5", "fixture_digest": "ab12"},
+        "format": "pipeline-config/1", "chunk_budget": 123,
+        "backend": {"kind": "live", "timeout": 60, "fixture_digest": "ab12"},
     })
-    expected = cli.PipelineConfig(chunk_budget=123, header_pages=2,
-                                  backend=cli.BackendConfig(kind="live", timeout=5.0))
+    expected = cli.PipelineConfig(chunk_budget=123,
+                                  backend=cli.BackendConfig(kind="live", timeout=60.0))
     assert config == expected
-    assert type(config.chunk_budget) is int and type(config.backend.timeout) is float
-    assert type(config.header_pages) is int
+    assert type(config.backend.timeout) is float
     assert cli.PipelineConfig.from_doc({}) == cli.PipelineConfig()
     # A key that names no field, such as a match setting, is ignored.
     old_echo = {"match_mode": "embedding", "match_threshold": 0.5}
     assert cli.PipelineConfig.from_doc(old_echo) == cli.PipelineConfig()
+    # A number is read only as the JSON type of its field: no string, float or
+    # boolean is an int, and no string or boolean is a float.
+    for doc, name in (({"chunk_budget": "123"}, "chunk_budget"),
+                      ({"header_pages": 2.0}, "header_pages"),
+                      ({"retry_limit": True}, "retry_limit"),
+                      ({"backend": {"timeout": "5"}}, "backend.timeout"),
+                      ({"backend": {"timeout": True}}, "backend.timeout")):
+        with pytest.raises(TypeError, match=f"^{name} must be "):
+            cli.PipelineConfig.from_doc(doc)
 
 
 @pytest.mark.parametrize("doc", ["[]", '{"backend": null}', '{"chunk_budget": null}', "{"])
@@ -331,6 +341,7 @@ def test_unusable_path_exits_with_its_code_naming_it(tmp_path, capsys, case, cod
     ('{"expansion_cap": "many"}', "expansion_cap"),
     ('{"parallelism": Infinity}', "parallelism"),
     ('{"backend": {"timeout": "soon"}}', "timeout"),
+    ('{"backend": {"timeout": true}}', "timeout"),
     ('{"backend": {"fixture_dir": 5}}', "fixture_dir"),
     ('{"backend": {"base_url": 5}}', "base_url"),
     ('{"backend": {"auth_env": 5}}', "auth_env"),
@@ -903,9 +914,10 @@ def _golden_chunks_with_ids(ids: list[int]) -> str:
     return json.dumps(doc)
 
 
-def _golden_with(name: str, entries: str, key: str, value) -> str:
-    """The golden file `name` with `key` of its first chunk or node set to `value`."""
-    doc = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+def _golden_with(name: str, entries: str, key: str, value, directory: Path = GOLDEN_DIR) -> str:
+    """The golden file `name` with `key` of its first chunk, node or fixture
+    entry set to `value`."""
+    doc = json.loads((directory / name).read_text(encoding="utf-8"))
     doc[entries][0][key] = value
     return json.dumps(doc)
 
@@ -940,6 +952,9 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
     ("build", "chunks.json", _golden_with("chunks.json", "chunks", "page_span", [2.2, 3.9])),
     ("build", "chunks.json", _golden_with("chunks.json", "chunks", "carried_pages", ["3"])),
     ("build", "chunks.json", _golden_with("chunks.json", "chunks", "chunk_id", True)),
+    # A fixture digest that is not a string would match no request.
+    ("build", "fixtures/extract_profile.json",
+     _golden_with("extract_profile.json", "entries", "key_digest", 12345, FIXTURE_DIR)),
     ("aggregate", "graphs/chunk_02.json", "{not json"),
     ("aggregate", "graphs/chunk_03.json", None),
     ("aggregate", "graphs/chunk_01.json",
@@ -962,15 +977,16 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
         "build-entry-terminal-overlap", "build-empty-label", "build-repeated-chunk-id",
         "build-string-labels", "build-string-pages", "build-numeric-context",
         "build-null-description", "build-fractional-pages", "build-string-page",
-        "build-boolean-chunk-id", "aggregate-json", "aggregate-missing",
-        "aggregate-string-pages", "aggregate-string-interface", "aggregate-fractional-page",
-        "aggregate-string-origin", "eval-predicted", "eval-reference", "eval-numeric-label",
-        "eval-fractional-merged-origin", "export-shape", "export-missing",
-        "export-numeric-label", "export-boolean-origin"])
+        "build-boolean-chunk-id", "build-integer-key-digest", "aggregate-json",
+        "aggregate-missing", "aggregate-string-pages", "aggregate-string-interface",
+        "aggregate-fractional-page", "aggregate-string-origin", "eval-predicted",
+        "eval-reference", "eval-numeric-label", "eval-fractional-merged-origin",
+        "export-shape", "export-missing", "export-numeric-label", "export-boolean-origin"])
 def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command, artifact,
                                                       content):
     out = tmp_path / "run"
     shutil.copytree(GOLDEN_DIR / "graphs", out / "graphs")
+    shutil.copytree(FIXTURE_DIR, out / "fixtures")
     shutil.copy(GOLDEN_DIR / "chunks.json", out)
     for name in ("predicted.json", "reference.json", "graph.json"):
         shutil.copy(GOLDEN_DIR / "merged.json", out / name)
@@ -979,9 +995,10 @@ def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command,
         bad.unlink()
     else:
         bad.write_text(content, encoding="utf-8")
+    fixtures = ["--backend", "scripted", "--fixtures", str(out / "fixtures")]
     argv = {
-        "build": ["build", "--out", str(out), *scripted_flags()],
-        "aggregate": ["aggregate", "--out", str(out), *scripted_flags()],
+        "build": ["build", "--out", str(out), *fixtures],
+        "aggregate": ["aggregate", "--out", str(out), *fixtures],
         "eval": ["eval", "--predicted", str(out / "predicted.json"),
                  "--reference", str(out / "reference.json")],
         "export": ["export", "--graph", str(bad), "--out", str(tmp_path / "graph.dot")],

@@ -176,9 +176,10 @@ def test_malformed_children_payloads_rejected():
     (OracleTask.BUILD_CHUNK, {"description": "", "entry_labels": [], "terminal_labels": [],
                               "carry_pages": [True], "updated_context": ""}),
     (OracleTask.FIND_DUPLICATE, {"matches": [False]}),
+    (OracleTask.FIND_DUPLICATE, {"matches": "0"}),  # a string is not a list of its characters
 ])
 def test_boolean_page_or_match_index_rejected(task, body):
-    with pytest.raises(OracleProtocolError, match="list of integers"):
+    with pytest.raises(OracleProtocolError, match="must be list of int$"):
         validate_response(task, body)
 
 
