@@ -9,13 +9,12 @@ requeue is recorded on the merge decision rather than applied silently.
 
 Decisions are made one at a time, in queue order, but the verifier calls
 of upcoming items that no earlier undecided item can change are sent
-early, up to `parallelism` in flight (`_LookAhead`); every artifact and
+early, on the client's call window (`_LookAhead`); every artifact and
 the audit log are a serial run's.
 """
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -164,10 +163,9 @@ class _LookAhead:
     primary's label, so a surviving plan's query is the one its turn would
     work out, and `reach` takes it without ranking again.
 
-    Each call, the current one and the early ones alike, is a `Held` call,
-    taken by its item's turn, so the audit log is a serial run's. At
-    parallelism 1 the width is 0 and there is no executor: nothing is
-    planned or scanned, and each call runs when its turn takes it.
+    Each call, current or early, is a `Held` on the client's window, taken
+    by its item's turn, so the audit log is a serial run's. At parallelism 1
+    the width is 0 and there is no executor: nothing is planned or scanned.
     """
 
     def __init__(self, client: OracleClient, graph: DecisionGraph, pool: RankingPool,
@@ -175,8 +173,7 @@ class _LookAhead:
         self.client, self.graph, self.pool, self.queue, self.store = (
             client, graph, pool, queue, store)
         self.k = config.candidate_count
-        self.width = config.parallelism - 1  # early calls in flight beside the current one
-        self.executor = ThreadPoolExecutor(config.parallelism) if self.width > 0 else None
+        self.width = client.parallelism - 1  # early calls in flight beside the current one
         self.plans: dict[str, _Plan] = {}  # planned items, until a merge touches a footprint
         self.early: deque[_Plan] = deque()  # early calls not yet taken, in queue order
         self.plan: _Plan | None = None  # the current item's; None at width 0
@@ -206,7 +203,7 @@ class _LookAhead:
             self.early.popleft()
             call = plan.call
         else:
-            call = Held(self.client, self.executor, OracleClient.call, task, payload)
+            call = Held(self.client, OracleClient.call, task, payload)
         try:
             self._scan()
         finally:
@@ -214,17 +211,12 @@ class _LookAhead:
         return body
 
     def close(self) -> int:
-        """Take the early calls not taken, in queue order, and stop the
-        executor; returns how many there were."""
+        """Take, in queue order, the early calls not taken; return their count."""
         untaken = len(self.early)
-        try:
-            while self.early:
-                # The error of a call whose turn never came is not the run's.
-                with suppress(Exception):
-                    self.early.popleft().call.take()
-        finally:
-            if self.executor is not None:
-                self.executor.shutdown()
+        while self.early:
+            # The error of a call whose turn never came is not the run's.
+            with suppress(Exception):
+                self.early.popleft().call.take()
         return untaken
 
     def _scan(self) -> None:
@@ -241,7 +233,7 @@ class _LookAhead:
                 return
             joinable |= plan.joins
             if plan.query.payload is not None and plan.call is None:
-                plan.call = Held(self.client, self.executor, OracleClient.call,
+                plan.call = Held(self.client, OracleClient.call,
                                  OracleTask.FIND_DUPLICATE, plan.query.payload)
                 self.early.append(plan)
                 if len(self.early) >= self.width:
@@ -265,9 +257,8 @@ def aggregate(chunks: Sequence[Chunk], chunk_graphs: Sequence[DecisionGraph],
               client: OracleClient, store: EmbeddingStore, config) -> AggregationResult:
     """Merge chunk graphs into one consolidated decision graph.
 
-    Items are decided one at a time in queue order; `_LookAhead` overlaps
-    the verifier calls that no earlier decision can change, up to
-    `config.parallelism` in flight.
+    Items are decided one at a time in queue order; on the client's window,
+    `_LookAhead` overlaps the verifier calls no earlier decision can change.
 
     Raises:
         RuntimeError: an early verifier call was taken out of order or never

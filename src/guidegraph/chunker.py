@@ -84,7 +84,7 @@ def extract_profile(pages: Sequence[PageRecord], client: OracleClient) -> Guidel
 
 
 def classify_pages(pages: Sequence[PageRecord], profile: GuidelineProfile,
-                   client: OracleClient, parallelism: int = 1) -> list[PageLabel]:
+                   client: OracleClient) -> list[PageLabel]:
     """Label every page core/auxiliary; order-aligned with the input.
 
     A page whose classification never validates defaults to auxiliary:
@@ -100,7 +100,7 @@ def classify_pages(pages: Sequence[PageRecord], profile: GuidelineProfile,
             return PageLabel.AUXILIARY
         return PageLabel(body["label"])
 
-    return client.fan_out(classify, pages, parallelism)
+    return client.fan_out(classify, pages)
 
 
 def contiguous_runs(core_indices: Sequence[int]) -> list[tuple[int, ...]]:
@@ -302,12 +302,11 @@ def run_chunking(pages: Sequence[PageRecord], profile: GuidelineProfile, config,
     client; chunks come out ordered by first page, numbered from 1 in that
     order once every run has committed.
     """
-    labels = classify_pages(pages, profile, client, parallelism=config.parallelism)
+    labels = classify_pages(pages, profile, client)
     core_indices = [p.index for p, label in zip(pages, labels) if label is PageLabel.CORE]
     by_index = {p.index: p for p in pages}
     runs = client.fan_out(
         lambda child, run: chunk_run(run, by_index, profile, config.chunk_budget, child),
-        contiguous_runs(core_indices), config.parallelism,
-    )
+        contiguous_runs(core_indices))
     drafts = [draft for run_drafts in runs for draft in run_drafts]
     return [draft(chunk_id=chunk_id) for chunk_id, draft in enumerate(drafts, 1)]

@@ -300,7 +300,7 @@ def stage_build(chunks, config: PipelineConfig, client: OracleClient,
     def write(chunk: core.Chunk, result: builder.BuildResult) -> None:
         _write(_chunk_graph_path(out_dir, chunk.chunk_id), core.graph_to_doc(result.graph))
 
-    results = client.fan_out(build, chunks, config.parallelism, on_commit=write)
+    results = client.fan_out(build, chunks, on_commit=write)
     _write(out_dir / "expansion_trace.json",
            {"format": "expansion-trace/1",
             "events": [event for result in results for event in result.trace]})
@@ -329,7 +329,7 @@ COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
 
 def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
                 manifest: str | Path | None = None) -> None:
-    """Run the named stages in order in one session, then close its audit file.
+    """Run the named stages in order in one session, inside its call window.
 
     The walk's inputs are loaded first: the manifest's pages when one is
     given, else `chunks.json` and, for `aggregate`, the chunk graphs. Then
@@ -351,7 +351,7 @@ def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
     _echo_config(config, out_dir)
     # The stage functions are called by their global names, so rebinding one
     # (as a tracer does) reaches every command.
-    try:
+    with client.window(config.parallelism):
         if "profile" in stages:
             profile = stage_profile(pages, config, client, out_dir)
         if "chunk" in stages:
@@ -360,8 +360,6 @@ def _run_stages(stages: Sequence[str], config: PipelineConfig, out_dir: Path,
             graphs = stage_build(chunks, config, client, store, out_dir)
         if "aggregate" in stages:
             stage_aggregate(chunks, graphs, config, client, store, out_dir)
-    finally:
-        client.audit.close()
 
 
 def _echo_config(config: PipelineConfig, out_dir: Path) -> None:

@@ -17,7 +17,7 @@ from typing import Any, Callable, TypeVar
 import numpy as np
 import requests
 
-from .core import canonical_json
+from .core import canonical_json, typed
 from .errors import OracleTransportError
 from .oracle import OracleRequest, OracleTask
 
@@ -95,7 +95,7 @@ class _Endpoint:
 
 
 def _message_content(reply: Any) -> str:
-    return reply["choices"][0]["message"]["content"]
+    return typed(reply["choices"][0]["message"]["content"], str, "message.content")
 
 
 def _embedding(reply: Any) -> np.ndarray:

@@ -9,20 +9,21 @@ OpenAI-compatible chat endpoint. Every dispatch leaves one record in an
 audit log, which numbers each record as it writes it, so the file is in
 request-id order. A record holds no clock reading, so the log is
 deterministic under either backend. Every overlap of calls goes through
-`Held`, which holds a call's records until the call is taken, so calls
-taken in program order leave the log a serial run writes.
+`Held`, which runs a call on its client's call window and keeps its
+records until it is taken, so calls taken in program order leave a serial log.
 """
 from __future__ import annotations
 
 import hashlib
 import threading
 import weakref
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, TextIO, TypeVar
 
 import orjson
 
@@ -367,22 +368,24 @@ Result = TypeVar("Result")
 
 class Held:
     """One call, `fn(child, *args)`, on a child client whose audit log is
-    this object. It starts at once on `executor`, or, with no executor,
-    runs when taken. `take` waits for it, commits its records to the
-    parent's log in one write and returns its result or raises what it
-    raised, so calls taken in program order leave a serial run's log."""
+    this object. It starts at once on its parent's window executor, or,
+    with none, runs when taken. `take` waits for it, commits its records
+    to the parent's log in one write and returns its result or raises what
+    it raised, so calls taken in program order leave a serial run's log."""
 
-    def __init__(self, parent: OracleClient, executor: Executor | None,
-                 fn: Callable[..., Any], *args: Any) -> None:
+    def __init__(self, parent: OracleClient, fn: Callable[..., Any], *args: Any) -> None:
         self.parent = parent
         self.records: list[dict[str, Any]] = []
         child = OracleClient(parent.backend, audit=self, retry_limit=parent.retry_limit)
         run = partial(fn, child, *args)
         # What `take` calls: the future's `result`, or the call itself.
-        self._result = executor.submit(run).result if executor is not None else run
+        self._result = parent.executor.submit(run).result if parent.executor else run
 
     def append(self, request: OracleRequest, outcome: str) -> None:
         self.records.append(_unnumbered(request, outcome))
+
+    def commit(self, records: Sequence[dict[str, Any]]) -> None:
+        self.records.extend(records)  # those of a `Held` nested in this one, when taken
 
     def take(self) -> Any:
         """The call's result, once its records are committed; take once."""
@@ -408,16 +411,31 @@ class OracleClient:
         self.backend = backend
         self.audit = audit
         self.retry_limit = retry_limit
+        self.parallelism = 1
+        self.executor: ThreadPoolExecutor | None = None
+
+    @contextmanager
+    def window(self, parallelism: int) -> Iterator[None]:
+        """The session's one call window: `parallelism` threads, none at 1, run
+        every `Held` of this client; on exit they stop and the audit file closes."""
+        self.parallelism = parallelism
+        self.executor = ThreadPoolExecutor(parallelism) if parallelism > 1 else None
+        try:
+            yield
+        finally:
+            if self.executor is not None:
+                self.executor.shutdown(cancel_futures=True)
+            self.parallelism, self.executor = 1, None
+            self.audit.close()
 
     def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
         return dispatch(OracleRequest(task, payload), self.backend,
                         retry_limit=self.retry_limit, audit=self.audit)
 
     def fan_out(self, fn: Callable[["OracleClient", Item], Result], items: Sequence[Item],
-                parallelism: int = 1,
                 on_commit: Callable[[Item, Result], None] | None = None) -> list[Result]:
-        """Run `fn(client, item)` for every item, up to `parallelism` at a
-        time, and leave what a loop over the items would leave.
+        """Run `fn(client, item)` for every item, on the client's window,
+        and leave what a loop over the items would leave.
 
         Each item is one `Held` call, and items are taken strictly in item
         order: the audit log numbers the item's records and writes them in
@@ -447,26 +465,20 @@ class OracleClient:
                 fail(index)
                 raise
 
-        pool = (ThreadPoolExecutor(max_workers=parallelism)
-                if parallelism > 1 and len(items) > 1 else None)
         results: list[Result] = []
         error: Exception | None = None
-        try:
-            calls = [Held(self, pool, run, index, item) for index, item in enumerate(items)]
-            for index, (item, call) in enumerate(zip(items, calls)):
-                try:
-                    result = call.take()
-                    if error is None:  # else it ran past the failure, or was skipped
-                        if on_commit is not None:
-                            on_commit(item, result)
-                        results.append(result)
-                except Exception as exc:
-                    if error is None:
-                        error = exc
-                        fail(index)
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        calls = [Held(self, run, index, item) for index, item in enumerate(items)]
+        for index, (item, call) in enumerate(zip(items, calls)):
+            try:
+                result = call.take()
+                if error is None:  # else it ran past the failure, or was skipped
+                    if on_commit is not None:
+                        on_commit(item, result)
+                    results.append(result)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+                    fail(index)
         if error is not None:
             raise error
         return results

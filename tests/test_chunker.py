@@ -126,9 +126,13 @@ def test_classification_failure_defaults_to_auxiliary():
 
 
 def test_parallel_classification_matches_sequential():
-    sequential = classify_pages(pages(), PROFILE, rule_client(), parallelism=1)
-    parallel = classify_pages(pages(), PROFILE, rule_client(), parallelism=4)
+    sequential = classify_pages(pages(), PROFILE, rule_client())
+    backend = JitterBackend(SyntheticRuleBackend(), seed=4)
+    client = make_client(backend)
+    with client.window(4):
+        parallel = classify_pages(pages(), PROFILE, client)
     assert parallel == sequential
+    assert 2 <= backend.peak <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +349,10 @@ def test_invalid_chunk_error_names_its_document_wide_id(monkeypatch):
     for parallelism in (1, 4):
         backend = JitterBackend(SyntheticRuleBackend(), seed=parallelism)
         client = make_client(backend)
-        with pytest.raises(ValueError) as exc_info:
-            run_chunking(pages(), PROFILE, config(parallelism=parallelism), client)
+        with pytest.raises(ValueError) as exc_info, client.window(parallelism):
+            run_chunking(pages(), PROFILE, config(), client)
         assert str(exc_info.value) == "chunk 3: entry/terminal overlap ['active surveillance']"
+        assert backend.peak == 1 if parallelism == 1 else 2 <= backend.peak <= parallelism
         assert len(client.audit.entries) == backend.calls
         ids = [entry["request_id"] for entry in client.audit.entries]
         assert ids == [f"req-{i:06d}" for i in range(1, len(ids) + 1)]

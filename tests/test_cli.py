@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -669,9 +670,11 @@ def test_build_failure_raises_what_a_serial_run_raises(tmp_path, monkeypatch):
         config.expansion_cap = 20
         config.parallelism = parallelism
         out = tmp_path / f"p{parallelism}"
+        threads = set(threading.enumerate())
         with pytest.raises(ExpansionBudgetExceeded) as exc_info:
             cli.run_pipeline(SYNTHETIC_DIR / "manifest.json", config, out)
         failures[parallelism] = (type(exc_info.value), str(exc_info.value))
+        assert set(threading.enumerate()) == threads  # the window stopped its threads
 
         golden_chunk_1 = (GOLDEN_DIR / "graphs" / "chunk_01.json").read_bytes()
         assert (out / "graphs" / "chunk_01.json").read_bytes() == golden_chunk_1

@@ -223,12 +223,14 @@ def early_calls(nodes: dict[str, tuple[int, str]], current: str, queue: list[str
     graph, store = union(nodes, labels or {}, edges)
     pool = RankingPool(store)
     pool.extend([(nid, node.label, node.origin_chunk) for nid, node in graph.nodes.items()])
-    lookahead = _LookAhead(make_client(StaticBackend('{"matches": []}')), graph, pool,
-                           deque(queue), store, config(parallelism=8, candidate_count=1))
-    lookahead.reach(current)
-    lookahead._scan()
-    sent = [plan.query.label for plan in lookahead.early]
-    assert lookahead.close() == len(sent)
+    client = make_client(StaticBackend('{"matches": []}'))
+    with client.window(8):
+        lookahead = _LookAhead(client, graph, pool, deque(queue), store,
+                               config(candidate_count=1))
+        lookahead.reach(current)
+        lookahead._scan()
+        sent = [plan.query.label for plan in lookahead.early]
+        assert lookahead.close() == len(sent)
     return sent
 
 
@@ -299,7 +301,7 @@ def one_interface_node_chunks(nodes: dict[str, tuple[int, str]]
     return chunks, graphs
 
 
-def test_a_merge_plans_again_the_items_whose_footprint_it_touches():
+def test_a_merge_plans_again_the_items_whose_footprint_it_touches(monkeypatch):
     # x and y both rank m first, so y waits while x decides. x merges m away,
     # and y now ranks x. At v's turn y's call goes early, with the payload
     # that names x, as y's turn does.
@@ -307,12 +309,20 @@ def test_a_merge_plans_again_the_items_whose_footprint_it_touches():
              "n": (4, "c")}
     verifier = ClassVerifierBackend({"x": 1, "m": 1, "y": 1})
     _, store = union(nodes, {}, ())
-    logs = []
+    sent_early: set[str] = set()
+    scan = _LookAhead._scan
+    monkeypatch.setattr(_LookAhead, "_scan", lambda self: scan(self) or sent_early.update(
+        plan.query.label for plan in self.early))
+    logs, early = [], []
     for parallelism in (1, 4):
         chunks, graphs = one_interface_node_chunks(nodes)
-        result = aggregate(chunks, graphs, make_client(verifier), store,
-                           config(parallelism=parallelism, candidate_count=1))
+        client = make_client(verifier)
+        sent_early.clear()
+        with client.window(parallelism):
+            result = aggregate(chunks, graphs, client, store, config(candidate_count=1))
         logs.append(merge_log_doc(result))
+        early.append(set(sent_early))
+    assert early[0] == set() and "y" in early[1]  # width 0 at parallelism 1
     assert logs[0] == logs[1]
     assert [(d["primary"], d["secondary"]) for d in logs[0]["decisions"]] == [
         ("x", "m"), ("x", "y")]
@@ -361,12 +371,10 @@ def run_aggregate(tmp_path, parallelism: int, replies):
     _, store = union(FAILURE_NODES, {}, ())
     error = None
     try:
-        aggregate(chunks, graphs, client, store, config(parallelism=parallelism,
-                                                        candidate_count=1))
+        with client.window(parallelism):  # closes the audit file on exit
+            aggregate(chunks, graphs, client, store, config(candidate_count=1))
     except OracleTransportError as exc:
         error = exc
-    finally:
-        client.audit.close()
     records = [json.loads(line) for line in audit_path.read_text().splitlines()]
     return backend, records, error
 

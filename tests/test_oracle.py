@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 import requests
@@ -320,6 +320,17 @@ def test_live_backends_map_failures(call, reply, error):
         call(_FakeSession(reply=reply))
 
 
+@pytest.mark.parametrize("content", [None, 3, ["x"]], ids=["null", "number", "list"])
+def test_live_message_content_that_is_not_a_string_is_a_transport_error(content):
+    # The endpoint gave no reply text: not invalid JSON that a retry could fix.
+    session = _FakeSession(payload={"choices": [{"message": {"content": content}}]})
+    client = make_client(LiveBackend("http://backend.test/v1", "demo-model", session=session))
+    with pytest.raises(OracleTransportError, match="message.content must be str"):
+        client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
+    assert [e["outcome"] for e in client.audit.entries] == ["transport_error"]
+    assert len(session.requests) == 1
+
+
 def test_live_proxy_page_fails_classification_instead_of_degrading_it():
     # A fallback that catches protocol errors would turn every page auxiliary.
     session = _FakeSession(reply=_http_reply(200, b"<html>proxy login</html>"))
@@ -362,9 +373,9 @@ def test_live_audit_log_is_byte_identical_across_runs(tmp_path):
         session = _FakeSession(payload={"choices": [{"message": {"content": '{"label": "core"}'}}]})
         client = OracleClient(LiveBackend("http://backend.test/v1", "demo-model", session=session),
                               audit=AuditLog(tmp_path / f"{name}.log"))
-        client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
-        client.fan_out(classify_all, range(4), 2)
-        client.audit.close()
+        with client.window(2):  # closes the audit file on exit
+            client.call(OracleTask.CLASSIFY_PAGE, classify_page_payload(1, "x"))
+            client.fan_out(classify_all, range(4))
     first = (tmp_path / "first.log").read_bytes()
     assert len(first.splitlines()) == 1 + len(serial_digests(range(4)))
     assert (tmp_path / "second.log").read_bytes() == first
@@ -388,8 +399,8 @@ def test_held_calls_that_finish_out_of_order_leave_the_log_in_take_order():
         second_done.set()
         return "second"
 
-    with ThreadPoolExecutor(2) as executor:
-        calls = [Held(client, executor, first), Held(client, executor, second)]
+    with client.window(2):
+        calls = [Held(client, first), Held(client, second)]
         assert [call.take() for call in calls] == ["first", "second"]
     assert [e["payload_digest"] for e in client.audit.entries] == serial_digests([2, 1])
     assert [e["request_id"] for e in client.audit.entries] == [
@@ -405,8 +416,8 @@ def test_a_held_call_that_raises_is_committed_and_raises_again_at_take(threaded)
         classify_all(child, index)
         raise raised
 
-    with ThreadPoolExecutor(1) as executor:
-        call = Held(client, executor if threaded else None, work, 4)
+    with client.window(2 if threaded else 1):
+        call = Held(client, work, 4)
         with pytest.raises(ValueError) as info:
             call.take()
     assert info.value is raised
@@ -416,7 +427,7 @@ def test_a_held_call_that_raises_is_committed_and_raises_again_at_take(threaded)
 def test_a_held_call_without_an_executor_runs_when_taken():
     backend = StaticBackend('{"label": "core"}')
     client = OracleClient(backend, audit=AuditLog())
-    call = Held(client, None, classify_all, 2)
+    call = Held(client, classify_all, 2)
     assert backend.calls == 0 and client.audit.entries == []
     assert call.take() == 2
     assert backend.calls == len(calls_of(2))
@@ -430,8 +441,8 @@ def test_a_taken_held_call_is_freed_by_reference_counting(threaded):
     client = OracleClient(StaticBackend('{"label": "core"}'), audit=AuditLog())
     gc.disable()
     try:
-        with ThreadPoolExecutor(1) as executor:
-            call = Held(client, executor if threaded else None, classify_all, 1)
+        with client.window(2 if threaded else 1):
+            call = Held(client, classify_all, 1)
             assert call.take() == 1
         freed = weakref.ref(call)
         del call
@@ -467,13 +478,16 @@ def core_backend(seed: int) -> JitterBackend:
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_fan_out_commits_records_in_item_order(tmp_path, parallelism):
     audit = AuditLog(tmp_path / "audit.log")
-    client = OracleClient(core_backend(parallelism), audit=audit)
+    backend = core_backend(parallelism)
+    client = OracleClient(backend, audit=audit)
     committed = []
-    results = client.fan_out(classify_all, range(12), parallelism,
-                             on_commit=lambda item, result: committed.append(
-                                 (item, result, len(audit.entries))))
+    with client.window(parallelism):
+        results = client.fan_out(classify_all, range(12),
+                                 on_commit=lambda item, result: committed.append(
+                                     (item, result, len(audit.entries))))
 
     assert results == list(range(12))
+    assert backend.peak == 1 if parallelism == 1 else 2 <= backend.peak <= parallelism
     digests = serial_digests(range(12))
     assert [e["payload_digest"] for e in audit.entries] == digests
     assert [e["request_id"] for e in audit.entries] == [
@@ -500,11 +514,11 @@ def test_fan_out_raises_the_earliest_failure_after_committing_what_ran(paralleli
             raise KeyError("item 5")
         return index
 
-    with pytest.raises(ValueError, match="item 3"):
-        client.fan_out(work, range(40), parallelism,
-                       on_commit=lambda item, result: committed.append(item))
+    with pytest.raises(ValueError, match="item 3"), client.window(parallelism):
+        client.fan_out(work, range(40), on_commit=lambda item, result: committed.append(item))
 
     assert committed == [0, 1, 2]
+    assert backend.peak == 1 if parallelism == 1 else 2 <= backend.peak <= parallelism
     digests = [e["payload_digest"] for e in client.audit.entries]
     assert len(digests) == backend.calls
     ran = [index for index in range(40) if serial_digests([index])[0] in digests]
@@ -525,7 +539,7 @@ def test_fan_out_on_commit_failure_stops_like_an_item_failure():
             raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        client.fan_out(classify_all, range(6), 1, on_commit=reject)
+        client.fan_out(classify_all, range(6), on_commit=reject)
     assert [e["payload_digest"] for e in client.audit.entries] == serial_digests(range(3))
 
 
@@ -536,7 +550,8 @@ def test_fan_out_under_thread_pressure_keeps_the_serial_log():
     sys.setswitchinterval(1e-6)
     started = time.perf_counter()
     try:
-        results = client.fan_out(classify_all, items, 16)
+        with client.window(16):
+            results = client.fan_out(classify_all, items)
     finally:
         sys.setswitchinterval(interval)
     assert time.perf_counter() - started < 60
@@ -545,6 +560,67 @@ def test_fan_out_under_thread_pressure_keeps_the_serial_log():
     assert [e["payload_digest"] for e in entries] == serial_digests(items)
     assert [e["request_id"] for e in entries] == [
         f"req-{i:06d}" for i in range(1, len(entries) + 1)]
+
+
+def test_two_fan_outs_on_one_client_share_its_window():
+    backend = core_backend(2)
+    client = OracleClient(backend, audit=AuditLog())
+    items = {"first": range(8), "second": range(100, 108)}
+    results = {}
+
+    def fan_out(name: str) -> None:
+        results[name] = client.fan_out(classify_all, items[name])
+
+    with client.window(2):
+        threads = [threading.Thread(target=fan_out, args=(name,)) for name in items]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    assert results == {name: list(each) for name, each in items.items()}
+    assert backend.peak == 2
+    # The two logs interleave, but each fan_out commits its items in order.
+    digests = [e["payload_digest"] for e in client.audit.entries]
+    for each in items.values():
+        own = set(serial_digests(each))
+        assert [digest for digest in digests if digest in own] == serial_digests(each)
+
+
+def test_a_fan_out_nested_in_an_item_runs_inline_on_its_thread():
+    backend = core_backend(2)
+    client = OracleClient(backend, audit=AuditLog())
+
+    def nested(child: OracleClient, index: int) -> list[int]:
+        assert child.executor is None and child.parallelism == 1  # the child opens no window
+        return child.fan_out(classify_all, [index, index + 10])
+
+    done = []
+    with client.window(2):
+        worker = threading.Thread(target=lambda: done.append(client.fan_out(nested, range(6))),
+                                  daemon=True)
+        worker.start()
+        worker.join(30)
+        assert done, "the nested fan_out deadlocked"
+    assert done[0] == [[index, index + 10] for index in range(6)]
+    assert backend.peak == 2
+    assert [e["payload_digest"] for e in client.audit.entries] == serial_digests(
+        [item for index in range(6) for item in (index, index + 10)])
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_closing_the_window_stops_its_threads(tmp_path, fails):
+    client = OracleClient(core_backend(4), audit=AuditLog(tmp_path / "audit.log"))
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError) if fails else nullcontext(), client.window(4):
+        calls = [Held(client, classify_all, index) for index in range(8)]
+        assert set(threading.enumerate()) > before
+        if fails:  # leaves calls running and queued
+            raise ValueError("stage failed")
+        assert [call.take() for call in calls] == list(range(8))
+    assert set(threading.enumerate()) == before
+    assert client.executor is None and client.parallelism == 1
+    assert client.audit._handle is None
 
 
 def test_audit_log_continues_after_close(tmp_path):
