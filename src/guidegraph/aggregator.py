@@ -138,7 +138,7 @@ def _capped_ancestors(graph: DecisionGraph, node_id: str,
 class _Plan:
     """A queued item as the look-ahead sees it under the current graph."""
 
-    query: DuplicateQuery  # what its turn takes if the plan survives
+    query: str | DuplicateQuery  # what its turn takes if the plan survives: exact id or miss
     footprint: set[str]  # what its query reads: `joins` and its in-edge sources
     joins: set[str]  # what its decision may merge: it, its exact partner or top-k candidates
     call: Held | None = None  # its early verifier call, once sent
@@ -178,7 +178,7 @@ class _LookAhead:
         self.early: deque[_Plan] = deque()  # early calls not yet taken, in queue order
         self.plan: _Plan | None = None  # the current item's; None at width 0
 
-    def reach(self, item: str) -> DuplicateQuery:
+    def reach(self, item: str) -> str | DuplicateQuery:
         """Make the live `item` the current item and return its query: its
         surviving plan's, or one worked out now."""
         self.plan = self.plans.pop(item, None)
@@ -232,14 +232,14 @@ class _LookAhead:
             if not joinable.isdisjoint(plan.footprint):
                 return
             joinable |= plan.joins
-            if plan.query.payload is not None and plan.call is None:
+            if plan.call is None and isinstance(plan.query, DuplicateQuery) and plan.query.payload:
                 plan.call = Held(self.client, OracleClient.call,
                                  OracleTask.FIND_DUPLICATE, plan.query.payload)
                 self.early.append(plan)
                 if len(self.early) >= self.width:
                     return
 
-    def _query(self, item: str) -> DuplicateQuery:
+    def _query(self, item: str) -> str | DuplicateQuery:
         node = self.graph.nodes[item]
         return duplicate_query(node.label, lambda: _capped_ancestors(self.graph, item, self.store),
                                self.graph, self.pool, self.k, node.origin_chunk)
@@ -247,7 +247,7 @@ class _LookAhead:
     def _plan(self, item: str) -> _Plan:
         """The item's query, what it reads and what its decision may merge."""
         query = self._query(item)
-        joins = {item, query.exact} if query.exact is not None else {
+        joins = {item, query} if isinstance(query, str) else {
             item, *(node_id for node_id, _, _ in query.candidates)}
         sources = {edge.source for edge in self.graph.in_edges(item)}
         return _Plan(query, sources | joins, joins)

@@ -3,15 +3,16 @@ fixed terminal set, with duplicate detection against the growing node pool.
 
 Terminal nodes are registered up front and are never created by expansion.
 A candidate that duplicates a node creates none: its incoming edge is
-pointed at the duplicate. The builder names and makes its own nodes
-(`register_node`). The node cap turns a hallucination loop into a
-diagnosable error.
+pointed at the duplicate: an exact hit reads `lowest_label_id` and builds
+nothing else, and a miss's node gets the (vector, norm) its query looked
+up. The builder names and makes its own nodes (`register_node`). The node
+cap turns a hallucination loop into a diagnosable error.
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .core import (
@@ -31,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .oracle import OracleClient, OracleTask
-from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
+from .retrieval import EmbeddingStore, Entry, RankingPool, cosine_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -62,47 +63,48 @@ def duplicate_payload(candidate_label: str, ancestors: Sequence[tuple[str, str]]
 
 @dataclass(slots=True)
 class DuplicateQuery:
-    """A candidate's exact match or, on a miss, its ranked candidates."""
+    """A miss's ranked candidates; an exact hit's query is the node id."""
 
     label: str
-    exact: str | None
-    candidates: tuple[tuple[str, str, float], ...]  # best first; () on an exact hit
+    candidates: tuple[tuple[str, str, float], ...]  # best first
     payload: dict[str, Any] | None  # the verifier payload; None without candidates
+    entry: Entry | None = field(compare=False)  # the label's (vector, norm), once ranked
 
 
 def duplicate_query(candidate_label: str, ancestors: Callable[[], Sequence[tuple[str, str]]],
                     graph: DecisionGraph, pool: RankingPool, k: int,
-                    exclude: int | None = None) -> DuplicateQuery:
+                    exclude: int | None = None) -> str | DuplicateQuery:
     """What `find_duplicate` decides on for a candidate among the nodes of
     `graph` (`pool` holds them all) outside origin chunk `exclude`.
 
     The exact match is the lowest such id whose label is the candidate's
-    normalized label, found without ranking. On a miss the pool's top k
-    outside group `exclude` by cosine similarity go into the verifier
-    payload, with the (ancestor label, edge label) context that
-    `ancestors()` builds only then.
+    normalized label, returned as the query without ranking. On a miss the
+    pool's top k outside group `exclude` by cosine similarity go into the
+    verifier payload, with the (ancestor label, edge label) context that
+    `ancestors()` builds only then, and the query keeps the label's entry.
     """
     exact = graph.lowest_label_id(candidate_label, exclude)
     if exact is not None:
-        return DuplicateQuery(candidate_label, exact, (), None)
-    candidates = cosine_candidates(candidate_label, pool, k, exclude)
+        return exact
+    entry = pool.store.entry(candidate_label) if pool.eligible(exclude) else None
+    candidates = cosine_candidates(candidate_label, pool, k, exclude, entry)
     payload = duplicate_payload(candidate_label, ancestors(),
                                 [label for _, label, _ in candidates]) if candidates else None
-    return DuplicateQuery(candidate_label, None, candidates, payload)
+    return DuplicateQuery(candidate_label, candidates, payload, entry)
 
 
-def find_duplicate(query: DuplicateQuery,
+def find_duplicate(query: str | DuplicateQuery,
                    client: OracleClient) -> tuple[str | None, float | None, str]:
-    """Decide on a duplicate query: an exact match wins without an oracle
-    call; otherwise the candidates go to the verifier, and among confirmed
-    matches the highest-similarity one wins, ties broken by ascending node
-    id. No candidate is "empty-pool", with no call. Oracle failure degrades
-    to no-duplicate: keeping structure beats silently merging.
+    """Decide on a duplicate query: an exact match (a node id) wins without
+    an oracle call; otherwise the candidates go to the verifier, and among
+    confirmed matches the highest-similarity one wins, ties broken by
+    ascending node id. No candidate is "empty-pool", with no call. Oracle
+    failure degrades to no-duplicate: keeping structure beats silently merging.
 
     Returns (node_id or None, similarity or None, how).
     """
-    if query.exact is not None:
-        return query.exact, 1.0, "exact"
+    if isinstance(query, str):
+        return query, 1.0, "exact"
     if query.payload is None:
         return None, None, "empty-pool"
     try:
@@ -141,18 +143,19 @@ def generate_children(label: str, incoming: tuple[str, str] | None, context: str
 
 
 def register_node(graph: DecisionGraph, chunk: Chunk, label: str, kind: NodeKind,
-                  incoming: tuple[str, str] | None) -> str:
+                  incoming: tuple[str, str] | None, pages: Sequence[int]) -> str:
     """Add a node of `chunk` with `label`, wire its incoming (ancestor id,
     edge label) edge if it has one, and return its id.
 
     Ids are `c{chunk:02d}n{sequence:03d}` in registration order: the builder
-    never removes a node, so the graph's size gives the sequence. A node
-    without an incoming edge, an entry or terminal, keeps its label as an
-    interface label. Labels are stored as given, so they must be normalized.
+    never removes a node, so the graph's size gives the sequence. It gets a
+    copy of `pages`, the chunk's sorted page span. A node without an
+    incoming edge, an entry or terminal, keeps its label as an interface
+    label. Labels are stored as given, so they must be normalized.
     """
     node_id = f"c{chunk.chunk_id:02d}n{len(graph.nodes) + 1:03d}"
     graph.add_node(DecisionNode(node_id, label, kind, chunk.chunk_id,
-                                provenance_pages=sorted(chunk.page_span),
+                                provenance_pages=list(pages),
                                 interface_labels=[label] if incoming is None else []))
     if incoming is not None:
         graph.add_edge(incoming[0], incoming[1], node_id)
@@ -183,14 +186,16 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     graph = DecisionGraph()
     pool = RankingPool(store)  # every node of the graph
+    pages = sorted(chunk.page_span)
     trace: list[dict[str, Any]] = []
 
-    def register(label: str, kind: NodeKind, incoming: tuple[str, str] | None) -> str:
+    def register(label: str, kind: NodeKind, incoming: tuple[str, str] | None,
+                 entry: Entry | None = None) -> str:
         if len(graph.nodes) >= config.expansion_cap:
             raise ExpansionBudgetExceeded(
                 f"chunk {chunk.chunk_id}: expansion cap {config.expansion_cap} reached")
-        node_id = register_node(graph, chunk, label, kind, incoming)
-        pool.add(node_id, label, chunk.chunk_id)
+        node_id = register_node(graph, chunk, label, kind, incoming, pages)
+        pool.add(node_id, label, chunk.chunk_id, entry)
         trace.append({"event": "register", "chunk": chunk.chunk_id,
                       "node_id": node_id, "label": label, "kind": KIND_NAMES[kind]})
         return node_id
@@ -200,10 +205,11 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
     queue: deque[tuple[str, tuple[str, str] | None]] = deque(
         (label, None) for label in chunk.entry_labels)
 
+    def ancestors() -> list[tuple[str, str]]:  # of the item just dequeued
+        return [] if incoming is None else [(graph.nodes[incoming[0]].label, incoming[1])]
     while queue:
         label, incoming = queue.popleft()
-        query = duplicate_query(label, lambda: [] if incoming is None else [
-            (graph.nodes[incoming[0]].label, incoming[1])], graph, pool, config.candidate_count)
+        query = duplicate_query(label, ancestors, graph, pool, config.candidate_count)
         match_id, similarity, how = find_duplicate(query, client)
         if match_id is not None:
             trace.append({"event": "duplicate", "chunk": chunk.chunk_id,
@@ -220,7 +226,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
                     matched.interface_labels.append(label)
             continue
         kind = NodeKind.ENTRY if incoming is None else NodeKind.INTERMEDIATE
-        node_id = register(label, kind, incoming)
+        node_id = register(label, kind, incoming, query.entry)
         children = generate_children(label, incoming, chunk.context, client)
         if not children:
             trace.append({"event": "dead_end", "chunk": chunk.chunk_id,

@@ -5,8 +5,9 @@ task has a response schema; free text from a backend is never interpreted
 positionally. Backends are pluggable: the deterministic scripted backend is
 a `FixtureSet`, which replays fixture files keyed by a content digest of
 the canonicalized payload, and `live.LiveBackend` posts to an
-OpenAI-compatible chat endpoint. Every dispatch leaves one record in an
-audit log, which numbers each record as it writes it, so the file is in
+OpenAI-compatible chat endpoint. A request is a plain object that digests
+its payload once; every dispatch leaves one record, a dict built once, in
+an audit log, which numbers it in place as it writes it, so the file is in
 request-id order. A record holds no clock reading, so the log is
 deterministic under either backend. Every overlap of calls goes through
 `Held`, which runs a call on its client's call window and keeps its
@@ -19,7 +20,6 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -54,16 +54,14 @@ class OracleTask(str, Enum):
 _TASK_NAMES: dict[OracleTask, str] = {task: task.value for task in OracleTask}
 
 
-@dataclass(frozen=True)
 class OracleRequest:
-    task: OracleTask
-    payload: dict[str, Any]
-    # The payload digest, computed once, as the request is made, for the
-    # fixture lookup and the audit record alike.
-    digest: str = field(init=False, repr=False, compare=False)
+    """A task and its payload, with the payload digest computed once, as the
+    request is made, for the fixture lookup and the audit record alike."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digest", payload_digest(self.task, self.payload))
+    __slots__ = ("task", "payload", "digest")
+
+    def __init__(self, task: OracleTask, payload: dict[str, Any]) -> None:
+        self.task, self.payload, self.digest = task, payload, payload_digest(task, payload)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -151,13 +149,10 @@ def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _unnumbered(request: OracleRequest, outcome: str) -> dict[str, Any]:
-    """An audit record without its request id."""
-    return {
-        "task": _TASK_NAMES[request.task],
-        "payload_digest": request.digest,
-        "outcome": outcome,
-    }
+def _record(request: OracleRequest, outcome: str) -> dict[str, Any]:
+    """A dispatch's audit record, built once; `AuditLog.commit` numbers it."""
+    return {"request_id": None, "task": _TASK_NAMES[request.task],
+            "payload_digest": request.digest, "outcome": outcome}
 
 
 class AuditLog:
@@ -188,14 +183,14 @@ class AuditLog:
 
     def append(self, request: OracleRequest, outcome: str) -> None:
         """Write the record of one dispatch."""
-        self.commit([_unnumbered(request, outcome)])
+        self.commit((_record(request, outcome),))
 
     def commit(self, records: Sequence[dict[str, Any]]) -> None:
-        """Number unnumbered records, then write them in one write."""
+        """Number records in place, then keep them and write them in one write."""
         with self._lock:
             first = self.prior_records + len(self.entries) + 1
-            records = [{"request_id": f"req-{number:06d}", **record}
-                       for number, record in enumerate(records, first)]
+            for number, record in enumerate(records, first):
+                record["request_id"] = f"req-{number:06d}"
             self.entries.extend(records)
             if self._path is None or not records:
                 return
@@ -382,7 +377,7 @@ class Held:
         self._result = parent.executor.submit(run).result if parent.executor else run
 
     def append(self, request: OracleRequest, outcome: str) -> None:
-        self.records.append(_unnumbered(request, outcome))
+        self.records.append(_record(request, outcome))
 
     def commit(self, records: Sequence[dict[str, Any]]) -> None:
         self.records.extend(records)  # those of a `Held` nested in this one, when taken

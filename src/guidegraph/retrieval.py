@@ -10,13 +10,13 @@ discards members as nodes are created and merged away; adding a member
 writes its vector, norm and group (the node's origin chunk) into its row
 of the pool's arrays. A query names the group it excludes, if any. It
 scores the pool with one matrix-vector product, masks the excluded
-group's members when the group has any, partitions at the k-th
-eligible similarity and sorts only what is kept: no per-member dict or
-list work.
+group's members when the group has any, partitions at the k-th eligible
+similarity and sorts only what is kept: no per-member dict or list work.
 
-Only `builder.duplicate_query` ranks, after an exact-match miss: once per
-dequeued build candidate and once per aggregation plan (at `parallelism`
-1, per turn); a turn takes the query of its item's surviving plan.
+Only `builder.duplicate_query` ranks, after an exact-match miss (a hit
+looks nothing up): once per dequeued build candidate and once per
+aggregation plan (at `parallelism` 1, per turn). A miss looks its label
+up once, and the builder hands that (vector, norm) to the node's row.
 
 The scripted embedding backend is a seeded character-trigram feature
 hasher of fixed dimension: deterministic, whitespace-insensitive after
@@ -47,6 +47,8 @@ DIM = 256
 SEED = 13
 NGRAM = 3
 INITIAL_ROWS = 64
+
+Entry = tuple[np.ndarray, float]  # a label's read-only vector and its norm
 
 
 class EmbeddingBackend(Protocol):
@@ -93,20 +95,18 @@ class _TrigramCodes(dict):
 class EmbeddingStore:
     """Cache of label embeddings keyed by the normalized label it is given.
 
-    Each label maps to a read-only (vector, norm) pair by one dict hit.
-    `lookup` keys a label as given, since its callers pass labels normalized
-    where they entered. Dimensionality is fixed by the first vector;
-    vectors without exactly one axis, zero and non-finite vectors are
-    rejected at ingest. A stored pair never changes, so a lookup whose
-    labels are all stored reads them without taking the lock; a miss claims
-    its keys one at a time under the lock, with no batch de-duplication,
-    and each key is embedded once, however many threads miss it together.
+    Each label maps to a read-only (vector, norm) entry by one dict hit,
+    keyed as given: callers pass labels normalized where they entered.
+    Dimensionality is fixed by the first vector; vectors without exactly
+    one axis, zero and non-finite vectors are rejected at ingest. A stored
+    entry never changes, so a hit takes no lock; a miss claims its key
+    under the lock, and each key is embedded once, however many threads
+    miss it together.
     """
 
     def __init__(self, backend: EmbeddingBackend) -> None:
         self.backend = backend
-        # normalized label -> (vector, norm)
-        self._entries: dict[str, tuple[np.ndarray, float]] = {}
+        self._entries: dict[str, Entry] = {}  # normalized label -> (vector, norm)
         self._embedding: set[str] = set()  # keys a thread is embedding now
         self._dim: int | None = None
         self._lock = threading.Lock()
@@ -128,22 +128,19 @@ class EmbeddingStore:
         vector.flags.writeable = False
         self._entries[key] = (vector, norm)
 
-    def lookup(self, labels: Iterable[str]) -> list[tuple[np.ndarray, float]]:
-        """Each label's read-only vector and its norm, keyed by the label as
-        given.
+    def entry(self, label: str) -> Entry:
+        """The label's entry; a missing key is embedded by `_embed_once`."""
+        entry = self._entries.get(label)
+        if entry is None:
+            self._embed_once(label)
+            entry = self._entries[label]
+        return entry
 
-        A hit takes no lock: an entry is stored whole and never replaced.
-        Each missing key is embedded once, in order of first appearance, by
-        `_embed_once`.
-        """
+    def lookup(self, labels: Iterable[str]) -> list[Entry]:
+        """Each label's `entry`, missing keys embedded in order of first appearance."""
         labels = list(labels)
         entries = list(map(self._entries.get, labels))
-        if None not in entries:
-            return entries
-        for label, entry in zip(labels, entries):
-            if entry is None:
-                self._embed_once(label)
-        return list(map(self._entries.__getitem__, labels))
+        return entries if None not in entries else list(map(self.entry, labels))
 
     def _embed_once(self, key: str) -> None:
         """Store the key's entry, unless it is stored, embedding it unless
@@ -171,7 +168,7 @@ class EmbeddingStore:
 
     def vector(self, label: str) -> np.ndarray:
         """The label's embedding, read-only."""
-        return self.lookup((label,))[0][0]
+        return self.entry(label)[0]
 
     def cosine(self, label_a: str, label_b: str) -> float:
         (a, norm_a), (b, norm_b) = self.lookup((label_a, label_b))
@@ -185,11 +182,12 @@ class RankingPool:
     The owner adds a member when it creates a node and discards it when a
     merge absorbs the node, so the pool follows the graph. Live members
     fill slots 0..n-1: a discarded member's slot is refilled by the last
-    member, so the arrays hold no dead rows. A member's vector and norm are
-    copied from the pool's store when it is added, so a label is embedded
-    once, when a pool adds it or a query names it. The arrays start at
-    `INITIAL_ROWS` rows, or at the size of a larger first batch, and double
-    when full. Single-writer, like the graph.
+    member, so the arrays hold no dead rows. `_write` alone writes a new
+    member's row. `add` gives it the label's store entry, the one a miss's
+    query hands over or else looked up; `extend` looks a batch up at once.
+    So a label is embedded once, when a pool adds it or a query names it.
+    The arrays start at `INITIAL_ROWS` rows, or at the size of a larger
+    first batch, and double when full. Single-writer, like the graph.
     """
 
     def __init__(self, store: EmbeddingStore) -> None:
@@ -202,47 +200,46 @@ class RankingPool:
         self.norms = np.empty(0)
         self.vectors = np.empty((0, 0))  # its width is set by the first add
 
-    def add(self, node_id: str, label: str, group: int) -> None:
-        self.extend(((node_id, label, group),))
+    def add(self, node_id: str, label: str, group: int, entry: Entry | None = None) -> None:
+        """Add a member; `entry` is the label's store entry, looked up if None.
+        Raises ValueError, leaving the pool unchanged, if the id is in it."""
+        if node_id in self.slots:
+            raise ValueError(f"{node_id!r} is already in the pool")
+        self._write(node_id, label, group, entry or self.store.entry(label))
 
     def extend(self, members: Sequence[tuple[str, str, int]]) -> None:
         """Add (node id, label, group) members in order, as a loop of `add`
-        would, with one store lookup; each member's row is written in place.
-
-        Raises:
-            ValueError: an id is in the pool or twice in `members`; the pool
-                is left unchanged.
-        """
-        if not members:
-            return
-        start = len(self.ids)
-        end = start + len(members)
-        slots = {node_id: slot for slot, (node_id, _, _) in enumerate(members, start)}
-        if len(slots) < len(members) or not self.slots.keys().isdisjoint(slots):
-            seen = set(self.slots)
-            for node_id, _, _ in members:
-                if node_id in seen:
-                    raise ValueError(f"{node_id!r} is already in the pool")
-                seen.add(node_id)
+        would, with one store lookup and at most one growth. Raises
+        ValueError, leaving the pool unchanged, if an id is in it or repeats."""
+        seen = set(self.slots)
+        for node_id, _, _ in members:
+            if node_id in seen:
+                raise ValueError(f"{node_id!r} is already in the pool")
+            seen.add(node_id)
         entries = self.store.lookup([label for _, label, _ in members])
-        if end > len(self.norms):
-            rows = max(INITIAL_ROWS, 2 * len(self.norms), end)
-            grown = (np.empty(rows, dtype=np.int64), np.empty(rows),
-                     np.empty((rows, entries[0][0].size)))
-            if start:
-                for new, old in zip(grown, (self.groups, self.norms, self.vectors)):
-                    new[:start] = old[:start]
-            self.groups, self.norms, self.vectors = grown
-        self.slots.update(slots)
-        groups, norms, vectors = self.groups, self.norms, self.vectors
-        for slot, ((node_id, label, group), (vector, norm)) in enumerate(zip(members, entries),
-                                                                        start):
-            self.ids.append(node_id)
-            self.labels.append(label)
-            self.group_sizes[group] += 1
-            groups[slot] = group
-            norms[slot] = norm
-            vectors[slot] = vector
+        if len(self.ids) + len(members) > len(self.norms):
+            self._grow(len(self.ids) + len(members), entries[0][0].size)
+        for (node_id, label, group), entry in zip(members, entries):
+            self._write(node_id, label, group, entry)
+
+    def _write(self, node_id: str, label: str, group: int, entry: Entry) -> None:
+        slot = len(self.ids)
+        if slot == len(self.norms):
+            self._grow(slot + 1, entry[0].size)
+        self.slots[node_id] = slot
+        self.ids.append(node_id)
+        self.labels.append(label)
+        self.group_sizes[group] += 1
+        self.groups[slot] = group
+        self.vectors[slot], self.norms[slot] = entry
+
+    def _grow(self, rows: int, width: int) -> None:
+        rows, count = max(INITIAL_ROWS, 2 * len(self.norms), rows), len(self.ids)
+        grown = (np.empty(rows, dtype=np.int64), np.empty(rows), np.empty((rows, width)))
+        if count:
+            for new, old in zip(grown, (self.groups, self.norms, self.vectors)):
+                new[:count] = old[:count]
+        self.groups, self.norms, self.vectors = grown
 
     def discard(self, node_id: str) -> None:
         """Drop a member; an absent id is a no-op."""
@@ -264,14 +261,17 @@ class RankingPool:
         return node_id in self.slots
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.ids)
+
+    def eligible(self, exclude: int | None) -> int:  # members outside group `exclude`
+        return len(self.ids) - self.group_sizes.get(exclude, 0)
 
 
-def cosine_candidates(query_label: str, pool: RankingPool, k: int,
-                      exclude: int | None = None) -> tuple[tuple[str, str, float], ...]:
+def cosine_candidates(query_label: str, pool: RankingPool, k: int, exclude: int | None = None,
+                      entry: Entry | None = None) -> tuple[tuple[str, str, float], ...]:
     """The top-k pool members outside group `exclude` by cosine similarity to
     the query label, as (node_id, label, similarity) triples, ties broken by
-    ascending id.
+    ascending id. `entry` is the label's store entry, looked up if None.
 
     The query is always a label, even one that equals a member's id; a
     caller keeps a node out of its own candidates by excluding its group.
@@ -285,19 +285,18 @@ def cosine_candidates(query_label: str, pool: RankingPool, k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    eligible = len(pool) - pool.group_sizes.get(exclude, 0)
+    count = len(pool.ids)
+    eligible = pool.eligible(exclude)
     if not eligible:
         return ()
-    (vector, norm), = pool.store.lookup((query_label,))
-    count = len(pool.ids)
+    vector, norm = entry or pool.store.entry(query_label)
     sims = pool.vectors[:count] @ vector
     sims /= norm * pool.norms[:count]
     if eligible < count:
         sims[pool.groups[:count] == exclude] = -np.inf
     cut = count - min(k, eligible)
-    keep = (sims >= np.partition(sims, cut)[cut]).nonzero()[0]
-    slots = keep.tolist()
-    scored = sorted(zip(map(pool.ids.__getitem__, slots), map(pool.labels.__getitem__, slots),
-                        sims[keep].tolist()),
-                    key=lambda item: (-item[2], item[0]))
-    return tuple(scored[:k])
+    slots = (sims >= np.partition(sims, cut)[cut]).nonzero()[0].tolist()
+    ids, similarity = pool.ids, sims.item
+    scored = sorted([(-similarity(slot), ids[slot], slot) for slot in slots])
+    return tuple([(node_id, pool.labels[slot], -negated)
+                  for negated, node_id, slot in scored[:k]])

@@ -15,7 +15,13 @@ from synth import (
 )
 
 from guidegraph import builder
-from guidegraph.builder import build_graph, duplicate_query, find_duplicate, generate_children
+from guidegraph.builder import (
+    DuplicateQuery,
+    build_graph,
+    duplicate_query,
+    find_duplicate,
+    generate_children,
+)
 from guidegraph.core import (
     Chunk,
     DecisionGraph,
@@ -119,6 +125,53 @@ def test_unbounded_chain_hits_cap_exactly():
     assert tasks.count("generate_children") == 10 - 1
 
 
+def test_a_dequeue_builds_a_query_and_looks_its_label_up_only_on_a_miss(monkeypatch):
+    # "alpha" and "omega" come back as children, so four dequeues are exact
+    # hits: they build no query and look nothing up. Each miss looks its
+    # label up once and hands that entry to its node's pool row.
+    backend = TableBackend({"alpha": [("beta", "b"), ("alpha", "loop"), ("omega", "end")],
+                            "beta": [("alpha", "back"), ("omega", "end")]})
+    queries, looked_up, rows = [], [], {}
+
+    class Recorded(DuplicateQuery):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            queries.append(fields[0])
+            super().__init__(*fields)
+
+    def entry(self, label, find=EmbeddingStore.entry):
+        looked_up.append(label)
+        return find(self, label)
+
+    def add(self, node_id, label, group, entry=None, add=RankingPool.add):
+        rows[label] = entry
+        add(self, node_id, label, group, entry)
+
+    monkeypatch.setattr(builder, "DuplicateQuery", Recorded)
+    monkeypatch.setattr(EmbeddingStore, "entry", entry)
+    monkeypatch.setattr(EmbeddingStore, "lookup", None)  # no batch lookup either
+    monkeypatch.setattr(RankingPool, "add", add)
+    store = EmbeddingStore(HashingEmbeddingBackend())
+    result = build_graph(simple_chunk(), make_client(backend), store, config())
+    exact = [e["label"] for e in result.trace if e["event"] == "duplicate" and e["how"] == "exact"]
+    assert sorted(exact) == ["alpha", "alpha", "omega", "omega"]
+    assert queries == ["alpha", "beta"]
+    assert looked_up == ["omega", "alpha", "beta"]  # by the terminal's row, then by each query
+    monkeypatch.undo()
+    assert rows["omega"] is None
+    assert rows["alpha"] is store.entry("alpha") and rows["beta"] is store.entry("beta")
+
+
+def test_every_node_gets_its_own_copy_of_the_sorted_page_span():
+    chunk = Chunk(chunk_id=1, context="ctx", entry_labels=("alpha",), terminal_labels=("omega",),
+                  description="d", carried_pages=(), page_span=(3, 1, 2))
+    graph = build(chunk, TableBackend({"alpha": [("beta", "b")]})).graph
+    pages = [node.provenance_pages for node in graph.nodes.values()]
+    assert pages == [[1, 2, 3]] * 3
+    assert len({id(each) for each in pages}) == 3
+
+
 def test_cap_smaller_than_interface_rejected():
     with pytest.raises(UsageError):
         build(simple_chunk(entry=("a", "b"), terminal=("c", "d")),
@@ -183,13 +236,14 @@ def test_only_a_ranked_query_builds_its_ancestor_context():
         return [("psa elevated", "yes")]
 
     graph, pool = dedup_graph({"a1": "mri", "b1": "prostate mri"}, groups={"a1": 1, "b1": 2})
-    assert duplicate_query("mri", ancestors, graph, pool, 5).exact == "a1"
-    assert duplicate_query("mri", ancestors, graph, pool, 5, exclude=2).exact == "a1"
+    assert duplicate_query("mri", ancestors, graph, pool, 5) == "a1"  # an exact hit is its id
+    assert duplicate_query("mri", ancestors, graph, pool, 5, exclude=2) == "a1"
     empty_graph, empty_pool = dedup_graph({})
     assert duplicate_query("mri", ancestors, empty_graph, empty_pool, 5).payload is None
     assert built == []
     query = duplicate_query("mri", ancestors, graph, pool, 5, exclude=1)
-    assert (query.exact, [c[0] for c in query.candidates]) == (None, ["b1"])
+    assert isinstance(query, DuplicateQuery)
+    assert [c[0] for c in query.candidates] == ["b1"]
     assert query.payload["ancestors"] == [{"label": "psa elevated", "edge": "yes"}]
     assert built == [True]
 

@@ -296,11 +296,26 @@ def pool_state(pool: RankingPool) -> tuple:
             pool.vectors[:count].tolist())
 
 
-def test_add_is_a_one_member_extend(hashing_store, monkeypatch):
-    batches = []
-    monkeypatch.setattr(RankingPool, "extend", lambda self, members: batches.append(members))
-    RankingPool(hashing_store).add("a1", "mri", 1)
-    assert [list(batch) for batch in batches] == [[("a1", "mri", 1)]]
+def test_add_writes_the_row_extend_writes_and_uses_a_given_entry(hashing_store, monkeypatch):
+    members = [(f"a{i}", f"{VOCABULARY[i % len(VOCABULARY)]} {i}", i % 3)
+               for i in range(retrieval.INITIAL_ROWS + 1)]
+    added, extended = RankingPool(hashing_store), RankingPool(hashing_store)
+    for member in members:
+        added.add(*member)
+        extended.extend([member])
+    assert pool_state(added) == pool_state(extended)
+    assert len(added.norms) == len(extended.norms) == 2 * retrieval.INITIAL_ROWS
+    # With the label's entry given, `add` looks nothing up and writes that entry.
+    entry = hashing_store.entry("watchful waiting")
+    monkeypatch.setattr(EmbeddingStore, "entry", None)
+    added.add("b1", "watchful waiting", 4, entry)
+    slot = added.slots["b1"]
+    assert (added.norms[slot], added.groups[slot]) == (entry[1], 4)
+    assert np.array_equal(added.vectors[slot], entry[0])
+    before = pool_state(added)
+    with pytest.raises(ValueError, match="already in the pool"):
+        added.add("a1", "mri", 1, entry)
+    assert pool_state(added) == before
 
 
 def test_extend_equals_a_loop_of_add():
