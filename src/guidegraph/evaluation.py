@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -64,8 +63,9 @@ def percent_value(supported: int, total: int) -> float | None:
     """supported/total as a percentage, half-up to one decimal; None if total=0."""
     if total == 0:
         return None
-    exact = Decimal(supported * 100) / Decimal(total)
-    return float(exact.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    # In tenths of a percent, floor(1000 * supported / total + 1/2): exact
+    # integer arithmetic, then one correctly rounded division by 10.
+    return (2000 * supported + total) // (2 * total) / 10
 
 
 @dataclass(frozen=True)

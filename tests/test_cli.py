@@ -741,18 +741,42 @@ def test_export_command_round_trip(tmp_path):
     assert out.read_text(encoding="utf-8") == (GOLDEN_DIR / "merged.dot").read_text(encoding="utf-8")
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that finds the package under test."""
+def _python(*args: str, **environ: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds the package under test.
+
+    The child sees `OPENBLAS_NUM_THREADS` only when `environ` sets it.
+    """
     package_root = Path(guidegraph.__file__).resolve().parents[1]
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env.update(environ, PYTHONPATH=str(package_root))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(package_root)))
+                          env=env)
 
 
-def test_importing_the_cli_loads_no_http_stack():
-    done = _python("-c", "import sys, guidegraph.cli; print(sorted({name.split('.')[0] "
-                         "for name in sys.modules} & {'requests', 'urllib3', 'charset_normalizer'}))")
+# Prints the BLAS thread setting, the process's OS thread count (None off
+# Linux) and which modules a start-up has no use for got loaded.
+COLD_START_PROBE = """
+import json, os, sys
+import guidegraph.cli
+unused = {'requests', 'urllib3', 'charset_normalizer', 'guidegraph.live', 'decimal'}
+threads = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None
+print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads, sorted(unused & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("prelude, environ, blas", [
+    ("", {}, "1"),
+    ("", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ("import numpy\n", {}, None),
+], ids=["default", "user-setting", "numpy-first"])
+def test_a_cold_start_runs_one_thread_and_loads_no_unused_module(prelude, environ, blas):
+    done = _python("-c", prelude + COLD_START_PROBE, **environ)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    setting, threads, unused = json.loads(done.stdout)
+    assert setting == blas
+    assert unused == []
+    if blas == "1" and threads is not None:
+        assert threads == 1
 
 
 def test_scripted_run_eval_and_export_need_no_requests(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
@@ -70,6 +71,15 @@ def test_percent_half_up_on_exact_halves():
     assert percent_value(14, 32) == 43.8   # 43.75
     assert percent_value(25, 32) == 78.1   # 78.125 rounds down
     assert percent_value(1, 8) == 12.5
+
+
+def test_percent_equals_the_decimal_half_up_formula():
+    tenth = Decimal("0.1")
+    for total in range(1, 1201):
+        for supported in range(total + 1):
+            exact = Decimal(supported * 100) / Decimal(total)
+            expected = float(exact.quantize(tenth, rounding=ROUND_HALF_UP))
+            assert percent_value(supported, total) == expected, (supported, total)
 
 
 def test_percent_undefined_for_zero_total():
