@@ -7,6 +7,11 @@ pointed at the duplicate: an exact hit reads `lowest_label_id` and builds
 nothing else, and a miss's node gets the (vector, norm) its query looked
 up. The builder names and makes its own nodes (`register_node`). The node
 cap turns a hallucination loop into a diagnosable error.
+
+Two steps of the loop are batched per chunk. The store embeds the chunk's
+interface in one request, and each BFS level in one more, when its first
+label without a vector is dequeued. Every `generate_children` digest
+continues from the hash of the chunk's context, taken once.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from .errors import (
     OracleProtocolError,
     UsageError,
 )
-from .oracle import OracleClient, OracleTask
+from .oracle import OracleClient, OracleTask, PayloadPrefix
 from .retrieval import EmbeddingStore, Entry, RankingPool, cosine_candidates
 
 logger = logging.getLogger(__name__)
@@ -50,6 +55,12 @@ def children_payload(label: str, incoming: tuple[str, str] | None,
         "incoming": None if incoming is None else {"ancestor": incoming[0], "edge": incoming[1]},
         "context": context,
     }
+
+
+def context_prefix(context: str) -> PayloadPrefix:
+    """The digest prefix every `children_payload` of a chunk shares: its
+    context, the payload's first key in sorted order and nearly all its bytes."""
+    return PayloadPrefix(OracleTask.GENERATE_CHILDREN, "context", context)
 
 
 def duplicate_payload(candidate_label: str, ancestors: Sequence[tuple[str, str]],
@@ -120,15 +131,17 @@ def find_duplicate(query: str | DuplicateQuery,
 
 
 def generate_children(label: str, incoming: tuple[str, str] | None, context: str,
-                      client: OracleClient) -> list[tuple[str, str]]:
-    """Successor (label, transition condition) pairs for a registered node.
+                      client: OracleClient,
+                      prefix: PayloadPrefix | None = None) -> list[tuple[str, str]]:
+    """Successor (label, transition condition) pairs for a registered node;
+    `prefix` is the chunk's `context_prefix`, if the caller keeps one.
 
     Pairs with empty labels are dropped; a node whose expansion never
     validates becomes a logged dead end rather than aborting the chunk.
     """
     try:
         body = client.call(OracleTask.GENERATE_CHILDREN,
-                           children_payload(label, incoming, context))
+                           children_payload(label, incoming, context), prefix)
     except OracleProtocolError:
         logger.warning("child generation failed for %r; node becomes a dead end", label)
         return []
@@ -200,15 +213,23 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
                       "node_id": node_id, "label": label, "kind": KIND_NAMES[kind]})
         return node_id
 
+    # Every label the loop dequeues is embedded, at its own miss or as the
+    # label of the node it matches exactly, so embedding the interface, and
+    # then each BFS level when its first missing label is dequeued, changes
+    # only how many requests the store sends: one per level.
+    store.embed([*chunk.terminal_labels, *chunk.entry_labels])
     for label in chunk.terminal_labels:
         register(label, NodeKind.TERMINAL, None)
     queue: deque[tuple[str, tuple[str, str] | None]] = deque(
         (label, None) for label in chunk.entry_labels)
+    prefix = context_prefix(chunk.context)
 
     def ancestors() -> list[tuple[str, str]]:  # of the item just dequeued
         return [] if incoming is None else [(graph.nodes[incoming[0]].label, incoming[1])]
     while queue:
         label, incoming = queue.popleft()
+        if label not in store:
+            store.embed([label, *[queued for queued, _ in queue]])
         query = duplicate_query(label, ancestors, graph, pool, config.candidate_count)
         match_id, similarity, how = find_duplicate(query, client)
         if match_id is not None:
@@ -227,7 +248,7 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
             continue
         kind = NodeKind.ENTRY if incoming is None else NodeKind.INTERMEDIATE
         node_id = register(label, kind, incoming, query.entry)
-        children = generate_children(label, incoming, chunk.context, client)
+        children = generate_children(label, incoming, chunk.context, client, prefix)
         if not children:
             trace.append({"event": "dead_end", "chunk": chunk.chunk_id,
                           "node_id": node_id, "label": label})

@@ -9,10 +9,18 @@ failure to an `OracleTransportError`: no reply, an error status, a body that
 is not JSON (a proxy login page, say), or a JSON envelope without what the
 backend reads from it. Only message content that fails the task schema is a
 protocol error, which `oracle.dispatch` retries.
+
+The embedding store hands the embeddings backend a batch of labels at a
+time, one BFS level of a chunk in the build loop, and the backend posts it
+as one `input` list (split at `MAX_INPUTS`), reading each vector back by its
+`index`. A reply with the wrong number of vectors, or a repeated or missing
+index, is a transport error too, so a failing embedder fails at the batch,
+before the build loop reaches the batch's later labels.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, TypeVar
+from functools import partial
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -22,6 +30,8 @@ from .errors import OracleTransportError
 from .oracle import OracleRequest, OracleTask
 
 Reply = TypeVar("Reply")
+
+MAX_INPUTS = 2048  # the most texts OpenAI's embeddings endpoint takes in one request
 
 _SYSTEM_PROMPTS: dict[OracleTask, str] = {
     OracleTask.EXTRACT_PROFILE: (
@@ -98,11 +108,21 @@ def _message_content(reply: Any) -> str:
     return typed(reply["choices"][0]["message"]["content"], str, "message.content")
 
 
-def _embedding(reply: Any) -> np.ndarray:
-    vector = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
-    if vector.ndim != 1:
-        raise ValueError(f"embedding has shape {vector.shape}, not one axis")
-    return vector
+def _embeddings(count: int, reply: Any) -> list[np.ndarray]:
+    """The `count` vectors of a reply, each put in place by its `index`."""
+    data = typed(reply["data"], list, "data", dict)
+    if len(data) != count:
+        raise ValueError(f"{len(data)} embeddings for {count} inputs")
+    vectors: list[np.ndarray | None] = [None] * count
+    for item in data:
+        index = typed(item["index"], int, "index")
+        if not 0 <= index < count or vectors[index] is not None:
+            raise ValueError(f"embedding index {index} is repeated or not below {count}")
+        vector = np.asarray(typed(item["embedding"], list, "embedding"), dtype=np.float64)
+        if vector.ndim != 1:
+            raise ValueError(f"embedding has shape {vector.shape}, not one axis")
+        vectors[index] = vector
+    return vectors
 
 
 class LiveBackend:
@@ -126,12 +146,18 @@ class LiveBackend:
 
 
 class LiveEmbeddingBackend:
-    """Embeddings endpoint sharing the OpenAI-compatible API surface."""
+    """Embeddings endpoint sharing the OpenAI-compatible API surface: one
+    POST per batch, its texts as the `input` list."""
 
     def __init__(self, base_url: str, model: str, auth_token: str | None = None,
                  timeout: float = 60.0, session: requests.Session | None = None) -> None:
         self._model = model
         self._endpoint = _Endpoint(base_url, "/embeddings", auth_token, timeout, session)
 
-    def embed_text(self, text: str) -> np.ndarray:
-        return self._endpoint.post({"model": self._model, "input": [text]}, _embedding)
+    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
+        vectors: list[np.ndarray] = []
+        for start in range(0, len(texts), MAX_INPUTS):
+            batch = list(texts[start : start + MAX_INPUTS])
+            vectors += self._endpoint.post({"model": self._model, "input": batch},
+                                           partial(_embeddings, len(batch)))
+        return vectors

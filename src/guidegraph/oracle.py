@@ -6,7 +6,9 @@ positionally. Backends are pluggable: the deterministic scripted backend is
 a `FixtureSet`, which replays fixture files keyed by a content digest of
 the canonicalized payload, and `live.LiveBackend` posts to an
 OpenAI-compatible chat endpoint. A request is a plain object that digests
-its payload once; every dispatch leaves one record, a dict built once, in
+its payload once, from a `PayloadPrefix`'s hash state when its payload
+opens with a field that many requests share (a chunk's context, in
+`generate_children`); every dispatch leaves one record, a dict built once, in
 an audit log, which numbers it in place as it writes it, so the file is in
 request-id order. A record holds no clock reading, so the log is
 deterministic under either backend. Every overlap of calls goes through
@@ -56,12 +58,15 @@ _TASK_NAMES: dict[OracleTask, str] = {task: task.value for task in OracleTask}
 
 class OracleRequest:
     """A task and its payload, with the payload digest computed once, as the
-    request is made, for the fixture lookup and the audit record alike."""
+    request is made, for the fixture lookup and the audit record alike;
+    `prefix`, if given, is passed on to `payload_digest`."""
 
     __slots__ = ("task", "payload", "digest")
 
-    def __init__(self, task: OracleTask, payload: dict[str, Any]) -> None:
-        self.task, self.payload, self.digest = task, payload, payload_digest(task, payload)
+    def __init__(self, task: OracleTask, payload: dict[str, Any],
+                 prefix: PayloadPrefix | None = None) -> None:
+        self.task, self.payload = task, payload
+        self.digest = payload_digest(task, payload, prefix)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -141,12 +146,51 @@ def validate_response(task: OracleTask, body: Any) -> None:
         raise OracleProtocolError(f"{_TASK_NAMES[task]}: {exc}") from exc
 
 
-def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
+def payload_digest(task: OracleTask, payload: Mapping[str, Any],
+                   prefix: PayloadPrefix | None = None) -> str:
     """sha256 of the compact `canonical_json` bytes of the task and payload,
-    hashed as orjson writes them."""
+    hashed as orjson writes them. A `prefix` that opens this task's blob
+    for this payload saves hashing its field again; it never changes the
+    digest."""
+    if prefix is not None and prefix.task is task:
+        digest = prefix.digest(payload)
+        if digest is not None:
+            return digest
     blob = orjson.dumps({"task": _TASK_NAMES[task], "payload": payload},
                         option=orjson.OPT_SORT_KEYS)
     return hashlib.sha256(blob).hexdigest()
+
+
+class PayloadPrefix:
+    """The opening bytes of the digest blobs of a task's payloads that share
+    one string field, hashed once.
+
+    A blob sorts its keys, so a payload whose other keys all sort after the
+    shared field's name opens with `{"payload":{"<name>":<value>,`. Each
+    such payload's digest copies the hash state of those bytes and hashes
+    only its own tail; `generate_children` payloads share a chunk's context
+    this way.
+    """
+
+    __slots__ = ("task", "name", "value", "_state", "_close")
+
+    def __init__(self, task: OracleTask, name: str, value: str) -> None:
+        self.task, self.name, self.value = task, name, value
+        self._state = hashlib.sha256(b'{"payload":{' + orjson.dumps(name) + b":"
+                                     + orjson.dumps(value) + b",")
+        self._close = b',"task":' + orjson.dumps(_TASK_NAMES[task]) + b"}"
+
+    def digest(self, payload: Mapping[str, Any]) -> str | None:
+        """The payload's digest, or None unless its blob opens with this prefix."""
+        name = self.name
+        rest = {key: value for key, value in payload.items() if key != name}
+        if (not rest or len(rest) == len(payload) or min(rest) < name
+                or payload[name] != self.value):
+            return None
+        hasher = self._state.copy()
+        hasher.update(orjson.dumps(rest, option=orjson.OPT_SORT_KEYS)[1:])  # past its "{"
+        hasher.update(self._close)
+        return hasher.hexdigest()
 
 
 def _record(request: OracleRequest, outcome: str) -> dict[str, Any]:
@@ -423,8 +467,9 @@ class OracleClient:
             self.parallelism, self.executor = 1, None
             self.audit.close()
 
-    def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
-        return dispatch(OracleRequest(task, payload), self.backend,
+    def call(self, task: OracleTask, payload: dict[str, Any],
+             prefix: PayloadPrefix | None = None) -> dict[str, Any]:
+        return dispatch(OracleRequest(task, payload, prefix), self.backend,
                         retry_limit=self.retry_limit, audit=self.audit)
 
     def fan_out(self, fn: Callable[["OracleClient", Item], Result], items: Sequence[Item],

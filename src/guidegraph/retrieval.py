@@ -18,15 +18,20 @@ looks nothing up): once per dequeued build candidate and once per
 aggregation plan (at `parallelism` 1, per turn). A miss looks its label
 up once, and the builder hands that (vector, norm) to the node's row.
 
+A backend embeds a batch of labels per request (`embed_texts`, one row
+per label), and the store sends each batch's missing labels in one
+request: `EmbeddingStore.embed` does it for the labels a caller names,
+and `lookup` for those it looks up. The builder names a chunk's interface
+and then one BFS level at a time, so a chunk costs one request per level.
 The scripted embedding backend is a seeded character-trigram feature
 hasher of fixed dimension: deterministic, whitespace-insensitive after
 label normalization, and good enough to put near-identical labels first.
 Each trigram is hashed once to an int code that holds its dimension and
-sign, and a label is embedded by one `np.bincount` of its codes. Its
-vectors are integer-valued, so every dot product and norm is exact in
-float64. The live embedder, `live.LiveEmbeddingBackend`, posts each label
-to an OpenAI-compatible embeddings endpoint; the store embeds each label
-once, so each costs one round-trip.
+sign, and a batch is embedded by one `np.bincount` of its rows' codes.
+Its vectors are integer-valued, so every dot product and norm is exact in
+float64, and a label's vector does not depend on the batch it is in. The
+live embedder, `live.LiveEmbeddingBackend`, posts a batch to an
+OpenAI-compatible embeddings endpoint as one `input` list.
 """
 from __future__ import annotations
 
@@ -52,7 +57,8 @@ Entry = tuple[np.ndarray, float]  # a label's read-only vector and its norm
 
 
 class EmbeddingBackend(Protocol):
-    def embed_text(self, text: str) -> np.ndarray: ...
+    def embed_texts(self, texts: Sequence[str]) -> Sequence[Sequence[float]]:
+        """One vector per text, in order, from one request."""
 
 
 class HashingEmbeddingBackend:
@@ -61,21 +67,26 @@ class HashingEmbeddingBackend:
 
     Each trigram is hashed once, to the code 2 * index + sign bit (1 for a
     -1 sign). A label's vector is one count of its trigram codes: each
-    index's +1 occurrences minus its -1 occurrences, as float64.
+    index's +1 occurrences minus its -1 occurrences, as float64. A batch
+    offsets each row's codes by the row's start and counts them all at once.
     """
 
     def __init__(self) -> None:
-        # `EmbeddingStore.lookup` embeds outside its lock, so threads may race
+        # `EmbeddingStore.embed` embeds outside its lock, so threads may race
         # to fill the table: benign, as a trigram's code is fixed.
         self._codes = _TrigramCodes()
 
     def embed_text(self, text: str) -> np.ndarray:
-        padded = f" {text} "
-        codes = self._codes
-        counts = np.bincount([codes[padded[i : i + NGRAM]]
-                              for i in range(max(1, len(padded) - NGRAM + 1))],
-                             minlength=2 * DIM)
-        return (counts[0::2] - counts[1::2]).astype(np.float64)
+        return self.embed_texts((text,))[0]
+
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        codes, width, flat = self._codes, 2 * DIM, []
+        for start, text in zip(range(0, width * len(texts), width), texts):
+            padded = f" {text} "
+            flat += [start + codes[padded[i : i + NGRAM]]
+                     for i in range(max(1, len(padded) - NGRAM + 1))]
+        counts = np.bincount(flat, minlength=width * len(texts)).reshape(len(texts), width)
+        return (counts[:, 0::2] - counts[:, 1::2]).astype(np.float64)
 
 
 class _TrigramCodes(dict):
@@ -99,9 +110,9 @@ class EmbeddingStore:
     keyed as given: callers pass labels normalized where they entered.
     Dimensionality is fixed by the first vector; vectors without exactly
     one axis, zero and non-finite vectors are rejected at ingest. A stored
-    entry never changes, so a hit takes no lock; a miss claims its key
-    under the lock, and each key is embedded once, however many threads
-    miss it together.
+    entry never changes, so a hit takes no lock. A miss claims its keys
+    under the lock and embeds them in one backend request, and each key is
+    embedded once, however many threads miss it together.
     """
 
     def __init__(self, backend: EmbeddingBackend) -> None:
@@ -112,59 +123,76 @@ class EmbeddingStore:
         self._lock = threading.Lock()
         self._embedded = threading.Condition(self._lock)  # notified as keys leave `_embedding`
 
-    def _ingest(self, key: str, vector) -> None:
-        vector = np.array(vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise EmbeddingError(f"embedding for {key!r} has shape {vector.shape}, not one axis")
-        norm = math.sqrt(vector @ vector)  # the arithmetic of `np.linalg.norm`
-        if not math.isfinite(norm):
-            raise EmbeddingError(f"non-finite embedding vector for {key!r}")
-        if norm == 0.0:
-            raise EmbeddingError(f"zero embedding vector for {key!r}")
-        if self._dim is None:
-            self._dim = vector.size
-        elif vector.size != self._dim:
-            raise EmbeddingError(f"dimension mismatch for {key!r}: {vector.size} != {self._dim}")
-        vector.flags.writeable = False
-        self._entries[key] = (vector, norm)
+    def __contains__(self, label: object) -> bool:  # whether the label's entry is stored
+        return label in self._entries
+
+    def _ingest(self, keys: list[str], vectors: Sequence) -> None:
+        if len(vectors) != len(keys):
+            raise EmbeddingError(f"{len(vectors)} embeddings for {len(keys)} labels")
+        for key, vector in zip(keys, vectors):
+            vector = np.array(vector, dtype=np.float64)
+            if vector.ndim != 1:
+                raise EmbeddingError(f"embedding for {key!r} has shape {vector.shape}, "
+                                     "not one axis")
+            norm = math.sqrt(vector @ vector)  # the arithmetic of `np.linalg.norm`
+            if not math.isfinite(norm):
+                raise EmbeddingError(f"non-finite embedding vector for {key!r}")
+            if norm == 0.0:
+                raise EmbeddingError(f"zero embedding vector for {key!r}")
+            if self._dim is None:
+                self._dim = vector.size
+            elif vector.size != self._dim:
+                raise EmbeddingError(f"dimension mismatch for {key!r}: "
+                                     f"{vector.size} != {self._dim}")
+            vector.flags.writeable = False
+            self._entries[key] = (vector, norm)
 
     def entry(self, label: str) -> Entry:
-        """The label's entry; a missing key is embedded by `_embed_once`."""
+        """The label's entry; a missing key is embedded by `embed`."""
         entry = self._entries.get(label)
         if entry is None:
-            self._embed_once(label)
+            self.embed((label,))
             entry = self._entries[label]
         return entry
 
     def lookup(self, labels: Iterable[str]) -> list[Entry]:
-        """Each label's `entry`, missing keys embedded in order of first appearance."""
+        """Each label's `entry`, the missing keys embedded by one `embed`."""
         labels = list(labels)
         entries = list(map(self._entries.get, labels))
-        return entries if None not in entries else list(map(self.entry, labels))
+        if None in entries:
+            self.embed(labels)
+            entries = list(map(self._entries.__getitem__, labels))
+        return entries
 
-    def _embed_once(self, key: str) -> None:
-        """Store the key's entry, unless it is stored, embedding it unless
-        another thread does.
+    def embed(self, labels: Iterable[str]) -> None:
+        """Store each label's entry: the missing keys, each once and in order
+        of first appearance, go to the backend in one request, except those
+        another thread is embedding, which it waits for.
 
-        A thread claims a key nobody is embedding and embeds it outside the
-        lock, so distinct keys embed concurrently; it waits for a key
-        another thread claimed. If a claimed embed raises, the key is
-        unclaimed, so a waiter embeds it itself, or raises.
+        A thread claims the missing keys nobody is embedding and embeds them
+        outside the lock, so distinct batches embed concurrently; it waits
+        for keys another thread claimed. If a claimed batch raises, its keys
+        are unclaimed, so a waiter embeds them itself, or raises.
         """
+        entries = self._entries
+        missing = list(dict.fromkeys([label for label in labels if label not in entries]))
+        if not missing:
+            return
         with self._lock:
-            while key not in self._entries:
-                if key in self._embedding:
+            while missing := [key for key in missing if key not in entries]:
+                claimed = [key for key in missing if key not in self._embedding]
+                if claimed:
+                    self._embedding.update(claimed)
+                    self._lock.release()
+                    try:
+                        vectors = self.backend.embed_texts(claimed)
+                    finally:
+                        self._lock.acquire()
+                        self._embedding.difference_update(claimed)
+                        self._embedded.notify_all()
+                    self._ingest(claimed, vectors)
+                else:
                     self._embedded.wait()
-                    continue
-                self._embedding.add(key)
-                self._lock.release()
-                try:
-                    vector = self.backend.embed_text(key)
-                finally:
-                    self._lock.acquire()
-                    self._embedding.discard(key)
-                    self._embedded.notify_all()
-                self._ingest(key, vector)
 
     def vector(self, label: str) -> np.ndarray:
         """The label's embedding, read-only."""
@@ -185,7 +213,8 @@ class RankingPool:
     member, so the arrays hold no dead rows. `_write` alone writes a new
     member's row. `add` gives it the label's store entry, the one a miss's
     query hands over or else looked up; `extend` looks a batch up at once.
-    So a label is embedded once, when a pool adds it or a query names it.
+    So a label is embedded once: when a pool adds it, a query names it or
+    its owner embeds it ahead of both, as the builder does a BFS level.
     The arrays start at `INITIAL_ROWS` rows, or at the size of a larger
     first batch, and double when full. Single-writer, like the graph.
     """

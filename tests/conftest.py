@@ -28,8 +28,8 @@ class PlacedVectors:
     def __init__(self, vectors: dict[str, Sequence[float]]) -> None:
         self.vectors = vectors
 
-    def embed_text(self, text: str) -> Sequence[float]:
-        return self.vectors[text]
+    def embed_texts(self, texts: Sequence[str]) -> list[Sequence[float]]:
+        return [self.vectors[text] for text in texts]
 
 
 def placed_store(vectors: dict[str, Sequence[float]]) -> EmbeddingStore:

@@ -262,9 +262,9 @@ def test_all_excluded_is_empty_pool_without_a_call_or_an_embed():
     texts: list[str] = []
 
     class CountingBackend(HashingEmbeddingBackend):
-        def embed_text(self, text):
-            texts.append(text)
-            return super().embed_text(text)
+        def embed_texts(self, batch):
+            texts.extend(batch)
+            return super().embed_texts(batch)
 
     graph, pool = dedup_graph({"a1": "mri", "a2": "repeat biopsy"},
                               store=EmbeddingStore(CountingBackend()))

@@ -583,8 +583,8 @@ def test_relocated_fixtures_reproduce_golden_run(tmp_path, monkeypatch, relative
 def test_golden_run_digests_each_payload_once(tmp_path, monkeypatch):
     calls = []
     digest = oracle.payload_digest
-    monkeypatch.setattr(oracle, "payload_digest",
-                        lambda task, payload: calls.append(task) or digest(task, payload))
+    monkeypatch.setattr(oracle, "payload_digest", lambda task, payload, prefix=None:
+                        calls.append(task) or digest(task, payload, prefix))
     run_dir = cli.run_pipeline(SYNTHETIC_DIR / "manifest.json",
                                synthetic_config(FIXTURE_DIR), tmp_path / "run")
     records = (run_dir / "audit.log").read_text().splitlines()
@@ -911,8 +911,8 @@ def test_exit_code_for_budget_error(tmp_path):
 
 
 def test_embedding_without_one_axis_exits_with_structural_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(HashingEmbeddingBackend, "embed_text",
-                        lambda self, text: [[1.0, 0.0, 0.0, 0.0]])
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed_texts",
+                        lambda self, texts: [[[1.0, 0.0, 0.0, 0.0]]] * len(texts))
     code = run_cli("run", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
                    "--out", str(tmp_path / "out"), *scripted_flags())
     assert code == cli.EXIT_STRUCTURAL

@@ -437,9 +437,9 @@ class RecordingBackend(HashingEmbeddingBackend):
         super().__init__()
         self.texts: list[str] = []
 
-    def embed_text(self, text: str):
-        self.texts.append(text)
-        return super().embed_text(text)
+    def embed_texts(self, texts):
+        self.texts += texts
+        return super().embed_texts(texts)
 
 
 class ConfirmAllVerifier(SyntheticRuleBackend):

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import json
+import random
 import sys
 import threading
 import time
 import weakref
 from contextlib import nullcontext
 
+import orjson
 import pytest
 import requests
 
 from conftest import make_client
+from oracles import reference_canonical_json
 from synth import FlakyBackend, JitterBackend, StaticBackend, SyntheticRuleBackend
 
+from guidegraph import live
+from guidegraph.builder import children_payload, context_prefix
 from guidegraph.chunker import classify_pages
 from guidegraph.core import GuidelineProfile, PageRecord
 from guidegraph.errors import (
@@ -124,6 +130,47 @@ def test_digest_depends_on_content_not_key_order():
     assert payload_digest(OracleTask.CLASSIFY_PAGE, a) == payload_digest(OracleTask.CLASSIFY_PAGE, b)
     c = {"page": {"index": 2, "text": "x"}, "metadata": {"title": "t"}}
     assert payload_digest(OracleTask.CLASSIFY_PAGE, a) != payload_digest(OracleTask.CLASSIFY_PAGE, c)
+
+
+def _random_text(rng: random.Random, longest: int = 12) -> str:
+    """Quotes, backslashes, control characters, non-ASCII and astral ones."""
+    return "".join(rng.choice('ab "\\/\n\t\x00\x1f\x7fé中\u2028😀')
+                   for _ in range(rng.randint(0, longest)))
+
+
+def test_a_context_prefix_digests_children_payloads_as_the_full_encoding():
+    rng = random.Random(34)
+    task = OracleTask.GENERATE_CHILDREN
+    for case in range(2000):
+        if case % 40 == 0:  # a new chunk
+            context = _random_text(rng, 400)
+            prefix = context_prefix(context)
+        incoming = None if rng.random() < 0.3 else (f"c{rng.randint(0, 99):02d}n{case:03d}",
+                                                    _random_text(rng))
+        payload = children_payload(_random_text(rng), incoming, context)
+        if case == 1000:  # a retry's payload
+            payload["validation_errors"] = [_random_text(rng) for _ in range(3)]
+        full = payload_digest(task, payload)
+        assert prefix.digest(payload) == payload_digest(task, payload, prefix) == full
+        assert full == hashlib.sha256(reference_canonical_json(
+            {"task": task.value, "payload": payload}, compact=True).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("payload", [
+    {"node": "x", "incoming": None, "context": "another chunk"},
+    {"node": "x", "incoming": None, "context": None},
+    {"context": "chunk text"},
+    {"node": "x", "incoming": None},
+    {"node": "x", "incoming": None, "context": "chunk text", "aardvark": 1},
+], ids=["other-context", "non-string-context", "context-alone", "no-context", "earlier-key"])
+def test_a_prefix_that_does_not_open_the_blob_is_not_used(payload):
+    prefix = context_prefix("chunk text")
+    assert prefix.digest(payload) is None
+    assert payload_digest(OracleTask.GENERATE_CHILDREN, payload, prefix) == payload_digest(
+        OracleTask.GENERATE_CHILDREN, payload)
+    other = {"node": "x", "incoming": None, "context": "chunk text"}
+    assert payload_digest(OracleTask.FIND_DUPLICATE, other, prefix) == payload_digest(
+        OracleTask.FIND_DUPLICATE, other)
 
 
 def test_audit_entries_equal_dispatch_calls():
@@ -275,9 +322,9 @@ def test_live_backend_returns_message_content():
 
 
 def test_live_embedding_backend_returns_the_vector():
-    session = _FakeSession(payload={"data": [{"embedding": [3, 4]}]})
+    session = _FakeSession(payload={"data": [{"index": 0, "embedding": [3, 4]}]})
     backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model", session=session)
-    assert backend.embed_text("mri").tolist() == [3.0, 4.0]
+    assert [vector.tolist() for vector in backend.embed_texts(["mri"])] == [[3.0, 4.0]]
     sent = session.requests[0]
     assert sent["url"] == "http://backend.test/v1/embeddings"
     assert sent["json"] == {"model": "embed-model", "input": ["mri"]}
@@ -286,16 +333,70 @@ def test_live_embedding_backend_returns_the_vector():
 @pytest.mark.parametrize("payload", [
     {"object": "list"},  # no data
     {"data": []},
-    {"data": [{"embedding": ["a", "b"]}]},
-    {"data": [{"embedding": [{"x": 1}]}]},
-    {"data": [{"embedding": 5}]},
+    {"data": [{"index": 0, "embedding": ["a", "b"]}]},
+    {"data": [{"index": 0, "embedding": [{"x": 1}]}]},
+    {"data": [{"index": 0, "embedding": 5}]},
     {"data": "embedding"},
 ])
 def test_live_embedding_backend_maps_a_malformed_envelope_to_a_transport_error(payload):
     backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model",
                                    session=_FakeSession(payload=payload))
     with pytest.raises(OracleTransportError):
-        backend.embed_text("mri")
+        backend.embed_texts(["mri"])
+
+
+def test_live_embedding_backend_posts_a_batch_and_reads_it_by_index():
+    session = _FakeSession(payload={"data": [{"index": 1, "embedding": [0, 2]},
+                                             {"index": 0, "embedding": [3, 4]}]})
+    backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model", session=session)
+    assert [vector.tolist() for vector in backend.embed_texts(["mri", "psa"])] == [[3.0, 4.0],
+                                                                                 [0.0, 2.0]]
+    assert [sent["json"] for sent in session.requests] == [{"model": "embed-model",
+                                                            "input": ["mri", "psa"]}]
+
+
+@pytest.mark.parametrize("data", [
+    [{"index": 0, "embedding": [1, 0]}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": 1, "embedding": [0, 1]},
+     {"index": 2, "embedding": [1, 1]}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": 0, "embedding": [0, 1]}],
+    [{"index": 0, "embedding": [1, 0]}, {"embedding": [0, 1]}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": 2, "embedding": [0, 1]}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": -1, "embedding": [0, 1]}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": 1.0, "embedding": [0, 1]}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": 1, "embedding": "0 1"}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": 1, "embedding": {"0": 1}}],
+    [{"index": 0, "embedding": [1, 0]}, {"index": 1, "embedding": [[0, 1]]}],
+], ids=["too-few", "too-many", "repeated-index", "no-index", "index-too-high",
+        "negative-index", "float-index", "string-embedding", "object-embedding",
+        "nested-embedding"])
+def test_a_batch_reply_that_does_not_fit_the_inputs_is_a_transport_error(data):
+    session = _FakeSession(payload={"data": data})
+    store = EmbeddingStore(LiveEmbeddingBackend("http://backend.test/v1", "embed-model",
+                                                session=session))
+    with pytest.raises(OracleTransportError, match="gave no usable reply"):
+        store.lookup(["mri", "psa"])
+    assert "mri" not in store and "psa" not in store
+    assert len(session.requests) == 1
+
+
+def test_a_batch_beyond_the_request_limit_is_split(monkeypatch):
+    monkeypatch.setattr(live, "MAX_INPUTS", 2)
+
+    class Embeddings(_FakeSession):  # answers each input with [its length, 1]
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.reply = _http_reply(200, orjson.dumps({"data": [
+                {"index": index, "embedding": [len(text), 1]}
+                for index, text in reversed(list(enumerate(json["input"])))]}))
+            return super().post(url, json, headers, timeout)
+
+    session = Embeddings(payload={})
+    backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model", session=session)
+    texts = ["a", "bb", "ccc", "dddd", "eeeee"]
+    assert [vector.tolist() for vector in backend.embed_texts(texts)] == [
+        [float(len(text)), 1.0] for text in texts]
+    assert [sent["json"]["input"] for sent in session.requests] == [["a", "bb"],
+                                                                   ["ccc", "dddd"], ["eeeee"]]
 
 
 def _chat(session) -> None:
@@ -304,7 +405,8 @@ def _chat(session) -> None:
 
 
 def _embed(session) -> None:
-    LiveEmbeddingBackend("http://backend.test/v1", "embed-model", session=session).embed_text("x")
+    backend = LiveEmbeddingBackend("http://backend.test/v1", "embed-model", session=session)
+    backend.embed_texts(["x"])
 
 
 @pytest.mark.parametrize("call", [_chat, _embed], ids=["chat", "embeddings"])
@@ -345,7 +447,7 @@ def test_live_proxy_page_fails_classification_instead_of_degrading_it():
 
 def test_store_rejects_a_non_finite_embedding_reply():
     # `resp.json()` parses a bare NaN, whose norm passes a zero-norm check.
-    session = _FakeSession(payload={"data": [{"embedding": [1.0, float("nan")]}]})
+    session = _FakeSession(payload={"data": [{"index": 0, "embedding": [1.0, float("nan")]}]})
     store = EmbeddingStore(LiveEmbeddingBackend("http://backend.test/v1", "embed-model",
                                                 session=session))
     with pytest.raises(EmbeddingError, match="non-finite"):

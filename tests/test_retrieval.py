@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
@@ -367,10 +368,12 @@ class CountingBackend(HashingEmbeddingBackend):
     def __init__(self) -> None:
         super().__init__()
         self.texts: list[str] = []
+        self.requests: list[list[str]] = []
 
-    def embed_text(self, text: str) -> np.ndarray:
-        self.texts.append(text)
-        return super().embed_text(text)
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
+        self.texts += texts
+        self.requests.append(list(texts))
+        return super().embed_texts(texts)
 
 
 def test_a_label_is_embedded_once_when_a_pool_adds_it_or_a_query_names_it():
@@ -393,22 +396,20 @@ def test_a_label_is_embedded_once_when_a_pool_adds_it_or_a_query_names_it():
 
 
 def test_golden_run_embeds_each_label_once(tmp_path, monkeypatch):
-    # Each registered node's label is embedded when its chunk's pool adds
-    # it, and each queried label when the query names it, so a chunk's
-    # terminals come before its entry: none twice.
-    texts: list[str] = []
-    embed = HashingEmbeddingBackend.embed_text
-    monkeypatch.setattr(HashingEmbeddingBackend, "embed_text",
-                        lambda self, text: texts.append(text) or embed(self, text))
+    # The builder embeds a chunk's interface, terminals first, in one
+    # request, then each BFS level in one more; no label is embedded twice.
+    requests: list[list[str]] = []
+    embed = HashingEmbeddingBackend.embed_texts
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed_texts",
+                        lambda self, batch: requests.append(list(batch)) or embed(self, batch))
     cli.run_pipeline(SYNTHETIC_DIR / "manifest.json", synthetic_config(FIXTURE_DIR),
                      tmp_path / "run")
-    assert len(texts) == 12
-    assert texts == [
-        "low-risk group", "high-risk group", "suspected prostate cancer", "prostate biopsy",
-        "risk assessment", "active surveillance", "radiation therapy",
-        "radical prostatectomy", "biochemical recurrence workup",
-        "psa monitoring every 6 months", "repeat prostate biopsy",
-        "active surveillance protocol",
+    assert requests == [
+        ["low-risk group", "high-risk group", "suspected prostate cancer"], ["prostate biopsy"],
+        ["risk assessment"], ["active surveillance", "radiation therapy"],
+        ["radical prostatectomy"], ["biochemical recurrence workup"],
+        ["psa monitoring every 6 months"],
+        ["repeat prostate biopsy", "active surveillance protocol"],
     ]
 
 
@@ -475,11 +476,11 @@ def test_concurrent_lookups_store_each_key_once():
 
 
 class SlowEmbeddingBackend(HashingEmbeddingBackend):
-    """Hashing embeddings that take 5 ms each, like a round-trip to a server."""
+    """Hashing embeddings that take 5 ms a request, like a round-trip to a server."""
 
-    def embed_text(self, text: str) -> np.ndarray:
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
         time.sleep(0.005)
-        return super().embed_text(text)
+        return super().embed_texts(texts)
 
 
 def test_threads_embed_new_labels_concurrently():
@@ -505,23 +506,30 @@ def test_threads_embed_new_labels_concurrently():
 
 
 class CountingEmbeddingBackend(HashingEmbeddingBackend):
-    """Hashing embeddings that take 20 ms each and count their calls; the
-    first call for each text in `fail_once` raises instead."""
+    """Hashing embeddings that take `delay` seconds a request and count each
+    text and request; a request raises instead if it is one of the first
+    `failures[text]` to hold one of its texts. `started` is set as the
+    first request starts."""
 
-    def __init__(self, fail_once: tuple[str, ...] = ()) -> None:
+    def __init__(self, failures: dict[str, int] | None = None, delay: float = 0.02) -> None:
         super().__init__()
         self.calls: Counter[str] = Counter()
-        self._fail_once = set(fail_once)
+        self.requests: list[list[str]] = []
+        self.started = threading.Event()
+        self._failures = failures or {}
+        self._delay = delay
         self._lock = threading.Lock()
 
-    def embed_text(self, text: str) -> np.ndarray:
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
         with self._lock:
-            self.calls[text] += 1
-            fail = self.calls[text] == 1 and text in self._fail_once
-        time.sleep(0.02)
+            self.calls.update(texts)
+            self.requests.append(list(texts))
+            fail = any(self.calls[text] <= self._failures.get(text, 0) for text in texts)
+        self.started.set()
+        time.sleep(self._delay)
         if fail:
-            raise RuntimeError(f"embedding {text!r} failed")
-        return super().embed_text(text)
+            raise RuntimeError(f"embedding {texts!r} failed")
+        return super().embed_texts(texts)
 
 
 def _look_up_together(store: EmbeddingStore, label_lists: list[list[str]]) -> list:
@@ -559,7 +567,7 @@ def test_threads_that_miss_the_same_key_embed_it_once():
 
 
 def test_a_failed_embed_leaves_the_key_to_the_thread_waiting_for_it():
-    backend = CountingEmbeddingBackend(fail_once=("flaky label",))
+    backend = CountingEmbeddingBackend({"flaky label": 1})
     store = EmbeddingStore(backend)
     outcomes = _look_up_together(store, [["flaky label"], ["flaky label"]])
     # One thread's embed raised; the other embedded the key itself.
@@ -567,3 +575,100 @@ def test_a_failed_embed_leaves_the_key_to_the_thread_waiting_for_it():
     assert backend.calls == Counter({"flaky label": 2})
     vector, = next(outcome for outcome in outcomes if isinstance(outcome, list))
     assert vector is store.vector("flaky label")
+
+
+def test_a_batch_is_one_request_of_the_missing_keys_each_once_in_order():
+    backend = CountingBackend()
+    store = EmbeddingStore(backend)
+    store.embed(["mri", "psa elevated"])
+    entries = store.lookup(["repeat biopsy", "mri", "watchful waiting", "repeat biopsy",
+                            "psa elevated", "active surveillance", "watchful waiting"])
+    store.embed(["watchful waiting", "prostate biopsy", "mri", "prostate biopsy"])
+    store.embed(["mri", "prostate biopsy"])  # all stored: no request
+    assert store.lookup(["mri"]) == [store.entry("mri")]
+    assert backend.requests == [["mri", "psa elevated"],
+                                ["repeat biopsy", "watchful waiting", "active surveillance"],
+                                ["prostate biopsy"]]
+    assert entries == [store.entry(label) for label in (
+        "repeat biopsy", "mri", "watchful waiting", "repeat biopsy", "psa elevated",
+        "active surveillance", "watchful waiting")]
+
+
+def test_batched_vectors_and_norms_equal_the_reference_bit_for_bit():
+    rng = random.Random(34)
+    alphabet = "ab c.é中😀-"
+    labels = ["", "a", "😀", "abcabcabc"] + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))) for _ in range(300)]
+    labels = list(dict.fromkeys(label for label in labels if label.strip()))
+    store = EmbeddingStore(HashingEmbeddingBackend())
+    for start in range(0, len(labels), 37):  # batches of several sizes, then one of all
+        store.embed(labels[start : start + rng.randint(1, 37)])
+    for label, (vector, norm) in zip(labels, store.lookup(labels)):
+        reference = reference_embed_text(label, retrieval.DIM, retrieval.SEED, retrieval.NGRAM)
+        assert vector.tobytes() == reference.tobytes()
+        assert norm == math.sqrt(reference @ reference)
+    batch = HashingEmbeddingBackend().embed_texts(labels)
+    assert batch.dtype == np.float64 and batch.shape == (len(labels), retrieval.DIM)
+    assert batch.tobytes() == np.array([reference_embed_text(
+        label, retrieval.DIM, retrieval.SEED, retrieval.NGRAM) for label in labels]).tobytes()
+
+
+def test_eight_threads_filling_overlapping_batches_embed_each_key_once():
+    backend = CountingEmbeddingBackend(delay=0.001)
+    store = EmbeddingStore(backend)
+    keys = [f"label {i}" for i in range(200)]
+    rng = random.Random(8)
+    label_lists = [[rng.choice(keys) for _ in range(400)] for _ in range(8)]
+    start = threading.Barrier(8)
+    errors: list[BaseException] = []
+
+    def work(labels: list[str]) -> None:
+        try:
+            start.wait(timeout=10)
+            for first in range(0, len(labels), 25):
+                store.embed(labels[first : first + 25])
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(labels,)) for labels in label_lists]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    embedded = {label for labels in label_lists for label in labels}
+    assert backend.calls == Counter(dict.fromkeys(embedded, 1))
+    assert all(len(set(request)) == len(request) for request in backend.requests)
+    assert all(label in store for label in embedded)
+
+
+@pytest.mark.parametrize("waiter_fails", [False, True], ids=["embeds", "raises"])
+def test_a_batch_that_raises_unclaims_its_keys_for_a_waiter(waiter_fails):
+    backend = CountingEmbeddingBackend({"flaky label": 1, "shared label": 1 + waiter_fails})
+    store = EmbeddingStore(backend)
+    outcomes: dict[str, object] = {}
+
+    def look_up(name: str, labels: list[str]) -> None:
+        try:
+            outcomes[name] = store.lookup(labels)
+        except RuntimeError as exc:
+            outcomes[name] = exc
+
+    first = threading.Thread(target=look_up, args=("first", ["flaky label", "shared label"]))
+    first.start()
+    assert backend.started.wait(10)  # the first batch holds both keys now
+    second = threading.Thread(target=look_up, args=("second", ["shared label"]))
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=30)
+    # The first batch raised; the second thread, which waited for its key,
+    # then embedded that key itself, and raised if that request raised.
+    assert backend.requests == [["flaky label", "shared label"], ["shared label"]]
+    assert isinstance(outcomes["first"], RuntimeError)
+    if waiter_fails:
+        assert isinstance(outcomes["second"], RuntimeError)
+        assert "shared label" not in store
+    else:
+        assert outcomes["second"] == [store.entry("shared label")]
+    assert "flaky label" not in store
+

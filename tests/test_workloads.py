@@ -35,13 +35,14 @@ SHAPES = {
 RESULT_FILES = ("merged.json", "merge_log.json", "provenance.json", "expansion_trace.json",
                 "chunks.json")
 
-# Per shape: oracle calls by task, `embed_text` calls, rankings (calls of
-# `cosine_candidates`) and each result file's sha256.
+# Per shape: oracle calls by task, (labels embedded, embedding requests:
+# one per chunk for its interface plus one per BFS level), rankings (calls
+# of `cosine_candidates`) and each result file's sha256.
 LEDGER = {
     "expand_dense": (
         {"extract_profile": 1, "classify_page": 15, "predict_boundary": 14, "build_chunk": 5,
          "refine_nodes": 5, "find_duplicate": 522, "generate_children": 510},
-        512, 522,
+        (512, 55), 522,
         {"merged.json": "ffdc3ed12d1f55bf38a7da066b13bd43454aadc00a64b29f9b237bfbe7381b6f",
          "merge_log.json": "f99c94d1366d0c96a2ab276c5ae758e13ec895a3c5acb61ed40ebe53ae5be9b8",
          "provenance.json": "5d650fe375859ae47668e3ad2e2b33d5e0c15aec91740a78985e18c298b96ef3",
@@ -52,7 +53,7 @@ LEDGER = {
     "merge_chain": (
         {"extract_profile": 1, "classify_page": 20, "predict_boundary": 19, "build_chunk": 20,
          "refine_nodes": 20, "find_duplicate": 543, "generate_children": 360},
-        423, 543,
+        (423, 80), 543,
         {"merged.json": "20ae472065c62800bd2a47824200a5c81c1954ad5893a855a7603fb7eb75bdcb",
          "merge_log.json": "d33f1f0769a615b90cfb575298832aaa18beb464f1e950b2d7c8027a36931c0d",
          "provenance.json": "370b5aa0fc6abff33950c9bf4cecbe83f4d42373b4462a77d4938ef78aa40683",
@@ -63,7 +64,7 @@ LEDGER = {
     "roundtrip": (
         {"extract_profile": 1, "classify_page": 60, "predict_boundary": 48, "build_chunk": 18,
          "refine_nodes": 18, "find_duplicate": 182, "generate_children": 144},
-        146, 182,
+        (146, 54), 182,
         {"merged.json": "2e262332946edeffce9dc494911e16902e5b91787478bf4c457b7a517dfda492",
          "merge_log.json": "16949f20cdeec3b5d4c211833ceaa52d40d72b9805ea48624b6c880f4c38ac0b",
          "provenance.json": "47fe07231dd7d66085e4fa10a0d8b5c7d2c2e4c7b28c2b35a5fb0b99209154ef",
@@ -96,9 +97,10 @@ def test_a_workload_makes_its_pinned_calls_and_writes_its_pinned_files(tmp_path,
     counts: Counter[str] = Counter()
 
     class CountingEmbedder(HashingEmbeddingBackend):
-        def embed_text(self, text):
-            counts["embeds"] += 1
-            return super().embed_text(text)
+        def embed_texts(self, texts):
+            counts["embeds"] += len(texts)
+            counts["embed requests"] += 1
+            return super().embed_texts(texts)
 
     def session(settings, out_dir):
         clients.append(OracleClient(GeneratorBackend(document),
@@ -114,9 +116,10 @@ def test_a_workload_makes_its_pinned_calls_and_writes_its_pinned_files(tmp_path,
     run_dir = cli.run_pipeline(manifest, cli.PipelineConfig(expansion_cap=400, parallelism=1),
                                tmp_path / "run")
 
-    calls, embeds, rankings, digests = LEDGER[shape]
+    calls, (embeds, requests), rankings, digests = LEDGER[shape]
     assert Counter(entry["task"] for entry in clients[-1].audit.entries) == calls
-    assert (counts["embeds"], counts["rankings"]) == (embeds, rankings)
+    assert (counts["embeds"], counts["embed requests"], counts["rankings"]) == (
+        embeds, requests, rankings)
     assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             for name in RESULT_FILES} == digests
     assert_merged_structure(load_doc(run_dir / "merged.json", graph_from_doc))
