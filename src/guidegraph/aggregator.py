@@ -62,10 +62,12 @@ class AggregationResult:
 def union_graphs(chunk_graphs: Sequence[DecisionGraph]) -> DecisionGraph:
     """Disjoint union of chunk graphs, origin provenance intact.
 
-    Each graph is added whole by `DecisionGraph.add_graph`, which copies its
-    nodes and adjacency and does not check its edges again: it relies on
-    each chunk graph having passed `check_integrity` (`build_graph` and
-    `graph_from_doc` both check) and on the graphs' node ids being disjoint.
+    Each graph is added whole by `DecisionGraph.add_graph`, which shares its
+    node objects, copies its adjacency and does not check its edges again:
+    it relies on each chunk graph having passed `check_integrity`
+    (`build_graph` and `graph_from_doc` both check) and on the graphs' node
+    ids being disjoint. Aggregation changes no chunk graph, as `merge_nodes`
+    replaces a primary node rather than changing it.
 
     Raises:
         IdCollisionError: a node id appears in two chunk graphs.
@@ -327,7 +329,8 @@ def merge_log_doc(result: AggregationResult) -> dict[str, Any]:
 
 
 def provenance_doc(result: AggregationResult) -> dict[str, Any]:
-    """Table mapping each final node to its contributing chunks and pages."""
+    """Table mapping each final node to its contributing chunks and pages.
+    Like `graph_to_doc`, the doc holds each node's own page list."""
     nodes = []
     for node_id in sorted(result.graph.nodes):
         node = result.graph.nodes[node_id]
@@ -337,7 +340,7 @@ def provenance_doc(result: AggregationResult) -> dict[str, Any]:
             "label": node.label,
             "kind": KIND_NAMES[node.kind],
             "chunks": chunks_involved,
-            "pages": list(node.provenance_pages),
+            "pages": node.provenance_pages,
             "merged_from": merged_refs_doc(node.merged_from),
         })
     return {"format": "provenance/1", "nodes": nodes}

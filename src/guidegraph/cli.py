@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Sequence, get_type_hints
 
 from . import aggregator, builder, chunker, core, evaluation
-from .core import DecisionGraph, NodeKind, PageRecord, canonical_json, load_doc, typed
+from .core import DecisionGraph, NodeKind, PageRecord, canonical_bytes, load_doc, typed
 from .errors import (
     ExpansionBudgetExceeded,
     GuidegraphError,
@@ -250,10 +250,10 @@ def export_dot(graph: DecisionGraph) -> str:
 
 def _write(path: Path, doc: Any) -> None:
     """Write a JSON artifact in canonical form, atomically."""
-    _write_text(path, canonical_json(doc))
+    _write_bytes(path, canonical_bytes(doc))
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_bytes(path: Path, data: bytes) -> None:
     """Write a file atomically: a temp file beside it, then `os.replace`.
 
     An interrupted or failing write leaves the previous file, if any, as it
@@ -263,8 +263,8 @@ def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(tmp, "xb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -436,10 +436,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     graph = load_doc(args.graph, core.graph_from_doc)
     if args.format == "dot":
-        content = export_dot(graph)
+        content = export_dot(graph).encode("utf-8")
     else:
-        content = canonical_json(core.graph_to_doc(graph))
-    _write_text(Path(args.out), content)
+        content = canonical_bytes(core.graph_to_doc(graph))
+    _write_bytes(Path(args.out), content)
     print(f"{args.format} export written to {args.out}")
     return EXIT_OK
 

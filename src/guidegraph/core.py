@@ -56,7 +56,13 @@ def normalize_label(raw: str) -> str:
 
 
 def canonical_json(obj: Any, *, compact: bool = False) -> str:
-    """Serialize to the canonical JSON form used for files and digests.
+    """`canonical_bytes` as text."""
+    return canonical_bytes(obj, compact=compact).decode("utf-8")
+
+
+def canonical_bytes(obj: Any, *, compact: bool = False) -> bytes:
+    """Serialize to the canonical JSON form used for files and digests, as
+    the UTF-8 bytes orjson writes, which files take unchanged.
 
     Keys are sorted and non-ASCII text is kept verbatim, so equal values give
     equal bytes. The pretty form is indented by two spaces and ends with a
@@ -72,9 +78,11 @@ def canonical_json(obj: Any, *, compact: bool = False) -> str:
       (`orjson.JSONEncodeError`).
     """
     if compact:
-        return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode("utf-8")
-    pretty = orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_INDENT_2)
-    return pretty.decode("utf-8") + "\n"
+        return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
+    return orjson.dumps(obj, option=_PRETTY)
+
+
+_PRETTY = orjson.OPT_SORT_KEYS | orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
 
 
 class PageLabel(str, Enum):
@@ -188,12 +196,6 @@ class DecisionNode:
     provenance_pages: list[int] = field(default_factory=list)
     interface_labels: list[str] = field(default_factory=list)
 
-    def copy(self) -> "DecisionNode":
-        """A copy with its own lists; the frozen `MergedRef`s are shared."""
-        return DecisionNode(self.node_id, self.label, self.kind, self.origin_chunk,
-                            list(self.merged_from), list(self.provenance_pages),
-                            list(self.interface_labels))
-
 
 _NO_EDGES: frozenset[DecisionEdge] = frozenset()
 
@@ -207,9 +209,11 @@ class DecisionGraph:
 
     Nodes enter only through `add_node` and `add_graph` and leave only
     through `merge_nodes`, which keep the label index; a node's label never
-    changes once it is in the graph. Edges enter only through `add_edge`
-    and `add_graph` and leave only through `remove_edge`, which keep the
-    in/out adjacency; `edges` is a read-only view of them.
+    changes once it is in the graph, and a merge replaces its primary's
+    node object rather than changing it, so graphs may share nodes. Edges
+    enter only through `add_edge` and `add_graph` and leave only through
+    `remove_edge`, which keep the in/out adjacency; `edges` is a read-only
+    view of them.
     """
 
     def __init__(self) -> None:
@@ -227,12 +231,14 @@ class DecisionGraph:
         self._label_index.setdefault(node.label, set()).add(node.node_id)
 
     def add_graph(self, other: "DecisionGraph") -> None:
-        """Add copies of another graph's nodes, in id order, and all its edges.
+        """Add another graph's nodes, in id order, and all its edges.
 
         The other graph must have passed `check_integrity`; its edges are
-        not checked again. Its nodes and adjacency sets are copied, so the
-        two graphs share no mutable state, and its suppressed self-loops
-        are not carried over.
+        not checked again. Its node objects are shared, not copied: no
+        mutation of a graph changes a node in place (`merge_nodes` puts a
+        new primary node in), so changing either graph leaves the other as
+        it was. Its adjacency sets are copied, as edges do change them in
+        place, and its suppressed self-loops are not carried over.
 
         Raises:
             IdCollisionError: a node id is in both graphs; nothing is added.
@@ -240,7 +246,7 @@ class DecisionGraph:
         shared = other.nodes.keys() & self.nodes.keys()
         if shared:
             raise IdCollisionError(f"node id {min(shared)!r} appears in two chunk graphs")
-        self.nodes.update((nid, other.nodes[nid].copy()) for nid in sorted(other.nodes))
+        self.nodes.update((nid, other.nodes[nid]) for nid in sorted(other.nodes))
         for label, ids in other._label_index.items():
             self._label_index.setdefault(label, set()).update(ids)
         self._edges.update(other._edges)
@@ -347,7 +353,9 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
     provenance (pages, interface labels, prior merges) is folded into the
     primary so the merge chain stays auditable. When exactly one of the two
     nodes is terminal the survivor becomes intermediate: it now sits on both
-    sides of a transition.
+    sides of a transition. The primary is replaced by a new node object
+    under its id and label, and neither old node object changes, so a graph
+    that shares them (a chunk graph under `add_graph`) stays as it was.
 
     Raises:
         InvalidMergeError: primary == secondary.
@@ -371,14 +379,17 @@ def merge_nodes(graph: DecisionGraph, primary: str, secondary: str) -> None:
         add_edge_or_log_loop(graph, primary if source == secondary else source, label,
                              primary if target == secondary else target)
 
-    p_node.merged_from.extend(s_node.merged_from)
-    p_node.merged_from.append(MergedRef(secondary, s_node.origin_chunk))
-    p_node.provenance_pages = sorted(set(p_node.provenance_pages) | set(s_node.provenance_pages))
+    interface_labels = list(p_node.interface_labels)
     for label in s_node.interface_labels:
-        if label not in p_node.interface_labels:
-            p_node.interface_labels.append(label)
-    if (p_node.kind is NodeKind.TERMINAL) != (s_node.kind is NodeKind.TERMINAL):
-        p_node.kind = NodeKind.INTERMEDIATE
+        if label not in interface_labels:
+            interface_labels.append(label)
+    kind = p_node.kind
+    if (kind is NodeKind.TERMINAL) != (s_node.kind is NodeKind.TERMINAL):
+        kind = NodeKind.INTERMEDIATE
+    graph.nodes[primary] = DecisionNode(  # same id and label, so the label index holds
+        primary, p_node.label, kind, p_node.origin_chunk,
+        [*p_node.merged_from, *s_node.merged_from, MergedRef(secondary, s_node.origin_chunk)],
+        sorted(set(p_node.provenance_pages) | set(s_node.provenance_pages)), interface_labels)
     # Only the secondary's incident edges changed, so checking them and the
     # primary's out-edges covers what a full integrity scan would.
     if (graph.in_edges(secondary) or graph.out_edges(secondary)
@@ -397,7 +408,9 @@ def merged_refs_doc(refs: Iterable[MergedRef]) -> list[dict[str, Any]]:
 
 
 def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
-    """Canonical document form: nodes sorted by id, edges by triple."""
+    """Canonical document form: nodes sorted by id, edges by triple. The doc
+    holds each node's own page and interface lists, so serialize it before
+    the graph changes, and do not change it."""
     nodes = []
     for node_id in sorted(graph.nodes):
         node = graph.nodes[node_id]
@@ -408,8 +421,8 @@ def graph_to_doc(graph: DecisionGraph) -> dict[str, Any]:
                 "kind": KIND_NAMES[node.kind],
                 "origin_chunk": node.origin_chunk,
                 "merged_from": merged_refs_doc(node.merged_from),
-                "provenance_pages": list(node.provenance_pages),
-                "interface_labels": list(node.interface_labels),
+                "provenance_pages": node.provenance_pages,
+                "interface_labels": node.interface_labels,
             }
         )
     edges = [

@@ -25,11 +25,11 @@ from contextlib import contextmanager
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, TextIO, TypeVar
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 import orjson
 
-from .core import canonical_json, load_doc, normalize_label, typed
+from .core import canonical_bytes, canonical_json, load_doc, normalize_label, typed
 from .errors import (
     EmptyLabelError,
     FixtureMissingError,
@@ -217,7 +217,7 @@ class AuditLog:
     def __init__(self, path: str | Path | None = None) -> None:
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._handle: TextIO | None = None
+        self._handle: BinaryIO | None = None
         self._close_handle: weakref.finalize | None = None
         self.entries: list[dict[str, Any]] = []
         self.prior_records = 0
@@ -239,11 +239,11 @@ class AuditLog:
             if self._path is None or not records:
                 return
             if self._handle is None:
-                self._handle = self._path.open("a", encoding="utf-8")
+                self._handle = self._path.open("ab")
                 # Closes the handle if the owner never calls `close`.
                 self._close_handle = weakref.finalize(self, self._handle.close)
-            self._handle.write("".join(canonical_json(record, compact=True) + "\n"
-                                       for record in records))
+            self._handle.write(b"".join([canonical_bytes(record, compact=True) + b"\n"
+                                         for record in records]))
             self._handle.flush()
 
     def close(self) -> None:
@@ -303,9 +303,7 @@ class FixtureSet:
                 "task": task.value,
                 "entries": [entry for _, entry in sorted(entries.items())],
             }
-            (directory / f"{task.value}.json").write_text(
-                canonical_json(doc), encoding="utf-8"
-            )
+            (directory / f"{task.value}.json").write_bytes(canonical_bytes(doc))
 
     @staticmethod
     def _files(directory: str | Path) -> list[Path]:

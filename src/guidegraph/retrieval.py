@@ -26,8 +26,10 @@ and then one BFS level at a time, so a chunk costs one request per level.
 The scripted embedding backend is a seeded character-trigram feature
 hasher of fixed dimension: deterministic, whitespace-insensitive after
 label normalization, and good enough to put near-identical labels first.
-Each trigram is hashed once to an int code that holds its dimension and
-sign, and a batch is embedded by one `np.bincount` of its rows' codes.
+Each trigram is hashed once a process to an int code that holds its
+dimension and sign, and a batch is embedded by one `np.bincount` of its
+rows' codes. The store keeps a batch as one read-only array, a row per
+label.
 Its vectors are integer-valued, so every dot product and norm is exact in
 float64, and a label's vector does not depend on the batch it is in. The
 live embedder, `live.LiveEmbeddingBackend`, posts a batch to an
@@ -65,22 +67,18 @@ class HashingEmbeddingBackend:
     """Deterministic feature-hashing embedder over character trigrams, into
     `DIM` dimensions under hash seed `SEED`.
 
-    Each trigram is hashed once, to the code 2 * index + sign bit (1 for a
-    -1 sign). A label's vector is one count of its trigram codes: each
-    index's +1 occurrences minus its -1 occurrences, as float64. A batch
-    offsets each row's codes by the row's start and counts them all at once.
+    Each trigram is hashed once a process, to the code 2 * index + sign bit
+    (1 for a -1 sign), in a table that every instance shares. A label's
+    vector is one count of its trigram codes: each index's +1 occurrences
+    minus its -1 occurrences, as float64. A batch offsets each row's codes
+    by the row's start and counts them all at once.
     """
-
-    def __init__(self) -> None:
-        # `EmbeddingStore.embed` embeds outside its lock, so threads may race
-        # to fill the table: benign, as a trigram's code is fixed.
-        self._codes = _TrigramCodes()
 
     def embed_text(self, text: str) -> np.ndarray:
         return self.embed_texts((text,))[0]
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        codes, width, flat = self._codes, 2 * DIM, []
+        codes, width, flat = _CODES, 2 * DIM, []
         for start, text in zip(range(0, width * len(texts), width), texts):
             padded = f" {text} "
             flat += [start + codes[padded[i : i + NGRAM]]
@@ -101,6 +99,13 @@ class _TrigramCodes(dict):
         value = int.from_bytes(hasher.digest(), "big")
         code = self[gram] = 2 * ((value >> 1) % DIM) + (~value & 1)
         return code
+
+
+# A trigram's code depends on nothing but the trigram under the fixed `SEED`
+# and `DIM`, so every hashing backend of the process shares one table. Stores
+# embed outside their locks, so threads may race to fill it: benign, as two
+# racers write the same code.
+_CODES = _TrigramCodes()
 
 
 class EmbeddingStore:
@@ -127,25 +132,44 @@ class EmbeddingStore:
         return label in self._entries
 
     def _ingest(self, keys: list[str], vectors: Sequence) -> None:
+        """Store a batch as one read-only float64 array, each key's vector a
+        row of it. Raises EmbeddingError, storing none of the batch, unless
+        every vector has one axis, a finite non-zero norm and the store's
+        dimension."""
         if len(vectors) != len(keys):
             raise EmbeddingError(f"{len(vectors)} embeddings for {len(keys)} labels")
-        for key, vector in zip(keys, vectors):
-            vector = np.array(vector, dtype=np.float64)
-            if vector.ndim != 1:
-                raise EmbeddingError(f"embedding for {key!r} has shape {vector.shape}, "
-                                     "not one axis")
-            norm = math.sqrt(vector @ vector)  # the arithmetic of `np.linalg.norm`
+        try:
+            batch = np.array(vectors, dtype=np.float64)
+        except ValueError:  # rows of different shapes, or not numbers
+            self._check_shapes(keys, vectors)
+            raise
+        if batch.ndim != 2:
+            self._check_shapes(keys, vectors)
+        dim = batch.shape[1]
+        if self._dim is not None and dim != self._dim:
+            raise EmbeddingError(f"dimension mismatch for {keys[0]!r}: {dim} != {self._dim}")
+        norms = [math.sqrt(row @ row) for row in batch]  # the arithmetic of `np.linalg.norm`
+        for key, norm in zip(keys, norms):
             if not math.isfinite(norm):
                 raise EmbeddingError(f"non-finite embedding vector for {key!r}")
             if norm == 0.0:
                 raise EmbeddingError(f"zero embedding vector for {key!r}")
-            if self._dim is None:
-                self._dim = vector.size
-            elif vector.size != self._dim:
-                raise EmbeddingError(f"dimension mismatch for {key!r}: "
-                                     f"{vector.size} != {self._dim}")
-            vector.flags.writeable = False
-            self._entries[key] = (vector, norm)
+        self._dim = dim
+        batch.flags.writeable = False  # and so is every row view
+        self._entries.update(zip(keys, zip(batch, norms)))
+
+    def _check_shapes(self, keys: list[str], vectors: Sequence) -> None:
+        """Raise the EmbeddingError of the first vector that has not one axis,
+        or not the dimension of the store or of the batch's first vector."""
+        dim = self._dim
+        for key, vector in zip(keys, vectors):
+            shape = np.shape(vector)
+            if len(shape) != 1:
+                raise EmbeddingError(f"embedding for {key!r} has shape {shape}, not one axis")
+            if dim is None:
+                dim = shape[0]
+            elif shape[0] != dim:
+                raise EmbeddingError(f"dimension mismatch for {key!r}: {shape[0]} != {dim}")
 
     def entry(self, label: str) -> Entry:
         """The label's entry; a missing key is embedded by `embed`."""

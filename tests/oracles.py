@@ -78,11 +78,11 @@ def reference_embed_text(text: str, dim: int, seed: int, ngram: int = 3) -> np.n
 
 
 def per_edge_union(graphs: Iterable[DecisionGraph]) -> DecisionGraph:
-    """Disjoint union built one node copy and one checked `add_edge` at a time."""
+    """Disjoint union built one node and one checked `add_edge` at a time."""
     union = DecisionGraph()
     for graph in graphs:
         for node_id in sorted(graph.nodes):
-            union.add_node(graph.nodes[node_id].copy())
+            union.add_node(graph.nodes[node_id])
         for edge in graph.edges:
             union.add_edge(*edge)
     return union

@@ -10,6 +10,7 @@ interface duplicates.
 from __future__ import annotations
 
 import json
+import math
 import random
 import threading
 import time
@@ -17,13 +18,65 @@ from pathlib import Path
 from typing import Any
 
 from guidegraph.cli import BackendConfig, PipelineConfig
-from guidegraph.core import canonical_json
+from guidegraph.core import NodeKind, canonical_json
 from guidegraph.oracle import FixtureSet, OracleRequest, OracleTask
 
 DATA_DIR = Path(__file__).parent / "data"
 SYNTHETIC_DIR = DATA_DIR / "synthetic"
 FIXTURE_DIR = DATA_DIR / "fixtures"
 GOLDEN_DIR = DATA_DIR / "golden"
+
+# Characters the two encoders must escape or keep alike: quotes, backslash,
+# every control character, DEL, the JS line separators, non-ASCII and astral.
+JSON_ALPHABET = ['"', "\\", "/", " ", "a", "Z", "0", "\x7f", "\u2028", "\u2029", "é", "中",
+                 "\U0001f600", "\U0001d11e"] + [chr(c) for c in range(0x20)]
+
+
+def random_json_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return "".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 8)))
+    if kind == 1:
+        return rng.choice([0, 1, -1, 2**63 - 1, 2**63, -2**63,
+                           rng.randint(-2**63, 2**63), rng.randint(-999, 999)])
+    if kind == 2:
+        if rng.random() < 0.2:
+            return rng.choice([0.0, -0.0, 1e-4, math.nextafter(1e16, 0)])
+        magnitude = 10 ** rng.uniform(-4, 16)
+        if rng.random() < 0.3:
+            magnitude = round(magnitude, rng.randint(0, 6))  # as similarities are rounded
+        if not 1e-4 <= magnitude < 1e16:
+            magnitude = 1e-4
+        return rng.choice([1.0, -1.0]) * magnitude
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return rng.choice(list(NodeKind))
+    if kind == 5:
+        return rng.choice([[], {}, ()])
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {"".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 4))): item
+            for item in items}
+
+
+
+
+def canonical_docs(seed: int, count: int) -> list[Any]:
+    """The golden run's JSON documents, then `count` random documents, each
+    with a float outside [1e-4, 1e16), whose canonical form is its shortest
+    one, and text with non-ASCII, line-separator and astral characters."""
+    docs = [json.loads(path.read_bytes()) for path in sorted(GOLDEN_DIR.rglob("*.json"))]
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = "".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 6)))
+        docs.append({"doc": random_json_value(rng), "text": f"é\u2028{text}\U0001f600",
+                     "float": rng.choice([1e-05, -2.5e-7, 5e-324, 1e16, -3e17, 1e300])})
+    return docs
+
 
 PAGE_TEXTS: dict[int, str] = {
     1: (

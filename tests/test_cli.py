@@ -18,6 +18,7 @@ from synth import (
     SYNTHETIC_DIR,
     JitterBackend,
     SyntheticRuleBackend,
+    canonical_docs,
     synthetic_config,
     write_synthetic_document,
 )
@@ -1183,6 +1184,13 @@ def test_failed_write_keeps_previous_artifact_and_leaves_no_temp_file(tmp_path, 
         cli._write(path, doc)
     assert path.read_bytes() == before
     assert sorted(p.name for p in path.parent.iterdir()) == ["merged.json"]
+
+
+def test_write_writes_the_canonical_json_bytes(tmp_path):
+    for number, doc in enumerate(canonical_docs(35, 300)):
+        path = tmp_path / f"{number}.json"
+        cli._write(path, doc)
+        assert path.read_bytes() == canonical_json(doc).encode("utf-8")
 
 
 def test_write_replaces_artifact_with_canonical_json(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import datetime
 import itertools
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_merge, reference_canonical_json, reference_normalize
+from synth import random_json_value
 
 import guidegraph
 from guidegraph.aggregator import union_graphs
@@ -290,9 +292,31 @@ def test_merge_unions_provenance_and_interface_labels():
     graph.add_node(p)
     graph.add_node(s)
     merge_nodes(graph, "P", "S")
-    assert p.provenance_pages == [1, 2, 3]
-    assert p.interface_labels == ["p", "s"]
-    assert p.merged_from == [MergedRef("old", 2), MergedRef("S", 2)]
+    merged = graph.nodes["P"]
+    assert merged.provenance_pages == [1, 2, 3]
+    assert merged.interface_labels == ["p", "s"]
+    assert merged.merged_from == [MergedRef("old", 2), MergedRef("S", 2)]
+    assert (merged.label, merged.kind, merged.origin_chunk) == ("p", NodeKind.ENTRY, 1)
+
+
+def test_merge_replaces_the_primary_and_changes_no_node_object():
+    chunk_1, chunk_2 = DecisionGraph(), DecisionGraph()
+    chunk_1.add_node(DecisionNode("P", "p", NodeKind.TERMINAL, 1, provenance_pages=[1],
+                                  interface_labels=["p"], merged_from=[MergedRef("old", 1)]))
+    chunk_2.add_node(DecisionNode("S", "s", NodeKind.ENTRY, 2, provenance_pages=[2],
+                                  interface_labels=["s"]))
+    before = [copy.deepcopy(chunk.nodes) for chunk in (chunk_1, chunk_2)]
+    union = union_graphs([chunk_1, chunk_2])
+    old_primary = union.nodes["P"]
+    assert old_primary is chunk_1.nodes["P"]  # the union shares the chunk's node
+    merge_nodes(union, "P", "S")
+    assert union.nodes["P"] is not old_primary
+    assert union.nodes["P"] == DecisionNode(
+        "P", "p", NodeKind.INTERMEDIATE, 1, merged_from=[MergedRef("old", 1), MergedRef("S", 2)],
+        provenance_pages=[1, 2], interface_labels=["p", "s"])
+    assert chunk_1.nodes["P"] is old_primary
+    assert [chunk.nodes for chunk in (chunk_1, chunk_2)] == before
+    assert union.lowest_label_id("p") == "P" and union.lowest_label_id("s") is None
 
 
 def test_merge_terminal_with_non_terminal_becomes_intermediate():
@@ -447,43 +471,6 @@ def test_graph_doc_round_trip_and_byte_stability():
     ]
     restored = graph_from_doc(doc)
     assert canonical_json(graph_to_doc(restored)) == canonical_json(doc)
-
-
-# Characters the two encoders must escape or keep alike: quotes, backslash,
-# every control character, DEL, the JS line separators, non-ASCII and astral.
-JSON_ALPHABET = ['"', "\\", "/", " ", "a", "Z", "0", "\x7f", "\u2028", "\u2029", "é", "中",
-                 "\U0001f600", "\U0001d11e"] + [chr(c) for c in range(0x20)]
-
-
-def random_json_value(rng: random.Random, depth: int = 0):
-    kind = rng.randrange(9 if depth < 4 else 6)
-    if kind == 0:
-        return "".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 8)))
-    if kind == 1:
-        return rng.choice([0, 1, -1, 2**63 - 1, 2**63, -2**63,
-                           rng.randint(-2**63, 2**63), rng.randint(-999, 999)])
-    if kind == 2:
-        if rng.random() < 0.2:
-            return rng.choice([0.0, -0.0, 1e-4, math.nextafter(1e16, 0)])
-        magnitude = 10 ** rng.uniform(-4, 16)
-        if rng.random() < 0.3:
-            magnitude = round(magnitude, rng.randint(0, 6))  # as similarities are rounded
-        if not 1e-4 <= magnitude < 1e16:
-            magnitude = 1e-4
-        return rng.choice([1.0, -1.0]) * magnitude
-    if kind == 3:
-        return rng.choice([True, False, None])
-    if kind == 4:
-        return rng.choice(list(NodeKind))
-    if kind == 5:
-        return rng.choice([[], {}, ()])
-    items = [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-    if kind == 6:
-        return items
-    if kind == 7:
-        return tuple(items)
-    return {"".join(rng.choice(JSON_ALPHABET) for _ in range(rng.randint(0, 4))): item
-            for item in items}
 
 
 def test_canonical_json_matches_the_standard_library_encoder():

@@ -469,11 +469,15 @@ def test_exact_policy_never_matches_a_label_with_no_text():
 
 
 def test_embedding_policy_never_embeds_a_label_with_no_text():
-    predicted, reference = empty_label_pair()
+    # "bee" has no equal beside the labels without text, so only it and
+    # "bead" go to the embedding pass, which matches them.
+    predicted = graph_of(["a", ".", "bee"], [(1, ".", 3), (1, "x", 2)])
+    reference = graph_of(["a", "...", "bead"], [(1, " ;", 3), (1, "x", 2)], prefix="r")
     backend = RecordingBackend()
     report = score(predicted, reference, embedding(0.01), store=EmbeddingStore(backend))
     assert report.node_precision == MetricCount(2, 3)
     assert report.triplet_recall == MetricCount(0, 2)
+    assert "bee" in backend.texts and "bead" in backend.texts
     assert "" not in backend.texts
 
 

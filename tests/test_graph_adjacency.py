@@ -14,6 +14,7 @@ from guidegraph.core import (
     DecisionNode,
     MergedRef,
     NodeKind,
+    canonical_json,
     graph_from_doc,
     graph_to_doc,
     merge_nodes,
@@ -98,23 +99,30 @@ def test_adjacency_matches_full_scan_under_random_mutations():
                 assert_adjacency_matches_scan(graph)
 
 
-def test_copies_share_no_mutable_state():
+def test_changing_a_union_leaves_its_input_graph_unchanged():
     graph = DecisionGraph()
     graph.add_node(DecisionNode("a", "a", NodeKind.ENTRY, 1, merged_from=[MergedRef("z", 2)],
                                 provenance_pages=[1], interface_labels=["a"]))
-    graph.add_node(DecisionNode("b", "b", NodeKind.TERMINAL, 1))
+    graph.add_node(DecisionNode("b", "b", NodeKind.TERMINAL, 1, provenance_pages=[2]))
+    graph.add_node(DecisionNode("c", "c", NodeKind.INTERMEDIATE, 1))
     graph.add_edge("a", "go", "b")
+    graph.add_edge("a", "go", "c")
+    graph.add_edge("c", "on", "b")
+
+    def state() -> tuple:  # a snapshot: a graph's doc holds its nodes' own lists
+        return (canonical_json(graph_to_doc(graph)), set(graph.edges),
+                {label: set(ids) for label, ids in graph._label_index.items()},
+                {nid: (set(graph.in_edges(nid)), set(graph.out_edges(nid))) for nid in "abc"})
+
+    before = state()
     dup = union_graphs([graph])
-    node = dup.nodes["a"]
-    assert node == graph.nodes["a"] and node is not graph.nodes["a"]
-    assert node.merged_from is not graph.nodes["a"].merged_from
-    assert node.merged_from[0] is graph.nodes["a"].merged_from[0]  # frozen, shared
-    node.provenance_pages.append(9)
-    node.interface_labels.append("x")
     dup.remove_edge("a", "go", "b")
-    assert graph.nodes["a"].provenance_pages == [1]
-    assert graph.nodes["a"].interface_labels == ["a"]
-    assert graph.in_edges("b") == {DecisionEdge("a", "go", "b")}
+    dup.add_edge("b", "back", "a")
+    merge_nodes(dup, "a", "c")  # rewires c's edges and folds its provenance into a's
+    merge_nodes(dup, "b", "a")  # a terminal absorbs an entry
+    assert dup.nodes["b"].kind is NodeKind.INTERMEDIATE
+    assert dup.nodes["b"].merged_from == [MergedRef("z", 2), MergedRef("c", 1), MergedRef("a", 1)]
+    assert state() == before
     assert_adjacency_matches_scan(dup)
     assert_adjacency_matches_scan(graph)
 

@@ -17,12 +17,12 @@ import requests
 
 from conftest import make_client
 from oracles import reference_canonical_json
-from synth import FlakyBackend, JitterBackend, StaticBackend, SyntheticRuleBackend
+from synth import FlakyBackend, JitterBackend, StaticBackend, SyntheticRuleBackend, canonical_docs
 
 from guidegraph import live
 from guidegraph.builder import children_payload, context_prefix
 from guidegraph.chunker import classify_pages
-from guidegraph.core import GuidelineProfile, PageRecord
+from guidegraph.core import GuidelineProfile, PageRecord, canonical_json
 from guidegraph.errors import (
     EmbeddingError,
     FixtureMissingError,
@@ -467,6 +467,17 @@ def test_audit_log_writes_ndjson(tmp_path):
     record = json.loads(lines[0])
     assert record == {"request_id": "req-000001", "task": "classify_page",
                       "payload_digest": request.digest, "outcome": "ok"}
+
+
+def test_audit_lines_are_the_compact_canonical_json(tmp_path):
+    records = [{"doc": doc} for doc in canonical_docs(36, 300)]
+    audit = AuditLog(tmp_path / "audit.log")
+    audit.commit(records[:1])
+    audit.commit(records[1:])  # one write of many lines
+    audit.close()
+    assert (tmp_path / "audit.log").read_bytes() == b"".join(
+        canonical_json(record, compact=True).encode("utf-8") + b"\n" for record in records)
+    assert [record["request_id"] for record in records[:2]] == ["req-000001", "req-000002"]
 
 
 def test_live_audit_log_is_byte_identical_across_runs(tmp_path):

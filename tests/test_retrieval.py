@@ -75,6 +75,76 @@ def test_trigram_table_embeds_like_the_hashing_loop():
                                        "one or two characters")) > 10
 
 
+def unseen_labels(seed: int, count: int, first_code: int) -> list[str]:
+    """Labels of the 64 Linear B characters from `first_code` on and a CJK
+    extension character, whose trigrams no other test embeds, so the
+    process's trigram table holds none of them."""
+    rng = random.Random(seed)
+    alphabet = [chr(code) for code in range(first_code, first_code + 64)] + ["\U00020000", " "]
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            for _ in range(count)]
+
+
+def test_backends_share_one_trigram_table(monkeypatch):
+    hashed: Counter[str] = Counter()
+    missing = retrieval._TrigramCodes.__missing__
+
+    def counting(table, gram):
+        hashed[gram] += 1
+        return missing(table, gram)
+
+    monkeypatch.setattr(retrieval._TrigramCodes, "__missing__", counting)
+    labels = unseen_labels(35, 200, 0x10000)
+    first = HashingEmbeddingBackend().embed_texts(labels)
+    assert hashed and max(hashed.values()) == 1  # each new trigram hashed once
+    first_hashed = dict(hashed)
+    second = HashingEmbeddingBackend().embed_texts(labels[::-1])
+    assert hashed == first_hashed  # the second backend hashed nothing again
+    assert first.tobytes() == second[::-1].tobytes()
+    for label, vector in zip(labels, first):
+        reference = reference_embed_text(label, retrieval.DIM, retrieval.SEED, retrieval.NGRAM)
+        assert vector.tobytes() == reference.tobytes()
+
+
+def test_threads_filling_two_stores_embed_bit_identical_vectors():
+    labels = unseen_labels(36, 240, 0x10080)
+    stores = [EmbeddingStore(HashingEmbeddingBackend()) for _ in range(2)]
+    start = threading.Barrier(8)
+
+    def fill(worker: int) -> None:
+        start.wait()
+        for first in range(worker * 10, len(labels), 40):  # batches that overlap
+            stores[worker % 2].embed(labels[first : first + 30])
+
+    threads = [threading.Thread(target=fill, args=(worker,)) for worker in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside a batch's trigram loop
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for label in labels:
+        reference = reference_embed_text(label, retrieval.DIM, retrieval.SEED, retrieval.NGRAM)
+        for store in stores:
+            vector, norm = store.entry(label)
+            assert vector.tobytes() == reference.tobytes()
+            assert norm == math.sqrt(reference @ reference)
+
+
+def test_a_batch_is_stored_as_one_read_only_array(hashing_store):
+    labels = ["radical prostatectomy", "radiation therapy", "active surveillance"]
+    hashing_store.embed(labels)
+    vectors = [hashing_store.vector(label) for label in labels]
+    base = vectors[0].base
+    assert base is not None and base.shape == (3, retrieval.DIM)
+    assert all(vector.base is base for vector in vectors) and not base.flags.writeable
+    assert np.array_equal(base, HashingEmbeddingBackend().embed_texts(labels))
+
+
 def test_hand_placed_vectors_rank_as_computed():
     store = placed_store({"first": [1.0, 0.0], "second": [0.0, 1.0], "third": [0.9, 0.1]})
     result = cosine_candidates("first", ranking_pool(store, {"n2": "second", "n3": "third"}), 2)
