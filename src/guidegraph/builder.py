@@ -3,21 +3,19 @@ fixed terminal set, with duplicate detection against the growing node pool.
 
 Terminal nodes are registered up front and are never created by expansion.
 A candidate that duplicates a node creates none: its incoming edge is
-pointed at the duplicate: an exact hit reads `lowest_label_id` and builds
-nothing else, and a miss's node gets the (vector, norm) its query looked
-up. The builder names and makes its own nodes (`register_node`). The node
-cap turns a hallucination loop into a diagnosable error.
+pointed at the duplicate. An exact hit reads `lowest_label_id` and builds
+nothing else; a miss ranks the pool. The builder names and makes its own
+nodes (`register_node`). The node cap turns a hallucination loop into a
+diagnosable error.
 
-Two steps of the loop are batched per chunk. The store embeds the chunk's
-interface in one request, and each BFS level in one more, when its first
-label without a vector is dequeued. Every `generate_children` digest
-continues from the hash of the chunk's context, taken once.
+The store embeds the chunk's interface in one request, and each BFS level
+in one more, when its first label without a vector is dequeued.
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .core import (
@@ -36,8 +34,8 @@ from .errors import (
     OracleProtocolError,
     UsageError,
 )
-from .oracle import OracleClient, OracleTask, PayloadPrefix
-from .retrieval import EmbeddingStore, Entry, RankingPool, cosine_candidates
+from .oracle import OracleClient, OracleTask
+from .retrieval import EmbeddingStore, RankingPool, cosine_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -57,12 +55,6 @@ def children_payload(label: str, incoming: tuple[str, str] | None,
     }
 
 
-def context_prefix(context: str) -> PayloadPrefix:
-    """The digest prefix every `children_payload` of a chunk shares: its
-    context, the payload's first key in sorted order and nearly all its bytes."""
-    return PayloadPrefix(OracleTask.GENERATE_CHILDREN, "context", context)
-
-
 def duplicate_payload(candidate_label: str, ancestors: Sequence[tuple[str, str]],
                       candidate_labels: Sequence[str]) -> dict[str, Any]:
     return {
@@ -79,7 +71,6 @@ class DuplicateQuery:
     label: str
     candidates: tuple[tuple[str, str, float], ...]  # best first
     payload: dict[str, Any] | None  # the verifier payload; None without candidates
-    entry: Entry | None = field(compare=False)  # the label's (vector, norm), once ranked
 
 
 def duplicate_query(candidate_label: str, ancestors: Callable[[], Sequence[tuple[str, str]]],
@@ -92,16 +83,15 @@ def duplicate_query(candidate_label: str, ancestors: Callable[[], Sequence[tuple
     normalized label, returned as the query without ranking. On a miss the
     pool's top k outside group `exclude` by cosine similarity go into the
     verifier payload, with the (ancestor label, edge label) context that
-    `ancestors()` builds only then, and the query keeps the label's entry.
+    `ancestors()` builds only then.
     """
     exact = graph.lowest_label_id(candidate_label, exclude)
     if exact is not None:
         return exact
-    entry = pool.store.entry(candidate_label) if pool.eligible(exclude) else None
-    candidates = cosine_candidates(candidate_label, pool, k, exclude, entry)
+    candidates = cosine_candidates(candidate_label, pool, k, exclude)
     payload = duplicate_payload(candidate_label, ancestors(),
                                 [label for _, label, _ in candidates]) if candidates else None
-    return DuplicateQuery(candidate_label, candidates, payload, entry)
+    return DuplicateQuery(candidate_label, candidates, payload)
 
 
 def find_duplicate(query: str | DuplicateQuery,
@@ -131,17 +121,15 @@ def find_duplicate(query: str | DuplicateQuery,
 
 
 def generate_children(label: str, incoming: tuple[str, str] | None, context: str,
-                      client: OracleClient,
-                      prefix: PayloadPrefix | None = None) -> list[tuple[str, str]]:
-    """Successor (label, transition condition) pairs for a registered node;
-    `prefix` is the chunk's `context_prefix`, if the caller keeps one.
+                      client: OracleClient) -> list[tuple[str, str]]:
+    """Successor (label, transition condition) pairs for a registered node.
 
     Pairs with empty labels are dropped; a node whose expansion never
     validates becomes a logged dead end rather than aborting the chunk.
     """
     try:
         body = client.call(OracleTask.GENERATE_CHILDREN,
-                           children_payload(label, incoming, context), prefix)
+                           children_payload(label, incoming, context))
     except OracleProtocolError:
         logger.warning("child generation failed for %r; node becomes a dead end", label)
         return []
@@ -156,19 +144,19 @@ def generate_children(label: str, incoming: tuple[str, str] | None, context: str
 
 
 def register_node(graph: DecisionGraph, chunk: Chunk, label: str, kind: NodeKind,
-                  incoming: tuple[str, str] | None, pages: Sequence[int]) -> str:
+                  incoming: tuple[str, str] | None) -> str:
     """Add a node of `chunk` with `label`, wire its incoming (ancestor id,
     edge label) edge if it has one, and return its id.
 
     Ids are `c{chunk:02d}n{sequence:03d}` in registration order: the builder
     never removes a node, so the graph's size gives the sequence. It gets a
-    copy of `pages`, the chunk's sorted page span. A node without an
-    incoming edge, an entry or terminal, keeps its label as an interface
-    label. Labels are stored as given, so they must be normalized.
+    copy of the chunk's page span, which the chunk keeps sorted. A node
+    without an incoming edge, an entry or terminal, keeps its label as an
+    interface label. Labels are stored as given, so they must be normalized.
     """
     node_id = f"c{chunk.chunk_id:02d}n{len(graph.nodes) + 1:03d}"
     graph.add_node(DecisionNode(node_id, label, kind, chunk.chunk_id,
-                                provenance_pages=list(pages),
+                                provenance_pages=list(chunk.page_span),
                                 interface_labels=[label] if incoming is None else []))
     if incoming is not None:
         graph.add_edge(incoming[0], incoming[1], node_id)
@@ -199,16 +187,14 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
 
     graph = DecisionGraph()
     pool = RankingPool(store)  # every node of the graph
-    pages = sorted(chunk.page_span)
     trace: list[dict[str, Any]] = []
 
-    def register(label: str, kind: NodeKind, incoming: tuple[str, str] | None,
-                 entry: Entry | None = None) -> str:
+    def register(label: str, kind: NodeKind, incoming: tuple[str, str] | None) -> str:
         if len(graph.nodes) >= config.expansion_cap:
             raise ExpansionBudgetExceeded(
                 f"chunk {chunk.chunk_id}: expansion cap {config.expansion_cap} reached")
-        node_id = register_node(graph, chunk, label, kind, incoming, pages)
-        pool.add(node_id, label, chunk.chunk_id, entry)
+        node_id = register_node(graph, chunk, label, kind, incoming)
+        pool.add(node_id, label, chunk.chunk_id)
         trace.append({"event": "register", "chunk": chunk.chunk_id,
                       "node_id": node_id, "label": label, "kind": KIND_NAMES[kind]})
         return node_id
@@ -222,7 +208,6 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
         register(label, NodeKind.TERMINAL, None)
     queue: deque[tuple[str, tuple[str, str] | None]] = deque(
         (label, None) for label in chunk.entry_labels)
-    prefix = context_prefix(chunk.context)
 
     def ancestors() -> list[tuple[str, str]]:  # of the item just dequeued
         return [] if incoming is None else [(graph.nodes[incoming[0]].label, incoming[1])]
@@ -247,8 +232,8 @@ def build_graph(chunk: Chunk, client: OracleClient, store: EmbeddingStore,
                     matched.interface_labels.append(label)
             continue
         kind = NodeKind.ENTRY if incoming is None else NodeKind.INTERMEDIATE
-        node_id = register(label, kind, incoming, query.entry)
-        children = generate_children(label, incoming, chunk.context, client, prefix)
+        node_id = register(label, kind, incoming)
+        children = generate_children(label, incoming, chunk.context, client)
         if not children:
             trace.append({"event": "dead_end", "chunk": chunk.chunk_id,
                           "node_id": node_id, "label": label})

@@ -118,13 +118,13 @@ def _check_counts(config: PipelineConfig, names: Sequence[str]) -> None:
             raise UsageError(f"{name} must be >= 1 and < 2**63")
 
 
-def _from_doc(cls: type, doc: dict[str, Any], prefix: str = "") -> Any:
+def _from_doc(cls: type, doc: dict[str, Any], where: str = "") -> Any:
     """The dataclass `cls` from a JSON object, each field it names checked
     against the field's type hint; a dataclass field is read from its own
-    object."""
+    object. `where` leads each field's name in a TypeError."""
     return cls(**{
-        name: (_from_doc(kind, typed(doc[name], dict, prefix + name), f"{prefix}{name}.")
-               if is_dataclass(kind) else typed(doc[name], kind, prefix + name))
+        name: (_from_doc(kind, typed(doc[name], dict, where + name), f"{where}{name}.")
+               if is_dataclass(kind) else typed(doc[name], kind, where + name))
         for name, kind in get_type_hints(cls).items() if name in doc})
 
 
@@ -391,20 +391,18 @@ def run_pipeline(manifest_path: str | Path, config: PipelineConfig,
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    """The config the flags and `--config` describe, not yet validated."""
+    """The config `--config` describes, each field overridden by the flag of
+    its name, if given; an empty string keeps the field's value. Not yet
+    validated."""
     if getattr(args, "config", None):
         config = load_doc(args.config, PipelineConfig.from_doc)
     else:
         config = PipelineConfig()
-    for name in ("header_pages", "chunk_budget", "candidate_count", "expansion_cap",
-                 "retry_limit", "parallelism"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    for flag, name in (("backend", "kind"), ("fixtures", "fixture_dir"), ("base_url", "base_url"),
-                       ("chat_model", "chat_model"), ("embed_model", "embed_model")):
-        if getattr(args, flag, None):
-            setattr(config.backend, name, getattr(args, flag))
+    for target in (config, config.backend):
+        for name in get_type_hints(type(target)):
+            value = getattr(args, name, None)
+            if value is not None and value != "":
+                setattr(target, name, value)
     return config
 
 
@@ -448,8 +446,9 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of every command that may open an oracle session."""
     parser.add_argument("--config", help="pipeline config JSON file")
     parser.add_argument("--retry-limit", dest="retry_limit", type=int)
-    parser.add_argument("--backend", choices=["scripted", "live"])
-    parser.add_argument("--fixtures", help="fixture directory for the scripted backend")
+    parser.add_argument("--backend", dest="kind", choices=["scripted", "live"])
+    parser.add_argument("--fixtures", dest="fixture_dir",
+                        help="fixture directory for the scripted backend")
     parser.add_argument("--base-url", dest="base_url")
     parser.add_argument("--chat-model", dest="chat_model")
     parser.add_argument("--embed-model", dest="embed_model")
@@ -500,13 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of the first entry an error is an instance of.
 _ERROR_CODES: list[tuple[type, int]] = [
     (UsageError, EXIT_USAGE),
     (ManifestError, EXIT_MANIFEST),
     (OracleTransportError, EXIT_TRANSPORT),
     (OracleProtocolError, EXIT_PROTOCOL),
     (ExpansionBudgetExceeded, EXIT_BUDGET),
-]  # any other GuidegraphError is structural
+    (GuidegraphError, EXIT_STRUCTURAL),  # any other
+    (OSError, EXIT_USAGE),
+]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -518,16 +520,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except GuidegraphError as exc:
-        for error_type, code in _ERROR_CODES:
-            if isinstance(exc, error_type):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (GuidegraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for error_type, code in _ERROR_CODES if isinstance(exc, error_type))
 
 
 if __name__ == "__main__":

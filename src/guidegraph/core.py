@@ -131,11 +131,11 @@ class GuidelineProfile:
 class Chunk:
     """One decision segment with its entry/terminal interface.
 
-    Construction checks the interface and stores its labels normalized, so
-    every `Chunk`, a loaded one included, is valid and later stages use its
-    labels as they are. Raises ValueError unless the labels are distinct
-    and disjoint once normalized, none of them empty, and the carried pages
-    lie in the page span.
+    Construction checks the interface and stores its labels normalized and
+    its page span sorted, so every `Chunk`, a loaded one included, is valid
+    and later stages use its labels and pages as they are. Raises ValueError
+    unless the labels are distinct and disjoint once normalized, none of
+    them empty, and the carried pages lie in the page span.
     """
 
     chunk_id: int
@@ -163,11 +163,11 @@ class Chunk:
         overlap = set(entries) & set(terminals)
         if overlap:
             raise ValueError(f"chunk {self.chunk_id}: entry/terminal overlap {sorted(overlap)}")
-        span = set(self.page_span)
-        if not set(self.carried_pages) <= span:
+        if not set(self.carried_pages) <= set(self.page_span):
             raise ValueError(f"chunk {self.chunk_id}: carried pages outside page span")
         object.__setattr__(self, "entry_labels", entries)
         object.__setattr__(self, "terminal_labels", terminals)
+        object.__setattr__(self, "page_span", tuple(sorted(self.page_span)))
 
 
 class DecisionEdge(NamedTuple):

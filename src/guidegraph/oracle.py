@@ -6,9 +6,10 @@ positionally. Backends are pluggable: the deterministic scripted backend is
 a `FixtureSet`, which replays fixture files keyed by a content digest of
 the canonicalized payload, and `live.LiveBackend` posts to an
 OpenAI-compatible chat endpoint. A request is a plain object that digests
-its payload once, from a `PayloadPrefix`'s hash state when its payload
-opens with a field that many requests share (a chunk's context, in
-`generate_children`); every dispatch leaves one record, a dict built once, in
+its payload once. A payload that opens with a `context` field (every
+`generate_children` request of a chunk shares one) is digested from a
+cached hash state of its blob's opening, so a context's bytes are hashed
+once, not once a request; every dispatch leaves one record, a dict built once, in
 an audit log, which numbers it in place as it writes it, so the file is in
 request-id order. A record holds no clock reading, so the log is
 deterministic under either backend. Every overlap of calls goes through
@@ -23,7 +24,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
@@ -58,15 +59,13 @@ _TASK_NAMES: dict[OracleTask, str] = {task: task.value for task in OracleTask}
 
 class OracleRequest:
     """A task and its payload, with the payload digest computed once, as the
-    request is made, for the fixture lookup and the audit record alike;
-    `prefix`, if given, is passed on to `payload_digest`."""
+    request is made, for the fixture lookup and the audit record alike."""
 
     __slots__ = ("task", "payload", "digest")
 
-    def __init__(self, task: OracleTask, payload: dict[str, Any],
-                 prefix: PayloadPrefix | None = None) -> None:
+    def __init__(self, task: OracleTask, payload: dict[str, Any]) -> None:
         self.task, self.payload = task, payload
-        self.digest = payload_digest(task, payload, prefix)
+        self.digest = payload_digest(task, payload)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -146,51 +145,35 @@ def validate_response(task: OracleTask, body: Any) -> None:
         raise OracleProtocolError(f"{_TASK_NAMES[task]}: {exc}") from exc
 
 
-def payload_digest(task: OracleTask, payload: Mapping[str, Any],
-                   prefix: PayloadPrefix | None = None) -> str:
+# How many contexts keep the hash state of their blob opening. A chunk's
+# build digests under its one context, so this covers the chunks that up to
+# 64 threads build at once; an evicted opening is only hashed again.
+_CONTEXT_OPENINGS = 64
+
+
+@lru_cache(maxsize=_CONTEXT_OPENINGS)
+def _context_opening(context: str) -> Any:
+    """The hash state of `{"payload":{"context":<context>,`, which a blob
+    opens with when `context` is its payload's first key and not its last.
+    Only copied, so threads may share it."""
+    return hashlib.sha256(b'{"payload":{"context":' + orjson.dumps(context) + b",")
+
+
+def payload_digest(task: OracleTask, payload: Mapping[str, Any]) -> str:
     """sha256 of the compact `canonical_json` bytes of the task and payload,
-    hashed as orjson writes them. A `prefix` that opens this task's blob
-    for this payload saves hashing its field again; it never changes the
-    digest."""
-    if prefix is not None and prefix.task is task:
-        digest = prefix.digest(payload)
-        if digest is not None:
-            return digest
+    hashed as orjson writes them. A blob sorts its keys, so a payload whose
+    string `context` sorts before its other keys continues from the cached
+    state of `_context_opening` and hashes only its own tail."""
+    context = payload.get("context")
+    if isinstance(context, str) and len(payload) > 1 and min(payload) == "context":
+        rest = {key: value for key, value in payload.items() if key != "context"}
+        hasher = _context_opening(context).copy()
+        hasher.update(orjson.dumps(rest, option=orjson.OPT_SORT_KEYS)[1:])  # past its "{"
+        hasher.update(b',"task":' + orjson.dumps(_TASK_NAMES[task]) + b"}")
+        return hasher.hexdigest()
     blob = orjson.dumps({"task": _TASK_NAMES[task], "payload": payload},
                         option=orjson.OPT_SORT_KEYS)
     return hashlib.sha256(blob).hexdigest()
-
-
-class PayloadPrefix:
-    """The opening bytes of the digest blobs of a task's payloads that share
-    one string field, hashed once.
-
-    A blob sorts its keys, so a payload whose other keys all sort after the
-    shared field's name opens with `{"payload":{"<name>":<value>,`. Each
-    such payload's digest copies the hash state of those bytes and hashes
-    only its own tail; `generate_children` payloads share a chunk's context
-    this way.
-    """
-
-    __slots__ = ("task", "name", "value", "_state", "_close")
-
-    def __init__(self, task: OracleTask, name: str, value: str) -> None:
-        self.task, self.name, self.value = task, name, value
-        self._state = hashlib.sha256(b'{"payload":{' + orjson.dumps(name) + b":"
-                                     + orjson.dumps(value) + b",")
-        self._close = b',"task":' + orjson.dumps(_TASK_NAMES[task]) + b"}"
-
-    def digest(self, payload: Mapping[str, Any]) -> str | None:
-        """The payload's digest, or None unless its blob opens with this prefix."""
-        name = self.name
-        rest = {key: value for key, value in payload.items() if key != name}
-        if (not rest or len(rest) == len(payload) or min(rest) < name
-                or payload[name] != self.value):
-            return None
-        hasher = self._state.copy()
-        hasher.update(orjson.dumps(rest, option=orjson.OPT_SORT_KEYS)[1:])  # past its "{"
-        hasher.update(self._close)
-        return hasher.hexdigest()
 
 
 def _record(request: OracleRequest, outcome: str) -> dict[str, Any]:
@@ -288,9 +271,6 @@ class FixtureSet:
         if isinstance(body, str):
             return body
         return canonical_json(body, compact=True)
-
-    def count(self) -> int:
-        return sum(len(v) for v in self._entries.values())
 
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
@@ -465,9 +445,8 @@ class OracleClient:
             self.parallelism, self.executor = 1, None
             self.audit.close()
 
-    def call(self, task: OracleTask, payload: dict[str, Any],
-             prefix: PayloadPrefix | None = None) -> dict[str, Any]:
-        return dispatch(OracleRequest(task, payload, prefix), self.backend,
+    def call(self, task: OracleTask, payload: dict[str, Any]) -> dict[str, Any]:
+        return dispatch(OracleRequest(task, payload), self.backend,
                         retry_limit=self.retry_limit, audit=self.audit)
 
     def fan_out(self, fn: Callable[["OracleClient", Item], Result], items: Sequence[Item],

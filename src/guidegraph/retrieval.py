@@ -15,8 +15,8 @@ similarity and sorts only what is kept: no per-member dict or list work.
 
 Only `builder.duplicate_query` ranks, after an exact-match miss (a hit
 looks nothing up): once per dequeued build candidate and once per
-aggregation plan (at `parallelism` 1, per turn). A miss looks its label
-up once, and the builder hands that (vector, norm) to the node's row.
+aggregation plan (at `parallelism` 1, per turn). A query and a pool row
+each read their label's entry from the store, one dict hit.
 
 A backend embeds a batch of labels per request (`embed_texts`, one row
 per label), and the store sends each batch's missing labels in one
@@ -235,10 +235,10 @@ class RankingPool:
     merge absorbs the node, so the pool follows the graph. Live members
     fill slots 0..n-1: a discarded member's slot is refilled by the last
     member, so the arrays hold no dead rows. `_write` alone writes a new
-    member's row. `add` gives it the label's store entry, the one a miss's
-    query hands over or else looked up; `extend` looks a batch up at once.
-    So a label is embedded once: when a pool adds it, a query names it or
-    its owner embeds it ahead of both, as the builder does a BFS level.
+    member's row. `add` gives it the label's store entry; `extend` looks a
+    batch up at once. So a label is embedded once: when a pool adds it, a
+    query names it or its owner embeds it ahead of both, as the builder
+    does a BFS level.
     The arrays start at `INITIAL_ROWS` rows, or at the size of a larger
     first batch, and double when full. Single-writer, like the graph.
     """
@@ -253,12 +253,12 @@ class RankingPool:
         self.norms = np.empty(0)
         self.vectors = np.empty((0, 0))  # its width is set by the first add
 
-    def add(self, node_id: str, label: str, group: int, entry: Entry | None = None) -> None:
-        """Add a member; `entry` is the label's store entry, looked up if None.
-        Raises ValueError, leaving the pool unchanged, if the id is in it."""
+    def add(self, node_id: str, label: str, group: int) -> None:
+        """Add a member with its label's store entry. Raises ValueError,
+        leaving the pool unchanged, if the id is in it."""
         if node_id in self.slots:
             raise ValueError(f"{node_id!r} is already in the pool")
-        self._write(node_id, label, group, entry or self.store.entry(label))
+        self._write(node_id, label, group, self.store.entry(label))
 
     def extend(self, members: Sequence[tuple[str, str, int]]) -> None:
         """Add (node id, label, group) members in order, as a loop of `add`
@@ -316,15 +316,12 @@ class RankingPool:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def eligible(self, exclude: int | None) -> int:  # members outside group `exclude`
-        return len(self.ids) - self.group_sizes.get(exclude, 0)
 
-
-def cosine_candidates(query_label: str, pool: RankingPool, k: int, exclude: int | None = None,
-                      entry: Entry | None = None) -> tuple[tuple[str, str, float], ...]:
+def cosine_candidates(query_label: str, pool: RankingPool, k: int,
+                      exclude: int | None = None) -> tuple[tuple[str, str, float], ...]:
     """The top-k pool members outside group `exclude` by cosine similarity to
     the query label, as (node_id, label, similarity) triples, ties broken by
-    ascending id. `entry` is the label's store entry, looked up if None.
+    ascending id.
 
     The query is always a label, even one that equals a member's id; a
     caller keeps a node out of its own candidates by excluding its group.
@@ -339,10 +336,10 @@ def cosine_candidates(query_label: str, pool: RankingPool, k: int, exclude: int 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     count = len(pool.ids)
-    eligible = pool.eligible(exclude)
+    eligible = count - pool.group_sizes.get(exclude, 0)
     if not eligible:
         return ()
-    vector, norm = entry or pool.store.entry(query_label)
+    vector, norm = pool.store.entry(query_label)
     sims = pool.vectors[:count] @ vector
     sims /= norm * pool.norms[:count]
     if eligible < count:

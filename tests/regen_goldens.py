@@ -98,7 +98,7 @@ def main() -> None:
     config = synthetic_config(FIXTURE_DIR)
     fixtures = record_fixtures(manifest_path, config)
     fixtures.save(FIXTURE_DIR)
-    print(f"recorded {fixtures.count()} fixtures into {FIXTURE_DIR}")
+    print(f"recorded {len(list(FIXTURE_DIR.glob('*.json')))} fixture files into {FIXTURE_DIR}")
 
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = cli.run_pipeline(manifest_path, config, Path(tmp) / "run")

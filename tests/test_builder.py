@@ -127,11 +127,11 @@ def test_unbounded_chain_hits_cap_exactly():
 
 def test_a_dequeue_builds_a_query_and_looks_its_label_up_only_on_a_miss(monkeypatch):
     # "alpha" and "omega" come back as children, so four dequeues are exact
-    # hits: they build no query and look nothing up. Each miss looks its
-    # label up once and hands that entry to its node's pool row.
+    # hits: they build no query and look nothing up. Each pool row holds
+    # its label's store entry.
     backend = TableBackend({"alpha": [("beta", "b"), ("alpha", "loop"), ("omega", "end")],
                             "beta": [("alpha", "back"), ("omega", "end")]})
-    queries, looked_up, rows = [], [], {}
+    queries, looked_up, pools = [], [], []
 
     class Recorded(DuplicateQuery):
         __slots__ = ()
@@ -144,23 +144,24 @@ def test_a_dequeue_builds_a_query_and_looks_its_label_up_only_on_a_miss(monkeypa
         looked_up.append(label)
         return find(self, label)
 
-    def add(self, node_id, label, group, entry=None, add=RankingPool.add):
-        rows[label] = entry
-        add(self, node_id, label, group, entry)
-
     monkeypatch.setattr(builder, "DuplicateQuery", Recorded)
+    monkeypatch.setattr(builder, "RankingPool",
+                        lambda store: pools.append(RankingPool(store)) or pools[-1])
     monkeypatch.setattr(EmbeddingStore, "entry", entry)
     monkeypatch.setattr(EmbeddingStore, "lookup", None)  # no batch lookup either
-    monkeypatch.setattr(RankingPool, "add", add)
     store = EmbeddingStore(HashingEmbeddingBackend())
     result = build_graph(simple_chunk(), make_client(backend), store, config())
     exact = [e["label"] for e in result.trace if e["event"] == "duplicate" and e["how"] == "exact"]
     assert sorted(exact) == ["alpha", "alpha", "omega", "omega"]
     assert queries == ["alpha", "beta"]
-    assert looked_up == ["omega", "alpha", "beta"]  # by the terminal's row, then by each query
+    # The terminal's row, then each miss's query and its node's row.
+    assert looked_up == ["omega", "alpha", "alpha", "beta", "beta"]
     monkeypatch.undo()
-    assert rows["omega"] is None
-    assert rows["alpha"] is store.entry("alpha") and rows["beta"] is store.entry("beta")
+    [pool] = pools
+    assert pool.labels == ["omega", "alpha", "beta"]
+    for slot, label in enumerate(pool.labels):
+        vector, norm = store.entry(label)
+        assert pool.vectors[slot].tobytes() == vector.tobytes() and pool.norms[slot] == norm
 
 
 def test_every_node_gets_its_own_copy_of_the_sorted_page_span():

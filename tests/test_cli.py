@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -459,6 +460,53 @@ def test_config_file_plus_flag_overrides(tmp_path):
     assert config.backend.fixture_dir == str(FIXTURE_DIR)
 
 
+def config_args(tmp_path, **backend) -> list[str]:
+    """`run` flags that name a config file of the synthetic config, its
+    backend fields set as given."""
+    config = synthetic_config(FIXTURE_DIR)
+    config.backend = dataclasses.replace(config.backend, **backend)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(canonical_json(config.to_doc()), encoding="utf-8")
+    return ["run", "--manifest", "m", "--out", "o", "--config", str(config_path)]
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--header-pages", "4", "header_pages"),
+    ("--chunk-budget", "123", "chunk_budget"),
+    ("--candidate-count", "7", "candidate_count"),
+    ("--expansion-cap", "99", "expansion_cap"),
+    ("--parallelism", "3", "parallelism"),
+    ("--retry-limit", "5", "retry_limit"),
+    ("--backend", "live", "backend.kind"),
+    ("--fixtures", "elsewhere", "backend.fixture_dir"),
+    ("--base-url", "http://localhost:1", "backend.base_url"),
+    ("--chat-model", "chat", "backend.chat_model"),
+    ("--embed-model", "embed", "backend.embed_model"),
+])
+def test_each_flag_overrides_its_config_field(tmp_path, flag, value, field):
+    base = config_args(tmp_path)
+    parser = cli.build_parser()
+    loaded = cli._load_config(parser.parse_args(base))
+    flagged = cli._load_config(parser.parse_args([*base, flag, value]))
+    section, _, name = field.rpartition(".")
+
+    def owner(config):
+        return config.backend if section else config
+
+    before = getattr(owner(loaded), name)
+    assert getattr(owner(flagged), name) == type(before)(value) != before
+    setattr(owner(flagged), name, before)
+    assert flagged == loaded  # no other field moved
+
+
+@pytest.mark.parametrize("flag", ["--fixtures", "--base-url", "--chat-model", "--embed-model"])
+def test_an_empty_string_flag_keeps_the_configs_value(tmp_path, flag):
+    base = config_args(tmp_path, base_url="http://localhost:1", chat_model="c", embed_model="e")
+    parser = cli.build_parser()
+    assert cli._load_config(parser.parse_args([*base, flag, ""])) == cli._load_config(
+        parser.parse_args(base))
+
+
 # ---------------------------------------------------------------------------
 # commands end to end
 
@@ -584,8 +632,8 @@ def test_relocated_fixtures_reproduce_golden_run(tmp_path, monkeypatch, relative
 def test_golden_run_digests_each_payload_once(tmp_path, monkeypatch):
     calls = []
     digest = oracle.payload_digest
-    monkeypatch.setattr(oracle, "payload_digest", lambda task, payload, prefix=None:
-                        calls.append(task) or digest(task, payload, prefix))
+    monkeypatch.setattr(oracle, "payload_digest",
+                        lambda task, payload: calls.append(task) or digest(task, payload))
     run_dir = cli.run_pipeline(SYNTHETIC_DIR / "manifest.json",
                                synthetic_config(FIXTURE_DIR), tmp_path / "run")
     records = (run_dir / "audit.log").read_text().splitlines()

@@ -166,6 +166,14 @@ def test_a_label_ending_in_spaced_punctuation_survives_a_chunk_list_round_trip()
     assert chunks_to_doc(chunks_from_doc(doc)) == doc
 
 
+def test_a_chunk_stores_its_page_span_sorted_and_writes_it_so():
+    chunk = Chunk(1, "ctx", ("entry",), ("terminal",), "d", (3,), (3, 1, 2))
+    assert chunk.page_span == (1, 2, 3)
+    doc = chunks_to_doc([chunk])
+    assert doc["chunks"][0]["page_span"] == [1, 2, 3]
+    assert chunks_from_doc(json.loads(canonical_json(doc))) == [chunk]
+
+
 # ---------------------------------------------------------------------------
 # builder.register_node
 
@@ -176,22 +184,21 @@ def chunk_of(chunk_id: int, page_span: tuple[int, ...] = (1,)) -> Chunk:
 
 def test_register_node_without_ancestor():
     graph = DecisionGraph()
-    pages = [2, 3]
-    node_id = register_node(graph, chunk_of(1, (3, 2)), "biopsy", NodeKind.ENTRY, None, pages)
+    chunk = chunk_of(1, (3, 2))
+    node_id = register_node(graph, chunk, "biopsy", NodeKind.ENTRY, None)
     assert len(graph.nodes) == 1
     assert not graph.edges
     assert graph.nodes[node_id] == DecisionNode(node_id, "biopsy", NodeKind.ENTRY, 1,
                                                 provenance_pages=[2, 3],
                                                 interface_labels=["biopsy"])
-    assert graph.nodes[node_id].provenance_pages is not pages  # each node owns its list
 
 
 def test_register_node_adds_incoming_edge():
     graph = DecisionGraph()
     chunk = chunk_of(1)
-    ancestor = register_node(graph, chunk, "psa", NodeKind.ENTRY, None, [1])
+    ancestor = register_node(graph, chunk, "psa", NodeKind.ENTRY, None)
     node_id = register_node(graph, chunk, "biopsy", NodeKind.INTERMEDIATE,
-                            (ancestor, "psa elevated"), [1])
+                            (ancestor, "psa elevated"))
     assert len(graph.nodes) == 2
     assert set(graph.edges) == {DecisionEdge(ancestor, "psa elevated", node_id)}
     assert graph.nodes[node_id].interface_labels == []
@@ -199,9 +206,9 @@ def test_register_node_adds_incoming_edge():
 
 def test_node_ids_are_sequential_per_prefix():
     first, second = DecisionGraph(), DecisionGraph()
-    ids = [register_node(first, chunk_of(1), "one", NodeKind.ENTRY, None, [1]),
-           register_node(first, chunk_of(1), "two", NodeKind.ENTRY, None, [1]),
-           register_node(second, chunk_of(12), "one", NodeKind.ENTRY, None, [1])]
+    ids = [register_node(first, chunk_of(1), "one", NodeKind.ENTRY, None),
+           register_node(first, chunk_of(1), "two", NodeKind.ENTRY, None),
+           register_node(second, chunk_of(12), "one", NodeKind.ENTRY, None)]
     assert ids == ["c01n001", "c01n002", "c12n001"]
 
 
@@ -368,7 +375,7 @@ def test_merge_equals_quotient_on_sampled_4_to_6_node_graphs():
 
 def test_integrity_holds_after_each_mutation():
     graph = graph_with(["A"], [])
-    b = register_node(graph, chunk_of(1), "b", NodeKind.INTERMEDIATE, ("A", "go"), [1])
+    b = register_node(graph, chunk_of(1), "b", NodeKind.INTERMEDIATE, ("A", "go"))
     graph.check_integrity()
     add_edge_or_log_loop(graph, b, "back", b)
     graph.check_integrity()

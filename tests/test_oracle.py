@@ -19,9 +19,9 @@ from conftest import make_client
 from oracles import reference_canonical_json
 from synth import FlakyBackend, JitterBackend, StaticBackend, SyntheticRuleBackend, canonical_docs
 
-from guidegraph import live
-from guidegraph.builder import children_payload, context_prefix
-from guidegraph.chunker import classify_pages
+from guidegraph import live, oracle
+from guidegraph.builder import children_payload
+from guidegraph.chunker import build_payload, classify_pages
 from guidegraph.core import GuidelineProfile, PageRecord, canonical_json
 from guidegraph.errors import (
     EmbeddingError,
@@ -138,22 +138,37 @@ def _random_text(rng: random.Random, longest: int = 12) -> str:
                    for _ in range(rng.randint(0, longest)))
 
 
+def reference_digest(task: OracleTask, payload: dict) -> str:
+    """sha256 of the standard library's compact canonical encoding."""
+    return hashlib.sha256(reference_canonical_json(
+        {"task": task.value, "payload": payload}, compact=True).encode("utf-8")).hexdigest()
+
+
 def test_a_context_prefix_digests_children_payloads_as_the_full_encoding():
     rng = random.Random(34)
     task = OracleTask.GENERATE_CHILDREN
     for case in range(2000):
         if case % 40 == 0:  # a new chunk
             context = _random_text(rng, 400)
-            prefix = context_prefix(context)
         incoming = None if rng.random() < 0.3 else (f"c{rng.randint(0, 99):02d}n{case:03d}",
                                                     _random_text(rng))
         payload = children_payload(_random_text(rng), incoming, context)
-        if case == 1000:  # a retry's payload
+        if case % 100 == 50:  # a retry's payload
             payload["validation_errors"] = [_random_text(rng) for _ in range(3)]
-        full = payload_digest(task, payload)
-        assert prefix.digest(payload) == payload_digest(task, payload, prefix) == full
-        assert full == hashlib.sha256(reference_canonical_json(
-            {"task": task.value, "payload": payload}, compact=True).encode("utf-8")).hexdigest()
+        assert payload_digest(task, payload) == reference_digest(task, payload)
+
+
+def test_build_chunk_payloads_digest_as_the_full_encoding():
+    rng = random.Random(36)
+    task = OracleTask.BUILD_CHUNK
+    pages = [PageRecord(index, _random_text(rng, 200),
+                        *((f"p{index}.png", "ab" * 32) if index % 2 else ()))
+             for index in range(1, 10)]
+    for case in range(200):
+        start = rng.randint(0, 6)
+        lookahead = pages[start + 2] if case % 3 else None
+        payload = build_payload(pages[start:start + 2], _random_text(rng, 300), lookahead)
+        assert payload_digest(task, payload) == reference_digest(task, payload)
 
 
 @pytest.mark.parametrize("payload", [
@@ -164,13 +179,47 @@ def test_a_context_prefix_digests_children_payloads_as_the_full_encoding():
     {"node": "x", "incoming": None, "context": "chunk text", "aardvark": 1},
 ], ids=["other-context", "non-string-context", "context-alone", "no-context", "earlier-key"])
 def test_a_prefix_that_does_not_open_the_blob_is_not_used(payload):
-    prefix = context_prefix("chunk text")
-    assert prefix.digest(payload) is None
-    assert payload_digest(OracleTask.GENERATE_CHILDREN, payload, prefix) == payload_digest(
-        OracleTask.GENERATE_CHILDREN, payload)
-    other = {"node": "x", "incoming": None, "context": "chunk text"}
-    assert payload_digest(OracleTask.FIND_DUPLICATE, other, prefix) == payload_digest(
-        OracleTask.FIND_DUPLICATE, other)
+    opened = {"node": "x", "incoming": None, "context": "chunk text"}
+    payload_digest(OracleTask.GENERATE_CHILDREN, opened)  # caches the opening of "chunk text"
+    for task in (OracleTask.GENERATE_CHILDREN, OracleTask.FIND_DUPLICATE):
+        assert payload_digest(task, payload) == reference_digest(task, payload)
+        assert payload_digest(task, opened) == reference_digest(task, opened)
+
+
+def test_more_contexts_than_the_cache_holds_digest_as_the_full_encoding():
+    task = OracleTask.GENERATE_CHILDREN
+    held = oracle._context_opening.cache_info().maxsize
+    contexts = [f"chunk {number} text" for number in range(held + 5)]
+    for round_ in range(3):
+        for number, context in enumerate(contexts):  # round-robin, so every lookup misses
+            payload = children_payload(f"node {round_}", ("c01n001", f"edge {number}"), context)
+            assert payload_digest(task, payload) == reference_digest(task, payload)
+    assert oracle._context_opening.cache_info().currsize <= held
+
+
+def test_threads_digest_shared_and_distinct_contexts_as_the_full_encoding():
+    task = OracleTask.GENERATE_CHILDREN
+    payloads = [[children_payload(f"node {worker} {case}", None,
+                                  "shared context" if case % 2 else f"context {worker} {case % 5}")
+                 for case in range(200)] for worker in range(8)]
+    expected = [[reference_digest(task, payload) for payload in own] for own in payloads]
+    digests: list[list[str]] = [[] for _ in payloads]
+
+    def digest(worker: int) -> None:
+        digests[worker] = [payload_digest(task, payload) for payload in payloads[worker]]
+
+    threads = [threading.Thread(target=digest, args=(worker,)) for worker in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between copying and updating a hash state
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert digests == expected
 
 
 def test_audit_entries_equal_dispatch_calls():
@@ -276,7 +325,6 @@ def test_fixture_set_save_and_load_round_trip(tmp_path):
     fixtures = make_fixtures()
     fixtures.save(tmp_path / "saved")
     loaded = FixtureSet.load(tmp_path / "saved")
-    assert loaded.count() == fixtures.count()
     loaded.save(tmp_path / "resaved")
     assert FixtureSet.content_digest(tmp_path / "resaved") == FixtureSet.content_digest(
         tmp_path / "saved")
