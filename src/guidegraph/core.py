@@ -454,6 +454,10 @@ def typed(value: Any, kind: type, what: str, of: type = object) -> Any:
 
 
 def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
+    """The graph of a decision-graph document, each node, edge and interface
+    label normalized as it is read (`EmptyLabelError` if one has no text).
+    So edges that differ only in spelling load as one, and a node keeps the
+    first spelling of each interface label, in place."""
     if doc.get("format") != GRAPH_FORMAT:
         raise ValueError(f"unsupported graph format {doc.get('format')!r}")
     graph = DecisionGraph()
@@ -461,7 +465,7 @@ def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
         graph.add_node(
             DecisionNode(
                 node_id=typed(entry["id"], str, "id"),
-                label=typed(entry["label"], str, "label"),
+                label=normalize_label(typed(entry["label"], str, "label")),
                 kind=NodeKind(entry["kind"]),
                 origin_chunk=typed(entry.get("origin_chunk", 0), int, "origin_chunk"),
                 merged_from=[
@@ -471,13 +475,13 @@ def graph_from_doc(doc: Mapping[str, Any]) -> DecisionGraph:
                 ],
                 provenance_pages=list(typed(entry.get("provenance_pages", []), list,
                                             "provenance_pages", int)),
-                interface_labels=list(typed(entry.get("interface_labels", []), list,
-                                            "interface_labels", str)),
+                interface_labels=list(dict.fromkeys(map(normalize_label, typed(
+                    entry.get("interface_labels", []), list, "interface_labels", str)))),
             )
         )
     for entry in typed(doc["edges"], list, "edges"):
         graph.add_edge(typed(entry["source"], str, "source"),
-                       typed(entry["label"], str, "label"),
+                       normalize_label(typed(entry["label"], str, "label")),
                        typed(entry["target"], str, "target"))
     graph.check_integrity()
     return graph

@@ -8,29 +8,29 @@ the topological-consistency metric. Percentages are supported/total
 rounded half-up to one decimal; an empty denominator reports as undefined
 rather than 0%.
 
-A score normalizes each distinct label of the two graphs once, then
-builds one `GraphIndex` per graph: its node labels in id order, and for
-each (source, target) pair the labels of its parallel edges. Both match
-directions and both edge counts read these indexes, so an edge costs two
-mapping lookups, one pair lookup and one membership test. Parallel labels
-are judged one at a time, in raw-label order, only when none is equal and
-the policy is not exact. Nothing is kept across calls. A label with no
-text left after normalization matches nothing under any policy; it is
-never embedded or sent to the verifier, but it counts in the totals. The
-embedding policy scores every open (prediction, reference) pair in one
-matrix product.
+Labels are read as stored: every graph the program builds or loads holds
+them normalized, each with text, since `graph_from_doc` normalizes a
+graph file's labels as it reads them. A score builds one `GraphIndex` per
+graph: its node labels in id order, and for each (source, target) pair the
+labels of its parallel edges. Both match directions and both edge counts
+read these indexes, so an edge costs two mapping lookups, one pair lookup
+and one membership test. Parallel labels are judged one at a time, in
+label order, only when none is equal and the policy is not exact. Nothing
+is kept across calls. The embedding policy scores every open (prediction,
+reference) pair in one matrix product.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, NamedTuple
 
 import numpy as np
 
+# `normalize_label` is not called here: perfbench/layers.py rebinds it
+# through NORMALIZE_BINDINGS.
 from .core import DecisionGraph, normalize_label
-from .errors import EmptyLabelError, UsageError
+from .errors import UsageError
 from .oracle import OracleClient, OracleTask
 from .retrieval import EmbeddingStore, HashingEmbeddingBackend
 from .builder import duplicate_payload
@@ -104,56 +104,40 @@ class EvalReport:
         }
 
 
-def _label_table(*graphs: DecisionGraph) -> dict[str, str]:
-    """Raw -> normalized label ("" when nothing is left) for every node and
-    edge label of the graphs, normalizing each distinct label once."""
-    table = dict.fromkeys([node.label for graph in graphs for node in graph.nodes.values()]
-                          + [label for graph in graphs for _, label, _ in graph.edges], "")
-    for label in table:
-        try:
-            table[label] = normalize_label(label)
-        except EmptyLabelError:
-            pass
-    return table
-
-
 class GraphIndex(NamedTuple):
     """What a score reads of one graph, built once per `score` call.
 
-    `labels` maps raw to normalized labels and covers the graph's node and
-    edge labels. `nodes` maps each node id, in id order, to its normalized
-    label. `pairs` maps the (source, target) pair of every edge to the
-    normalized labels of the edges between them, for the equal-label test.
+    `nodes` maps each node id, in id order, to its label. `pairs` maps the
+    (source, target) pair of every edge to the labels of the edges between
+    them, for the equal-label test.
     """
 
     graph: DecisionGraph
-    labels: Mapping[str, str]
     nodes: dict[str, str]
     pairs: dict[tuple[str, str], tuple[str, ...]]
 
     def parallel(self, source: str, target: str) -> list[str]:
-        """The normalized labels of the edges source -> target, in the order
-        of their raw labels: the order in which they are judged."""
-        return [self.labels[edge.label] for edge in sorted(self.graph.out_edges(source))
+        """The labels of the edges source -> target, in label order: the
+        order in which they are judged."""
+        return [edge.label for edge in sorted(self.graph.out_edges(source))
                 if edge.target == target]
 
 
-def index_graph(graph: DecisionGraph, labels: Mapping[str, str]) -> GraphIndex:
-    """The `GraphIndex` of `graph` under the label table `labels`."""
+def index_graph(graph: DecisionGraph) -> GraphIndex:
+    """The `GraphIndex` of `graph`."""
     nodes = graph.nodes
     pairs: dict[tuple[str, str], tuple[str, ...]] = {}
-    for source, raw, target in graph.edges:
+    for source, label, target in graph.edges:
         pair = source, target
-        pairs[pair] = pairs.get(pair, ()) + (labels[raw],)
-    return GraphIndex(graph, labels, {nid: labels[nodes[nid].label] for nid in sorted(nodes)},
-                      pairs)
+        pairs[pair] = pairs.get(pair, ()) + (label,)
+    return GraphIndex(graph, {nid: nodes[nid].label for nid in sorted(nodes)}, pairs)
 
 
 def _labels_equivalent(left: str, right: str, policy: MatchPolicy,
                        store: EmbeddingStore | None,
                        client: OracleClient | None) -> bool:
-    """Whether two distinct normalized labels with text match under the
-    embedding or the oracle policy."""
+    """Whether two distinct labels match under the embedding or the oracle
+    policy."""
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
         assert store is not None
         return store.cosine(left, right) >= policy.threshold
@@ -177,8 +161,7 @@ def match_nodes(predicted: GraphIndex, reference: GraphIndex, policy: MatchPolic
     Exact mode pairs equal normalized labels; embedding mode is greedy
     highest-similarity-first above the threshold, scored with `store`;
     oracle mode asks the verifier for each still-unmatched prediction. Each
-    reference node is used at most once, and a node whose label has no text
-    is never matched.
+    reference node is used at most once.
     """
     if policy.mode is MatchMode.ORACLE_VERIFIED and client is None:
         raise UsageError("oracle-verified matching needs an oracle client")
@@ -190,7 +173,6 @@ def match_nodes(predicted: GraphIndex, reference: GraphIndex, policy: MatchPolic
     by_label: dict[str, list[str]] = {}
     for rid in reversed(ref_labels):
         by_label.setdefault(ref_labels[rid], []).append(rid)
-    by_label.pop("", None)
     mapping: dict[str, str] = {}
     for pid, label in pred_labels.items():
         ids = by_label.get(label)
@@ -198,8 +180,8 @@ def match_nodes(predicted: GraphIndex, reference: GraphIndex, policy: MatchPolic
             mapping[pid] = ids.pop()
     used = set(mapping.values())
 
-    open_preds = [pid for pid, label in pred_labels.items() if label and pid not in mapping]
-    open_refs = [rid for rid, label in ref_labels.items() if label and rid not in used]
+    open_preds = [pid for pid in pred_labels if pid not in mapping]
+    open_refs = [rid for rid in ref_labels if rid not in used]
     if not open_preds or not open_refs:
         return mapping
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD:
@@ -233,19 +215,17 @@ def _edge_counts(source: GraphIndex, target: GraphIndex, mapping: dict[str, str]
     the policy is not exact, are the parallel labels judged, in order.
     """
     judged = policy.mode is not MatchMode.EXACT_NORMALIZED
-    labels = source.labels
     edge_supported = 0
     triplet_supported = 0
-    for source_id, raw, target_id in source.graph.edges:
+    for source_id, label, target_id in source.graph.edges:
         src_img, tgt_img = mapping.get(source_id), mapping.get(target_id)
         parallel = target.pairs.get((src_img, tgt_img))
         if parallel is None:
             continue
         edge_supported += 1
-        label = labels[raw]
-        if label and (label in parallel or judged and any(
+        if label in parallel or judged and any(
                 _labels_equivalent(label, other, policy, store, client)
-                for other in target.parallel(src_img, tgt_img) if other)):
+                for other in target.parallel(src_img, tgt_img)):
             triplet_supported += 1
     total = len(source.graph.edges)
     return MetricCount(edge_supported, total), MetricCount(triplet_supported, total)
@@ -254,11 +234,12 @@ def _edge_counts(source: GraphIndex, target: GraphIndex, mapping: dict[str, str]
 def score(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolicy,
           unit_name: str = "unit", store: EmbeddingStore | None = None,
           client: OracleClient | None = None) -> EvalReport:
-    """Score a predicted graph against a reference at node/edge/triplet level."""
+    """Score a predicted graph against a reference at node/edge/triplet
+    level. Both graphs must hold normalized labels, as every graph the
+    program loads or builds does: labels are compared as stored."""
     if policy.mode is MatchMode.EMBEDDING_THRESHOLD and store is None:
         store = EmbeddingStore(HashingEmbeddingBackend())
-    labels = _label_table(predicted, reference)
-    pred_index, ref_index = index_graph(predicted, labels), index_graph(reference, labels)
+    pred_index, ref_index = index_graph(predicted), index_graph(reference)
     forward = match_nodes(pred_index, ref_index, policy, store, client)
     backward = match_nodes(ref_index, pred_index, policy, store, client)
     edge_p, triplet_p = _edge_counts(pred_index, ref_index, forward, policy, store, client)

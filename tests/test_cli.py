@@ -234,9 +234,11 @@ def test_eval_needs_no_backend_under_exact_policy(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--match-mode", "exact"],
                                    ["--match-mode", "embedding", "--match-threshold", "0.5"]])
 def test_eval_matches_no_label_without_text(tmp_path, capsys, flags):
+    # A graph file is normalized as it loads, so one with a label that has no
+    # text is refused, under every policy, before anything is scored.
     paths = []
     for name, labels in (("predicted", ["psa monitoring", ".", "bone scan"]),
-                         ("reference", ["PSA monitoring", "...", "bone scan"])):
+                         ("reference", ["PSA monitoring", "bone scan"])):
         graph = DecisionGraph()
         for i, label in enumerate(labels):
             graph.add_node(DecisionNode(f"n{i}", label, NodeKind.INTERMEDIATE, 0))
@@ -244,10 +246,9 @@ def test_eval_matches_no_label_without_text(tmp_path, capsys, flags):
         paths[-1].write_text(canonical_json(graph_to_doc(graph)), encoding="utf-8")
     code = run_cli("eval", "--predicted", str(paths[0]), "--reference", str(paths[1]),
                    "--out", str(tmp_path / "report.json"), *flags)
-    assert code == cli.EXIT_OK
-    doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["nodes"]["precision"] == {"supported": 2, "total": 3, "percent": 66.7}
-    assert "2/3" in capsys.readouterr().out
+    assert code == cli.EXIT_USAGE
+    assert f"malformed {paths[0]}: EmptyLabelError" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("doc, outcome", [
@@ -586,6 +587,33 @@ def test_build_from_raw_spelled_chunks_equals_build_from_normalized(tmp_path):
         assert (runs["raw"] / name).read_bytes() == (runs["normalized"] / name).read_bytes(), name
     assert (runs["raw"] / "graphs/chunk_01.json").read_bytes() == (
         GOLDEN_DIR / "graphs/chunk_01.json").read_bytes()
+
+
+def _respelled(label: str) -> str:
+    return f"  {label.upper()}. ;"
+
+
+def test_aggregate_takes_chunk_graphs_with_respelled_labels(tmp_path):
+    # A graph file is normalized as it loads, so chunk graphs re-spelled
+    # between `build` and `aggregate`, with an interface label repeated in
+    # another spelling and an edge doubled by one, aggregate as the built ones.
+    out = tmp_path / "run"
+    flags = ["--config", str(GOLDEN_DIR / "config.json"), "--fixtures", str(FIXTURE_DIR)]
+    assert run_cli("chunk", "--manifest", str(SYNTHETIC_DIR / "manifest.json"),
+                   "--out", str(out), *flags) == cli.EXIT_OK
+    assert run_cli("build", "--out", str(out), *flags) == cli.EXIT_OK
+    for path in sorted((out / "graphs").glob("chunk_*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for node in doc["nodes"]:
+            node["label"] = node["label"].title()
+            node["interface_labels"] = [spelling for label in node["interface_labels"]
+                                        for spelling in (label.title(), _respelled(label))]
+        doc["edges"] = [dict(edge, label=spelling) for edge in doc["edges"]
+                        for spelling in (edge["label"].title(), _respelled(edge["label"]))]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("aggregate", "--out", str(out), *flags) == cli.EXIT_OK
+    for name in ("merged.json", "merge_log.json", "provenance.json", "audit.log"):
+        assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -1007,6 +1035,25 @@ def _golden_merged_ref_origin(value) -> str:
     return json.dumps(doc)
 
 
+def _golden_without_text(name: str, kind: str) -> str:
+    """The golden graph file `name` with a node, edge or interface label that
+    has no text left after normalization."""
+    doc = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+    if kind == "node":
+        doc["nodes"][0]["label"] = " ."
+    elif kind == "edge":
+        doc["edges"][0]["label"] = "..."
+    else:
+        doc["nodes"][0]["interface_labels"].append(" ;")
+    return json.dumps(doc)
+
+
+NO_TEXT_CASES = [(command, artifact, kind)
+                 for command, artifact in (("aggregate", "graphs/chunk_01.json"),
+                                           ("eval", "reference.json"), ("export", "graph.json"))
+                 for kind in ("node", "edge", "interface")]
+
+
 GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": [], "edges": [
     {"source": "a", "label": "go", "target": "b"}]})
 
@@ -1049,6 +1096,9 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
     ("export", "graph.json", None),
     ("export", "graph.json", _golden_with("merged.json", "nodes", "label", 7)),
     ("export", "graph.json", _golden_with("merged.json", "nodes", "origin_chunk", True)),
+    *[(command, artifact, _golden_without_text(
+        "graphs/chunk_01.json" if command == "aggregate" else "merged.json", kind))
+      for command, artifact, kind in NO_TEXT_CASES],
 ], ids=["build-format", "build-missing", "build-duplicate-terminals",
         "build-entry-terminal-overlap", "build-empty-label", "build-repeated-chunk-id",
         "build-string-labels", "build-string-pages", "build-numeric-context",
@@ -1057,7 +1107,8 @@ GRAPH_WITH_DANGLING_EDGE = json.dumps({"format": "decision-graph/1", "nodes": []
         "aggregate-missing", "aggregate-string-pages", "aggregate-string-interface",
         "aggregate-fractional-page", "aggregate-string-origin", "eval-predicted",
         "eval-reference", "eval-numeric-label", "eval-fractional-merged-origin",
-        "export-shape", "export-missing", "export-numeric-label", "export-boolean-origin"])
+        "export-shape", "export-missing", "export-numeric-label", "export-boolean-origin",
+        *[f"{command}-{kind}-label-without-text" for command, _, kind in NO_TEXT_CASES]])
 def test_bad_artifact_exits_with_usage_code_naming_it(tmp_path, capsys, command, artifact,
                                                       content):
     out = tmp_path / "run"

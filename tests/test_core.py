@@ -480,6 +480,52 @@ def test_graph_doc_round_trip_and_byte_stability():
     assert canonical_json(graph_to_doc(restored)) == canonical_json(doc)
 
 
+def _labeled_doc(node_labels: list[str], edge_labels: list[str] = (),
+                 interface_labels: list[str] = ()) -> dict:
+    """A graph doc whose nodes n0, n1, ... carry `node_labels`, whose edges
+    all run n0 -> n1 under `edge_labels`, and whose n0 lists
+    `interface_labels`."""
+    doc = graph_to_doc(graph_with([f"n{i}" for i in range(len(node_labels))], []))
+    for entry, label in zip(doc["nodes"], node_labels):
+        entry["label"] = label
+    doc["nodes"][0]["interface_labels"] = list(interface_labels)
+    doc["edges"] = [{"source": "n0", "label": label, "target": "n1"} for label in edge_labels]
+    return doc
+
+
+def test_a_graph_file_loads_every_label_normalized():
+    rng = random.Random(3707)
+    alphabet = "aBc .;:,\t\n\u00a0\u3000ßİ"
+    for _ in range(300):
+        raw = ["".join(rng.choices(alphabet, k=rng.randint(1, 12))) + "x" for _ in range(6)]
+        graph = graph_from_doc(_labeled_doc(raw[:2], raw[2:4], raw[4:]))
+        assert [node.label for node in graph.nodes.values()] == [
+            reference_normalize(label) for label in raw[:2]]
+        assert sorted(edge.label for edge in graph.edges) == sorted(
+            {reference_normalize(label) for label in raw[2:4]})
+        assert graph.nodes["n0"].interface_labels == list(dict.fromkeys(
+            reference_normalize(label) for label in raw[4:]))
+
+
+def test_edges_that_differ_only_in_spelling_load_as_one():
+    graph = graph_from_doc(_labeled_doc(["a", "b"], ["Yes", " yes."]))
+    assert list(graph.edges) == [DecisionEdge("n0", "yes", "n1")]
+
+
+def test_a_repeated_interface_spelling_loads_once_where_it_first_stands():
+    graph = graph_from_doc(_labeled_doc(
+        ["a", "b"], interface_labels=["Low-Risk Group", "other", "  LOW-RISK\tgroup ;"]))
+    assert graph.nodes["n0"].interface_labels == ["low-risk group", "other"]
+
+
+@pytest.mark.parametrize("labels", [(["a", " ."], [], []), (["a", "b"], ["yes", "..."], []),
+                                    (["a", "b"], [], ["a", " ;"])],
+                         ids=["node", "edge", "interface"])
+def test_a_graph_label_with_no_text_is_refused_on_load(labels):
+    with pytest.raises(EmptyLabelError):
+        graph_from_doc(_labeled_doc(*labels))
+
+
 def test_canonical_json_matches_the_standard_library_encoder():
     rng = random.Random(2028)
     for _ in range(600):
@@ -561,6 +607,7 @@ def test_no_module_imports_the_standard_json_codec():
 TRACER_BOUND_IMPORTS = {
     ("aggregator.py", "normalize_label"),  # perfbench/layers.py counts calls through it
     ("retrieval.py", "normalize_label"),  # perfbench/layers.py counts calls through it
+    ("evaluation.py", "normalize_label"),  # perfbench/layers.py counts calls through it
     ("aggregator.py", "cosine_candidates"),  # perfbench/layers.py spans calls through it
 }
 

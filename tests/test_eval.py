@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -11,8 +10,8 @@ from conftest import make_client, placed_store
 from oracles import loop_match_nodes, loop_score
 from synth import SyntheticRuleBackend
 
-from guidegraph import evaluation
-from guidegraph.core import DecisionGraph, DecisionNode, NodeKind
+from guidegraph import aggregator, builder, chunker, core, evaluation, oracle, retrieval
+from guidegraph.core import DecisionGraph, DecisionNode, NodeKind, graph_from_doc, graph_to_doc
 from guidegraph.errors import UsageError
 from guidegraph.evaluation import (
     EvalReport,
@@ -35,9 +34,7 @@ ORACLE = MatchPolicy(MatchMode.ORACLE_VERIFIED)
 def match(predicted: DecisionGraph, reference: DecisionGraph, policy: MatchPolicy,
           store: EmbeddingStore | None = None, client=None) -> dict[str, str]:
     """`match_nodes` over the indexes of the two graphs."""
-    labels = evaluation._label_table(predicted, reference)
-    return match_nodes(index_graph(predicted, labels), index_graph(reference, labels),
-                       policy, store, client)
+    return match_nodes(index_graph(predicted), index_graph(reference), policy, store, client)
 
 
 def embedding(threshold: float) -> MatchPolicy:
@@ -52,6 +49,11 @@ def graph_of(labels: list[str], edges: list[tuple[int, str, int]] = (),
     for source, label, target in edges:
         graph.add_edge(f"{prefix}{source:02d}", label, f"{prefix}{target:02d}")
     return graph
+
+
+def loaded(graph: DecisionGraph) -> DecisionGraph:
+    """`graph` as its graph file loads: every label normalized."""
+    return graph_from_doc(graph_to_doc(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,8 @@ def test_identical_graphs_identity_mapping():
 
 
 def test_exact_matching_normalizes_labels():
-    predicted = graph_of(["Radical Prostatectomy."])
-    reference = graph_of(["radical prostatectomy"], prefix="r")
+    predicted = loaded(graph_of(["Radical Prostatectomy."]))
+    reference = loaded(graph_of(["radical prostatectomy"], prefix="r"))
     assert match(predicted, reference, EXACT) == {"n01": "r01"}
 
 
@@ -306,8 +308,7 @@ def test_render_table_shows_undefined_cells():
 
 WORDS = ("active", "surveillance", "radical", "prostatectomy", "psa",
          "monitoring", "bone", "scan", "radiation", "therapy")
-EDGE_LABELS = ("if psa rising", "If PSA rising.", "if psa  rises", "otherwise",
-               "Otherwise;", "if bone scan positive", "IF BONE SCAN POSITIVE:", "...", " ;")
+EDGE_TEXTS = ("if psa rising", "if psa rises", "otherwise", "if bone scan positive")
 
 
 def _paraphrase(rng: random.Random, text: str) -> str:
@@ -331,19 +332,20 @@ def _spelling(rng: random.Random, text: str) -> str:
 
 
 def random_eval_pair(rng: random.Random) -> tuple[DecisionGraph, DecisionGraph]:
-    """Two graphs whose labels are drawn from a few shared texts, so labels
-    repeat, and half of them paraphrased, so similarities spread across
-    the thresholds. Up to three parallel edges join a node pair, and some
-    edge labels have no text."""
+    """Two graphs, in raw spellings, whose labels are drawn from a few
+    shared texts, so labels repeat, and half of them paraphrased, so
+    similarities spread across the thresholds. Up to three parallel edges
+    join a node pair, each with its own text, so no two of them load as
+    one."""
     texts = [" ".join(rng.sample(WORDS, rng.randint(1, 3))) for _ in range(rng.randint(2, 6))]
 
     def graph(prefix: str) -> DecisionGraph:
         count = rng.randint(1, 8)
         labels = [_spelling(rng, _paraphrase(rng, text) if rng.random() < 0.5 else text)
                   for text in rng.choices(texts, k=count)]
-        edges = [(s + 1, label, t + 1)
+        edges = [(s + 1, _spelling(rng, text), t + 1)
                  for s in range(count) for t in range(count) if s != t and rng.random() < 0.3
-                 for label in rng.sample(EDGE_LABELS, rng.choice((1, 1, 2, 3)))]
+                 for text in rng.sample(EDGE_TEXTS, rng.choice((1, 1, 2, 3)))]
         return graph_of(labels, edges, prefix=prefix)
 
     return graph("n"), graph("r")
@@ -363,16 +365,23 @@ class FirstWordVerifier(SyntheticRuleBackend):
                                     embedding(0.9), ORACLE],
                          ids=lambda policy: f"{policy.mode.value}-{policy.threshold}")
 def test_matching_and_scores_equal_the_pair_loops(policy):
+    # The loops normalize raw labels themselves, so the graphs as loaded
+    # must score as the raw ones do. Loading sorts the edges, and so the
+    # order of the verifier's calls; those are compared on the loaded graphs.
     rng = random.Random(1313)
     beyond_exact = 0
     for _ in range(60):
-        predicted, reference = random_eval_pair(rng)
+        raw = random_eval_pair(rng)
+        predicted, reference = map(loaded, raw)
         store = EmbeddingStore(HashingEmbeddingBackend())
         client, loop_client = make_client(FirstWordVerifier()), make_client(FirstWordVerifier())
         mapping = match(predicted, reference, policy, store, client)
+        assert mapping == loop_match_nodes(*raw, policy, store, make_client(FirstWordVerifier()))
         assert mapping == loop_match_nodes(predicted, reference, policy, store, loop_client)
         beyond_exact += len(mapping) > len(match(predicted, reference, EXACT))
         report = score(predicted, reference, policy, store=store, client=client)
+        assert report == loop_score(*raw, policy, store=store,
+                                    client=make_client(FirstWordVerifier()))
         assert report == loop_score(predicted, reference, policy, store=store, client=loop_client)
         assert ([e["payload_digest"] for e in client.audit.entries]
                 == [e["payload_digest"] for e in loop_client.audit.entries])
@@ -386,7 +395,7 @@ def test_matching_and_scores_equal_the_pair_loops(policy):
                          ids=lambda policy: f"{policy.mode.value}-{policy.threshold}")
 def test_a_score_keeps_nothing_for_the_next(policy):
     rng = random.Random(2718)
-    pairs = [random_eval_pair(rng) for _ in range(8)]
+    pairs = [tuple(map(loaded, random_eval_pair(rng))) for _ in range(8)]
 
     def alone(pair):
         return score(*pair, policy, client=make_client(FirstWordVerifier()))
@@ -407,39 +416,23 @@ def test_embedding_threshold_is_inclusive():
     assert match(predicted, reference, embedding(0.6000001), store) == {}
 
 
-def test_score_normalizes_each_distinct_label_once(monkeypatch):
-    calls: Counter[str] = Counter()
-
-    def counting(raw: str) -> str:
-        calls[raw] += 1
-        return normalize(raw)
-
-    normalize = evaluation.normalize_label
-    monkeypatch.setattr(evaluation, "normalize_label", counting)
-    predicted = graph_of(["PSA monitoring", "psa monitoring.", ".", "bone scan", "Bone Scan"],
-                         [(1, "If rising", 2), (2, "if rising", 3), (3, "If rising", 4), (4, ";", 5)])
-    reference = graph_of(["psa monitoring", "...", "bone scans", "radiation"],
-                         [(1, "if rising", 2), (2, "If rising", 3), (3, "otherwise", 4)], prefix="r")
-    raw = ({node.label for graph in (predicted, reference) for node in graph.nodes.values()}
-           | {edge.label for graph in (predicted, reference) for edge in graph.edges})
+def test_score_normalizes_no_label(monkeypatch):
+    # Graphs hold their labels normalized, so a score reads them as stored,
+    # under every binding a module has of `normalize_label`.
+    predicted = graph_of(["psa monitoring", "bone scan", "bone scans"],
+                         [(1, "if rising", 2), (2, "if rising", 3), (1, "otherwise", 3)])
+    reference = graph_of(["psa monitoring", "bone scan", "radiation"],
+                         [(1, "if rising", 2), (2, "otherwise", 3)], prefix="r")
+    calls: list[str] = []
+    for module in (aggregator, builder, chunker, core, evaluation, oracle, retrieval):
+        monkeypatch.setattr(module, "normalize_label", calls.append)
     for policy in (EXACT, embedding(0.5), ORACLE):
-        calls.clear()
         score(predicted, reference, policy, client=make_client(FirstWordVerifier()))
-        assert calls == Counter(raw), policy
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
-# labels with no text
-
-
-class RecordingBackend(HashingEmbeddingBackend):
-    def __init__(self) -> None:
-        super().__init__()
-        self.texts: list[str] = []
-
-    def embed_texts(self, texts):
-        self.texts += texts
-        return super().embed_texts(texts)
+# parallel labels
 
 
 class ConfirmAllVerifier(SyntheticRuleBackend):
@@ -451,41 +444,11 @@ class ConfirmAllVerifier(SyntheticRuleBackend):
         return {"matches": list(range(len(payload["candidates"])))}
 
 
-def empty_label_pair() -> tuple[DecisionGraph, DecisionGraph]:
-    predicted = graph_of(["a", ".", "b"], [(1, ".", 3), (1, "x", 2)])
-    reference = graph_of(["a", "...", "b"], [(1, " ;", 3), (1, "x", 2)], prefix="r")
-    return predicted, reference
-
-
-def test_exact_policy_never_matches_a_label_with_no_text():
-    predicted, reference = empty_label_pair()
-    report = score(predicted, reference, EXACT)
-    assert match(predicted, reference, EXACT) == {"n01": "r01", "n03": "r03"}
-    assert report.node_precision == MetricCount(2, 3)
-    assert report.node_recall == MetricCount(2, 3)
-    # "." and " ;" connect matched nodes, so the edge holds but not the triplet.
-    assert report.edge_precision == MetricCount(1, 2)
-    assert report.triplet_precision == MetricCount(0, 2)
-
-
-def test_embedding_policy_never_embeds_a_label_with_no_text():
-    # "bee" has no equal beside the labels without text, so only it and
-    # "bead" go to the embedding pass, which matches them.
-    predicted = graph_of(["a", ".", "bee"], [(1, ".", 3), (1, "x", 2)])
-    reference = graph_of(["a", "...", "bead"], [(1, " ;", 3), (1, "x", 2)], prefix="r")
-    backend = RecordingBackend()
-    report = score(predicted, reference, embedding(0.01), store=EmbeddingStore(backend))
-    assert report.node_precision == MetricCount(2, 3)
-    assert report.triplet_recall == MetricCount(0, 2)
-    assert "bee" in backend.texts and "bead" in backend.texts
-    assert "" not in backend.texts
-
-
 def test_oracle_policy_settles_an_equal_parallel_label_without_the_verifier():
     # The predicted "if b" has an equal reference label beside "if a", so only
     # the reference "if a", which has no equal, goes to the verifier.
-    predicted = graph_of(["a", "b"], [(1, "If B.", 2)])
-    reference = graph_of(["a", "b"], [(1, "if a", 2), (1, "if b", 2)], prefix="r")
+    predicted = loaded(graph_of(["a", "b"], [(1, "If B.", 2)]))
+    reference = loaded(graph_of(["a", "b"], [(1, "if a", 2), (1, "if b", 2)], prefix="r"))
     expected = [{"candidate": "if a", "ancestors": [], "candidates": ["if b"]}]
     for scorer in (score, loop_score):
         verifier = ConfirmAllVerifier()
@@ -493,12 +456,3 @@ def test_oracle_policy_settles_an_equal_parallel_label_without_the_verifier():
         assert report.triplet_precision == MetricCount(1, 1)
         assert report.triplet_recall == MetricCount(2, 2)
         assert verifier.payloads == expected
-
-
-def test_oracle_policy_never_sends_a_label_with_no_text():
-    predicted, reference = empty_label_pair()
-    verifier = ConfirmAllVerifier()
-    report = score(predicted, reference, ORACLE, client=make_client(verifier))
-    assert report.node_precision == MetricCount(2, 3)
-    assert report.triplet_precision == MetricCount(0, 2)
-    assert verifier.payloads == []
